@@ -50,12 +50,22 @@ from .diagrams import (
     partition_from_plucker,
     young_diagram,
 )
-from .errors import BadEll, BadRange, BadSpec, HypothesisViolated, PidegError, SkewSymmetryViolated
+from .errors import (
+    BadEll,
+    BadRange,
+    BadSpec,
+    HypothesisViolated,
+    InternalVerificationFailed,
+    PidegError,
+    SkewSymmetryViolated,
+)
 from .intlinalg import (
     SkewIntMatrix,
+    checked_cycle_sum,
     cycle_kernel_vectors,
-    cycle_sum,
     extend,
+    is_prime,
+    kernel_basis_rational,
     kernel_dim_mod_p,
     matrix_from_diagram,
     one_perp,
@@ -64,6 +74,7 @@ from .intlinalg import (
 )
 from .pipedreams import toric_permutation
 from .reps import (
+    SPAN_BOUND,
     find_relation_violation,
     irreducibility_check,
     qas_representation,
@@ -86,15 +97,44 @@ def digit_budget() -> int:
     return budget
 
 
+def decimal_digits(value: int) -> int:
+    """Number of decimal digits of a nonnegative integer, without converting it.
+
+    Starts from the estimate bit_length * log10(2), which is at most the
+    true count, and settles it by exact comparison with powers of ten.
+    """
+    digits = max(1, int(value.bit_length() * 0.30102999566398120))
+    while 10**digits <= value:
+        digits += 1
+    return digits
+
+
+def decimal_string(value: int, digits: int | None = None) -> str:
+    """str(value) for a nonnegative integer of any size.
+
+    Python refuses int -> str conversions past a digit limit (4300 by
+    default); larger values are split by a power of ten into pieces under
+    it. `digits` is decimal_digits(value) when the caller knows it.
+    """
+    if digits is None:
+        digits = decimal_digits(value)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or digits <= limit:
+        return str(value)
+    low_digits = digits // 2
+    high, low = divmod(value, 10**low_digits)
+    return decimal_string(high, digits - low_digits) + decimal_string(low).zfill(low_digits)
+
+
 def degree_dict(pi: PiDegree, budget: int) -> dict:
     value = pi.value
-    digits = len(str(value))
+    digits = decimal_digits(value)
     return {
         "ell": pi.ell,
         "exponent": pi.exponent,
-        "divisor": str(pi.divisor),
+        "divisor": decimal_string(pi.divisor),
         "digits": digits,
-        "value": str(value) if digits <= budget else None,
+        "value": decimal_string(value, digits) if digits <= budget else None,
         "factors": None if pi.factors is None else [str(f) for f in pi.factors],
     }
 
@@ -199,8 +239,6 @@ def _prop_powers_of_2(d: Diagram) -> list[str]:
 
 
 def _prop_kernel_cycles(d: Diagram) -> list[str]:
-    from .intlinalg import kernel_basis_rational
-
     M = matrix_from_diagram(d)
     snf = skew_normal_form(M)
     r_cycles = toric_permutation(d).cycles.odd_cycle_count
@@ -219,13 +257,13 @@ def _prop_kernel_cycles(d: Diagram) -> list[str]:
 
 
 def _prop_cycle_sums(d: Diagram) -> list[str]:
+    tau = toric_permutation(d)
     failures = []
-    for c in toric_permutation(d).cycles.cycles:
-        if len(c) % 2 == 0:
-            try:
-                cycle_sum(d, c)
-            except PidegError as exc:
-                failures.append(f"cycle {c}: {exc}")
+    for ckv in cycle_kernel_vectors(d, tau):
+        try:
+            checked_cycle_sum(ckv, tau, d.m)
+        except PidegError as exc:
+            failures.append(f"cycle {ckv.cycle}: {exc}")
     return failures
 
 
@@ -355,8 +393,11 @@ def analysis_dict(
         }
     if with_cycles or with_kernel:
         entries = []
-        for ckv in cycle_kernel_vectors(d):
-            entry = {"cycle": list(ckv.cycle), "cycle_sum": cycle_sum(d, ckv.cycle)}
+        for ckv in analysis.cycle_vectors:
+            entry = {
+                "cycle": list(ckv.cycle),
+                "cycle_sum": checked_cycle_sum(ckv, analysis.tau, d.m),
+            }
             if with_kernel:
                 entry["kernel_vector"] = list(ckv.vector)
             entries.append(entry)
@@ -410,14 +451,10 @@ def emit(report: dict, lines: list[str], as_json: bool) -> None:
         text = json.dumps(report, indent=2, sort_keys=True)
         parsed = json.loads(text)
         if parsed != report:
-            raise InternalError("JSON round trip failed")
+            raise InternalVerificationFailed("JSON round trip failed")
         print(text)
     else:
         print("\n".join(lines))
-
-
-class InternalError(AssertionError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +553,7 @@ def cmd_detring(args: argparse.Namespace) -> int:
         f"odd cycles: {cycles.odd_cycle_count}",
     ]
     if args.verify and cycles != toric_permutation(d).cycles:
-        raise InternalError("closed-form cycles differ from traced cycles")
+        raise InternalVerificationFailed("closed-form cycles differ from traced cycles")
     for ell in ells:
         pi = pi_degree_determinantal(n, t, ell, cross_check=args.verify)
         report["pi_degrees"].append(degree_dict(pi, budget))
@@ -666,7 +703,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
         p = args.irreducible
         if p == 0:
             p = args.ell + 1
-            while not (p % args.ell == 1 and _is_prime_cli(p)):
+            while not (p % args.ell == 1 and is_prime(p)):
                 p += 1
         ok = irreducibility_check(rep, p, bound=args.bound)
         report["irreducible_mod_p"] = {"p": p, "irreducible": ok}
@@ -675,12 +712,6 @@ def cmd_rep(args: argparse.Namespace) -> int:
     if args.verify and not report["relations_hold"]:
         return 1
     return 0
-
-
-def _is_prime_cli(p: int) -> bool:
-    from .intlinalg import is_prime
-
-    return is_prime(p)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -819,7 +850,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="certify irreducibility over F_p (omit the value to pick p automatically)",
     )
-    p.add_argument("--bound", type=int, default=10_000, help="span size bound for the certificate")
+    p.add_argument(
+        "--bound",
+        type=int,
+        default=SPAN_BOUND,
+        help=f"bound on dim**2 for the span certificate (default {SPAN_BOUND})",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rep)
 

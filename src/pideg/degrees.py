@@ -32,8 +32,11 @@ from .errors import (
     InternalVerificationFailed,
 )
 from .intlinalg import (
+    CycleKernelVector,
     SkewIntMatrix,
+    cycle_kernel_vectors,
     extend,
+    kernel_basis_rational,
     matrix_from_diagram,
     one_perp,
     skew_normal_form,
@@ -396,7 +399,8 @@ class DiagramAnalysis:
     degrees[i] is the generic PI degree at ells[i]; `extended`, when
     requested, covers the bordered matrix. The invariant
     2 * len(invariant_factors) + kernel_dim = N always holds, and
-    kernel_dim equals the odd cycle count of tau.
+    kernel_dim equals the odd cycle count of tau. `cycle_vectors` holds the
+    kernel vector of each even-length cycle of tau, a basis of the kernel.
     """
 
     diagram: Diagram
@@ -407,11 +411,20 @@ class DiagramAnalysis:
     one_perp: bool
     degrees: tuple[PiDegree, ...]
     extended: ExtendedAnalysis | None = None
+    cycle_vectors: tuple[CycleKernelVector, ...] = ()
 
 
 def analyze_diagram(
     d: Diagram, ells: tuple[int, ...] = (), extended: bool = False
 ) -> DiagramAnalysis:
+    """The generic route on one diagram: one trace of tau, one normal form.
+
+    one_perp is read from the cycle route. The kernel vectors of the
+    even-length cycles of tau lie in ker M(D) (checked as they are built),
+    there are kernel_dim of them, and an exact rank check proves them
+    independent; so they are a basis of the rational kernel, and every
+    kernel vector sums to zero exactly when each of them does.
+    """
     M = matrix_from_diagram(d)
     snf = skew_normal_form(M)
     tau = toric_permutation(d)
@@ -419,6 +432,15 @@ def analyze_diagram(
     if r != snf.kernel_dim:
         raise InternalVerificationFailed(
             f"odd cycle count {r} differs from kernel dimension {snf.kernel_dim}"
+        )
+    vectors = cycle_kernel_vectors(d, tau, M)
+    # The vectors are independent exactly when the matrix with them as
+    # columns has a zero kernel.
+    if len(vectors) != r or (
+        vectors and kernel_basis_rational(list(zip(*(v.vector for v in vectors))))
+    ):
+        raise InternalVerificationFailed(
+            f"the {len(vectors)} cycle kernel vectors are not a basis of the kernel"
         )
     degrees = tuple(pi_degree_from_factors(snf.invariant_factors, ell) for ell in ells)
     ext = None
@@ -437,7 +459,8 @@ def analyze_diagram(
         tau=tau,
         invariant_factors=snf.invariant_factors,
         kernel_dim=snf.kernel_dim,
-        one_perp=one_perp(M),
+        one_perp=all(sum(v.vector) == 0 for v in vectors),
         degrees=degrees,
         extended=ext,
+        cycle_vectors=vectors,
     )

@@ -43,7 +43,8 @@ class Diagram:
 
     def __post_init__(self) -> None:
         widths = {len(row) for row in self.cells}
-        assert len(widths) <= 1, "internal: ragged diagram rows"
+        if len(widths) > 1:
+            raise RaggedRows(f"diagram rows have different lengths: {sorted(widths)}")
 
     @property
     def m(self) -> int:

@@ -1,7 +1,7 @@
 """Exact integer linear algebra for skew-symmetric commutation matrices.
 
 Everything here runs on arbitrary-precision Python integers (Fractions only
-inside back-substitution); nothing is ever rounded. The two normal-form
+inside back-substitution); nothing is ever rounded. The normal-form
 routines verify their own output by exact multiplication before returning
 and raise InternalVerificationFailed if the check fails, so a returned
 result is a proved identity, not a hope.
@@ -15,7 +15,10 @@ The central objects:
 
 - skew_normal_form reduces a skew matrix by a unimodular congruence
   E M E^T to a block diagonal of 2x2 blocks [[0, h], [-h, 0]] followed by a
-  zero block, with h_1 | h_2 | ... ; the h_i determine the PI degree.
+  zero block, with h_1 | h_2 | ... ; the h_i determine the PI degree. It
+  returns F = E^{-1} alongside E, built from the same steps, and certifies
+  its result with two exact products over sparse rows: E F = I, which
+  makes E unimodular, and E M E^T = S (checked as M E^T = F S).
 
 - cycle_kernel_vectors realizes the kernel of M(D) combinatorially from the
   even-length cycles of the toric permutation.
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 
 from .diagrams import Diagram
 from .errors import (
@@ -35,7 +39,7 @@ from .errors import (
     NotPrime,
     SkewSymmetryViolated,
 )
-from .pipedreams import toric_permutation, white_exit_labels
+from .pipedreams import Permutation, toric_permutation, white_exit_labels
 
 
 @dataclass(frozen=True)
@@ -121,43 +125,6 @@ def _as_int_rows(mat) -> list[list[int]]:
 def mat_vec(mat, vec) -> tuple[int, ...]:
     rows = _as_int_rows(mat)
     return tuple(sum(a * x for a, x in zip(row, vec)) for row in rows)
-
-
-def mat_mul(a, b) -> list[list[int]]:
-    ar = _as_int_rows(a)
-    br = _as_int_rows(b)
-    cols = list(zip(*br)) if br else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in ar]
-
-
-def determinant(mat) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    A = _as_int_rows(mat)
-    n = len(A)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in A):
-        raise BadRange("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = A[i][j] * A[k][k] - A[i][k] * A[k][j]
-                q, r = divmod(num, prev)
-                assert r == 0, "Bareiss exact division failed"
-                A[i][j] = q
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
 
 
 def is_prime(p: int) -> bool:
@@ -295,33 +262,140 @@ class SkewNormalForm:
 
     S is block diagonal: s blocks [[0, h_i], [-h_i, 0]] with positive
     h_1 | h_2 | ... | h_s, then a zero block of size kernel_dim = n - 2s.
-    E is unimodular (|det E| = 1). Both identities are verified exactly
-    before this object is constructed.
+    `transform` is E and `inverse_transform` is F = E^{-1}, both integer
+    matrices. Before this object is constructed, two exact products
+    certify them: E F = I, which proves F = E^{-1} and |det E| = 1, and
+    M E^T = F S, which given E F = I is E M E^T = S.
     """
 
     matrix: SkewIntMatrix
     transform: tuple[tuple[int, ...], ...]
+    inverse_transform: tuple[tuple[int, ...], ...]
     invariant_factors: tuple[int, ...]
     kernel_dim: int
 
 
-def _pair_swap(A: list[list[int]], E: list[list[int]], i: int, j: int) -> None:
+# The reduction logs each congruence step as four integers live, i, j, q in
+# one flat list: q == 0 swaps indices i and j, any other q is the shear
+# index_i += q * index_j. A step taken while the first `live` indices hold
+# finished blocks touches only indices from `live` on.
+
+
+def _pair_swap(A: list[list[int]], log: list[int], i: int, j: int, live: int) -> None:
+    """Congruence swap of indices i and j.
+
+    Rows of A before `live` belong to finished blocks and are zero in every
+    column from `live` on, so only the live rows need their columns swapped.
+    """
     if i == j:
         return
     A[i], A[j] = A[j], A[i]
-    for row in A:
+    for r in range(live, len(A)):
+        row = A[r]
         row[i], row[j] = row[j], row[i]
-    E[i], E[j] = E[j], E[i]
+    log += (live, i, j, 0)
 
 
-def _pair_add(A: list[list[int]], E: list[list[int]], dst: int, src: int, q: int) -> None:
-    """Congruence shear: row_dst += q * row_src, then col_dst += q * col_src."""
+def _pair_add(A: list[list[int]], log: list[int], dst: int, src: int, q: int, live: int) -> None:
+    """Congruence shear: row_dst += q * row_src, then col_dst += q * col_src.
+
+    The result is skew, so the new column dst is minus the new row dst, and
+    indices before `live` (finished blocks, zero against the live ones) do
+    not change.
+    """
     if q == 0:
         return
-    A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
-    for row in A:
-        row[dst] += q * row[src]
-    E[dst] = [x + q * y for x, y in zip(E[dst], E[src])]
+    row = A[dst]
+    row[live:] = map(add, row[live:], map(q.__mul__, A[src][live:]))
+    row[dst] = 0
+    for r in range(live, len(A)):
+        A[r][dst] = -row[r]
+    log += (live, dst, src, q)
+
+
+def _transforms(log: list[int], n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """E and F = E^{-1} for the logged steps G_1, ..., G_m; empties the log.
+
+    E = G_m ... G_1 and F = G_1^{-1} ... G_m^{-1}. Both are accumulated
+    from the last step back: E as X -> X G, a column operation (kept as a
+    row operation on E^T), and F as Y -> G^{-1} Y, a row operation. After
+    the steps taken at live index p or later, X and Y are the identity
+    outside the trailing block from p, so each step touches only that
+    block. Forward tracking would touch whole rows.
+    """
+    Et = [[int(i == j) for j in range(n)] for i in range(n)]
+    F = [row[:] for row in Et]
+    while log:
+        live, i, j, q = log[-4:]
+        del log[-4:]
+        if q == 0:
+            Et[i], Et[j] = Et[j], Et[i]
+            F[i], F[j] = F[j], F[i]
+            continue
+        times_q = q.__mul__
+        # X G adds q * column i to column j; G^{-1} Y subtracts q * row j from row i.
+        row = Et[j]
+        row[live:] = map(add, row[live:], map(times_q, Et[i][live:]))
+        row = F[i]
+        row[live:] = map(sub, row[live:], map(times_q, F[j][live:]))
+    return [list(col) for col in zip(*Et)], F
+
+
+def _sparse_rows(rows) -> list[list[tuple[int, int]]]:
+    return [[(k, x) for k, x in enumerate(row) if x] for row in rows]
+
+
+def _combine(coeffs: list[int], rows: list[list[tuple[int, int]]]) -> list[int]:
+    """The row vector sum of coeffs[k] * rows[k], for rows given sparse as (j, y) lists."""
+    acc = [0] * len(coeffs)
+    for x, terms in zip(coeffs, rows):
+        if x:
+            for j, y in terms:
+                acc[j] += x * y
+    return acc
+
+
+def _certify(
+    M: SkewIntMatrix, S: list[list[int]], E: list[list[int]], F: list[list[int]]
+) -> tuple[int, ...]:
+    """Prove that S = E M E^T is the canonical form of M; return its factors.
+
+    Checks the block shape and the divisibility chain of S, then two exact
+    products over sparse rows: E F = I, and M E^T = F S, which given the
+    first is E M E^T = S. Raises InternalVerificationFailed on the first
+    failure.
+    """
+    n = M.n
+    s = 0
+    while 2 * s + 1 < n and S[2 * s][2 * s + 1] != 0:
+        s += 1
+    factors = tuple(S[2 * i][2 * i + 1] for i in range(s))
+    for i in range(n):
+        for j in range(n):
+            expect = 0
+            if i // 2 == j // 2 and i < 2 * s:
+                expect = factors[i // 2] if j == i + 1 else (-factors[i // 2] if j == i - 1 else 0)
+            if S[i][j] != expect:
+                raise InternalVerificationFailed(f"block shape broken at ({i}, {j})")
+    for i in range(s - 1):
+        if factors[i] <= 0 or factors[i + 1] % factors[i]:
+            raise InternalVerificationFailed(f"divisibility chain broken: {factors}")
+    if s and factors[-1] <= 0:
+        raise InternalVerificationFailed(f"non-positive invariant factor: {factors}")
+
+    sparse = _sparse_rows(F)
+    for i, row in enumerate(E):
+        product = _combine(row, sparse)
+        if product[i] != 1 or any(product[:i]) or any(product[i + 1:]):
+            raise InternalVerificationFailed("E F is not the identity: the transform is not unimodular")
+    sparse = _sparse_rows(zip(*E))
+    tail = [0] * (n - 2 * s)
+    for Mr, Fr in zip(M.rows, F):
+        # Row r of F S: entry j < 2s is F[r][j ^ 1] * S[j ^ 1][j], the rest is zero.
+        expect = [Fr[j ^ 1] * S[j ^ 1][j] for j in range(2 * s)] + tail
+        if _combine(Mr, sparse) != expect:
+            raise InternalVerificationFailed("E M E^T does not equal the reduced matrix")
+    return factors
 
 
 def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
@@ -330,118 +404,78 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
     Pivot selection is by minimal absolute value over the live block;
     Euclidean shears shrink the pivot until its two rows are clean, then a
     divisibility repair folds any non-multiple of the pivot back in. The
-    output is verified exactly (E M E^T = S, |det E| = 1, block shape,
-    divisibility chain) and InternalVerificationFailed is raised otherwise.
+    steps are logged, and E and E^{-1} are both built from the log, so the
+    inverse costs no inversion (transform tracking as in Kannan and Bachem,
+    SIAM J. Comput. 8, 1979, replayed backwards). The output is certified
+    exactly (block shape, divisibility chain, E F = I and M E^T = F S,
+    hence E M E^T = S with |det E| = 1) and InternalVerificationFailed is
+    raised otherwise.
     """
     n = M.n
     A = M.to_lists()
-    E = [[int(i == j) for j in range(n)] for i in range(n)]
+    log: list[int] = []
     p = 0
     while True:
+        # The first entry of least absolute value in row-major order. A is
+        # skew, so it lies above the diagonal, and an entry of absolute
+        # value 1 ends the search.
         piv = None
+        least = 0
         for i in range(p, n):
-            for j in range(p, n):
-                if A[i][j] != 0 and (piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])):
-                    piv = (i, j)
+            row = A[i]
+            for j in range(i + 1, n):
+                x = row[j]
+                if x and (not least or abs(x) < least):
+                    piv, least = (i, j), abs(x)
+                    if least == 1:
+                        break
+            if least == 1:
+                break
         if piv is None:
             break
         i, j = piv
-        _pair_swap(A, E, i, p)
-        if j == p:
-            j = i
-        _pair_swap(A, E, j, p + 1)
+        _pair_swap(A, log, i, p, p)
+        _pair_swap(A, log, j, p + 1, p)
         while True:
             a = A[p][p + 1]
-            assert a != 0, "lost the pivot"
+            if a == 0:
+                raise InternalVerificationFailed("lost the pivot")
             for k in range(p + 2, n):
                 if A[p][k]:
-                    _pair_add(A, E, k, p + 1, -(A[p][k] // a))
+                    _pair_add(A, log, k, p + 1, -(A[p][k] // a), p)
                 if A[p + 1][k]:
-                    _pair_add(A, E, k, p, -(A[p + 1][k] // -a))
+                    _pair_add(A, log, k, p, -(A[p + 1][k] // -a), p)
             rem = next(
                 ((r, k) for k in range(p + 2, n) for r in (p, p + 1) if A[r][k]),
                 None,
             )
             if rem is not None:
                 r, k = rem
-                _pair_swap(A, E, k, p + 1 if r == p else p)
+                _pair_swap(A, log, k, p + 1 if r == p else p, p)
                 continue
             a = A[p][p + 1]
             viol = None
-            for i2 in range(p + 2, n):
-                if any(A[i2][j2] % a for j2 in range(i2 + 1, n)):
-                    viol = i2
-                    break
+            if a not in (1, -1):
+                for i2 in range(p + 2, n):
+                    if any(A[i2][j2] % a for j2 in range(i2 + 1, n)):
+                        viol = i2
+                        break
             if viol is None:
                 break
-            _pair_add(A, E, p, viol, 1)
+            _pair_add(A, log, p, viol, 1, p)
         if A[p][p + 1] < 0:
-            _pair_swap(A, E, p, p + 1)
+            _pair_swap(A, log, p, p + 1, p)
         p += 2
-    s = p // 2
-    factors = tuple(A[2 * i][2 * i + 1] for i in range(s))
 
-    # Exact post-verification: never trust the reduction loop.
-    for i in range(n):
-        for j in range(n):
-            expect = 0
-            if i // 2 == j // 2 and i < p and j < p:
-                expect = factors[i // 2] if j == i + 1 else (-factors[i // 2] if j == i - 1 else 0)
-            if A[i][j] != expect:
-                raise InternalVerificationFailed(f"block shape broken at ({i}, {j})")
-    for i in range(s - 1):
-        if factors[i] <= 0 or factors[i + 1] % factors[i]:
-            raise InternalVerificationFailed(f"divisibility chain broken: {factors}")
-    if s and factors[-1] <= 0:
-        raise InternalVerificationFailed(f"non-positive invariant factor: {factors}")
-    if abs(determinant(E)) != 1:
-        raise InternalVerificationFailed("transform is not unimodular")
-    EMEt = mat_mul(mat_mul(E, M.rows), [list(col) for col in zip(*E)] if n else [])
-    if EMEt != A:
-        raise InternalVerificationFailed("E M E^T does not equal the reduced matrix")
-
+    E, F = _transforms(log, n)
+    factors = _certify(M, A, E, F)
     return SkewNormalForm(
         matrix=SkewIntMatrix(tuple(tuple(row) for row in A)),
         transform=tuple(tuple(row) for row in E),
+        inverse_transform=tuple(tuple(row) for row in F),
         invariant_factors=factors,
-        kernel_dim=n - 2 * s,
+        kernel_dim=n - 2 * len(factors),
     )
-
-
-def inverse_unimodular(E) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of an integer matrix with determinant +-1.
-
-    Gauss-Jordan over Fractions, entries asserted integral, and the product
-    E * E^(-1) re-verified exactly before returning.
-    """
-    rows = _as_int_rows(E)
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise BadRange("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            v = aug[i][j]
-            if v.denominator != 1:
-                raise BadRange("matrix inverse is not integral")
-            row.append(int(v))
-        out.append(tuple(row))
-    prod = mat_mul(rows, out)
-    if prod != [[int(i == j) for j in range(n)] for i in range(n)]:
-        raise InternalVerificationFailed("inverse verification failed")
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +507,8 @@ def kernel_basis_rational(mat) -> tuple[tuple[int, ...], ...]:
             for j in range(c + 1, C):
                 num = A[i][j] * A[r][c] - A[i][c] * A[r][j]
                 q, rr = divmod(num, prev)
-                assert rr == 0, "Bareiss exact division failed"
+                if rr:
+                    raise InternalVerificationFailed("Bareiss exact division failed")
                 A[i][j] = q
             A[i][c] = 0
         prev = A[r][c]
@@ -581,14 +616,19 @@ class CycleKernelVector:
     vector: tuple[int, ...]
 
 
-def cycle_kernel_vectors(d: Diagram) -> tuple[CycleKernelVector, ...]:
+def cycle_kernel_vectors(
+    d: Diagram, tau: Permutation | None = None, M: SkewIntMatrix | None = None
+) -> tuple[CycleKernelVector, ...]:
     """Kernel vectors of M(D), one per even-length cycle of the toric permutation.
 
     These span the rational kernel: the number of even-length cycles equals
-    the nullity of M(D).
+    the nullity of M(D). A caller that already holds tau = toric_permutation(d)
+    or M = matrix_from_diagram(d) passes it to save recomputing it.
     """
-    M = matrix_from_diagram(d)
-    tau = toric_permutation(d)
+    if M is None:
+        M = matrix_from_diagram(d)
+    if tau is None:
+        tau = toric_permutation(d)
     left, up = white_exit_labels(d)
     out = []
     for cycle in tau.cycles.cycles:
@@ -606,8 +646,8 @@ def cycle_kernel_vectors(d: Diagram) -> tuple[CycleKernelVector, ...]:
     return tuple(out)
 
 
-def cycle_sum(d: Diagram, cycle: tuple[int, ...]) -> int:
-    """Coordinate sum of the kernel vector of one even-length toric cycle.
+def checked_cycle_sum(ckv: CycleKernelVector, tau: Permutation, m: int) -> int:
+    """Coordinate sum of one cycle kernel vector of a diagram with m rows.
 
     Computed two independent ways and cross-checked: directly by summing the
     vector, and by the side-transition formula, which adds the cycle value
@@ -617,7 +657,29 @@ def cycle_sum(d: Diagram, cycle: tuple[int, ...]) -> int:
     FormulaMismatch if the two disagree. A cycle living entirely on rows or
     entirely on columns therefore sums to zero.
     """
-    m = d.m
+    values = {label: (1 if k % 2 == 0 else -1) for k, label in enumerate(ckv.cycle)}
+    direct = sum(ckv.vector)
+    formula = 0
+    for label in ckv.cycle:
+        image = tau(label)
+        if label > m and image <= m:
+            formula += values[image]
+        elif label <= m and image > m:
+            formula -= values[image]
+    if direct != formula:
+        raise FormulaMismatch(
+            f"cycle sum mismatch for {ckv.cycle}: direct {direct}, formula {formula}"
+        )
+    return direct
+
+
+def cycle_sum(d: Diagram, cycle: tuple[int, ...]) -> int:
+    """Coordinate sum of the kernel vector of one even-length toric cycle.
+
+    The cycle may start at any of its labels. BadRange unless it is an
+    even-length cycle of the toric permutation; see checked_cycle_sum for
+    the cross-check.
+    """
     tau = toric_permutation(d)
     rotated = tuple(cycle)
     if not rotated:
@@ -628,20 +690,7 @@ def cycle_sum(d: Diagram, cycle: tuple[int, ...]) -> int:
         raise BadRange(f"{cycle} is not a cycle of the toric permutation")
     if len(rotated) % 2:
         raise BadRange(f"cycle {cycle} has odd length; no kernel vector attached")
-    values = {label: (1 if k % 2 == 0 else -1) for k, label in enumerate(rotated)}
     matching = next(
-        ckv for ckv in cycle_kernel_vectors(d) if ckv.cycle == rotated
+        ckv for ckv in cycle_kernel_vectors(d, tau) if ckv.cycle == rotated
     )
-    direct = sum(matching.vector)
-    formula = 0
-    for label in rotated:
-        image = tau(label)
-        if label > m and image <= m:
-            formula += values[image]
-        elif label <= m and image > m:
-            formula -= values[image]
-    if direct != formula:
-        raise FormulaMismatch(
-            f"cycle sum mismatch for {rotated}: direct {direct}, formula {formula}"
-        )
-    return direct
+    return checked_cycle_sum(matching, tau, d.m)

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .intlinalg import (
     SkewIntMatrix,
-    inverse_unimodular,
     is_prime,
     matrix_from_diagram,
     skew_normal_form,
@@ -201,7 +200,7 @@ def qas_representation(M: SkewIntMatrix, ell: int) -> QASRepresentation:
     s = len(h)
     t = snf.kernel_dim
     dim = ell**s
-    e_inverse = inverse_unimodular(snf.transform)
+    e_inverse = snf.inverse_transform
 
     blocks: list[MonomialMatrix] = []
     for k in range(s):
@@ -291,8 +290,13 @@ def _element_of_order(ell: int, p: int) -> int:
     raise InternalVerificationFailed(f"no element of order {ell} found in F_{p}")
 
 
+# Default bound on dim**2 for irreducibility_check: the span search costs
+# about dim**6, which is seconds at dim 27 and many minutes at dim 81.
+SPAN_BOUND = 729
+
+
 def irreducibility_check(
-    rep: QASRepresentation, p: int, bound: int = 10_000
+    rep: QASRepresentation, p: int, bound: int = SPAN_BOUND
 ) -> bool:
     """Certify irreducibility over F_p by linear span of the generated algebra.
 
@@ -306,7 +310,10 @@ def irreducibility_check(
         raise NotPrime(f"{p} is not prime")
     d = rep.dim
     if d * d > bound:
-        raise TooLarge(f"span computation needs {d * d} dimensions, bound {bound}")
+        raise TooLarge(
+            f"span computation needs {d * d} dimensions, above the bound {bound}; "
+            "raise it with --bound (pideg rep) or bound= to run it anyway"
+        )
     zeta = _element_of_order(rep.ell, p)
     gens = [g.dense_mod_p(p, zeta) for g in rep.generator_images]
 

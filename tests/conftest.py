@@ -9,6 +9,7 @@ under test.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -78,6 +79,22 @@ FIG_YOUNG_TAU_CYCLES = ((1, 3, 8, 7, 6, 4), (2, 5))
 FIG_YOUNG_PI_AT_5 = 625
 
 CORPUS_SEED = 20_240_601
+
+
+def criterion_10_matrices() -> list[SkewIntMatrix]:
+    """The 500 seeded random skew matrices (n = 0..12, entries -5..5) of
+    acceptance criterion 10."""
+    rng = random.Random(987_654_321)
+    out = []
+    for _ in range(500):
+        n = rng.randrange(0, 13)
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j] = rng.randrange(-5, 6)
+                a[j][i] = -a[i][j]
+        out.append(SkewIntMatrix(tuple(tuple(row) for row in a)))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -3,15 +3,19 @@
 Nothing here imports from the package's linear algebra: the Smith form
 below pivots top-left with plain Euclidean reduction (the production code
 reduces skew matrices by paired congruence instead), the nullity oracle is
-Fraction Gauss-Jordan (production uses Bareiss), and the PI degree oracles
-count group orders directly. Agreement between these and the package is a
-genuine cross-check, not the same algorithm twice.
+Fraction Gauss-Jordan (production uses Bareiss), the determinant is an
+independent check on the unimodularity the normal form certifies by
+E E^{-1} = I, and the PI degree oracles count group orders directly.
+Agreement between these and the package is a genuine cross-check, not the
+same algorithm twice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, prod
+
+from pideg.errors import InternalVerificationFailed
 
 
 def textbook_smith(mat: list[list[int]]) -> list[int]:
@@ -84,6 +88,36 @@ def textbook_smith(mat: list[list[int]]) -> list[int]:
         factors.append(abs(a[k][k]))
         k += 1
     return factors
+
+
+def determinant(mat) -> int:
+    """Exact determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    a = [list(map(int, row)) for row in mat]
+    n = len(a)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant of a non-square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q, r = divmod(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+                if r:
+                    raise InternalVerificationFailed("Bareiss exact division failed")
+                a[i][j] = q
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def span_order(rows: list[list[int]], ell: int) -> int:

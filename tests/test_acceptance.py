@@ -12,7 +12,6 @@ from pideg import (
     Partition,
     PiDegree,
     PluckerIndex,
-    SkewIntMatrix,
     all_white,
     cycle_kernel_vectors,
     determinantal_diagram,
@@ -47,6 +46,7 @@ from tests.conftest import (
     FIG_TAU_CYCLES,
     FIG_YOUNG_PI_AT_5,
     FIG_YOUNG_TAU_CYCLES,
+    criterion_10_matrices,
 )
 from tests.oracles import is_power_of_two, textbook_smith
 
@@ -168,17 +168,8 @@ def test_criterion_09_representations_of_all_small_boards(small_board_matrices):
 
 
 def test_criterion_10_skew_normal_form_against_classical_smith():
-    import random
-
-    rng = random.Random(987_654_321)
-    for _ in range(500):
-        n = rng.randrange(0, 13)
-        a = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                a[i][j] = rng.randrange(-5, 6)
-                a[j][i] = -a[i][j]
-        M = SkewIntMatrix(tuple(tuple(row) for row in a))
+    for M in criterion_10_matrices():
+        n = M.n
         snf = skew_normal_form(M)
         smith = textbook_smith(M.to_lists())
         assert smith == [h for h in snf.invariant_factors for _ in (0, 1)]

@@ -1,6 +1,9 @@
 """Command line driver: output shapes, determinism, exit codes."""
 
+import contextlib
 import json
+import sys
+import time
 
 import pytest
 
@@ -157,6 +160,13 @@ class TestRepCommand:
         code, _, err = run(capsys, "rep", "--diagram", fig_file, "--ell", "2")
         assert code == 1 and "error:" in err
 
+    def test_irreducible_beyond_the_default_bound_fails_fast(self, capsys):
+        # Dimension 81: the span search would run for many minutes.
+        start = time.perf_counter()
+        code, _, err = run(capsys, "rep", "--detring", "5,1", "--ell", "3", "--irreducible")
+        assert code == 1 and "--bound" in err
+        assert time.perf_counter() - start < 30
+
 
 class TestDigitBudget:
     def test_value_suppressed_beyond_budget(self, capsys, monkeypatch, fig_file):
@@ -175,6 +185,41 @@ class TestDigitBudget:
         monkeypatch.setenv("PIDEG_DIGIT_BUDGET", "many")
         code, _, err = run(capsys, "diagram", fig_file, "--ell", "5")
         assert code == 1 and "error:" in err
+
+    # Both values have more digits than Python's default int -> str limit.
+    HUGE = [
+        pytest.param(("detring", "100", "50", "--ell", "1001"), (1001, 3725), id="detring"),
+        pytest.param(("grassmannian", "60", "130", "--ell", "1009"), (1009, 2100), id="grassmannian"),
+    ]
+
+    @pytest.mark.parametrize("argv, power", HUGE)
+    def test_huge_value_is_suppressed_with_exact_digits(self, capsys, argv, power):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 0 and err == ""
+        entry = json.loads(out)["pi_degrees"][0]
+        assert entry["value"] is None
+        with unlimited_str_digits():
+            assert entry["digits"] == len(str(power[0] ** power[1]))
+
+    @pytest.mark.parametrize("argv, power", HUGE)
+    def test_huge_value_within_a_raised_budget(self, capsys, monkeypatch, argv, power):
+        monkeypatch.setenv("PIDEG_DIGIT_BUDGET", "100000")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        with unlimited_str_digits():
+            assert json.loads(out)["pi_degrees"][0]["value"] == str(power[0] ** power[1])
+
+
+@contextlib.contextmanager
+def unlimited_str_digits():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestSweepCommand:

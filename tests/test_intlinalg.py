@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 from pideg import (
     BadRange,
     FormulaMismatch,
+    InternalVerificationFailed,
     SkewIntMatrix,
     SkewSymmetryViolated,
     all_white,
+    analyze_diagram,
     cycle_kernel_vectors,
     cycle_sum,
-    determinant,
     diagram_from_text,
     extend,
-    inverse_unimodular,
+    intlinalg,
     is_prime,
     kernel_basis_mod_p,
     kernel_basis_rational,
@@ -36,8 +37,9 @@ from tests.conftest import (
     FIG_KERNEL_DIM,
     FIG_KERNEL_VECTOR,
     FIG_MATRIX,
+    criterion_10_matrices,
 )
-from tests.oracles import gauss_jordan_nullity, textbook_smith
+from tests.oracles import determinant, gauss_jordan_nullity, textbook_smith
 
 
 def random_skew(rng: random.Random, n: int, bound: int = 5) -> SkewIntMatrix:
@@ -183,6 +185,26 @@ class TestSmithForm:
         assert result.rank == 1 and result.kernel_dim == 2
 
 
+def _bump_e(S, E, F):
+    E[0][0] += 1
+
+
+def _bump_f(S, E, F):
+    F[2][3] -= 1
+
+
+def _swap_e_and_f(S, E, F):
+    # E and F stay inverse to each other; only E M E^T = S catches it.
+    E[0], E[1] = E[1], E[0]
+    for row in F:
+        row[0], row[1] = row[1], row[0]
+
+
+def _double_last_factor(S, E, F):
+    # Shape and divisibility chain stay valid: (1, 1, 1, 2) -> (1, 1, 1, 4).
+    S[6][7], S[7][6] = 4, -4
+
+
 class TestSkewNormalForm:
     def test_reference_board(self, fig_diagram):
         snf = skew_normal_form(matrix_from_diagram(fig_diagram))
@@ -220,15 +242,45 @@ class TestSkewNormalForm:
         for a, b in zip(snf.invariant_factors, snf.invariant_factors[1:]):
             assert b % a == 0
 
-    def test_inverse_unimodular_round_trip(self, fig_diagram):
+    def test_inverse_transform_round_trip(self, fig_diagram):
+        import sympy
+
         snf = skew_normal_form(matrix_from_diagram(fig_diagram))
-        inv = inverse_unimodular(snf.transform)
+        inv = snf.inverse_transform
         n = len(inv)
         prod = [
             [sum(snf.transform[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)
         ]
         assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert sympy.Matrix(snf.transform).inv() == sympy.Matrix(inv)
+
+    def test_inverse_transform_matches_sympy(self):
+        import sympy
+
+        from pideg.cli import exhaustive_diagrams
+
+        matrices = [matrix_from_diagram(d) for d in exhaustive_diagrams(3, 3)]
+        for M in matrices + criterion_10_matrices():
+            snf = skew_normal_form(M)
+            if M.n:
+                assert sympy.Matrix(snf.transform).inv() == sympy.Matrix(snf.inverse_transform)
+            else:
+                assert snf.transform == snf.inverse_transform == ()
+
+    @pytest.mark.parametrize(
+        "tamper", [_bump_e, _bump_f, _swap_e_and_f, _double_last_factor]
+    )
+    def test_certificate_rejects_tampering(self, fig_diagram, monkeypatch, tamper):
+        certify = intlinalg._certify
+
+        def tampered(M, S, E, F):
+            tamper(S, E, F)
+            return certify(M, S, E, F)
+
+        monkeypatch.setattr(intlinalg, "_certify", tampered)
+        with pytest.raises(InternalVerificationFailed):
+            skew_normal_form(matrix_from_diagram(fig_diagram))
 
 
 class TestRationalKernel:
@@ -262,6 +314,17 @@ class TestRationalKernel:
         assert not one_perp(SkewIntMatrix(((0, 0), (0, 0))))
         # Full rank: the empty kernel lies in every hyperplane.
         assert one_perp(SkewIntMatrix(((0, 1), (-1, 0))))
+
+    def test_cycle_route_one_perp_matches_rational(self):
+        from pideg.cli import exhaustive_diagrams
+
+        boards = exhaustive_diagrams(3, 3) + exhaustive_diagrams(3, 4)
+        seen = set()
+        for d in boards:
+            expected = one_perp(matrix_from_diagram(d))
+            assert analyze_diagram(d).one_perp == expected
+            seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestModPKernel:

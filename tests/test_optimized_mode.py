@@ -1,0 +1,64 @@
+"""Internal checks raise exceptions rather than assert, so they survive `python -O`."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs under -O. Each check is driven to fail by patching a helper it relies on.
+SCRIPT = r"""
+import sys
+
+if __debug__:
+    sys.exit("the interpreter is not running with -O")
+
+import oracles
+from pideg import Diagram, InternalVerificationFailed, RaggedRows, SkewIntMatrix, intlinalg
+
+
+def expect(exc, fn, *args):
+    try:
+        fn(*args)
+    except exc:
+        return
+    sys.exit(f"{fn.__name__} did not raise {exc.__name__}")
+
+
+expect(RaggedRows, Diagram, ((True,), (True, False)))
+
+# A remainder in Bareiss' exact division can only come from a bug; force one.
+intlinalg.divmod = oracles.divmod = lambda a, b: (0, 1)
+expect(InternalVerificationFailed, intlinalg.kernel_basis_rational, [[1, 2], [3, 4], [5, 6]])
+expect(InternalVerificationFailed, oracles.determinant, [[1, 2], [3, 4]])
+del intlinalg.divmod
+
+# A swap that does nothing leaves the pivot behind.
+intlinalg._pair_swap = lambda *args: None
+expect(
+    InternalVerificationFailed,
+    intlinalg.skew_normal_form,
+    SkewIntMatrix(((0, 0, 0), (0, 0, 1), (0, -1, 0))),
+)
+print("ok")
+"""
+
+
+def test_checks_raise_under_optimize():
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr or result.stdout
+    assert result.stdout.strip() == "ok"
+
+
+def test_package_has_no_assert_statements():
+    for path in sorted((ROOT / "src" / "pideg").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"
