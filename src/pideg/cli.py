@@ -1,23 +1,11 @@
-"""Command line driver.
+"""Command line driver: parses arguments and formats reports.
 
-Subcommands (see README for worked examples):
-
-- diagram        analyze a diagram file: toric cycles, invariant factors,
-                 kernel data, generic PI degrees (any ell >= 2)
-- partition      closed-form PI degree of a Young shape (odd ell)
-- detring        determinantal board: closed form, toric cycles (ell >= 3)
-- schubert       extended Schubert cell algebra closed form
-- grassmannian   quantum Grassmannian closed form
-- rep            build the monomial representation, verify relations,
-                 certify irreducibility over a finite field
-- sweep          run property checks over a diagram corpus, deterministic
-                 given the seed; exit status 0 exactly when all pass
-
-Output is a readable table by default, or a JSON document with --json.
-Huge PI degree values are replaced by their exponent form when they exceed
-the digit budget (environment variable PIDEG_DIGIT_BUDGET, default 400).
-All randomness is seeded, so sweep summaries are byte-identical across runs
-with the same arguments.
+Subcommands (see README for worked examples): diagram, partition, detring,
+schubert, grassmannian, rep and sweep. Each prints a readable table by
+default, or a JSON document with --json. Huge PI degree values are
+replaced by their exponent form when they exceed the digit budget
+(environment variable PIDEG_DIGIT_BUDGET, default 400). The computations
+live in degrees, reps and sweep.
 """
 
 from __future__ import annotations
@@ -25,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from pathlib import Path
 
@@ -41,7 +28,6 @@ from .degrees import (
     pi_degree_schubert,
 )
 from .diagrams import (
-    Diagram,
     Partition,
     PluckerIndex,
     determinantal_diagram,
@@ -57,20 +43,13 @@ from .errors import (
     HypothesisViolated,
     InternalVerificationFailed,
     PidegError,
-    SkewSymmetryViolated,
 )
 from .intlinalg import (
     SkewIntMatrix,
     checked_cycle_sum,
-    cycle_kernel_vectors,
     extend,
     is_prime,
-    kernel_basis_rational,
-    kernel_dim_mod_p,
     matrix_from_diagram,
-    one_perp,
-    one_perp_mod_p,
-    skew_normal_form,
 )
 from .pipedreams import toric_permutation
 from .reps import (
@@ -79,9 +58,9 @@ from .reps import (
     irreducibility_check,
     qas_representation,
 )
+from .sweep import DIAGRAM_PROPERTIES, MATRIX_PROPERTIES, parse_corpus, run_sweep
 
 DIGIT_BUDGET_VAR = "PIDEG_DIGIT_BUDGET"
-SWEEP_PRIMES = (3, 5, 7)
 
 
 def digit_budget() -> int:
@@ -139,11 +118,14 @@ def degree_dict(pi: PiDegree, budget: int) -> dict:
     }
 
 
-def degree_line(label: str, pi: PiDegree, budget: int) -> str:
-    entry = degree_dict(pi, budget)
+def degree_line(entry: dict) -> str:
+    """The table line of a degree_dict entry, e.g. 'PI degree at ell=5: 5^4 = 625'."""
+    line = f"PI degree at ell={entry['ell']}: {entry['ell']}^{entry['exponent']}"
+    if entry["divisor"] != "1":
+        line += f"/{entry['divisor']}"
     if entry["value"] is None:
-        return f"{label} at ell={pi.ell}: {pi} ({entry['digits']} digits, value suppressed)"
-    return f"{label} at ell={pi.ell}: {pi} = {entry['value']}"
+        return line + f" ({entry['digits']} digits, value suppressed)"
+    return line + f" = {entry['value']}"
 
 
 def require_algebra_ells(ells: list[int]) -> tuple[int, ...]:
@@ -156,200 +138,6 @@ def require_algebra_ells(ells: list[int]) -> tuple[int, ...]:
                 "computes generic PI degrees for any ell >= 2"
             )
     return tuple(ells)
-
-
-# ---------------------------------------------------------------------------
-# Corpora (also reused by the test suite)
-# ---------------------------------------------------------------------------
-
-
-def exhaustive_diagrams(m: int, n: int) -> list[Diagram]:
-    """Every black/white m x n board, in binary counting order."""
-    out = []
-    for mask in range(1 << (m * n)):
-        rows = tuple(
-            tuple(bool(mask >> (r * n + c) & 1) for c in range(n))
-            for r in range(m)
-        )
-        out.append(Diagram(rows))
-    return out
-
-
-def random_diagrams(m: int, n: int, count: int, seed: int) -> list[Diagram]:
-    """Seeded uniform random boards; deterministic for a given seed."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        rows = tuple(
-            tuple(bool(rng.getrandbits(1)) for _ in range(n)) for _ in range(m)
-        )
-        out.append(Diagram(rows))
-    return out
-
-
-def mutation_matrices(n: int, count: int, seed: int) -> list[list[list[int]]]:
-    """Seeded random nonzero symmetric matrices (never skew-symmetric)."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        mat = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                mat[i][j] = mat[j][i] = rng.randrange(-3, 4)
-        if any(x for row in mat for x in row):
-            out.append(mat)
-    return out
-
-
-def parse_corpus(spec: str, seed: int):
-    """Parse a corpus spec: 'exhaustive MxN', 'random MxN xK', 'mutation NxN xK'."""
-    words = spec.split()
-    try:
-        if len(words) == 2 and words[0] == "exhaustive":
-            m, n = (int(x) for x in words[1].split("x"))
-            if m < 1 or n < 1 or m * n > 16:
-                raise BadSpec(f"exhaustive corpus too large or empty: {spec!r}")
-            return "diagram", exhaustive_diagrams(m, n)
-        if len(words) == 3 and words[0] == "random" and words[2].startswith("x"):
-            m, n = (int(x) for x in words[1].split("x"))
-            count = int(words[2][1:])
-            if m < 1 or n < 1 or count < 1:
-                raise BadSpec(f"bad random corpus: {spec!r}")
-            return "diagram", random_diagrams(m, n, count, seed)
-        if len(words) == 3 and words[0] == "mutation" and words[2].startswith("x"):
-            m, n = (int(x) for x in words[1].split("x"))
-            count = int(words[2][1:])
-            if m != n or m < 1 or count < 1:
-                raise BadSpec(f"bad mutation corpus: {spec!r}")
-            return "matrix", mutation_matrices(n, count, seed)
-    except (ValueError, BadSpec) as exc:
-        raise BadSpec(f"cannot parse corpus spec {spec!r}") from exc
-    raise BadSpec(f"cannot parse corpus spec {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# Sweep properties
-# ---------------------------------------------------------------------------
-
-
-def _prop_powers_of_2(d: Diagram) -> list[str]:
-    h = skew_normal_form(matrix_from_diagram(d)).invariant_factors
-    bad = [x for x in h if x & (x - 1)]
-    return [f"invariant factors not powers of 2: {h}"] if bad else []
-
-
-def _prop_kernel_cycles(d: Diagram) -> list[str]:
-    M = matrix_from_diagram(d)
-    snf = skew_normal_form(M)
-    r_cycles = toric_permutation(d).cycles.odd_cycle_count
-    failures = []
-    if r_cycles != snf.kernel_dim:
-        failures.append(
-            f"odd cycles {r_cycles} != kernel dim {snf.kernel_dim}"
-        )
-    if 2 * len(snf.invariant_factors) + snf.kernel_dim != M.n:
-        failures.append("rank + kernel does not fill the matrix size")
-    if len(kernel_basis_rational(M)) != snf.kernel_dim:
-        failures.append("rational kernel basis size mismatch")
-    if len(cycle_kernel_vectors(d)) != r_cycles:
-        failures.append("cycle kernel vector count mismatch")
-    return failures
-
-
-def _prop_cycle_sums(d: Diagram) -> list[str]:
-    tau = toric_permutation(d)
-    failures = []
-    for ckv in cycle_kernel_vectors(d, tau):
-        try:
-            checked_cycle_sum(ckv, tau, d.m)
-        except PidegError as exc:
-            failures.append(f"cycle {ckv.cycle}: {exc}")
-    return failures
-
-
-def _prop_extended_laws(d: Diagram) -> list[str]:
-    M = matrix_from_diagram(d)
-    snf = skew_normal_form(M)
-    esnf = skew_normal_form(extend(M))
-    h, h_ext = snf.invariant_factors, esnf.invariant_factors
-    failures = []
-    expected_jump = 1 if one_perp(M) else -1
-    if esnf.kernel_dim - snf.kernel_dim != expected_jump:
-        failures.append(
-            f"kernel jump {esnf.kernel_dim - snf.kernel_dim}, expected {expected_jump}"
-        )
-    for i in range(min(len(h), len(h_ext))):
-        if h[i] % h_ext[i]:
-            failures.append(f"h_ext[{i}] = {h_ext[i]} does not divide h[{i}] = {h[i]}")
-    if len(h_ext) == len(h) + 1 and min(d.shape) >= 1:
-        odd = h_ext[len(h)]
-        while odd % 2 == 0:
-            odd //= 2
-        f = 3
-        while f * f <= odd:
-            if odd % f == 0:
-                if f > min(d.shape):
-                    failures.append(f"odd prime {f} of extra factor exceeds {min(d.shape)}")
-                while odd % f == 0:
-                    odd //= f
-            f += 2
-        if odd > 1 and odd > min(d.shape):
-            failures.append(f"odd prime {odd} of extra factor exceeds {min(d.shape)}")
-    return failures
-
-
-def _prop_mod_p(d: Diagram) -> list[str]:
-    M = matrix_from_diagram(d)
-    snf = skew_normal_form(M)
-    h_ext = skew_normal_form(extend(M)).invariant_factors
-    failures = []
-    for p in SWEEP_PRIMES:
-        if kernel_dim_mod_p(M, p) < snf.kernel_dim:
-            failures.append(f"mod-{p} kernel smaller than rational kernel")
-        s_prime = sum(1 for x in snf.invariant_factors if x % p)
-        lhs = s_prime >= len(h_ext) or h_ext[s_prime] % p == 0
-        rhs = one_perp_mod_p(M, p)
-        if lhs != rhs:
-            failures.append(
-                f"mod-{p} criterion: factor divisibility {lhs} vs kernel in "
-                f"sum-zero hyperplane {rhs}"
-            )
-    return failures
-
-
-def _prop_pi_closed(d: Diagram) -> list[str]:
-    M = matrix_from_diagram(d)
-    snf = skew_normal_form(M)
-    r = snf.kernel_dim
-    n_white = M.n
-    failures = []
-    for ell in (3, 5):
-        generic = pi_degree_qas(M, ell).value
-        closed = ell ** ((n_white - r) // 2)
-        if generic != closed:
-            failures.append(f"ell={ell}: generic {generic} != closed {closed}")
-    return failures
-
-
-def _prop_skew_reject(mat: list[list[int]]) -> list[str]:
-    try:
-        SkewIntMatrix(tuple(tuple(row) for row in mat))
-    except SkewSymmetryViolated:
-        return []
-    return ["symmetric matrix was not rejected"]
-
-
-DIAGRAM_PROPERTIES = {
-    "powers-of-2": _prop_powers_of_2,
-    "kernel-cycles": _prop_kernel_cycles,
-    "cycle-sums": _prop_cycle_sums,
-    "extended-laws": _prop_extended_laws,
-    "mod-p": _prop_mod_p,
-    "pi-closed": _prop_pi_closed,
-}
-MATRIX_PROPERTIES = {
-    "skew-reject": _prop_skew_reject,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -418,26 +206,14 @@ def analysis_lines(report: dict) -> list[str]:
     lines.append(f"kernel dimension: {report['kernel_dim']}")
     lines.append(f"kernel inside sum-zero hyperplane: {'yes' if report['one_perp'] else 'no'}")
     for entry in report["pi_degrees"]:
-        shown = entry["value"] if entry["value"] is not None else f"({entry['digits']} digits)"
-        lines.append(
-            f"PI degree at ell={entry['ell']}: "
-            f"{entry['ell']}^{entry['exponent']}"
-            + (f"/{entry['divisor']}" if entry["divisor"] != "1" else "")
-            + f" = {shown}"
-        )
+        lines.append(degree_line(entry))
     ext = report.get("extended")
     if ext:
         lines.append("extended algebra:")
         lines.append("  invariant factors: " + (" ".join(ext["invariant_factors"]) or "(none)"))
         lines.append(f"  kernel dimension: {ext['kernel_dim']} (jump {ext['kernel_jump']:+d})")
         for entry in ext["pi_degrees"]:
-            shown = entry["value"] if entry["value"] is not None else f"({entry['digits']} digits)"
-            lines.append(
-                f"  PI degree at ell={entry['ell']}: "
-                f"{entry['ell']}^{entry['exponent']}"
-                + (f"/{entry['divisor']}" if entry["divisor"] != "1" else "")
-                + f" = {shown}"
-            )
+            lines.append("  " + degree_line(entry))
     for entry in report.get("even_cycles", ()):
         lines.append(
             f"even cycle {tuple(entry['cycle'])}: sum {entry['cycle_sum']}"
@@ -460,6 +236,13 @@ def emit(report: dict, lines: list[str], as_json: bool) -> None:
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
+
+
+def _emit_closed_form(report: dict, lines: list[str], args: argparse.Namespace) -> int:
+    if args.verify:
+        lines.append("cross check against the generic route: passed")
+    emit(report, lines, args.json)
+    return 0
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
@@ -487,24 +270,22 @@ def _parse_parts(text: str) -> tuple[int, ...]:
         raise BadRange(f"cannot parse partition {text!r}")
 
 
-def _parse_box(text: str | None) -> tuple[int, int] | None:
-    if text is None:
-        return None
+def _parse_shape(parts_text: str, box: str | None) -> Partition:
+    """The Young shape of comma separated parts, in a box like 3x5 if given."""
+    parts = _parse_parts(parts_text)
+    if box is None:
+        return Partition(parts)
     try:
-        m, n = (int(x) for x in text.lower().split("x"))
-        return m, n
+        m, n = (int(x) for x in box.lower().split("x"))
     except ValueError:
-        raise BadRange(f"cannot parse box {text!r}, expected like 3x5")
+        raise BadRange(f"cannot parse box {box!r}, expected like 3x5")
+    return Partition(parts, box_m=m, box_n=n)
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
     budget = digit_budget()
     ells = require_algebra_ells(args.ell)
-    parts = _parse_parts(args.parts)
-    box = _parse_box(args.box)
-    shape = (
-        Partition(parts) if box is None else Partition(parts, box_m=box[0], box_n=box[1])
-    )
+    shape = _parse_shape(args.parts, args.box)
     d = young_diagram(shape)
     tau = toric_permutation(d)
     report = {
@@ -523,13 +304,10 @@ def cmd_partition(args: argparse.Namespace) -> int:
         f"odd cycles: {tau.cycles.odd_cycle_count}",
     ]
     for ell in ells:
-        pi = pi_degree_partition(shape, ell, cross_check=args.verify)
-        report["pi_degrees"].append(degree_dict(pi, budget))
-        lines.append(degree_line("PI degree", pi, budget))
-    if args.verify:
-        lines.append("cross check against the generic route: passed")
-    emit(report, lines, args.json)
-    return 0
+        entry = degree_dict(pi_degree_partition(shape, ell, cross_check=args.verify), budget)
+        report["pi_degrees"].append(entry)
+        lines.append(degree_line(entry))
+    return _emit_closed_form(report, lines, args)
 
 
 def cmd_detring(args: argparse.Namespace) -> int:
@@ -555,13 +333,10 @@ def cmd_detring(args: argparse.Namespace) -> int:
     if args.verify and cycles != toric_permutation(d).cycles:
         raise InternalVerificationFailed("closed-form cycles differ from traced cycles")
     for ell in ells:
-        pi = pi_degree_determinantal(n, t, ell, cross_check=args.verify)
-        report["pi_degrees"].append(degree_dict(pi, budget))
-        lines.append(degree_line("PI degree", pi, budget))
-    if args.verify:
-        lines.append("cross check against the generic route: passed")
-    emit(report, lines, args.json)
-    return 0
+        entry = degree_dict(pi_degree_determinantal(n, t, ell, cross_check=args.verify), budget)
+        report["pi_degrees"].append(entry)
+        lines.append(degree_line(entry))
+    return _emit_closed_form(report, lines, args)
 
 
 def cmd_schubert(args: argparse.Namespace) -> int:
@@ -585,35 +360,29 @@ def cmd_schubert(args: argparse.Namespace) -> int:
     for ell in ells:
         entry, line = _closed_or_generic(
             lambda: pi_degree_schubert(idx, ell, cross_check=args.verify),
-            lambda: pi_degree_qas(
-                extend(matrix_from_diagram(young_diagram(shape))), ell
-            ),
+            shape,
+            ell,
             budget,
         )
         report["pi_degrees"].append(entry)
         lines.append(line)
-    if args.verify:
-        lines.append("cross check against the generic route: passed")
-    emit(report, lines, args.json)
-    return 0
+    return _emit_closed_form(report, lines, args)
 
 
-def _closed_or_generic(closed_fn, generic_fn, budget: int) -> tuple[dict, str]:
-    """Run a closed form, fall back to the generic route when its theorem
-    hypothesis is not met, and label the result accordingly."""
+def _closed_or_generic(
+    closed_fn, shape: Partition, ell: int, budget: int
+) -> tuple[dict, str]:
+    """Run a closed form; when its theorem hypothesis is not met, fall back
+    to the generic route on the extended matrix of the Young shape, and
+    label the result accordingly."""
     try:
-        pi = closed_fn()
-        entry = degree_dict(pi, budget)
-        entry["route"] = "closed"
-        return entry, degree_line("PI degree", pi, budget)
+        pi, route, note = closed_fn(), "closed", ""
     except HypothesisViolated as exc:
-        pi = generic_fn()
-        entry = degree_dict(pi, budget)
-        entry["route"] = "generic (hypothesis not met)"
-        return entry, (
-            degree_line("PI degree", pi, budget)
-            + f" [generic route; {exc}]"
-        )
+        pi = pi_degree_qas(extend(matrix_from_diagram(young_diagram(shape))), ell)
+        route, note = "generic (hypothesis not met)", f" [generic route; {exc}]"
+    entry = degree_dict(pi, budget)
+    entry["route"] = route
+    return entry, degree_line(entry) + note
 
 
 def cmd_grassmannian(args: argparse.Namespace) -> int:
@@ -626,17 +395,13 @@ def cmd_grassmannian(args: argparse.Namespace) -> int:
     for ell in ells:
         entry, line = _closed_or_generic(
             lambda: pi_degree_grassmannian(m, n, ell, cross_check=args.verify),
-            lambda: pi_degree_qas(
-                extend(matrix_from_diagram(young_diagram(shape))), ell
-            ),
+            shape,
+            ell,
             budget,
         )
         report["pi_degrees"].append(entry)
         lines.append(line)
-    if args.verify:
-        lines.append("cross check against the generic route: passed")
-    emit(report, lines, args.json)
-    return 0
+    return _emit_closed_form(report, lines, args)
 
 
 def _rep_matrix(args: argparse.Namespace) -> SkewIntMatrix:
@@ -655,21 +420,24 @@ def _rep_matrix(args: argparse.Namespace) -> SkewIntMatrix:
     if args.matrix is not None:
         try:
             rows = json.loads(Path(args.matrix).read_text())
-            return SkewIntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise BadSpec(f"cannot read a matrix from {args.matrix}: {exc}")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise BadSpec(f"{args.matrix} must hold a JSON list of rows of integers")
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if type(x) is not int:  # not isinstance: JSON true must not pass as 1
+                    raise BadSpec(
+                        f"{args.matrix}: entry ({i}, {j}) is {json.dumps(x)}, not an integer"
+                    )
+        return SkewIntMatrix(tuple(map(tuple, rows)))
     if args.detring is not None:
         try:
             n, t = (int(x) for x in args.detring.split(","))
         except ValueError:
             raise BadRange(f"cannot parse --detring {args.detring!r}, expected like 4,2")
         return matrix_from_diagram(determinantal_diagram(n, t))
-    parts = _parse_parts(args.partition)
-    box = _parse_box(args.box)
-    shape = (
-        Partition(parts) if box is None else Partition(parts, box_m=box[0], box_n=box[1])
-    )
-    return matrix_from_diagram(young_diagram(shape))
+    return matrix_from_diagram(young_diagram(_parse_shape(args.partition, args.box)))
 
 
 def cmd_rep(args: argparse.Namespace) -> int:
@@ -729,8 +497,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         names = (
             ["powers-of-2", "kernel-cycles"] if kind == "diagram" else ["skew-reject"]
         )
-    out_dir = Path(args.out)
-    failures_total = 0
+    results = run_sweep(kind, items, names, Path(args.out))
     lines = [
         f"sweep corpus: {args.corpus}",
         f"seed: {args.seed}",
@@ -742,42 +509,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "items": len(items),
         "properties": [],
     }
-    dumped = 0
-    for name in names:
-        prop = registry[name]
-        fail_count = 0
-        first_message = None
-        for index, item in enumerate(items):
-            messages = prop(item)
-            if messages:
-                fail_count += 1
-                if first_message is None:
-                    first_message = f"item {index}: {messages[0]}"
-                if dumped < 20:
-                    out_dir.mkdir(parents=True, exist_ok=True)
-                    path = out_dir / f"counterexample-{name}-{index}.txt"
-                    body = (
-                        item.to_text()
-                        if isinstance(item, Diagram)
-                        else json.dumps(item)
-                    )
-                    path.write_text(
-                        body + "\n# property: " + name + "\n# " + "\n# ".join(messages) + "\n"
-                    )
-                    dumped += 1
-        failures_total += fail_count
-        status = "PASS" if fail_count == 0 else f"FAIL ({fail_count} failures)"
-        lines.append(f"property {name}: {status} ({len(items)} checked)")
-        entry = {"name": name, "failures": fail_count, "checked": len(items)}
-        if first_message is not None:
-            entry["first_failure"] = first_message
-            lines.append(f"  first failure: {first_message}")
+    for result in results:
+        status = "PASS" if result.failures == 0 else f"FAIL ({result.failures} failures)"
+        lines.append(f"property {result.name}: {status} ({len(items)} checked)")
+        entry = {"name": result.name, "failures": result.failures, "checked": len(items)}
+        if result.dumps:
+            index, messages = result.dumps[0]
+            entry["first_failure"] = f"item {index}: {messages[0]}"
+            lines.append(f"  first failure: {entry['first_failure']}")
         report["properties"].append(entry)
-    verdict = "PASS" if failures_total == 0 else "FAIL"
+    verdict = "FAIL" if any(r.failures for r in results) else "PASS"
     lines.append(f"result: {verdict}")
     report["result"] = verdict
     emit(report, lines, args.json)
-    return 0 if failures_total == 0 else 1
+    return 0 if verdict == "PASS" else 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ generic computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .diagrams import (
@@ -34,11 +35,10 @@ from .errors import (
 from .intlinalg import (
     CycleKernelVector,
     SkewIntMatrix,
+    SkewNormalForm,
     cycle_kernel_vectors,
     extend,
-    kernel_basis_rational,
     matrix_from_diagram,
-    one_perp,
     skew_normal_form,
 )
 from .pipedreams import (
@@ -145,6 +145,18 @@ def _check_odd_ell(ell: int) -> None:
         raise EvenEll(f"this closed form needs odd ell, got {ell}")
 
 
+def _half_rank(shape: Partition) -> tuple[int, Permutation]:
+    """(s, tau): tau the toric permutation of a Young shape, by its closed
+    form, and s = (N - r) / 2 for N boxes and r even-length cycles of tau."""
+    tau = partition_toric_permutation(shape)
+    r = tau.cycles.odd_cycle_count
+    if (shape.size - r) % 2:
+        raise InternalVerificationFailed(
+            f"parity broken: N = {shape.size}, r = {r} for shape {shape}"
+        )
+    return (shape.size - r) // 2, tau
+
+
 def pi_degree_partition(
     shape: Partition, ell: int, cross_check: bool = False
 ) -> PiDegree:
@@ -154,13 +166,7 @@ def pi_degree_partition(
     number of even-length cycles of the toric permutation of the shape.
     """
     _check_odd_ell(ell)
-    n_boxes = shape.size
-    r = partition_toric_permutation(shape).cycles.odd_cycle_count
-    if (n_boxes - r) % 2:
-        raise InternalVerificationFailed(
-            f"parity broken: N = {n_boxes}, r = {r} for shape {shape}"
-        )
-    closed = PiDegree(ell=ell, exponent=(n_boxes - r) // 2)
+    closed = PiDegree(ell=ell, exponent=_half_rank(shape)[0])
     if cross_check:
         generic = pi_degree_qas(matrix_from_diagram(young_diagram(shape)), ell)
         if generic.value != closed.value:
@@ -227,52 +233,36 @@ def determinantal_toric_cycles(n: int, t: int) -> CycleDecomposition:
     return CycleDecomposition(2 * n, tuple(cycles))
 
 
-def _extended_cases(
-    M: SkewIntMatrix, ell: int, min_dim: int
-) -> tuple[PiDegree, int, tuple[int, ...]]:
-    """Three-way closed form for the extended algebra of a skew matrix.
-
-    Returns (degree, s, h) where s and h describe the UNextended matrix.
-    Case split: if every kernel vector of M sums to zero the border adds a
-    kernel direction and the degree stays ell**s; otherwise the border eats
-    one kernel direction, and the extra block contributes a full ell when
-    the smallest prime of ell exceeds min_dim, else ell / gcd(h_extra, ell).
-    """
-    snf = skew_normal_form(M)
-    h = snf.invariant_factors
-    s = len(h)
-    if one_perp(M):
-        return PiDegree(ell=ell, exponent=s), s, h
-    if smallest_prime_factor(ell) > min_dim:
-        return PiDegree(ell=ell, exponent=s + 1), s, h
-    h_ext = skew_normal_form(extend(M)).invariant_factors
-    if len(h_ext) != s + 1:
-        raise InternalVerificationFailed(
-            f"extended rank did not grow: {len(h_ext)} blocks vs {s}"
-        )
-    return (
-        PiDegree(ell=ell, exponent=s + 1, divisor=gcd(h_ext[s], ell)),
-        s,
-        h,
-    )
-
-
 def pi_degree_extended_diagram(
     d: Diagram, ell: int, cross_check: bool = False
 ) -> PiDegree:
     """PI degree of the extended algebra of a diagram, odd ell.
 
     The extended algebra borders the commutation matrix with a row and
-    column of ones. The closed form needs only the unextended normal form
-    plus the kernel-sum test, except in the third case (smallest prime of
-    ell at most min(m, n) and some kernel vector with nonzero sum) where
-    one extra invariant factor of the extended matrix enters.
+    column of ones. With s the number of invariant factors of the
+    unextended matrix: if every kernel vector sums to zero the border adds
+    a kernel direction and the degree stays ell**s; otherwise the border
+    eats one kernel direction, and the extra block contributes a full ell
+    when the smallest prime of ell exceeds min(m, n), else
+    ell / gcd(h_extra, ell) with h_extra the extra invariant factor of the
+    extended matrix.
     """
     _check_odd_ell(ell)
-    M = matrix_from_diagram(d)
-    closed, _, _ = _extended_cases(M, ell, min(d.m, d.n))
+    facts = DiagramFacts(d)
+    s = len(facts.snf.invariant_factors)
+    if facts.one_perp:
+        closed = PiDegree(ell=ell, exponent=s)
+    elif smallest_prime_factor(ell) > min(d.m, d.n):
+        closed = PiDegree(ell=ell, exponent=s + 1)
+    else:
+        h_ext = facts.extended_snf.invariant_factors
+        if len(h_ext) != s + 1:
+            raise InternalVerificationFailed(
+                f"extended rank did not grow: {len(h_ext)} blocks vs {s}"
+            )
+        closed = PiDegree(ell=ell, exponent=s + 1, divisor=gcd(h_ext[s], ell))
     if cross_check:
-        generic = pi_degree_qas(extend(M), ell)
+        generic = pi_degree_from_factors(facts.extended_snf.invariant_factors, ell)
         if generic.value != closed.value:
             raise FormulaMismatch(
                 f"extended diagram, ell = {ell}: closed {closed.value}, "
@@ -307,19 +297,17 @@ def pi_degree_schubert(
     shape lambda lives in the m x (n-m) box. Under the hypothesis (odd
     ell, smallest prime factor above min(box sides, 2)) the value is
     ell**((N - r)/2) when every kernel vector of the shape's matrix has
-    zero coordinate sum and ell**((N - r)/2 + 1) otherwise.
+    zero coordinate sum and ell**((N - r)/2 + 1) otherwise. The kernel is
+    read from the r even cycles of the shape's toric permutation: their
+    kernel vectors are independent, and r is the kernel dimension.
     """
     shape = partition_from_plucker(idx)
     _check_box_hypothesis(ell, shape.box_m, shape.box_n)
-    n_boxes = shape.size
-    r = partition_toric_permutation(shape).cycles.odd_cycle_count
-    if (n_boxes - r) % 2:
-        raise InternalVerificationFailed(
-            f"parity broken: N = {n_boxes}, r = {r} for gamma {idx.gamma}"
-        )
-    s = (n_boxes - r) // 2
-    M = matrix_from_diagram(young_diagram(shape))
-    closed = PiDegree(ell=ell, exponent=s if one_perp(M) else s + 1)
+    s, tau = _half_rank(shape)
+    d = young_diagram(shape)
+    M = matrix_from_diagram(d)
+    one_perp = all(sum(v.vector) == 0 for v in cycle_kernel_vectors(d, tau, M))
+    closed = PiDegree(ell=ell, exponent=s if one_perp else s + 1)
     if cross_check:
         generic = pi_degree_qas(extend(M), ell)
         if generic.value != closed.value:
@@ -385,6 +373,53 @@ def pi_degree_grassmannian(
 # ---------------------------------------------------------------------------
 
 
+class DiagramFacts:
+    """The generic route's facts about one diagram, each computed on first use.
+
+    `matrix` is M(D), `snf` and `extended_snf` the normal forms of M(D) and
+    of extend(M(D)), and `tau` the toric permutation. `cycle_vectors` are
+    the kernel vectors of the even cycles of tau, which cycle_kernel_vectors
+    proves independent. `one_perp` says whether every kernel vector sums to
+    zero; it first checks that the cycle vectors are as many as the kernel
+    dimension, which makes them a basis of the rational kernel, and then
+    reads their sums. A fact nobody reads is never computed: the cycle
+    vectors alone need no normal form.
+    """
+
+    def __init__(self, diagram: Diagram) -> None:
+        self.diagram = diagram
+
+    @cached_property
+    def matrix(self) -> SkewIntMatrix:
+        return matrix_from_diagram(self.diagram)
+
+    @cached_property
+    def snf(self) -> SkewNormalForm:
+        return skew_normal_form(self.matrix)
+
+    @cached_property
+    def extended_snf(self) -> SkewNormalForm:
+        return skew_normal_form(extend(self.matrix))
+
+    @cached_property
+    def tau(self) -> Permutation:
+        return toric_permutation(self.diagram)
+
+    @cached_property
+    def cycle_vectors(self) -> tuple[CycleKernelVector, ...]:
+        return cycle_kernel_vectors(self.diagram, self.tau, self.matrix)
+
+    @cached_property
+    def one_perp(self) -> bool:
+        vectors = self.cycle_vectors
+        if len(vectors) != self.snf.kernel_dim:
+            raise InternalVerificationFailed(
+                f"{len(vectors)} even toric cycles but kernel dimension "
+                f"{self.snf.kernel_dim}"
+            )
+        return all(sum(v.vector) == 0 for v in vectors)
+
+
 @dataclass(frozen=True)
 class ExtendedAnalysis:
     invariant_factors: tuple[int, ...]
@@ -417,50 +452,27 @@ class DiagramAnalysis:
 def analyze_diagram(
     d: Diagram, ells: tuple[int, ...] = (), extended: bool = False
 ) -> DiagramAnalysis:
-    """The generic route on one diagram: one trace of tau, one normal form.
-
-    one_perp is read from the cycle route. The kernel vectors of the
-    even-length cycles of tau lie in ker M(D) (checked as they are built),
-    there are kernel_dim of them, and an exact rank check proves them
-    independent; so they are a basis of the rational kernel, and every
-    kernel vector sums to zero exactly when each of them does.
-    """
-    M = matrix_from_diagram(d)
-    snf = skew_normal_form(M)
-    tau = toric_permutation(d)
-    r = tau.cycles.odd_cycle_count
-    if r != snf.kernel_dim:
-        raise InternalVerificationFailed(
-            f"odd cycle count {r} differs from kernel dimension {snf.kernel_dim}"
-        )
-    vectors = cycle_kernel_vectors(d, tau, M)
-    # The vectors are independent exactly when the matrix with them as
-    # columns has a zero kernel.
-    if len(vectors) != r or (
-        vectors and kernel_basis_rational(list(zip(*(v.vector for v in vectors))))
-    ):
-        raise InternalVerificationFailed(
-            f"the {len(vectors)} cycle kernel vectors are not a basis of the kernel"
-        )
-    degrees = tuple(pi_degree_from_factors(snf.invariant_factors, ell) for ell in ells)
+    """The generic route on one diagram: one trace of tau, one normal form
+    (two with `extended`), and the kernel basis from the even cycles of tau;
+    see DiagramFacts."""
+    facts = DiagramFacts(d)
+    h = facts.snf.invariant_factors
     ext = None
     if extended:
-        esnf = skew_normal_form(extend(M))
+        h_ext = facts.extended_snf.invariant_factors
         ext = ExtendedAnalysis(
-            invariant_factors=esnf.invariant_factors,
-            kernel_dim=esnf.kernel_dim,
-            degrees=tuple(
-                pi_degree_from_factors(esnf.invariant_factors, ell) for ell in ells
-            ),
+            invariant_factors=h_ext,
+            kernel_dim=facts.extended_snf.kernel_dim,
+            degrees=tuple(pi_degree_from_factors(h_ext, ell) for ell in ells),
         )
     return DiagramAnalysis(
         diagram=d,
         ells=tuple(ells),
-        tau=tau,
-        invariant_factors=snf.invariant_factors,
-        kernel_dim=snf.kernel_dim,
-        one_perp=all(sum(v.vector) == 0 for v in vectors),
-        degrees=degrees,
+        tau=facts.tau,
+        invariant_factors=h,
+        kernel_dim=facts.snf.kernel_dim,
+        one_perp=facts.one_perp,
+        degrees=tuple(pi_degree_from_factors(h, ell) for ell in ells),
         extended=ext,
-        cycle_vectors=vectors,
+        cycle_vectors=facts.cycle_vectors,
     )

@@ -42,6 +42,18 @@ from .errors import (
 from .pipedreams import Permutation, toric_permutation, white_exit_labels
 
 
+def _integer(x) -> int:
+    """x as an int; BadRange unless it is an integer value (1.5 is not 1)."""
+    if type(x) is int:
+        return x
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise BadRange(f"matrix entry {x!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class SkewIntMatrix:
     """A square integer matrix A with A^T = -A (hence zero diagonal).
@@ -52,7 +64,7 @@ class SkewIntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(_integer, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
@@ -151,104 +163,6 @@ def is_prime(p: int) -> bool:
         else:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form (general integer matrices)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmithResult:
-    """Nonzero invariant factors (positive, each dividing the next), rank,
-    and the dimension of the rational column kernel."""
-
-    factors: tuple[int, ...]
-    rank: int
-    kernel_dim: int
-
-
-def smith_invariant_factors(mat) -> SmithResult:
-    """Invariant factors of an arbitrary integer matrix.
-
-    Row and column operations only (no congruence pairing), so this applies
-    to any rectangular matrix. For a skew-symmetric input the factors come
-    out in equal consecutive pairs; see paired_invariant_factors.
-    """
-    A = _as_int_rows(mat)
-    R = len(A)
-    C = len(A[0]) if A else 0
-    t = 0
-    while True:
-        piv = None
-        for i in range(t, R):
-            for j in range(t, C):
-                if A[i][j] != 0 and (piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        A[t], A[piv[0]] = A[piv[0]], A[t]
-        if piv[1] != t:
-            for row in A:
-                row[t], row[piv[1]] = row[piv[1]], row[t]
-        while True:
-            a = A[t][t]
-            for i in range(t + 1, R):
-                if A[i][t]:
-                    q = A[i][t] // a
-                    if q:
-                        A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-            for j in range(t + 1, C):
-                if A[t][j]:
-                    q = A[t][j] // a
-                    if q:
-                        for row in A:
-                            row[j] -= q * row[t]
-            i_rem = next((i for i in range(t + 1, R) if A[i][t]), None)
-            if i_rem is not None:
-                A[t], A[i_rem] = A[i_rem], A[t]
-                continue
-            j_rem = next((j for j in range(t + 1, C) if A[t][j]), None)
-            if j_rem is not None:
-                for row in A:
-                    row[t], row[j_rem] = row[j_rem], row[t]
-                continue
-            viol = None
-            for i in range(t + 1, R):
-                if any(A[i][j] % a for j in range(t + 1, C)):
-                    viol = i
-                    break
-            if viol is None:
-                break
-            A[t] = [x + y for x, y in zip(A[t], A[viol])]
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-        t += 1
-    factors = tuple(A[i][i] for i in range(t))
-    for i in range(len(factors) - 1):
-        if factors[i + 1] % factors[i]:
-            raise InternalVerificationFailed(
-                f"invariant factor chain broken: {factors}"
-            )
-    return SmithResult(factors, t, C - t)
-
-
-def paired_invariant_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
-    """Collapse the pair-repeated factor list of a skew matrix to one copy each.
-
-    A skew-symmetric integer matrix has even rank and its nonzero invariant
-    factors satisfy d_1 = d_2, d_3 = d_4, ...; this returns (d_1, d_3, ...)
-    and raises if the pairing does not hold (meaning the input was not the
-    factor list of a skew matrix).
-    """
-    if len(factors) % 2:
-        raise BadRange(f"odd number of invariant factors: {factors}")
-    out = []
-    for i in range(0, len(factors), 2):
-        if factors[i] != factors[i + 1]:
-            raise BadRange(f"factors not repeated in pairs: {factors}")
-        out.append(factors[i])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -539,24 +453,20 @@ def kernel_basis_rational(mat) -> tuple[tuple[int, ...], ...]:
     return tuple(basis)
 
 
-def one_perp(mat) -> bool:
-    """Whether every rational kernel vector has coordinate sum zero.
+def kernel_basis_mod_p(mat, p: int) -> tuple[tuple[int, ...], ...]:
+    """Standard basis of the mod-p kernel, entries reduced into [0, p).
 
-    True for a zero kernel (vacuously). This is the switch that decides how
-    the kernel dimension changes when the matrix is bordered by extend().
+    One Gauss-Jordan elimination over the field with p elements, then one
+    vector per free column, so the basis size is the mod-p nullity.
     """
-    return all(sum(v) == 0 for v in kernel_basis_rational(mat))
-
-
-def _rref_mod_p(mat, p: int) -> tuple[list[list[int]], list[int], int]:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     A = [[x % p for x in row] for row in _as_int_rows(mat)]
     R = len(A)
     C = len(A[0]) if A else 0
     pivot_cols: list[int] = []
-    r = 0
     for c in range(C):
+        r = len(pivot_cols)
         if r == R:
             break
         pr = next((i for i in range(r, R) if A[i][c]), None)
@@ -570,37 +480,16 @@ def _rref_mod_p(mat, p: int) -> tuple[list[list[int]], list[int], int]:
                 f = A[i][c]
                 A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
         pivot_cols.append(c)
-        r += 1
-    return A, pivot_cols, r
-
-
-def kernel_dim_mod_p(mat, p: int) -> int:
-    """Nullity of the matrix over the field with p elements."""
-    A = _as_int_rows(mat)
-    C = len(A[0]) if A else 0
-    _, _, rank = _rref_mod_p(A, p)
-    return C - rank
-
-
-def kernel_basis_mod_p(mat, p: int) -> tuple[tuple[int, ...], ...]:
-    """Standard basis of the mod-p kernel, entries reduced into [0, p)."""
-    A = _as_int_rows(mat)
-    C = len(A[0]) if A else 0
-    rref, pivot_cols, _ = _rref_mod_p(A, p)
-    free_cols = [c for c in range(C) if c not in pivot_cols]
     basis = []
-    for f in free_cols:
+    for f in range(C):
+        if f in pivot_cols:
+            continue
         x = [0] * C
         x[f] = 1
         for r, pc in enumerate(pivot_cols):
-            x[pc] = -rref[r][f] % p
+            x[pc] = -A[r][f] % p
         basis.append(tuple(x))
     return tuple(basis)
-
-
-def one_perp_mod_p(mat, p: int) -> bool:
-    """Whether the mod-p kernel lies inside the hyperplane of sum-zero vectors."""
-    return all(sum(v) % p == 0 for v in kernel_basis_mod_p(mat, p))
 
 
 @dataclass(frozen=True)
@@ -621,8 +510,11 @@ def cycle_kernel_vectors(
 ) -> tuple[CycleKernelVector, ...]:
     """Kernel vectors of M(D), one per even-length cycle of the toric permutation.
 
-    These span the rational kernel: the number of even-length cycles equals
-    the nullity of M(D). A caller that already holds tau = toric_permutation(d)
+    Each vector is checked to lie in ker M(D), and the set is proved
+    independent: the matrix with the vectors as columns has a zero kernel.
+    The number of even-length cycles equals the nullity of M(D), so they
+    are a basis of the rational kernel; a caller holding the nullity
+    checks the count. A caller that already holds tau = toric_permutation(d)
     or M = matrix_from_diagram(d) passes it to save recomputing it.
     """
     if M is None:
@@ -643,6 +535,10 @@ def cycle_kernel_vectors(
                 f"cycle vector for {cycle} is not in the kernel"
             )
         out.append(CycleKernelVector(cycle=cycle, vector=vector))
+    if out and kernel_basis_rational(list(zip(*(v.vector for v in out)))):
+        raise InternalVerificationFailed(
+            f"the {len(out)} cycle kernel vectors are not independent"
+        )
     return tuple(out)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .diagrams import determinantal_diagram
 from .errors import (
     BadEll,
     BadRange,
@@ -30,13 +29,7 @@ from .errors import (
     TooLarge,
     ZeroDim,
 )
-from .intlinalg import (
-    SkewIntMatrix,
-    is_prime,
-    matrix_from_diagram,
-    skew_normal_form,
-)
-from .degrees import pi_degree_determinantal
+from .intlinalg import SkewIntMatrix, is_prime, skew_normal_form
 
 
 @dataclass(frozen=True)
@@ -358,11 +351,3 @@ def irreducibility_check(
         frontier = new_frontier
     return len(pivots) == d * d
 
-
-def determinantal_rep_dimension_check(n: int, t: int, ell: int) -> bool:
-    """Whether the monomial representation of the determinantal board has
-    dimension exactly equal to the closed-form PI degree (odd ell)."""
-    rep = qas_representation(
-        matrix_from_diagram(determinantal_diagram(n, t)), ell
-    )
-    return rep.dim == pi_degree_determinantal(n, t, ell).value

@@ -23,7 +23,7 @@ from pideg import (
     skew_normal_form,
     toric_permutation,
 )
-from pideg.cli import exhaustive_diagrams, random_diagrams
+from pideg.sweep import exhaustive_diagrams, random_diagrams
 from pideg.pipedreams import Permutation
 
 # The running 3x5 example ('.' white, '#' black).

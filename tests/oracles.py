@@ -3,7 +3,9 @@
 Nothing here imports from the package's linear algebra: the Smith form
 below pivots top-left with plain Euclidean reduction (the production code
 reduces skew matrices by paired congruence instead), the nullity oracle is
-Fraction Gauss-Jordan (production uses Bareiss), the determinant is an
+Fraction Gauss-Jordan (production uses Bareiss), the sum-zero test of the
+kernel compares two such nullities (production reads it from the kernel
+vectors of the even toric cycles), the determinant is an
 independent check on the unimodularity the normal form certifies by
 E E^{-1} = I, and the PI degree oracles count group orders directly.
 Agreement between these and the package is a genuine cross-check, not the
@@ -177,6 +179,17 @@ def gauss_jordan_nullity(rows: list[list[int]]) -> int:
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return n - rank
+
+
+def one_perp(rows) -> bool:
+    """Whether every rational kernel vector of a square matrix sums to zero.
+
+    The kernel of the matrix with a row of ones appended is the sum-zero
+    part of the kernel, so the two nullities agree exactly when the whole
+    kernel sums to zero. True for a zero kernel.
+    """
+    rows = [list(row) for row in rows]
+    return gauss_jordan_nullity(rows + [[1] * len(rows)]) == gauss_jordan_nullity(rows)
 
 
 def is_power_of_two(x: int) -> bool:

@@ -2,13 +2,22 @@
 
 import contextlib
 import json
+import re
+import shlex
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from pideg.cli import DIAGRAM_PROPERTIES, main
+from pideg.cli import main
+from pideg.intlinalg import skew_normal_form
+from pideg.pipedreams import toric_permutation
+from pideg.sweep import DIAGRAM_PROPERTIES
 from tests.conftest import FIG_TEXT
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+ALL_PROPERTIES = "powers-of-2,kernel-cycles,cycle-sums,extended-laws,mod-p,pi-closed"
 
 
 @pytest.fixture()
@@ -156,6 +165,25 @@ class TestRepCommand:
         assert code == 0
         assert json.loads(out)["dimension"] == 7
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[[0, 1.5], [-1.5, 0]]", "entry (0, 1) is 1.5, not an integer"),
+            ("[[0, true], [-1, 0]]", "entry (0, 1) is true, not an integer"),
+            ('[[0, "1"], ["-1", 0]]', 'entry (0, 1) is "1", not an integer'),
+            ('{"0": [0, 1], "1": [-1, 0]}', "must hold a JSON list of rows"),
+            ("[0, 1]", "must hold a JSON list of rows"),
+            ("[[0, 1], [-1, 0]", "cannot read a matrix"),
+        ],
+    )
+    def test_matrix_source_rejects_non_integer_input(self, capsys, tmp_path, text, message):
+        # Nothing is truncated or coerced: 1.5 is not 1 and true is not 1.
+        path = tmp_path / "mat.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "rep", "--matrix", str(path), "--ell", "7")
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert message in err
+
     def test_rejects_ell_two(self, capsys, fig_file):
         code, _, err = run(capsys, "rep", "--diagram", fig_file, "--ell", "2")
         assert code == 1 and "error:" in err
@@ -176,6 +204,17 @@ class TestDigitBudget:
         entry = json.loads(out)["pi_degrees"][0]
         assert entry["value"] is None and entry["digits"] == 3
         assert entry["exponent"] == 4
+
+    def test_suppressed_value_in_the_tables(self, capsys, monkeypatch, fig_file):
+        # The diagram table and the closed-form tables share one wording.
+        monkeypatch.setenv("PIDEG_DIGIT_BUDGET", "2")
+        code, out, _ = run(capsys, "diagram", fig_file, "--ell", "5", "--extended")
+        assert code == 0
+        assert "\nPI degree at ell=5: 5^4 (3 digits, value suppressed)\n" in out
+        assert "\n  PI degree at ell=5: 5^5 (4 digits, value suppressed)\n" in out
+        code, out, _ = run(capsys, "partition", "5,3,2", "--ell", "5")
+        assert code == 0
+        assert "\nPI degree at ell=5: 5^4 (3 digits, value suppressed)\n" in out
 
     def test_default_budget_keeps_values(self, capsys, fig_file):
         code, out, _ = run(capsys, "diagram", fig_file, "--ell", "5", "--json")
@@ -272,6 +311,28 @@ class TestSweepCommand:
         assert len(dumps) == 4
         assert "forced failure for testing" in dumps[0].read_text()
 
+    def test_dumps_stop_at_twenty_in_property_order(self, capsys, tmp_path, monkeypatch):
+        # 64 boards and two properties failing on each: the dumps are the
+        # first 20 failures of the first property, not the first 10 boards.
+        for name in ("fails-first", "fails-second"):
+            monkeypatch.setitem(DIAGRAM_PROPERTIES, name, lambda facts: ["forced"])
+        out_dir = tmp_path / "dumps"
+        code, out, _ = run(
+            capsys,
+            "sweep", "exhaustive 2x3", "--properties", "fails-first,fails-second",
+            "--out", str(out_dir), "--json",
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert [p["failures"] for p in report["properties"]] == [64, 64]
+        assert [p["first_failure"] for p in report["properties"]] == ["item 0: forced"] * 2
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(
+            f"counterexample-fails-first-{index}.txt" for index in range(20)
+        )
+        assert (out_dir / "counterexample-fails-first-5.txt").read_text() == (
+            ".#.\n###\n# property: fails-first\n# forced\n"
+        )
+
     def test_unknown_property(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -286,3 +347,68 @@ class TestSweepCommand:
                 capsys, "sweep", spec, "--out", str(tmp_path / "f")
             )
             assert code == 1 and "error:" in err
+
+
+def spy(monkeypatch, original) -> list:
+    """Count calls of a package function through every module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "pideg" or name.startswith("pideg."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestSweepMemo:
+    """A sweep builds one record per board and computes each fact once."""
+
+    def test_all_properties_cost_two_normal_forms_per_board(self, capsys, tmp_path, monkeypatch):
+        calls = spy(monkeypatch, skew_normal_form)
+        code, out, _ = run(
+            capsys, "sweep", "exhaustive 2x3", "--properties", ALL_PROPERTIES,
+            "--out", str(tmp_path / "f"),
+        )
+        assert code == 0 and "result: PASS" in out
+        assert len(calls) == 2 * 64
+
+    @pytest.mark.parametrize(
+        "prop, normal_forms_per_board, traces_per_board",
+        [("powers-of-2", 1, 0), ("cycle-sums", 0, 1)],
+    )
+    def test_one_property_reads_only_its_facts(
+        self, capsys, tmp_path, monkeypatch, prop, normal_forms_per_board, traces_per_board
+    ):
+        normal_forms = spy(monkeypatch, skew_normal_form)
+        traces = spy(monkeypatch, toric_permutation)
+        code, _, _ = run(
+            capsys, "sweep", "exhaustive 2x3", "--properties", prop,
+            "--out", str(tmp_path / "f"),
+        )
+        assert code == 0
+        assert len(normal_forms) == normal_forms_per_board * 64
+        assert len(traces) == traces_per_board * 64
+
+
+def readme_transcripts() -> list[tuple[str, str]]:
+    """(command, output) of each '$ pideg ...' transcript in README.md."""
+    blocks = re.findall(r"```sh\n\$ pideg (.*?)\n(.*?)```", README.read_text(), re.S)
+    return [(command, output) for command, output in blocks]
+
+
+class TestReadme:
+    def test_transcripts_are_found(self):
+        assert [command.split()[0] for command, _ in readme_transcripts()] == ["diagram", "rep"]
+
+    @pytest.mark.parametrize("command, output", readme_transcripts())
+    def test_transcript_output_is_exact(self, capsys, monkeypatch, tmp_path, command, output):
+        (tmp_path / "board.txt").write_text(FIG_TEXT)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *shlex.split(command))
+        assert code == 0 and err == ""
+        assert out == output

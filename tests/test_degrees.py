@@ -1,5 +1,7 @@
 """PI degrees: generic route, closed forms, extended algebras."""
 
+from itertools import combinations
+
 import pytest
 
 from pideg import (
@@ -19,6 +21,7 @@ from pideg import (
     extend,
     matrix_from_diagram,
     mu2,
+    partition_from_plucker,
     pi_degree_determinantal,
     pi_degree_extended_diagram,
     pi_degree_from_factors,
@@ -32,14 +35,14 @@ from pideg import (
     toric_permutation,
     young_diagram,
 )
-from pideg.cli import exhaustive_diagrams
+from pideg.sweep import exhaustive_diagrams
 from tests.conftest import (
     EG_EXT_PI_AT_5,
     EG_EXT_PI_AT_9,
     FIG_PI_AT_5,
     FIG_YOUNG_PI_AT_5,
 )
-from tests.oracles import brute_pi_degree, smith_pi_degree
+from tests.oracles import brute_pi_degree, gauss_jordan_nullity, one_perp, smith_pi_degree
 
 
 class TestSmallHelpers:
@@ -226,8 +229,6 @@ class TestSchubertClosedForm:
         pi_degree_schubert(PluckerIndex((2,), 4), 3, cross_check=True)
 
     def test_cross_checked_all_cells_in_small_ambients(self):
-        from itertools import combinations
-
         for n in range(2, 7):
             for m in range(1, n):
                 for gamma in combinations(range(1, n + 1), m):
@@ -235,6 +236,19 @@ class TestSchubertClosedForm:
                         pi_degree_schubert(
                             PluckerIndex(gamma, n), ell, cross_check=True
                         )
+
+
+    def test_kernel_sum_test_against_the_oracle(self):
+        # The closed form reads whether the kernel sums to zero from the
+        # even toric cycles; the exponent is s exactly when it does.
+        for n in range(2, 9):
+            for m in range(1, n):
+                for gamma in combinations(range(1, n + 1), m):
+                    shape = partition_from_plucker(PluckerIndex(gamma, n))
+                    rows = matrix_from_diagram(young_diagram(shape)).rows
+                    s = (len(rows) - gauss_jordan_nullity(rows)) // 2
+                    pi = pi_degree_schubert(PluckerIndex(gamma, n), 5)
+                    assert pi.exponent == (s if one_perp(rows) else s + 1)
 
 
 class TestGrassmannianClosedForm:

@@ -15,11 +15,11 @@ from pideg import (
     ZeroDim,
     clock_shift,
     determinantal_diagram,
-    determinantal_rep_dimension_check,
     find_relation_violation,
     irreducibility_check,
     kron,
     matrix_from_diagram,
+    pi_degree_determinantal,
     pi_degree_qas,
     qas_representation,
     verify_relations,
@@ -226,5 +226,7 @@ class TestIrreducibility:
 
 class TestDeterminantalRepresentations:
     def test_dimension_check(self):
-        assert determinantal_rep_dimension_check(3, 1, 3)
-        assert determinantal_rep_dimension_check(4, 2, 5)
+        # The representation has the dimension of the closed-form PI degree.
+        for n, t, ell in ((3, 1, 3), (4, 2, 5)):
+            rep = qas_representation(matrix_from_diagram(determinantal_diagram(n, t)), ell)
+            assert rep.dim == pi_degree_determinantal(n, t, ell).value
