@@ -51,13 +51,8 @@ from .intlinalg import (
     is_prime,
     matrix_from_diagram,
 )
-from .pipedreams import toric_permutation
-from .reps import (
-    SPAN_BOUND,
-    find_relation_violation,
-    irreducibility_check,
-    qas_representation,
-)
+from .pipedreams import partition_toric_permutation, toric_permutation
+from .reps import find_relation_violation, irreducibility_check, qas_representation
 from .sweep import DIAGRAM_PROPERTIES, MATRIX_PROPERTIES, parse_corpus, run_sweep
 
 DIGIT_BUDGET_VAR = "PIDEG_DIGIT_BUDGET"
@@ -286,8 +281,11 @@ def cmd_partition(args: argparse.Namespace) -> int:
     budget = digit_budget()
     ells = require_algebra_ells(args.ell)
     shape = _parse_shape(args.parts, args.box)
-    d = young_diagram(shape)
-    tau = toric_permutation(d)
+    tau = partition_toric_permutation(shape)
+    if args.verify and tau != toric_permutation(young_diagram(shape)):
+        raise InternalVerificationFailed(
+            "closed-form toric permutation differs from the traced one"
+        )
     report = {
         "partition": list(shape.parts),
         "box": [shape.box_m, shape.box_n],
@@ -473,7 +471,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
             p = args.ell + 1
             while not (p % args.ell == 1 and is_prime(p)):
                 p += 1
-        ok = irreducibility_check(rep, p, bound=args.bound)
+        ok = irreducibility_check(rep, p)
         report["irreducible_mod_p"] = {"p": p, "irreducible": ok}
         lines.append(f"irreducible over F_{p}: {'yes' if ok else 'NO'}")
     emit(report, lines, args.json)
@@ -594,12 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
         const=0,
         default=None,
         help="certify irreducibility over F_p (omit the value to pick p automatically)",
-    )
-    p.add_argument(
-        "--bound",
-        type=int,
-        default=SPAN_BOUND,
-        help=f"bound on dim**2 for the span certificate (default {SPAN_BOUND})",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rep)

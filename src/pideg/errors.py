@@ -57,7 +57,7 @@ class EvenEll(PidegError):
 
 
 class HypothesisViolated(PidegError):
-    """The hypothesis of a closed-form theorem does not hold for the input."""
+    """The hypothesis of a closed form or a certificate does not hold for the input."""
 
 
 class GcdViolation(PidegError):

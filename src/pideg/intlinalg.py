@@ -176,13 +176,13 @@ class SkewNormalForm:
 
     S is block diagonal: s blocks [[0, h_i], [-h_i, 0]] with positive
     h_1 | h_2 | ... | h_s, then a zero block of size kernel_dim = n - 2s.
+    It is not stored, since invariant_factors and kernel_dim determine it.
     `transform` is E and `inverse_transform` is F = E^{-1}, both integer
     matrices. Before this object is constructed, two exact products
     certify them: E F = I, which proves F = E^{-1} and |det E| = 1, and
     M E^T = F S, which given E F = I is E M E^T = S.
     """
 
-    matrix: SkewIntMatrix
     transform: tuple[tuple[int, ...], ...]
     inverse_transform: tuple[tuple[int, ...], ...]
     invariant_factors: tuple[int, ...]
@@ -384,7 +384,6 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
     E, F = _transforms(log, n)
     factors = _certify(M, A, E, F)
     return SkewNormalForm(
-        matrix=SkewIntMatrix(tuple(tuple(row) for row in A)),
         transform=tuple(tuple(row) for row in E),
         inverse_transform=tuple(tuple(row) for row in F),
         invariant_factors=factors,
@@ -567,26 +566,3 @@ def checked_cycle_sum(ckv: CycleKernelVector, tau: Permutation, m: int) -> int:
             f"cycle sum mismatch for {ckv.cycle}: direct {direct}, formula {formula}"
         )
     return direct
-
-
-def cycle_sum(d: Diagram, cycle: tuple[int, ...]) -> int:
-    """Coordinate sum of the kernel vector of one even-length toric cycle.
-
-    The cycle may start at any of its labels. BadRange unless it is an
-    even-length cycle of the toric permutation; see checked_cycle_sum for
-    the cross-check.
-    """
-    tau = toric_permutation(d)
-    rotated = tuple(cycle)
-    if not rotated:
-        raise BadRange("empty cycle")
-    k = rotated.index(min(rotated))
-    rotated = rotated[k:] + rotated[:k]
-    if rotated not in tau.cycles.cycles:
-        raise BadRange(f"{cycle} is not a cycle of the toric permutation")
-    if len(rotated) % 2:
-        raise BadRange(f"cycle {cycle} has odd length; no kernel vector attached")
-    matching = next(
-        ckv for ckv in cycle_kernel_vectors(d, tau) if ckv.cycle == rotated
-    )
-    return checked_cycle_sum(matching, tau, d.m)

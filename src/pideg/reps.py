@@ -10,8 +10,10 @@ the generators back through the congruence transform.
 All matrices here are monomial over the cyclotomic integers: one nonzero
 entry per row and column, each a power of q. Powers of q are tracked as
 integer exponents mod ell and never evaluated numerically, so every
-identity checked is exact. Only the final irreducibility certificate picks
-a concrete root of unity, inside a finite field F_p with ell | p - 1.
+identity checked is exact. Irreducibility over a finite field F_p with
+ell | p - 1 is certified the same way: the commutant of the generator
+images is counted on the exponents, orbit by orbit of index pairs, and
+must be the scalars.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     BadEll,
     BadRange,
     GcdViolation,
-    InternalVerificationFailed,
+    HypothesisViolated,
     NoRootOfUnity,
     NotPrime,
     TooLarge,
@@ -99,10 +101,6 @@ class MonomialMatrix:
             k >>= 1
         return out
 
-    def scalar_times(self, c: int) -> "MonomialMatrix":
-        """This matrix multiplied by the scalar q**c."""
-        return MonomialMatrix(self.ell, self.rows, tuple(e + c for e in self.exps))
-
     def scalar_power_vs(self, other: "MonomialMatrix") -> int | None:
         """The c with self = q**c * other, or None if no such scalar exists."""
         if self.rows != other.rows:
@@ -112,13 +110,6 @@ class MonomialMatrix:
             if (a - b) % self.ell != c:
                 return None
         return c
-
-    def dense_mod_p(self, p: int, zeta: int) -> list[list[int]]:
-        """The matrix over F_p with q evaluated at zeta (order ell mod p)."""
-        out = [[0] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            out[self.rows[j]][j] = pow(zeta, self.exps[j], p)
-        return out
 
 
 def kron(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
@@ -261,93 +252,79 @@ def verify_relations(rep: QASRepresentation, M: SkewIntMatrix) -> bool:
     return find_relation_violation(rep, M) is None
 
 
-def _element_of_order(ell: int, p: int) -> int:
-    """Some zeta in F_p of multiplicative order exactly ell."""
-    if (p - 1) % ell:
-        raise NoRootOfUnity(f"ell = {ell} does not divide p - 1 = {p - 1}")
-    prime_divs = []
-    rest = ell
-    f = 2
-    while f * f <= rest:
-        if rest % f == 0:
-            prime_divs.append(f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        prime_divs.append(rest)
-    for a in range(2, p):
-        z = pow(a, (p - 1) // ell, p)
-        if z != 1 and all(pow(z, ell // q, p) != 1 for q in prime_divs):
-            return z
-    raise InternalVerificationFailed(f"no element of order {ell} found in F_{p}")
+# Largest dimension irreducibility_check accepts: the orbit count walks all
+# dim**2 index pairs once per generator, under 2 s at dimension 729.
+MAX_CERTIFIED_DIM = 729
 
 
-# Default bound on dim**2 for irreducibility_check: the span search costs
-# about dim**6, which is seconds at dim 27 and many minutes at dim 81.
-SPAN_BOUND = 729
+def irreducibility_check(rep: QASRepresentation, p: int) -> bool:
+    """Certify irreducibility over F_p: the images commute only with scalars.
 
+    A matrix A commutes with a monomial generator sending e_j to
+    q**a[j] e_sigma(j) exactly when A[sigma i, sigma j] = q**(a[i] - a[j])
+    A[i, j]. So A is fixed by its entry at one index pair per orbit of the
+    pairs (i, j) under the generators, and that entry can be nonzero only
+    if the factors met around every loop of the orbit multiply to 1. The
+    walk below labels each pair with its exponent relative to the first
+    pair of its orbit; the commutant's dimension is the number of orbits
+    whose every edge agrees with the labels. In F_p with ell | p - 1, q has
+    order exactly ell, so an exponent is trivial exactly when it is 0 mod ell.
 
-def irreducibility_check(
-    rep: QASRepresentation, p: int, bound: int = SPAN_BOUND
-) -> bool:
-    """Certify irreducibility over F_p by linear span of the generated algebra.
-
-    Evaluates q at an order-ell element of F_p, then grows the span of all
-    words in the generator images starting from the identity; the
-    representation is irreducible exactly when the span fills the full
-    dim x dim matrix algebra (Burnside). Requires a prime p with
-    ell | p - 1 and dim**2 <= bound.
+    Two hypotheses are checked first (HypothesisViolated, naming the
+    generator, otherwise): every image's ell-th power is a scalar, and every
+    two images commute up to a scalar. Then the group generated is abelian
+    modulo its scalars, which are powers of q, so its order divides
+    ell**(n + 1) for n generators and is prime to p. By Maschke its action
+    is semisimple, so by Schur and the double centraliser theorem the
+    commutant is the scalars exactly when the words in the images span all
+    dim x dim matrices over F_p (Burnside). Requires a prime p with
+    ell | p - 1 and dim <= MAX_CERTIFIED_DIM.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    ell = rep.ell
+    if (p - 1) % ell:
+        raise NoRootOfUnity(f"ell = {ell} does not divide p - 1 = {p - 1}")
     d = rep.dim
-    if d * d > bound:
+    if d > MAX_CERTIFIED_DIM:
         raise TooLarge(
-            f"span computation needs {d * d} dimensions, above the bound {bound}; "
-            "raise it with --bound (pideg rep) or bound= to run it anyway"
+            f"certifying dimension {d} walks {d * d} index pairs; "
+            f"the largest dimension certified is {MAX_CERTIFIED_DIM}"
         )
-    zeta = _element_of_order(rep.ell, p)
-    gens = [g.dense_mod_p(p, zeta) for g in rep.generator_images]
+    images = rep.generator_images
+    identity = MonomialMatrix.identity(d, ell)
+    for i, g in enumerate(images):
+        if (g**ell).scalar_power_vs(identity) is None:
+            raise HypothesisViolated(f"generator {i}: its {ell}-th power is not a scalar")
+        for j in range(i):
+            if (g @ images[j]).scalar_power_vs(images[j] @ g) is None:
+                raise HypothesisViolated(
+                    f"generators {j} and {i} do not commute up to a power of q"
+                )
 
-    def vec(mat: list[list[int]]) -> list[int]:
-        return [x for row in mat for x in row]
-
-    # Row-reduced span basis: pivot column -> reduced vector.
-    pivots: dict[int, list[int]] = {}
-
-    def reduce_and_add(v: list[int]) -> bool:
-        for c, w in pivots.items():
-            if v[c]:
-                f = v[c]
-                v = [(x - f * y) % p for x, y in zip(v, w)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is None:
+    gens = [(g.rows, g.exps) for g in images]
+    # label[i * d + j]: exponent of q at (i, j) over the first pair of its orbit.
+    label = [-1] * (d * d)
+    orbits = 0
+    for start in range(d * d):
+        if label[start] >= 0:
+            continue
+        label[start] = 0
+        stack = [start]
+        trivial = True
+        while stack:
+            here = stack.pop()
+            i, j = divmod(here, d)
+            base = label[here]
+            for rows, exps in gens:
+                there = rows[i] * d + rows[j]
+                expected = (base + exps[i] - exps[j]) % ell
+                if label[there] < 0:
+                    label[there] = expected
+                    stack.append(there)
+                elif label[there] != expected:
+                    trivial = False
+        orbits += trivial
+        if orbits > 1:
             return False
-        inv = pow(v[lead], p - 2, p)
-        pivots[lead] = [x * inv % p for x in v]
-        return True
-
-    def mat_mul_p(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-        bt = list(zip(*b))
-        return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
-
-    ident = [[int(i == j) for j in range(d)] for i in range(d)]
-    words = [ident]
-    reduce_and_add(vec(ident))
-    frontier = [ident]
-    while frontier and len(pivots) < d * d:
-        new_frontier = []
-        for w in frontier:
-            for g in gens:
-                cand = mat_mul_p(w, g)
-                if reduce_and_add(vec(cand)):
-                    words.append(cand)
-                    new_frontier.append(cand)
-                    if len(pivots) == d * d:
-                        break
-            if len(pivots) == d * d:
-                break
-        frontier = new_frontier
-    return len(pivots) == d * d
-
+    return orbits == 1

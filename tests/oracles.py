@@ -7,9 +7,11 @@ Fraction Gauss-Jordan (production uses Bareiss), the sum-zero test of the
 kernel compares two such nullities (production reads it from the kernel
 vectors of the even toric cycles), the determinant is an
 independent check on the unimodularity the normal form certifies by
-E E^{-1} = I, and the PI degree oracles count group orders directly.
-Agreement between these and the package is a genuine cross-check, not the
-same algorithm twice.
+E E^{-1} = I, the PI degree oracles count group orders directly, and
+irreducibility is decided by Burnside's criterion, growing the F_p span of
+the words in the generator images (production counts the commutant on the
+exponents instead). Agreement between these and the package is a genuine
+cross-check, not the same algorithm twice.
 """
 
 from __future__ import annotations
@@ -194,3 +196,90 @@ def one_perp(rows) -> bool:
 
 def is_power_of_two(x: int) -> bool:
     return x >= 1 and x & (x - 1) == 0
+
+
+def element_of_order(ell: int, p: int) -> int:
+    """Some zeta in F_p of multiplicative order exactly ell; needs ell | p - 1."""
+    if (p - 1) % ell:
+        raise ValueError(f"ell = {ell} does not divide p - 1 = {p - 1}")
+    prime_divs = []
+    rest = ell
+    f = 2
+    while f * f <= rest:
+        if rest % f == 0:
+            prime_divs.append(f)
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    if rest > 1:
+        prime_divs.append(rest)
+    for a in range(2, p):
+        z = pow(a, (p - 1) // ell, p)
+        if all(pow(z, ell // f, p) != 1 for f in prime_divs):
+            return z
+    raise ValueError(f"no element of order {ell} in F_{p}")
+
+
+def dense_mod_p(g, p: int, zeta: int) -> list[list[int]]:
+    """The monomial matrix g over F_p, with q evaluated at zeta."""
+    out = [[0] * g.dim for _ in range(g.dim)]
+    for j in range(g.dim):
+        out[g.rows[j]][j] = pow(zeta, g.exps[j], p)
+    return out
+
+
+def span_irreducible(rep, p: int) -> bool:
+    """Whether the words in the generator images of `rep` span all d x d
+    matrices over F_p, with q an element of order ell (Burnside).
+
+    Grows the span breadth first from the identity, multiplying on the
+    right by each image only the words that enlarged it. A word is kept as
+    (rows, exps) like a monomial matrix and multiplied here, not by the
+    package. A word that is a scalar multiple of an earlier one lies in its
+    span, and so do all its multiples, so it is skipped before any
+    elimination. The span is kept as sparse rows in echelon form, each
+    keyed by its least position.
+    """
+    d, ell = rep.dim, rep.ell
+    zeta = element_of_order(ell, p)
+    power = [pow(zeta, e, p) for e in range(ell)]
+    gens = [(g.rows, g.exps) for g in rep.generator_images]
+    pivots: dict[int, dict[int, int]] = {}
+    seen = set()
+
+    def enlarges(rows, exps) -> bool:
+        key = (rows, tuple([(e - exps[0]) % ell for e in exps]))
+        if key in seen:
+            return False
+        seen.add(key)
+        v = {rows[j] * d + j: power[exps[j]] for j in range(d)}
+        while v:
+            lead = min(v)
+            row = pivots.get(lead)
+            if row is None:
+                inv = pow(v[lead], p - 2, p)
+                pivots[lead] = {k: x * inv % p for k, x in v.items()}
+                return True
+            f = v[lead]
+            for k, x in row.items():
+                y = (v.get(k, 0) - f * x) % p
+                if y:
+                    v[k] = y
+                else:
+                    del v[k]
+        return False
+
+    identity = (tuple(range(d)), (0,) * d)
+    enlarges(*identity)
+    frontier = [identity]
+    while frontier and len(pivots) < d * d:
+        products = (
+            (
+                tuple([rows[r] for r in g_rows]),
+                tuple([(e + exps[r]) % ell for r, e in zip(g_rows, g_exps)]),
+            )
+            for rows, exps in frontier
+            for g_rows, g_exps in gens
+        )
+        frontier = [word for word in products if enlarges(*word)]
+    return len(pivots) == d * d

@@ -166,7 +166,7 @@ def test_criterion_09_representations_of_all_small_boards(small_board_matrices):
             assert rep.dim == pi_degree_qas(M, ell).value
             assert verify_relations(rep, M)
             assert all((g**ell).is_identity for g in rep.generator_images)
-            if rep.dim <= 9:
+            if rep.dim <= 81:
                 p = 7 if ell == 3 else 11
                 assert irreducibility_check(rep, p)
 

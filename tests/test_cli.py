@@ -89,6 +89,15 @@ class TestClosedFormCommands:
         assert "5^4 = 625" in out
         assert "cross check against the generic route: passed" in out
 
+    @pytest.mark.parametrize("verify, traces", [((), 0), (("--verify",), 1)])
+    def test_partition_traces_only_to_verify(self, capsys, monkeypatch, verify, traces):
+        # The report and the degrees read the closed-form toric permutation;
+        # --verify traces the pipes once and compares.
+        traced = spy(monkeypatch, toric_permutation)
+        code, out, _ = run(capsys, "partition", "5,3,2", "--ell", "5", "--ell", "7", *verify)
+        assert code == 0 and "toric permutation: " in out
+        assert len(traced) == traces
+
     def test_partition_rejects_ell_two(self, capsys):
         code, _, err = run(capsys, "partition", "5,3,2", "--ell", "2")
         assert code == 1 and "error:" in err
@@ -188,12 +197,20 @@ class TestRepCommand:
         code, _, err = run(capsys, "rep", "--diagram", fig_file, "--ell", "2")
         assert code == 1 and "error:" in err
 
-    def test_irreducible_beyond_the_default_bound_fails_fast(self, capsys):
-        # Dimension 81: the span search would run for many minutes.
+    def test_irreducible_at_dimension_81(self, capsys):
         start = time.perf_counter()
-        code, _, err = run(capsys, "rep", "--detring", "5,1", "--ell", "3", "--irreducible")
-        assert code == 1 and "--bound" in err
+        code, out, _ = run(capsys, "rep", "--detring", "5,1", "--ell", "3", "--irreducible")
+        assert code == 0
+        assert "representation dimension: 81" in out
+        assert "irreducible over F_7: yes" in out
         assert time.perf_counter() - start < 30
+
+    def test_irreducible_above_dimension_729_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "mat.json"
+        path.write_text("[[0, 1], [-1, 0]]")
+        code, out, err = run(capsys, "rep", "--matrix", str(path), "--ell", "739", "--irreducible")
+        assert code == 1 and out == ""
+        assert "largest dimension certified is 729" in err
 
 
 class TestDigitBudget:

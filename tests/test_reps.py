@@ -1,5 +1,8 @@
 """Monomial matrices and representations of quantum affine spaces."""
 
+import time
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from pideg import (
     BadEll,
     GcdViolation,
+    HypothesisViolated,
     MonomialMatrix,
     NoRootOfUnity,
     NotPrime,
@@ -17,6 +21,7 @@ from pideg import (
     determinantal_diagram,
     find_relation_violation,
     irreducibility_check,
+    is_prime,
     kron,
     matrix_from_diagram,
     pi_degree_determinantal,
@@ -25,6 +30,7 @@ from pideg import (
     verify_relations,
 )
 from pideg.reps import QASRepresentation
+from tests.oracles import dense_mod_p, span_irreducible
 
 
 def monomials(dim: int, ell: int):
@@ -38,7 +44,7 @@ class TestMonomialMatrix:
     def test_identity(self):
         ident = MonomialMatrix.identity(3, 5)
         assert ident.is_identity
-        assert ident.dense_mod_p(7, 2) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert dense_mod_p(ident, 7, 2) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ZeroDim):
@@ -49,8 +55,8 @@ class TestMonomialMatrix:
         p, zeta, ell = 5, 2, 4
         a = MonomialMatrix(ell, (1, 2, 0), (3, 0, 1))
         b = MonomialMatrix(ell, (2, 0, 1), (1, 1, 2))
-        left = (a @ b).dense_mod_p(p, zeta)
-        da, db = a.dense_mod_p(p, zeta), b.dense_mod_p(p, zeta)
+        left = dense_mod_p(a @ b, p, zeta)
+        da, db = dense_mod_p(a, p, zeta), dense_mod_p(b, p, zeta)
         dense = [
             [sum(da[i][k] * db[k][j] for k in range(3)) % p for j in range(3)]
             for i in range(3)
@@ -186,6 +192,27 @@ class TestQASRepresentation:
         assert all(g.is_identity for g in rep.generator_images)
 
 
+def hand_built(ell: int, images: tuple[MonomialMatrix, ...]) -> QASRepresentation:
+    """A representation record around arbitrary images; only the images,
+    ell and dim matter to the irreducibility certificate."""
+    return QASRepresentation(
+        ell=ell,
+        dim=images[0].dim,
+        invariant_factors=(),
+        kernel_dim=len(images),
+        e_inverse=((0,) * len(images),) * len(images),
+        block_images=images,
+        generator_images=images,
+    )
+
+
+def first_usable_prime(ell: int) -> int:
+    p = ell + 1
+    while not (p % ell == 1 and is_prime(p)):
+        p += 1
+    return p
+
+
 class TestIrreducibility:
     def test_clock_and_shift_are_irreducible(self):
         M = SkewIntMatrix(((0, 1), (-1, 0)))
@@ -194,16 +221,31 @@ class TestIrreducibility:
 
     def test_scalar_representation_is_not(self):
         ident = MonomialMatrix.identity(3, 3)
-        fake = QASRepresentation(
-            ell=3,
-            dim=3,
-            invariant_factors=(1,),
-            kernel_dim=0,
-            e_inverse=((1, 0),) * 2,
-            block_images=(ident, ident),
-            generator_images=(ident, ident),
-        )
+        fake = hand_built(3, (ident, ident))
         assert not irreducibility_check(fake, 7)
+        assert not span_irreducible(fake, 7)
+
+    def test_clock_without_shift_is_not(self):
+        # Every diagonal matrix commutes with a clock: an ell-dimensional commutant.
+        for ell, p in ((3, 7), (5, 11)):
+            x, _ = clock_shift(ell, 1)
+            fake = hand_built(ell, (x,))
+            assert not irreducibility_check(fake, p)
+            assert not span_irreducible(fake, p)
+
+    def test_generators_that_do_not_q_commute_raise(self):
+        # Two transpositions of order 2 whose products differ as permutations.
+        s01 = MonomialMatrix(2, (1, 0, 2), (0, 0, 0))
+        s12 = MonomialMatrix(2, (0, 2, 1), (0, 0, 0))
+        with pytest.raises(HypothesisViolated, match="generators 0 and 1"):
+            irreducibility_check(hand_built(2, (s01, s12)), 3)
+
+    def test_generator_whose_power_is_not_scalar_raises(self):
+        # A transposition at ell = 3: its cube is itself, not a scalar.
+        x, _ = clock_shift(3, 1)
+        s01 = MonomialMatrix(3, (1, 0, 2), (0, 0, 0))
+        with pytest.raises(HypothesisViolated, match="generator 1:"):
+            irreducibility_check(hand_built(3, (x, s01)), 7)
 
     def test_requires_prime_modulus(self):
         M = SkewIntMatrix(((0, 1), (-1, 0)))
@@ -218,10 +260,33 @@ class TestIrreducibility:
             irreducibility_check(rep, 7)
 
     def test_size_bound(self):
-        M = SkewIntMatrix(((0, 1), (-1, 0)))
-        rep = qas_representation(M, 5)
+        # Dimension 739, just above the largest certified dimension 729.
+        rep = qas_representation(SkewIntMatrix(((0, 1), (-1, 0))), 739)
+        start = time.perf_counter()
         with pytest.raises(TooLarge):
-            irreducibility_check(rep, 11, bound=7)
+            irreducibility_check(rep, first_usable_prime(739))
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("n, t, ell", [(4, 1, 3), (3, 1, 5), (5, 1, 3)])
+    def test_agrees_with_the_span_oracle_on_determinantal_boards(self, n, t, ell):
+        rep = qas_representation(matrix_from_diagram(determinantal_diagram(n, t)), ell)
+        p = first_usable_prime(ell)
+        assert irreducibility_check(rep, p) and span_irreducible(rep, p)
+        if rep.dim <= 27:
+            # Dropping generators gives reducible images as well as irreducible ones.
+            for k in range(1, len(rep.generator_images)):
+                part = replace(rep, generator_images=rep.generator_images[:k])
+                assert irreducibility_check(part, p) == span_irreducible(part, p)
+
+    def test_agrees_with_the_span_oracle_on_small_boards(self, small_board_matrices):
+        for _, M in small_board_matrices:
+            for ell, p in ((3, 7), (5, 11)):
+                rep = qas_representation(M, ell)
+                if rep.dim <= 27:
+                    assert irreducibility_check(rep, p) == span_irreducible(rep, p), M
+                if 1 < rep.dim <= 9:
+                    part = replace(rep, generator_images=rep.generator_images[:-1])
+                    assert irreducibility_check(part, p) == span_irreducible(part, p), M
 
 
 class TestDeterminantalRepresentations:
