@@ -17,11 +17,11 @@ import sys
 from pathlib import Path
 
 from .degrees import (
-    DiagramAnalysis,
+    DiagramFacts,
     PiDegree,
-    analyze_diagram,
     determinantal_toric_cycles,
     pi_degree_determinantal,
+    pi_degree_from_factors,
     pi_degree_grassmannian,
     pi_degree_partition,
     pi_degree_qas,
@@ -141,12 +141,17 @@ def require_algebra_ells(ells: list[int]) -> tuple[int, ...]:
 
 
 def analysis_dict(
-    analysis: DiagramAnalysis,
+    facts: DiagramFacts,
+    ells: tuple[int, ...],
     budget: int,
+    extended: bool = False,
     with_cycles: bool = False,
     with_kernel: bool = False,
 ) -> dict:
-    d = analysis.diagram
+    """The generic route's report on one diagram, read from its DiagramFacts."""
+    d = facts.diagram
+    tau = facts.tau
+    snf = facts.snf
     report = {
         "diagram": {
             "text": d.to_text(),
@@ -156,30 +161,37 @@ def analysis_dict(
             "cauchon_le": is_cauchon_le(d),
         },
         "tau": {
-            "one_line": list(analysis.tau.image),
-            "cycles": [list(c) for c in analysis.tau.cycles.cycles],
-            "cycle_string": str(analysis.tau.cycles),
-            "odd_cycle_count": analysis.tau.cycles.odd_cycle_count,
+            "one_line": list(tau.image),
+            "cycles": [list(c) for c in tau.cycles.cycles],
+            "cycle_string": str(tau.cycles),
+            "odd_cycle_count": tau.cycles.odd_cycle_count,
         },
-        "invariant_factors": [str(x) for x in analysis.invariant_factors],
-        "kernel_dim": analysis.kernel_dim,
-        "one_perp": analysis.one_perp,
-        "pi_degrees": [degree_dict(pi, budget) for pi in analysis.degrees],
+        "invariant_factors": [str(x) for x in snf.invariant_factors],
+        "kernel_dim": snf.kernel_dim,
+        "one_perp": facts.one_perp,
+        "pi_degrees": [
+            degree_dict(pi_degree_from_factors(snf.invariant_factors, ell), budget)
+            for ell in ells
+        ],
         "extended": None,
     }
-    if analysis.extended is not None:
+    if extended:
+        ext = facts.extended_snf
         report["extended"] = {
-            "invariant_factors": [str(x) for x in analysis.extended.invariant_factors],
-            "kernel_dim": analysis.extended.kernel_dim,
-            "kernel_jump": analysis.extended.kernel_dim - analysis.kernel_dim,
-            "pi_degrees": [degree_dict(pi, budget) for pi in analysis.extended.degrees],
+            "invariant_factors": [str(x) for x in ext.invariant_factors],
+            "kernel_dim": ext.kernel_dim,
+            "kernel_jump": ext.kernel_dim - snf.kernel_dim,
+            "pi_degrees": [
+                degree_dict(pi_degree_from_factors(ext.invariant_factors, ell), budget)
+                for ell in ells
+            ],
         }
     if with_cycles or with_kernel:
         entries = []
-        for ckv in analysis.cycle_vectors:
+        for ckv in facts.cycle_vectors:
             entry = {
                 "cycle": list(ckv.cycle),
-                "cycle_sum": checked_cycle_sum(ckv, analysis.tau, d.m),
+                "cycle_sum": checked_cycle_sum(ckv, tau, d.m),
             }
             if with_kernel:
                 entry["kernel_vector"] = list(ckv.vector)
@@ -247,9 +259,8 @@ def cmd_diagram(args: argparse.Namespace) -> int:
         if ell < 2:
             raise BadEll(f"ell must be at least 2, got {ell}")
     d = diagram_from_text(Path(args.file).read_text())
-    analysis = analyze_diagram(d, ells, extended=args.extended)
     report = analysis_dict(
-        analysis, budget, with_cycles=args.cycles, with_kernel=args.kernel
+        DiagramFacts(d), ells, budget, args.extended, args.cycles, args.kernel
     )
     emit(report, analysis_lines(report), args.json)
     return 0

@@ -418,61 +418,3 @@ class DiagramFacts:
                 f"{self.snf.kernel_dim}"
             )
         return all(sum(v.vector) == 0 for v in vectors)
-
-
-@dataclass(frozen=True)
-class ExtendedAnalysis:
-    invariant_factors: tuple[int, ...]
-    kernel_dim: int
-    degrees: tuple[PiDegree, ...]
-
-
-@dataclass(frozen=True)
-class DiagramAnalysis:
-    """Everything the generic route knows about one diagram.
-
-    degrees[i] is the generic PI degree at ells[i]; `extended`, when
-    requested, covers the bordered matrix. The invariant
-    2 * len(invariant_factors) + kernel_dim = N always holds, and
-    kernel_dim equals the odd cycle count of tau. `cycle_vectors` holds the
-    kernel vector of each even-length cycle of tau, a basis of the kernel.
-    """
-
-    diagram: Diagram
-    ells: tuple[int, ...]
-    tau: Permutation
-    invariant_factors: tuple[int, ...]
-    kernel_dim: int
-    one_perp: bool
-    degrees: tuple[PiDegree, ...]
-    extended: ExtendedAnalysis | None = None
-    cycle_vectors: tuple[CycleKernelVector, ...] = ()
-
-
-def analyze_diagram(
-    d: Diagram, ells: tuple[int, ...] = (), extended: bool = False
-) -> DiagramAnalysis:
-    """The generic route on one diagram: one trace of tau, one normal form
-    (two with `extended`), and the kernel basis from the even cycles of tau;
-    see DiagramFacts."""
-    facts = DiagramFacts(d)
-    h = facts.snf.invariant_factors
-    ext = None
-    if extended:
-        h_ext = facts.extended_snf.invariant_factors
-        ext = ExtendedAnalysis(
-            invariant_factors=h_ext,
-            kernel_dim=facts.extended_snf.kernel_dim,
-            degrees=tuple(pi_degree_from_factors(h_ext, ell) for ell in ells),
-        )
-    return DiagramAnalysis(
-        diagram=d,
-        ells=tuple(ells),
-        tau=facts.tau,
-        invariant_factors=h,
-        kernel_dim=facts.snf.kernel_dim,
-        one_perp=facts.one_perp,
-        degrees=tuple(pi_degree_from_factors(h, ell) for ell in ells),
-        extended=ext,
-        cycle_vectors=facts.cycle_vectors,
-    )

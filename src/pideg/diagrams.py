@@ -88,15 +88,13 @@ class Diagram:
         return self.to_text()
 
 
-def diagram_from_text(text: str, white: str = WHITE_CHAR, black: str = BLACK_CHAR) -> Diagram:
+def diagram_from_text(text: str) -> Diagram:
     """Parse a diagram from its text form.
 
-    Lines are rows; `white` and `black` are the single characters used for
-    the two cell kinds. Leading/trailing blank lines and per-line trailing
+    Lines are rows, WHITE_CHAR ('.') a white cell and BLACK_CHAR ('#') a
+    black one. Leading/trailing blank lines and per-line trailing
     whitespace are ignored; interior rows must all have the same width.
     """
-    if len(white) != 1 or len(black) != 1 or white == black:
-        raise BadRange("white and black markers must be distinct single characters")
     lines = [line.rstrip() for line in text.splitlines()]
     while lines and not lines[0]:
         lines.pop(0)
@@ -111,9 +109,9 @@ def diagram_from_text(text: str, white: str = WHITE_CHAR, black: str = BLACK_CHA
             raise RaggedRows(f"row {i} has length {len(line)}, expected {width}")
         row = []
         for j, ch in enumerate(line, start=1):
-            if ch == white:
+            if ch == WHITE_CHAR:
                 row.append(True)
-            elif ch == black:
+            elif ch == BLACK_CHAR:
                 row.append(False)
             else:
                 raise UnknownCharacter(f"row {i}, column {j}: unexpected character {ch!r}")

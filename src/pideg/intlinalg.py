@@ -110,18 +110,16 @@ def matrix_from_diagram(d: Diagram) -> SkewIntMatrix:
     return SkewIntMatrix(tuple(rows))
 
 
-def extend(M: SkewIntMatrix, orientation: int = 1) -> SkewIntMatrix:
-    """Border M with a column of orientation*1 and the matching skew row.
+def extend(M: SkewIntMatrix) -> SkewIntMatrix:
+    """Border M with a column of ones and the matching row of minus ones.
 
-    orientation=+1 appends column (+1, ..., +1) and row (-1, ..., -1, 0);
-    orientation=-1 the mirror. The two are congruent via negating the last
-    coordinate, so every congruence invariant agrees between them.
+    The new last row is (-1, ..., -1, 0). Its mirror, with the signs of the
+    border swapped, is congruent to it by negating the last coordinate, so
+    the choice changes no congruence invariant.
     """
-    if orientation not in (1, -1):
-        raise BadRange(f"orientation must be +1 or -1, got {orientation}")
     n = M.n
-    rows = [tuple(M.rows[i]) + (orientation,) for i in range(n)]
-    rows.append(tuple(-orientation for _ in range(n)) + (0,))
+    rows = [tuple(M.rows[i]) + (1,) for i in range(n)]
+    rows.append((-1,) * n + (0,))
     return SkewIntMatrix(tuple(rows))
 
 

@@ -243,33 +243,30 @@ def partial_reverse(m: int, n: int) -> Permutation:
     return Permutation(tuple(range(m, 0, -1)) + tuple(range(m + n, m, -1)))
 
 
-def partition_permutation(shape: Partition, m: int | None = None, n: int | None = None) -> Permutation:
-    """The restricted permutation of a Young shape inside an m x n board.
+def partition_permutation(shape: Partition) -> Permutation:
+    """The restricted permutation of a Young shape inside its m x n box.
 
     In one-line notation: the first m values are gamma_i = i + n - lambda_i
     (the jump sequence of the shape's boundary path), the rest is the
     complement of {gamma_i} in increasing order. For the all-white shape
     this equals restricted_permutation(young_diagram(shape)).
     """
-    m = shape.box_m if m is None else m
-    n = shape.box_n if n is None else n
+    m, n = shape.box_m, shape.box_n
     if m == 0 or n == 0:
         return Permutation.identity(m + n)
-    boxed = Partition(shape.parts, box_m=m, box_n=n)
-    gamma = plucker_from_partition(boxed).gamma
+    gamma = plucker_from_partition(shape).gamma
     rest = sorted(set(range(1, m + n + 1)) - set(gamma))
     return Permutation(gamma + tuple(rest))
 
 
-def partition_toric_permutation(shape: Partition, m: int | None = None, n: int | None = None) -> Permutation:
+def partition_toric_permutation(shape: Partition) -> Permutation:
     """The toric permutation of a Young shape, via the labelling bridge.
 
     Computed as reverse_word o partition_permutation o partial_reverse,
     which agrees with toric_permutation(young_diagram(shape)); the closed
     form avoids tracing pipes.
     """
-    m = shape.box_m if m is None else m
-    n = shape.box_n if n is None else n
+    m, n = shape.box_m, shape.box_n
     if m == 0 or n == 0:
         return Permutation.identity(m + n)
-    return reverse_word(m, n) * partition_permutation(shape, m, n) * partial_reverse(m, n)
+    return reverse_word(m, n) * partition_permutation(shape) * partial_reverse(m, n)

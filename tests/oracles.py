@@ -10,8 +10,10 @@ independent check on the unimodularity the normal form certifies by
 E E^{-1} = I, the PI degree oracles count group orders directly, and
 irreducibility is decided by Burnside's criterion, growing the F_p span of
 the words in the generator images (production counts the commutant on the
-exponents instead). Agreement between these and the package is a genuine
-cross-check, not the same algorithm twice.
+exponents instead), and the generator images are built from full-dimension
+lifted copies of every clock and shift (production tensors one leg per
+block). Agreement between these and the package is a genuine cross-check,
+not the same algorithm twice.
 """
 
 from __future__ import annotations
@@ -283,3 +285,41 @@ def span_irreducible(rep, p: int) -> bool:
         )
         frontier = [word for word in products if enlarges(*word)]
     return len(pivots) == d * d
+
+
+def lifted_generator_images(M, ell: int) -> tuple:
+    """The generator images of the representation of M at ell, built from
+    lifted blocks.
+
+    Each block k's clock and shift is lifted to the full dimension ell**s
+    by Kronecker products with ell x ell identities (k on its left, s - k - 1
+    on its right), every kernel direction gets the identity, and generator
+    i is the product over all 2s + t lifted blocks a of block a to the
+    power E^{-1}[i][a] mod ell. Only the normal form and the monomial
+    arithmetic come from the package.
+    """
+    from pideg.intlinalg import skew_normal_form
+    from pideg.reps import MonomialMatrix, clock_shift, kron
+
+    snf = skew_normal_form(M)
+    h = snf.invariant_factors
+    s, t = len(h), snf.kernel_dim
+    identity = MonomialMatrix.identity(ell**s, ell)
+    leg_identity = MonomialMatrix.identity(ell, ell)
+    blocks = []
+    for k in range(s):
+        for g in clock_shift(ell, h[k] % ell):
+            for _ in range(k):
+                g = kron(leg_identity, g)
+            for _ in range(s - k - 1):
+                g = kron(g, leg_identity)
+            blocks.append(g)
+    blocks.extend(identity for _ in range(t))
+    images = []
+    for row in snf.inverse_transform:
+        g = identity
+        for block, e in zip(blocks, row):
+            if e % ell:
+                g = g @ block ** (e % ell)
+        images.append(g)
+    return tuple(images)

@@ -17,7 +17,9 @@ from pideg import (
     determinantal_diagram,
     determinantal_toric_cycles,
     diagram_from_text,
+    MonomialMatrix,
     extend,
+    find_relation_violation,
     irreducibility_check,
     kernel_basis_mod_p,
     kernel_basis_rational,
@@ -32,7 +34,6 @@ from pideg import (
     rectangle_kernel_dim,
     skew_normal_form,
     toric_permutation,
-    verify_relations,
 )
 from tests.conftest import (
     EG_EXT_INVARIANT_FACTORS,
@@ -164,8 +165,9 @@ def test_criterion_09_representations_of_all_small_boards(small_board_matrices):
         for ell in (3, 5):
             rep = qas_representation(M, ell)
             assert rep.dim == pi_degree_qas(M, ell).value
-            assert verify_relations(rep, M)
-            assert all((g**ell).is_identity for g in rep.generator_images)
+            assert find_relation_violation(rep, M) is None
+            identity = MonomialMatrix.identity(rep.dim, ell)
+            assert all(g**ell == identity for g in rep.generator_images)
             if rep.dim <= 81:
                 p = 7 if ell == 3 else 11
                 assert irreducibility_check(rep, p)

@@ -205,6 +205,18 @@ class TestRepCommand:
         assert "irreducible over F_7: yes" in out
         assert time.perf_counter() - start < 30
 
+    @pytest.mark.parametrize(
+        "detring, ell, dim",
+        [("12,1", "3", 3**11), ("8,4", "3", 3**22), ("3,1", "1000003", 1_000_003**2)],
+    )
+    def test_dimension_above_the_cap_is_refused(self, capsys, detring, ell, dim):
+        # Refused before any image is built, so in well under a second.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "rep", "--detring", detring, "--ell", ell)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: representation dimension {dim} exceeds")
+        assert time.perf_counter() - start < 1
+
     def test_irreducible_above_dimension_729_is_refused(self, capsys, tmp_path):
         path = tmp_path / "mat.json"
         path.write_text("[[0, 1], [-1, 0]]")
@@ -412,6 +424,10 @@ class TestSweepMemo:
         assert len(traces) == traces_per_board * 64
 
 
+def readme_python_blocks() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+
+
 def readme_transcripts() -> list[tuple[str, str]]:
     """(command, output) of each '$ pideg ...' transcript in README.md."""
     blocks = re.findall(r"```sh\n\$ pideg (.*?)\n(.*?)```", README.read_text(), re.S)
@@ -429,3 +445,8 @@ class TestReadme:
         code, out, err = run(capsys, *shlex.split(command))
         assert code == 0 and err == ""
         assert out == output
+
+    def test_library_example_runs(self):
+        blocks = readme_python_blocks()
+        assert len(blocks) == 1
+        exec(blocks[0], {})

@@ -7,13 +7,13 @@ import pytest
 from pideg import (
     BadEll,
     BadRange,
+    DiagramFacts,
     EvenEll,
     HypothesisViolated,
     Partition,
     PiDegree,
     PluckerIndex,
     all_white,
-    analyze_diagram,
     determinantal_diagram,
     determinantal_invariant_exponent,
     determinantal_toric_cycles,
@@ -291,15 +291,18 @@ class TestGrassmannianClosedForm:
 
 class TestDiagramAnalysis:
     def test_reference_board(self, fig_diagram):
-        analysis = analyze_diagram(fig_diagram, (5, 3), extended=True)
-        assert analysis.invariant_factors == (1, 1, 1, 2)
-        assert analysis.kernel_dim == 1
-        assert not analysis.one_perp
-        assert [pi.value for pi in analysis.degrees] == [625, 81]
-        assert analysis.extended.invariant_factors == (1, 1, 1, 2, 2)
-        assert analysis.extended.kernel_dim == 0
-        assert [pi.value for pi in analysis.extended.degrees] == [3125, 243]
+        facts = DiagramFacts(fig_diagram)
+        h, h_ext = facts.snf.invariant_factors, facts.extended_snf.invariant_factors
+        assert h == (1, 1, 1, 2)
+        assert facts.snf.kernel_dim == 1
+        assert not facts.one_perp
+        assert [pi_degree_from_factors(h, ell).value for ell in (5, 3)] == [625, 81]
+        assert h_ext == (1, 1, 1, 2, 2)
+        assert facts.extended_snf.kernel_dim == 0
+        assert [pi_degree_from_factors(h_ext, ell).value for ell in (5, 3)] == [3125, 243]
 
     def test_without_extension(self, eg_diagram):
-        analysis = analyze_diagram(eg_diagram)
-        assert analysis.extended is None and analysis.degrees == ()
+        # A fact nobody reads is never computed.
+        facts = DiagramFacts(eg_diagram)
+        assert facts.snf.invariant_factors == (1, 1)
+        assert "extended_snf" not in vars(facts) and "tau" not in vars(facts)

@@ -71,10 +71,6 @@ class TestDiagramParsing:
         with pytest.raises(EmptyInput):
             diagram_from_text("   \n\n")
 
-    def test_custom_characters(self):
-        d = diagram_from_text("ox\noo\n", white="o", black="x")
-        assert d == diagram_from_text(".#\n..\n")
-
     @settings(deadline=None, max_examples=60)
     @given(boards)
     def test_text_round_trip_any_board(self, d):

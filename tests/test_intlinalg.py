@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from pideg import (
     BadRange,
+    DiagramFacts,
     FormulaMismatch,
     InternalVerificationFailed,
     SkewIntMatrix,
     SkewSymmetryViolated,
     all_white,
     checked_cycle_sum,
-    analyze_diagram,
     cycle_kernel_vectors,
     diagram_from_text,
     extend,
@@ -115,14 +115,16 @@ class TestExtend:
 
     def test_orientation_flip_is_congruent(self, fig_diagram):
         M = matrix_from_diagram(fig_diagram)
-        plus = skew_normal_form(extend(M, 1))
-        minus = skew_normal_form(extend(M, -1))
+        E = extend(M)
+        # The mirror border: negate the last row and column.
+        sign = [1] * M.n + [-1]
+        mirror = SkewIntMatrix(
+            tuple(tuple(sign[i] * sign[j] * E[i, j] for j in range(E.n)) for i in range(E.n))
+        )
+        assert mirror[0, M.n] == -1
+        plus, minus = skew_normal_form(E), skew_normal_form(mirror)
         assert plus.invariant_factors == minus.invariant_factors
         assert plus.kernel_dim == minus.kernel_dim
-
-    def test_bad_orientation(self):
-        with pytest.raises(BadRange):
-            extend(SkewIntMatrix(()), 2)
 
 
 class TestDeterminant:
@@ -298,7 +300,7 @@ class TestRationalKernel:
             rows = matrix_from_diagram(d).rows
             if rows not in oracle:
                 oracle[rows] = one_perp(rows)
-            assert analyze_diagram(d).one_perp == oracle[rows]
+            assert DiagramFacts(d).one_perp == oracle[rows]
         assert set(oracle.values()) == {True, False}
 
 

@@ -183,5 +183,5 @@ class TestPartitionPermutations:
         m, n = shape.box_m, shape.box_n
         if m == 0 or n == 0:
             return
-        p = partition_permutation(shape, m, n)
+        p = partition_permutation(shape)
         assert p.k == m + n
