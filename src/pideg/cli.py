@@ -313,7 +313,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
         f"odd cycles: {tau.cycles.odd_cycle_count}",
     ]
     for ell in ells:
-        entry = degree_dict(pi_degree_partition(shape, ell, cross_check=args.verify), budget)
+        pi = pi_degree_partition(shape, ell, cross_check=args.verify, tau=tau)
+        entry = degree_dict(pi, budget)
         report["pi_degrees"].append(entry)
         lines.append(degree_line(entry))
     return _emit_closed_form(report, lines, args)

@@ -145,28 +145,34 @@ def _check_odd_ell(ell: int) -> None:
         raise EvenEll(f"this closed form needs odd ell, got {ell}")
 
 
-def _half_rank(shape: Partition) -> tuple[int, Permutation]:
-    """(s, tau): tau the toric permutation of a Young shape, by its closed
-    form, and s = (N - r) / 2 for N boxes and r even-length cycles of tau."""
-    tau = partition_toric_permutation(shape)
+def _half_rank(shape: Partition, tau: Permutation) -> int:
+    """s = (N - r) / 2 for N boxes and r even-length cycles of tau, the
+    toric permutation of the Young shape."""
     r = tau.cycles.odd_cycle_count
     if (shape.size - r) % 2:
         raise InternalVerificationFailed(
             f"parity broken: N = {shape.size}, r = {r} for shape {shape}"
         )
-    return (shape.size - r) // 2, tau
+    return (shape.size - r) // 2
 
 
 def pi_degree_partition(
-    shape: Partition, ell: int, cross_check: bool = False
+    shape: Partition,
+    ell: int,
+    cross_check: bool = False,
+    tau: Permutation | None = None,
 ) -> PiDegree:
     """PI degree of the quantum affine space of a Young shape, odd ell.
 
     Closed form ell**((N - r) / 2) with N the number of boxes and r the
     number of even-length cycles of the toric permutation of the shape.
+    A caller that already holds that permutation passes it as tau;
+    otherwise it is computed by its closed form.
     """
     _check_odd_ell(ell)
-    closed = PiDegree(ell=ell, exponent=_half_rank(shape)[0])
+    if tau is None:
+        tau = partition_toric_permutation(shape)
+    closed = PiDegree(ell=ell, exponent=_half_rank(shape, tau))
     if cross_check:
         generic = pi_degree_qas(matrix_from_diagram(young_diagram(shape)), ell)
         if generic.value != closed.value:
@@ -303,7 +309,8 @@ def pi_degree_schubert(
     """
     shape = partition_from_plucker(idx)
     _check_box_hypothesis(ell, shape.box_m, shape.box_n)
-    s, tau = _half_rank(shape)
+    tau = partition_toric_permutation(shape)
+    s = _half_rank(shape, tau)
     d = young_diagram(shape)
     M = matrix_from_diagram(d)
     one_perp = all(sum(v.vector) == 0 for v in cycle_kernel_vectors(d, tau, M))

@@ -121,11 +121,6 @@ def diagram_from_text(text: str) -> Diagram:
     return Diagram(tuple(rows))
 
 
-def all_black(m: int, n: int) -> Diagram:
-    _check_dims(m, n)
-    return Diagram(tuple(tuple(False for _ in range(n)) for _ in range(m)))
-
-
 def all_white(m: int, n: int) -> Diagram:
     _check_dims(m, n)
     return Diagram(tuple(tuple(True for _ in range(n)) for _ in range(m)))

@@ -6,8 +6,7 @@ arcs (a strand entering from the east leaves north, one entering from the
 south leaves west). Strands therefore only ever travel north or west, enter
 on the right or bottom side and leave on the top or left side.
 
-Two ways of labelling the four sides give the two permutations this module
-computes:
+Two ways of labelling the four sides give two permutations:
 
 - the toric labelling: left and right sides carry 1..m from BOTTOM to top,
   top and bottom sides carry m+1..m+n from left to right; following the
@@ -19,8 +18,8 @@ computes:
   along the bottom from right to left; exits 1..n along the top from right
   to left then n+1..n+m down the left side. This gives the permutation w,
   which for Young shapes is the restricted permutation of the Schubert
-  cell. The two labellings are reconciled by reverse_word / partial_reverse
-  below: tau = reverse_word o w o partial_reverse.
+  cell; partition_permutation computes it in closed form, and tau =
+  reverse_word o w o partial_reverse reconciles the two labellings.
 """
 
 from __future__ import annotations
@@ -78,12 +77,6 @@ class Permutation:
         if self.k != other.k:
             raise BadRange(f"cannot compose permutations of sizes {self.k} and {other.k}")
         return Permutation(tuple(self.image[j - 1] for j in other.image))
-
-    def inverse(self) -> "Permutation":
-        image = [0] * self.k
-        for i, v in enumerate(self.image, start=1):
-            image[v - 1] = i
-        return Permutation(tuple(image))
 
     @cached_property
     def cycles(self) -> "CycleDecomposition":
@@ -187,24 +180,6 @@ def toric_permutation(d: Diagram) -> Permutation:
     return Permutation(tuple(image))
 
 
-def restricted_permutation(d: Diagram) -> Permutation:
-    """The permutation w of {1, ..., m+n} induced by the restricted labelling.
-
-    Entries: 1..m down the right side (top to bottom), then m+1..m+n along
-    the bottom from RIGHT to left. Exits: 1..n along the top from RIGHT to
-    left, then n+1..n+m down the left side (top to bottom).
-    """
-    m, n = d.shape
-    image = []
-    for i in range(1, m + n + 1):
-        if i <= m:
-            side, pos = _trace(d, i, n, _WEST)
-        else:
-            side, pos = _trace(d, m, m + n + 1 - i, _NORTH)
-        image.append(n + 1 - pos if side == "top" else n + pos)
-    return Permutation(tuple(image))
-
-
 def white_exit_labels(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Toric exit labels of the two strands leaving each white square.
 
@@ -248,8 +223,8 @@ def partition_permutation(shape: Partition) -> Permutation:
 
     In one-line notation: the first m values are gamma_i = i + n - lambda_i
     (the jump sequence of the shape's boundary path), the rest is the
-    complement of {gamma_i} in increasing order. For the all-white shape
-    this equals restricted_permutation(young_diagram(shape)).
+    complement of {gamma_i} in increasing order: the permutation that the
+    restricted labelling reads off the pipes of young_diagram(shape).
     """
     m, n = shape.box_m, shape.box_n
     if m == 0 or n == 0:

@@ -3,31 +3,33 @@
 A quantum affine space at a primitive ell-th root of unity q has PI degree
 prod ell / gcd(h_i, ell) over the congruence invariant factors h_i of its
 commutation matrix. When every gcd is 1 an irreducible representation of
-exactly that dimension can be written down with monomial matrices: one
-clock/shift pair of size ell per invariant factor, pulled back through the
-congruence transform. Generator i's image is the Kronecker product over the
-blocks k of x_k**a @ y_k**b, with (a, b) the exponents that row i of
-E^{-1} gives block k; kernel directions act as the identity.
+exactly that dimension can be written down with monomial matrices. Each
+invariant factor gets a leg, a clock/shift pair of size ell, and generator
+i's image is the Kronecker product over the blocks k of x_k**a @ y_k**b,
+with (a, b) the exponents that row i of F = E^{-1} gives block k.
 
-All matrices here are monomial over the cyclotomic integers: one nonzero
-entry per row and column, each a power of q. Powers of q are tracked as
-integer exponents mod ell and never evaluated numerically, so every
-identity checked is exact. Irreducibility over a finite field F_p with
-ell | p - 1 is certified the same way: the commutant of the generator
-images is counted on the exponents, orbit by orbit of index pairs, and
-must be the scalars.
+Every fact reported follows from the legs and the exponents, so no
+dim x dim image is built unless a caller reads one: the relations are
+checked once per leg and then as an exact integer pairing of the rows of
+F, and irreducibility over F_p by the rank of the exponent matrix modulo
+each prime dividing ell. Powers of q are integer exponents mod ell, so
+every identity checked is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
+from operator import mul
 
+from .degrees import smallest_prime_factor
 from .errors import (
     BadEll,
     BadRange,
     GcdViolation,
     HypothesisViolated,
+    InternalVerificationFailed,
     NoRootOfUnity,
     NotPrime,
     TooLarge,
@@ -75,9 +77,7 @@ class MonomialMatrix:
         if self.ell != other.ell or self.dim != other.dim:
             raise BadRange("monomial matrices of different shape or ell")
         rows = tuple(self.rows[r] for r in other.rows)
-        exps = tuple(
-            other.exps[j] + self.exps[other.rows[j]] for j in range(self.dim)
-        )
+        exps = tuple(e + self.exps[r] for r, e in zip(other.rows, other.exps))
         return MonomialMatrix(self.ell, rows, exps)
 
     def __pow__(self, k: int) -> "MonomialMatrix":
@@ -91,6 +91,20 @@ class MonomialMatrix:
             base = base @ base
             k >>= 1
         return out
+
+    def order_divides(self, k: int) -> bool:
+        """Whether self**k is the identity: each cycle of rows has a length L
+        dividing k, and k / L rounds of it multiply to q**0."""
+        seen = [False] * self.dim
+        for start in range(self.dim):
+            length = total = 0
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                length, total, j = length + 1, total + self.exps[j], self.rows[j]
+            if length and (k % length or total * (k // length) % self.ell):
+                return False
+        return True
 
     def scalar_power_vs(self, other: "MonomialMatrix") -> int | None:
         """The c with self = q**c * other, or None if no such scalar exists."""
@@ -108,13 +122,9 @@ def kron(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
     if a.ell != b.ell:
         raise BadRange("Kronecker factors with different ell")
     db = b.dim
-    rows = []
-    exps = []
-    for ja in range(a.dim):
-        for jb in range(db):
-            rows.append(a.rows[ja] * db + b.rows[jb])
-            exps.append(a.exps[ja] + b.exps[jb])
-    return MonomialMatrix(a.ell, tuple(rows), tuple(exps))
+    rows = tuple(ra * db + rb for ra in a.rows for rb in b.rows)
+    exps = tuple(ea + eb for ea in a.exps for eb in b.exps)
+    return MonomialMatrix(a.ell, rows, exps)
 
 
 def clock_shift(ell: int, h: int) -> tuple[MonomialMatrix, MonomialMatrix]:
@@ -137,11 +147,10 @@ def clock_shift(ell: int, h: int) -> tuple[MonomialMatrix, MonomialMatrix]:
 class QASRepresentation:
     """A representation of the quantum affine space of a skew matrix M.
 
-    generator_images[i] is the image of the i-th coordinate generator
-    (0-based, matching row i of M); dim = ell**s with s the number of
-    invariant factor blocks. e_inverse is the exact integer inverse of the
-    congruence transform: entries 2k and 2k + 1 of its row i are the
-    powers of block k's clock and shift in the Kronecker leg k of image i.
+    dim = ell**s for s invariant factor blocks. e_inverse is F = E^{-1},
+    exact: entries 2k and 2k + 1 of its row i are the powers of block k's
+    clock and shift in leg k of generator i's image (row i of M). Legs and
+    images are built on first read; the checks never read the images.
     """
 
     ell: int
@@ -149,23 +158,47 @@ class QASRepresentation:
     invariant_factors: tuple[int, ...]
     kernel_dim: int
     e_inverse: tuple[tuple[int, ...], ...]
-    generator_images: tuple[MonomialMatrix, ...]
+
+    @cached_property
+    def legs(self) -> tuple[tuple[MonomialMatrix, MonomialMatrix], ...]:
+        """Block k's ell x ell clock and shift, with clock step h_k mod ell."""
+        if self.ell > MAX_REP_DIM:
+            raise TooLarge(
+                f"clock and shift of size {self.ell} exceed the largest built, {MAX_REP_DIM}"
+            )
+        return tuple(clock_shift(self.ell, hk % self.ell) for hk in self.invariant_factors)
+
+    @cached_property
+    def generator_images(self) -> tuple[MonomialMatrix, ...]:
+        """Image i: the Kronecker product over blocks k of x_k**a @ y_k**b,
+        (a, b) = entries 2k and 2k + 1 of row i of F mod ell. TooLarge above
+        MAX_REP_DIM, before anything is built."""
+        if self.dim > MAX_REP_DIM:
+            raise TooLarge(
+                f"representation dimension {self.dim} exceeds the largest built, {MAX_REP_DIM}"
+            )
+        ell = self.ell
+        images = []
+        for row in self.e_inverse:
+            g = MonomialMatrix.identity(1, ell)
+            for k, (x, y) in enumerate(self.legs):
+                g = kron(g, x ** (row[2 * k] % ell) @ y ** (row[2 * k + 1] % ell))
+            images.append(g)
+        return tuple(images)
 
 
-# Largest dimension qas_representation builds: 3**10, under a second for
-# detring 11,1 at ell 3. Each image holds dim rows and exponents, so a
-# larger request is refused before it can exhaust memory.
+# Largest dimension of a monomial matrix built here: 3**10, under a second for
+# the images of detring 11,1 at ell 3. Larger requests could exhaust memory.
 MAX_REP_DIM = 59_049
 
 
 def qas_representation(M: SkewIntMatrix, ell: int) -> QASRepresentation:
-    """Build a dimension ell**s monomial representation of the algebra of M.
+    """The dimension ell**s monomial representation of the algebra of M.
 
     Exists exactly when every invariant factor of M is coprime to ell
     (GcdViolation otherwise); in that case ell**s is the PI degree and the
     representation is irreducible. The empty matrix yields the trivial
-    one-dimensional representation. A dimension above MAX_REP_DIM raises
-    TooLarge before any image is built.
+    one-dimensional representation. Only the normal form is computed here.
     """
     if ell < 2:
         raise BadEll(f"ell must be at least 2, got {ell}")
@@ -177,131 +210,96 @@ def qas_representation(M: SkewIntMatrix, ell: int) -> QASRepresentation:
             f"invariant factors {bad} share a factor with ell = {ell}; "
             "no representation of full PI degree from this construction"
         )
-    dim = ell ** len(h)
-    if dim > MAX_REP_DIM:
-        raise TooLarge(
-            f"representation dimension {dim} exceeds the largest built, {MAX_REP_DIM}"
-        )
-    e_inverse = snf.inverse_transform
-    pairs = [clock_shift(ell, hk % ell) for hk in h]
-    generators = []
-    for row in e_inverse:
-        g = MonomialMatrix.identity(1, ell)
-        for k, (x, y) in enumerate(pairs):
-            g = kron(g, x ** (row[2 * k] % ell) @ y ** (row[2 * k + 1] % ell))
-        generators.append(g)
+    return QASRepresentation(ell, ell ** len(h), h, snf.kernel_dim, snf.inverse_transform)
 
-    return QASRepresentation(
-        ell=ell,
-        dim=dim,
-        invariant_factors=h,
-        kernel_dim=snf.kernel_dim,
-        e_inverse=e_inverse,
-        generator_images=tuple(generators),
-    )
+
+def _leg_defect(rep: QASRepresentation) -> str | None:
+    """Why some block's ell x ell clock x and shift y fail x**ell = y**ell = 1
+    and x y = q**h y x, or None. Building a leg checks that h is prime to ell."""
+    ell = rep.ell
+    for k, (h, (x, y)) in enumerate(zip(rep.invariant_factors, rep.legs)):
+        if not (x.dim == y.dim == x.ell == y.ell == ell and x.order_divides(ell)
+                and y.order_divides(ell)):
+            return f"block {k}: clock or shift is not of size and order {ell}"
+        if (x @ y).scalar_power_vs(y @ x) != h % ell:
+            return f"block {k}: clock and shift do not commute up to q**{h % ell}"
+    return None
 
 
 def find_relation_violation(
     rep: QASRepresentation, M: SkewIntMatrix
 ) -> tuple[int, int] | None:
-    """First generator pair (i, j) whose commutation fails, or None.
+    """First generator pair (i, j) with T_i T_j != q**M[i,j] T_j T_i, or None.
 
-    Two independent checks per pair: the monomial identity
-    T_i T_j = q**M[i,j] T_j T_i, and the exact integer identity expressing
-    M as E^{-1} S E^{-T} through the block pairing of the invariant
-    factors. Either failing reports the pair.
+    Checked on the legs and the exponents, never on the images. On one leg,
+    (x**a y**b)(x**c y**d) = q**(h(ad - bc)) (x**c y**d)(x**a y**b) once
+    x y = q**h y x, and Kronecker products multiply the scalars of their
+    legs, so T_i T_j = q**c T_j T_i with the exact integer pairing
+    c = sum_k h_k (a_ik b_jk - b_ik a_jk) of rows i and j of F. Each leg is
+    checked once (InternalVerificationFailed if it fails: the legs are built
+    here), then c = M[i, j] for every pair.
     """
+    defect = _leg_defect(rep)
+    if defect is not None:
+        raise InternalVerificationFailed(defect)
     h = rep.invariant_factors
-    s = len(h)
+    # weighted[i] paired with row j of F gives c for the pair (i, j).
+    weighted = [
+        [w for k, hk in enumerate(h) for w in (-hk * row[2 * k + 1], hk * row[2 * k])]
+        for row in rep.e_inverse
+    ]
     for i in range(M.n):
         for j in range(i + 1, M.n):
-            ti, tj = rep.generator_images[i], rep.generator_images[j]
-            c = (ti @ tj).scalar_power_vs(tj @ ti)
-            if c is None or c != M[i, j] % rep.ell:
-                return (i, j)
-            ei, ej = rep.e_inverse[i], rep.e_inverse[j]
-            pairing = sum(
-                h[k] * (ei[2 * k] * ej[2 * k + 1] - ei[2 * k + 1] * ej[2 * k])
-                for k in range(s)
-            )
-            if pairing != M[i, j]:
+            if sum(map(mul, weighted[i], rep.e_inverse[j])) != M.rows[i][j]:
                 return (i, j)
     return None
 
 
-# Largest dimension irreducibility_check accepts: the orbit count walks all
-# dim**2 index pairs once per generator, under 2 s at dimension 729.
-MAX_CERTIFIED_DIM = 729
+def _rank_mod_p(rows: list[tuple[int, ...]], p: int) -> int:
+    """Rank over F_p, by elimination against rows with distinct leading columns."""
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        v = [x % p for x in row]
+        for lead, b in basis:
+            if v[lead]:
+                f = v[lead]
+                v = [(x - f * y) % p for x, y in zip(v, b)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            basis.append((lead, [x * inv % p for x in v]))
+    return len(basis)
 
 
 def irreducibility_check(rep: QASRepresentation, p: int) -> bool:
     """Certify irreducibility over F_p: the images commute only with scalars.
 
-    A matrix A commutes with a monomial generator sending e_j to
-    q**a[j] e_sigma(j) exactly when A[sigma i, sigma j] = q**(a[i] - a[j])
-    A[i, j]. So A is fixed by its entry at one index pair per orbit of the
-    pairs (i, j) under the generators, and that entry can be nonzero only
-    if the factors met around every loop of the orbit multiply to 1. The
-    walk below labels each pair with its exponent relative to the first
-    pair of its orbit; the commutant's dimension is the number of orbits
-    whose every edge agrees with the labels. In F_p with ell | p - 1, q has
-    order exactly ell, so an exponent is trivial exactly when it is 0 mod ell.
-
-    Two hypotheses are checked first (HypothesisViolated, naming the
-    generator, otherwise): every image's ell-th power is a scalar, and every
-    two images commute up to a scalar. Then the group generated is abelian
-    modulo its scalars, which are powers of q, so its order divides
-    ell**(n + 1) for n generators and is prime to p. By Maschke its action
-    is semisimple, so by Schur and the double centraliser theorem the
-    commutant is the scalars exactly when the words in the images span all
-    dim x dim matrices over F_p (Burnside). Requires a prime p with
-    ell | p - 1 and dim <= MAX_CERTIFIED_DIM.
+    The legs must satisfy x**ell = y**ell = 1 and x y = q**h y x, h prime to
+    ell (HypothesisViolated, naming the block, otherwise). In F_p with
+    ell | p - 1, q has order ell, so the Kronecker products W(u) of leg
+    powers, u in (Z/ell)**(2s), are a basis of the dim x dim matrices, and
+    W(u) W(v) = q**w(u, v) W(v) W(u) for a pairing w weighted by the h_k,
+    nondegenerate mod ell. Generator i is W(row i of F), so the commutant is
+    spanned by the W(v) with v in the annihilator of the span H of the
+    exponent rows: it is the scalars exactly when H = (Z/ell)**(2s), when
+    the n x 2s exponent matrix has rank 2s modulo every prime dividing ell.
+    This costs O(n s**2) at any dimension; p only names the field.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     ell = rep.ell
     if (p - 1) % ell:
         raise NoRootOfUnity(f"ell = {ell} does not divide p - 1 = {p - 1}")
-    d = rep.dim
-    if d > MAX_CERTIFIED_DIM:
-        raise TooLarge(
-            f"certifying dimension {d} walks {d * d} index pairs; "
-            f"the largest dimension certified is {MAX_CERTIFIED_DIM}"
-        )
-    images = rep.generator_images
-    identity = MonomialMatrix.identity(d, ell)
-    for i, g in enumerate(images):
-        if (g**ell).scalar_power_vs(identity) is None:
-            raise HypothesisViolated(f"generator {i}: its {ell}-th power is not a scalar")
-        for j in range(i):
-            if (g @ images[j]).scalar_power_vs(images[j] @ g) is None:
-                raise HypothesisViolated(
-                    f"generators {j} and {i} do not commute up to a power of q"
-                )
-
-    gens = [(g.rows, g.exps) for g in images]
-    # label[i * d + j]: exponent of q at (i, j) over the first pair of its orbit.
-    label = [-1] * (d * d)
-    orbits = 0
-    for start in range(d * d):
-        if label[start] >= 0:
-            continue
-        label[start] = 0
-        stack = [start]
-        trivial = True
-        while stack:
-            here = stack.pop()
-            i, j = divmod(here, d)
-            base = label[here]
-            for rows, exps in gens:
-                there = rows[i] * d + rows[j]
-                expected = (base + exps[i] - exps[j]) % ell
-                if label[there] < 0:
-                    label[there] = expected
-                    stack.append(there)
-                elif label[there] != expected:
-                    trivial = False
-        orbits += trivial
-        if orbits > 1:
+    defect = _leg_defect(rep)
+    if defect is not None:
+        raise HypothesisViolated(defect)
+    width = 2 * len(rep.invariant_factors)
+    exponents = [row[:width] for row in rep.e_inverse]
+    rest = ell
+    while rest > 1:
+        prime = smallest_prime_factor(rest)
+        if _rank_mod_p(exponents, prime) < width:
             return False
-    return orbits == 1
+        while rest % prime == 0:
+            rest //= prime
+    return True

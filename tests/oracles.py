@@ -9,11 +9,14 @@ vectors of the even toric cycles), the determinant is an
 independent check on the unimodularity the normal form certifies by
 E E^{-1} = I, the PI degree oracles count group orders directly, and
 irreducibility is decided by Burnside's criterion, growing the F_p span of
-the words in the generator images (production counts the commutant on the
-exponents instead), and the generator images are built from full-dimension
-lifted copies of every clock and shift (production tensors one leg per
-block). Agreement between these and the package is a genuine cross-check,
-not the same algorithm twice.
+the words in the generator images, or by counting the commutant of the
+images orbit by orbit of index pairs (production takes the rank of the
+exponent matrix instead), the relations are checked by multiplying full
+images (production checks one leg per block and an integer pairing), the
+generator images are built from full-dimension lifted copies of every
+clock and shift (production tensors one leg per block), and the restricted
+permutation is traced by its own strand walker. Agreement between these
+and the package is a genuine cross-check, not the same algorithm twice.
 """
 
 from __future__ import annotations
@@ -323,3 +326,100 @@ def lifted_generator_images(M, ell: int) -> tuple:
                 g = g @ block ** (e % ell)
         images.append(g)
     return tuple(images)
+
+
+def image_relation_violation(rep, M) -> tuple[int, int] | None:
+    """First pair (i, j) whose full images fail T_i T_j = q**M[i,j] T_j T_i."""
+    images = rep.generator_images
+    for i in range(M.n):
+        for j in range(i + 1, M.n):
+            ti, tj = images[i], images[j]
+            if (ti @ tj).scalar_power_vs(tj @ ti) != M[i, j] % rep.ell:
+                return (i, j)
+    return None
+
+
+def orbit_irreducible(rep) -> bool:
+    """Whether only the scalars commute with the generator images of `rep`.
+
+    A matrix A commutes with a monomial generator sending e_j to
+    q**a[j] e_sigma(j) exactly when A[sigma i, sigma j] = q**(a[i] - a[j])
+    A[i, j]. So A is fixed by its entry at one index pair per orbit of the
+    pairs (i, j) under the generators, and that entry can be nonzero only
+    if the factors met around every loop of the orbit multiply to 1. The
+    walk labels each pair with its exponent relative to the first pair of
+    its orbit; the commutant's dimension is the number of orbits whose
+    every edge agrees with the labels. With q of order exactly ell, the
+    group the images generate is abelian modulo scalars and of order prime
+    to the field's characteristic, so a commutant of the scalars alone
+    means irreducible (Maschke and Schur).
+    """
+    d, ell = rep.dim, rep.ell
+    gens = [(g.rows, g.exps) for g in rep.generator_images]
+    label = [-1] * (d * d)
+    orbits = 0
+    for start in range(d * d):
+        if label[start] >= 0:
+            continue
+        label[start] = 0
+        stack = [start]
+        trivial = True
+        while stack:
+            here = stack.pop()
+            i, j = divmod(here, d)
+            base = label[here]
+            for rows, exps in gens:
+                there = rows[i] * d + rows[j]
+                expected = (base + exps[i] - exps[j]) % ell
+                if label[there] < 0:
+                    label[there] = expected
+                    stack.append(there)
+                elif label[there] != expected:
+                    trivial = False
+        orbits += trivial
+        if orbits > 1:
+            return False
+    return orbits == 1
+
+
+def all_black(m: int, n: int):
+    """The m x n board with every square black."""
+    from pideg import Diagram
+
+    return Diagram(tuple((False,) * n for _ in range(m)))
+
+
+def inverse_permutation(p):
+    """The inverse of a pideg Permutation."""
+    from pideg import Permutation
+
+    image = [0] * p.k
+    for i, v in enumerate(p.image, start=1):
+        image[v - 1] = i
+    return Permutation(tuple(image))
+
+
+def restricted_permutation(d):
+    """The permutation w of {1, ..., m+n} induced by the restricted labelling.
+
+    Entries: 1..m down the right side (top to bottom), then m+1..m+n along
+    the bottom from RIGHT to left. Exits: 1..n along the top from RIGHT to
+    left, then n+1..n+m down the left side (top to bottom). A strand moves
+    west or north and turns at every white square.
+    """
+    from pideg import Permutation
+
+    m, n = d.shape
+    image = []
+    for i in range(1, m + n + 1):
+        # (row, col) of the square the strand enters next, 1-based.
+        r, c, north = (i, n, False) if i <= m else (m, m + n + 1 - i, True)
+        while 1 <= r and 1 <= c:
+            if d.cells[r - 1][c - 1]:
+                north = not north
+            if north:
+                r -= 1
+            else:
+                c -= 1
+        image.append(n + 1 - c if r == 0 else n + r)
+    return Permutation(tuple(image))

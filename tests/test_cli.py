@@ -12,7 +12,7 @@ import pytest
 
 from pideg.cli import main
 from pideg.intlinalg import skew_normal_form
-from pideg.pipedreams import toric_permutation
+from pideg.pipedreams import partition_toric_permutation, toric_permutation
 from pideg.sweep import DIAGRAM_PROPERTIES
 from tests.conftest import FIG_TEXT
 
@@ -97,6 +97,14 @@ class TestClosedFormCommands:
         code, out, _ = run(capsys, "partition", "5,3,2", "--ell", "5", "--ell", "7", *verify)
         assert code == 0 and "toric permutation: " in out
         assert len(traced) == traces
+
+    @pytest.mark.parametrize("verify", [(), ("--verify",)])
+    def test_partition_builds_tau_once(self, capsys, monkeypatch, verify):
+        # The report and every --ell read the same closed-form permutation.
+        built = spy(monkeypatch, partition_toric_permutation)
+        code, _, _ = run(capsys, "partition", "5,3,2", "--ell", "5", "--ell", "7", *verify)
+        assert code == 0
+        assert len(built) == 1
 
     def test_partition_rejects_ell_two(self, capsys):
         code, _, err = run(capsys, "partition", "5,3,2", "--ell", "2")
@@ -206,23 +214,38 @@ class TestRepCommand:
         assert time.perf_counter() - start < 30
 
     @pytest.mark.parametrize(
-        "detring, ell, dim",
-        [("12,1", "3", 3**11), ("8,4", "3", 3**22), ("3,1", "1000003", 1_000_003**2)],
+        "detring, ell, dim, checks",
+        [
+            ("12,1", "3", 3**11, ("--verify", "--irreducible")),
+            ("8,4", "3", 3**22, ("--verify", "--irreducible")),
+            ("3,1", "1000003", 1_000_003**2, ()),
+        ],
     )
-    def test_dimension_above_the_cap_is_refused(self, capsys, detring, ell, dim):
-        # Refused before any image is built, so in well under a second.
+    def test_dimension_above_the_image_cap_is_answered(self, capsys, detring, ell, dim, checks):
+        # No image is built, so the record, the relations and the certificate
+        # answer at any dimension, in well under a second.
         start = time.perf_counter()
-        code, out, err = run(capsys, "rep", "--detring", detring, "--ell", ell)
-        assert code == 1 and out == ""
-        assert err.startswith(f"error: representation dimension {dim} exceeds")
+        code, out, err = run(capsys, "rep", "--detring", detring, "--ell", ell, *checks)
+        assert code == 0 and err == ""
+        assert f"representation dimension: {dim}\n" in out
+        if checks:
+            assert "relations: all verified" in out
+            assert "irreducible over F_7: yes" in out
         assert time.perf_counter() - start < 1
 
-    def test_irreducible_above_dimension_729_is_refused(self, capsys, tmp_path):
+    def test_legs_above_the_cap_are_refused(self, capsys):
+        # Checks build the ell x ell legs, which are capped like any image.
+        code, out, err = run(capsys, "rep", "--detring", "3,1", "--ell", "1000003", "--verify")
+        assert code == 1 and out == ""
+        assert err.startswith("error: clock and shift of size 1000003 exceed")
+
+    def test_irreducible_above_dimension_729_is_answered(self, capsys, tmp_path):
         path = tmp_path / "mat.json"
         path.write_text("[[0, 1], [-1, 0]]")
-        code, out, err = run(capsys, "rep", "--matrix", str(path), "--ell", "739", "--irreducible")
-        assert code == 1 and out == ""
-        assert "largest dimension certified is 729" in err
+        code, out, _ = run(capsys, "rep", "--matrix", str(path), "--ell", "739", "--irreducible")
+        assert code == 0
+        assert "representation dimension: 739\n" in out
+        assert re.search(r"irreducible over F_\d+: yes", out)
 
 
 class TestDigitBudget:

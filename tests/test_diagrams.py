@@ -14,7 +14,6 @@ from pideg import (
     RaggedRows,
     ShapeOverflow,
     UnknownCharacter,
-    all_black,
     all_white,
     determinantal_diagram,
     diagram_from_text,
@@ -24,6 +23,7 @@ from pideg import (
     young_diagram,
 )
 from tests.conftest import FIG_TEXT, FIG_YOUNG_BLACK, FIG_YOUNG_PARTS, FIG_YOUNG_TEXT
+from tests.oracles import all_black
 
 boards = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -81,6 +81,7 @@ class TestConstantBoards:
     def test_all_black(self):
         d = all_black(2, 3)
         assert d.white_count == 0 and d.shape == (2, 3)
+        assert d == diagram_from_text("###\n###\n")
 
     def test_all_white(self):
         d = all_white(2, 3)
@@ -88,7 +89,7 @@ class TestConstantBoards:
 
     def test_bad_dims(self):
         with pytest.raises(BadRange):
-            all_black(0, 3)
+            all_white(0, 3)
 
 
 class TestCauchonLe:

@@ -16,7 +16,16 @@ if __debug__:
     sys.exit("the interpreter is not running with -O")
 
 import oracles
-from pideg import Diagram, InternalVerificationFailed, RaggedRows, SkewIntMatrix, intlinalg
+from pideg import (
+    Diagram,
+    InternalVerificationFailed,
+    RaggedRows,
+    SkewIntMatrix,
+    find_relation_violation,
+    intlinalg,
+    qas_representation,
+    reps,
+)
 
 
 def expect(exc, fn, *args):
@@ -42,6 +51,17 @@ expect(
     intlinalg.skew_normal_form,
     SkewIntMatrix(((0, 0, 0), (0, 0, 1), (0, -1, 0))),
 )
+# A pairing that misses M is reported as the pair, not raised.
+M = SkewIntMatrix(((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
+rep = qas_representation(M, 3)
+wrong = SkewIntMatrix(((0, 1, 1), (-1, 0, 1), (-1, -1, 0)))
+if find_relation_violation(rep, wrong) != (0, 2):
+    sys.exit("a broken pairing was not reported as the pair (0, 2)")
+
+# A shift that is the clock again breaks the leg relation.
+clock_shift = reps.clock_shift
+reps.clock_shift = lambda ell, h: (clock_shift(ell, h)[0],) * 2
+expect(InternalVerificationFailed, find_relation_violation, qas_representation(M, 3), M)
 print("ok")
 """
 

@@ -9,18 +9,17 @@ from pideg import (
     CycleDecomposition,
     Diagram,
     Partition,
-    all_black,
     all_white,
     cycle_decomposition,
     diagram_from_text,
     partition_permutation,
     partition_toric_permutation,
-    restricted_permutation,
     toric_permutation,
     white_exit_labels,
     young_diagram,
 )
 from pideg.pipedreams import Permutation, partial_reverse, reverse_word
+from tests.oracles import all_black, inverse_permutation, restricted_permutation
 from tests.conftest import (
     FIG_LEFT_LABELS,
     FIG_TAU_CYCLES,
@@ -66,8 +65,9 @@ class TestPermutation:
 
     def test_inverse(self):
         p = Permutation((3, 1, 2))
-        assert p * p.inverse() == Permutation.identity(3)
-        assert p.inverse() * p == Permutation.identity(3)
+        assert inverse_permutation(p) == Permutation((2, 3, 1))
+        assert p * inverse_permutation(p) == Permutation.identity(3)
+        assert inverse_permutation(p) * p == Permutation.identity(3)
 
     @settings(deadline=None, max_examples=40)
     @given(st.permutations(list(range(1, 8))))
@@ -185,3 +185,4 @@ class TestPartitionPermutations:
             return
         p = partition_permutation(shape)
         assert p.k == m + n
+        assert p == restricted_permutation(young_diagram(shape))

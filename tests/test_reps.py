@@ -12,6 +12,7 @@ from pideg import (
     BadRange,
     GcdViolation,
     HypothesisViolated,
+    InternalVerificationFailed,
     MonomialMatrix,
     NoRootOfUnity,
     NotPrime,
@@ -20,6 +21,7 @@ from pideg import (
     ZeroDim,
     clock_shift,
     determinantal_diagram,
+    determinantal_invariant_exponent,
     find_relation_violation,
     irreducibility_check,
     is_prime,
@@ -30,8 +32,15 @@ from pideg import (
     qas_representation,
 )
 from bench.workloads import REP_DETRING
+from pideg import reps
 from pideg.reps import MAX_REP_DIM, QASRepresentation
-from tests.oracles import dense_mod_p, lifted_generator_images, span_irreducible
+from tests.oracles import (
+    dense_mod_p,
+    image_relation_violation,
+    lifted_generator_images,
+    orbit_irreducible,
+    span_irreducible,
+)
 
 
 def monomials(dim: int, ell: int):
@@ -86,6 +95,18 @@ class TestMonomialMatrix:
         assert g**5 == g**2 @ g**3
         with pytest.raises(BadRange):
             g**-1
+
+    @settings(deadline=None, max_examples=80)
+    @given(monomials(5, 6), st.integers(1, 13))
+    def test_order_divides_matches_the_power(self, a, k):
+        assert a.order_divides(k) == (a**k == MonomialMatrix.identity(5, 6))
+
+    def test_order_divides_on_clock_and_shift(self):
+        x, y = clock_shift(6, 1)
+        assert x.order_divides(6) and y.order_divides(12)
+        assert not x.order_divides(3) and not y.order_divides(2)
+        # (x y)**6 = q**15 = q**3 is a scalar but not the identity.
+        assert not (x @ y).order_divides(6) and (x @ y).order_divides(12)
 
     def test_scalar_power_vs(self):
         x, y = clock_shift(5, 2)
@@ -153,6 +174,7 @@ class TestQASRepresentation:
         M = matrix_from_diagram(fig_diagram)
         rep = qas_representation(M, 3)
         assert find_relation_violation(rep, M) is None
+        assert image_relation_violation(rep, M) is None
 
     def test_generators_have_order_ell_at_odd_ell(self):
         M = matrix_from_diagram(determinantal_diagram(3, 1))
@@ -164,18 +186,25 @@ class TestQASRepresentation:
     def test_violation_is_reported(self, fig_diagram):
         M = matrix_from_diagram(fig_diagram)
         rep = qas_representation(M, 3)
-        # Tamper with one generator image: swap in the wrong power.
-        images = list(rep.generator_images)
-        images[0] = images[0] @ images[0]
-        broken = QASRepresentation(
-            ell=rep.ell,
-            dim=rep.dim,
-            invariant_factors=rep.invariant_factors,
-            kernel_dim=rep.kernel_dim,
-            e_inverse=rep.e_inverse,
-            generator_images=tuple(images),
-        )
+        # Tamper with the exponents: generator 0 becomes the square of its image.
+        rows = list(rep.e_inverse)
+        rows[0] = tuple(2 * x for x in rows[0])
+        broken = replace(rep, e_inverse=tuple(rows))
         assert find_relation_violation(broken, M) is not None
+        assert image_relation_violation(broken, M) is not None
+        # Adding ell to an exponent leaves every image as it was, but F is no
+        # longer the certified inverse, and the exact pairing sees it.
+        rows[0] = (rep.e_inverse[0][0] + 3,) + rep.e_inverse[0][1:]
+        shifted = replace(rep, e_inverse=tuple(rows))
+        assert shifted.generator_images == rep.generator_images
+        assert find_relation_violation(shifted, M) is not None
+
+    def test_broken_leg_is_an_internal_failure(self, fig_diagram, monkeypatch):
+        # A shift that is the clock again commutes with it: no relation can hold.
+        monkeypatch.setattr(reps, "clock_shift", lambda ell, h: (clock_shift(ell, h)[0],) * 2)
+        M = matrix_from_diagram(fig_diagram)
+        with pytest.raises(InternalVerificationFailed, match="block 0: clock and shift"):
+            find_relation_violation(qas_representation(M, 3), M)
 
     def test_shared_factor_with_ell_rejected(self):
         M = SkewIntMatrix(((0, 2), (-2, 0)))
@@ -209,18 +238,45 @@ class TestQASRepresentation:
         # detring 11,1 at ell 3 has dimension 3**10 = MAX_REP_DIM.
         rep = qas_representation(matrix_from_diagram(determinantal_diagram(11, 1)), 3)
         assert rep.dim == MAX_REP_DIM
+        assert rep.generator_images[0].dim == MAX_REP_DIM
+
+    def test_images_above_the_cap_are_refused(self):
+        # The record answers at any dimension; only building images is refused.
+        start = time.perf_counter()
+        rep = qas_representation(matrix_from_diagram(determinantal_diagram(12, 1)), 3)
+        assert rep.dim == 3**11 == 3 * MAX_REP_DIM
+        with pytest.raises(TooLarge, match=f"dimension {3**11} exceeds"):
+            rep.generator_images
+        big_leg = qas_representation(SkewIntMatrix(((0, 1), (-1, 0))), MAX_REP_DIM + 2)
+        with pytest.raises(TooLarge, match="clock and shift"):
+            big_leg.legs
+        assert time.perf_counter() - start < 1
+
+    def test_relation_check_agrees_with_the_image_oracle(self, small_board_matrices):
+        # A tampered entry of M breaks exactly its own pair, by 1, so both
+        # checks must name it, whether or not ell divides the exponents.
+        for _, M in small_board_matrices:
+            for ell in (3, 5):
+                rep = qas_representation(M, ell)
+                if rep.dim > 243:
+                    continue
+                assert find_relation_violation(rep, M) is None
+                assert image_relation_violation(rep, M) is None
+                n = M.n
+                for i, j in {(0, 1), (n - 2, n - 1)} if n >= 2 else ():
+                    rows = [list(row) for row in M.rows]
+                    rows[i][j] += 1
+                    rows[j][i] -= 1
+                    tampered = SkewIntMatrix(tuple(map(tuple, rows)))
+                    assert find_relation_violation(rep, tampered) == (i, j)
+                    assert image_relation_violation(rep, tampered) == (i, j)
 
 
-def hand_built(ell: int, images: tuple[MonomialMatrix, ...]) -> QASRepresentation:
-    """A representation record around arbitrary images; only the images,
-    ell and dim matter to the irreducibility certificate."""
+def hand_built(ell: int, h: tuple[int, ...], rows) -> QASRepresentation:
+    """A representation record with invariant factors h whose generator i
+    has the exponents rows[i] on the legs."""
     return QASRepresentation(
-        ell=ell,
-        dim=images[0].dim,
-        invariant_factors=(),
-        kernel_dim=len(images),
-        e_inverse=((0,) * len(images),) * len(images),
-        generator_images=images,
+        ell=ell, dim=ell ** len(h), invariant_factors=h, kernel_dim=0, e_inverse=tuple(rows)
     )
 
 
@@ -231,6 +287,15 @@ def first_usable_prime(ell: int) -> int:
     return p
 
 
+def drop_last_generator(rep: QASRepresentation) -> QASRepresentation:
+    return replace(rep, e_inverse=rep.e_inverse[:-1])
+
+
+# detring boards small enough for the orbit oracle, which walks dim**2 pairs.
+ORBIT_DETRING = [(n, t, ell) for n, t, ell in REP_DETRING
+                 if ell ** determinantal_invariant_exponent(n, t) <= 243]
+
+
 class TestIrreducibility:
     def test_clock_and_shift_are_irreducible(self):
         M = SkewIntMatrix(((0, 1), (-1, 0)))
@@ -238,32 +303,52 @@ class TestIrreducibility:
         assert irreducibility_check(rep, 7)
 
     def test_scalar_representation_is_not(self):
-        ident = MonomialMatrix.identity(3, 3)
-        fake = hand_built(3, (ident, ident))
+        fake = hand_built(3, (1,), [(0, 0), (0, 0)])
+        assert fake.generator_images == (MonomialMatrix.identity(3, 3),) * 2
         assert not irreducibility_check(fake, 7)
+        assert not orbit_irreducible(fake)
         assert not span_irreducible(fake, 7)
 
     def test_clock_without_shift_is_not(self):
         # Every diagonal matrix commutes with a clock: an ell-dimensional commutant.
         for ell, p in ((3, 7), (5, 11)):
-            x, _ = clock_shift(ell, 1)
-            fake = hand_built(ell, (x,))
+            fake = hand_built(ell, (1,), [(1, 0)])
+            assert fake.generator_images == (clock_shift(ell, 1)[0],)
             assert not irreducibility_check(fake, p)
+            assert not orbit_irreducible(fake)
             assert not span_irreducible(fake, p)
 
-    def test_generators_that_do_not_q_commute_raise(self):
-        # Two transpositions of order 2 whose products differ as permutations.
-        s01 = MonomialMatrix(2, (1, 0, 2), (0, 0, 0))
-        s12 = MonomialMatrix(2, (0, 2, 1), (0, 0, 0))
-        with pytest.raises(HypothesisViolated, match="generators 0 and 1"):
-            irreducibility_check(hand_built(2, (s01, s12)), 3)
+    @pytest.mark.parametrize(
+        "ell, rows, irreducible",
+        [
+            (6, [(1, 0), (0, 1)], True),
+            (6, [(3, 0), (0, 1)], False),  # full rank mod 2, rank 1 mod 3
+            (6, [(2, 0), (0, 1)], False),  # full rank mod 3, rank 1 mod 2
+            (4, [(2, 0), (0, 1)], False),
+            (4, [(2, 1), (1, 1)], True),
+        ],
+    )
+    def test_rank_is_taken_modulo_every_prime_of_ell(self, ell, rows, irreducible):
+        fake = hand_built(ell, (1,), rows)
+        p = first_usable_prime(ell)
+        assert irreducibility_check(fake, p) is irreducible
+        assert orbit_irreducible(fake) is irreducible
+        assert span_irreducible(fake, p) is irreducible
 
-    def test_generator_whose_power_is_not_scalar_raises(self):
-        # A transposition at ell = 3: its cube is itself, not a scalar.
-        x, _ = clock_shift(3, 1)
+    def test_leg_that_does_not_q_commute_raises(self, monkeypatch):
+        # A shift that is the clock again commutes with it.
+        monkeypatch.setattr(reps, "clock_shift", lambda ell, h: (clock_shift(ell, h)[0],) * 2)
+        rep = qas_representation(SkewIntMatrix(((0, 1), (-1, 0))), 3)
+        with pytest.raises(HypothesisViolated, match="block 0: clock and shift do not commute"):
+            irreducibility_check(rep, 7)
+
+    def test_leg_whose_power_is_not_the_identity_raises(self, monkeypatch):
+        # A transposition at ell = 3: its cube is itself.
         s01 = MonomialMatrix(3, (1, 0, 2), (0, 0, 0))
-        with pytest.raises(HypothesisViolated, match="generator 1:"):
-            irreducibility_check(hand_built(3, (x, s01)), 7)
+        monkeypatch.setattr(reps, "clock_shift", lambda ell, h: (clock_shift(ell, h)[0], s01))
+        rep = qas_representation(SkewIntMatrix(((0, 1), (-1, 0))), 3)
+        with pytest.raises(HypothesisViolated, match="block 0: clock or shift"):
+            irreducibility_check(rep, 7)
 
     def test_requires_prime_modulus(self):
         M = SkewIntMatrix(((0, 1), (-1, 0)))
@@ -277,13 +362,43 @@ class TestIrreducibility:
         with pytest.raises(NoRootOfUnity):
             irreducibility_check(rep, 7)
 
-    def test_size_bound(self):
-        # Dimension 739, just above the largest certified dimension 729.
-        rep = qas_representation(SkewIntMatrix(((0, 1), (-1, 0))), 739)
+    def test_no_dimension_cap(self):
+        # Dimension 739, above the old cap of 729, and 3**22, far above the
+        # largest image built: the certificate never reads an image.
         start = time.perf_counter()
-        with pytest.raises(TooLarge):
-            irreducibility_check(rep, first_usable_prime(739))
+        rep = qas_representation(SkewIntMatrix(((0, 1), (-1, 0))), 739)
+        assert irreducibility_check(rep, first_usable_prime(739))
+        rep = qas_representation(matrix_from_diagram(determinantal_diagram(8, 4)), 3)
+        assert rep.dim == 3**22
+        assert irreducibility_check(rep, 7)
         assert time.perf_counter() - start < 1
+
+    def test_agrees_with_the_orbit_oracle_on_small_boards(self, small_board_matrices):
+        cases = reducible = 0
+        for _, M in small_board_matrices:
+            for ell, p in ((3, 7), (5, 11)):
+                rep = qas_representation(M, ell)
+                if rep.dim > 27:
+                    continue
+                for part in (rep, drop_last_generator(rep)) if M.n else (rep,):
+                    certified = irreducibility_check(part, p)
+                    assert certified == orbit_irreducible(part), M
+                    cases += 1
+                    reducible += not certified
+        # 417 records of dimension <= 27, each also without its last
+        # generator except the two empty ones.
+        assert (cases, reducible) == (834, 139)
+
+    @pytest.mark.parametrize("n, t, ell", ORBIT_DETRING)
+    def test_agrees_with_the_orbit_oracle_on_determinantal_boards(self, n, t, ell):
+        rep = qas_representation(matrix_from_diagram(determinantal_diagram(n, t)), ell)
+        p = first_usable_prime(ell)
+        assert irreducibility_check(rep, p) and orbit_irreducible(rep)
+        if rep.dim <= 27:
+            # Every prefix of the generators, reducible ones among them.
+            for k in range(1, len(rep.e_inverse)):
+                part = replace(rep, e_inverse=rep.e_inverse[:k])
+                assert irreducibility_check(part, p) == orbit_irreducible(part)
 
     @pytest.mark.parametrize("n, t, ell", [(4, 1, 3), (3, 1, 5), (5, 1, 3)])
     def test_agrees_with_the_span_oracle_on_determinantal_boards(self, n, t, ell):
@@ -292,8 +407,8 @@ class TestIrreducibility:
         assert irreducibility_check(rep, p) and span_irreducible(rep, p)
         if rep.dim <= 27:
             # Dropping generators gives reducible images as well as irreducible ones.
-            for k in range(1, len(rep.generator_images)):
-                part = replace(rep, generator_images=rep.generator_images[:k])
+            for k in range(1, len(rep.e_inverse)):
+                part = replace(rep, e_inverse=rep.e_inverse[:k])
                 assert irreducibility_check(part, p) == span_irreducible(part, p)
 
     def test_agrees_with_the_span_oracle_on_small_boards(self, small_board_matrices):
@@ -303,7 +418,7 @@ class TestIrreducibility:
                 if rep.dim <= 27:
                     assert irreducibility_check(rep, p) == span_irreducible(rep, p), M
                 if 1 < rep.dim <= 9:
-                    part = replace(rep, generator_images=rep.generator_images[:-1])
+                    part = drop_last_generator(rep)
                     assert irreducibility_check(part, p) == span_irreducible(part, p), M
 
 
