@@ -38,6 +38,7 @@ from .intlinalg import (
     SkewNormalForm,
     cycle_kernel_vectors,
     extend,
+    extended_normal_form,
     matrix_from_diagram,
     skew_normal_form,
 )
@@ -383,14 +384,18 @@ def pi_degree_grassmannian(
 class DiagramFacts:
     """The generic route's facts about one diagram, each computed on first use.
 
-    `matrix` is M(D), `snf` and `extended_snf` the normal forms of M(D) and
-    of extend(M(D)), and `tau` the toric permutation. `cycle_vectors` are
-    the kernel vectors of the even cycles of tau, which cycle_kernel_vectors
-    proves independent. `one_perp` says whether every kernel vector sums to
-    zero; it first checks that the cycle vectors are as many as the kernel
-    dimension, which makes them a basis of the rational kernel, and then
-    reads their sums. A fact nobody reads is never computed: the cycle
-    vectors alone need no normal form.
+    `matrix` is M(D), `snf` its normal form E M(D) E^T = S, and `tau` the
+    toric permutation. `extended_snf` is the normal form of extend(M(D)),
+    read from `snf` by extended_normal_form: that reduces S bordered by the
+    row sums of E, which is S plus one dense border, instead of reducing
+    extend(M(D)) afresh. Both reductions certify themselves, and the chain
+    of the two certificates proves the composed transforms. `cycle_vectors`
+    are the kernel vectors of the even cycles of tau, which
+    cycle_kernel_vectors proves independent. `one_perp` says whether every
+    kernel vector sums to zero; it first checks that the cycle vectors are
+    as many as the kernel dimension, which makes them a basis of the
+    rational kernel, and then reads their sums. A fact nobody reads is
+    never computed: the cycle vectors alone need no normal form.
     """
 
     def __init__(self, diagram: Diagram) -> None:
@@ -406,7 +411,7 @@ class DiagramFacts:
 
     @cached_property
     def extended_snf(self) -> SkewNormalForm:
-        return skew_normal_form(extend(self.matrix))
+        return extended_normal_form(self.snf)
 
     @cached_property
     def tau(self) -> Permutation:

@@ -20,6 +20,13 @@ The central objects:
   its result with two exact products over sparse rows: E F = I, which
   makes E unimodular, and E M E^T = S (checked as M E^T = F S).
 
+- extended_normal_form reads the normal form of extend(M), M bordered by
+  a column of ones, from that of M. Congruence by diag(E, 1) turns
+  extend(M) into S bordered by v = E 1, which skew_normal_form reduces
+  cheaply since S is block diagonal; that reduction certifies itself, and
+  together with the certificate of M's form it proves the composed
+  transforms (the chain is spelled out in its docstring).
+
 - cycle_kernel_vectors realizes the kernel of M(D) combinatorially from the
   even-length cycles of the toric permutation.
 """
@@ -178,7 +185,8 @@ class SkewNormalForm:
     `transform` is E and `inverse_transform` is F = E^{-1}, both integer
     matrices. Before this object is constructed, two exact products
     certify them: E F = I, which proves F = E^{-1} and |det E| = 1, and
-    M E^T = F S, which given E F = I is E M E^T = S.
+    M E^T = F S, which given E F = I is E M E^T = S. extended_normal_form
+    proves both identities for extend(M) from two such certificates.
     """
 
     transform: tuple[tuple[int, ...], ...]
@@ -386,6 +394,50 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
         inverse_transform=tuple(tuple(row) for row in F),
         invariant_factors=factors,
         kernel_dim=n - 2 * len(factors),
+    )
+
+
+def extended_normal_form(snf: SkewNormalForm) -> SkewNormalForm:
+    """The normal form of extend(M), read from the normal form of M.
+
+    `snf` is what skew_normal_form returned for M: S = E M E^T, certified
+    by E F = I and M E^T = F S. With D = diag(E, 1), that identity gives
+
+        D extend(M) D^T = B = [[S, v], [-v^T, 0]],  v = E 1,
+
+    the block diagonal S bordered by the row sums of E. skew_normal_form
+    reduces B, G B G^T = S_ext with H = G^{-1}, and certifies G H = I and
+    B G^T = H S_ext. The transform of extend(M) is E_ext = G D and its
+    inverse is F_ext = diag(F, 1) H. The chain of certified identities
+    proves them without a further product:
+
+    - E F = I gives F E = I, so D^{-1} = diag(F, 1);
+    - E_ext F_ext = G D D^{-1} H = G H = I;
+    - extend(M) E_ext^T = extend(M) D^T G^T = D^{-1} B G^T
+      = D^{-1} H S_ext = F_ext S_ext.
+
+    B is S plus one dense border, so its reduction is short and G and H
+    stay sparse. Row i of E_ext sums the rows of E at the nonzeros of row i
+    of G, and row i of F_ext sums the sparse rows of H weighted by row i
+    of diag(F, 1).
+    """
+    E, F = snf.transform, snf.inverse_transform
+    n = len(E)
+    B = [[0] * (n + 1) for _ in range(n + 1)]
+    for k, h in enumerate(snf.invariant_factors):
+        B[2 * k][2 * k + 1], B[2 * k + 1][2 * k] = h, -h
+    for i, row in enumerate(E):
+        B[i][n] = sum(row)
+        B[n][i] = -B[i][n]
+    bordered = skew_normal_form(SkewIntMatrix(tuple(map(tuple, B))))
+    G, H = bordered.transform, bordered.inverse_transform
+    D = _sparse_rows(E) + [[(n, 1)]]
+    H_rows = _sparse_rows(H)
+    return SkewNormalForm(
+        transform=tuple(tuple(_combine(row, D)) for row in G),
+        inverse_transform=tuple(tuple(_combine(row + (0,), H_rows)) for row in F) + (H[n],),
+        invariant_factors=bordered.invariant_factors,
+        kernel_dim=bordered.kernel_dim,
     )
 
 

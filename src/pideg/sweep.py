@@ -4,9 +4,10 @@ A sweep checks the paper's theorems on every board of a corpus. The loop
 visits each board once and hands every property the same per-board record,
 a DiagramFacts (degrees.py), whose fields are computed on first use: the
 commutation matrix, its normal form and that of the bordered matrix, the
-toric permutation and the cycle kernel vectors. So a board costs at most
-two normal forms whatever properties are asked for, and only the facts
-some property reads. A matrix corpus hands each property the matrix itself.
+toric permutation and the cycle kernel vectors. The bordered form is read
+from the first one, so a board costs at most one full normal form whatever
+properties are asked for, and only the facts some property reads. A matrix
+corpus hands each property the matrix itself.
 
 A property returns a list of failure messages, empty when it holds. The
 first DUMP_LIMIT failures, in property order and then board order, are

@@ -3,25 +3,26 @@
 Nothing here imports from the package's linear algebra: the Smith form
 below pivots top-left with plain Euclidean reduction (the production code
 reduces skew matrices by paired congruence instead), the nullity oracle is
-Fraction Gauss-Jordan (production uses Bareiss), the sum-zero test of the
-kernel compares two such nullities (production reads it from the kernel
-vectors of the even toric cycles), the determinant is an
-independent check on the unimodularity the normal form certifies by
-E E^{-1} = I, the PI degree oracles count group orders directly, and
+a Bareiss rank (production reads the kernel dimension from the normal
+form), the sum-zero test of the kernel compares two such nullities
+(production reads it from the kernel vectors of the even toric cycles), the
+determinant is an independent check on the unimodularity the normal form
+certifies by E E^{-1} = I, the congruence certificate is checked by dense
+products (production checks sparse ones, or for the bordered matrix chains
+two certificates), the PI degree oracles count group orders directly, and
 irreducibility is decided by Burnside's criterion, growing the F_p span of
 the words in the generator images, or by counting the commutant of the
 images orbit by orbit of index pairs (production takes the rank of the
 exponent matrix instead), the relations are checked by multiplying full
 images (production checks one leg per block and an integer pairing), the
-generator images are built from full-dimension lifted copies of every
-clock and shift (production tensors one leg per block), and the restricted
-permutation is traced by its own strand walker. Agreement between these
-and the package is a genuine cross-check, not the same algorithm twice.
+generator images are built from full-dimension lifted copies of every clock
+and shift (production tensors one leg per block), and the restricted
+permutation is traced by its own strand walker. Agreement between these and
+the package is a genuine cross-check, not the same algorithm twice.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, prod
 
 from pideg.errors import InternalVerificationFailed
@@ -167,25 +168,61 @@ def smith_pi_degree(rows: list[list[int]], ell: int) -> int:
     return root
 
 
-def gauss_jordan_nullity(rows: list[list[int]]) -> int:
-    """Nullity over the rationals by plain Fraction elimination."""
-    a = [[Fraction(x) for x in row] for row in rows]
+def rational_nullity(rows: list[list[int]]) -> int:
+    """Nullity over the rationals: columns minus the rank, found by
+    fraction-free (Bareiss) elimination with exact integer division.
+
+    A column with no pivot below the current row is skipped, which keeps
+    every entry a minor of the original matrix, so each division is exact.
+    """
+    a = [list(map(int, row)) for row in rows]
     m = len(a)
     n = len(a[0]) if a else 0
     rank = 0
+    prev = 1
     for col in range(n):
         pivot = next((i for i in range(rank, m) if a[i][col]), None)
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        top = a[rank]
+        p = top[col]
+        for i in range(rank + 1, m):
+            row = a[i]
+            f = row[col]
+            if f:
+                a[i] = [(x * p - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                a[i] = [x * p // prev for x in row]
+        prev = p
         rank += 1
+        if rank == m:
+            break
     return n - rank
+
+
+def congruence_certificate_holds(A, snf) -> bool:
+    """Whether the transforms of `snf` satisfy E F = I and A E^T = F S for
+    the square integer matrix A, by plain dense products; S is the block
+    diagonal that the invariant factors of `snf` determine."""
+    E, F = snf.transform, snf.inverse_transform
+    rows = [list(row) for row in A]
+    n = len(rows)
+    S = [[0] * n for _ in range(n)]
+    for k, h in enumerate(snf.invariant_factors):
+        S[2 * k][2 * k + 1], S[2 * k + 1][2 * k] = h, -h
+    F_cols = list(zip(*F))
+    S_cols = list(zip(*S))
+    identity = all(
+        sum(x * y for x, y in zip(E[i], F_cols[j])) == (i == j)
+        for i in range(n)
+        for j in range(n)
+    )
+    return identity and all(
+        sum(x * y for x, y in zip(rows[i], E[j])) == sum(x * y for x, y in zip(F[i], S_cols[j]))
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 def one_perp(rows) -> bool:
@@ -196,7 +233,7 @@ def one_perp(rows) -> bool:
     kernel sums to zero. True for a zero kernel.
     """
     rows = [list(row) for row in rows]
-    return gauss_jordan_nullity(rows + [[1] * len(rows)]) == gauss_jordan_nullity(rows)
+    return rational_nullity(rows + [[1] * len(rows)]) == rational_nullity(rows)
 
 
 def is_power_of_two(x: int) -> bool:

@@ -9,6 +9,7 @@ from itertools import combinations
 from math import gcd
 
 from pideg import (
+    DiagramFacts,
     Partition,
     PiDegree,
     PluckerIndex,
@@ -78,6 +79,11 @@ def test_criterion_04_extension_laws_hold_across_the_corpus(corpus_analysis):
     for rec in corpus_analysis:
         h, h_ext = rec.snf.invariant_factors, rec.ext_snf.invariant_factors
         jump = rec.ext_snf.kernel_dim - rec.snf.kernel_dim
+        # DiagramFacts reads the extended form from the normal form of M;
+        # the fixture reduced extend(M) directly.
+        ext = DiagramFacts(rec.diagram).extended_snf
+        assert ext.invariant_factors == h_ext
+        assert ext.kernel_dim == rec.ext_snf.kernel_dim
         rows = rec.matrix.rows
         if rows not in oracle_one_perp:
             oracle_one_perp[rows] = one_perp(rows)

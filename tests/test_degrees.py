@@ -37,12 +37,15 @@ from pideg import (
 )
 from pideg.sweep import exhaustive_diagrams
 from tests.conftest import (
+    EG_EXT_INVARIANT_FACTORS,
     EG_EXT_PI_AT_5,
     EG_EXT_PI_AT_9,
+    EG_TEXT,
     FIG_PI_AT_5,
+    FIG_TEXT,
     FIG_YOUNG_PI_AT_5,
 )
-from tests.oracles import brute_pi_degree, gauss_jordan_nullity, one_perp, smith_pi_degree
+from tests.oracles import brute_pi_degree, one_perp, rational_nullity, smith_pi_degree
 
 
 class TestSmallHelpers:
@@ -246,7 +249,7 @@ class TestSchubertClosedForm:
                 for gamma in combinations(range(1, n + 1), m):
                     shape = partition_from_plucker(PluckerIndex(gamma, n))
                     rows = matrix_from_diagram(young_diagram(shape)).rows
-                    s = (len(rows) - gauss_jordan_nullity(rows)) // 2
+                    s = (len(rows) - rational_nullity(rows)) // 2
                     pi = pi_degree_schubert(PluckerIndex(gamma, n), 5)
                     assert pi.exponent == (s if one_perp(rows) else s + 1)
 
@@ -306,3 +309,37 @@ class TestDiagramAnalysis:
         facts = DiagramFacts(eg_diagram)
         assert facts.snf.invariant_factors == (1, 1)
         assert "extended_snf" not in vars(facts) and "tau" not in vars(facts)
+
+    @pytest.mark.parametrize(
+        "board, h_ext, kernel_dim",
+        [
+            ("#", (), 1),
+            (".", (1,), 0),
+            (EG_TEXT, EG_EXT_INVARIANT_FACTORS, 0),
+            ("....\n" * 4, (1, 1, 1, 2, 2, 2, 2), 3),
+        ],
+        ids=["all-black", "one-white", "eg", "all-white-4x4"],
+    )
+    def test_extended_form_on_edge_boards(self, board, h_ext, kernel_dim):
+        # The extended form is read from the normal form of M; it must
+        # agree with reducing the bordered matrix directly.
+        facts = DiagramFacts(diagram_from_text(board))
+        direct = skew_normal_form(extend(facts.matrix))
+        assert facts.extended_snf.invariant_factors == direct.invariant_factors == h_ext
+        assert facts.extended_snf.kernel_dim == direct.kernel_dim == kernel_dim
+
+    def test_extended_report_never_borders_the_matrix(self, tmp_path, capsys, monkeypatch):
+        import json
+
+        from pideg import cli, degrees
+
+        def refuse(M):
+            raise AssertionError("the bordered matrix was built")
+
+        monkeypatch.setattr(degrees, "extend", refuse)
+        board = tmp_path / "board.txt"
+        board.write_text(FIG_TEXT)
+        assert cli.main(["diagram", str(board), "--ell", "5", "--extended", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["extended"]["invariant_factors"] == ["1", "1", "1", "2", "2"]
+        assert report["extended"]["kernel_dim"] == 0

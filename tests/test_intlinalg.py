@@ -1,5 +1,6 @@
 """Exact integer linear algebra: normal forms, kernels, cycle vectors."""
 
+import dataclasses
 import random
 from itertools import product
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from pideg import (
     skew_normal_form,
     toric_permutation,
 )
+from pideg.intlinalg import extended_normal_form
 from tests.conftest import (
     FIG_CYCLE_SUM,
     FIG_INVARIANT_FACTORS,
@@ -36,7 +38,13 @@ from tests.conftest import (
     FIG_MATRIX,
     criterion_10_matrices,
 )
-from tests.oracles import determinant, gauss_jordan_nullity, one_perp, textbook_smith
+from tests.oracles import (
+    congruence_certificate_holds,
+    determinant,
+    one_perp,
+    rational_nullity,
+    textbook_smith,
+)
 
 
 def random_skew(rng: random.Random, n: int, bound: int = 5) -> SkewIntMatrix:
@@ -255,17 +263,61 @@ class TestSkewNormalForm:
             skew_normal_form(matrix_from_diagram(fig_diagram))
 
 
+class TestExtendedNormalForm:
+    def test_certificate_holds_on_exhaustive_boards(self):
+        # The composed transforms against extend(M) itself, by dense
+        # products that do not rely on the chain of certificates.
+        from pideg.sweep import exhaustive_diagrams
+
+        for d in exhaustive_diagrams(3, 3) + exhaustive_diagrams(3, 4):
+            M = matrix_from_diagram(d)
+            ext = extended_normal_form(skew_normal_form(M))
+            assert congruence_certificate_holds(extend(M).rows, ext), d.to_text()
+
+    @settings(deadline=None, max_examples=60)
+    @given(skew_matrices)
+    def test_any_skew_matrix(self, M):
+        ext = extended_normal_form(skew_normal_form(M))
+        direct = skew_normal_form(extend(M))
+        assert ext.invariant_factors == direct.invariant_factors
+        assert ext.kernel_dim == direct.kernel_dim
+        assert congruence_certificate_holds(extend(M).rows, ext)
+
+    def test_oracle_sees_a_broken_transform(self, fig_diagram):
+        M = matrix_from_diagram(fig_diagram)
+        ext = extended_normal_form(skew_normal_form(M))
+        E = [list(row) for row in ext.transform]
+        E[0][0] += 1
+        broken = dataclasses.replace(ext, transform=tuple(map(tuple, E)))
+        assert not congruence_certificate_holds(extend(M).rows, broken)
+        other = [list(row) for row in extend(M).rows]
+        other[0][1], other[1][0] = other[0][1] + 1, other[1][0] - 1
+        assert not congruence_certificate_holds(other, ext)
+
+    def test_both_reductions_are_certified(self, fig_diagram, monkeypatch):
+        certify = intlinalg._certify
+        sizes = []
+
+        def spy(M, S, E, F):
+            sizes.append(M.n)
+            return certify(M, S, E, F)
+
+        monkeypatch.setattr(intlinalg, "_certify", spy)
+        DiagramFacts(fig_diagram).extended_snf
+        assert sizes == [9, 10]
+
+
 class TestRationalKernel:
     def test_reference_board(self, fig_diagram):
         M = matrix_from_diagram(fig_diagram)
         basis = kernel_basis_rational(M)
         assert len(basis) == FIG_KERNEL_DIM
 
-    def test_nullity_matches_fraction_elimination(self):
+    def test_nullity_matches_the_bareiss_oracle(self):
         rng = random.Random(23)
         for _ in range(60):
             M = random_skew(rng, rng.randrange(0, 8))
-            assert len(kernel_basis_rational(M)) == gauss_jordan_nullity(M.to_lists())
+            assert len(kernel_basis_rational(M)) == rational_nullity(M.to_lists())
 
     def test_vectors_are_primitive_integer_kernel_vectors(self):
         rng = random.Random(29)
@@ -309,7 +361,7 @@ class TestModPKernel:
         rng = random.Random(31)
         for _ in range(40):
             M = random_skew(rng, rng.randrange(0, 8))
-            nullity = gauss_jordan_nullity(M.to_lists())
+            nullity = rational_nullity(M.to_lists())
             for p in (2, 3, 5):
                 assert len(kernel_basis_mod_p(M, p)) >= nullity
 
