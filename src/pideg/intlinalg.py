@@ -1,7 +1,7 @@
 """Exact integer linear algebra for skew-symmetric commutation matrices.
 
-Everything here runs on arbitrary-precision Python integers (Fractions only
-inside back-substitution); nothing is ever rounded. The normal-form
+Everything here runs on exact Python integers, arbitrary-precision or
+reduced modulo a prime; nothing is ever rounded. The normal-form
 routines verify their own output by exact multiplication before returning
 and raise InternalVerificationFailed if the check fails, so a returned
 result is a proved identity, not a hope.
@@ -27,23 +27,26 @@ The central objects:
   together with the certificate of M's form it proves the composed
   transforms (the chain is spelled out in its docstring).
 
+- rank_mod_p finds the rank of an integer matrix over F_p, and whether
+  the all-ones row lies in its row space, by one elimination that builds
+  no kernel basis.
+
 - cycle_kernel_vectors realizes the kernel of M(D) combinatorially from the
-  even-length cycles of the toric permutation.
+  even-length cycles of the toric permutation, and proves the vectors
+  independent by ranks mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
-from operator import add, sub
+from math import prod
+from operator import add, mul, sub
 
 from .diagrams import Diagram
 from .errors import (
     BadRange,
     FormulaMismatch,
     InternalVerificationFailed,
-    NotPrime,
     SkewSymmetryViolated,
 )
 from .pipedreams import Permutation, toric_permutation, white_exit_labels
@@ -91,6 +94,15 @@ class SkewIntMatrix:
         i, j = key
         return self.rows[i][j]
 
+    @classmethod
+    def _unchecked(cls, rows: tuple[tuple[int, ...], ...]) -> "SkewIntMatrix":
+        """Wrap rows of ints that are square and skew by construction,
+        skipping the validation of __post_init__; only for matrices the
+        package builds itself."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        return self
+
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
@@ -114,7 +126,7 @@ def matrix_from_diagram(d: Diagram) -> SkewIntMatrix:
             else:
                 row.append(0)
         rows.append(tuple(row))
-    return SkewIntMatrix(tuple(rows))
+    return SkewIntMatrix._unchecked(tuple(rows))
 
 
 def extend(M: SkewIntMatrix) -> SkewIntMatrix:
@@ -125,23 +137,9 @@ def extend(M: SkewIntMatrix) -> SkewIntMatrix:
     the choice changes no congruence invariant.
     """
     n = M.n
-    rows = [tuple(M.rows[i]) + (1,) for i in range(n)]
+    rows = [row + (1,) for row in M.rows]
     rows.append((-1,) * n + (0,))
-    return SkewIntMatrix(tuple(rows))
-
-
-def _as_int_rows(mat) -> list[list[int]]:
-    if isinstance(mat, SkewIntMatrix):
-        return mat.to_lists()
-    rows = [list(map(int, row)) for row in mat]
-    if rows and any(len(row) != len(rows[0]) for row in rows):
-        raise BadRange("ragged matrix")
-    return rows
-
-
-def mat_vec(mat, vec) -> tuple[int, ...]:
-    rows = _as_int_rows(mat)
-    return tuple(sum(a * x for a, x in zip(row, vec)) for row in rows)
+    return SkewIntMatrix._unchecked(tuple(rows))
 
 
 def is_prime(p: int) -> bool:
@@ -335,6 +333,10 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
     A = M.to_lists()
     log: list[int] = []
     p = 0
+    # The last finished block's factor divides every live entry: the scan
+    # proved it, and integer congruences keep it true. So a pivot of that
+    # absolute value (or 1, before any block) divides them all unscanned.
+    last = 1
     while True:
         # The first entry of least absolute value in row-major order. A is
         # skew, so it lies above the diagonal, and an entry of absolute
@@ -375,7 +377,7 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
                 continue
             a = A[p][p + 1]
             viol = None
-            if a not in (1, -1):
+            if abs(a) != last:
                 for i2 in range(p + 2, n):
                     if any(A[i2][j2] % a for j2 in range(i2 + 1, n)):
                         viol = i2
@@ -385,6 +387,7 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
             _pair_add(A, log, p, viol, 1, p)
         if A[p][p + 1] < 0:
             _pair_swap(A, log, p, p + 1, p)
+        last = A[p][p + 1]
         p += 2
 
     E, F = _transforms(log, n)
@@ -429,7 +432,7 @@ def extended_normal_form(snf: SkewNormalForm) -> SkewNormalForm:
     for i, row in enumerate(E):
         B[i][n] = sum(row)
         B[n][i] = -B[i][n]
-    bordered = skew_normal_form(SkewIntMatrix(tuple(map(tuple, B))))
+    bordered = skew_normal_form(SkewIntMatrix._unchecked(tuple(map(tuple, B))))
     G, H = bordered.transform, bordered.inverse_transform
     D = _sparse_rows(E) + [[(n, 1)]]
     H_rows = _sparse_rows(H)
@@ -442,103 +445,74 @@ def extended_normal_form(snf: SkewNormalForm) -> SkewNormalForm:
 
 
 # ---------------------------------------------------------------------------
-# Kernels: rational, mod p, and combinatorial
+# Ranks mod p, and the combinatorial kernel
 # ---------------------------------------------------------------------------
 
 
-def kernel_basis_rational(mat) -> tuple[tuple[int, ...], ...]:
-    """Primitive integer basis of the rational column kernel.
+def rank_mod_p(rows, p: int) -> tuple[int, bool]:
+    """The rank over F_p of an integer matrix, given as rows, and whether
+    the all-ones row lies in its row space mod p; p must be prime.
 
-    Fraction-free (Bareiss) forward elimination to an integer echelon form,
-    one back-substituted vector per free column, each scaled to coprime
-    integer entries with the first nonzero entry positive.
+    One forward elimination to row echelon form, with no kernel basis and
+    no transform. The all-ones row is carried along: every pivot row
+    reduces it, but it is never a pivot, so it ends at zero exactly when it
+    is a combination of the rows. The row space is the orthogonal
+    complement of the kernel, so the second answer says whether the mod-p
+    kernel lies in the sum-zero hyperplane.
     """
-    A = _as_int_rows(mat)
+    A = [[x % p for x in row] for row in rows]
     R = len(A)
     C = len(A[0]) if A else 0
-    pivots: list[tuple[int, int]] = []
+    A.append([1] * C)  # row R: the ones row, never a pivot
     r = 0
-    prev = 1
     for c in range(C):
         if r == R:
             break
-        pr = next((i for i in range(r, R) if A[i][c]), None)
-        if pr is None:
+        for pr in range(r, R):
+            if A[pr][c]:
+                break
+        else:
             continue
-        A[r], A[pr] = A[pr], A[r]
-        for i in range(r + 1, R):
-            for j in range(c + 1, C):
-                num = A[i][j] * A[r][c] - A[i][c] * A[r][j]
-                q, rr = divmod(num, prev)
-                if rr:
-                    raise InternalVerificationFailed("Bareiss exact division failed")
-                A[i][j] = q
-            A[i][c] = 0
-        prev = A[r][c]
-        pivots.append((r, c))
+        top = A[pr]
+        A[pr], A[r] = A[r], top
+        # Adding f * (p - 1/pivot) * top clears the f at column c; the
+        # entries left of c are zero in every row from r on.
+        neg_inv = p - pow(top[c], -1, p)
+        tail = top[c:]
+        for row in A[r + 1:]:
+            f = row[c]
+            if f:
+                f *= neg_inv
+                row[c:] = [(x + f * y) % p for x, y in zip(row[c:], tail)]
         r += 1
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(C) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        x: list[Fraction] = [Fraction(0)] * C
-        x[f] = Fraction(1)
-        for pr, pc in reversed(pivots):
-            if pc > f:
-                continue
-            acc = sum((A[pr][j] * x[j] for j in range(pc + 1, C)), Fraction(0))
-            x[pc] = -acc / A[pr][pc]
-        scale = lcm(*(v.denominator for v in x)) if C else 1
-        ints = [int(v * scale) for v in x]
-        g = gcd(*ints) if any(ints) else 1
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v)
-        if lead < 0:
-            ints = [-v for v in ints]
-        vec = tuple(ints)
-        if any(mat_vec(mat, vec)):
-            raise InternalVerificationFailed("kernel vector fails M v = 0")
-        basis.append(vec)
-    return tuple(basis)
+    return r, not any(A[R])
 
 
-def kernel_basis_mod_p(mat, p: int) -> tuple[tuple[int, ...], ...]:
-    """Standard basis of the mod-p kernel, entries reduced into [0, p).
+def _prove_independent(vectors) -> None:
+    """Prove integer vectors linearly independent over Q; raise
+    InternalVerificationFailed if they are dependent.
 
-    One Gauss-Jordan elimination over the field with p elements, then one
-    vector per free column, so the basis size is the mod-p nullity.
+    Full rank mod p proves it: some maximal minor is then nonzero mod p,
+    hence nonzero. Primes 3, 5, 7, ... are tried in turn. Each prime of
+    deficient rank divides every maximal minor, and Hadamard bounds every
+    maximal minor by prod ||v_j||_2, so once the product of those primes
+    exceeds the bound, every maximal minor is zero: the vectors are proved
+    dependent, and the loop ends (Dumas, Saunders and Villard, J. Symb.
+    Comput. 32, 2001).
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    A = [[x % p for x in row] for row in _as_int_rows(mat)]
-    R = len(A)
-    C = len(A[0]) if A else 0
-    pivot_cols: list[int] = []
-    for c in range(C):
-        r = len(pivot_cols)
-        if r == R:
-            break
-        pr = next((i for i in range(r, R) if A[i][c]), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        inv = pow(A[r][c], p - 2, p)
-        A[r] = [x * inv % p for x in A[r]]
-        for i in range(R):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        pivot_cols.append(c)
-    basis = []
-    for f in range(C):
-        if f in pivot_cols:
-            continue
-        x = [0] * C
-        x[f] = 1
-        for r, pc in enumerate(pivot_cols):
-            x[pc] = -A[r][f] % p
-        basis.append(tuple(x))
-    return tuple(basis)
+    bound_sq = prod(sum(x * x for x in v) for v in vectors)
+    modulus = 1
+    p = 3
+    while rank_mod_p(vectors, p)[0] < len(vectors):
+        modulus *= p
+        if modulus * modulus > bound_sq:
+            raise InternalVerificationFailed(
+                f"the {len(vectors)} vectors are dependent: their rank is "
+                f"deficient mod every prime up to {p}"
+            )
+        p += 2
+        while not is_prime(p):
+            p += 2
 
 
 @dataclass(frozen=True)
@@ -560,7 +534,7 @@ def cycle_kernel_vectors(
     """Kernel vectors of M(D), one per even-length cycle of the toric permutation.
 
     Each vector is checked to lie in ker M(D), and the set is proved
-    independent: the matrix with the vectors as columns has a zero kernel.
+    independent over Q by its ranks mod p (_prove_independent).
     The number of even-length cycles equals the nullity of M(D), so they
     are a basis of the rational kernel; a caller holding the nullity
     checks the count. A caller that already holds tau = toric_permutation(d)
@@ -579,15 +553,12 @@ def cycle_kernel_vectors(
         vector = tuple(
             values.get(left[i], 0) - values.get(up[i], 0) for i in range(len(left))
         )
-        if any(mat_vec(M, vector)):
+        if any(sum(map(mul, row, vector)) for row in M.rows):
             raise InternalVerificationFailed(
                 f"cycle vector for {cycle} is not in the kernel"
             )
         out.append(CycleKernelVector(cycle=cycle, vector=vector))
-    if out and kernel_basis_rational(list(zip(*(v.vector for v in out)))):
-        raise InternalVerificationFailed(
-            f"the {len(out)} cycle kernel vectors are not independent"
-        )
+    _prove_independent([v.vector for v in out])
     return tuple(out)
 
 

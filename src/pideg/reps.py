@@ -35,7 +35,7 @@ from .errors import (
     TooLarge,
     ZeroDim,
 )
-from .intlinalg import SkewIntMatrix, is_prime, skew_normal_form
+from .intlinalg import SkewIntMatrix, is_prime, rank_mod_p, skew_normal_form
 
 
 @dataclass(frozen=True)
@@ -255,22 +255,6 @@ def find_relation_violation(
     return None
 
 
-def _rank_mod_p(rows: list[tuple[int, ...]], p: int) -> int:
-    """Rank over F_p, by elimination against rows with distinct leading columns."""
-    basis: list[tuple[int, list[int]]] = []
-    for row in rows:
-        v = [x % p for x in row]
-        for lead, b in basis:
-            if v[lead]:
-                f = v[lead]
-                v = [(x - f * y) % p for x, y in zip(v, b)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is not None:
-            inv = pow(v[lead], -1, p)
-            basis.append((lead, [x * inv % p for x in v]))
-    return len(basis)
-
-
 def irreducibility_check(rep: QASRepresentation, p: int) -> bool:
     """Certify irreducibility over F_p: the images commute only with scalars.
 
@@ -298,7 +282,7 @@ def irreducibility_check(rep: QASRepresentation, p: int) -> bool:
     rest = ell
     while rest > 1:
         prime = smallest_prime_factor(rest)
-        if _rank_mod_p(exponents, prime) < width:
+        if rank_mod_p(exponents, prime)[0] < width:
             return False
         while rest % prime == 0:
             rest //= prime

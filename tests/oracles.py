@@ -7,7 +7,10 @@ a Bareiss rank (production reads the kernel dimension from the normal
 form), the sum-zero test of the kernel compares two such nullities
 (production reads it from the kernel vectors of the even toric cycles), the
 determinant is an independent check on the unimodularity the normal form
-certifies by E E^{-1} = I, the congruence certificate is checked by dense
+certifies by E E^{-1} = I, the kernel bases build every kernel vector
+(kernel_basis_rational back-substitutes with Fractions after a Bareiss
+elimination, kernel_basis_mod_p runs Gauss-Jordan over F_p; production
+only finds ranks mod p, with the all-ones row carried along), the congruence certificate is checked by dense
 products (production checks sparse ones, or for the bordered matrix chains
 two certificates), the PI degree oracles count group orders directly, and
 irreducibility is decided by Burnside's criterion, growing the F_p span of
@@ -23,7 +26,8 @@ the package is a genuine cross-check, not the same algorithm twice.
 
 from __future__ import annotations
 
-from math import gcd, isqrt, prod
+from fractions import Fraction
+from math import gcd, isqrt, lcm, prod
 
 from pideg.errors import InternalVerificationFailed
 
@@ -234,6 +238,103 @@ def one_perp(rows) -> bool:
     """
     rows = [list(row) for row in rows]
     return rational_nullity(rows + [[1] * len(rows)]) == rational_nullity(rows)
+
+
+def _int_rows(mat) -> list[list[int]]:
+    """The rows of a SkewIntMatrix or a list of rows, as lists of ints."""
+    return [list(map(int, row)) for row in getattr(mat, "rows", mat)]
+
+
+def kernel_basis_rational(mat) -> tuple[tuple[int, ...], ...]:
+    """Primitive integer basis of the rational column kernel.
+
+    Fraction-free (Bareiss) forward elimination to an integer echelon form,
+    one back-substituted vector per free column, each scaled to coprime
+    integer entries with the first nonzero entry positive, and checked to
+    satisfy M v = 0.
+    """
+    rows = _int_rows(mat)
+    A = [row[:] for row in rows]
+    R = len(A)
+    C = len(A[0]) if A else 0
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    prev = 1
+    for c in range(C):
+        if r == R:
+            break
+        pr = next((i for i in range(r, R) if A[i][c]), None)
+        if pr is None:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        for i in range(r + 1, R):
+            for j in range(c + 1, C):
+                num = A[i][j] * A[r][c] - A[i][c] * A[r][j]
+                q, rr = divmod(num, prev)
+                if rr:
+                    raise InternalVerificationFailed("Bareiss exact division failed")
+                A[i][j] = q
+            A[i][c] = 0
+        prev = A[r][c]
+        pivots.append((r, c))
+        r += 1
+    pivot_cols = [c for _, c in pivots]
+    basis = []
+    for f in (c for c in range(C) if c not in pivot_cols):
+        x: list[Fraction] = [Fraction(0)] * C
+        x[f] = Fraction(1)
+        for pr, pc in reversed(pivots):
+            if pc > f:
+                continue
+            acc = sum((A[pr][j] * x[j] for j in range(pc + 1, C)), Fraction(0))
+            x[pc] = -acc / A[pr][pc]
+        scale = lcm(*(v.denominator for v in x))
+        ints = [int(v * scale) for v in x]
+        g = gcd(*ints)
+        ints = [v // g for v in ints]
+        if next(v for v in ints if v) < 0:
+            ints = [-v for v in ints]
+        if any(sum(a * v for a, v in zip(row, ints)) for row in rows):
+            raise InternalVerificationFailed("kernel vector fails M v = 0")
+        basis.append(tuple(ints))
+    return tuple(basis)
+
+
+def kernel_basis_mod_p(mat, p: int) -> tuple[tuple[int, ...], ...]:
+    """Standard basis of the mod-p kernel for a prime p, entries in [0, p).
+
+    One Gauss-Jordan elimination over the field with p elements, then one
+    vector per free column, so the basis size is the mod-p nullity.
+    """
+    A = [[x % p for x in row] for row in _int_rows(mat)]
+    R = len(A)
+    C = len(A[0]) if A else 0
+    pivot_cols: list[int] = []
+    for c in range(C):
+        r = len(pivot_cols)
+        if r == R:
+            break
+        pr = next((i for i in range(r, R) if A[i][c]), None)
+        if pr is None:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        inv = pow(A[r][c], p - 2, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for i in range(R):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        pivot_cols.append(c)
+    basis = []
+    for f in range(C):
+        if f in pivot_cols:
+            continue
+        x = [0] * C
+        x[f] = 1
+        for r, pc in enumerate(pivot_cols):
+            x[pc] = -A[r][f] % p
+        basis.append(tuple(x))
+    return tuple(basis)
 
 
 def is_power_of_two(x: int) -> bool:

@@ -22,8 +22,6 @@ from pideg import (
     extend,
     find_relation_violation,
     irreducibility_check,
-    kernel_basis_mod_p,
-    kernel_basis_rational,
     matrix_from_diagram,
     partition_toric_permutation,
     pi_degree_determinantal,
@@ -36,6 +34,7 @@ from pideg import (
     skew_normal_form,
     toric_permutation,
 )
+from pideg.intlinalg import rank_mod_p
 from tests.conftest import (
     EG_EXT_INVARIANT_FACTORS,
     EG_EXT_KERNEL_DIM_MOD_3,
@@ -48,7 +47,13 @@ from tests.conftest import (
     FIG_YOUNG_TAU_CYCLES,
     criterion_10_matrices,
 )
-from tests.oracles import is_power_of_two, one_perp, textbook_smith
+from tests.oracles import (
+    is_power_of_two,
+    kernel_basis_mod_p,
+    kernel_basis_rational,
+    one_perp,
+    textbook_smith,
+)
 
 
 def test_criterion_01_reference_board_matrix_and_permutation(fig_diagram):
@@ -109,6 +114,8 @@ def test_criterion_04_extension_laws_hold_across_the_corpus(corpus_analysis):
             s_prime = sum(1 for x in h if x % p)
             divisible = s_prime >= len(h_ext) or h_ext[s_prime] % p == 0
             assert divisible == all(sum(v) % p == 0 for v in basis)
+            # The sweep's mod-p property reads both answers from one elimination.
+            assert rank_mod_p(rows, p) == (rec.matrix.n - len(basis), divisible)
 
 
 def test_criterion_05_small_prime_extension_example(eg_diagram):

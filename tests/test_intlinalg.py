@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from itertools import product
+from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -23,13 +24,11 @@ from pideg import (
     extend,
     intlinalg,
     is_prime,
-    kernel_basis_mod_p,
-    kernel_basis_rational,
     matrix_from_diagram,
     skew_normal_form,
     toric_permutation,
 )
-from pideg.intlinalg import extended_normal_form
+from pideg.intlinalg import extended_normal_form, rank_mod_p
 from tests.conftest import (
     FIG_CYCLE_SUM,
     FIG_INVARIANT_FACTORS,
@@ -41,6 +40,8 @@ from tests.conftest import (
 from tests.oracles import (
     congruence_certificate_holds,
     determinant,
+    kernel_basis_mod_p,
+    kernel_basis_rational,
     one_perp,
     rational_nullity,
     textbook_smith,
@@ -94,6 +95,31 @@ class TestSkewIntMatrix:
     def test_indexing(self):
         M = SkewIntMatrix(((0, 2), (-2, 0)))
         assert M[0, 1] == 2 and M[1, 0] == -2 and M.n == 2
+
+    def test_matrices_the_package_builds_pass_the_validation(self, monkeypatch):
+        # matrix_from_diagram, extend and the bordered block form reduced by
+        # extended_normal_form skip the validation; the public constructor
+        # keeps it, and accepts each of them unchanged.
+        from pideg.sweep import exhaustive_diagrams
+
+        certify = intlinalg._certify
+        reduced = []
+
+        def spy(M, S, E, F):
+            reduced.append(M)
+            return certify(M, S, E, F)
+
+        monkeypatch.setattr(intlinalg, "_certify", spy)
+        for d in exhaustive_diagrams(2, 3) + exhaustive_diagrams(3, 3):
+            M = matrix_from_diagram(d)
+            extended_normal_form(skew_normal_form(M))
+            built = [M, extend(M)] + reduced
+            reduced.clear()
+            for A in built:
+                assert all(type(x) is int for row in A.rows for x in row)
+                assert SkewIntMatrix(A.rows) == A
+        with pytest.raises(SkewSymmetryViolated):
+            SkewIntMatrix(((0, 1, 1), (-1, 0, 1), (1, -1, 0)))
 
 
 class TestMatrixFromDiagram:
@@ -397,6 +423,56 @@ class TestModPKernel:
             assert one_perp_mod_p(full, p)
 
 
+class TestRankModP:
+    """rank_mod_p against the Gauss-Jordan kernel basis of tests/oracles.py."""
+
+    @staticmethod
+    def assert_agrees(M):
+        for p in (2, 3, 5, 7):
+            basis = kernel_basis_mod_p(M, p)
+            rank, ones_in_rows = rank_mod_p(M.rows, p)
+            assert M.n - rank == len(basis)
+            assert ones_in_rows == all(sum(v) % p == 0 for v in basis)
+
+    def test_distinct_matrices_of_exhaustive_boards(self):
+        from pideg.sweep import exhaustive_diagrams
+
+        distinct = {}
+        for d in exhaustive_diagrams(3, 3) + exhaustive_diagrams(3, 4):
+            M = matrix_from_diagram(d)
+            distinct.setdefault(M.rows, M)
+        for M in distinct.values():
+            self.assert_agrees(M)
+
+    def test_random_6x6_boards(self):
+        from pideg.sweep import random_diagrams
+
+        for d in random_diagrams(6, 6, 200, 6_066):
+            self.assert_agrees(matrix_from_diagram(d))
+
+    def test_rectangular_rows(self):
+        assert rank_mod_p([], 3) == (0, True)
+        # (1, -2) is (1, 1) mod 3, and the ones row is that row.
+        assert rank_mod_p([(1, 1), (1, -2)], 3) == (1, True)
+        assert rank_mod_p([(1, 1), (1, -2)], 5) == (2, True)
+        assert rank_mod_p([(2, 0, 4)], 2) == (0, False)
+        assert rank_mod_p([(1, 0, 0), (0, 1, 0)], 7) == (2, False)
+        assert rank_mod_p([(1, 2, 3), (2, 4, 6), (0, 0, 1)], 11) == (2, False)
+
+
+def _record_primes(monkeypatch) -> list[int]:
+    """Patch rank_mod_p to record the prime of every call; return the record."""
+    primes = []
+    rank = intlinalg.rank_mod_p
+
+    def spy(rows, p):
+        primes.append(p)
+        return rank(rows, p)
+
+    monkeypatch.setattr(intlinalg, "rank_mod_p", spy)
+    return primes
+
+
 class TestCycleKernelVectors:
     def test_reference_board(self, fig_diagram):
         vectors = cycle_kernel_vectors(fig_diagram)
@@ -404,12 +480,24 @@ class TestCycleKernelVectors:
         assert vectors[0].cycle == (1, 7)
         assert vectors[0].vector == FIG_KERNEL_VECTOR
 
-    def test_dependent_vectors_are_rejected(self, fig_diagram):
+    def test_dependent_vectors_are_rejected(self, fig_diagram, monkeypatch):
         # A permutation listing the even cycle (1, 7) twice yields the same
         # kernel vector twice, which the independence proof must refuse.
+        # The primes tried stop at the first whose running product passes
+        # the Hadamard bound ||v||^2.
+        primes = _record_primes(monkeypatch)
         tau = SimpleNamespace(cycles=SimpleNamespace(cycles=((1, 7), (1, 7))))
         with pytest.raises(InternalVerificationFailed):
             cycle_kernel_vectors(fig_diagram, tau)
+        bound = sum(x * x for x in FIG_KERNEL_VECTOR)
+        assert primes[0] == 3 and all(is_prime(p) for p in primes)
+        assert prod(primes[:-1]) <= bound < prod(primes)
+
+    def test_independence_missed_mod_3_is_proved_mod_5(self, monkeypatch):
+        # det [[1, 1], [1, -2]] = -3, so the rank is 1 mod 3 and 2 mod 5.
+        primes = _record_primes(monkeypatch)
+        intlinalg._prove_independent([(1, 1), (1, -2)])
+        assert primes == [3, 5]
 
     def test_vectors_kill_the_matrix(self):
         rng = random.Random(41)

@@ -39,10 +39,12 @@ def expect(exc, fn, *args):
 expect(RaggedRows, Diagram, ((True,), (True, False)))
 
 # A remainder in Bareiss' exact division can only come from a bug; force one.
-intlinalg.divmod = oracles.divmod = lambda a, b: (0, 1)
-expect(InternalVerificationFailed, intlinalg.kernel_basis_rational, [[1, 2], [3, 4], [5, 6]])
+oracles.divmod = lambda a, b: (0, 1)
+expect(InternalVerificationFailed, oracles.kernel_basis_rational, [[1, 2], [3, 4], [5, 6]])
 expect(InternalVerificationFailed, oracles.determinant, [[1, 2], [3, 4]])
-del intlinalg.divmod
+
+# Dependent vectors fail the independence proof once the primes pass the bound.
+expect(InternalVerificationFailed, intlinalg._prove_independent, [(1, -1, 0), (1, -1, 0)])
 
 # A swap that does nothing leaves the pivot behind.
 intlinalg._pair_swap = lambda *args: None
