@@ -16,9 +16,11 @@ The central objects:
 - skew_normal_form reduces a skew matrix by a unimodular congruence
   E M E^T to a block diagonal of 2x2 blocks [[0, h], [-h, 0]] followed by a
   zero block, with h_1 | h_2 | ... ; the h_i determine the PI degree. It
-  returns F = E^{-1} alongside E, built from the same steps, and certifies
-  its result with two exact products over sparse rows: E F = I, which
-  makes E unimodular, and E M E^T = S (checked as M E^T = F S).
+  returns F = E^{-1} alongside E: both are replayed from the logged steps
+  as sparse rows, each shear touching only nonzeros. It certifies its
+  result with two exact products over those sparse rows: E F = I, which
+  makes E unimodular, and E M E^T = S (checked as M E^T = F S). Only the
+  certified result is written out as dense matrices.
 
 - extended_normal_form reads the normal form of extend(M), M bordered by
   a column of ones, from that of M. Congruence by diag(E, 1) turns
@@ -39,8 +41,9 @@ The central objects:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import prod
-from operator import add, mul, sub
+from operator import add, mul
 
 from .diagrams import Diagram
 from .errors import (
@@ -180,9 +183,10 @@ class SkewNormalForm:
     S is block diagonal: s blocks [[0, h_i], [-h_i, 0]] with positive
     h_1 | h_2 | ... | h_s, then a zero block of size kernel_dim = n - 2s.
     It is not stored, since invariant_factors and kernel_dim determine it.
-    `transform` is E and `inverse_transform` is F = E^{-1}, both integer
-    matrices. Before this object is constructed, two exact products
-    certify them: E F = I, which proves F = E^{-1} and |det E| = 1, and
+    `transform` is E and `inverse_transform` is F = E^{-1}, both dense
+    integer matrices as tuples of rows. Before this object is constructed,
+    two exact products over the sparse rows the reduction replayed certify
+    them: E F = I, which proves F = E^{-1} and |det E| = 1, and
     M E^T = F S, which given E F = I is E M E^T = S. extended_normal_form
     proves both identities for extend(M) from two such certificates.
     """
@@ -193,10 +197,9 @@ class SkewNormalForm:
     kernel_dim: int
 
 
-# The reduction logs each congruence step as four integers live, i, j, q in
-# one flat list: q == 0 swaps indices i and j, any other q is the shear
-# index_i += q * index_j. A step taken while the first `live` indices hold
-# finished blocks touches only indices from `live` on.
+# The reduction logs each congruence step as three integers i, j, q in one
+# flat list: q == 0 swaps indices i and j, any other q is the shear
+# index_i += q * index_j.
 
 
 def _pair_swap(A: list[list[int]], log: list[int], i: int, j: int, live: int) -> None:
@@ -211,7 +214,7 @@ def _pair_swap(A: list[list[int]], log: list[int], i: int, j: int, live: int) ->
     for r in range(live, len(A)):
         row = A[r]
         row[i], row[j] = row[j], row[i]
-    log += (live, i, j, 0)
+    log += (i, j, 0)
 
 
 def _pair_add(A: list[list[int]], log: list[int], dst: int, src: int, q: int, live: int) -> None:
@@ -228,90 +231,120 @@ def _pair_add(A: list[list[int]], log: list[int], dst: int, src: int, q: int, li
     row[dst] = 0
     for r in range(live, len(A)):
         A[r][dst] = -row[r]
-    log += (live, dst, src, q)
+    log += (dst, src, q)
 
 
-def _transforms(log: list[int], n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """E and F = E^{-1} for the logged steps G_1, ..., G_m; empties the log.
+def _transforms(log: list[int], n: int) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """The rows of E^T and of F = E^{-1} for the logged steps G_1, ..., G_m.
 
+    Each row is sparse, a dict from column index to nonzero entry.
     E = G_m ... G_1 and F = G_1^{-1} ... G_m^{-1}. Both are accumulated
     from the last step back: E as X -> X G, a column operation (kept as a
-    row operation on E^T), and F as Y -> G^{-1} Y, a row operation. After
-    the steps taken at live index p or later, X and Y are the identity
-    outside the trailing block from p, so each step touches only that
-    block. Forward tracking would touch whole rows.
+    row operation on E^T), and F as Y -> G^{-1} Y, a row operation. A
+    shear reads only the nonzeros of its source row and writes only the
+    matching entries of its destination row, so it needs no cut at the
+    live index: after the steps taken at live index p or later, X and Y
+    are diag(I_p, X'), so their rows from p on are zero before column p.
+    Forward tracking would fill whole rows.
     """
-    Et = [[int(i == j) for j in range(n)] for i in range(n)]
-    F = [row[:] for row in Et]
-    while log:
-        live, i, j, q = log[-4:]
-        del log[-4:]
+    Et = [{k: 1} for k in range(n)]
+    F = [{k: 1} for k in range(n)]
+    steps = reversed(log)
+    for q, j, i in zip(steps, steps, steps):
         if q == 0:
             Et[i], Et[j] = Et[j], Et[i]
             F[i], F[j] = F[j], F[i]
             continue
-        times_q = q.__mul__
         # X G adds q * column i to column j; G^{-1} Y subtracts q * row j from row i.
-        row = Et[j]
-        row[live:] = map(add, row[live:], map(times_q, Et[i][live:]))
-        row = F[i]
-        row[live:] = map(sub, row[live:], map(times_q, F[j][live:]))
-    return [list(col) for col in zip(*Et)], F
+        _add_multiple(Et[j], Et[i], q)
+        _add_multiple(F[i], F[j], -q)
+    return Et, F
 
 
-def _sparse_rows(rows) -> list[list[tuple[int, int]]]:
-    return [[(k, x) for k, x in enumerate(row) if x] for row in rows]
+def _add_multiple(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """dst += q * src for sparse rows, dropping the entries that cancel."""
+    get = dst.get
+    for k, x in src.items():
+        y = get(k, 0) + q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
 
 
-def _combine(coeffs: list[int], rows: list[list[tuple[int, int]]]) -> list[int]:
-    """The row vector sum of coeffs[k] * rows[k], for rows given sparse as (j, y) lists."""
-    acc = [0] * len(coeffs)
-    for x, terms in zip(coeffs, rows):
-        if x:
-            for j, y in terms:
-                acc[j] += x * y
+def _nonzeros(row):
+    """The (column index, entry) pairs of the nonzeros of a dense row."""
+    return zip(compress(range(len(row)), row), filter(None, row))
+
+
+def _dense(row: dict[int, int], n: int) -> list[int]:
+    """A sparse row as a dense list of length n."""
+    out = [0] * n
+    for k, x in row.items():
+        out[k] = x
+    return out
+
+
+def _combine(terms, rows: list[list[tuple[int, int]]], n: int) -> list[int]:
+    """The dense row vector of length n summing x * rows[k] over the (k, x)
+    in terms, for sparse rows given as lists of (column index, entry) pairs."""
+    acc = [0] * n
+    for k, x in terms:
+        for j, y in rows[k]:
+            acc[j] += x * y
     return acc
 
 
 def _certify(
-    M: SkewIntMatrix, S: list[list[int]], E: list[list[int]], F: list[list[int]]
+    M: SkewIntMatrix, S: list[list[int]], Et: list[dict[int, int]], F: list[dict[int, int]]
 ) -> tuple[int, ...]:
     """Prove that S = E M E^T is the canonical form of M; return its factors.
 
-    Checks the block shape and the divisibility chain of S, then two exact
-    products over sparse rows: E F = I, and M E^T = F S, which given the
-    first is E M E^T = S. Raises InternalVerificationFailed on the first
-    failure.
+    Et holds the rows of E^T and F those of E^{-1}, both sparse dicts as
+    from _transforms. Checks the block shape of S row by row and its
+    divisibility chain, then two exact products, each row summed from
+    sparse rows into a dense accumulator: E F = I, and M E^T = F S, which
+    given the first is E M E^T = S. Raises InternalVerificationFailed on
+    the first failure.
     """
     n = M.n
     s = 0
     while 2 * s + 1 < n and S[2 * s][2 * s + 1] != 0:
         s += 1
     factors = tuple(S[2 * i][2 * i + 1] for i in range(s))
-    for i in range(n):
-        for j in range(n):
-            expect = 0
-            if i // 2 == j // 2 and i < 2 * s:
-                expect = factors[i // 2] if j == i + 1 else (-factors[i // 2] if j == i - 1 else 0)
-            if S[i][j] != expect:
-                raise InternalVerificationFailed(f"block shape broken at ({i}, {j})")
+    for i, row in enumerate(S):
+        expect = [0] * n
+        if i < 2 * s:
+            expect[i ^ 1] = -factors[i // 2] if i % 2 else factors[i // 2]
+        if row != expect:
+            j = next(j for j in range(n) if row[j] != expect[j])
+            raise InternalVerificationFailed(f"block shape broken at ({i}, {j})")
     for i in range(s - 1):
         if factors[i] <= 0 or factors[i + 1] % factors[i]:
             raise InternalVerificationFailed(f"divisibility chain broken: {factors}")
     if s and factors[-1] <= 0:
         raise InternalVerificationFailed(f"non-positive invariant factor: {factors}")
 
-    sparse = _sparse_rows(F)
-    for i, row in enumerate(E):
-        product = _combine(row, sparse)
-        if product[i] != 1 or any(product[:i]) or any(product[i + 1:]):
+    # The products read each sparse row many times, so they read it as a
+    # list of pairs, which iterates faster than the items of a dict.
+    E: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, col in enumerate(Et):
+        for i, x in col.items():
+            E[i].append((k, x))
+    F_pairs = [list(row.items()) for row in F]
+    for i, terms in enumerate(E):
+        product = _combine(terms, F_pairs, n)
+        product[i] -= 1
+        if any(product):
             raise InternalVerificationFailed("E F is not the identity: the transform is not unimodular")
-    sparse = _sparse_rows(zip(*E))
-    tail = [0] * (n - 2 * s)
+    Et_pairs = [list(col.items()) for col in Et]
     for Mr, Fr in zip(M.rows, F):
-        # Row r of F S: entry j < 2s is F[r][j ^ 1] * S[j ^ 1][j], the rest is zero.
-        expect = [Fr[j ^ 1] * S[j ^ 1][j] for j in range(2 * s)] + tail
-        if _combine(Mr, sparse) != expect:
+        product = _combine(_nonzeros(Mr), Et_pairs, n)
+        # Row r of F S: entry k ^ 1 is F[r][k] * S[k][k ^ 1] for k < 2s, the rest is zero.
+        for k, y in Fr.items():
+            if k < 2 * s:
+                product[k ^ 1] -= y * S[k][k ^ 1]
+        if any(product):
             raise InternalVerificationFailed("E M E^T does not equal the reduced matrix")
     return factors
 
@@ -322,12 +355,12 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
     Pivot selection is by minimal absolute value over the live block;
     Euclidean shears shrink the pivot until its two rows are clean, then a
     divisibility repair folds any non-multiple of the pivot back in. The
-    steps are logged, and E and E^{-1} are both built from the log, so the
-    inverse costs no inversion (transform tracking as in Kannan and Bachem,
-    SIAM J. Comput. 8, 1979, replayed backwards). The output is certified
-    exactly (block shape, divisibility chain, E F = I and M E^T = F S,
-    hence E M E^T = S with |det E| = 1) and InternalVerificationFailed is
-    raised otherwise.
+    steps are logged, and E and E^{-1} are both built from the log as
+    sparse rows, so the inverse costs no inversion (transform tracking as
+    in Kannan and Bachem, SIAM J. Comput. 8, 1979, replayed backwards).
+    The output is certified exactly over those sparse rows (block shape,
+    divisibility chain, E F = I and M E^T = F S, hence E M E^T = S with
+    |det E| = 1) and InternalVerificationFailed is raised otherwise.
     """
     n = M.n
     A = M.to_lists()
@@ -390,11 +423,11 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
         last = A[p][p + 1]
         p += 2
 
-    E, F = _transforms(log, n)
-    factors = _certify(M, A, E, F)
+    Et, F = _transforms(log, n)
+    factors = _certify(M, A, Et, F)
     return SkewNormalForm(
-        transform=tuple(tuple(row) for row in E),
-        inverse_transform=tuple(tuple(row) for row in F),
+        transform=tuple(zip(*(_dense(col, n) for col in Et))),
+        inverse_transform=tuple(tuple(_dense(row, n)) for row in F),
         invariant_factors=factors,
         kernel_dim=n - 2 * len(factors),
     )
@@ -420,9 +453,9 @@ def extended_normal_form(snf: SkewNormalForm) -> SkewNormalForm:
       = D^{-1} H S_ext = F_ext S_ext.
 
     B is S plus one dense border, so its reduction is short and G and H
-    stay sparse. Row i of E_ext sums the rows of E at the nonzeros of row i
-    of G, and row i of F_ext sums the sparse rows of H weighted by row i
-    of diag(F, 1).
+    stay sparse. Row i of E_ext sums the sparse rows of D at the nonzeros
+    of row i of G, and row i of F_ext sums the sparse rows of H at the
+    nonzeros of row i of diag(F, 1).
     """
     E, F = snf.transform, snf.inverse_transform
     n = len(E)
@@ -434,11 +467,13 @@ def extended_normal_form(snf: SkewNormalForm) -> SkewNormalForm:
         B[n][i] = -B[i][n]
     bordered = skew_normal_form(SkewIntMatrix._unchecked(tuple(map(tuple, B))))
     G, H = bordered.transform, bordered.inverse_transform
-    D = _sparse_rows(E) + [[(n, 1)]]
-    H_rows = _sparse_rows(H)
+    D = [list(_nonzeros(row)) for row in E] + [[(n, 1)]]
+    H_rows = [list(_nonzeros(row)) for row in H]
     return SkewNormalForm(
-        transform=tuple(tuple(_combine(row, D)) for row in G),
-        inverse_transform=tuple(tuple(_combine(row + (0,), H_rows)) for row in F) + (H[n],),
+        transform=tuple(tuple(_combine(_nonzeros(row), D, n + 1)) for row in G),
+        inverse_transform=tuple(
+            tuple(_combine(_nonzeros(row), H_rows, n + 1)) for row in F
+        ) + (H[n],),
         invariant_factors=bordered.invariant_factors,
         kernel_dim=bordered.kernel_dim,
     )

@@ -10,10 +10,12 @@ determinant is an independent check on the unimodularity the normal form
 certifies by E E^{-1} = I, the kernel bases build every kernel vector
 (kernel_basis_rational back-substitutes with Fractions after a Bareiss
 elimination, kernel_basis_mod_p runs Gauss-Jordan over F_p; production
-only finds ranks mod p, with the all-ones row carried along), the congruence certificate is checked by dense
-products (production checks sparse ones, or for the bordered matrix chains
-two certificates), the PI degree oracles count group orders directly, and
-irreducibility is decided by Burnside's criterion, growing the F_p span of
+only finds ranks mod p, with the all-ones row carried along), the
+congruence certificate is checked by dense products (production checks
+sparse ones, or for the bordered matrix chains two certificates), the
+transforms are replayed from the congruence log over whole dense rows
+(production replays sparse rows, touching only their nonzeros), the PI
+degree oracles count group orders directly, and irreducibility is decided by Burnside's criterion, growing the F_p span of
 the words in the generator images, or by counting the commutant of the
 images orbit by orbit of index pairs (production takes the rank of the
 exponent matrix instead), the relations are checked by multiplying full
@@ -227,6 +229,28 @@ def congruence_certificate_holds(A, snf) -> bool:
         for i in range(n)
         for j in range(n)
     )
+
+
+def dense_transforms(log: list[int], n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """E and F = E^{-1} as dense n x n lists, replayed from a congruence log.
+
+    The log holds the steps G_1, ..., G_m of a skew reduction as flat
+    triples i, j, q: q == 0 swaps indices i and j, any other q is the
+    shear index_i += q * index_j. E = G_m ... G_1 and F = G_1^{-1} ...
+    G_m^{-1} are replayed from the last step back over whole dense rows:
+    E^T as X^T -> G^T X^T and F as Y -> G^{-1} Y.
+    """
+    Et = [[int(i == j) for j in range(n)] for i in range(n)]
+    F = [row[:] for row in Et]
+    for k in range(len(log) - 3, -1, -3):
+        i, j, q = log[k:k + 3]
+        if q == 0:
+            Et[i], Et[j] = Et[j], Et[i]
+            F[i], F[j] = F[j], F[i]
+        else:
+            Et[j] = [x + q * y for x, y in zip(Et[j], Et[i])]
+            F[i] = [x - q * y for x, y in zip(F[i], F[j])]
+    return [list(col) for col in zip(*Et)], F
 
 
 def one_perp(rows) -> bool:

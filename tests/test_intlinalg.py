@@ -39,6 +39,7 @@ from tests.conftest import (
 )
 from tests.oracles import (
     congruence_certificate_holds,
+    dense_transforms,
     determinant,
     kernel_basis_mod_p,
     kernel_basis_rational,
@@ -192,24 +193,87 @@ class TestPrimality:
         assert is_prime(2**61 - 1)
 
 
-def _bump_e(S, E, F):
-    E[0][0] += 1
+# _certify receives the rows of E^T and of F as dicts from column index to
+# nonzero entry, so entry (r, c) of E is Et[c][r].
 
 
-def _bump_f(S, E, F):
-    F[2][3] -= 1
+def _swap_columns(rows, a, b):
+    for row in rows:
+        x, y = row.pop(a, 0), row.pop(b, 0)
+        if x:
+            row[b] = x
+        if y:
+            row[a] = y
 
 
-def _swap_e_and_f(S, E, F):
-    # E and F stay inverse to each other; only E M E^T = S catches it.
-    E[0], E[1] = E[1], E[0]
-    for row in F:
-        row[0], row[1] = row[1], row[0]
+def _bump_e(S, Et, F):
+    Et[0][0] = Et[0].get(0, 0) + 1
 
 
-def _double_last_factor(S, E, F):
+def _bump_f(S, Et, F):
+    F[2][3] = F[2].get(3, 0) - 1
+
+
+def _drop_f_entry(S, Et, F):
+    F[-1].popitem()
+
+
+def _bump_f_kernel_column(S, Et, F):
+    # F S reads no column of F past the blocks, so only E F = I catches
+    # this, and off its diagonal: E is zero at (n - 1, r).
+    n = len(F)
+    r = next(r for r, col in enumerate(Et) if n - 1 not in col)
+    F[r][n - 1] = F[r].get(n - 1, 0) + 1
+
+
+def _swap_e_and_f(S, Et, F):
+    # Rows 0 and 1 of E and columns 0 and 1 of F: E and F stay inverse to
+    # each other; only E M E^T = S catches it.
+    _swap_columns(Et, 0, 1)
+    _swap_columns(F, 0, 1)
+
+
+def _double_last_factor(S, Et, F):
     # Shape and divisibility chain stay valid: (1, 1, 1, 2) -> (1, 1, 1, 4).
     S[6][7], S[7][6] = 4, -4
+
+
+def _replays(M: SkewIntMatrix, normal_form=skew_normal_form):
+    """normal_form(M) with the log, size and result of every replay of
+    intlinalg._transforms it ran."""
+    replays = []
+    replay = intlinalg._transforms
+
+    def spy(log, n):
+        steps = list(log)
+        result = replay(log, n)
+        replays.append((steps, n, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intlinalg, "_transforms", spy)
+        return normal_form(M), replays
+
+
+def _assert_replay_matches_the_dense_oracle(M: SkewIntMatrix) -> None:
+    """The sparse replay equals tests/oracles.dense_transforms on the logs
+    of M's normal form and of its extended form, and skew_normal_form
+    returns that E and F."""
+    snf, replays = _replays(M)
+    ext, bordered = _replays(snf, extended_normal_form)
+    for log, n, (Et, F) in replays + bordered:
+        E_dense, F_dense = dense_transforms(log, n)
+        assert [[col.get(r, 0) for col in Et] for r in range(n)] == E_dense
+        assert [[row.get(c, 0) for c in range(n)] for row in F] == F_dense
+        assert all(x for row in Et + F for x in row.values())
+    E_dense, F_dense = dense_transforms(*replays[0][:2])
+    assert snf.transform == tuple(map(tuple, E_dense))
+    assert snf.inverse_transform == tuple(map(tuple, F_dense))
+    for form in (snf, ext):
+        for matrix in (form.transform, form.inverse_transform):
+            assert type(matrix) is tuple
+            assert all(type(row) is tuple for row in matrix)
+            assert all(type(x) is int for row in matrix for x in row)
 
 
 class TestSkewNormalForm:
@@ -275,7 +339,8 @@ class TestSkewNormalForm:
                 assert snf.transform == snf.inverse_transform == ()
 
     @pytest.mark.parametrize(
-        "tamper", [_bump_e, _bump_f, _swap_e_and_f, _double_last_factor]
+        "tamper",
+        [_bump_e, _bump_f, _drop_f_entry, _bump_f_kernel_column, _swap_e_and_f, _double_last_factor],
     )
     def test_certificate_rejects_tampering(self, fig_diagram, monkeypatch, tamper):
         certify = intlinalg._certify
@@ -287,6 +352,55 @@ class TestSkewNormalForm:
         monkeypatch.setattr(intlinalg, "_certify", tampered)
         with pytest.raises(InternalVerificationFailed):
             skew_normal_form(matrix_from_diagram(fig_diagram))
+
+
+    @pytest.mark.parametrize("cell", [(8, 0), (2, 5), (7, 6)])
+    def test_block_shape_reports_its_first_bad_cell(self, fig_diagram, monkeypatch, cell):
+        certify = intlinalg._certify
+
+        def tampered(M, S, Et, F):
+            # A second bad cell at the end of the row: the first one is named.
+            i, j = cell
+            S[i][j] += 1
+            S[i][-1] += 1
+            return certify(M, S, Et, F)
+
+        monkeypatch.setattr(intlinalg, "_certify", tampered)
+        message = rf"block shape broken at \({cell[0]}, {cell[1]}\)"
+        with pytest.raises(InternalVerificationFailed, match=message):
+            skew_normal_form(matrix_from_diagram(fig_diagram))
+
+
+class TestSparseReplay:
+    """_transforms against the dense replay of tests/oracles.py, entry for entry."""
+
+    def test_exhaustive_boards(self):
+        from pideg.sweep import exhaustive_diagrams
+
+        distinct = {}
+        for d in exhaustive_diagrams(3, 3) + exhaustive_diagrams(3, 4):
+            M = matrix_from_diagram(d)
+            distinct.setdefault(M.rows, M)
+        for M in distinct.values():
+            _assert_replay_matches_the_dense_oracle(M)
+
+    def test_criterion_10_matrices(self):
+        for M in criterion_10_matrices():
+            _assert_replay_matches_the_dense_oracle(M)
+
+    @settings(deadline=None, max_examples=60)
+    @given(skew_matrices)
+    def test_any_skew_matrix(self, M):
+        _assert_replay_matches_the_dense_oracle(M)
+
+    def test_dense_random_matrices(self):
+        rng = random.Random(4_040)
+        for _ in range(40):
+            _assert_replay_matches_the_dense_oracle(random_skew(rng, rng.randrange(16, 41)))
+
+    def test_empty_matrix(self):
+        _assert_replay_matches_the_dense_oracle(SkewIntMatrix(()))
+        assert intlinalg._transforms([], 0) == ([], [])
 
 
 class TestExtendedNormalForm:

@@ -46,6 +46,20 @@ expect(InternalVerificationFailed, oracles.determinant, [[1, 2], [3, 4]])
 # Dependent vectors fail the independence proof once the primes pass the bound.
 expect(InternalVerificationFailed, intlinalg._prove_independent, [(1, -1, 0), (1, -1, 0)])
 
+# A transform with one nonzero of F dropped fails E F = I.
+transforms = intlinalg._transforms
+
+
+def drop_f_entry(log, n):
+    Et, F = transforms(log, n)
+    F[-1].popitem()
+    return Et, F
+
+
+intlinalg._transforms = drop_f_entry
+expect(InternalVerificationFailed, intlinalg.skew_normal_form, SkewIntMatrix(((0, 2), (-2, 0))))
+intlinalg._transforms = transforms
+
 # A swap that does nothing leaves the pivot behind.
 intlinalg._pair_swap = lambda *args: None
 expect(
