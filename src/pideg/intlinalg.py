@@ -17,21 +17,24 @@ The central objects:
   E M E^T to a block diagonal of 2x2 blocks [[0, h], [-h, 0]] followed by a
   zero block, with h_1 | h_2 | ... ; the h_i determine the PI degree. It
   returns F = E^{-1} alongside E: both are replayed from the logged steps
-  as sparse rows, each shear touching only nonzeros. It certifies its
-  result with two exact products over those sparse rows: E F = I, which
-  makes E unimodular, and E M E^T = S (checked as M E^T = F S). Only the
-  certified result is written out as dense matrices.
+  as sparse rows. Each shear, of the reduction and of the replay, touches
+  only the nonzeros of its source row. It certifies its result with two
+  exact products over those sparse rows: E F = I, which makes E
+  unimodular, and E M E^T = S (checked as M E^T = F S). The certified
+  sparse rows are kept, and written out as dense matrices only when the
+  transforms are read.
 
 - extended_normal_form reads the normal form of extend(M), M bordered by
   a column of ones, from that of M. Congruence by diag(E, 1) turns
   extend(M) into S bordered by v = E 1, which skew_normal_form reduces
   cheaply since S is block diagonal; that reduction certifies itself, and
   together with the certificate of M's form it proves the composed
-  transforms (the chain is spelled out in its docstring).
+  transforms (the chain is spelled out in its docstring). They are
+  composed only when they are read, which the PI degree never needs.
 
 - rank_mod_p finds the rank of an integer matrix over F_p, and whether
   the all-ones row lies in its row space, by one elimination that builds
-  no kernel basis.
+  no kernel basis and updates only the support of each pivot row.
 
 - cycle_kernel_vectors realizes the kernel of M(D) combinatorially from the
   even-length cycles of the toric permutation, and proves the vectors
@@ -40,10 +43,12 @@ The central objects:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from math import prod
-from operator import add, mul
+from operator import mul
 
 from .diagrams import Diagram
 from .errors import (
@@ -176,7 +181,6 @@ def is_prime(p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SkewNormalForm:
     """Result of the congruence reduction S = E M E^T.
 
@@ -184,17 +188,39 @@ class SkewNormalForm:
     h_1 | h_2 | ... | h_s, then a zero block of size kernel_dim = n - 2s.
     It is not stored, since invariant_factors and kernel_dim determine it.
     `transform` is E and `inverse_transform` is F = E^{-1}, both dense
-    integer matrices as tuples of rows. Before this object is constructed,
-    two exact products over the sparse rows the reduction replayed certify
-    them: E F = I, which proves F = E^{-1} and |det E| = 1, and
-    M E^T = F S, which given E F = I is E M E^T = S. extended_normal_form
-    proves both identities for extend(M) from two such certificates.
+    integer matrices as tuples of rows, built on first read and kept. Until
+    then the form holds two functions, `columns` and `rows`, returning the
+    sparse columns of E (the rows of E^T) and the sparse rows of F, each a
+    dict from index to nonzero entry: skew_normal_form hands over the rows
+    it certified, and extended_normal_form composes its rows only when they
+    are asked for. Before this object is constructed, two exact products
+    over those sparse rows certify them: E F = I, which proves F = E^{-1}
+    and |det E| = 1, and M E^T = F S, which given E F = I is
+    E M E^T = S. extended_normal_form proves both identities for extend(M)
+    from two such certificates.
     """
 
-    transform: tuple[tuple[int, ...], ...]
-    inverse_transform: tuple[tuple[int, ...], ...]
-    invariant_factors: tuple[int, ...]
-    kernel_dim: int
+    def __init__(
+        self,
+        invariant_factors: tuple[int, ...],
+        kernel_dim: int,
+        columns: Callable[[], list[dict[int, int]]],
+        rows: Callable[[], list[dict[int, int]]],
+    ) -> None:
+        self.invariant_factors = invariant_factors
+        self.kernel_dim = kernel_dim
+        self._columns = columns
+        self._rows = rows
+
+    @cached_property
+    def transform(self) -> tuple[tuple[int, ...], ...]:
+        columns = self._columns()
+        return tuple(zip(*(_dense(col, len(columns)) for col in columns)))
+
+    @cached_property
+    def inverse_transform(self) -> tuple[tuple[int, ...], ...]:
+        rows = self._rows()
+        return tuple(tuple(_dense(row, len(rows))) for row in rows)
 
 
 # The reduction logs each congruence step as three integers i, j, q in one
@@ -220,17 +246,20 @@ def _pair_swap(A: list[list[int]], log: list[int], i: int, j: int, live: int) ->
 def _pair_add(A: list[list[int]], log: list[int], dst: int, src: int, q: int, live: int) -> None:
     """Congruence shear: row_dst += q * row_src, then col_dst += q * col_src.
 
-    The result is skew, so the new column dst is minus the new row dst, and
-    indices before `live` (finished blocks, zero against the live ones) do
-    not change.
+    Only the nonzeros of row src from `live` on are read, and only the
+    matching entries of row dst and column dst are written: every other
+    entry of row dst keeps its value, and A stays skew, so column dst
+    already holds minus it. Entry (dst, dst) stays zero, and indices before
+    `live` (finished blocks, zero against the live ones) do not change.
     """
     if q == 0:
         return
     row = A[dst]
-    row[live:] = map(add, row[live:], map(q.__mul__, A[src][live:]))
-    row[dst] = 0
-    for r in range(live, len(A)):
-        A[r][dst] = -row[r]
+    for k, y in _nonzeros(A[src], live):
+        if k != dst:
+            x = row[k] + q * y
+            row[k] = x
+            A[k][dst] = -x
     log += (dst, src, q)
 
 
@@ -272,9 +301,19 @@ def _add_multiple(dst: dict[int, int], src: dict[int, int], q: int) -> None:
             del dst[k]
 
 
-def _nonzeros(row):
-    """The (column index, entry) pairs of the nonzeros of a dense row."""
-    return zip(compress(range(len(row)), row), filter(None, row))
+def _compose(terms, rows: list[dict[int, int]]) -> dict[int, int]:
+    """The sparse row summing x * rows[k] over the (k, x) in terms."""
+    acc: dict[int, int] = {}
+    for k, x in terms:
+        _add_multiple(acc, rows[k], x)
+    return acc
+
+
+def _nonzeros(row, start: int = 0):
+    """The (column index, entry) pairs of the nonzeros of a dense row, from
+    column `start` on."""
+    tail = row[start:]
+    return zip(compress(range(start, len(row)), tail), filter(None, tail))
 
 
 def _dense(row: dict[int, int], n: int) -> list[int]:
@@ -354,10 +393,13 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
 
     Pivot selection is by minimal absolute value over the live block;
     Euclidean shears shrink the pivot until its two rows are clean, then a
-    divisibility repair folds any non-multiple of the pivot back in. The
-    steps are logged, and E and E^{-1} are both built from the log as
-    sparse rows, so the inverse costs no inversion (transform tracking as
-    in Kannan and Bachem, SIAM J. Comput. 8, 1979, replayed backwards).
+    divisibility repair folds any non-multiple of the pivot back in. Every
+    remainder swapped in as the pivot must be smaller than it, and every
+    repair must leave one, so the reduction ends; a step that breaks this
+    raises InternalVerificationFailed instead of looping. The steps are
+    logged, and E and E^{-1} are both built from the log as sparse rows,
+    so the inverse costs no inversion (transform tracking as in Kannan and
+    Bachem, SIAM J. Comput. 8, 1979, replayed backwards).
     The output is certified exactly over those sparse rows (block shape,
     divisibility chain, E F = I and M E^T = F S, hence E M E^T = S with
     |det E| = 1) and InternalVerificationFailed is raised otherwise.
@@ -391,6 +433,10 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
         i, j = piv
         _pair_swap(A, log, i, p, p)
         _pair_swap(A, log, j, p + 1, p)
+        # Each round either shrinks |pivot| or ends, and a divisibility
+        # repair is followed by a shrinking round, so the loop terminates;
+        # a step that breaks this raises instead of looping.
+        repaired = False
         while True:
             a = A[p][p + 1]
             if a == 0:
@@ -406,9 +452,13 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
             )
             if rem is not None:
                 r, k = rem
+                if not 0 < abs(A[r][k]) < abs(a):
+                    raise InternalVerificationFailed("the pivot did not shrink")
                 _pair_swap(A, log, k, p + 1 if r == p else p, p)
+                repaired = False
                 continue
-            a = A[p][p + 1]
+            if repaired:
+                raise InternalVerificationFailed("a divisibility repair left no remainder")
             viol = None
             if abs(a) != last:
                 for i2 in range(p + 2, n):
@@ -418,6 +468,7 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
             if viol is None:
                 break
             _pair_add(A, log, p, viol, 1, p)
+            repaired = True
         if A[p][p + 1] < 0:
             _pair_swap(A, log, p, p + 1, p)
         last = A[p][p + 1]
@@ -425,12 +476,7 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
 
     Et, F = _transforms(log, n)
     factors = _certify(M, A, Et, F)
-    return SkewNormalForm(
-        transform=tuple(zip(*(_dense(col, n) for col in Et))),
-        inverse_transform=tuple(tuple(_dense(row, n)) for row in F),
-        invariant_factors=factors,
-        kernel_dim=n - 2 * len(factors),
-    )
+    return SkewNormalForm(factors, n - 2 * len(factors), lambda: Et, lambda: F)
 
 
 def extended_normal_form(snf: SkewNormalForm) -> SkewNormalForm:
@@ -453,30 +499,33 @@ def extended_normal_form(snf: SkewNormalForm) -> SkewNormalForm:
       = D^{-1} H S_ext = F_ext S_ext.
 
     B is S plus one dense border, so its reduction is short and G and H
-    stay sparse. Row i of E_ext sums the sparse rows of D at the nonzeros
-    of row i of G, and row i of F_ext sums the sparse rows of H at the
-    nonzeros of row i of diag(F, 1).
+    stay sparse. v is read from the sparse columns of E, and the composed
+    transforms are built only when they are read: column k of E_ext sums
+    the sparse columns of G at the nonzeros of column k of D, and row i of
+    F_ext sums the sparse rows of H at the nonzeros of row i of diag(F, 1).
     """
-    E, F = snf.transform, snf.inverse_transform
-    n = len(E)
+    Et = snf._columns()
+    n = len(Et)
     B = [[0] * (n + 1) for _ in range(n + 1)]
     for k, h in enumerate(snf.invariant_factors):
         B[2 * k][2 * k + 1], B[2 * k + 1][2 * k] = h, -h
-    for i, row in enumerate(E):
-        B[i][n] = sum(row)
-        B[n][i] = -B[i][n]
+    v = [0] * n
+    for col in Et:
+        for i, x in col.items():
+            v[i] += x
+    for i, x in enumerate(v):
+        B[i][n], B[n][i] = x, -x
     bordered = skew_normal_form(SkewIntMatrix._unchecked(tuple(map(tuple, B))))
-    G, H = bordered.transform, bordered.inverse_transform
-    D = [list(_nonzeros(row)) for row in E] + [[(n, 1)]]
-    H_rows = [list(_nonzeros(row)) for row in H]
-    return SkewNormalForm(
-        transform=tuple(tuple(_combine(_nonzeros(row), D, n + 1)) for row in G),
-        inverse_transform=tuple(
-            tuple(_combine(_nonzeros(row), H_rows, n + 1)) for row in F
-        ) + (H[n],),
-        invariant_factors=bordered.invariant_factors,
-        kernel_dim=bordered.kernel_dim,
-    )
+
+    def columns() -> list[dict[int, int]]:
+        Gt = bordered._columns()
+        return [_compose(col.items(), Gt) for col in Et] + [Gt[n]]
+
+    def rows() -> list[dict[int, int]]:
+        H = bordered._rows()
+        return [_compose(row.items(), H) for row in snf._rows()] + [H[n]]
+
+    return SkewNormalForm(bordered.invariant_factors, bordered.kernel_dim, columns, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +538,13 @@ def rank_mod_p(rows, p: int) -> tuple[int, bool]:
     the all-ones row lies in its row space mod p; p must be prime.
 
     One forward elimination to row echelon form, with no kernel basis and
-    no transform. The all-ones row is carried along: every pivot row
-    reduces it, but it is never a pivot, so it ends at zero exactly when it
-    is a combination of the rows. The row space is the orthogonal
-    complement of the kernel, so the second answer says whether the mod-p
-    kernel lies in the sum-zero hyperplane.
+    no transform. A pivot row's support is taken once, and each row below
+    it changes only there: the pivot row's zeros leave the rest as it is.
+    The all-ones row is carried along: every pivot row reduces it, but it
+    is never a pivot, so it ends at zero exactly when it is a combination
+    of the rows. The row space is the orthogonal complement of the kernel,
+    so the second answer says whether the mod-p kernel lies in the sum-zero
+    hyperplane.
     """
     A = [[x % p for x in row] for row in rows]
     R = len(A)
@@ -511,14 +562,16 @@ def rank_mod_p(rows, p: int) -> tuple[int, bool]:
         top = A[pr]
         A[pr], A[r] = A[r], top
         # Adding f * (p - 1/pivot) * top clears the f at column c; the
-        # entries left of c are zero in every row from r on.
+        # entries left of c are zero in every row from r on, and top's
+        # zeros change nothing, so only its support is visited.
         neg_inv = p - pow(top[c], -1, p)
-        tail = top[c:]
+        support = list(_nonzeros(top, c))
         for row in A[r + 1:]:
             f = row[c]
             if f:
                 f *= neg_inv
-                row[c:] = [(x + f * y) % p for x, y in zip(row[c:], tail)]
+                for k, y in support:
+                    row[k] = (row[k] + f * y) % p
         r += 1
     return r, not any(A[R])
 

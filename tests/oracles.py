@@ -14,16 +14,19 @@ only finds ranks mod p, with the all-ones row carried along), the
 congruence certificate is checked by dense products (production checks
 sparse ones, or for the bordered matrix chains two certificates), the
 transforms are replayed from the congruence log over whole dense rows
-(production replays sparse rows, touching only their nonzeros), the PI
-degree oracles count group orders directly, and irreducibility is decided by Burnside's criterion, growing the F_p span of
-the words in the generator images, or by counting the commutant of the
-images orbit by orbit of index pairs (production takes the rank of the
-exponent matrix instead), the relations are checked by multiplying full
-images (production checks one leg per block and an integer pairing), the
-generator images are built from full-dimension lifted copies of every clock
-and shift (production tensors one leg per block), and the restricted
-permutation is traced by its own strand walker. Agreement between these and
-the package is a genuine cross-check, not the same algorithm twice.
+(production replays sparse rows, touching only their nonzeros), the shear
+of the reduction rewrites whole live rows and columns (production visits
+only the nonzeros of its source row), the PI degree oracles count group
+orders directly, and irreducibility is decided by Burnside's criterion,
+growing the F_p span of the words in the generator images, or by counting
+the commutant of the images orbit by orbit of index pairs (production
+takes the rank of the exponent matrix instead), the relations are checked
+by multiplying full images (production checks one leg per block and an
+integer pairing), the generator images are built from full-dimension
+lifted copies of every clock and shift (production tensors one leg per
+block), and the restricted permutation is traced by its own strand walker.
+Agreement between these and the package is a genuine cross-check, not the
+same algorithm twice.
 """
 
 from __future__ import annotations
@@ -251,6 +254,23 @@ def dense_transforms(log: list[int], n: int) -> tuple[list[list[int]], list[list
             Et[j] = [x + q * y for x, y in zip(Et[j], Et[i])]
             F[i] = [x - q * y for x, y in zip(F[i], F[j])]
     return [list(col) for col in zip(*Et)], F
+
+
+def dense_pair_add(A: list[list[int]], log: list[int], dst: int, src: int, q: int, live: int) -> None:
+    """The congruence shear row_dst += q * row_src, col_dst += q * col_src
+    of a skew reduction, over whole dense rows: it rewrites the live slice
+    of row dst and then every live entry of column dst as minus it, with the
+    signature and logging of the shear it stands in for. Indices before
+    `live` belong to finished blocks and do not change.
+    """
+    if q == 0:
+        return
+    row = A[dst]
+    row[live:] = [x + q * y for x, y in zip(row[live:], A[src][live:])]
+    row[dst] = 0
+    for r in range(live, len(A)):
+        A[r][dst] = -row[r]
+    log += (dst, src, q)
 
 
 def one_perp(rows) -> bool:

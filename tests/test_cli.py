@@ -2,8 +2,10 @@
 
 import contextlib
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -468,6 +470,23 @@ class TestReadme:
         code, out, err = run(capsys, *shlex.split(command))
         assert code == 0 and err == ""
         assert out == output
+
+    def test_module_runs_as_the_command(self, tmp_path):
+        (tmp_path / "board.txt").write_text(FIG_TEXT)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        command, output = readme_transcripts()[0]
+
+        def pideg(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "pideg", *argv],
+                capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+            )
+
+        done = pideg(*shlex.split(command))
+        assert (done.returncode, done.stdout, done.stderr) == (0, output, "")
+        bad = pideg("diagram", "board.txt", "--ell", "1")
+        assert bad.returncode == 1 and bad.stderr.startswith("error: ")
 
     def test_library_example_runs(self):
         blocks = readme_python_blocks()

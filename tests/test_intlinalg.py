@@ -1,6 +1,5 @@
 """Exact integer linear algebra: normal forms, kernels, cycle vectors."""
 
-import dataclasses
 import random
 from itertools import product
 from math import prod
@@ -35,10 +34,12 @@ from tests.conftest import (
     FIG_KERNEL_DIM,
     FIG_KERNEL_VECTOR,
     FIG_MATRIX,
+    FIG_TEXT,
     criterion_10_matrices,
 )
 from tests.oracles import (
     congruence_certificate_holds,
+    dense_pair_add,
     dense_transforms,
     determinant,
     kernel_basis_mod_p,
@@ -403,6 +404,57 @@ class TestSparseReplay:
         assert intlinalg._transforms([], 0) == ([], [])
 
 
+def _logs_and_forms(M: SkewIntMatrix):
+    """The logs of M's reduction and of the bordered one of its extended
+    form, and the factors, kernel dimension, E and F of both forms."""
+    snf, replays = _replays(M)
+    ext, bordered = _replays(snf, extended_normal_form)
+    logs = [steps for steps, _, _ in replays + bordered]
+    forms = [(f.invariant_factors, f.kernel_dim, f.transform, f.inverse_transform) for f in (snf, ext)]
+    return logs, forms
+
+
+def _assert_shear_matches_the_dense_oracle(M: SkewIntMatrix) -> None:
+    """The reductions take the same steps, and give the same forms, with
+    the shear of tests/oracles.py, which rewrites whole dense rows."""
+    sparse = _logs_and_forms(M)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intlinalg, "_pair_add", dense_pair_add)
+        dense = _logs_and_forms(M)
+    assert sparse == dense
+
+
+class TestSparseShear:
+    """_pair_add against the dense shear of tests/oracles.py, step for step."""
+
+    def test_exhaustive_boards(self):
+        from pideg.sweep import exhaustive_diagrams
+
+        distinct = {}
+        for d in exhaustive_diagrams(3, 3) + exhaustive_diagrams(3, 4):
+            M = matrix_from_diagram(d)
+            distinct.setdefault(M.rows, M)
+        for M in distinct.values():
+            _assert_shear_matches_the_dense_oracle(M)
+
+    def test_criterion_10_matrices(self):
+        for M in criterion_10_matrices():
+            _assert_shear_matches_the_dense_oracle(M)
+
+    @settings(deadline=None, max_examples=60)
+    @given(skew_matrices)
+    def test_any_skew_matrix(self, M):
+        _assert_shear_matches_the_dense_oracle(M)
+
+    def test_dense_random_matrices(self):
+        rng = random.Random(4_141)
+        for _ in range(40):
+            _assert_shear_matches_the_dense_oracle(random_skew(rng, rng.randrange(16, 41)))
+
+    def test_empty_matrix(self):
+        _assert_shear_matches_the_dense_oracle(SkewIntMatrix(()))
+
+
 class TestExtendedNormalForm:
     def test_certificate_holds_on_exhaustive_boards(self):
         # The composed transforms against extend(M) itself, by dense
@@ -428,7 +480,11 @@ class TestExtendedNormalForm:
         ext = extended_normal_form(skew_normal_form(M))
         E = [list(row) for row in ext.transform]
         E[0][0] += 1
-        broken = dataclasses.replace(ext, transform=tuple(map(tuple, E)))
+        broken = SimpleNamespace(
+            transform=tuple(map(tuple, E)),
+            inverse_transform=ext.inverse_transform,
+            invariant_factors=ext.invariant_factors,
+        )
         assert not congruence_certificate_holds(extend(M).rows, broken)
         other = [list(row) for row in extend(M).rows]
         other[0][1], other[1][0] = other[0][1] + 1, other[1][0] - 1
@@ -445,6 +501,92 @@ class TestExtendedNormalForm:
         monkeypatch.setattr(intlinalg, "_certify", spy)
         DiagramFacts(fig_diagram).extended_snf
         assert sizes == [9, 10]
+
+
+def _count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Patch the named functions of intlinalg to count their calls."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(intlinalg, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(intlinalg, name, counted)
+    return counts
+
+
+def _eager_extended_transforms(M: SkewIntMatrix):
+    """E_ext = G diag(E, 1) and F_ext = diag(F, 1) H by dense products, from
+    the dense transforms of M's form and of the bordered one."""
+    forms = []
+    reduce = intlinalg.skew_normal_form
+
+    def spy(B):
+        forms.append(reduce(B))
+        return forms[-1]
+
+    snf = reduce(M)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intlinalg, "skew_normal_form", spy)
+        ext = extended_normal_form(snf)
+    (bordered,) = forms
+    n = M.n
+
+    def bordered_by_one(X):
+        return [list(row) + [0] for row in X] + [[0] * n + [1]]
+
+    def product(X, Y):
+        return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*Y)) for row in X)
+
+    E_ext = product(bordered.transform, bordered_by_one(snf.transform))
+    F_ext = product(bordered_by_one(snf.inverse_transform), bordered.inverse_transform)
+    return ext, E_ext, F_ext
+
+
+class TestLazyTransforms:
+    """Dense transforms are built, and extended ones composed, on first read only."""
+
+    def test_factors_build_no_transform(self, fig_diagram, monkeypatch):
+        counts = _count_calls(monkeypatch, "_dense", "_compose")
+        facts = DiagramFacts(fig_diagram)
+        assert facts.extended_snf.invariant_factors == (1, 1, 1, 2, 2)
+        assert facts.extended_snf.kernel_dim == 0
+        assert facts.snf.invariant_factors == FIG_INVARIANT_FACTORS
+        assert counts == {"_dense": 0, "_compose": 0}
+
+    def test_extended_json_report_builds_no_transform(self, monkeypatch, tmp_path, capsys):
+        from pideg import cli
+
+        board = tmp_path / "board.txt"
+        board.write_text(FIG_TEXT)
+        counts = _count_calls(monkeypatch, "_dense", "_compose")
+        assert cli.main(["diagram", str(board), "--ell", "5", "--extended", "--json"]) == 0
+        assert '"kernel_jump"' in capsys.readouterr().out
+        assert counts == {"_dense": 0, "_compose": 0}
+
+    def test_reading_twice_composes_once(self, fig_diagram, monkeypatch):
+        ext = extended_normal_form(skew_normal_form(matrix_from_diagram(fig_diagram)))
+        counts = _count_calls(monkeypatch, "_dense", "_compose")
+        E = ext.transform
+        assert counts == {"_dense": 10, "_compose": 9}
+        assert ext.transform is E
+        F = ext.inverse_transform
+        assert counts == {"_dense": 20, "_compose": 18}
+        assert ext.inverse_transform is F
+        assert counts == {"_dense": 20, "_compose": 18}
+
+    def test_values_equal_the_eager_products(self, fig_diagram):
+        from pideg.sweep import exhaustive_diagrams
+
+        rng = random.Random(5_151)
+        matrices = [matrix_from_diagram(d) for d in exhaustive_diagrams(3, 3)]
+        matrices += [random_skew(rng, rng.randrange(0, 12)) for _ in range(40)]
+        for M in [matrix_from_diagram(fig_diagram)] + matrices:
+            ext, E_ext, F_ext = _eager_extended_transforms(M)
+            assert ext.transform == E_ext
+            assert ext.inverse_transform == F_ext
 
 
 class TestRationalKernel:
@@ -541,11 +683,15 @@ class TestRankModP:
     """rank_mod_p against the Gauss-Jordan kernel basis of tests/oracles.py."""
 
     @staticmethod
-    def assert_agrees(M):
-        for p in (2, 3, 5, 7):
-            basis = kernel_basis_mod_p(M, p)
-            rank, ones_in_rows = rank_mod_p(M.rows, p)
-            assert M.n - rank == len(basis)
+    def assert_agrees(M, primes=(2, 3, 5, 7)):
+        TestRankModP.assert_rows_agree(M.rows, M.n, primes)
+
+    @staticmethod
+    def assert_rows_agree(rows, columns, primes):
+        for p in primes:
+            basis = kernel_basis_mod_p(rows, p)
+            rank, ones_in_rows = rank_mod_p(rows, p)
+            assert columns - rank == len(basis)
             assert ones_in_rows == all(sum(v) % p == 0 for v in basis)
 
     def test_distinct_matrices_of_exhaustive_boards(self):
@@ -563,6 +709,34 @@ class TestRankModP:
 
         for d in random_diagrams(6, 6, 200, 6_066):
             self.assert_agrees(matrix_from_diagram(d))
+
+    def test_dense_random_matrices(self):
+        rng = random.Random(7_077)
+        for _ in range(60):
+            R, C = rng.randrange(1, 13), rng.randrange(1, 13)
+            rows = [[rng.randrange(-20, 21) for _ in range(C)] for _ in range(R)]
+            self.assert_rows_agree(rows, C, (2, 3, 5, 7, 11, 13))
+        for _ in range(20):
+            self.assert_agrees(random_skew(rng, rng.randrange(2, 16), 20), (2, 11, 13))
+
+    def test_pivot_zeros_facing_nonzeros(self):
+        # Each pivot row is mostly zeros where the rows below it are not:
+        # the support-only update must leave those entries as they are.
+        assert rank_mod_p([(1, 0, 0), (1, 1, 1)], 5) == (2, True)
+        assert rank_mod_p([(2, 0, 0, 0), (4, 1, 1, 1), (6, 2, 3, 2)], 11) == (3, True)
+        assert rank_mod_p([(1, 0, 0, 0), (1, 1, 1, 0), (1, 1, 1, 0)], 13) == (2, False)
+        rng = random.Random(8_088)
+        units = (1, -1, 17, -19, 23)  # nonzero modulo every prime below
+        for _ in range(60):
+            R, C = rng.randrange(2, 10), rng.randrange(2, 10)
+            rows = []
+            for r in range(R):
+                # Even rows are units on at most two columns, odd rows
+                # are units everywhere, so most pivot rows are sparse
+                # against dense rows below them.
+                support = {r % C, rng.randrange(C)} if r % 2 == 0 else range(C)
+                rows.append([rng.choice(units) if c in support else 0 for c in range(C)])
+            self.assert_rows_agree(rows, C, (2, 3, 5, 7, 11, 13))
 
     def test_rectangular_rows(self):
         assert rank_mod_p([], 3) == (0, True)

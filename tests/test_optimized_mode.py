@@ -21,17 +21,21 @@ from pideg import (
     InternalVerificationFailed,
     RaggedRows,
     SkewIntMatrix,
+    diagram_from_text,
     find_relation_violation,
     intlinalg,
+    matrix_from_diagram,
     qas_representation,
     reps,
 )
 
 
-def expect(exc, fn, *args):
+def expect(exc, fn, *args, match=""):
     try:
         fn(*args)
-    except exc:
+    except exc as err:
+        if match not in str(err):
+            sys.exit(f"{fn.__name__} raised {err!r}, not {match!r}")
         return
     sys.exit(f"{fn.__name__} did not raise {exc.__name__}")
 
@@ -59,6 +63,43 @@ def drop_f_entry(log, n):
 intlinalg._transforms = drop_f_entry
 expect(InternalVerificationFailed, intlinalg.skew_normal_form, SkewIntMatrix(((0, 2), (-2, 0))))
 intlinalg._transforms = transforms
+
+# A shear that skips its column write leaves the remainders in place; the
+# reduction raises instead of looping forever.
+shear = intlinalg._pair_add
+
+
+def shear_without_column(A, log, dst, src, q, live):
+    row = A[dst]
+    row[live:] = [x + q * y for x, y in zip(row[live:], A[src][live:])]
+    row[dst] = 0
+    log += (dst, src, q)
+
+
+intlinalg._pair_add = shear_without_column
+expect(
+    InternalVerificationFailed,
+    intlinalg.skew_normal_form,
+    matrix_from_diagram(diagram_from_text(".#.#.\n.#...\n###..")),
+    match="the pivot did not shrink",
+)
+
+
+# A divisibility repair (the only shear into the pivot row) that does
+# nothing would be found again forever; 3 is no multiple of the pivot 2.
+def shear_without_repair(A, log, dst, src, q, live):
+    if dst != live:
+        shear(A, log, dst, src, q, live)
+
+
+intlinalg._pair_add = shear_without_repair
+expect(
+    InternalVerificationFailed,
+    intlinalg.skew_normal_form,
+    SkewIntMatrix(((0, 2, 0, 0), (-2, 0, 0, 0), (0, 0, 0, 3), (0, 0, -3, 0))),
+    match="a divisibility repair left no remainder",
+)
+intlinalg._pair_add = shear
 
 # A swap that does nothing leaves the pivot behind.
 intlinalg._pair_swap = lambda *args: None
