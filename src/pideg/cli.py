@@ -2,9 +2,10 @@
 
 Subcommands (see README for worked examples): diagram, partition, detring,
 schubert, grassmannian, rep and sweep. Each prints a readable table by
-default, or a JSON document with --json. Huge PI degree values are
-replaced by their exponent form when they exceed the digit budget
-(environment variable PIDEG_DIGIT_BUDGET, default 400). The computations
+default, or a JSON document with --json, where every PI degree names its
+route. Huge PI degree values are replaced by their exponent form when
+they exceed the digit budget (environment variable PIDEG_DIGIT_BUDGET,
+default 400). The computations, and every choice of what to compute,
 live in degrees, reps and sweep.
 """
 
@@ -14,18 +15,12 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .degrees import (
-    DiagramFacts,
-    PiDegree,
-    determinantal_toric_cycles,
-    pi_degree_determinantal,
-    pi_degree_from_factors,
-    pi_degree_grassmannian,
-    pi_degree_partition,
-    pi_degree_qas,
-    pi_degree_schubert,
+    DiagramFacts, PiDegree, determinantal_toric_cycles, pi_degree_determinantal,
+    pi_degree_grassmannian, pi_degree_partition, pi_degree_schubert,
 )
 from .diagrams import (
     Partition,
@@ -36,23 +31,12 @@ from .diagrams import (
     partition_from_plucker,
     young_diagram,
 )
-from .errors import (
-    BadEll,
-    BadRange,
-    BadSpec,
-    HypothesisViolated,
-    InternalVerificationFailed,
-    PidegError,
+from .errors import BadEll, BadRange, BadSpec, InternalVerificationFailed, PidegError
+from .intlinalg import SkewIntMatrix, checked_cycle_sum, matrix_from_diagram
+from .pipedreams import partition_toric_permutation
+from .reps import (
+    find_relation_violation, irreducibility_check, least_prime_1_mod, qas_representation,
 )
-from .intlinalg import (
-    SkewIntMatrix,
-    checked_cycle_sum,
-    extend,
-    is_prime,
-    matrix_from_diagram,
-)
-from .pipedreams import partition_toric_permutation, toric_permutation
-from .reps import find_relation_violation, irreducibility_check, qas_representation
 from .sweep import DIAGRAM_PROPERTIES, MATRIX_PROPERTIES, parse_corpus, run_sweep
 
 DIGIT_BUDGET_VAR = "PIDEG_DIGIT_BUDGET"
@@ -110,6 +94,7 @@ def degree_dict(pi: PiDegree, budget: int) -> dict:
         "digits": digits,
         "value": decimal_string(value, digits) if digits <= budget else None,
         "factors": None if pi.factors is None else [str(f) for f in pi.factors],
+        "route": pi.route,
     }
 
 
@@ -169,10 +154,7 @@ def analysis_dict(
         "invariant_factors": [str(x) for x in snf.invariant_factors],
         "kernel_dim": snf.kernel_dim,
         "one_perp": facts.one_perp,
-        "pi_degrees": [
-            degree_dict(pi_degree_from_factors(snf.invariant_factors, ell), budget)
-            for ell in ells
-        ],
+        "pi_degrees": [degree_dict(facts.pi_degree(ell), budget) for ell in ells],
         "extended": None,
     }
     if extended:
@@ -181,10 +163,7 @@ def analysis_dict(
             "invariant_factors": [str(x) for x in ext.invariant_factors],
             "kernel_dim": ext.kernel_dim,
             "kernel_jump": ext.kernel_dim - snf.kernel_dim,
-            "pi_degrees": [
-                degree_dict(pi_degree_from_factors(ext.invariant_factors, ell), budget)
-                for ell in ells
-            ],
+            "pi_degrees": [degree_dict(facts.extended_pi_degree(ell), budget) for ell in ells],
         }
     if with_cycles or with_kernel:
         entries = []
@@ -245,13 +224,6 @@ def emit(report: dict, lines: list[str], as_json: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _emit_closed_form(report: dict, lines: list[str], args: argparse.Namespace) -> int:
-    if args.verify:
-        lines.append("cross check against the generic route: passed")
-    emit(report, lines, args.json)
-    return 0
-
-
 def cmd_diagram(args: argparse.Namespace) -> int:
     budget = digit_budget()
     ells = tuple(args.ell or ())
@@ -288,23 +260,40 @@ def _parse_shape(parts_text: str, box: str | None) -> Partition:
     return Partition(parts, box_m=m, box_n=n)
 
 
-def cmd_partition(args: argparse.Namespace) -> int:
-    budget = digit_budget()
-    ells = require_algebra_ells(args.ell)
+def closed_form_command(header):
+    """A closed-form subcommand from header(args), which returns the report
+    fields and lines of its input and its degree function of ell and
+    cross_check; the per-ell degree entries and lines are shared."""
+
+    def command(args: argparse.Namespace) -> int:
+        budget = digit_budget()
+        ells = require_algebra_ells(args.ell)
+        fields, lines, degree = header(args)
+        report = {**fields, "pi_degrees": [], "cross_checked": bool(args.verify)}
+        for ell in ells:
+            pi = degree(ell, cross_check=args.verify)
+            entry = degree_dict(pi, budget)
+            report["pi_degrees"].append(entry)
+            note = f" [generic route; {pi.reason}]" if pi.reason else ""
+            lines.append(degree_line(entry) + note)
+        if args.verify:
+            lines.append("cross check against the generic route: passed")
+        emit(report, lines, args.json)
+        return 0
+
+    return command
+
+
+@closed_form_command
+def cmd_partition(args: argparse.Namespace):
     shape = _parse_shape(args.parts, args.box)
-    tau = partition_toric_permutation(shape)
-    if args.verify and tau != toric_permutation(young_diagram(shape)):
-        raise InternalVerificationFailed(
-            "closed-form toric permutation differs from the traced one"
-        )
-    report = {
+    tau = partition_toric_permutation(shape, cross_check=args.verify)
+    fields = {
         "partition": list(shape.parts),
         "box": [shape.box_m, shape.box_n],
         "white_count": shape.size,
         "tau_cycles": [list(c) for c in tau.cycles.cycles],
         "odd_cycle_count": tau.cycles.odd_cycle_count,
-        "pi_degrees": [],
-        "cross_checked": bool(args.verify),
     }
     lines = [
         f"partition: {shape} in box {shape.box_m}x{shape.box_n}",
@@ -312,106 +301,51 @@ def cmd_partition(args: argparse.Namespace) -> int:
         f"toric permutation: {tau.cycles}",
         f"odd cycles: {tau.cycles.odd_cycle_count}",
     ]
-    for ell in ells:
-        pi = pi_degree_partition(shape, ell, cross_check=args.verify, tau=tau)
-        entry = degree_dict(pi, budget)
-        report["pi_degrees"].append(entry)
-        lines.append(degree_line(entry))
-    return _emit_closed_form(report, lines, args)
+    return fields, lines, partial(pi_degree_partition, shape, tau=tau)
 
 
-def cmd_detring(args: argparse.Namespace) -> int:
-    budget = digit_budget()
-    ells = require_algebra_ells(args.ell)
+@closed_form_command
+def cmd_detring(args: argparse.Namespace):
     n, t = args.n, args.t
-    cycles = determinantal_toric_cycles(n, t)
+    cycles = determinantal_toric_cycles(n, t, cross_check=args.verify)
     d = determinantal_diagram(n, t)
-    report = {
+    fields = {
         "n": n,
         "t": t,
         "white_count": d.white_count,
         "toric_cycles": [list(c) for c in cycles.cycles],
         "odd_cycle_count": cycles.odd_cycle_count,
-        "pi_degrees": [],
-        "cross_checked": bool(args.verify),
     }
     lines = [
         f"determinantal board: n = {n}, t = {t}, {d.white_count} white squares",
         f"toric cycles: {cycles}",
         f"odd cycles: {cycles.odd_cycle_count}",
     ]
-    if args.verify and cycles != toric_permutation(d).cycles:
-        raise InternalVerificationFailed("closed-form cycles differ from traced cycles")
-    for ell in ells:
-        entry = degree_dict(pi_degree_determinantal(n, t, ell, cross_check=args.verify), budget)
-        report["pi_degrees"].append(entry)
-        lines.append(degree_line(entry))
-    return _emit_closed_form(report, lines, args)
+    return fields, lines, partial(pi_degree_determinantal, n, t)
 
 
-def cmd_schubert(args: argparse.Namespace) -> int:
-    budget = digit_budget()
-    ells = require_algebra_ells(args.ell)
-    gamma = _parse_parts(args.gamma)
-    idx = PluckerIndex(gamma, args.n)
+@closed_form_command
+def cmd_schubert(args: argparse.Namespace):
+    idx = PluckerIndex(_parse_parts(args.gamma), args.n)
     shape = partition_from_plucker(idx)
-    report = {
+    fields = {
         "gamma": list(idx.gamma),
         "ambient": idx.n,
         "partition": list(shape.parts),
         "box": [shape.box_m, shape.box_n],
-        "pi_degrees": [],
-        "cross_checked": bool(args.verify),
     }
     lines = [
         f"Schubert cell gamma = {idx.gamma} in (m, n) = ({idx.m}, {idx.n})",
         f"Young shape: {shape} in box {shape.box_m}x{shape.box_n}",
     ]
-    for ell in ells:
-        entry, line = _closed_or_generic(
-            lambda: pi_degree_schubert(idx, ell, cross_check=args.verify),
-            shape,
-            ell,
-            budget,
-        )
-        report["pi_degrees"].append(entry)
-        lines.append(line)
-    return _emit_closed_form(report, lines, args)
+    return fields, lines, partial(pi_degree_schubert, idx)
 
 
-def _closed_or_generic(
-    closed_fn, shape: Partition, ell: int, budget: int
-) -> tuple[dict, str]:
-    """Run a closed form; when its theorem hypothesis is not met, fall back
-    to the generic route on the extended matrix of the Young shape, and
-    label the result accordingly."""
-    try:
-        pi, route, note = closed_fn(), "closed", ""
-    except HypothesisViolated as exc:
-        pi = pi_degree_qas(extend(matrix_from_diagram(young_diagram(shape))), ell)
-        route, note = "generic (hypothesis not met)", f" [generic route; {exc}]"
-    entry = degree_dict(pi, budget)
-    entry["route"] = route
-    return entry, degree_line(entry) + note
-
-
-def cmd_grassmannian(args: argparse.Namespace) -> int:
-    budget = digit_budget()
-    ells = require_algebra_ells(args.ell)
+@closed_form_command
+def cmd_grassmannian(args: argparse.Namespace):
     m, n = args.m, args.n
-    report = {"m": m, "n": n, "pi_degrees": [], "cross_checked": bool(args.verify)}
     lines = [f"Grassmannian of {m}-planes in {n}-space"]
-    shape = Partition(((n - m),) * m, box_m=m, box_n=n - m) if n > m else None
-    for ell in ells:
-        entry, line = _closed_or_generic(
-            lambda: pi_degree_grassmannian(m, n, ell, cross_check=args.verify),
-            shape,
-            ell,
-            budget,
-        )
-        report["pi_degrees"].append(entry)
-        lines.append(line)
-    return _emit_closed_form(report, lines, args)
+    return {"m": m, "n": n}, lines, partial(pi_degree_grassmannian, m, n)
 
 
 def _rep_matrix(args: argparse.Namespace) -> SkewIntMatrix:
@@ -478,11 +412,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
             else f"relations: FAILED at generator pair {witness}"
         )
     if args.irreducible is not None:
-        p = args.irreducible
-        if p == 0:
-            p = args.ell + 1
-            while not (p % args.ell == 1 and is_prime(p)):
-                p += 1
+        p = args.irreducible or least_prime_1_mod(args.ell)
         ok = irreducibility_check(rep, p)
         report["irreducible_mod_p"] = {"p": p, "irreducible": ok}
         lines.append(f"irreducible over F_{p}: {'yes' if ok else 'NO'}")
@@ -494,19 +424,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     kind, items = parse_corpus(args.corpus, args.seed)
-    registry = DIAGRAM_PROPERTIES if kind == "diagram" else MATRIX_PROPERTIES
-    if args.properties:
-        names = args.properties.split(",")
-        unknown = [x for x in names if x not in registry]
-        if unknown:
-            raise BadSpec(
-                f"unknown properties for a {kind} corpus: {', '.join(unknown)}; "
-                f"available: {', '.join(sorted(registry))}"
-            )
-    else:
-        names = (
-            ["powers-of-2", "kernel-cycles"] if kind == "diagram" else ["skew-reject"]
-        )
+    names = args.properties.split(",") if args.properties else None
     results = run_sweep(kind, items, names, Path(args.out))
     lines = [
         f"sweep corpus: {args.corpus}",
@@ -632,10 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PidegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PidegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

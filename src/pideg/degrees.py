@@ -7,12 +7,14 @@ form for a structured family (Young shapes, determinantal boards, extended
 algebras, Schubert cells, Grassmannians), each carrying a cross_check flag
 that recomputes the value generically and raises FormulaMismatch on any
 disagreement. Closed forms are never allowed to silently replace the
-generic computation.
+generic computation: every PiDegree names the route that produced it.
+Where the hypothesis of the Schubert and Grassmannian closed forms fails,
+the generic route answers, and the degree says so.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd
 
@@ -29,7 +31,6 @@ from .errors import (
     BadRange,
     EvenEll,
     FormulaMismatch,
-    HypothesisViolated,
     InternalVerificationFailed,
 )
 from .intlinalg import (
@@ -79,19 +80,26 @@ class PiDegree:
     `factors` lists the per-block contributions ell // gcd(h_i, ell) when
     the value came from an explicit invariant factor list; closed forms
     that never see the factors leave it None.
+
+    `route` names what produced the value: "closed" for a closed form,
+    "generic" for the invariant factors of the congruence normal form, and
+    GENERIC_FALLBACK when a closed form's hypothesis on ell failed and the
+    generic route answered instead; `reason` then says which hypothesis.
     """
 
     ell: int
     exponent: int
     divisor: int = 1
     factors: tuple[int, ...] | None = None
+    route: str = "closed"
+    reason: str = ""
 
     def __post_init__(self) -> None:
         if self.ell < 2:
             raise BadEll(f"ell must be at least 2, got {self.ell}")
         if self.exponent < 0 or self.divisor < 1:
             raise BadRange(f"bad exponent form ({self.exponent}, {self.divisor})")
-        if self.ell**self.exponent % self.divisor:
+        if pow(self.ell, self.exponent, self.divisor):
             raise BadRange(
                 f"divisor {self.divisor} does not divide ell^{self.exponent}"
             )
@@ -127,6 +135,7 @@ def pi_degree_from_factors(h: tuple[int, ...], ell: int) -> PiDegree:
         exponent=len(h),
         divisor=divisor,
         factors=tuple(ell // g for g in gcds),
+        route="generic",
     )
 
 
@@ -219,14 +228,17 @@ def pi_degree_determinantal(
     return closed
 
 
-def determinantal_toric_cycles(n: int, t: int) -> CycleDecomposition:
+def determinantal_toric_cycles(
+    n: int, t: int, cross_check: bool = False
+) -> CycleDecomposition:
     """Closed-form toric cycle structure of the determinantal board.
 
     Writing n = u*t + rem, label set {1..2n} (rows then columns) splits into
     exactly t cycles: cycle i climbs the rows i, i+t, ..., i+kt and then
     descends the columns i+kt+n, ..., i+t+n, i+n, where k = u for i <= rem
     and k = u - 1 otherwise. Every cycle has even length 2k + 2, so the
-    count of odd cycles is t.
+    count of odd cycles is t. cross_check traces the board's pipes as well
+    and raises InternalVerificationFailed on any difference.
     """
     if not (1 <= t <= n - 1):
         raise BadRange(f"need 1 <= t <= n-1, got n = {n}, t = {t}")
@@ -237,7 +249,10 @@ def determinantal_toric_cycles(n: int, t: int) -> CycleDecomposition:
         ascending = [i + j * t for j in range(k + 1)]
         descending = [i + j * t + n for j in range(k, -1, -1)]
         cycles.append(tuple(ascending + descending))
-    return CycleDecomposition(2 * n, tuple(cycles))
+    closed = CycleDecomposition(2 * n, tuple(cycles))
+    if cross_check and closed != toric_permutation(determinantal_diagram(n, t)).cycles:
+        raise InternalVerificationFailed("closed-form cycles differ from traced cycles")
+    return closed
 
 
 def pi_degree_extended_diagram(
@@ -252,14 +267,15 @@ def pi_degree_extended_diagram(
     eats one kernel direction, and the extra block contributes a full ell
     when the smallest prime of ell exceeds min(m, n), else
     ell / gcd(h_extra, ell) with h_extra the extra invariant factor of the
-    extended matrix.
+    extended matrix. The smallest prime exceeds min(m, n) exactly when no
+    integer in 2..min(m, n) divides ell, so ell is never factored.
     """
     _check_odd_ell(ell)
     facts = DiagramFacts(d)
     s = len(facts.snf.invariant_factors)
     if facts.one_perp:
         closed = PiDegree(ell=ell, exponent=s)
-    elif smallest_prime_factor(ell) > min(d.m, d.n):
+    elif all(ell % f for f in range(2, min(d.m, d.n) + 1)):
         closed = PiDegree(ell=ell, exponent=s + 1)
     else:
         h_ext = facts.extended_snf.invariant_factors
@@ -269,7 +285,7 @@ def pi_degree_extended_diagram(
             )
         closed = PiDegree(ell=ell, exponent=s + 1, divisor=gcd(h_ext[s], ell))
     if cross_check:
-        generic = pi_degree_from_factors(facts.extended_snf.invariant_factors, ell)
+        generic = facts.extended_pi_degree(ell)
         if generic.value != closed.value:
             raise FormulaMismatch(
                 f"extended diagram, ell = {ell}: closed {closed.value}, "
@@ -278,27 +294,29 @@ def pi_degree_extended_diagram(
     return closed
 
 
-def _check_box_hypothesis(ell: int, box_m: int, box_n: int) -> None:
-    """Common hypothesis of the Schubert and Grassmannian closed forms.
+GENERIC_FALLBACK = "generic (hypothesis not met)"
+
+
+def _box_hypothesis_failure(ell: int, box_m: int, box_n: int) -> str:
+    """Why ell fails the common hypothesis of the Schubert and Grassmannian
+    closed forms, or "" when it holds.
 
     ell must be odd (>= 3) and its smallest prime factor must exceed
-    min(box_m, box_n, 2). Violations raise HypothesisViolated so callers
-    can fall back to the generic route; they are inputs the closed form
-    does not cover, not errors in the input itself.
+    min(box_m, box_n, 2). That bound is at most 2, which every odd ell
+    clears, so only the parity is tested. An ell that fails is an input the
+    closed form does not cover, not an error: the generic route answers.
     """
     if ell < 3:
         raise BadEll(f"ell must be at least 3 here, got {ell}")
-    bound = min(box_m, box_n, 2)
-    if ell % 2 == 0 or smallest_prime_factor(ell) <= bound:
-        raise HypothesisViolated(
-            f"need odd ell with smallest prime factor above {bound}, got {ell}"
-        )
+    if ell % 2:
+        return ""
+    return f"need odd ell with smallest prime factor above {min(box_m, box_n, 2)}, got {ell}"
 
 
 def pi_degree_schubert(
     idx: PluckerIndex, ell: int, cross_check: bool = False
 ) -> PiDegree:
-    """PI degree of the extended Schubert cell algebra at an odd ell.
+    """PI degree of the extended Schubert cell algebra, at any ell >= 3.
 
     The cell is indexed by an increasing m-subset of {1..n}; its Young
     shape lambda lives in the m x (n-m) box. Under the hypothesis (odd
@@ -307,13 +325,18 @@ def pi_degree_schubert(
     zero coordinate sum and ell**((N - r)/2 + 1) otherwise. The kernel is
     read from the r even cycles of the shape's toric permutation: their
     kernel vectors are independent, and r is the kernel dimension.
+    Outside the hypothesis the generic route on the extended matrix
+    extend(M(young_diagram(lambda))) answers, with route GENERIC_FALLBACK
+    and the failed hypothesis as reason.
     """
     shape = partition_from_plucker(idx)
-    _check_box_hypothesis(ell, shape.box_m, shape.box_n)
-    tau = partition_toric_permutation(shape)
-    s = _half_rank(shape, tau)
+    failure = _box_hypothesis_failure(ell, shape.box_m, shape.box_n)
     d = young_diagram(shape)
     M = matrix_from_diagram(d)
+    if failure:
+        return replace(pi_degree_qas(extend(M), ell), route=GENERIC_FALLBACK, reason=failure)
+    tau = partition_toric_permutation(shape)
+    s = _half_rank(shape, tau)
     one_perp = all(sum(v.vector) == 0 for v in cycle_kernel_vectors(d, tau, M))
     closed = PiDegree(ell=ell, exponent=s if one_perp else s + 1)
     if cross_check:
@@ -343,19 +366,24 @@ def rectangle_kernel_dim(a: int, b: int) -> int:
 def pi_degree_grassmannian(
     m: int, n: int, ell: int, cross_check: bool = False
 ) -> PiDegree:
-    """PI degree of the quantum Grassmannian of m-planes in n-space, odd ell.
+    """PI degree of the quantum Grassmannian of m-planes in n-space, ell >= 3.
 
-    This is the Schubert cell of the full m x (n-m) rectangle. The kernel
-    of the rectangle matrix has dimension gcd(m, n) when mu2(m) = mu2(n-m)
-    (equivalently n / gcd(m, n) is even) and is zero otherwise; in the
-    nonzero case some kernel vector has nonzero sum, so
+    This is the Schubert cell of the full m x (n-m) rectangle,
+    PluckerIndex((1, ..., m), n). The kernel of the rectangle matrix has
+    dimension gcd(m, n) when mu2(m) = mu2(n-m) (equivalently n / gcd(m, n)
+    is even) and is zero otherwise; in the nonzero case some kernel vector
+    has nonzero sum, so under the Schubert hypothesis
 
         value = ell**(m(n-m)/2)                        kernel zero,
         value = ell**((m(n-m) - gcd(m, n))/2 + 1)      kernel nonzero.
+
+    Outside it the cell's pi_degree_schubert answers by the generic route.
     """
     if not (1 <= m < n):
         raise BadRange(f"need 1 <= m < n, got m = {m}, n = {n}")
-    _check_box_hypothesis(ell, m, n - m)
+    cell = PluckerIndex(tuple(range(1, m + 1)), n)
+    if _box_hypothesis_failure(ell, m, n - m):
+        return pi_degree_schubert(cell, ell)
     r = rectangle_kernel_dim(m, n - m)
     n_boxes = m * (n - m)
     if (n_boxes - r) % 2:
@@ -365,9 +393,7 @@ def pi_degree_grassmannian(
     exponent = (n_boxes - r) // 2 + (1 if r else 0)
     closed = PiDegree(ell=ell, exponent=exponent)
     if cross_check:
-        reference = pi_degree_schubert(
-            PluckerIndex(tuple(range(1, m + 1)), n), ell, cross_check=True
-        )
+        reference = pi_degree_schubert(cell, ell, cross_check=True)
         if reference.value != closed.value:
             raise FormulaMismatch(
                 f"Grassmannian ({m}, {n}), ell = {ell}: closed {closed.value}, "
@@ -389,7 +415,9 @@ class DiagramFacts:
     read from `snf` by extended_normal_form: that reduces S bordered by the
     row sums of E, which is S plus one dense border, instead of reducing
     extend(M(D)) afresh. Both reductions certify themselves, and the chain
-    of the two certificates proves the composed transforms. `cycle_vectors`
+    of the two certificates proves the composed transforms. pi_degree and
+    extended_pi_degree are the generic route's PI degrees of the two
+    matrices, read from their invariant factors. `cycle_vectors`
     are the kernel vectors of the even cycles of tau, which
     cycle_kernel_vectors proves independent. `one_perp` says whether every
     kernel vector sums to zero; it first checks that the cycle vectors are
@@ -412,6 +440,12 @@ class DiagramFacts:
     @cached_property
     def extended_snf(self) -> SkewNormalForm:
         return extended_normal_form(self.snf)
+
+    def pi_degree(self, ell: int) -> PiDegree:
+        return pi_degree_from_factors(self.snf.invariant_factors, ell)
+
+    def extended_pi_degree(self, ell: int) -> PiDegree:
+        return pi_degree_from_factors(self.extended_snf.invariant_factors, ell)
 
     @cached_property
     def tau(self) -> Permutation:

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diagrams import Diagram, Partition, plucker_from_partition
-from .errors import BadRange
+from .diagrams import Diagram, Partition, plucker_from_partition, young_diagram
+from .errors import BadRange, InternalVerificationFailed
 
 
 @dataclass(frozen=True)
@@ -234,14 +234,21 @@ def partition_permutation(shape: Partition) -> Permutation:
     return Permutation(gamma + tuple(rest))
 
 
-def partition_toric_permutation(shape: Partition) -> Permutation:
+def partition_toric_permutation(shape: Partition, cross_check: bool = False) -> Permutation:
     """The toric permutation of a Young shape, via the labelling bridge.
 
     Computed as reverse_word o partition_permutation o partial_reverse,
     which agrees with toric_permutation(young_diagram(shape)); the closed
-    form avoids tracing pipes.
+    form avoids tracing pipes. cross_check traces them as well and raises
+    InternalVerificationFailed on any difference.
     """
     m, n = shape.box_m, shape.box_n
     if m == 0 or n == 0:
-        return Permutation.identity(m + n)
-    return reverse_word(m, n) * partition_permutation(shape) * partial_reverse(m, n)
+        tau = Permutation.identity(m + n)
+    else:
+        tau = reverse_word(m, n) * partition_permutation(shape) * partial_reverse(m, n)
+    if cross_check and tau != toric_permutation(young_diagram(shape)):
+        raise InternalVerificationFailed(
+            "closed-form toric permutation differs from the traced one"
+        )
+    return tau

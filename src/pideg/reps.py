@@ -255,6 +255,17 @@ def find_relation_violation(
     return None
 
 
+def least_prime_1_mod(ell: int) -> int:
+    """The least prime p with ell | p - 1, the smallest field F_p holding a q
+    of order ell: the field `pideg rep --irreducible` uses by default."""
+    if ell < 2:
+        raise BadEll(f"ell must be at least 2, got {ell}")
+    p = ell + 1
+    while not is_prime(p):
+        p += ell
+    return p
+
+
 def irreducibility_check(rep: QASRepresentation, p: int) -> bool:
     """Certify irreducibility over F_p: the images commute only with scalars.
 

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .degrees import DiagramFacts, pi_degree_from_factors, smallest_prime_factor
+from .degrees import DiagramFacts, smallest_prime_factor
 from .diagrams import Diagram
 from .errors import BadSpec, InternalVerificationFailed, PidegError, SkewSymmetryViolated
 from .intlinalg import SkewIntMatrix, checked_cycle_sum, rank_mod_p
@@ -189,7 +189,7 @@ def _prop_pi_closed(facts: DiagramFacts) -> list[str]:
     snf = facts.snf
     failures = []
     for ell in (3, 5):
-        generic = pi_degree_from_factors(snf.invariant_factors, ell).value
+        generic = facts.pi_degree(ell).value
         closed = ell ** ((facts.matrix.n - snf.kernel_dim) // 2)
         if generic != closed:
             failures.append(f"ell={ell}: generic {generic} != closed {closed}")
@@ -215,6 +215,10 @@ DIAGRAM_PROPERTIES = {
 MATRIX_PROPERTIES = {
     "skew-reject": _prop_skew_reject,
 }
+DEFAULT_PROPERTIES = {
+    "diagram": ["powers-of-2", "kernel-cycles"],
+    "matrix": ["skew-reject"],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +236,25 @@ class PropertyResult:
     dumps: list[tuple[int, list[str]]] = field(default_factory=list)
 
 
-def run_sweep(kind: str, items: list, names: list[str], out_dir: Path) -> list[PropertyResult]:
+def run_sweep(
+    kind: str, items: list, names: list[str] | None, out_dir: Path
+) -> list[PropertyResult]:
     """Check each named property on every item; one result per name, in order.
 
+    names None asks for the corpus kind's DEFAULT_PROPERTIES; a name not in
+    the kind's registry is a BadSpec, raised before any item is checked.
     Diagram properties share one DiagramFacts per board. Counterexamples
     are written to out_dir as described in the module docstring.
     """
     registry = DIAGRAM_PROPERTIES if kind == "diagram" else MATRIX_PROPERTIES
+    if names is None:
+        names = DEFAULT_PROPERTIES[kind]
+    unknown = [x for x in names if x not in registry]
+    if unknown:
+        raise BadSpec(
+            f"unknown properties for a {kind} corpus: {', '.join(unknown)}; "
+            f"available: {', '.join(sorted(registry))}"
+        )
     checks = [(registry[name], PropertyResult(name)) for name in names]
     for index, item in enumerate(items):
         record = DiagramFacts(item) if kind == "diagram" else item

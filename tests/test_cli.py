@@ -148,6 +148,40 @@ class TestClosedFormCommands:
         report = json.loads(out)
         assert report["pi_degrees"][0]["route"] == "generic (hypothesis not met)"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("grassmannian", "3", "6"), ("schubert", "1,3,4,7", "8")],
+        ids=["grassmannian", "schubert"],
+    )
+    def test_large_prime_ell_is_closed_and_fast(self, capsys, argv):
+        # Only the parity of ell decides the hypothesis, so a prime ell of
+        # 19 digits is never factored.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv, "--ell", str(10**18 + 3), "--json")
+        assert code == 0
+        assert json.loads(out)["pi_degrees"][0]["route"] == "closed"
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "argv, routes",
+        [
+            (("diagram", "BOARD", "--extended", "--ell", "4"), {"generic"}),
+            (("partition", "5,3,2", "--ell", "5"), {"closed"}),
+            (("detring", "4", "2", "--ell", "4"), {"closed"}),
+            (("schubert", "1,3,4,7", "8", "--ell", "4"), {"closed", "generic (hypothesis not met)"}),
+            (("grassmannian", "2", "4", "--ell", "4"), {"closed", "generic (hypothesis not met)"}),
+        ],
+        ids=["diagram", "partition", "detring", "schubert", "grassmannian"],
+    )
+    def test_every_json_degree_names_its_route(self, capsys, fig_file, argv, routes):
+        argv = [fig_file if a == "BOARD" else a for a in argv]
+        code, out, _ = run(capsys, *argv, "--ell", "3", "--json")
+        assert code == 0
+        report = json.loads(out)
+        entries = report["pi_degrees"] + (report.get("extended") or {}).get("pi_degrees", [])
+        assert len(entries) == (4 if "--extended" in argv else 2)
+        assert {entry["route"] for entry in entries} == routes
+
 
 class TestRepCommand:
     def test_verify_and_certify(self, capsys):

@@ -9,7 +9,6 @@ from pideg import (
     BadRange,
     DiagramFacts,
     EvenEll,
-    HypothesisViolated,
     Partition,
     PiDegree,
     PluckerIndex,
@@ -210,7 +209,7 @@ class TestExtendedClosedForm:
         # Exhaust 3x3 boards at several odd levels; cross_check compares
         # the case analysis with the generic route on the bordered matrix.
         for d in exhaustive_diagrams(3, 3):
-            for ell in (3, 5, 9, 15):
+            for ell in (3, 5, 9, 15, 10**18 + 3):
                 pi_degree_extended_diagram(d, ell, cross_check=True)
 
 
@@ -220,8 +219,21 @@ class TestSchubertClosedForm:
         assert pi.value == 15625
 
     def test_even_ell_hypothesis(self):
-        with pytest.raises(HypothesisViolated):
-            pi_degree_schubert(PluckerIndex((1, 3), 4), 6)
+        # Outside the hypothesis the generic route on the extended matrix of
+        # the cell's Young shape answers, and the degree names that route.
+        idx = PluckerIndex((1, 3), 4)
+        shape = partition_from_plucker(idx)
+        generic = pi_degree_qas(extend(matrix_from_diagram(young_diagram(shape))), 6)
+        pi = pi_degree_schubert(idx, 6, cross_check=True)
+        assert (pi.route, pi.reason) == (
+            "generic (hypothesis not met)",
+            "need odd ell with smallest prime factor above 2, got 6",
+        )
+        assert (pi.exponent, pi.divisor, pi.factors) == (
+            generic.exponent, generic.divisor, generic.factors
+        )
+        assert generic.route == "generic"
+        assert pi_degree_schubert(idx, 5).route == "closed"
 
     def test_ell_two_rejected(self):
         with pytest.raises(BadEll):
@@ -282,8 +294,17 @@ class TestGrassmannianClosedForm:
             pi_degree_grassmannian(3, 3, 5)
 
     def test_even_ell_hypothesis(self):
-        with pytest.raises(HypothesisViolated):
-            pi_degree_grassmannian(2, 4, 6)
+        # The Grassmannian falls back like its Schubert cell, the full
+        # rectangle, whose box bounds the hypothesis.
+        for m, n, ell in ((2, 4, 6), (1, 3, 4), (3, 6, 4)):
+            shape = Partition((n - m,) * m, box_m=m, box_n=n - m)
+            generic = pi_degree_qas(extend(matrix_from_diagram(young_diagram(shape))), ell)
+            pi = pi_degree_grassmannian(m, n, ell)
+            assert (pi.route, pi.reason) == (
+                "generic (hypothesis not met)",
+                f"need odd ell with smallest prime factor above {min(m, n - m, 2)}, got {ell}",
+            )
+            assert pi.value == generic.value and pi.factors == generic.factors
 
     def test_cross_checked_small(self):
         for m in range(1, 5):

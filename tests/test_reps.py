@@ -33,7 +33,7 @@ from pideg import (
 )
 from bench.workloads import REP_DETRING
 from pideg import reps
-from pideg.reps import MAX_REP_DIM, QASRepresentation
+from pideg.reps import MAX_REP_DIM, QASRepresentation, least_prime_1_mod
 from tests.oracles import (
     dense_mod_p,
     image_relation_violation,
@@ -285,6 +285,13 @@ def first_usable_prime(ell: int) -> int:
     while not (p % ell == 1 and is_prime(p)):
         p += 1
     return p
+
+
+def test_least_prime_1_mod_matches_the_every_integer_scan():
+    # Stepping by ell from ell + 1 visits exactly the p = 1 (mod ell).
+    assert [least_prime_1_mod(ell) for ell in range(3, 61)] == [
+        first_usable_prime(ell) for ell in range(3, 61)
+    ]
 
 
 def drop_last_generator(rep: QASRepresentation) -> QASRepresentation:
