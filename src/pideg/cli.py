@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -84,15 +85,24 @@ def decimal_string(value: int, digits: int | None = None) -> str:
     return decimal_string(high, digits - low_digits) + decimal_string(low).zfill(low_digits)
 
 
+def degree_digits(pi: PiDegree) -> int:
+    """Decimal digits of pi.value, floor(exponent log10 ell - log10 divisor) + 1;
+    counted exactly only where that logarithm is within rounding of an integer."""
+    whole = pi.exponent * math.log10(pi.ell)
+    x = whole - math.log10(pi.divisor)
+    if abs(x - round(x)) < 1e-6 + 1e-12 * whole:
+        return decimal_digits(pi.value)
+    return math.floor(x) + 1
+
+
 def degree_dict(pi: PiDegree, budget: int) -> dict:
-    value = pi.value
-    digits = decimal_digits(value)
+    digits = degree_digits(pi)
     return {
         "ell": pi.ell,
         "exponent": pi.exponent,
         "divisor": decimal_string(pi.divisor),
         "digits": digits,
-        "value": decimal_string(value, digits) if digits <= budget else None,
+        "value": decimal_string(pi.value, digits) if digits <= budget else None,
         "factors": None if pi.factors is None else [str(f) for f in pi.factors],
         "route": pi.route,
     }

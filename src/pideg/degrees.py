@@ -148,11 +148,21 @@ def pi_degree_qas(M: SkewIntMatrix, ell: int) -> PiDegree:
     return pi_degree_from_factors(skew_normal_form(M).invariant_factors, ell)
 
 
-def _check_odd_ell(ell: int) -> None:
+def _check_ell_at_least_3(ell: int) -> None:
     if ell < 3:
         raise BadEll(f"ell must be at least 3 here, got {ell}")
+
+
+def _check_odd_ell(ell: int) -> None:
+    _check_ell_at_least_3(ell)
     if ell % 2 == 0:
         raise EvenEll(f"this closed form needs odd ell, got {ell}")
+
+
+def _cross_check(closed: PiDegree, other: PiDegree, context: str, route: str = "generic") -> None:
+    """Raise FormulaMismatch when a closed value differs from another route's."""
+    if other.value != closed.value:
+        raise FormulaMismatch(f"{context}: closed {closed.value}, {route} {other.value}")
 
 
 def _half_rank(shape: Partition, tau: Permutation) -> int:
@@ -185,11 +195,7 @@ def pi_degree_partition(
     closed = PiDegree(ell=ell, exponent=_half_rank(shape, tau))
     if cross_check:
         generic = pi_degree_qas(matrix_from_diagram(young_diagram(shape)), ell)
-        if generic.value != closed.value:
-            raise FormulaMismatch(
-                f"shape {shape}, ell = {ell}: closed {closed.value}, "
-                f"generic {generic.value}"
-            )
+        _cross_check(closed, generic, f"shape {shape}, ell = {ell}")
     return closed
 
 
@@ -210,8 +216,7 @@ def pi_degree_determinantal(
     the determinantal diagram's matrix.
     """
     s_t = determinantal_invariant_exponent(n, t)
-    if ell < 3:
-        raise BadEll(f"ell must be at least 3 here, got {ell}")
+    _check_ell_at_least_3(ell)
     if ell % 2:
         closed = PiDegree(ell=ell, exponent=s_t)
     else:
@@ -220,11 +225,7 @@ def pi_degree_determinantal(
         generic = pi_degree_qas(
             matrix_from_diagram(determinantal_diagram(n, t)), ell
         )
-        if generic.value != closed.value:
-            raise FormulaMismatch(
-                f"determinantal (n, t) = ({n}, {t}), ell = {ell}: "
-                f"closed {closed.value}, generic {generic.value}"
-            )
+        _cross_check(closed, generic, f"determinantal (n, t) = ({n}, {t}), ell = {ell}")
     return closed
 
 
@@ -285,12 +286,7 @@ def pi_degree_extended_diagram(
             )
         closed = PiDegree(ell=ell, exponent=s + 1, divisor=gcd(h_ext[s], ell))
     if cross_check:
-        generic = facts.extended_pi_degree(ell)
-        if generic.value != closed.value:
-            raise FormulaMismatch(
-                f"extended diagram, ell = {ell}: closed {closed.value}, "
-                f"generic {generic.value}"
-            )
+        _cross_check(closed, facts.extended_pi_degree(ell), f"extended diagram, ell = {ell}")
     return closed
 
 
@@ -306,8 +302,7 @@ def _box_hypothesis_failure(ell: int, box_m: int, box_n: int) -> str:
     clears, so only the parity is tested. An ell that fails is an input the
     closed form does not cover, not an error: the generic route answers.
     """
-    if ell < 3:
-        raise BadEll(f"ell must be at least 3 here, got {ell}")
+    _check_ell_at_least_3(ell)
     if ell % 2:
         return ""
     return f"need odd ell with smallest prime factor above {min(box_m, box_n, 2)}, got {ell}"
@@ -341,11 +336,7 @@ def pi_degree_schubert(
     closed = PiDegree(ell=ell, exponent=s if one_perp else s + 1)
     if cross_check:
         generic = pi_degree_qas(extend(M), ell)
-        if generic.value != closed.value:
-            raise FormulaMismatch(
-                f"Schubert gamma = {idx.gamma}, ell = {ell}: "
-                f"closed {closed.value}, generic {generic.value}"
-            )
+        _cross_check(closed, generic, f"Schubert gamma = {idx.gamma}, ell = {ell}")
     return closed
 
 
@@ -394,11 +385,7 @@ def pi_degree_grassmannian(
     closed = PiDegree(ell=ell, exponent=exponent)
     if cross_check:
         reference = pi_degree_schubert(cell, ell, cross_check=True)
-        if reference.value != closed.value:
-            raise FormulaMismatch(
-                f"Grassmannian ({m}, {n}), ell = {ell}: closed {closed.value}, "
-                f"Schubert route {reference.value}"
-            )
+        _cross_check(closed, reference, f"Grassmannian ({m}, {n}), ell = {ell}", "Schubert route")
     return closed
 
 

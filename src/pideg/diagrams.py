@@ -121,32 +121,22 @@ def diagram_from_text(text: str) -> Diagram:
     return Diagram(tuple(rows))
 
 
-def all_white(m: int, n: int) -> Diagram:
-    _check_dims(m, n)
-    return Diagram(tuple(tuple(True for _ in range(n)) for _ in range(m)))
-
-
-def _check_dims(m: int, n: int) -> None:
-    if m < 0 or n < 0:
-        raise BadRange(f"diagram dimensions must be nonnegative, got {m}x{n}")
-    if (m == 0) != (n == 0):
-        raise BadRange("only the 0x0 diagram may have a zero dimension")
-
-
 def is_cauchon_le(d: Diagram) -> bool:
     """Whether every black cell has its full column above or full row left black.
 
     This is the combinatorial condition singling out the diagrams that index
     torus-invariant prime quotients; none of the machinery here requires it,
-    but callers may want to know.
+    but callers may want to know. One scan in row-major order, reading each
+    cell once: a flag per column says whether every cell above so far is
+    black, and one for the current row whether every cell to the left is.
     """
-    for r in range(1, d.m + 1):
-        for c in range(1, d.n + 1):
-            if d.is_white(r, c):
-                continue
-            col_above_black = all(not d.is_white(i, c) for i in range(1, r))
-            row_left_black = all(not d.is_white(r, j) for j in range(1, c))
-            if not (col_above_black or row_left_black):
+    column_black = [True] * d.n
+    for cells in d.cells:
+        row_black = True
+        for c, white in enumerate(cells):
+            if white:
+                row_black = column_black[c] = False
+            elif not (row_black or column_black[c]):
                 return False
     return True
 

@@ -121,20 +121,19 @@ def matrix_from_diagram(d: Diagram) -> SkewIntMatrix:
     White squares are numbered row-major; +1 at (i, j) when square j is
     strictly below square i in the same column or strictly to the right of
     it in the same row. Squares in distinct rows and columns commute (0).
+    Each unordered pair is visited once, with i < j: in row-major order a
+    later square sharing the row lies to the right and one sharing the
+    column lies below, so the entry is +1 at (i, j) and -1 at (j, i).
     """
     squares = d.white_squares
-    rows = []
-    for ri, ci in squares:
-        row = []
-        for rj, cj in squares:
-            if (ci == cj and rj > ri) or (ri == rj and cj > ci):
-                row.append(1)
-            elif (ci == cj and rj < ri) or (ri == rj and cj < ci):
-                row.append(-1)
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-    return SkewIntMatrix._unchecked(tuple(rows))
+    rows = [[0] * len(squares) for _ in squares]
+    for i, (ri, ci) in enumerate(squares):
+        for j in range(i + 1, len(squares)):
+            rj, cj = squares[j]
+            if ri == rj or ci == cj:
+                rows[i][j] = 1
+                rows[j][i] = -1
+    return SkewIntMatrix._unchecked(tuple(map(tuple, rows)))
 
 
 def extend(M: SkewIntMatrix) -> SkewIntMatrix:

@@ -18,14 +18,25 @@ Two ways of labelling the four sides give two permutations:
   along the bottom from right to left; exits 1..n along the top from right
   to left then n+1..n+m down the left side. This gives the permutation w,
   which for Young shapes is the restricted permutation of the Schubert
-  cell; partition_permutation computes it in closed form, and tau =
-  reverse_word o w o partial_reverse reconciles the two labellings.
+  cell; partition_permutation computes it in closed form, and the two
+  labellings are reconciled by tau(j) = m+n+1 - w(P(j)), where P reverses
+  1..m and m+1..m+n separately.
+
+Every toric exit is read off one row-by-row sweep of the cells. Write W(r, c)
+and N(r, c) for the exit labels of the strands leaving cell (r, c) going
+west and going north. W(r, 1) = m+1-r and N(1, c) = m+c are border labels;
+otherwise the strand leaving (r, c) west has just crossed (r, c-1), so
+W(r, c) is N(r, c-1) when that cell is white (it turned there) and W(r, c-1)
+when it is black, and N(r, c) is read the same way from (r-1, c). Column
+n+1 of W and row m+1 of N are the exits of the strands entering on the
+right and at the bottom, which is tau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
 
 from .diagrams import Diagram, Partition, plucker_from_partition, young_diagram
 from .errors import BadRange, InternalVerificationFailed
@@ -35,8 +46,7 @@ from .errors import BadRange, InternalVerificationFailed
 class Permutation:
     """A permutation of {1, ..., k} stored in one-line notation.
 
-    image[i-1] is the value at i. Composition is right-to-left:
-    (p * q)(i) = p(q(i)).
+    image[i-1] is the value at i.
     """
 
     image: tuple[int, ...]
@@ -51,19 +61,6 @@ class Permutation:
     def identity(cls, k: int) -> "Permutation":
         return cls(tuple(range(1, k + 1)))
 
-    @classmethod
-    def from_cycles(cls, k: int, cycles: tuple[tuple[int, ...], ...]) -> "Permutation":
-        image = list(range(1, k + 1))
-        seen: set[int] = set()
-        for cycle in cycles:
-            for a in cycle:
-                if not (1 <= a <= k) or a in seen:
-                    raise BadRange(f"bad cycle entry {a} in {cycles}")
-                seen.add(a)
-            for i, a in enumerate(cycle):
-                image[a - 1] = cycle[(i + 1) % len(cycle)]
-        return cls(tuple(image))
-
     @property
     def k(self) -> int:
         return len(self.image)
@@ -72,11 +69,6 @@ class Permutation:
         if not (1 <= i <= self.k):
             raise BadRange(f"argument {i} outside 1..{self.k}")
         return self.image[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.k != other.k:
-            raise BadRange(f"cannot compose permutations of sizes {self.k} and {other.k}")
-        return Permutation(tuple(self.image[j - 1] for j in other.image))
 
     @cached_property
     def cycles(self) -> "CycleDecomposition":
@@ -133,32 +125,29 @@ def cycle_decomposition(p: Permutation) -> CycleDecomposition:
     return CycleDecomposition(p.k, tuple(cycles))
 
 
-_NORTH = "N"
-_WEST = "W"
+def _exit_table(d: Diagram) -> tuple[list[list[int]], list[list[int]]]:
+    """The exit labels W and N of the module docstring, in one sweep.
 
-
-def _trace(d: Diagram, row: int, col: int, heading: str) -> tuple[str, int]:
-    """Follow a strand from just before cell (row, col) until it leaves the board.
-
-    The strand is about to pass through (row, col) moving in `heading`.
-    Returns ('top', col) or ('left', row) for the exit position.
+    west[r-1][c-1] is W(r, c) for 1 <= c <= n+1 and north[r-1][c-1] is
+    N(r, c) for 1 <= r <= m+1, both 1-indexed as cells are.
     """
-    while True:
-        if d.cells[row - 1][col - 1]:
-            heading = _NORTH if heading == _WEST else _WEST
-        if heading == _NORTH:
-            row -= 1
-            if row == 0:
-                return ("top", col)
-        else:
-            col -= 1
-            if col == 0:
-                return ("left", row)
-
-
-def _toric_exit(m: int, side: str, pos: int) -> int:
-    """Toric label of an exit: m+1-r on the left of row r, m+c atop column c."""
-    return m + pos if side == "top" else m + 1 - pos
+    m, n = d.shape
+    north = [list(range(m + 1, m + n + 1))]
+    west = []
+    for r, cells in enumerate(d.cells, start=1):
+        exit_ = m + 1 - r
+        row = [exit_]
+        below = north[-1][:]
+        for c, white in enumerate(cells):
+            # exit_ is W(r, c+1) and below[c] is N(r, c+1). A white cell
+            # turns the strand from the east north and the one from the
+            # south west, so the two exits trade places.
+            if white:
+                exit_, below[c] = below[c], exit_
+            row.append(exit_)
+        west.append(row)
+        north.append(below)
+    return west, north
 
 
 def toric_permutation(d: Diagram) -> Permutation:
@@ -167,55 +156,28 @@ def toric_permutation(d: Diagram) -> Permutation:
     Entry label i is the right side of row m+1-i for i <= m, else the bottom
     of column i-m; exit label is m+1-r on the left of row r and m+c on the
     top of column c. Both sides of the board carry the SAME labels, so tau
-    genuinely permutes {1, ..., m+n}.
+    genuinely permutes {1, ..., m+n}. tau(i) is W(m+1-i, n+1) for i <= m and
+    N(m+1, i-m) otherwise, read off the exit table.
     """
-    m, n = d.shape
-    image = []
-    for i in range(1, m + n + 1):
-        if i <= m:
-            side, pos = _trace(d, m + 1 - i, n, _WEST)
-        else:
-            side, pos = _trace(d, m, i - m, _NORTH)
-        image.append(_toric_exit(m, side, pos))
-    return Permutation(tuple(image))
+    west, north = _exit_table(d)
+    return Permutation(tuple(row[-1] for row in reversed(west)) + tuple(north[-1]))
 
 
 def white_exit_labels(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Toric exit labels of the two strands leaving each white square.
 
-    For white square number i (row-major order), left[i-1] is the exit label
-    of the strand leaving its west edge and up[i-1] the exit label of the
-    strand leaving its north edge. These drive the combinatorial kernel
-    construction: the strand entering the square from the east turns north,
-    the one entering from the south turns west, so the square ties together
-    the pipes that exit at labels up[i-1] and left[i-1].
+    For white square number i (row-major order) at (r, c), left[i-1] is the
+    exit label W(r, c) of the strand leaving its west edge and up[i-1] the
+    exit label N(r, c) of the strand leaving its north edge, both read off
+    the exit table. These drive the combinatorial kernel construction: the
+    strand entering the square from the east turns north, the one entering
+    from the south turns west, so the square ties together the pipes that
+    exit at labels up[i-1] and left[i-1].
     """
-    m, n = d.shape
-    left = []
-    up = []
-    for r, c in d.white_squares:
-        if c == 1:
-            side, pos = "left", r
-        else:
-            side, pos = _trace(d, r, c - 1, _WEST)
-        left.append(_toric_exit(m, side, pos))
-        if r == 1:
-            side, pos = "top", c
-        else:
-            side, pos = _trace(d, r - 1, c, _NORTH)
-        up.append(_toric_exit(m, side, pos))
+    west, north = _exit_table(d)
+    left = chain.from_iterable(map(compress, west, d.cells))
+    up = chain.from_iterable(map(compress, north, d.cells))
     return tuple(left), tuple(up)
-
-
-def reverse_word(m: int, n: int) -> Permutation:
-    """The order-reversing involution i -> m+n+1-i."""
-    k = m + n
-    return Permutation(tuple(range(k, 0, -1)))
-
-
-def partial_reverse(m: int, n: int) -> Permutation:
-    """The involution reversing 1..m and m+1..m+n separately."""
-    return Permutation(tuple(range(m, 0, -1)) + tuple(range(m + n, m, -1)))
 
 
 def partition_permutation(shape: Partition) -> Permutation:
@@ -237,16 +199,15 @@ def partition_permutation(shape: Partition) -> Permutation:
 def partition_toric_permutation(shape: Partition, cross_check: bool = False) -> Permutation:
     """The toric permutation of a Young shape, via the labelling bridge.
 
-    Computed as reverse_word o partition_permutation o partial_reverse,
-    which agrees with toric_permutation(young_diagram(shape)); the closed
-    form avoids tracing pipes. cross_check traces them as well and raises
+    Computed as tau(j) = m+n+1 - w(P(j)) with w = partition_permutation(shape)
+    and P the reversal of 1..m and of m+1..m+n, which agrees with
+    toric_permutation(young_diagram(shape)); the closed form avoids tracing
+    pipes. cross_check traces them as well and raises
     InternalVerificationFailed on any difference.
     """
     m, n = shape.box_m, shape.box_n
-    if m == 0 or n == 0:
-        tau = Permutation.identity(m + n)
-    else:
-        tau = reverse_word(m, n) * partition_permutation(shape) * partial_reverse(m, n)
+    w = partition_permutation(shape).image
+    tau = Permutation(tuple(m + n + 1 - x for x in w[:m][::-1] + w[m:][::-1]))
     if cross_check and tau != toric_permutation(young_diagram(shape)):
         raise InternalVerificationFailed(
             "closed-form toric permutation differs from the traced one"

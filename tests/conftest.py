@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import strategies as st
 
 from pideg import (
     Diagram,
@@ -109,6 +110,22 @@ def eg_diagram() -> Diagram:
     from pideg import diagram_from_text
 
     return diagram_from_text(EG_TEXT)
+
+
+# Boards of 1 to 10 rows and columns, past the exhaustive sizes below.
+wide_boards = st.integers(1, 10).flatmap(
+    lambda m: st.integers(1, 10).flatmap(
+        lambda n: st.lists(
+            st.lists(st.booleans(), min_size=n, max_size=n), min_size=m, max_size=m
+        )
+    )
+).map(lambda rows: Diagram(tuple(tuple(r) for r in rows)))
+
+
+@pytest.fixture(scope="session")
+def exhaustive_boards() -> dict[tuple[int, int], list[Diagram]]:
+    """Every 3x3, 3x4 and 4x4 board, keyed by shape."""
+    return {shape: exhaustive_diagrams(*shape) for shape in ((3, 3), (3, 4), (4, 4))}
 
 
 @dataclass(frozen=True)

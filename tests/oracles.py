@@ -25,6 +25,14 @@ by multiplying full images (production checks one leg per block and an
 integer pairing), the generator images are built from full-dimension
 lifted copies of every clock and shift (production tensors one leg per
 block), and the restricted permutation is traced by its own strand walker.
+The toric permutation and the exit labels of the white squares are traced
+strand by strand (production reads them all off one sweep of the cells),
+the Cauchon-Le test rescans the column above and the row to the left of
+each black cell (production keeps running flags), and the commutation
+matrix is filled over every ordered pair of white squares by four cases
+(production visits each unordered pair once). The constant boards, the
+cycle constructor of permutations, their composition and the two reversal
+involutions of the labelling bridge are test helpers only.
 Agreement between these and the package is a genuine cross-check, not the
 same algorithm twice.
 """
@@ -605,3 +613,131 @@ def restricted_permutation(d):
                 c -= 1
         image.append(n + 1 - c if r == 0 else n + r)
     return Permutation(tuple(image))
+
+
+def all_white(m: int, n: int):
+    """The m x n board with every square white."""
+    from pideg import Diagram
+
+    _check_dims(m, n)
+    return Diagram(tuple((True,) * n for _ in range(m)))
+
+
+def _check_dims(m: int, n: int) -> None:
+    from pideg import BadRange
+
+    if m < 0 or n < 0:
+        raise BadRange(f"diagram dimensions must be nonnegative, got {m}x{n}")
+    if (m == 0) != (n == 0):
+        raise BadRange("only the 0x0 diagram may have a zero dimension")
+
+
+def permutation_from_cycles(k: int, cycles):
+    """The pideg Permutation of {1, ..., k} with the given disjoint cycles."""
+    from pideg import BadRange, Permutation
+
+    image = list(range(1, k + 1))
+    seen: set[int] = set()
+    for cycle in cycles:
+        for a in cycle:
+            if not (1 <= a <= k) or a in seen:
+                raise BadRange(f"bad cycle entry {a} in {cycles}")
+            seen.add(a)
+        for i, a in enumerate(cycle):
+            image[a - 1] = cycle[(i + 1) % len(cycle)]
+    return Permutation(tuple(image))
+
+
+def compose(p, q):
+    """The composite p q of two pideg Permutations, right to left: i -> p(q(i))."""
+    from pideg import Permutation
+
+    assert p.k == q.k, (p.k, q.k)
+    return Permutation(tuple(p(j) for j in q.image))
+
+
+def reverse_word(m: int, n: int):
+    """The order-reversing involution i -> m+n+1-i."""
+    from pideg import Permutation
+
+    return Permutation(tuple(range(m + n, 0, -1)))
+
+
+def partial_reverse(m: int, n: int):
+    """The involution reversing 1..m and m+1..m+n separately."""
+    from pideg import Permutation
+
+    return Permutation(tuple(range(m, 0, -1)) + tuple(range(m + n, m, -1)))
+
+
+def _trace(d, row: int, col: int, north: bool) -> int:
+    """Follow one strand from just before cell (row, col) to its toric exit label.
+
+    The strand is about to pass through (row, col), heading north or west;
+    it turns at every white cell.
+    """
+    m = d.m
+    while True:
+        if d.cells[row - 1][col - 1]:
+            north = not north
+        if north:
+            row -= 1
+            if row == 0:
+                return m + col
+        else:
+            col -= 1
+            if col == 0:
+                return m + 1 - row
+
+
+def traced_toric_permutation(d):
+    """toric_permutation by walking each of the m + n strands on its own."""
+    from pideg import Permutation
+
+    m, n = d.shape
+    return Permutation(tuple(
+        _trace(d, m + 1 - i, n, False) if i <= m else _trace(d, m, i - m, True)
+        for i in range(1, m + n + 1)
+    ))
+
+
+def traced_white_exit_labels(d):
+    """white_exit_labels by walking two strands from every white square."""
+    m = d.m
+    left = tuple(
+        m + 1 - r if c == 1 else _trace(d, r, c - 1, False) for r, c in d.white_squares
+    )
+    up = tuple(m + c if r == 1 else _trace(d, r - 1, c, True) for r, c in d.white_squares)
+    return left, up
+
+
+def rescanning_is_cauchon_le(d) -> bool:
+    """is_cauchon_le by rescanning the column above and the row to the left
+    of every black cell."""
+    for r in range(1, d.m + 1):
+        for c in range(1, d.n + 1):
+            if d.is_white(r, c):
+                continue
+            col_above_black = all(not d.is_white(i, c) for i in range(1, r))
+            row_left_black = all(not d.is_white(r, j) for j in range(1, c))
+            if not (col_above_black or row_left_black):
+                return False
+    return True
+
+
+def four_way_matrix_rows(d) -> tuple[tuple[int, ...], ...]:
+    """The rows of matrix_from_diagram(d), every ordered pair of white squares
+    placed by the four cases: below or right (+1), above or left (-1)."""
+    squares = d.white_squares
+    rows = []
+    for ri, ci in squares:
+        row = []
+        for rj, cj in squares:
+            if (ci == cj and rj > ri) or (ri == rj and cj > ci):
+                row.append(1)
+            elif (ci == cj and rj < ri) or (ri == rj and cj < ci):
+                row.append(-1)
+            else:
+                row.append(0)
+        rows.append(tuple(row))
+    return tuple(rows)

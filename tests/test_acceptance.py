@@ -13,7 +13,6 @@ from pideg import (
     Partition,
     PiDegree,
     PluckerIndex,
-    all_white,
     cycle_kernel_vectors,
     determinantal_diagram,
     determinantal_toric_cycles,
@@ -48,6 +47,7 @@ from tests.conftest import (
     criterion_10_matrices,
 )
 from tests.oracles import (
+    all_white,
     is_power_of_two,
     kernel_basis_mod_p,
     kernel_basis_rational,

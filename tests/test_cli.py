@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from pideg.cli import main
+from pideg.cli import degree_digits, main
+from pideg.degrees import PiDegree
 from pideg.intlinalg import skew_normal_form
 from pideg.pipedreams import partition_toric_permutation, toric_permutation
 from pideg.sweep import DIAGRAM_PROPERTIES
@@ -335,6 +336,36 @@ class TestDigitBudget:
         assert code == 0
         with unlimited_str_digits():
             assert json.loads(out)["pi_degrees"][0]["value"] == str(power[0] ** power[1])
+
+    # Powers just below (999), at (10, 2^a 5^a) and just above (1001) powers
+    # of ten put log10 of the value near an integer, where the estimate
+    # from the exponent form must hand over to the exact count.
+    NEAR_POWERS_OF_TEN = [
+        10, 100, 1000, 999, 1001, 2, 5, 20, 40, 50, 80, 250, 2**5 * 5**3, 2**7 * 5**7,
+    ]
+
+    @pytest.mark.parametrize("ell", NEAR_POWERS_OF_TEN)
+    def test_digits_from_the_exponent_form(self, ell):
+        with unlimited_str_digits():
+            for exponent in range(0, 80):
+                for divisor in {1, ell, 2**exponent, ell**exponent}:
+                    if pow(ell, exponent, divisor):
+                        continue
+                    pi = PiDegree(ell=ell, exponent=exponent, divisor=divisor)
+                    assert degree_digits(pi) == len(str(pi.value)), (ell, exponent, divisor)
+
+    def test_huge_grassmannian_counts_digits_without_the_value(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "grassmannian", "6000", "12000", "--ell", "3")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out == (
+            "Grassmannian of 6000-planes in 12000-space\n"
+            "PI degree at ell=3: 3^17997001 (8586752 digits, value suppressed)\n"
+        )
+        code, out, _ = run(capsys, "grassmannian", "6000", "12000", "--ell", "3", "--json")
+        entry = json.loads(out)["pi_degrees"][0]
+        assert code == 0 and entry["digits"] == 8586752 and entry["value"] is None
 
 
 @contextlib.contextmanager

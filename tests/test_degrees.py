@@ -12,7 +12,6 @@ from pideg import (
     Partition,
     PiDegree,
     PluckerIndex,
-    all_white,
     determinantal_diagram,
     determinantal_invariant_exponent,
     determinantal_toric_cycles,
@@ -44,7 +43,9 @@ from tests.conftest import (
     FIG_TEXT,
     FIG_YOUNG_PI_AT_5,
 )
-from tests.oracles import brute_pi_degree, one_perp, rational_nullity, smith_pi_degree
+from tests.oracles import (
+    all_white, brute_pi_degree, one_perp, rational_nullity, smith_pi_degree,
+)
 
 
 class TestSmallHelpers:

@@ -1,5 +1,7 @@
 """Boards, partitions, and index-set bookkeeping."""
 
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,6 @@ from pideg import (
     RaggedRows,
     ShapeOverflow,
     UnknownCharacter,
-    all_white,
     determinantal_diagram,
     diagram_from_text,
     is_cauchon_le,
@@ -22,8 +23,15 @@ from pideg import (
     plucker_from_partition,
     young_diagram,
 )
-from tests.conftest import FIG_TEXT, FIG_YOUNG_BLACK, FIG_YOUNG_PARTS, FIG_YOUNG_TEXT
-from tests.oracles import all_black
+from pideg.sweep import exhaustive_diagrams
+from tests.conftest import (
+    FIG_TEXT,
+    FIG_YOUNG_BLACK,
+    FIG_YOUNG_PARTS,
+    FIG_YOUNG_TEXT,
+    wide_boards,
+)
+from tests.oracles import all_black, all_white, rescanning_is_cauchon_le
 
 boards = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -110,6 +118,45 @@ class TestCauchonLe:
 
     def test_full_row_left_black_suffices(self):
         assert is_cauchon_le(diagram_from_text("..\n##\n"))
+
+    def test_row_flag_restarts_on_each_row(self):
+        # Row 1 ends on a white cell, and the black cell opening row 2 has
+        # white above it but nothing to its left, so it qualifies.
+        assert is_cauchon_le(diagram_from_text("..\n#.\n"))
+
+    def test_one_scan_matches_the_rescan_on_every_small_board(self, exhaustive_boards):
+        for boards in exhaustive_boards.values():
+            for d in boards:
+                assert is_cauchon_le(d) == rescanning_is_cauchon_le(d)
+
+    @settings(deadline=None, max_examples=200)
+    @given(wide_boards)
+    def test_one_scan_matches_the_rescan(self, d):
+        assert is_cauchon_le(d) == rescanning_is_cauchon_le(d)
+
+    # Cauchon-Le m x n boards are counted by the poly-Bernoulli numbers
+    # (Launois, J. Algebra 309, 2007).
+    COUNTS = {
+        (1, 1): 2, (2, 2): 14, (2, 3): 46, (3, 3): 230, (3, 4): 1066, (4, 4): 6902, (2, 6): 1394,
+    }
+
+    @staticmethod
+    def poly_bernoulli(m: int, n: int) -> int:
+        """B(m, n) = sum over k of (k!)^2 S(m+1, k+1) S(n+1, k+1)."""
+        size = max(m, n) + 2
+        S = [[0] * size for _ in range(size)]
+        S[0][0] = 1
+        for a in range(1, size):
+            for b in range(1, a + 1):
+                S[a][b] = b * S[a - 1][b] + S[a - 1][b - 1]
+        return sum(
+            factorial(k) ** 2 * S[m + 1][k + 1] * S[n + 1][k + 1] for k in range(min(m, n) + 1)
+        )
+
+    def test_counts_are_poly_bernoulli(self, exhaustive_boards):
+        for (m, n), expected in self.COUNTS.items():
+            boards = exhaustive_boards.get((m, n)) or exhaustive_diagrams(m, n)
+            assert sum(map(is_cauchon_le, boards)) == expected == self.poly_bernoulli(m, n)
 
 
 class TestPartition:

@@ -16,7 +16,6 @@ from pideg import (
     InternalVerificationFailed,
     SkewIntMatrix,
     SkewSymmetryViolated,
-    all_white,
     checked_cycle_sum,
     cycle_kernel_vectors,
     diagram_from_text,
@@ -36,12 +35,15 @@ from tests.conftest import (
     FIG_MATRIX,
     FIG_TEXT,
     criterion_10_matrices,
+    wide_boards,
 )
 from tests.oracles import (
+    all_white,
     congruence_certificate_holds,
     dense_pair_add,
     dense_transforms,
     determinant,
+    four_way_matrix_rows,
     kernel_basis_mod_p,
     kernel_basis_rational,
     one_perp,
@@ -138,6 +140,16 @@ class TestMatrixFromDiagram:
 
     def test_empty_board(self):
         assert matrix_from_diagram(diagram_from_text("#")).n == 0
+
+    def test_one_triangle_matches_the_four_cases_on_every_small_board(self, exhaustive_boards):
+        for boards in exhaustive_boards.values():
+            for d in boards:
+                assert matrix_from_diagram(d).rows == four_way_matrix_rows(d)
+
+    @settings(deadline=None, max_examples=200)
+    @given(wide_boards)
+    def test_one_triangle_matches_the_four_cases(self, d):
+        assert matrix_from_diagram(d).rows == four_way_matrix_rows(d)
 
 
 class TestExtend:

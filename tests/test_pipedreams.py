@@ -9,7 +9,6 @@ from pideg import (
     CycleDecomposition,
     Diagram,
     Partition,
-    all_white,
     cycle_decomposition,
     diagram_from_text,
     partition_permutation,
@@ -18,14 +17,26 @@ from pideg import (
     white_exit_labels,
     young_diagram,
 )
-from pideg.pipedreams import Permutation, partial_reverse, reverse_word
-from tests.oracles import all_black, inverse_permutation, restricted_permutation
+from pideg.pipedreams import Permutation
+from tests.oracles import (
+    all_black,
+    all_white,
+    compose,
+    inverse_permutation,
+    partial_reverse,
+    permutation_from_cycles,
+    restricted_permutation,
+    reverse_word,
+    traced_toric_permutation,
+    traced_white_exit_labels,
+)
 from tests.conftest import (
     FIG_LEFT_LABELS,
     FIG_TAU_CYCLES,
     FIG_UP_LABELS,
     FIG_W_CYCLES,
     FIG_YOUNG_TAU_CYCLES,
+    wide_boards,
 )
 
 boards = st.integers(1, 4).flatmap(
@@ -54,26 +65,26 @@ class TestPermutation:
             Permutation((1, 1, 3))
 
     def test_from_cycles_and_call(self):
-        p = Permutation.from_cycles(5, ((1, 3), (2, 4, 5)))
+        p = permutation_from_cycles(5, ((1, 3), (2, 4, 5)))
         assert p(1) == 3 and p(3) == 1
         assert p(2) == 4 and p(4) == 5 and p(5) == 2
 
     def test_composition_is_right_to_left(self):
-        p = Permutation.from_cycles(3, ((1, 2),))
-        q = Permutation.from_cycles(3, ((2, 3),))
-        assert (p * q)(3) == 1  # q first, then p
+        p = permutation_from_cycles(3, ((1, 2),))
+        q = permutation_from_cycles(3, ((2, 3),))
+        assert compose(p, q)(3) == 1  # q first, then p
 
     def test_inverse(self):
         p = Permutation((3, 1, 2))
         assert inverse_permutation(p) == Permutation((2, 3, 1))
-        assert p * inverse_permutation(p) == Permutation.identity(3)
-        assert inverse_permutation(p) * p == Permutation.identity(3)
+        assert compose(p, inverse_permutation(p)) == Permutation.identity(3)
+        assert compose(inverse_permutation(p), p) == Permutation.identity(3)
 
     @settings(deadline=None, max_examples=40)
     @given(st.permutations(list(range(1, 8))))
     def test_cycles_recompose(self, image):
         p = Permutation(tuple(image))
-        assert Permutation.from_cycles(p.k, p.cycles.cycles) == p
+        assert permutation_from_cycles(p.k, p.cycles.cycles) == p
 
 
 class TestCycleDecomposition:
@@ -82,20 +93,20 @@ class TestCycleDecomposition:
         assert dec.cycles == ((1,), (2, 3))
 
     def test_canonical_rotation_and_order(self):
-        p = Permutation.from_cycles(8, ((7, 1), (6, 3, 8, 4, 2)))
+        p = permutation_from_cycles(8, ((7, 1), (6, 3, 8, 4, 2)))
         assert p.cycles.cycles == ((1, 7), (2, 6, 3, 8, 4), (5,))
 
     def test_odd_cycle_count_counts_even_length_cycles(self):
         # A cycle is an odd permutation exactly when its length is even;
         # fixed points never contribute.
         assert cycle_decomposition(Permutation.identity(4)).odd_cycle_count == 0
-        two_swaps = Permutation.from_cycles(4, ((1, 2), (3, 4)))
+        two_swaps = permutation_from_cycles(4, ((1, 2), (3, 4)))
         assert cycle_decomposition(two_swaps).odd_cycle_count == 2
-        three_cycle = Permutation.from_cycles(5, ((1, 2, 3),))
+        three_cycle = permutation_from_cycles(5, ((1, 2, 3),))
         assert cycle_decomposition(three_cycle).odd_cycle_count == 0
 
     def test_str(self):
-        p = Permutation.from_cycles(8, ((1, 7), (2, 6, 3, 8, 4)))
+        p = permutation_from_cycles(8, ((1, 7), (2, 6, 3, 8, 4)))
         assert str(p.cycles) == "(1 7)(2 6 3 8 4)"
         assert str(cycle_decomposition(Permutation.identity(3))) == "()"
 
@@ -144,7 +155,7 @@ class TestRestrictedPermutation:
         m, n = d.shape
         w0 = reverse_word(m, n)
         w0p = partial_reverse(m, n)
-        assert toric_permutation(d) == w0 * restricted_permutation(d) * w0p
+        assert toric_permutation(d) == compose(w0, compose(restricted_permutation(d), w0p))
 
 
 class TestWhiteExitLabels:
@@ -158,6 +169,27 @@ class TestWhiteExitLabels:
     def test_alignment_with_white_squares(self, d):
         left, up = white_exit_labels(d)
         assert len(left) == len(up) == d.white_count
+
+
+class TestExitTable:
+    """toric_permutation and white_exit_labels read one sweep of the cells;
+    the oracle walks every strand on its own."""
+
+    def test_matches_the_strand_walker_on_every_small_board(self, exhaustive_boards):
+        for boards in exhaustive_boards.values():
+            for d in boards:
+                assert toric_permutation(d) == traced_toric_permutation(d)
+                assert white_exit_labels(d) == traced_white_exit_labels(d)
+
+    @settings(deadline=None, max_examples=200)
+    @given(wide_boards)
+    def test_matches_the_strand_walker(self, d):
+        assert toric_permutation(d) == traced_toric_permutation(d)
+        assert white_exit_labels(d) == traced_white_exit_labels(d)
+
+    def test_empty_board(self):
+        assert toric_permutation(Diagram(())) == Permutation(())
+        assert white_exit_labels(Diagram(())) == ((), ())
 
 
 class TestPartitionPermutations:
@@ -176,6 +208,17 @@ class TestPartitionPermutations:
         # actual pipe dream trace of the shape's board.
         direct = toric_permutation(young_diagram(shape))
         assert partition_toric_permutation(shape) == direct
+
+    @settings(deadline=None, max_examples=60)
+    @given(partitions, st.integers(0, 3), st.integers(0, 3))
+    def test_formula_is_the_labelling_bridge(self, shape, extra_m, extra_n):
+        # tau(j) = m+n+1 - w(P(j)) is the composite w0 * w * w0' written out.
+        m, n = shape.box_m + extra_m, shape.box_n + extra_n
+        shape = Partition(shape.parts, box_m=m, box_n=n)
+        bridge = compose(
+            reverse_word(m, n), compose(partition_permutation(shape), partial_reverse(m, n))
+        )
+        assert partition_toric_permutation(shape) == bridge
 
     @settings(deadline=None, max_examples=40)
     @given(partitions)
