@@ -85,33 +85,41 @@ def decimal_string(value: int, digits: int | None = None) -> str:
     return decimal_string(high, digits - low_digits) + decimal_string(low).zfill(low_digits)
 
 
+def _digits(log10_value: float, value, scale: float = 0.0) -> int:
+    """Digits of value(), floor(log10_value) + 1, counted exactly where rounding could err."""
+    if abs(log10_value - round(log10_value)) < 1e-6 + 1e-12 * max(scale, log10_value):
+        return decimal_digits(value())
+    return math.floor(log10_value) + 1
+
+
 def degree_digits(pi: PiDegree) -> int:
-    """Decimal digits of pi.value, floor(exponent log10 ell - log10 divisor) + 1;
-    counted exactly only where that logarithm is within rounding of an integer."""
+    """Decimal digits of pi.value, from exponent log10 ell - log10 divisor."""
     whole = pi.exponent * math.log10(pi.ell)
-    x = whole - math.log10(pi.divisor)
-    if abs(x - round(x)) < 1e-6 + 1e-12 * whole:
-        return decimal_digits(pi.value)
-    return math.floor(x) + 1
+    return _digits(whole - math.log10(pi.divisor), lambda: pi.value, whole)
 
 
 def degree_dict(pi: PiDegree, budget: int) -> dict:
+    """A degree's report entry; a value or divisor past the digit budget is None."""
     digits = degree_digits(pi)
+    divisor_digits = _digits(math.log10(pi.divisor), lambda: pi.divisor)
     return {
         "ell": pi.ell,
         "exponent": pi.exponent,
-        "divisor": decimal_string(pi.divisor),
+        "divisor": decimal_string(pi.divisor, divisor_digits) if divisor_digits <= budget else None,
         "digits": digits,
         "value": decimal_string(pi.value, digits) if digits <= budget else None,
         "factors": None if pi.factors is None else [str(f) for f in pi.factors],
         "route": pi.route,
+        **({"divisor_digits": divisor_digits} if divisor_digits > budget else {}),
     }
 
 
 def degree_line(entry: dict) -> str:
     """The table line of a degree_dict entry, e.g. 'PI degree at ell=5: 5^4 = 625'."""
     line = f"PI degree at ell={entry['ell']}: {entry['ell']}^{entry['exponent']}"
-    if entry["divisor"] != "1":
+    if entry["divisor"] is None:
+        line += f"/({entry['divisor_digits']}-digit divisor)"
+    elif entry["divisor"] != "1":
         line += f"/{entry['divisor']}"
     if entry["value"] is None:
         return line + f" ({entry['digits']} digits, value suppressed)"
@@ -318,16 +326,16 @@ def cmd_partition(args: argparse.Namespace):
 def cmd_detring(args: argparse.Namespace):
     n, t = args.n, args.t
     cycles = determinantal_toric_cycles(n, t, cross_check=args.verify)
-    d = determinantal_diagram(n, t)
+    white_count = n * n - (n - t) ** 2  # all but the top-left (n - t) x (n - t) block
     fields = {
         "n": n,
         "t": t,
-        "white_count": d.white_count,
+        "white_count": white_count,
         "toric_cycles": [list(c) for c in cycles.cycles],
         "odd_cycle_count": cycles.odd_cycle_count,
     }
     lines = [
-        f"determinantal board: n = {n}, t = {t}, {d.white_count} white squares",
+        f"determinantal board: n = {n}, t = {t}, {white_count} white squares",
         f"toric cycles: {cycles}",
         f"odd cycles: {cycles.odd_cycle_count}",
     ]

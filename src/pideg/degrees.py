@@ -6,10 +6,11 @@ h_i of M of ell / gcd(h_i, ell). Everything else in this module is a closed
 form for a structured family (Young shapes, determinantal boards, extended
 algebras, Schubert cells, Grassmannians), each carrying a cross_check flag
 that recomputes the value generically and raises FormulaMismatch on any
-disagreement. Closed forms are never allowed to silently replace the
-generic computation: every PiDegree names the route that produced it.
-Where the hypothesis of the Schubert and Grassmannian closed forms fails,
-the generic route answers, and the degree says so.
+disagreement, reading the generic degree over Z from the board itself
+(only a bare matrix goes through pi_degree_qas). Closed forms are never
+allowed to silently replace the generic computation: every PiDegree names
+the route that produced it. Where the hypothesis of the Schubert and
+Grassmannian closed forms fails, the generic route answers, and it says so.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .intlinalg import (
     CycleKernelVector,
     SkewIntMatrix,
     SkewNormalForm,
+    _residue_factors,
     cycle_kernel_vectors,
     extend,
     extended_normal_form,
@@ -142,10 +144,18 @@ def pi_degree_from_factors(h: tuple[int, ...], ell: int) -> PiDegree:
 def pi_degree_qas(M: SkewIntMatrix, ell: int) -> PiDegree:
     """PI degree of the quantum affine space with commutation matrix M.
 
-    This is the generic route: congruence normal form, then the factor
-    product. Works for every ell >= 2 including even ell.
+    The generic route, for every ell >= 2 including even ell: the product of
+    ell / gcd(h_i, ell) over M's invariant factors h_1 | ... | h_s. M's form over
+    Z/N, N = ell * RANK_PRIME, certified mod N, gives s and each gcd(h_i, ell)
+    = gcd(a_i, ell) when it has n // 2 blocks a_i (intlinalg._residue_factors);
+    otherwise skew_normal_form, over Z, answers.
     """
-    return pi_degree_from_factors(skew_normal_form(M).invariant_factors, ell)
+    if ell < 2:
+        raise BadEll(f"ell must be at least 2, got {ell}")
+    factors = _residue_factors(M, ell)
+    if factors is None:
+        factors = skew_normal_form(M).invariant_factors
+    return pi_degree_from_factors(factors, ell)
 
 
 def _check_ell_at_least_3(ell: int) -> None:
@@ -194,7 +204,7 @@ def pi_degree_partition(
         tau = partition_toric_permutation(shape)
     closed = PiDegree(ell=ell, exponent=_half_rank(shape, tau))
     if cross_check:
-        generic = pi_degree_qas(matrix_from_diagram(young_diagram(shape)), ell)
+        generic = DiagramFacts(young_diagram(shape)).pi_degree(ell)
         _cross_check(closed, generic, f"shape {shape}, ell = {ell}")
     return closed
 
@@ -222,9 +232,7 @@ def pi_degree_determinantal(
     else:
         closed = PiDegree(ell=ell, exponent=s_t, divisor=2 ** (s_t - n + 1))
     if cross_check:
-        generic = pi_degree_qas(
-            matrix_from_diagram(determinantal_diagram(n, t)), ell
-        )
+        generic = DiagramFacts(determinantal_diagram(n, t)).pi_degree(ell)
         _cross_check(closed, generic, f"determinantal (n, t) = ({n}, {t}), ell = {ell}")
     return closed
 
@@ -322,20 +330,22 @@ def pi_degree_schubert(
     kernel vectors are independent, and r is the kernel dimension.
     Outside the hypothesis the generic route on the extended matrix
     extend(M(young_diagram(lambda))) answers, with route GENERIC_FALLBACK
-    and the failed hypothesis as reason.
+    and the failed hypothesis as reason; it and the cross-check reduce extend(M)
+    once over Z, which costs less here than DiagramFacts.extended_pi_degree.
     """
     shape = partition_from_plucker(idx)
     failure = _box_hypothesis_failure(ell, shape.box_m, shape.box_n)
     d = young_diagram(shape)
     M = matrix_from_diagram(d)
+    if failure or cross_check:
+        generic = pi_degree_from_factors(skew_normal_form(extend(M)).invariant_factors, ell)
     if failure:
-        return replace(pi_degree_qas(extend(M), ell), route=GENERIC_FALLBACK, reason=failure)
+        return replace(generic, route=GENERIC_FALLBACK, reason=failure)
     tau = partition_toric_permutation(shape)
     s = _half_rank(shape, tau)
     one_perp = all(sum(v.vector) == 0 for v in cycle_kernel_vectors(d, tau, M))
     closed = PiDegree(ell=ell, exponent=s if one_perp else s + 1)
     if cross_check:
-        generic = pi_degree_qas(extend(M), ell)
         _cross_check(closed, generic, f"Schubert gamma = {idx.gamma}, ell = {ell}")
     return closed
 

@@ -24,6 +24,10 @@ The central objects:
   sparse rows are kept, and written out as dense matrices only when the
   transforms are read.
 
+- The reduction, replay and certificate also run mod N: entries stay below
+  N, and E F = I and M E^T = F S are checked mod N (modular normal forms,
+  Domich, Kannan and Trotter, 1987). _residue_factors reads PI degrees off it.
+
 - extended_normal_form reads the normal form of extend(M), M bordered by
   a column of ones, from that of M. Congruence by diag(E, 1) turns
   extend(M) into S bordered by v = E 1, which skew_normal_form reduces
@@ -45,9 +49,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
-from math import prod
+from functools import cached_property, partial
+from itertools import combinations, compress
+from math import gcd, prod
 from operator import mul
 
 from .diagrams import Diagram
@@ -147,6 +151,11 @@ def extend(M: SkewIntMatrix) -> SkewIntMatrix:
     rows = [row + (1,) for row in M.rows]
     rows.append((-1,) * n + (0,))
     return SkewIntMatrix._unchecked(tuple(rows))
+
+
+# q in the modulus N = ell q of _residue_factors: mod ell, an invariant factor
+# that ell divides would leave no block to show the rank; mod ell q, only ell q.
+RANK_PRIME = 2**31 - 1
 
 
 def is_prime(p: int) -> bool:
@@ -262,7 +271,22 @@ def _pair_add(A: list[list[int]], log: list[int], dst: int, src: int, q: int, li
     log += (dst, src, q)
 
 
-def _transforms(log: list[int], n: int) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+def _pair_add_mod(A: list[list[int]], log: list[int], dst: int, src: int, q: int, live: int,
+                  N: int) -> None:
+    """_pair_add mod N: row dst gets residues in [-N // 2, N - N // 2), column dst minus them."""
+    if q == 0:
+        return
+    row = A[dst]
+    half = N // 2
+    for k, y in _nonzeros(A[src], live):
+        if k != dst:
+            x = (row[k] + q * y + half) % N - half
+            row[k] = x
+            A[k][dst] = -x
+    log += (dst, src, q)
+
+
+def _transforms(log: list[int], n: int, N: int = 0) -> tuple[list[dict[int, int]], ...]:
     """The rows of E^T and of F = E^{-1} for the logged steps G_1, ..., G_m.
 
     Each row is sparse, a dict from column index to nonzero entry.
@@ -273,8 +297,9 @@ def _transforms(log: list[int], n: int) -> tuple[list[dict[int, int]], list[dict
     matching entries of its destination row, so it needs no cut at the
     live index: after the steps taken at live index p or later, X and Y
     are diag(I_p, X'), so their rows from p on are zero before column p.
-    Forward tracking would fill whole rows.
+    Forward tracking would fill whole rows. Mod N, entries lie in [0, N).
     """
+    add = partial(_add_multiple_mod, N=N) if N else _add_multiple
     Et = [{k: 1} for k in range(n)]
     F = [{k: 1} for k in range(n)]
     steps = reversed(log)
@@ -284,8 +309,8 @@ def _transforms(log: list[int], n: int) -> tuple[list[dict[int, int]], list[dict
             F[i], F[j] = F[j], F[i]
             continue
         # X G adds q * column i to column j; G^{-1} Y subtracts q * row j from row i.
-        _add_multiple(Et[j], Et[i], q)
-        _add_multiple(F[i], F[j], -q)
+        add(Et[j], Et[i], q)
+        add(F[i], F[j], -q)
     return Et, F
 
 
@@ -298,6 +323,17 @@ def _add_multiple(dst: dict[int, int], src: dict[int, int], q: int) -> None:
             dst[k] = y
         else:
             del dst[k]
+
+
+def _add_multiple_mod(dst: dict[int, int], src: dict[int, int], q: int, N: int) -> None:
+    """_add_multiple over Z/N, with entries in [0, N)."""
+    get = dst.get
+    for k, x in src.items():
+        y = (get(k, 0) + q * x) % N
+        if y:
+            dst[k] = y
+        else:
+            dst.pop(k, None)
 
 
 def _compose(terms, rows: list[dict[int, int]]) -> dict[int, int]:
@@ -333,17 +369,16 @@ def _combine(terms, rows: list[list[tuple[int, int]]], n: int) -> list[int]:
     return acc
 
 
-def _certify(
-    M: SkewIntMatrix, S: list[list[int]], Et: list[dict[int, int]], F: list[dict[int, int]]
-) -> tuple[int, ...]:
+def _certify(M: SkewIntMatrix, S: list[list[int]], Et: list[dict[int, int]],
+             F: list[dict[int, int]], N: int = 0) -> tuple[int, ...]:
     """Prove that S = E M E^T is the canonical form of M; return its factors.
 
     Et holds the rows of E^T and F those of E^{-1}, both sparse dicts as
     from _transforms. Checks the block shape of S row by row and its
     divisibility chain, then two exact products, each row summed from
     sparse rows into a dense accumulator: E F = I, and M E^T = F S, which
-    given the first is E M E^T = S. Raises InternalVerificationFailed on
-    the first failure.
+    given the first is E M E^T = S; with a modulus N, both mod N, and the chain on
+    gcd(a_i, N) (gcd(a, 0) = |a|). Raises InternalVerificationFailed on the first failure.
     """
     n = M.n
     s = 0
@@ -358,13 +393,14 @@ def _certify(
             j = next(j for j in range(n) if row[j] != expect[j])
             raise InternalVerificationFailed(f"block shape broken at ({i}, {j})")
     for i in range(s - 1):
-        if factors[i] <= 0 or factors[i + 1] % factors[i]:
+        if factors[i] <= 0 or gcd(factors[i + 1], N) % gcd(factors[i], N):
             raise InternalVerificationFailed(f"divisibility chain broken: {factors}")
     if s and factors[-1] <= 0:
         raise InternalVerificationFailed(f"non-positive invariant factor: {factors}")
 
     # The products read each sparse row many times, so they read it as a
     # list of pairs, which iterates faster than the items of a dict.
+    nonzero = (lambda row: any(x % N for x in row)) if N else any
     E: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for k, col in enumerate(Et):
         for i, x in col.items():
@@ -373,7 +409,7 @@ def _certify(
     for i, terms in enumerate(E):
         product = _combine(terms, F_pairs, n)
         product[i] -= 1
-        if any(product):
+        if nonzero(product):
             raise InternalVerificationFailed("E F is not the identity: the transform is not unimodular")
     Et_pairs = [list(col.items()) for col in Et]
     for Mr, Fr in zip(M.rows, F):
@@ -382,34 +418,24 @@ def _certify(
         for k, y in Fr.items():
             if k < 2 * s:
                 product[k ^ 1] -= y * S[k][k ^ 1]
-        if any(product):
+        if nonzero(product):
             raise InternalVerificationFailed("E M E^T does not equal the reduced matrix")
     return factors
 
 
-def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
-    """Reduce a skew matrix to its canonical block form by unimodular congruence.
-
-    Pivot selection is by minimal absolute value over the live block;
-    Euclidean shears shrink the pivot until its two rows are clean, then a
-    divisibility repair folds any non-multiple of the pivot back in. Every
-    remainder swapped in as the pivot must be smaller than it, and every
-    repair must leave one, so the reduction ends; a step that breaks this
-    raises InternalVerificationFailed instead of looping. The steps are
-    logged, and E and E^{-1} are both built from the log as sparse rows,
-    so the inverse costs no inversion (transform tracking as in Kannan and
-    Bachem, SIAM J. Comput. 8, 1979, replayed backwards).
-    The output is certified exactly over those sparse rows (block shape,
-    divisibility chain, E F = I and M E^T = F S, hence E M E^T = S with
-    |det E| = 1) and InternalVerificationFailed is raised otherwise.
-    """
+def _reduce(M: SkewIntMatrix, N: int = 0) -> tuple[list[list[int]], list[int]]:
+    """The reduced matrix and the log of skew_normal_form's reduction of M, over Z or mod N."""
     n = M.n
     A = M.to_lists()
+    if N:  # residues of least absolute value, skew
+        for i, j in combinations(range(n), 2):
+            A[i][j] = (A[i][j] + N // 2) % N - N // 2
+            A[j][i] = -A[i][j]
+    shear = partial(_pair_add_mod, N=N) if N else _pair_add
     log: list[int] = []
     p = 0
-    # The last finished block's factor divides every live entry: the scan
-    # proved it, and integer congruences keep it true. So a pivot of that
-    # absolute value (or 1, before any block) divides them all unscanned.
+    # g = gcd(a, N) of the last block divides every live entry: the scan proved it, and
+    # congruences keep it. So a pivot with that g (or 1, before any block) needs no scan.
     last = 1
     while True:
         # The first entry of least absolute value in row-major order. A is
@@ -440,11 +466,19 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
             a = A[p][p + 1]
             if a == 0:
                 raise InternalVerificationFailed("lost the pivot")
+            # b goes to b - c a: c = b // a leaves the remainder, but mod N, if g | b,
+            # c = (b / g) (a / g)^-1 mod N / g (a unit) has c a = b mod N and clears b.
+            g = gcd(a, N)
+            unit = pow(a // g, -1, N // g) if N else 0
             for k in range(p + 2, n):
-                if A[p][k]:
-                    _pair_add(A, log, k, p + 1, -(A[p][k] // a), p)
-                if A[p + 1][k]:
-                    _pair_add(A, log, k, p, -(A[p + 1][k] // -a), p)
+                b = A[p][k]
+                if b:
+                    c = b // a if not N or b % g else b // g * unit % (N // g)
+                    shear(A, log, k, p + 1, -c, p)
+                b = A[p + 1][k]
+                if b:
+                    c = b // -a if not N or b % g else -(b // g * unit % (N // g))
+                    shear(A, log, k, p, -c, p)
             rem = next(
                 ((r, k) for k in range(p + 2, n) for r in (p, p + 1) if A[r][k]),
                 None,
@@ -459,23 +493,61 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
             if repaired:
                 raise InternalVerificationFailed("a divisibility repair left no remainder")
             viol = None
-            if abs(a) != last:
+            if g != last:
                 for i2 in range(p + 2, n):
-                    if any(A[i2][j2] % a for j2 in range(i2 + 1, n)):
+                    if any(A[i2][j2] % g for j2 in range(i2 + 1, n)):
                         viol = i2
                         break
             if viol is None:
                 break
-            _pair_add(A, log, p, viol, 1, p)
+            shear(A, log, p, viol, 1, p)
             repaired = True
         if A[p][p + 1] < 0:
             _pair_swap(A, log, p, p + 1, p)
-        last = A[p][p + 1]
+        last = g
         p += 2
+    return A, log
 
+
+def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
+    """Reduce a skew matrix to its canonical block form by unimodular congruence.
+
+    Pivot selection is by minimal absolute value over the live block;
+    Euclidean shears shrink the pivot until its two rows are clean, then a
+    divisibility repair folds any non-multiple of the pivot back in. Every
+    remainder swapped in as the pivot must be smaller than it, and every
+    repair must leave one, so the reduction ends; a step that breaks this
+    raises InternalVerificationFailed instead of looping. The steps are
+    logged, and E and E^{-1} are both built from the log as sparse rows,
+    so the inverse costs no inversion (transform tracking as in Kannan and
+    Bachem, SIAM J. Comput. 8, 1979, replayed backwards).
+    The output is certified exactly over those sparse rows (block shape,
+    divisibility chain, E F = I and M E^T = F S, hence E M E^T = S with
+    |det E| = 1) and InternalVerificationFailed is raised otherwise.
+    """
+    n = M.n
+    A, log = _reduce(M)
     Et, F = _transforms(log, n)
     factors = _certify(M, A, Et, F)
     return SkewNormalForm(factors, n - 2 * len(factors), lambda: Et, lambda: F)
+
+
+def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...] | None:
+    """The factors a_1, ..., a_s of M's congruence form over Z/N, N = ell *
+    RANK_PRIME, certified mod N, when there are s = n // 2 of them, else None.
+
+    The certificate proves that M and the form share their Smith form over Z/N
+    (Newman, Integral Matrices, 1972, ch. II): gcd(a_i, N) = gcd(h_i, N) for M's
+    invariant factors h_i, N | h_i past the blocks (h_i = 0 too), so s blocks
+    prove rank 2s. Fewer give None, before the replay.
+    """
+    n = M.n
+    N = ell * RANK_PRIME
+    A, log = _reduce(M, N)
+    if not all(A[i][i + 1] for i in range(0, n - 1, 2)):
+        return None
+    Et, F = _transforms(log, n, N)
+    return _certify(M, A, Et, F, N)
 
 
 def extended_normal_form(snf: SkewNormalForm) -> SkewNormalForm:

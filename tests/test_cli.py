@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pideg.cli import degree_digits, main
+from pideg.cli import degree_dict, degree_digits, main
 from pideg.degrees import PiDegree
 from pideg.intlinalg import skew_normal_form
 from pideg.pipedreams import partition_toric_permutation, toric_permutation
@@ -366,6 +366,47 @@ class TestDigitBudget:
         code, out, _ = run(capsys, "grassmannian", "6000", "12000", "--ell", "3", "--json")
         entry = json.loads(out)["pi_degrees"][0]
         assert code == 0 and entry["digits"] == 8586752 and entry["value"] is None
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("ell", ["3", "4"])
+    def test_huge_detring_builds_no_board_and_writes_no_huge_divisor(self, capsys, ell, as_json):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "detring", "2000", "1000", "--ell", ell, *["--json"][:as_json])
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        if as_json:
+            report = json.loads(out)
+            assert report["white_count"] == 3_000_000
+            entry = report["pi_degrees"][0]
+            assert entry["value"] is None and entry["exponent"] == 1499500
+            if ell == "3":
+                assert entry["divisor"] == "1" and "divisor_digits" not in entry
+            else:
+                assert entry["divisor"] is None and entry["divisor_digits"] == 450793
+        else:
+            assert "determinantal board: n = 2000, t = 1000, 3000000 white squares\n" in out
+            assert out.endswith({
+                "3": "PI degree at ell=3: 3^1499500 (715444 digits, value suppressed)\n",
+                "4": "PI degree at ell=4: 4^1499500/(450793-digit divisor) "
+                     "(451997 digits, value suppressed)\n",
+            }[ell])
+
+    @pytest.mark.parametrize("ell", NEAR_POWERS_OF_TEN)
+    def test_divisor_written_within_the_budget_only(self, ell):
+        # A divisor near a power of ten has its digits counted exactly.
+        with unlimited_str_digits():
+            for exponent in range(0, 40):
+                for divisor in {ell, 2**exponent, ell**exponent}:
+                    if pow(ell, exponent, divisor):
+                        continue
+                    pi = PiDegree(ell=ell, exponent=exponent, divisor=divisor)
+                    digits = len(str(divisor))
+                    for budget in (digits - 1, digits):
+                        entry = degree_dict(pi, budget)
+                        if budget < digits:
+                            assert (entry["divisor"], entry["divisor_digits"]) == (None, digits)
+                        else:
+                            assert entry["divisor"] == str(divisor) and "divisor_digits" not in entry
 
 
 @contextlib.contextmanager

@@ -9,6 +9,7 @@ from pideg import (
     BadRange,
     DiagramFacts,
     EvenEll,
+    FormulaMismatch,
     Partition,
     PiDegree,
     PluckerIndex,
@@ -312,6 +313,48 @@ class TestGrassmannianClosedForm:
             for n in range(m + 1, 7):
                 for ell in (3, 5, 7):
                     pi_degree_grassmannian(m, n, ell, cross_check=True)
+
+
+class TestCrossChecksCatchWrongClosedForms:
+    """A closed value made wrong on purpose fails its cross-check, with the
+    message naming the input, the closed value and the other route's."""
+
+    @staticmethod
+    def _off_by_one(monkeypatch, name):
+        from pideg import degrees
+
+        original = getattr(degrees, name)
+        monkeypatch.setattr(degrees, name, lambda *args: original(*args) + 1)
+
+    def test_partition(self, monkeypatch):
+        self._off_by_one(monkeypatch, "_half_rank")
+        message = "shape (5,3,2), ell = 5: closed 3125, generic 625"
+        with pytest.raises(FormulaMismatch) as caught:
+            pi_degree_partition(Partition((5, 3, 2)), 5, cross_check=True)
+        assert str(caught.value) == message
+
+    def test_determinantal(self, monkeypatch):
+        self._off_by_one(monkeypatch, "determinantal_invariant_exponent")
+        with pytest.raises(FormulaMismatch) as caught:
+            pi_degree_determinantal(4, 2, 5, cross_check=True)
+        assert str(caught.value) == "determinantal (n, t) = (4, 2), ell = 5: closed 15625, generic 3125"
+
+    def test_schubert(self, monkeypatch):
+        self._off_by_one(monkeypatch, "_half_rank")
+        with pytest.raises(FormulaMismatch) as caught:
+            pi_degree_schubert(PluckerIndex((1, 3, 4, 7), 8), 5, cross_check=True)
+        assert str(caught.value) == "Schubert gamma = (1, 3, 4, 7), ell = 5: closed 78125, generic 15625"
+
+    def test_grassmannian(self, monkeypatch):
+        # Two more kernel directions: the parity holds, and the exponent
+        # falls by one against the cell's Schubert route.
+        from pideg import degrees
+
+        kernel_dim = degrees.rectangle_kernel_dim
+        monkeypatch.setattr(degrees, "rectangle_kernel_dim", lambda a, b: kernel_dim(a, b) + 2)
+        with pytest.raises(FormulaMismatch) as caught:
+            pi_degree_grassmannian(2, 4, 5, cross_check=True)
+        assert str(caught.value) == "Grassmannian (2, 4), ell = 5: closed 5, Schubert route 25"
 
 
 class TestDiagramAnalysis:

@@ -1,8 +1,9 @@
 """Exact integer linear algebra: normal forms, kernels, cycle vectors."""
 
 import random
+import re
 from itertools import product
-from math import prod
+from math import gcd, prod
 from types import SimpleNamespace
 
 import pytest
@@ -23,10 +24,12 @@ from pideg import (
     intlinalg,
     is_prime,
     matrix_from_diagram,
+    pi_degree_from_factors,
+    pi_degree_qas,
     skew_normal_form,
     toric_permutation,
 )
-from pideg.intlinalg import extended_normal_form, rank_mod_p
+from pideg.intlinalg import RANK_PRIME, extended_normal_form, rank_mod_p
 from tests.conftest import (
     FIG_CYCLE_SUM,
     FIG_INVARIANT_FACTORS,
@@ -204,6 +207,7 @@ class TestPrimality:
 
     def test_large_prime(self):
         assert is_prime(2**61 - 1)
+        assert is_prime(RANK_PRIME)
 
 
 # _certify receives the rows of E^T and of F as dicts from column index to
@@ -249,6 +253,16 @@ def _swap_e_and_f(S, Et, F):
 def _double_last_factor(S, Et, F):
     # Shape and divisibility chain stay valid: (1, 1, 1, 2) -> (1, 1, 1, 4).
     S[6][7], S[7][6] = 4, -4
+
+
+def _break_block(S, Et, F):
+    S[2][5] += 1
+
+
+def _break_gcd_chain(S, Et, F):
+    # The first factor of the reference board's form becomes 5, which
+    # divides ell = 5 and so N; the next factor is prime to N.
+    S[0][1], S[1][0] = 5, -5
 
 
 def _replays(M: SkewIntMatrix, normal_form=skew_normal_form):
@@ -465,6 +479,209 @@ class TestSparseShear:
 
     def test_empty_matrix(self):
         _assert_shear_matches_the_dense_oracle(SkewIntMatrix(()))
+
+
+def _low_rank_skew(rng: random.Random, n: int, h: list[int]) -> SkewIntMatrix:
+    """X diag(h) X^T for a random integer n x 2k matrix X, k = len(h), with
+    diag(h) the skew block diagonal of the [[0, h_i], [-h_i, 0]]: rank at
+    most 2k, and invariant factors built from the h_i."""
+    X = [[rng.randrange(-2, 3) for _ in range(2 * len(h))] for _ in range(n)]
+    return SkewIntMatrix(tuple(
+        tuple(
+            sum(hl * (X[i][2 * l] * X[j][2 * l + 1] - X[i][2 * l + 1] * X[j][2 * l])
+                for l, hl in enumerate(h))
+            for j in range(n)
+        )
+        for i in range(n)
+    ))
+
+
+def low_rank_matrices() -> list[SkewIntMatrix]:
+    """200 seeded X diag(h) X^T with n = 2..10 and h_i in {1, 2, 3, 4, 6, 8, 12};
+    about one in three has the largest rank, 2 (n // 2)."""
+    rng = random.Random(5_151)
+    out = []
+    for _ in range(200):
+        n = rng.randrange(2, 11)
+        k = rng.randrange(1, n // 2 + 1)
+        out.append(_low_rank_skew(rng, n, [rng.choice((1, 2, 3, 4, 6, 8, 12)) for _ in range(k)]))
+    return out
+
+
+def exhaustive_board_matrices() -> list[SkewIntMatrix]:
+    """The distinct matrices of all 3x3 and 3x4 boards."""
+    from pideg.sweep import exhaustive_diagrams
+
+    distinct = {}
+    for d in exhaustive_diagrams(3, 3) + exhaustive_diagrams(3, 4):
+        M = matrix_from_diagram(d)
+        distinct.setdefault(M.rows, M)
+    return list(distinct.values())
+
+
+def _block_diagonal(h, n: int) -> SkewIntMatrix:
+    """The n x n skew block diagonal of the [[0, h_i], [-h_i, 0]]."""
+    rows = [[0] * n for _ in range(n)]
+    for k, x in enumerate(h):
+        rows[2 * k][2 * k + 1], rows[2 * k + 1][2 * k] = x, -x
+    return SkewIntMatrix(tuple(map(tuple, rows)))
+
+
+def _record_replay_moduli(monkeypatch) -> list[int]:
+    """The modulus of every later replay of intlinalg._transforms, 0 over Z."""
+    moduli = []
+    replay = intlinalg._transforms
+
+    def spy(log, n, N=0):
+        moduli.append(N)
+        return replay(log, n, N)
+
+    monkeypatch.setattr(intlinalg, "_transforms", spy)
+    return moduli
+
+
+RESIDUE_ELLS = (*range(2, 13), 30, 36, RANK_PRIME, 2 * RANK_PRIME, 10**24 + 7)
+
+
+def _assert_residue_route_agrees(M: SkewIntMatrix) -> None:
+    """At every ell of RESIDUE_ELLS, the certified form mod N = ell q has
+    the factors gcd(h_i, N) of the invariant factors h_i over Z, and
+    pi_degree_qas equals the degree read from the h_i in every field.
+
+    The form is the one pi_degree_qas reduces mod N; where it is short and
+    pi_degree_qas certifies none, its replay and certificate run here."""
+    h = skew_normal_form(M).invariant_factors
+    reduce, certify = intlinalg._reduce, intlinalg._certify
+    for ell in RESIDUE_ELLS:
+        N = ell * RANK_PRIME
+        seen = {}
+
+        def reduce_spy(M, N=0):
+            seen.setdefault(N, {})["reduced"] = reduce(M, N)
+            return seen[N]["reduced"]
+
+        def certify_spy(M, S, Et, F, N=0):
+            seen.setdefault(N, {})["factors"] = certify(M, S, Et, F, N)
+            return seen[N]["factors"]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(intlinalg, "_reduce", reduce_spy)
+            patch.setattr(intlinalg, "_certify", certify_spy)
+            got = pi_degree_qas(M, ell)
+        expected = pi_degree_from_factors(h, ell)
+        assert got == expected and repr(got) == repr(expected), (M.rows, ell)
+        if "factors" not in seen[N]:
+            A, log = seen[N]["reduced"]
+            seen[N]["factors"] = certify(M, A, *intlinalg._transforms(log, M.n, N), N)
+        g = [gcd(a, N) for a in seen[N]["factors"]]
+        assert g == [gcd(x, N) for x in h[:len(g)]], (M.rows, ell)
+        assert all(gcd(x, N) == N for x in h[len(g):]), (M.rows, ell)
+
+
+class TestResidueForm:
+    """The congruence form mod N = ell q against the normal form over Z."""
+
+    def test_exhaustive_boards(self):
+        for M in exhaustive_board_matrices():
+            _assert_residue_route_agrees(M)
+
+    def test_criterion_10_matrices(self):
+        for M in criterion_10_matrices():
+            _assert_residue_route_agrees(M)
+
+    def test_dense_random_matrices(self):
+        rng = random.Random(4_242)
+        for _ in range(40):
+            _assert_residue_route_agrees(random_skew(rng, rng.randrange(16, 41)))
+
+    @settings(deadline=None, max_examples=60)
+    @given(skew_matrices)
+    def test_any_skew_matrix(self, M):
+        _assert_residue_route_agrees(M)
+
+    def test_low_rank_matrices(self):
+        matrices = low_rank_matrices()
+        full = [M for M in matrices if 2 * len(skew_normal_form(M).invariant_factors) == M.n // 2 * 2]
+        assert 40 <= len(full) < len(matrices)
+        for M in matrices:
+            _assert_residue_route_agrees(M)
+
+    @pytest.mark.parametrize(
+        "h, ell",
+        [((1, 6), 6), ((1, 6), 3), ((2, 12), 4), ((1, RANK_PRIME), 2), ((3, 3 * RANK_PRIME), 9)],
+    )
+    def test_factors_that_ell_or_q_divide_keep_their_blocks(self, monkeypatch, h, ell):
+        # Mod ell q a factor that ell or q alone divides is still a block,
+        # so the form over Z/N answers and no form over Z is replayed.
+        moduli = _record_replay_moduli(monkeypatch)
+        assert pi_degree_qas(_block_diagonal(h, 4), ell) == pi_degree_from_factors(h, ell)
+        assert moduli == [ell * RANK_PRIME]
+
+    def test_a_short_form_falls_back_to_the_normal_form_over_z(self, monkeypatch):
+        # Rank 2 of 4, and rank 4 of 4 with a factor that ell q divides:
+        # both forms mod N have one block, which settles no rank, so only
+        # the form over Z is replayed.
+        moduli = _record_replay_moduli(monkeypatch)
+        for h, degree in (((1,), (1, 1, (5,))), ((1, 5 * RANK_PRIME), (2, 5, (5, 1)))):
+            pi = pi_degree_qas(_block_diagonal(h, 4), 5)
+            assert (pi.exponent, pi.divisor, pi.factors) == degree
+        assert moduli == [0, 0]
+
+    def test_a_pivot_clears_what_its_gcd_with_n_divides_in_one_shear(self):
+        # gcd(2, 3q) = 1 divides 3, so one shear by c = 3 / 2 mod 3q clears
+        # it, and 2, a unit mod 3q, stays the pivot; over Z, 3 // 2 leaves 1.
+        N = 3 * RANK_PRIME
+        M = SkewIntMatrix(((0, 2, 3), (-2, 0, 0), (-3, 0, 0)))
+        A, log = intlinalg._reduce(M, N)
+        c = 3 * pow(2, -1, N) % N
+        assert log == [2, 1, -c]
+        assert A == [[0, 2, 0], [-2, 0, 0], [0, 0, 0]]
+        assert intlinalg._residue_factors(M, 3) == (2,)
+        assert skew_normal_form(M).invariant_factors == (1,)
+
+    def test_entries_stay_below_the_modulus(self):
+        # The reduced matrix holds residues of least absolute value, and the
+        # replayed transforms residues in [0, N): nothing grows with n.
+        rng = random.Random(4_343)
+        for ell in (2, 6, 10**24 + 7):
+            N = ell * RANK_PRIME
+            for n in (16, 30):
+                A, log = intlinalg._reduce(random_skew(rng, n), N)
+                assert all(abs(x) <= N // 2 for row in A for x in row)
+                assert all(abs(x) < N for x in log)
+                rows = intlinalg._transforms(log, n, N)
+                assert all(0 < x < N for side in rows for row in side for x in row.values())
+
+    def test_empty_and_tiny_matrices(self):
+        for n in range(3):
+            M = SkewIntMatrix(tuple((0,) * n for _ in range(n)))
+            assert intlinalg._residue_factors(M, 5) == (() if n < 2 else None)
+            assert pi_degree_qas(M, 5) == pi_degree_from_factors((), 5)
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (_bump_e, "E F is not the identity"),
+            (_bump_f, "E F is not the identity"),
+            (_drop_f_entry, "E F is not the identity"),
+            (_swap_e_and_f, "E M E^T does not equal the reduced matrix"),
+            (_break_block, "block shape broken at (2, 5)"),
+            (_break_gcd_chain, "divisibility chain broken"),
+        ],
+    )
+    def test_certificate_rejects_tampering(self, fig_diagram, monkeypatch, tamper, message):
+        certify = intlinalg._certify
+        moduli = []
+
+        def tampered(M, S, Et, F, N=0):
+            moduli.append(N)
+            tamper(S, Et, F)
+            return certify(M, S, Et, F, N)
+
+        monkeypatch.setattr(intlinalg, "_certify", tampered)
+        with pytest.raises(InternalVerificationFailed, match=re.escape(message)):
+            pi_degree_qas(matrix_from_diagram(fig_diagram), 5)
+        assert moduli == [5 * RANK_PRIME]
 
 
 class TestExtendedNormalForm:

@@ -25,6 +25,7 @@ from pideg import (
     find_relation_violation,
     intlinalg,
     matrix_from_diagram,
+    pi_degree_qas,
     qas_representation,
     reps,
 )
@@ -54,14 +55,19 @@ expect(InternalVerificationFailed, intlinalg._prove_independent, [(1, -1, 0), (1
 transforms = intlinalg._transforms
 
 
-def drop_f_entry(log, n):
-    Et, F = transforms(log, n)
+def drop_f_entry(log, n, *modulus):
+    Et, F = transforms(log, n, *modulus)
     F[-1].popitem()
     return Et, F
 
 
 intlinalg._transforms = drop_f_entry
 expect(InternalVerificationFailed, intlinalg.skew_normal_form, SkewIntMatrix(((0, 2), (-2, 0))))
+# The same tamper fails the certificate of the congruence form mod ell q.
+expect(
+    InternalVerificationFailed, pi_degree_qas, SkewIntMatrix(((0, 2), (-2, 0))), 3,
+    match="E F is not the identity",
+)
 intlinalg._transforms = transforms
 
 # A shear that skips its column write leaves the remainders in place; the
