@@ -408,14 +408,14 @@ class DiagramFacts:
     """The generic route's facts about one diagram, each computed on first use.
 
     `matrix` is M(D), `snf` its normal form E M(D) E^T = S, and `tau` the
-    toric permutation. `extended_snf` is the normal form of extend(M(D)),
-    read from `snf` by extended_normal_form: that reduces S bordered by the
-    row sums of E, which is S plus one dense border, instead of reducing
-    extend(M(D)) afresh. Both reductions certify themselves, and the chain
-    of the two certificates proves the composed transforms. pi_degree and
-    extended_pi_degree are the generic route's PI degrees of the two
-    matrices, read from their invariant factors. `cycle_vectors`
-    are the kernel vectors of the even cycles of tau, which
+    toric permutation. `extended_snf` is read from `snf` by
+    extended_normal_form, which reduces S bordered by the row sums of E,
+    congruent to extend(M(D)), instead of reducing extend(M(D)) afresh: it
+    has the factors and kernel dimension of extend(M(D)) and the transforms
+    of the bordered S, and both reductions certify themselves. pi_degree
+    and extended_pi_degree are the generic route's PI degrees of the two
+    matrices, read from their invariant factors. `cycle_vectors` are the
+    kernel vectors of the even cycles of tau, which
     cycle_kernel_vectors proves independent. `one_perp` says whether every
     kernel vector sums to zero; it first checks that the cycle vectors are
     as many as the kernel dimension, which makes them a basis of the

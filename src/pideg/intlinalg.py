@@ -29,12 +29,11 @@ The central objects:
   Domich, Kannan and Trotter, 1987). _residue_factors reads PI degrees off it.
 
 - extended_normal_form reads the normal form of extend(M), M bordered by
-  a column of ones, from that of M. Congruence by diag(E, 1) turns
-  extend(M) into S bordered by v = E 1, which skew_normal_form reduces
-  cheaply since S is block diagonal; that reduction certifies itself, and
-  together with the certificate of M's form it proves the composed
-  transforms (the chain is spelled out in its docstring). They are
-  composed only when they are read, which the PI degree never needs.
+  a column of ones, from that of M. Congruence by diag(E, 1), unimodular by
+  M's certificate, turns extend(M) into S bordered by v = E 1, whose own
+  certified form it returns: the invariant factors and kernel dimension of
+  extend(M), reached cheaply since S is block diagonal, and the transforms
+  of the bordered S (its docstring chains them to those of extend(M)).
 
 - rank_mod_p finds the rank of an integer matrix over F_p, and whether
   the all-ones row lies in its row space, by one elimination that builds
@@ -47,8 +46,7 @@ The central objects:
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import combinations, compress
 from math import gcd, prod
@@ -189,46 +187,36 @@ def is_prime(p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class SkewNormalForm:
     """Result of the congruence reduction S = E M E^T.
 
     S is block diagonal: s blocks [[0, h_i], [-h_i, 0]] with positive
     h_1 | h_2 | ... | h_s, then a zero block of size kernel_dim = n - 2s.
     It is not stored, since invariant_factors and kernel_dim determine it.
-    `transform` is E and `inverse_transform` is F = E^{-1}, both dense
-    integer matrices as tuples of rows, built on first read and kept. Until
-    then the form holds two functions, `columns` and `rows`, returning the
-    sparse columns of E (the rows of E^T) and the sparse rows of F, each a
-    dict from index to nonzero entry: skew_normal_form hands over the rows
-    it certified, and extended_normal_form composes its rows only when they
-    are asked for. Before this object is constructed, two exact products
-    over those sparse rows certify them: E F = I, which proves F = E^{-1}
-    and |det E| = 1, and M E^T = F S, which given E F = I is
-    E M E^T = S. extended_normal_form proves both identities for extend(M)
-    from two such certificates.
+    `e_columns` are the sparse columns of E (the rows of E^T) and `f_rows`
+    the sparse rows of F = E^{-1}, each a dict from index to nonzero entry,
+    as skew_normal_form certified them before constructing this object:
+    E F = I, which proves F = E^{-1} and |det E| = 1, and M E^T = F S,
+    which given E F = I is E M E^T = S. `transform` is E and
+    `inverse_transform` is F, dense integer matrices as tuples of rows,
+    built on first read and kept.
     """
 
-    def __init__(
-        self,
-        invariant_factors: tuple[int, ...],
-        kernel_dim: int,
-        columns: Callable[[], list[dict[int, int]]],
-        rows: Callable[[], list[dict[int, int]]],
-    ) -> None:
-        self.invariant_factors = invariant_factors
-        self.kernel_dim = kernel_dim
-        self._columns = columns
-        self._rows = rows
+    invariant_factors: tuple[int, ...]
+    kernel_dim: int
+    e_columns: list[dict[int, int]] = field(repr=False)
+    f_rows: list[dict[int, int]] = field(repr=False)
 
     @cached_property
     def transform(self) -> tuple[tuple[int, ...], ...]:
-        columns = self._columns()
-        return tuple(zip(*(_dense(col, len(columns)) for col in columns)))
+        n = len(self.e_columns)
+        return tuple(zip(*(_dense(col, n) for col in self.e_columns)))
 
     @cached_property
     def inverse_transform(self) -> tuple[tuple[int, ...], ...]:
-        rows = self._rows()
-        return tuple(tuple(_dense(row, len(rows))) for row in rows)
+        n = len(self.f_rows)
+        return tuple(tuple(_dense(row, n)) for row in self.f_rows)
 
 
 # The reduction logs each congruence step as three integers i, j, q in one
@@ -334,14 +322,6 @@ def _add_multiple_mod(dst: dict[int, int], src: dict[int, int], q: int, N: int) 
             dst[k] = y
         else:
             dst.pop(k, None)
-
-
-def _compose(terms, rows: list[dict[int, int]]) -> dict[int, int]:
-    """The sparse row summing x * rows[k] over the (k, x) in terms."""
-    acc: dict[int, int] = {}
-    for k, x in terms:
-        _add_multiple(acc, rows[k], x)
-    return acc
 
 
 def _nonzeros(row, start: int = 0):
@@ -529,7 +509,7 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
     A, log = _reduce(M)
     Et, F = _transforms(log, n)
     factors = _certify(M, A, Et, F)
-    return SkewNormalForm(factors, n - 2 * len(factors), lambda: Et, lambda: F)
+    return SkewNormalForm(factors, n - 2 * len(factors), Et, F)
 
 
 def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...] | None:
@@ -551,52 +531,39 @@ def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...] | None:
 
 
 def extended_normal_form(snf: SkewNormalForm) -> SkewNormalForm:
-    """The normal form of extend(M), read from the normal form of M.
+    """The normal form of a matrix congruent to extend(M), read from that of M.
 
     `snf` is what skew_normal_form returned for M: S = E M E^T, certified
     by E F = I and M E^T = F S. With D = diag(E, 1), that identity gives
 
         D extend(M) D^T = B = [[S, v], [-v^T, 0]],  v = E 1,
 
-    the block diagonal S bordered by the row sums of E. skew_normal_form
-    reduces B, G B G^T = S_ext with H = G^{-1}, and certifies G H = I and
-    B G^T = H S_ext. The transform of extend(M) is E_ext = G D and its
-    inverse is F_ext = diag(F, 1) H. The chain of certified identities
-    proves them without a further product:
+    the block diagonal S bordered by the row sums of E. The result is
+    skew_normal_form(B): G B G^T = S_ext with H = G^{-1}, certified by
+    G H = I and B G^T = H S_ext, so its transforms are G and H, those of B.
+    Its invariant factors and kernel dimension are those of extend(M): the
+    chain of certified identities proves, with no further product, that
+    E_ext = G D and F_ext = diag(F, 1) H transform extend(M) into S_ext:
 
     - E F = I gives F E = I, so D^{-1} = diag(F, 1);
     - E_ext F_ext = G D D^{-1} H = G H = I;
     - extend(M) E_ext^T = extend(M) D^T G^T = D^{-1} B G^T
       = D^{-1} H S_ext = F_ext S_ext.
 
-    B is S plus one dense border, so its reduction is short and G and H
-    stay sparse. v is read from the sparse columns of E, and the composed
-    transforms are built only when they are read: column k of E_ext sums
-    the sparse columns of G at the nonzeros of column k of D, and row i of
-    F_ext sums the sparse rows of H at the nonzeros of row i of diag(F, 1).
+    B is S plus one dense border, so its reduction is short. A caller that
+    needs E_ext or F_ext forms the product.
     """
-    Et = snf._columns()
-    n = len(Et)
+    n = len(snf.e_columns)
     B = [[0] * (n + 1) for _ in range(n + 1)]
     for k, h in enumerate(snf.invariant_factors):
         B[2 * k][2 * k + 1], B[2 * k + 1][2 * k] = h, -h
     v = [0] * n
-    for col in Et:
+    for col in snf.e_columns:
         for i, x in col.items():
             v[i] += x
     for i, x in enumerate(v):
         B[i][n], B[n][i] = x, -x
-    bordered = skew_normal_form(SkewIntMatrix._unchecked(tuple(map(tuple, B))))
-
-    def columns() -> list[dict[int, int]]:
-        Gt = bordered._columns()
-        return [_compose(col.items(), Gt) for col in Et] + [Gt[n]]
-
-    def rows() -> list[dict[int, int]]:
-        H = bordered._rows()
-        return [_compose(row.items(), H) for row in snf._rows()] + [H[n]]
-
-    return SkewNormalForm(bordered.invariant_factors, bordered.kernel_dim, columns, rows)
+    return skew_normal_form(SkewIntMatrix._unchecked(tuple(map(tuple, B))))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ certifies by E E^{-1} = I, the kernel bases build every kernel vector
 elimination, kernel_basis_mod_p runs Gauss-Jordan over F_p; production
 only finds ranks mod p, with the all-ones row carried along), the
 congruence certificate is checked by dense products (production checks
-sparse ones, or for the bordered matrix chains two certificates), the
+sparse ones), the transforms of extend(M) are composed by dense products
+(production returns the bordered matrix's own form, whose invariants the
+chain of two certificates proves to be those of extend(M)), the
 transforms are replayed from the congruence log over whole dense rows
 (production replays sparse rows, touching only their nonzeros), the shear
 of the reduction rewrites whole live rows and columns (production visits
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from types import SimpleNamespace
 
 from pideg.errors import InternalVerificationFailed
 
@@ -239,6 +242,28 @@ def congruence_certificate_holds(A, snf) -> bool:
         sum(x * y for x, y in zip(rows[i], E[j])) == sum(x * y for x, y in zip(F[i], S_cols[j]))
         for i in range(n)
         for j in range(n)
+    )
+
+
+def extended_transforms(snf, ext) -> SimpleNamespace:
+    """The normal form `ext` that extended_normal_form(snf) returned, with
+    the transforms of extend(M) in place of those of the bordered matrix B:
+    E_ext = G diag(E, 1) and F_ext = diag(F, 1) H, by dense products, for
+    E, F the transforms of M's form `snf` and G, H those of B's form `ext`."""
+    n = len(snf.transform)
+
+    def bordered_by_one(X):
+        return [list(row) + [0] for row in X] + [[0] * n + [1]]
+
+    def product(X, Y):
+        cols = list(zip(*Y))
+        return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in X)
+
+    return SimpleNamespace(
+        invariant_factors=ext.invariant_factors,
+        kernel_dim=ext.kernel_dim,
+        transform=product(ext.transform, bordered_by_one(snf.transform)),
+        inverse_transform=product(bordered_by_one(snf.inverse_transform), ext.inverse_transform),
     )
 
 

@@ -151,6 +151,43 @@ class TestClosedFormCommands:
 
     @pytest.mark.parametrize(
         "argv",
+        [("grassmannian", "2", "6"), ("schubert", "1,3,4,7", "8")],
+        ids=["grassmannian", "schubert"],
+    )
+    def test_verify_reports_only_what_it_compared(self, capsys, argv):
+        # At an even ell the generic route answers, so nothing is compared;
+        # one closed entry is enough for a comparison.
+        code, out, _ = run(capsys, *argv, "--ell", "6", "--verify")
+        assert code == 0
+        assert out.endswith(
+            "cross check against the generic route: nothing to compare (generic route answered)\n"
+        )
+        code, out, _ = run(capsys, *argv, "--ell", "6", "--verify", "--json")
+        assert code == 0 and json.loads(out)["cross_checked"] is False
+        code, out, _ = run(capsys, *argv, "--ell", "5", "--ell", "6", "--verify")
+        assert code == 0 and out.endswith("cross check against the generic route: passed\n")
+        code, out, _ = run(capsys, *argv, "--ell", "5", "--ell", "6", "--verify", "--json")
+        assert code == 0 and json.loads(out)["cross_checked"] is True
+
+    def test_fallback_reason_is_in_the_json(self, capsys):
+        reason = "need odd ell with smallest prime factor above 2, got 6"
+        code, out, _ = run(capsys, "grassmannian", "2", "6", "--ell", "5", "--ell", "6", "--json")
+        assert code == 0
+        closed, fallback = json.loads(out)["pi_degrees"]
+        assert "reason" not in closed
+        assert (fallback["route"], fallback["reason"]) == ("generic (hypothesis not met)", reason)
+        code, out, _ = run(capsys, "grassmannian", "2", "6", "--ell", "6")
+        assert code == 0 and f"PI degree at ell=6: 6^4/4 = 324 [generic route; {reason}]" in out
+
+    @pytest.mark.parametrize("command", ["schubert", "grassmannian"])
+    def test_ell_help_admits_even_ell(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--ell ELL ell >= 3, repeatable" in out and "odd" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
         [("grassmannian", "3", "6"), ("schubert", "1,3,4,7", "8")],
         ids=["grassmannian", "schubert"],
     )
@@ -240,7 +277,7 @@ class TestRepCommand:
 
     def test_rejects_ell_two(self, capsys, fig_file):
         code, _, err = run(capsys, "rep", "--diagram", fig_file, "--ell", "2")
-        assert code == 1 and "error:" in err
+        assert code == 1 and err == "error: rep needs ell >= 3, got 2\n"
 
     def test_irreducible_at_dimension_81(self, capsys):
         start = time.perf_counter()

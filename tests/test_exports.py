@@ -1,8 +1,13 @@
-"""The package's export list matches what it defines."""
+"""The package's export list matches what it defines, and every private helper has a caller."""
 
+import ast
 import types
+from collections import Counter
+from pathlib import Path
 
 import pideg
+
+PACKAGE = Path(pideg.__file__).resolve().parent
 
 
 def test_all_lists_every_public_name():
@@ -19,3 +24,45 @@ def test_star_import_binds_exactly_all():
     exec("from pideg import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(pideg.__all__)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _references(tree: ast.AST):
+    """The names a syntax tree reads: bare names, attributes and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _module_definitions(tree: ast.Module):
+    """(name, defining statement) for each name a module binds at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield leaf.id, node
+
+
+def test_every_private_helper_has_a_caller():
+    # A module-level private name that nothing else in the package reads is
+    # dead code: a helper left behind when its last caller went away.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = Counter(name for tree in trees.values() for name in _references(tree))
+    orphans = [
+        f"{file}: {name}"
+        for file, tree in trees.items()
+        for name, node in _module_definitions(tree)
+        if _private(name) and reads[name] == Counter(_references(node))[name]
+    ]
+    assert orphans == []

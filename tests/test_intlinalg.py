@@ -46,6 +46,7 @@ from tests.oracles import (
     dense_pair_add,
     dense_transforms,
     determinant,
+    extended_transforms,
     four_way_matrix_rows,
     kernel_basis_mod_p,
     kernel_basis_rational,
@@ -684,16 +685,21 @@ class TestResidueForm:
         assert moduli == [5 * RANK_PRIME]
 
 
+def _assert_chain_holds(M: SkewIntMatrix) -> None:
+    """The transforms of extend(M), composed by tests/oracles.py from the
+    two forms, against extend(M) itself, by dense products that do not rely
+    on the chain of certificates."""
+    snf = skew_normal_form(M)
+    ext = extended_normal_form(snf)
+    assert congruence_certificate_holds(extend(M).rows, extended_transforms(snf, ext))
+
+
 class TestExtendedNormalForm:
     def test_certificate_holds_on_exhaustive_boards(self):
-        # The composed transforms against extend(M) itself, by dense
-        # products that do not rely on the chain of certificates.
         from pideg.sweep import exhaustive_diagrams
 
         for d in exhaustive_diagrams(3, 3) + exhaustive_diagrams(3, 4):
-            M = matrix_from_diagram(d)
-            ext = extended_normal_form(skew_normal_form(M))
-            assert congruence_certificate_holds(extend(M).rows, ext), d.to_text()
+            _assert_chain_holds(matrix_from_diagram(d))
 
     @settings(deadline=None, max_examples=60)
     @given(skew_matrices)
@@ -702,11 +708,32 @@ class TestExtendedNormalForm:
         direct = skew_normal_form(extend(M))
         assert ext.invariant_factors == direct.invariant_factors
         assert ext.kernel_dim == direct.kernel_dim
-        assert congruence_certificate_holds(extend(M).rows, ext)
+        _assert_chain_holds(M)
+
+    def test_certificate_holds_on_random_matrices(self, fig_diagram):
+        from pideg.sweep import exhaustive_diagrams
+
+        rng = random.Random(5_151)
+        matrices = [matrix_from_diagram(d) for d in exhaustive_diagrams(3, 3)]
+        matrices += [random_skew(rng, rng.randrange(0, 12)) for _ in range(40)]
+        for M in [matrix_from_diagram(fig_diagram)] + matrices:
+            _assert_chain_holds(M)
+
+    def test_transforms_are_those_of_the_bordered_matrix(self, fig_diagram):
+        # The form returned is that of B = D extend(M) D^T, D = diag(E, 1),
+        # transforms included.
+        M = matrix_from_diagram(fig_diagram)
+        snf = skew_normal_form(M)
+        D = [list(row) + [0] for row in snf.transform] + [[0] * M.n + [1]]
+        DA = [[sum(d * a for d, a in zip(row, col)) for col in zip(*extend(M).rows)] for row in D]
+        B = [[sum(x * d for x, d in zip(row, other)) for other in D] for row in DA]
+        assert congruence_certificate_holds(B, extended_normal_form(snf))
 
     def test_oracle_sees_a_broken_transform(self, fig_diagram):
         M = matrix_from_diagram(fig_diagram)
-        ext = extended_normal_form(skew_normal_form(M))
+        snf = skew_normal_form(M)
+        ext = extended_transforms(snf, extended_normal_form(snf))
+        assert congruence_certificate_holds(extend(M).rows, ext)
         E = [list(row) for row in ext.transform]
         E[0][0] += 1
         broken = SimpleNamespace(
@@ -746,76 +773,26 @@ def _count_calls(monkeypatch, *names) -> dict[str, int]:
     return counts
 
 
-def _eager_extended_transforms(M: SkewIntMatrix):
-    """E_ext = G diag(E, 1) and F_ext = diag(F, 1) H by dense products, from
-    the dense transforms of M's form and of the bordered one."""
-    forms = []
-    reduce = intlinalg.skew_normal_form
-
-    def spy(B):
-        forms.append(reduce(B))
-        return forms[-1]
-
-    snf = reduce(M)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(intlinalg, "skew_normal_form", spy)
-        ext = extended_normal_form(snf)
-    (bordered,) = forms
-    n = M.n
-
-    def bordered_by_one(X):
-        return [list(row) + [0] for row in X] + [[0] * n + [1]]
-
-    def product(X, Y):
-        return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*Y)) for row in X)
-
-    E_ext = product(bordered.transform, bordered_by_one(snf.transform))
-    F_ext = product(bordered_by_one(snf.inverse_transform), bordered.inverse_transform)
-    return ext, E_ext, F_ext
-
-
 class TestLazyTransforms:
-    """Dense transforms are built, and extended ones composed, on first read only."""
+    """Dense transforms are built on first read only."""
 
     def test_factors_build_no_transform(self, fig_diagram, monkeypatch):
-        counts = _count_calls(monkeypatch, "_dense", "_compose")
+        counts = _count_calls(monkeypatch, "_dense")
         facts = DiagramFacts(fig_diagram)
         assert facts.extended_snf.invariant_factors == (1, 1, 1, 2, 2)
         assert facts.extended_snf.kernel_dim == 0
         assert facts.snf.invariant_factors == FIG_INVARIANT_FACTORS
-        assert counts == {"_dense": 0, "_compose": 0}
+        assert counts == {"_dense": 0}
 
     def test_extended_json_report_builds_no_transform(self, monkeypatch, tmp_path, capsys):
         from pideg import cli
 
         board = tmp_path / "board.txt"
         board.write_text(FIG_TEXT)
-        counts = _count_calls(monkeypatch, "_dense", "_compose")
+        counts = _count_calls(monkeypatch, "_dense")
         assert cli.main(["diagram", str(board), "--ell", "5", "--extended", "--json"]) == 0
         assert '"kernel_jump"' in capsys.readouterr().out
-        assert counts == {"_dense": 0, "_compose": 0}
-
-    def test_reading_twice_composes_once(self, fig_diagram, monkeypatch):
-        ext = extended_normal_form(skew_normal_form(matrix_from_diagram(fig_diagram)))
-        counts = _count_calls(monkeypatch, "_dense", "_compose")
-        E = ext.transform
-        assert counts == {"_dense": 10, "_compose": 9}
-        assert ext.transform is E
-        F = ext.inverse_transform
-        assert counts == {"_dense": 20, "_compose": 18}
-        assert ext.inverse_transform is F
-        assert counts == {"_dense": 20, "_compose": 18}
-
-    def test_values_equal_the_eager_products(self, fig_diagram):
-        from pideg.sweep import exhaustive_diagrams
-
-        rng = random.Random(5_151)
-        matrices = [matrix_from_diagram(d) for d in exhaustive_diagrams(3, 3)]
-        matrices += [random_skew(rng, rng.randrange(0, 12)) for _ in range(40)]
-        for M in [matrix_from_diagram(fig_diagram)] + matrices:
-            ext, E_ext, F_ext = _eager_extended_transforms(M)
-            assert ext.transform == E_ext
-            assert ext.inverse_transform == F_ext
+        assert counts == {"_dense": 0}
 
 
 class TestRationalKernel:
