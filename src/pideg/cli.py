@@ -322,7 +322,9 @@ def cmd_partition(args: argparse.Namespace):
         f"toric permutation: {tau.cycles}",
         f"odd cycles: {tau.cycles.odd_cycle_count}",
     ]
-    return fields, lines, partial(pi_degree_partition, shape, tau=tau)
+    # Only --verify runs the generic route, once for all the ells.
+    facts = DiagramFacts(young_diagram(shape)) if args.verify else None
+    return fields, lines, partial(pi_degree_partition, shape, tau=tau, facts=facts)
 
 
 @closed_form_command
@@ -342,7 +344,8 @@ def cmd_detring(args: argparse.Namespace):
         f"toric cycles: {cycles}",
         f"odd cycles: {cycles.odd_cycle_count}",
     ]
-    return fields, lines, partial(pi_degree_determinantal, n, t)
+    facts = DiagramFacts(determinantal_diagram(n, t)) if args.verify else None
+    return fields, lines, partial(pi_degree_determinantal, n, t, facts=facts)
 
 
 @closed_form_command
@@ -359,7 +362,9 @@ def cmd_schubert(args: argparse.Namespace):
         f"Schubert cell gamma = {idx.gamma} in (m, n) = ({idx.m}, {idx.n})",
         f"Young shape: {shape} in box {shape.box_m}x{shape.box_n}",
     ]
-    return fields, lines, partial(pi_degree_schubert, idx)
+    # Every ell reads the shape's board; a fallback or --verify reduces it once.
+    facts = DiagramFacts(young_diagram(shape))
+    return fields, lines, partial(pi_degree_schubert, idx, facts=facts)
 
 
 @closed_form_command

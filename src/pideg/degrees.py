@@ -40,7 +40,6 @@ from .intlinalg import (
     SkewNormalForm,
     _residue_factors,
     cycle_kernel_vectors,
-    extend,
     extended_normal_form,
     matrix_from_diagram,
     skew_normal_form,
@@ -148,7 +147,9 @@ def pi_degree_qas(M: SkewIntMatrix, ell: int) -> PiDegree:
     ell / gcd(h_i, ell) over M's invariant factors h_1 | ... | h_s. M's form over
     Z/N, N = ell * RANK_PRIME, certified mod N, gives s and each gcd(h_i, ell)
     = gcd(a_i, ell) when it has n // 2 blocks a_i (intlinalg._residue_factors);
-    otherwise skew_normal_form, over Z, answers.
+    otherwise skew_normal_form, over Z, answers. The form mod N is reduced,
+    and its transforms replayed, on rows packed as ints of residue slots, so
+    no entry grows past N and each step is a multiply-add of whole rows.
     """
     if ell < 2:
         raise BadEll(f"ell must be at least 2, got {ell}")
@@ -191,21 +192,26 @@ def pi_degree_partition(
     ell: int,
     cross_check: bool = False,
     tau: Permutation | None = None,
+    facts: DiagramFacts | None = None,
 ) -> PiDegree:
     """PI degree of the quantum affine space of a Young shape, odd ell.
 
     Closed form ell**((N - r) / 2) with N the number of boxes and r the
     number of even-length cycles of the toric permutation of the shape.
     A caller that already holds that permutation passes it as tau;
-    otherwise it is computed by its closed form.
+    otherwise it is computed by its closed form. The cross check reads the
+    generic degree from facts, the DiagramFacts of the shape's Young
+    diagram, which a caller checking several ells passes so that the board
+    is reduced once; otherwise it builds them.
     """
     _check_odd_ell(ell)
     if tau is None:
         tau = partition_toric_permutation(shape)
     closed = PiDegree(ell=ell, exponent=_half_rank(shape, tau))
     if cross_check:
-        generic = DiagramFacts(young_diagram(shape)).pi_degree(ell)
-        _cross_check(closed, generic, f"shape {shape}, ell = {ell}")
+        if facts is None:
+            facts = DiagramFacts(young_diagram(shape))
+        _cross_check(closed, facts.pi_degree(ell), f"shape {shape}, ell = {ell}")
     return closed
 
 
@@ -217,13 +223,14 @@ def determinantal_invariant_exponent(n: int, t: int) -> int:
 
 
 def pi_degree_determinantal(
-    n: int, t: int, ell: int, cross_check: bool = False
+    n: int, t: int, ell: int, cross_check: bool = False, facts: DiagramFacts | None = None
 ) -> PiDegree:
     """PI degree of the quantum determinantal ring of the n x n board at level t.
 
     For odd ell the value is ell**s_t; for even ell a power of 2 divides
     out: ell**s_t / 2**(s_t - n + 1). Both agree with the generic route on
-    the determinantal diagram's matrix.
+    the determinantal diagram's matrix, which the cross check reads from
+    facts, the board's DiagramFacts, when the caller passes them.
     """
     s_t = determinantal_invariant_exponent(n, t)
     _check_ell_at_least_3(ell)
@@ -232,8 +239,9 @@ def pi_degree_determinantal(
     else:
         closed = PiDegree(ell=ell, exponent=s_t, divisor=2 ** (s_t - n + 1))
     if cross_check:
-        generic = DiagramFacts(determinantal_diagram(n, t)).pi_degree(ell)
-        _cross_check(closed, generic, f"determinantal (n, t) = ({n}, {t}), ell = {ell}")
+        if facts is None:
+            facts = DiagramFacts(determinantal_diagram(n, t))
+        _cross_check(closed, facts.pi_degree(ell), f"determinantal (n, t) = ({n}, {t}), ell = {ell}")
     return closed
 
 
@@ -317,7 +325,7 @@ def _box_hypothesis_failure(ell: int, box_m: int, box_n: int) -> str:
 
 
 def pi_degree_schubert(
-    idx: PluckerIndex, ell: int, cross_check: bool = False
+    idx: PluckerIndex, ell: int, cross_check: bool = False, facts: DiagramFacts | None = None
 ) -> PiDegree:
     """PI degree of the extended Schubert cell algebra, at any ell >= 3.
 
@@ -330,23 +338,23 @@ def pi_degree_schubert(
     kernel vectors are independent, and r is the kernel dimension.
     Outside the hypothesis the generic route on the extended matrix
     extend(M(young_diagram(lambda))) answers, with route GENERIC_FALLBACK
-    and the failed hypothesis as reason; it and the cross-check reduce extend(M)
-    once over Z, which costs less here than DiagramFacts.extended_pi_degree.
+    and the failed hypothesis as reason. It and the cross check read the
+    generic degree from facts, the DiagramFacts of the Young diagram, which
+    a caller asking for several ells passes so that the board is reduced
+    once; otherwise they are built here.
     """
     shape = partition_from_plucker(idx)
     failure = _box_hypothesis_failure(ell, shape.box_m, shape.box_n)
-    d = young_diagram(shape)
-    M = matrix_from_diagram(d)
-    if failure or cross_check:
-        generic = pi_degree_from_factors(skew_normal_form(extend(M)).invariant_factors, ell)
+    if facts is None:
+        facts = DiagramFacts(young_diagram(shape))
     if failure:
-        return replace(generic, route=GENERIC_FALLBACK, reason=failure)
+        return replace(facts.extended_pi_degree(ell), route=GENERIC_FALLBACK, reason=failure)
     tau = partition_toric_permutation(shape)
     s = _half_rank(shape, tau)
-    one_perp = all(sum(v.vector) == 0 for v in cycle_kernel_vectors(d, tau, M))
-    closed = PiDegree(ell=ell, exponent=s if one_perp else s + 1)
+    vectors = cycle_kernel_vectors(facts.diagram, tau, facts.matrix)
+    closed = PiDegree(ell=ell, exponent=s if all(sum(v.vector) == 0 for v in vectors) else s + 1)
     if cross_check:
-        _cross_check(closed, generic, f"Schubert gamma = {idx.gamma}, ell = {ell}")
+        _cross_check(closed, facts.extended_pi_degree(ell), f"Schubert gamma = {idx.gamma}, ell = {ell}")
     return closed
 
 

@@ -24,9 +24,15 @@ The central objects:
   sparse rows are kept, and written out as dense matrices only when the
   transforms are read.
 
-- The reduction, replay and certificate also run mod N: entries stay below
-  N, and E F = I and M E^T = F S are checked mod N (modular normal forms,
-  Domich, Kannan and Trotter, 1987). _residue_factors reads PI degrees off it.
+- The reduction, replay and certificate also run mod N (modular normal
+  forms, Domich, Kannan and Trotter, 1987), and _residue_factors reads PI
+  degrees off them. There the reduction and the replay (module residues)
+  hold each row as one int of fixed-width slots of residues: a round of the
+  reduction at one pivot is one congruence, a few multiply-adds of whole
+  rows per live row, a shear of the replay is one multiply-add, and a
+  Barrett step takes every slot of a row mod N at once. The certificate
+  reads the residues back as the sparse rows and lists it reads over Z,
+  and checks E F = I and M E^T = F S mod N.
 
 - extended_normal_form reads the normal form of extend(M), M bordered by
   a column of ones, from that of M. Congruence by diag(E, 1), unimodular by
@@ -47,8 +53,8 @@ The central objects:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from itertools import combinations, compress
+from functools import cached_property
+from itertools import compress
 from math import gcd, prod
 from operator import mul
 
@@ -259,22 +265,7 @@ def _pair_add(A: list[list[int]], log: list[int], dst: int, src: int, q: int, li
     log += (dst, src, q)
 
 
-def _pair_add_mod(A: list[list[int]], log: list[int], dst: int, src: int, q: int, live: int,
-                  N: int) -> None:
-    """_pair_add mod N: row dst gets residues in [-N // 2, N - N // 2), column dst minus them."""
-    if q == 0:
-        return
-    row = A[dst]
-    half = N // 2
-    for k, y in _nonzeros(A[src], live):
-        if k != dst:
-            x = (row[k] + q * y + half) % N - half
-            row[k] = x
-            A[k][dst] = -x
-    log += (dst, src, q)
-
-
-def _transforms(log: list[int], n: int, N: int = 0) -> tuple[list[dict[int, int]], ...]:
+def _transforms(log: list[int], n: int) -> tuple[list[dict[int, int]], ...]:
     """The rows of E^T and of F = E^{-1} for the logged steps G_1, ..., G_m.
 
     Each row is sparse, a dict from column index to nonzero entry.
@@ -285,9 +276,8 @@ def _transforms(log: list[int], n: int, N: int = 0) -> tuple[list[dict[int, int]
     matching entries of its destination row, so it needs no cut at the
     live index: after the steps taken at live index p or later, X and Y
     are diag(I_p, X'), so their rows from p on are zero before column p.
-    Forward tracking would fill whole rows. Mod N, entries lie in [0, N).
+    Forward tracking would fill whole rows.
     """
-    add = partial(_add_multiple_mod, N=N) if N else _add_multiple
     Et = [{k: 1} for k in range(n)]
     F = [{k: 1} for k in range(n)]
     steps = reversed(log)
@@ -297,8 +287,8 @@ def _transforms(log: list[int], n: int, N: int = 0) -> tuple[list[dict[int, int]
             F[i], F[j] = F[j], F[i]
             continue
         # X G adds q * column i to column j; G^{-1} Y subtracts q * row j from row i.
-        add(Et[j], Et[i], q)
-        add(F[i], F[j], -q)
+        _add_multiple(Et[j], Et[i], q)
+        _add_multiple(F[i], F[j], -q)
     return Et, F
 
 
@@ -311,17 +301,6 @@ def _add_multiple(dst: dict[int, int], src: dict[int, int], q: int) -> None:
             dst[k] = y
         else:
             del dst[k]
-
-
-def _add_multiple_mod(dst: dict[int, int], src: dict[int, int], q: int, N: int) -> None:
-    """_add_multiple over Z/N, with entries in [0, N)."""
-    get = dst.get
-    for k, x in src.items():
-        y = (get(k, 0) + q * x) % N
-        if y:
-            dst[k] = y
-        else:
-            dst.pop(k, None)
 
 
 def _nonzeros(row, start: int = 0):
@@ -403,19 +382,14 @@ def _certify(M: SkewIntMatrix, S: list[list[int]], Et: list[dict[int, int]],
     return factors
 
 
-def _reduce(M: SkewIntMatrix, N: int = 0) -> tuple[list[list[int]], list[int]]:
-    """The reduced matrix and the log of skew_normal_form's reduction of M, over Z or mod N."""
+def _reduce(M: SkewIntMatrix) -> tuple[list[list[int]], list[int]]:
+    """The reduced matrix and the log of skew_normal_form's reduction of M."""
     n = M.n
     A = M.to_lists()
-    if N:  # residues of least absolute value, skew
-        for i, j in combinations(range(n), 2):
-            A[i][j] = (A[i][j] + N // 2) % N - N // 2
-            A[j][i] = -A[i][j]
-    shear = partial(_pair_add_mod, N=N) if N else _pair_add
     log: list[int] = []
     p = 0
-    # g = gcd(a, N) of the last block divides every live entry: the scan proved it, and
-    # congruences keep it. So a pivot with that g (or 1, before any block) needs no scan.
+    # The last block's factor divides every live entry: the scan proved it, and
+    # congruences keep it. So a pivot of that size (or 1, before any block) needs no scan.
     last = 1
     while True:
         # The first entry of least absolute value in row-major order. A is
@@ -446,19 +420,14 @@ def _reduce(M: SkewIntMatrix, N: int = 0) -> tuple[list[list[int]], list[int]]:
             a = A[p][p + 1]
             if a == 0:
                 raise InternalVerificationFailed("lost the pivot")
-            # b goes to b - c a: c = b // a leaves the remainder, but mod N, if g | b,
-            # c = (b / g) (a / g)^-1 mod N / g (a unit) has c a = b mod N and clears b.
-            g = gcd(a, N)
-            unit = pow(a // g, -1, N // g) if N else 0
+            # b goes to b - c a with c = b // a, which leaves the remainder.
             for k in range(p + 2, n):
                 b = A[p][k]
                 if b:
-                    c = b // a if not N or b % g else b // g * unit % (N // g)
-                    shear(A, log, k, p + 1, -c, p)
+                    _pair_add(A, log, k, p + 1, -(b // a), p)
                 b = A[p + 1][k]
                 if b:
-                    c = b // -a if not N or b % g else -(b // g * unit % (N // g))
-                    shear(A, log, k, p, -c, p)
+                    _pair_add(A, log, k, p, -(b // -a), p)
             rem = next(
                 ((r, k) for k in range(p + 2, n) for r in (p, p + 1) if A[r][k]),
                 None,
@@ -473,6 +442,7 @@ def _reduce(M: SkewIntMatrix, N: int = 0) -> tuple[list[list[int]], list[int]]:
             if repaired:
                 raise InternalVerificationFailed("a divisibility repair left no remainder")
             viol = None
+            g = abs(a)
             if g != last:
                 for i2 in range(p + 2, n):
                     if any(A[i2][j2] % g for j2 in range(i2 + 1, n)):
@@ -480,7 +450,7 @@ def _reduce(M: SkewIntMatrix, N: int = 0) -> tuple[list[list[int]], list[int]]:
                         break
             if viol is None:
                 break
-            shear(A, log, p, viol, 1, p)
+            _pair_add(A, log, p, viol, 1, p)
             repaired = True
         if A[p][p + 1] < 0:
             _pair_swap(A, log, p, p + 1, p)
@@ -519,14 +489,20 @@ def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...] | None:
     The certificate proves that M and the form share their Smith form over Z/N
     (Newman, Integral Matrices, 1972, ch. II): gcd(a_i, N) = gcd(h_i, N) for M's
     invariant factors h_i, N | h_i past the blocks (h_i = 0 too), so s blocks
-    prove rank 2s. Fewer give None, before the replay.
+    prove rank 2s. Fewer give None, before the replay. The reduction and the
+    replay run on packed residue rows (residues._residue_reduce and
+    residues._residue_transforms); the certificate reads the dict rows and
+    the lists that _certify reads over Z.
     """
+    # Imported on first use, so that the commands that reduce only over Z do not load it.
+    from .residues import _residue_reduce, _residue_transforms
+
     n = M.n
     N = ell * RANK_PRIME
-    A, log = _reduce(M, N)
+    A, log = _residue_reduce(M, N)
     if not all(A[i][i + 1] for i in range(0, n - 1, 2)):
         return None
-    Et, F = _transforms(log, n, N)
+    Et, F = _residue_transforms(log, n, N)
     return _certify(M, A, Et, F, N)
 
 

@@ -16,9 +16,12 @@ sparse ones), the transforms of extend(M) are composed by dense products
 (production returns the bordered matrix's own form, whose invariants the
 chain of two certificates proves to be those of extend(M)), the
 transforms are replayed from the congruence log over whole dense rows
-(production replays sparse rows, touching only their nonzeros), the shear
-of the reduction rewrites whole live rows and columns (production visits
-only the nonzeros of its source row), the PI degree oracles count group
+(production replays sparse rows, touching only their nonzeros, and mod N
+packed rows), the shear of the reduction rewrites whole live rows and
+columns (production visits only the nonzeros of its source row), the
+reduction mod N applies its shears one at a time to dense lists
+(production applies each round's shears as one congruence on packed rows),
+the PI degree oracles count group
 orders directly, and irreducibility is decided by Burnside's criterion,
 growing the F_p span of the words in the generator images, or by counting
 the commutant of the images orbit by orbit of index pairs (production
@@ -267,14 +270,15 @@ def extended_transforms(snf, ext) -> SimpleNamespace:
     )
 
 
-def dense_transforms(log: list[int], n: int) -> tuple[list[list[int]], list[list[int]]]:
+def dense_transforms(log: list[int], n: int, N: int = 0) -> tuple[list[list[int]], list[list[int]]]:
     """E and F = E^{-1} as dense n x n lists, replayed from a congruence log.
 
     The log holds the steps G_1, ..., G_m of a skew reduction as flat
     triples i, j, q: q == 0 swaps indices i and j, any other q is the
     shear index_i += q * index_j. E = G_m ... G_1 and F = G_1^{-1} ...
     G_m^{-1} are replayed from the last step back over whole dense rows:
-    E^T as X^T -> G^T X^T and F as Y -> G^{-1} Y.
+    E^T as X^T -> G^T X^T and F as Y -> G^{-1} Y. With a modulus N, every
+    entry is taken mod N after each step, into [0, N).
     """
     Et = [[int(i == j) for j in range(n)] for i in range(n)]
     F = [row[:] for row in Et]
@@ -286,7 +290,96 @@ def dense_transforms(log: list[int], n: int) -> tuple[list[list[int]], list[list
         else:
             Et[j] = [x + q * y for x, y in zip(Et[j], Et[i])]
             F[i] = [x - q * y for x, y in zip(F[i], F[j])]
+            if N:
+                Et[j] = [x % N for x in Et[j]]
+                F[i] = [x % N for x in F[i]]
     return [list(col) for col in zip(*Et)], F
+
+
+def residue_reduce(rows, N: int) -> tuple[list[list[int]], list[int]]:
+    """The reduced matrix and the log of residues._residue_reduce, one
+    dense shear at a time.
+
+    The same pivot rule (the first unit mod N in row-major order, else the
+    least gcd with N, then the least absolute value), quotients, remainder
+    swaps and divisibility repairs, but every logged step is applied as it
+    is logged, to whole dense rows and columns of residues in [0, N), and a
+    swap moves rows and columns. Production applies a round's shears as one
+    congruence on packed rows, and a swap only relabels. The reduced matrix
+    comes back as production returns it: residues in (-N/2, N/2] above the
+    diagonal, their negatives below.
+    """
+    n = len(rows)
+    A = [[x % N for x in row] for row in rows]
+    log: list[int] = []
+
+    def signed(x):
+        return x - N if 2 * x > N else x
+
+    def swap(i, j):
+        if i != j:
+            A[i], A[j] = A[j], A[i]
+            for row in A:
+                row[i], row[j] = row[j], row[i]
+            log.extend((i, j, 0))
+
+    def shear(dst, src, q):  # index dst += q * index src
+        if q:
+            A[dst] = [(x + q * y) % N for x, y in zip(A[dst], A[src])]
+            for row in A:
+                row[dst] = (row[dst] + q * row[src]) % N
+            log.extend((dst, src, q))
+
+    p, last = 0, 1
+    while True:
+        candidates = [((gcd(A[i][j], N), min(A[i][j], N - A[i][j])), i, j)
+                      for i in range(p, n) for j in range(i + 1, n) if A[i][j]]
+        if not candidates:
+            break
+        units = [c for c in candidates if c[0][0] == 1]
+        _, i, j = units[0] if units else min(candidates)
+        swap(i, p)
+        swap(j, p + 1)
+        repaired = False
+        while True:
+            a = signed(A[p][p + 1])
+            if a == 0:
+                raise InternalVerificationFailed("lost the pivot")
+            g = gcd(a, N)
+            unit = pow(a // g, -1, N // g)
+            for k in range(p + 2, n):
+                b = A[p][k]
+                shear(k, p + 1, -(signed(b) // a) if b % g else -(b // g * unit % (N // g)))
+                b = A[p + 1][k]
+                shear(k, p, -(signed(b) // -a) if b % g else b // g * unit % (N // g))
+            rem = next(((r, k) for k in range(p + 2, n) for r in (p, p + 1) if A[r][k]), None)
+            if rem is not None:
+                r, k = rem
+                if not 0 < abs(signed(A[r][k])) < abs(a):
+                    raise InternalVerificationFailed("the pivot did not shrink")
+                swap(k, p + 1 if r == p else p)
+                repaired = False
+                continue
+            if repaired:
+                raise InternalVerificationFailed("a divisibility repair left no remainder")
+            viol = None
+            if g != last:
+                viol = next((k for k in range(p + 2, n)
+                             if any(A[k][j] % g for j in range(k + 1, n))), None)
+            if viol is None:
+                break
+            shear(p, viol, 1)
+            repaired = True
+        if a < 0:
+            swap(p, p + 1)
+        last = g
+        p += 2
+    S = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            S[i][j] = signed(A[i][j])
+            S[j][i] = -S[i][j]
+    return S, log
 
 
 def dense_pair_add(A: list[list[int]], log: list[int], dst: int, src: int, q: int, live: int) -> None:

@@ -109,6 +109,25 @@ class TestClosedFormCommands:
         assert code == 0
         assert len(built) == 1
 
+    @pytest.mark.parametrize(
+        "argv, matrices",
+        [
+            (("partition", "6,5,4,3,2,1", "--ell", "3", "--ell", "5", "--ell", "7", "--verify"), 1),
+            (("detring", "5", "2", "--ell", "3", "--ell", "4", "--ell", "5", "--verify"), 1),
+            (("schubert", "1,3,4,7", "8", "--ell", "3", "--ell", "5", "--ell", "7", "--verify"), 2),
+            (("schubert", "1,3,4,7", "8", "--ell", "4", "--ell", "6", "--ell", "8"), 2),
+        ],
+        ids=["partition", "detring", "schubert-verify", "schubert-fallback"],
+    )
+    def test_one_normal_form_per_board(self, capsys, monkeypatch, argv, matrices):
+        # Every --ell reads the same generic factors: the board's matrix, and
+        # for schubert the bordered matrix of its extended form, are each
+        # reduced once per command.
+        reduced = spy(monkeypatch, skew_normal_form)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(reduced) == len({args[0].rows for args in reduced}) == matrices
+
     def test_partition_rejects_ell_two(self, capsys):
         code, _, err = run(capsys, "partition", "5,3,2", "--ell", "2")
         assert code == 1 and "error:" in err

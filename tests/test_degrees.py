@@ -396,12 +396,13 @@ class TestDiagramAnalysis:
     def test_extended_report_never_borders_the_matrix(self, tmp_path, capsys, monkeypatch):
         import json
 
-        from pideg import cli, degrees
+        from pideg import cli, intlinalg
 
         def refuse(M):
             raise AssertionError("the bordered matrix was built")
 
-        monkeypatch.setattr(degrees, "extend", refuse)
+        # Only intlinalg calls extend; the package root just re-exports it.
+        monkeypatch.setattr(intlinalg, "extend", refuse)
         board = tmp_path / "board.txt"
         board.write_text(FIG_TEXT)
         assert cli.main(["diagram", str(board), "--ell", "5", "--extended", "--json"]) == 0

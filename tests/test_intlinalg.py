@@ -26,6 +26,7 @@ from pideg import (
     matrix_from_diagram,
     pi_degree_from_factors,
     pi_degree_qas,
+    residues,
     skew_normal_form,
     toric_permutation,
 )
@@ -52,6 +53,7 @@ from tests.oracles import (
     kernel_basis_rational,
     one_perp,
     rational_nullity,
+    residue_reduce,
     textbook_smith,
 )
 
@@ -529,15 +531,21 @@ def _block_diagonal(h, n: int) -> SkewIntMatrix:
 
 
 def _record_replay_moduli(monkeypatch) -> list[int]:
-    """The modulus of every later replay of intlinalg._transforms, 0 over Z."""
+    """The modulus of every later replay: N for residues._residue_transforms,
+    0 for intlinalg._transforms over Z."""
     moduli = []
-    replay = intlinalg._transforms
+    replay, residue_replay = intlinalg._transforms, residues._residue_transforms
 
-    def spy(log, n, N=0):
+    def spy(log, n):
+        moduli.append(0)
+        return replay(log, n)
+
+    def residue_spy(log, n, N):
         moduli.append(N)
-        return replay(log, n, N)
+        return residue_replay(log, n, N)
 
     monkeypatch.setattr(intlinalg, "_transforms", spy)
+    monkeypatch.setattr(residues, "_residue_transforms", residue_spy)
     return moduli
 
 
@@ -552,12 +560,12 @@ def _assert_residue_route_agrees(M: SkewIntMatrix) -> None:
     The form is the one pi_degree_qas reduces mod N; where it is short and
     pi_degree_qas certifies none, its replay and certificate run here."""
     h = skew_normal_form(M).invariant_factors
-    reduce, certify = intlinalg._reduce, intlinalg._certify
+    reduce, certify = residues._residue_reduce, intlinalg._certify
     for ell in RESIDUE_ELLS:
         N = ell * RANK_PRIME
         seen = {}
 
-        def reduce_spy(M, N=0):
+        def reduce_spy(M, N):
             seen.setdefault(N, {})["reduced"] = reduce(M, N)
             return seen[N]["reduced"]
 
@@ -566,14 +574,14 @@ def _assert_residue_route_agrees(M: SkewIntMatrix) -> None:
             return seen[N]["factors"]
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(intlinalg, "_reduce", reduce_spy)
+            patch.setattr(residues, "_residue_reduce", reduce_spy)
             patch.setattr(intlinalg, "_certify", certify_spy)
             got = pi_degree_qas(M, ell)
         expected = pi_degree_from_factors(h, ell)
         assert got == expected and repr(got) == repr(expected), (M.rows, ell)
         if "factors" not in seen[N]:
             A, log = seen[N]["reduced"]
-            seen[N]["factors"] = certify(M, A, *intlinalg._transforms(log, M.n, N), N)
+            seen[N]["factors"] = certify(M, A, *residues._residue_transforms(log, M.n, N), N)
         g = [gcd(a, N) for a in seen[N]["factors"]]
         assert g == [gcd(x, N) for x in h[:len(g)]], (M.rows, ell)
         assert all(gcd(x, N) == N for x in h[len(g):]), (M.rows, ell)
@@ -633,7 +641,7 @@ class TestResidueForm:
         # it, and 2, a unit mod 3q, stays the pivot; over Z, 3 // 2 leaves 1.
         N = 3 * RANK_PRIME
         M = SkewIntMatrix(((0, 2, 3), (-2, 0, 0), (-3, 0, 0)))
-        A, log = intlinalg._reduce(M, N)
+        A, log = residues._residue_reduce(M, N)
         c = 3 * pow(2, -1, N) % N
         assert log == [2, 1, -c]
         assert A == [[0, 2, 0], [-2, 0, 0], [0, 0, 0]]
@@ -647,10 +655,10 @@ class TestResidueForm:
         for ell in (2, 6, 10**24 + 7):
             N = ell * RANK_PRIME
             for n in (16, 30):
-                A, log = intlinalg._reduce(random_skew(rng, n), N)
+                A, log = residues._residue_reduce(random_skew(rng, n), N)
                 assert all(abs(x) <= N // 2 for row in A for x in row)
                 assert all(abs(x) < N for x in log)
-                rows = intlinalg._transforms(log, n, N)
+                rows = residues._residue_transforms(log, n, N)
                 assert all(0 < x < N for side in rows for row in side for x in row.values())
 
     def test_empty_and_tiny_matrices(self):
@@ -683,6 +691,96 @@ class TestResidueForm:
         with pytest.raises(InternalVerificationFailed, match=re.escape(message)):
             pi_degree_qas(matrix_from_diagram(fig_diagram), 5)
         assert moduli == [5 * RANK_PRIME]
+
+
+class TestResidueRows:
+    """The packed slots of residues._ResidueRows against per-slot % N."""
+
+    @pytest.mark.parametrize(
+        "N",
+        [5 * RANK_PRIME, 2**64 - 59, 2**64 + 13, (10**24 + 7) * RANK_PRIME],
+        ids=["5q", "below-2^64", "above-2^64", "ell-10^24+7"],
+    )
+    def test_reduce_takes_every_slot_mod_n(self, N):
+        rng = random.Random(N)
+        for n in (1, 2, 17, 55):
+            rows = residues._ResidueRows(N, n)
+            w = rows.width
+            assert w % 64 == 0
+            top = N - 1 + rows.budget * (N - 1) ** 2  # the largest slot the bound allows
+            edges = [0, 1, N - 1, N, N + 1, 2 * N - 1, 2 * N, top - N, top - 1, top]
+            for slots in (
+                [top] * n,
+                [edges[k % len(edges)] for k in range(n)],
+                [rng.randint(0, top) for _ in range(n)],
+            ):
+                reduced = rows.reduce(sum(x << w * k for k, x in enumerate(slots)))
+                expected = [x % N for x in slots]
+                assert rows.unpack(reduced) == expected
+                assert reduced == sum(x << w * k for k, x in enumerate(expected))
+                assert rows.pack(expected) == reduced
+
+    @pytest.mark.parametrize("N", [2**64 - 59, 2**64 + 13])
+    def test_budget_products_of_the_largest_residues_fit(self, N):
+        # A reduced row of N - 1 times N - 1, added budget times, is the
+        # largest row the reduction and the replay build.
+        rows = residues._ResidueRows(N, 9)
+        row = rows.pack([N - 1] * 9)
+        total = 0
+        for _ in range(rows.budget):
+            total += (N - 1) * row
+        total += row
+        assert rows.unpack(rows.reduce(total)) == [(N - 1) * (rows.budget * (N - 1) + 1) % N] * 9
+
+
+def _assert_packed_rounds_match_the_oracle(M: SkewIntMatrix, ells) -> None:
+    """The packed reduction mod N = ell q returns the matrix and log of
+    tests/oracles.residue_reduce, which applies each shear to dense lists
+    as it logs it, and the packed replay of that log the E and F of
+    tests/oracles.dense_transforms mod N."""
+    n = M.n
+    for ell in ells:
+        N = ell * RANK_PRIME
+        A, log = residues._residue_reduce(M, N)
+        assert (A, log) == residue_reduce(M.rows, N), (M.rows, ell)
+        Et, F = residues._residue_transforms(log, n, N)
+        E_dense, F_dense = dense_transforms(log, n, N)
+        assert [[col.get(r, 0) for col in Et] for r in range(n)] == E_dense, (M.rows, ell)
+        assert [[row.get(c, 0) for c in range(n)] for row in F] == F_dense, (M.rows, ell)
+
+
+class TestPackedRounds:
+    """A round of the packed reduction is the congruence of all its shears."""
+
+    def test_exhaustive_boards(self):
+        for M in exhaustive_board_matrices():
+            _assert_packed_rounds_match_the_oracle(M, (2, 3, 6, RANK_PRIME))
+
+    def test_low_rank_matrices(self):
+        for M in low_rank_matrices():
+            _assert_packed_rounds_match_the_oracle(M, RESIDUE_ELLS)
+
+    def test_dense_random_matrices(self):
+        rng = random.Random(4_444)
+        for _ in range(8):
+            M = random_skew(rng, rng.randrange(16, 41))
+            _assert_packed_rounds_match_the_oracle(M, (2, 3, 6, 10**24 + 7))
+
+    @settings(deadline=None, max_examples=60)
+    @given(skew_matrices, st.sampled_from(RESIDUE_ELLS))
+    def test_any_skew_matrix(self, M, ell):
+        _assert_packed_rounds_match_the_oracle(M, (ell,))
+
+    def test_a_repair_folds_in_what_the_pivot_does_not_divide(self):
+        # Mod 6q no entry is a unit; 2 has the least gcd, does not divide 3,
+        # and the repair's shear brings 3 into the pivot's row, where its
+        # remainder 1 becomes the pivot.
+        M = _block_diagonal((2, 3), 4)
+        A, log = residues._residue_reduce(M, 6 * RANK_PRIME)
+        assert log[:3] == [0, 2, 1]
+        assert [gcd(A[i][i + 1], 6 * RANK_PRIME) for i in (0, 2)] == [1, 6]
+        _assert_packed_rounds_match_the_oracle(M, (6,))
+        assert pi_degree_qas(M, 6) == pi_degree_from_factors((1, 6), 6)
 
 
 def _assert_chain_holds(M: SkewIntMatrix) -> None:

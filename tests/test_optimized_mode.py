@@ -28,6 +28,7 @@ from pideg import (
     pi_degree_qas,
     qas_representation,
     reps,
+    residues,
 )
 
 
@@ -52,23 +53,47 @@ expect(InternalVerificationFailed, oracles.determinant, [[1, 2], [3, 4]])
 expect(InternalVerificationFailed, intlinalg._prove_independent, [(1, -1, 0), (1, -1, 0)])
 
 # A transform with one nonzero of F dropped fails E F = I.
-transforms = intlinalg._transforms
+transforms, residue_transforms = intlinalg._transforms, residues._residue_transforms
 
 
-def drop_f_entry(log, n, *modulus):
-    Et, F = transforms(log, n, *modulus)
-    F[-1].popitem()
-    return Et, F
+def dropping_f_entry(replay):
+    def replay_dropping_f_entry(log, n, *modulus):
+        Et, F = replay(log, n, *modulus)
+        F[-1].popitem()
+        return Et, F
+
+    return replay_dropping_f_entry
 
 
-intlinalg._transforms = drop_f_entry
+intlinalg._transforms = dropping_f_entry(transforms)
 expect(InternalVerificationFailed, intlinalg.skew_normal_form, SkewIntMatrix(((0, 2), (-2, 0))))
 # The same tamper fails the certificate of the congruence form mod ell q.
+residues._residue_transforms = dropping_f_entry(residue_transforms)
 expect(
     InternalVerificationFailed, pi_degree_qas, SkewIntMatrix(((0, 2), (-2, 0))), 3,
     match="E F is not the identity",
 )
 intlinalg._transforms = transforms
+
+# A packed replay whose slot reduction is off by one leaves wrong residues
+# in E and F, which the certificate mod ell q rejects.
+reduce = residues._ResidueRows.reduce
+
+
+def replay_off_by_one(log, n, N):
+    residues._ResidueRows.reduce = lambda rows, row: reduce(rows, row) + rows.ones
+    try:
+        return residue_transforms(log, n, N)
+    finally:
+        residues._ResidueRows.reduce = reduce
+
+
+residues._residue_transforms = replay_off_by_one
+expect(
+    InternalVerificationFailed, pi_degree_qas,
+    SkewIntMatrix(((0, 1, 2, 3), (-1, 0, 4, 5), (-2, -4, 0, 6), (-3, -5, -6, 0))), 3,
+)
+residues._residue_transforms = residue_transforms
 
 # A shear that skips its column write leaves the remainders in place; the
 # reduction raises instead of looping forever.
