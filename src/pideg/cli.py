@@ -451,7 +451,7 @@ def cmd_rep(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     kind, items = parse_corpus(args.corpus, args.seed)
-    names = args.properties.split(",") if args.properties else None
+    names = None if args.properties is None else [x for x in args.properties.split(",") if x]
     results = run_sweep(kind, items, names, Path(args.out))
     lines = [
         f"sweep corpus: {args.corpus}",

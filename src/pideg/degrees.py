@@ -35,9 +35,12 @@ from .errors import (
     InternalVerificationFailed,
 )
 from .intlinalg import (
+    RANK_PRIME,
     CycleKernelVector,
     SkewIntMatrix,
     SkewNormalForm,
+    _primes,
+    _proved_rank,
     _residue_factors,
     cycle_kernel_vectors,
     extended_normal_form,
@@ -144,18 +147,24 @@ def pi_degree_qas(M: SkewIntMatrix, ell: int) -> PiDegree:
     """PI degree of the quantum affine space with commutation matrix M.
 
     The generic route, for every ell >= 2 including even ell: the product of
-    ell / gcd(h_i, ell) over M's invariant factors h_1 | ... | h_s. M's form over
-    Z/N, N = ell * RANK_PRIME, certified mod N, gives s and each gcd(h_i, ell)
-    = gcd(a_i, ell) when it has n // 2 blocks a_i (intlinalg._residue_factors);
-    otherwise skew_normal_form, over Z, answers. The form mod N is reduced,
-    and its transforms replayed, on rows packed as ints of residue slots, so
-    no entry grows past N and each step is a multiply-add of whole rows.
+    ell / gcd(h_i, ell) over M's invariant factors h_1 | ... | h_s. M's form
+    over Z/N, N = ell * RANK_PRIME, certified mod N, has blocks a_1, ..., a_t
+    with gcd(a_i, ell) = gcd(h_i, ell), and N | h_i for i > t
+    (intlinalg._residue_factors). When 2t < 2 (n // 2), the rank 2s is proved
+    from ranks mod primes descending from 2^31 - 1 against a Hadamard bound
+    (intlinalg._proved_rank), and each of the s - t blocks past the form
+    counts as gcd(h_i, ell) = ell. The form mod N is reduced, and its
+    transforms replayed, on rows packed as ints of residue slots, so no entry
+    grows past N and each step is a multiply-add of whole rows.
     """
     if ell < 2:
         raise BadEll(f"ell must be at least 2, got {ell}")
     factors = _residue_factors(M, ell)
-    if factors is None:
-        factors = skew_normal_form(M).invariant_factors
+    top = M.n // 2 * 2
+    if 2 * len(factors) < top:
+        # Word-sized primes, so that a handful passes the bound.
+        rank = _proved_rank(M.rows, top, _primes(2**31 - 1, -2))
+        factors += (ell * RANK_PRIME,) * (rank // 2 - len(factors))
     return pi_degree_from_factors(factors, ell)
 
 

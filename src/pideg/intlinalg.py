@@ -44,6 +44,9 @@ The central objects:
 - rank_mod_p finds the rank of an integer matrix over F_p, and whether
   the all-ones row lies in its row space, by one elimination that builds
   no kernel basis and updates only the support of each pivot row.
+  _proved_rank proves the rank over Q from ranks mod primes against a
+  Hadamard bound: for the cycle vectors below, and for a bare matrix whose
+  form mod N is short.
 
 - cycle_kernel_vectors realizes the kernel of M(D) combinatorially from the
   even-length cycles of the toric permutation, and proves the vectors
@@ -158,8 +161,12 @@ def extend(M: SkewIntMatrix) -> SkewIntMatrix:
 
 
 # q in the modulus N = ell q of _residue_factors: mod ell, an invariant factor
-# that ell divides would leave no block to show the rank; mod ell q, only ell q.
-RANK_PRIME = 2**31 - 1
+# that ell divides would leave no block; mod ell q, only one that ell q divides,
+# about once in q for a full-rank matrix, and pi_degree_qas then proves the rank
+# from primes instead. So q need not be large, and at 2^13 - 1 every residue
+# mod N is below 2^16 for ell <= 8: a slot of residues._ResidueRows is one
+# 64-bit word up to n = 256, and a certificate product mod N is below 2^32.
+RANK_PRIME = 2**13 - 1
 
 
 def is_prime(p: int) -> bool:
@@ -482,27 +489,25 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
     return SkewNormalForm(factors, n - 2 * len(factors), Et, F)
 
 
-def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...] | None:
+def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...]:
     """The factors a_1, ..., a_s of M's congruence form over Z/N, N = ell *
-    RANK_PRIME, certified mod N, when there are s = n // 2 of them, else None.
+    RANK_PRIME, certified mod N.
 
     The certificate proves that M and the form share their Smith form over Z/N
     (Newman, Integral Matrices, 1972, ch. II): gcd(a_i, N) = gcd(h_i, N) for M's
-    invariant factors h_i, N | h_i past the blocks (h_i = 0 too), so s blocks
-    prove rank 2s. Fewer give None, before the replay. The reduction and the
-    replay run on packed residue rows (residues._residue_reduce and
+    invariant factors h_i, and N | h_i past the blocks (h_i = 0 too). So the s
+    blocks prove rank at least 2s, and exactly 2s when s = n // 2; a shorter
+    form leaves the rank to _proved_rank. The reduction and the replay run on
+    packed residue rows (residues._residue_reduce and
     residues._residue_transforms); the certificate reads the dict rows and
     the lists that _certify reads over Z.
     """
     # Imported on first use, so that the commands that reduce only over Z do not load it.
     from .residues import _residue_reduce, _residue_transforms
 
-    n = M.n
     N = ell * RANK_PRIME
     A, log = _residue_reduce(M, N)
-    if not all(A[i][i + 1] for i in range(0, n - 1, 2)):
-        return None
-    Et, F = _residue_transforms(log, n, N)
+    Et, F = _residue_transforms(log, M.n, N)
     return _certify(M, A, Et, F, N)
 
 
@@ -590,31 +595,51 @@ def rank_mod_p(rows, p: int) -> tuple[int, bool]:
     return r, not any(A[R])
 
 
+def _primes(p: int, step: int):
+    """The primes among p, p + step, p + 2 step, ..., in that order."""
+    while True:
+        if is_prime(p):
+            yield p
+        p += step
+
+
+def _proved_rank(rows, top: int, primes) -> int:
+    """The rank over Q of an integer matrix, given as rows, proved from its
+    ranks mod primes; `top` bounds the rank.
+
+    Every prime p gives rank_Q >= rank_p, so r is the largest rank seen.
+    Each prime tried then divides every (r + 1)-minor, and Hadamard bounds
+    such a minor by the product of the r + 1 largest row norms, so once the
+    product of the primes exceeds that bound, every (r + 1)-minor is zero
+    and the rank is r (Dumas, Saunders and Villard, J. Symb. Comput. 32,
+    2001). The primes are taken in the given order until then, or until
+    r = top.
+    """
+    norms = sorted((sum(x * x for x in row) for row in rows), reverse=True)
+    r, modulus = 0, 1
+    primes = iter(primes)
+    while r < top and modulus * modulus <= prod(norms[:r + 1]):
+        p = next(primes)
+        r = max(r, rank_mod_p(rows, p)[0])
+        modulus *= p
+    return r
+
+
 def _prove_independent(vectors) -> None:
     """Prove integer vectors linearly independent over Q; raise
     InternalVerificationFailed if they are dependent.
 
     Full rank mod p proves it: some maximal minor is then nonzero mod p,
-    hence nonzero. Primes 3, 5, 7, ... are tried in turn. Each prime of
-    deficient rank divides every maximal minor, and Hadamard bounds every
-    maximal minor by prod ||v_j||_2, so once the product of those primes
-    exceeds the bound, every maximal minor is zero: the vectors are proved
-    dependent, and the loop ends (Dumas, Saunders and Villard, J. Symb.
-    Comput. 32, 2001).
+    hence nonzero. Primes 3, 5, 7, ... are tried in turn, until one gives
+    full rank or _proved_rank proves a smaller rank. Small primes, since
+    one almost always gives full rank here: primes near 2^31 cost a
+    Miller-Rabin test each and a slower elimination.
     """
-    bound_sq = prod(sum(x * x for x in v) for v in vectors)
-    modulus = 1
-    p = 3
-    while rank_mod_p(vectors, p)[0] < len(vectors):
-        modulus *= p
-        if modulus * modulus > bound_sq:
-            raise InternalVerificationFailed(
-                f"the {len(vectors)} vectors are dependent: their rank is "
-                f"deficient mod every prime up to {p}"
-            )
-        p += 2
-        while not is_prime(p):
-            p += 2
+    rank = _proved_rank(vectors, len(vectors), _primes(3, 2))
+    if rank < len(vectors):
+        raise InternalVerificationFailed(
+            f"the {len(vectors)} vectors are dependent: their rank is {rank}"
+        )
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ def parse_corpus(spec: str, seed: int):
             if m != n or m < 1 or count < 1:
                 raise BadSpec(f"bad mutation corpus: {spec!r}")
             return "matrix", mutation_matrices(n, count, seed)
-    except (ValueError, BadSpec) as exc:
+    except ValueError as exc:
         raise BadSpec(f"cannot parse corpus spec {spec!r}") from exc
     raise BadSpec(f"cannot parse corpus spec {spec!r}")
 
@@ -241,14 +241,17 @@ def run_sweep(
 ) -> list[PropertyResult]:
     """Check each named property on every item; one result per name, in order.
 
-    names None asks for the corpus kind's DEFAULT_PROPERTIES; a name not in
-    the kind's registry is a BadSpec, raised before any item is checked.
+    names None asks for the corpus kind's DEFAULT_PROPERTIES; an empty list,
+    or a name not in the kind's registry, is a BadSpec, raised before any
+    item is checked.
     Diagram properties share one DiagramFacts per board. Counterexamples
     are written to out_dir as described in the module docstring.
     """
     registry = DIAGRAM_PROPERTIES if kind == "diagram" else MATRIX_PROPERTIES
     if names is None:
         names = DEFAULT_PROPERTIES[kind]
+    if not names:
+        raise BadSpec("no properties given")
     unknown = [x for x in names if x not in registry]
     if unknown:
         raise BadSpec(

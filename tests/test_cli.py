@@ -564,6 +564,28 @@ class TestSweepCommand:
             )
             assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("exhaustive 5x4", "exhaustive corpus too large or empty: 'exhaustive 5x4'"),
+            ("random 3x3 x0", "bad random corpus: 'random 3x3 x0'"),
+            ("exhaustive 2xb", "cannot parse corpus spec 'exhaustive 2xb'"),
+            ("bogus", "cannot parse corpus spec 'bogus'"),
+        ],
+    )
+    def test_bad_corpus_spec_says_what_is_wrong(self, capsys, tmp_path, spec, message):
+        code, out, err = run(capsys, "sweep", spec, "--out", str(tmp_path / "f"))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("properties", ["", ","])
+    def test_an_empty_property_list_is_refused(self, capsys, tmp_path, properties):
+        code, out, err = run(
+            capsys,
+            "sweep", "exhaustive 1x2", "--properties", properties,
+            "--out", str(tmp_path / "f"),
+        )
+        assert (code, out, err) == (1, "", "error: no properties given\n")
+
 
 def spy(monkeypatch, original) -> list:
     """Count calls of a package function through every module that binds it."""

@@ -2,7 +2,7 @@
 
 import random
 import re
-from itertools import product
+from itertools import islice, product
 from math import gcd, prod
 from types import SimpleNamespace
 
@@ -19,6 +19,7 @@ from pideg import (
     SkewSymmetryViolated,
     checked_cycle_sum,
     cycle_kernel_vectors,
+    degrees,
     diagram_from_text,
     extend,
     intlinalg,
@@ -552,37 +553,40 @@ def _record_replay_moduli(monkeypatch) -> list[int]:
 RESIDUE_ELLS = (*range(2, 13), 30, 36, RANK_PRIME, 2 * RANK_PRIME, 10**24 + 7)
 
 
+def _never_over_z(patch: pytest.MonkeyPatch) -> None:
+    """Make every normal form over Z, and every replay over Z, fail the test."""
+
+    def refused(*args):
+        raise AssertionError("pi_degree_qas reduced over Z")
+
+    for module in (intlinalg, degrees):
+        patch.setattr(module, "skew_normal_form", refused)
+    patch.setattr(intlinalg, "_transforms", refused)
+
+
 def _assert_residue_route_agrees(M: SkewIntMatrix) -> None:
     """At every ell of RESIDUE_ELLS, the certified form mod N = ell q has
     the factors gcd(h_i, N) of the invariant factors h_i over Z, and
-    pi_degree_qas equals the degree read from the h_i in every field.
-
-    The form is the one pi_degree_qas reduces mod N; where it is short and
-    pi_degree_qas certifies none, its replay and certificate run here."""
+    pi_degree_qas equals the degree read from the h_i in every field,
+    without a normal form over Z."""
     h = skew_normal_form(M).invariant_factors
-    reduce, certify = residues._residue_reduce, intlinalg._certify
+    certify = intlinalg._certify
     for ell in RESIDUE_ELLS:
         N = ell * RANK_PRIME
-        seen = {}
-
-        def reduce_spy(M, N):
-            seen.setdefault(N, {})["reduced"] = reduce(M, N)
-            return seen[N]["reduced"]
+        seen = []
 
         def certify_spy(M, S, Et, F, N=0):
-            seen.setdefault(N, {})["factors"] = certify(M, S, Et, F, N)
-            return seen[N]["factors"]
+            seen.append(certify(M, S, Et, F, N))
+            return seen[-1]
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(residues, "_residue_reduce", reduce_spy)
             patch.setattr(intlinalg, "_certify", certify_spy)
+            _never_over_z(patch)
             got = pi_degree_qas(M, ell)
         expected = pi_degree_from_factors(h, ell)
         assert got == expected and repr(got) == repr(expected), (M.rows, ell)
-        if "factors" not in seen[N]:
-            A, log = seen[N]["reduced"]
-            seen[N]["factors"] = certify(M, A, *residues._residue_transforms(log, M.n, N), N)
-        g = [gcd(a, N) for a in seen[N]["factors"]]
+        [factors] = seen
+        g = [gcd(a, N) for a in factors]
         assert g == [gcd(x, N) for x in h[:len(g)]], (M.rows, ell)
         assert all(gcd(x, N) == N for x in h[len(g):]), (M.rows, ell)
 
@@ -626,15 +630,16 @@ class TestResidueForm:
         assert pi_degree_qas(_block_diagonal(h, 4), ell) == pi_degree_from_factors(h, ell)
         assert moduli == [ell * RANK_PRIME]
 
-    def test_a_short_form_falls_back_to_the_normal_form_over_z(self, monkeypatch):
+    def test_a_short_form_proves_its_rank_from_primes(self, monkeypatch):
         # Rank 2 of 4, and rank 4 of 4 with a factor that ell q divides:
-        # both forms mod N have one block, which settles no rank, so only
-        # the form over Z is replayed.
+        # both forms mod N have one block, which settles no rank, so the
+        # rank is proved from primes and only the form mod N is replayed.
         moduli = _record_replay_moduli(monkeypatch)
         for h, degree in (((1,), (1, 1, (5,))), ((1, 5 * RANK_PRIME), (2, 5, (5, 1)))):
             pi = pi_degree_qas(_block_diagonal(h, 4), 5)
             assert (pi.exponent, pi.divisor, pi.factors) == degree
-        assert moduli == [0, 0]
+            assert repr(pi) == repr(pi_degree_from_factors(h, 5))
+        assert moduli == [5 * RANK_PRIME] * 2
 
     def test_a_pivot_clears_what_its_gcd_with_n_divides_in_one_shear(self):
         # gcd(2, 3q) = 1 divides 3, so one shear by c = 3 / 2 mod 3q clears
@@ -661,11 +666,14 @@ class TestResidueForm:
                 rows = residues._residue_transforms(log, n, N)
                 assert all(0 < x < N for side in rows for row in side for x in row.values())
 
-    def test_empty_and_tiny_matrices(self):
-        for n in range(3):
+    def test_empty_tiny_and_zero_matrices(self, monkeypatch):
+        # A zero matrix has a zero Hadamard bound, so its rank 0 needs no prime.
+        primes = _record_primes(monkeypatch)
+        for n in (0, 1, 2, 5, 6):
             M = SkewIntMatrix(tuple((0,) * n for _ in range(n)))
-            assert intlinalg._residue_factors(M, 5) == (() if n < 2 else None)
+            assert intlinalg._residue_factors(M, 5) == ()
             assert pi_degree_qas(M, 5) == pi_degree_from_factors((), 5)
+        assert primes == []
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -693,8 +701,77 @@ class TestResidueForm:
         assert moduli == [5 * RANK_PRIME]
 
 
+class TestRankProof:
+    """A short form mod N gets its rank from primes, never from the form over Z."""
+
+    def test_a_rank_deficient_matrix_needs_no_form_over_z(self, monkeypatch):
+        # A 40 x 40 X diag(h) X^T of rank 36, h = (1, 2, 3) six times.
+        M = _low_rank_skew(random.Random(36), 40, [1, 2, 3] * 6)
+        h = skew_normal_form(M).invariant_factors
+        assert len(h) == 18
+        primes = _record_primes(monkeypatch)
+        moduli = _record_replay_moduli(monkeypatch)
+        _never_over_z(monkeypatch)
+        for ell in range(2, 13):
+            got = pi_degree_qas(M, ell)
+            assert repr(got) == repr(pi_degree_from_factors(h, ell)), ell
+        assert moduli == [ell * RANK_PRIME for ell in range(2, 13)]
+        # Each proof takes the primes below 2^31 in turn, and stops at the
+        # first whose running product passes the Hadamard bound of the 37-minors.
+        proof = primes[:len(primes) // 11]
+        assert primes == proof * 11
+        assert proof[0] == 2**31 - 1 and proof == sorted(proof, reverse=True)
+        assert all(is_prime(p) for p in proof)
+        assert not any(is_prime(p) for p in range(proof[-1] + 2, proof[0], 2) if p not in proof)
+        bound_sq = prod(sorted((sum(x * x for x in row) for row in M.rows), reverse=True)[:37])
+        assert prod(proof[:-1]) ** 2 <= bound_sq < prod(proof) ** 2
+
+    @pytest.mark.parametrize("divisors", [(0, 1, 2), (1,)], ids=["first-three", "second"])
+    def test_a_multiple_of_proof_primes_keeps_its_rank(self, monkeypatch, divisors):
+        # c M0 has rank 0 mod each proof prime that divides c, so a proof
+        # that stopped on them, or read the rank off the last prime, would fail.
+        M0 = _low_rank_skew(random.Random(7), 12, [1, 2, 4])
+        h0 = skew_normal_form(M0).invariant_factors
+        assert len(h0) == 3
+        first = list(islice(intlinalg._primes(2**31 - 1, -2), 3))
+        c = prod(first[k] for k in divisors)
+        M = SkewIntMatrix(tuple(tuple(c * x for x in row) for row in M0.rows))
+        assert [rank_mod_p(M.rows, p)[0] for p in first] == [0 if k in divisors else 6 for k in range(3)]
+        assert intlinalg._proved_rank(M.rows, 12, intlinalg._primes(2**31 - 1, -2)) == 6
+        primes = _record_primes(monkeypatch)
+        _never_over_z(monkeypatch)
+        for ell in (2, 4, 6, 7):
+            got = pi_degree_qas(M, ell)
+            assert repr(got) == repr(pi_degree_from_factors(tuple(c * x for x in h0), ell))
+        assert primes[:3] == first
+
+    @pytest.mark.parametrize("n, h", [(9, [2, 3]), (9, [1, 1, 2, 6]), (11, [3])])
+    def test_odd_sizes(self, monkeypatch, n, h):
+        M = _low_rank_skew(random.Random(n), n, h)
+        expected = skew_normal_form(M).invariant_factors
+        _never_over_z(monkeypatch)
+        for ell in (2, 3, 6, 12):
+            got = pi_degree_qas(M, ell)
+            assert repr(got) == repr(pi_degree_from_factors(expected, ell)), (n, h, ell)
+
+    def test_the_proof_stops_at_the_largest_rank(self, monkeypatch):
+        # Rank n - 1 of an odd n is the largest, so the first prime that
+        # shows it ends the proof, whatever the bound.
+        M = _block_diagonal([RANK_PRIME * 5] * 2, 5)
+        primes = _record_primes(monkeypatch)
+        assert pi_degree_qas(M, 5) == pi_degree_from_factors((5 * RANK_PRIME,) * 2, 5)
+        assert primes == [2**31 - 1]
+
+
 class TestResidueRows:
     """The packed slots of residues._ResidueRows against per-slot % N."""
+
+    @pytest.mark.parametrize("ell", range(2, 9))
+    def test_one_word_per_slot(self, ell):
+        # For ell <= 8 every residue mod ell q is below 2^16, and a slot
+        # stays one 64-bit word up to n = 256.
+        for n in (1, 55, 256):
+            assert residues._ResidueRows(ell * RANK_PRIME, n).width == 64, (ell, n)
 
     @pytest.mark.parametrize(
         "N",
