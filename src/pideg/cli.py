@@ -362,7 +362,7 @@ def cmd_schubert(args: argparse.Namespace):
         f"Schubert cell gamma = {idx.gamma} in (m, n) = ({idx.m}, {idx.n})",
         f"Young shape: {shape} in box {shape.box_m}x{shape.box_n}",
     ]
-    # Every ell reads the shape's board; a fallback or --verify reduces it once.
+    # Only a fallback or --verify reads the shape's board, reduced once for all the ells.
     facts = DiagramFacts(young_diagram(shape))
     return fields, lines, partial(pi_degree_schubert, idx, facts=facts)
 

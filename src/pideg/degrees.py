@@ -3,13 +3,13 @@
 The generic route: the PI degree of the quantum affine space attached to a
 skew integer matrix M is the product over the congruence invariant factors
 h_i of M of ell / gcd(h_i, ell). Everything else in this module is a closed
-form for a structured family (Young shapes, determinantal boards, extended
-algebras, Schubert cells, Grassmannians), each carrying a cross_check flag
-that recomputes the value generically and raises FormulaMismatch on any
-disagreement, reading the generic degree over Z from the board itself
-(only a bare matrix goes through pi_degree_qas). Closed forms are never
-allowed to silently replace the generic computation: every PiDegree names
-the route that produced it. Where the hypothesis of the Schubert and
+form for a structured family (Young shapes, determinantal boards, Schubert
+cells, Grassmannians), each carrying a cross_check flag that recomputes
+the value generically and raises FormulaMismatch on any disagreement,
+reading the generic degree over Z from the board itself (only a bare
+matrix goes through pi_degree_qas). Closed forms are never allowed to
+silently replace the generic computation: every PiDegree names the route
+that produced it. Where the hypothesis of the Schubert and
 Grassmannian closed forms fails, the generic route answers, and it says so.
 """
 
@@ -43,6 +43,7 @@ from .intlinalg import (
     _proved_rank,
     _residue_factors,
     cycle_kernel_vectors,
+    cycle_sum,
     extended_normal_form,
     matrix_from_diagram,
     skew_normal_form,
@@ -281,50 +282,18 @@ def determinantal_toric_cycles(
     return closed
 
 
-def pi_degree_extended_diagram(
-    d: Diagram, ell: int, cross_check: bool = False
-) -> PiDegree:
-    """PI degree of the extended algebra of a diagram, odd ell.
-
-    The extended algebra borders the commutation matrix with a row and
-    column of ones. With s the number of invariant factors of the
-    unextended matrix: if every kernel vector sums to zero the border adds
-    a kernel direction and the degree stays ell**s; otherwise the border
-    eats one kernel direction, and the extra block contributes a full ell
-    when the smallest prime of ell exceeds min(m, n), else
-    ell / gcd(h_extra, ell) with h_extra the extra invariant factor of the
-    extended matrix. The smallest prime exceeds min(m, n) exactly when no
-    integer in 2..min(m, n) divides ell, so ell is never factored.
-    """
-    _check_odd_ell(ell)
-    facts = DiagramFacts(d)
-    s = len(facts.snf.invariant_factors)
-    if facts.one_perp:
-        closed = PiDegree(ell=ell, exponent=s)
-    elif all(ell % f for f in range(2, min(d.m, d.n) + 1)):
-        closed = PiDegree(ell=ell, exponent=s + 1)
-    else:
-        h_ext = facts.extended_snf.invariant_factors
-        if len(h_ext) != s + 1:
-            raise InternalVerificationFailed(
-                f"extended rank did not grow: {len(h_ext)} blocks vs {s}"
-            )
-        closed = PiDegree(ell=ell, exponent=s + 1, divisor=gcd(h_ext[s], ell))
-    if cross_check:
-        _cross_check(closed, facts.extended_pi_degree(ell), f"extended diagram, ell = {ell}")
-    return closed
-
-
 GENERIC_FALLBACK = "generic (hypothesis not met)"
 
 
 def _box_hypothesis_failure(ell: int, box_m: int, box_n: int) -> str:
-    """Why ell fails the common hypothesis of the Schubert and Grassmannian
-    closed forms, or "" when it holds.
+    """Why ell fails the even-ell gate of the Schubert and Grassmannian
+    closed forms, or "" when it passes.
 
-    ell must be odd (>= 3) and its smallest prime factor must exceed
-    min(box_m, box_n, 2). That bound is at most 2, which every odd ell
-    clears, so only the parity is tested. An ell that fails is an input the
+    The gate is the paper's hypothesis: ell odd (>= 3) with smallest prime
+    factor above min(box_m, box_n, 2). That bound is at most 2, which every
+    odd ell clears, so only the parity is tested. The Grassmannian's closed
+    form needs nothing more; pi_degree_schubert asks one more thing of an
+    odd ell, read from the cycle sums. An ell that fails is an input the
     closed form does not cover, not an error: the generic route answers.
     """
     _check_ell_at_least_3(ell)
@@ -339,29 +308,54 @@ def pi_degree_schubert(
     """PI degree of the extended Schubert cell algebra, at any ell >= 3.
 
     The cell is indexed by an increasing m-subset of {1..n}; its Young
-    shape lambda lives in the m x (n-m) box. Under the hypothesis (odd
-    ell, smallest prime factor above min(box sides, 2)) the value is
-    ell**((N - r)/2) when every kernel vector of the shape's matrix has
-    zero coordinate sum and ell**((N - r)/2 + 1) otherwise. The kernel is
-    read from the r even cycles of the shape's toric permutation: their
-    kernel vectors are independent, and r is the kernel dimension.
-    Outside the hypothesis the generic route on the extended matrix
+    shape lambda lives in the m x (n-m) box, with N boxes. Only the toric
+    permutation tau of lambda is read: s = (N - r)/2 for its r even cycles,
+    and g, the gcd of the coordinate sums of the even cycles' kernel
+    vectors, each by the side-transition formula (intlinalg.cycle_sum). For
+    odd ell the value is ell**s when g = 0 and ell**(s + 1) when
+    gcd(g, ell) = 1.
+
+    Proof. Let M = M(young_diagram(lambda)), E M E^T = S its certified
+    form with factors h_1, ..., h_s, and K its integer kernel, of rank r.
+    The last r rows of E form a Z-basis of K, so the kernel part of
+    v = E 1 has gcd g_K, the gcd of the sums of all vectors of K. A
+    unimodular change on those r coordinates turns extend(M), congruent to
+    S bordered by v, into diag(C, 0) with
+
+        C = [[S_blk, 0, v_blk], [0, 0, g_K], [-v_blk^T, -g_K, 0]],
+
+    and Pf(C) = +-g_K h_1 ... h_s: when g_K != 0, the s + 1 extended
+    factors multiply to g_K h_1 ... h_s, and every h_i is a power of 2 (the
+    paper's theorem). Every cycle vector lies in K, so g_K divides g, and
+    gcd(g, ell) = 1 gives gcd(g_K h_1 ... h_s, ell) = 1 for odd ell: each
+    extended factor contributes a full ell. When g = 0, the r cycle
+    vectors, independent, span K over Q, so g_K = 0; the product of the s
+    extended factors then divides h_1 ... h_s, a power of 2: ell**s.
+
+    Otherwise the generic route on the extended matrix
     extend(M(young_diagram(lambda))) answers, with route GENERIC_FALLBACK
-    and the failed hypothesis as reason. It and the cross check read the
-    generic degree from facts, the DiagramFacts of the Young diagram, which
-    a caller asking for several ells passes so that the board is reduced
-    once; otherwise they are built here.
+    and as reason the failed parity or gcd(g, ell). That fallback and the
+    cross check read the generic degree from facts, the DiagramFacts of
+    the Young diagram, which a caller asking for several ells passes so
+    that the board is reduced once; otherwise they are built here. The
+    closed route builds no board, matrix or kernel vector.
     """
     shape = partition_from_plucker(idx)
     failure = _box_hypothesis_failure(ell, shape.box_m, shape.box_n)
-    if facts is None:
+    if not failure:
+        tau = partition_toric_permutation(shape)
+        g = 0
+        for cycle in tau.cycles.cycles:
+            if len(cycle) % 2 == 0:
+                g = gcd(g, cycle_sum(cycle, tau, shape.box_m))
+        if g == 0 or gcd(g, ell) == 1:
+            closed = PiDegree(ell=ell, exponent=_half_rank(shape, tau) + (1 if g else 0))
+        else:
+            failure = f"need gcd(g, ell) = 1 for the gcd g of the even cycle sums, got gcd({g}, {ell}) = {gcd(g, ell)}"
+    if facts is None and (failure or cross_check):
         facts = DiagramFacts(young_diagram(shape))
     if failure:
         return replace(facts.extended_pi_degree(ell), route=GENERIC_FALLBACK, reason=failure)
-    tau = partition_toric_permutation(shape)
-    s = _half_rank(shape, tau)
-    vectors = cycle_kernel_vectors(facts.diagram, tau, facts.matrix)
-    closed = PiDegree(ell=ell, exponent=s if all(sum(v.vector) == 0 for v in vectors) else s + 1)
     if cross_check:
         _cross_check(closed, facts.extended_pi_degree(ell), f"Schubert gamma = {idx.gamma}, ell = {ell}")
     return closed

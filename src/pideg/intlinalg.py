@@ -147,19 +147,6 @@ def matrix_from_diagram(d: Diagram) -> SkewIntMatrix:
     return SkewIntMatrix._unchecked(tuple(map(tuple, rows)))
 
 
-def extend(M: SkewIntMatrix) -> SkewIntMatrix:
-    """Border M with a column of ones and the matching row of minus ones.
-
-    The new last row is (-1, ..., -1, 0). Its mirror, with the signs of the
-    border swapped, is congruent to it by negating the last coordinate, so
-    the choice changes no congruence invariant.
-    """
-    n = M.n
-    rows = [row + (1,) for row in M.rows]
-    rows.append((-1,) * n + (0,))
-    return SkewIntMatrix._unchecked(tuple(rows))
-
-
 # q in the modulus N = ell q of _residue_factors: mod ell, an invariant factor
 # that ell divides would leave no block; mod ell q, only one that ell q divides,
 # about once in q for a full-rank matrix, and pi_degree_qas then proves the rank
@@ -689,26 +676,38 @@ def cycle_kernel_vectors(
     return tuple(out)
 
 
+def cycle_sum(cycle: tuple[int, ...], tau: Permutation, m: int) -> int:
+    """Coordinate sum of the kernel vector of one even toric cycle of a
+    diagram with m rows, by the side-transition formula.
+
+    With the cycle's values +1/-1 alternating from its smallest label, the
+    sum adds the value at tau(j) whenever the cycle steps from a column
+    label j to a row label tau(j), subtracts the value at tau(k) whenever it
+    steps from a row label k to a column label tau(k), and ignores steps
+    that stay on one side. A cycle living entirely on rows or entirely on
+    columns therefore sums to zero. Only tau is read: no board, matrix or
+    vector.
+    """
+    values = {label: (1 if k % 2 == 0 else -1) for k, label in enumerate(cycle)}
+    total = 0
+    for label in cycle:
+        image = tau(label)
+        if label > m and image <= m:
+            total += values[image]
+        elif label <= m and image > m:
+            total -= values[image]
+    return total
+
+
 def checked_cycle_sum(ckv: CycleKernelVector, tau: Permutation, m: int) -> int:
     """Coordinate sum of one cycle kernel vector of a diagram with m rows.
 
     Computed two independent ways and cross-checked: directly by summing the
-    vector, and by the side-transition formula, which adds the cycle value
-    at tau(j) whenever the cycle steps from a column label j to a row label
-    tau(j), subtracts the value at tau(k) whenever it steps from a row label
-    k to a column label tau(k), and ignores steps that stay on one side.
-    FormulaMismatch if the two disagree. A cycle living entirely on rows or
-    entirely on columns therefore sums to zero.
+    vector, and by cycle_sum's side-transition formula. FormulaMismatch if
+    the two disagree.
     """
-    values = {label: (1 if k % 2 == 0 else -1) for k, label in enumerate(ckv.cycle)}
     direct = sum(ckv.vector)
-    formula = 0
-    for label in ckv.cycle:
-        image = tau(label)
-        if label > m and image <= m:
-            formula += values[image]
-        elif label <= m and image > m:
-            formula -= values[image]
+    formula = cycle_sum(ckv.cycle, tau, m)
     if direct != formula:
         raise FormulaMismatch(
             f"cycle sum mismatch for {ckv.cycle}: direct {direct}, formula {formula}"

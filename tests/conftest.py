@@ -19,7 +19,6 @@ from pideg import (
     Diagram,
     SkewIntMatrix,
     SkewNormalForm,
-    extend,
     matrix_from_diagram,
     skew_normal_form,
     toric_permutation,
@@ -80,6 +79,18 @@ FIG_YOUNG_TAU_CYCLES = ((1, 3, 8, 7, 6, 4), (2, 5))
 FIG_YOUNG_PI_AT_5 = 625
 
 CORPUS_SEED = 20_240_601
+
+
+def extend(M: SkewIntMatrix) -> SkewIntMatrix:
+    """M bordered by a column of ones and the matching row of minus ones.
+
+    The new last row is (-1, ..., -1, 0). Its mirror, with the signs of the
+    border swapped, is congruent to it by negating the last coordinate, so
+    the choice changes no congruence invariant.
+    """
+    rows = [row + (1,) for row in M.rows]
+    rows.append((-1,) * M.n + (0,))
+    return SkewIntMatrix(tuple(rows))
 
 
 def criterion_10_matrices() -> list[SkewIntMatrix]:

@@ -18,7 +18,6 @@ from pideg import (
     determinantal_toric_cycles,
     diagram_from_text,
     MonomialMatrix,
-    extend,
     find_relation_violation,
     irreducibility_check,
     matrix_from_diagram,
@@ -45,6 +44,7 @@ from tests.conftest import (
     FIG_YOUNG_PI_AT_5,
     FIG_YOUNG_TAU_CYCLES,
     criterion_10_matrices,
+    extend,
 )
 from tests.oracles import (
     all_white,

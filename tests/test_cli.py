@@ -148,6 +148,17 @@ class TestClosedFormCommands:
         assert report["pi_degrees"][0]["value"] == "15625"
         assert report["pi_degrees"][0]["route"] == "closed"
 
+    def test_schubert_falls_back_where_the_cycle_sums_share_a_factor_with_ell(self, capsys):
+        # The cycle sums of the shape (5,4,4) have gcd 6, so ell = 3 falls
+        # back to the generic route; ell = 5 stays closed.
+        code, out, _ = run(capsys, "schubert", "1,3,4", "8", "--ell", "3", "--ell", "5", "--json")
+        assert code == 0
+        fallback, closed = json.loads(out)["pi_degrees"]
+        assert (fallback["value"], fallback["route"]) == ("729", "generic (hypothesis not met)")
+        assert fallback["reason"] == "need gcd(g, ell) = 1 for the gcd g of the even cycle sums, got gcd(6, 3) = 3"
+        assert (closed["ell"], closed["exponent"], closed["divisor"], closed["route"]) == (5, 7, "1", "closed")
+        assert "reason" not in closed
+
     def test_grassmannian(self, capsys):
         code, out, _ = run(capsys, "grassmannian", "2", "6", "--ell", "5")
         assert code == 0 and "5^4 = 625" in out
@@ -645,7 +656,7 @@ def readme_transcripts() -> list[tuple[str, str]]:
 
 class TestReadme:
     def test_transcripts_are_found(self):
-        assert [command.split()[0] for command, _ in readme_transcripts()] == ["diagram", "rep"]
+        assert [command.split()[0] for command, _ in readme_transcripts()] == ["diagram", "schubert", "rep"]
 
     @pytest.mark.parametrize("command, output", readme_transcripts())
     def test_transcript_output_is_exact(self, capsys, monkeypatch, tmp_path, command, output):

@@ -1,6 +1,7 @@
 """PI degrees: generic route, closed forms, extended algebras."""
 
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -17,12 +18,11 @@ from pideg import (
     determinantal_invariant_exponent,
     determinantal_toric_cycles,
     diagram_from_text,
-    extend,
     matrix_from_diagram,
     mu2,
     partition_from_plucker,
+    partition_toric_permutation,
     pi_degree_determinantal,
-    pi_degree_extended_diagram,
     pi_degree_from_factors,
     pi_degree_grassmannian,
     pi_degree_partition,
@@ -34,6 +34,7 @@ from pideg import (
     toric_permutation,
     young_diagram,
 )
+from pideg.intlinalg import cycle_sum
 from pideg.sweep import exhaustive_diagrams
 from tests.conftest import (
     EG_EXT_INVARIANT_FACTORS,
@@ -43,6 +44,7 @@ from tests.conftest import (
     FIG_PI_AT_5,
     FIG_TEXT,
     FIG_YOUNG_PI_AT_5,
+    extend,
 )
 from tests.oracles import (
     all_white, brute_pi_degree, one_perp, rational_nullity, smith_pi_degree,
@@ -189,30 +191,54 @@ class TestDeterminantalClosedForm:
                     assert len(cycle) % 2 == 0
 
 
+def extended_closed_form(d, ell: int) -> PiDegree:
+    """The case analysis of the extended algebra's PI degree at odd ell.
+
+    With s the number of invariant factors of M(D): if every kernel vector
+    sums to zero the border adds a kernel direction and the degree stays
+    ell**s; otherwise the border eats one kernel direction, and the extra
+    block contributes a full ell when no integer in 2..min(m, n) divides
+    ell, else ell / gcd(h_extra, ell) with h_extra the extra invariant
+    factor of the extended matrix. Asserted equal to the generic route.
+    """
+    facts = DiagramFacts(d)
+    s = len(facts.snf.invariant_factors)
+    if facts.one_perp:
+        closed = PiDegree(ell=ell, exponent=s)
+    elif all(ell % f for f in range(2, min(d.m, d.n) + 1)):
+        closed = PiDegree(ell=ell, exponent=s + 1)
+    else:
+        h_ext = facts.extended_snf.invariant_factors
+        assert len(h_ext) == s + 1
+        closed = PiDegree(ell=ell, exponent=s + 1, divisor=gcd(h_ext[s], ell))
+    assert closed.value == facts.extended_pi_degree(ell).value
+    return closed
+
+
 class TestExtendedClosedForm:
     def test_border_adds_one_factor_here(self, fig_diagram):
         # This board's kernel vector has nonzero sum and 5 has no small
         # prime factor, so the border contributes a clean extra ell.
-        assert pi_degree_extended_diagram(fig_diagram, 5, cross_check=True).value == 3125
+        assert extended_closed_form(fig_diagram, 5).value == 3125
 
     def test_small_prime_case(self, eg_diagram):
-        assert pi_degree_extended_diagram(eg_diagram, 5, cross_check=True).value == (
-            EG_EXT_PI_AT_5
-        )
-        assert pi_degree_extended_diagram(eg_diagram, 9, cross_check=True).value == (
-            EG_EXT_PI_AT_9
-        )
-
-    def test_even_ell_rejected(self, fig_diagram):
-        with pytest.raises(EvenEll):
-            pi_degree_extended_diagram(fig_diagram, 4)
+        assert extended_closed_form(eg_diagram, 5).value == EG_EXT_PI_AT_5
+        assert extended_closed_form(eg_diagram, 9).value == EG_EXT_PI_AT_9
 
     def test_all_cases_against_generic(self):
-        # Exhaust 3x3 boards at several odd levels; cross_check compares
-        # the case analysis with the generic route on the bordered matrix.
+        # Exhaust 3x3 boards at several odd levels; the helper compares the
+        # case analysis with the generic route on the bordered matrix.
         for d in exhaustive_diagrams(3, 3):
             for ell in (3, 5, 9, 15, 10**18 + 3):
-                pi_degree_extended_diagram(d, ell, cross_check=True)
+                extended_closed_form(d, ell)
+
+
+def _cells(max_ambient: int):
+    """Every Schubert cell PluckerIndex(gamma, n) with 2 <= n <= max_ambient."""
+    for n in range(2, max_ambient + 1):
+        for m in range(1, n):
+            for gamma in combinations(range(1, n + 1), m):
+                yield PluckerIndex(gamma, n)
 
 
 class TestSchubertClosedForm:
@@ -246,26 +272,63 @@ class TestSchubertClosedForm:
         pi_degree_schubert(PluckerIndex((2,), 4), 3, cross_check=True)
 
     def test_cross_checked_all_cells_in_small_ambients(self):
-        for n in range(2, 7):
-            for m in range(1, n):
-                for gamma in combinations(range(1, n + 1), m):
-                    for ell in (3, 5):
-                        pi_degree_schubert(
-                            PluckerIndex(gamma, n), ell, cross_check=True
-                        )
+        # One board reduction per cell serves all its ells; a cell whose
+        # cycle sums share a factor with ell answers by the generic route.
+        for idx in _cells(10):
+            facts = DiagramFacts(young_diagram(partition_from_plucker(idx)))
+            for ell in (3, 5, 9, 15):
+                pi_degree_schubert(idx, ell, cross_check=True, facts=facts)
 
+    def test_cycle_sums_vanish_exactly_when_the_kernel_is_sum_zero(self):
+        # g, read from tau alone, is zero exactly when every kernel vector of
+        # the shape's matrix sums to zero, read from the vectors themselves.
+        for idx in _cells(9):
+            shape = partition_from_plucker(idx)
+            tau = partition_toric_permutation(shape)
+            g = 0
+            for cycle in tau.cycles.cycles:
+                if len(cycle) % 2 == 0:
+                    g = gcd(g, cycle_sum(cycle, tau, shape.box_m))
+            assert (g == 0) == DiagramFacts(young_diagram(shape)).one_perp, idx
+
+    def test_a_shared_factor_falls_back_at_odd_ell(self):
+        # The cycle sums of the shape (5,4,4) have gcd 6: the bordered
+        # matrix has factors ..., 2, 2, 6, 6, so 3 divides one extended
+        # factor, and ell = 3 and 9 answer by the generic route.
+        idx = PluckerIndex((1, 3, 4), 8)
+        pi = pi_degree_schubert(idx, 3, cross_check=True)
+        assert (pi.value, pi.route, pi.reason) == (
+            729,
+            "generic (hypothesis not met)",
+            "need gcd(g, ell) = 1 for the gcd g of the even cycle sums, got gcd(6, 3) = 3",
+        )
+        assert pi_degree_schubert(idx, 9).value == 9**6 * 3
+        assert str(pi_degree_schubert(idx, 5, cross_check=True)) == "5^7"
 
     def test_kernel_sum_test_against_the_oracle(self):
         # The closed form reads whether the kernel sums to zero from the
         # even toric cycles; the exponent is s exactly when it does.
-        for n in range(2, 9):
-            for m in range(1, n):
-                for gamma in combinations(range(1, n + 1), m):
-                    shape = partition_from_plucker(PluckerIndex(gamma, n))
-                    rows = matrix_from_diagram(young_diagram(shape)).rows
-                    s = (len(rows) - rational_nullity(rows)) // 2
-                    pi = pi_degree_schubert(PluckerIndex(gamma, n), 5)
-                    assert pi.exponent == (s if one_perp(rows) else s + 1)
+        for idx in _cells(8):
+            rows = matrix_from_diagram(young_diagram(partition_from_plucker(idx))).rows
+            s = (len(rows) - rational_nullity(rows)) // 2
+            pi = pi_degree_schubert(idx, 5)
+            assert pi.exponent == (s if one_perp(rows) else s + 1)
+
+    def test_closed_route_reads_only_tau(self, monkeypatch):
+        # The closed route builds no board, matrix, kernel vector or normal
+        # form, so cells far too large for them answer at once.
+        from pideg import degrees
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed route built a board fact")
+
+        for name in ("young_diagram", "matrix_from_diagram", "cycle_kernel_vectors", "skew_normal_form"):
+            monkeypatch.setattr(degrees, name, refuse)
+        rectangle = PluckerIndex(tuple(range(1, 61)), 120)
+        for ell in (3, 61):
+            assert pi_degree_schubert(rectangle, ell) == pi_degree_grassmannian(60, 120, ell)
+        staircase = PluckerIndex(tuple(range(1, 200, 2)), 200)
+        assert pi_degree_schubert(staircase, 101).route == "closed"
 
 
 class TestGrassmannianClosedForm:
@@ -309,9 +372,9 @@ class TestGrassmannianClosedForm:
             assert pi.value == generic.value and pi.factors == generic.factors
 
     def test_cross_checked_small(self):
-        for m in range(1, 5):
-            for n in range(m + 1, 7):
-                for ell in (3, 5, 7):
+        for m in range(1, 10):
+            for n in range(m + 1, 11):
+                for ell in (3, 5, 7, 9, 15):
                     pi_degree_grassmannian(m, n, ell, cross_check=True)
 
 
@@ -396,16 +459,18 @@ class TestDiagramAnalysis:
     def test_extended_report_never_borders_the_matrix(self, tmp_path, capsys, monkeypatch):
         import json
 
-        from pideg import cli, intlinalg
+        from pideg import cli
+        from tests.test_cli import spy
 
-        def refuse(M):
-            raise AssertionError("the bordered matrix was built")
-
-        # Only intlinalg calls extend; the package root just re-exports it.
-        monkeypatch.setattr(intlinalg, "extend", refuse)
+        # The report reduces M and the form bordered by E 1, never the
+        # bordered matrix extend(M) itself.
+        M = matrix_from_diagram(diagram_from_text(FIG_TEXT))
+        calls = spy(monkeypatch, skew_normal_form)
         board = tmp_path / "board.txt"
         board.write_text(FIG_TEXT)
         assert cli.main(["diagram", str(board), "--ell", "5", "--extended", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["extended"]["invariant_factors"] == ["1", "1", "1", "2", "2"]
         assert report["extended"]["kernel_dim"] == 0
+        reduced = [args[0].rows for args in calls]
+        assert len(reduced) == 2 and M.rows in reduced and extend(M).rows not in reduced

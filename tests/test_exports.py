@@ -1,6 +1,8 @@
-"""The package's export list matches what it defines, and every private helper has a caller."""
+"""The package's export list matches what it defines, every public name has a
+reader, and every private helper has a caller."""
 
 import ast
+import re
 import types
 from collections import Counter
 from pathlib import Path
@@ -30,15 +32,20 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _references(tree: ast.AST):
-    """The names a syntax tree reads: bare names, attributes and imports."""
+def _names_read(tree: ast.AST):
+    """The bare names and the imported names a syntax tree reads; an
+    attribute such as log.extend is not a read of the name extend."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
         elif isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
+
+
+def _references(tree: ast.AST):
+    """The names a syntax tree reads: bare names, attributes and imports."""
+    yield from _names_read(tree)
+    yield from (node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
 
 
 def _module_definitions(tree: ast.Module):
@@ -66,3 +73,21 @@ def test_every_private_helper_has_a_caller():
         if _private(name) and reads[name] == Counter(_references(node))[name]
     ]
     assert orphans == []
+
+
+
+def test_every_public_name_has_a_reader():
+    # A public name that no package module reads and the README never
+    # mentions is production code kept only for the tests.
+    read = {
+        name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "__init__.py"
+        for name in _names_read(ast.parse(path.read_text()))
+    }
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    unread = [
+        name for name in pideg.__all__
+        if name not in read and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert unread == []

@@ -12,16 +12,17 @@ from hypothesis import strategies as st
 
 from pideg import (
     BadRange,
+    CycleKernelVector,
     DiagramFacts,
     FormulaMismatch,
     InternalVerificationFailed,
+    Permutation,
     SkewIntMatrix,
     SkewSymmetryViolated,
     checked_cycle_sum,
     cycle_kernel_vectors,
     degrees,
     diagram_from_text,
-    extend,
     intlinalg,
     is_prime,
     matrix_from_diagram,
@@ -41,6 +42,7 @@ from tests.conftest import (
     FIG_TEXT,
     criterion_10_matrices,
     wide_boards,
+    extend,
 )
 from tests.oracles import (
     all_white,
@@ -108,7 +110,7 @@ class TestSkewIntMatrix:
         assert M[0, 1] == 2 and M[1, 0] == -2 and M.n == 2
 
     def test_matrices_the_package_builds_pass_the_validation(self, monkeypatch):
-        # matrix_from_diagram, extend and the bordered block form reduced by
+        # matrix_from_diagram and the bordered block form reduced by
         # extended_normal_form skip the validation; the public constructor
         # keeps it, and accepts each of them unchanged.
         from pideg.sweep import exhaustive_diagrams
@@ -124,7 +126,7 @@ class TestSkewIntMatrix:
         for d in exhaustive_diagrams(2, 3) + exhaustive_diagrams(3, 3):
             M = matrix_from_diagram(d)
             extended_normal_form(skew_normal_form(M))
-            built = [M, extend(M)] + reduced
+            built = [M] + reduced
             reduced.clear()
             for A in built:
                 assert all(type(x) is int for row in A.rows for x in row)
@@ -1208,3 +1210,17 @@ class TestCycleSum:
             tau = toric_permutation(d)
             for ckv in cycle_kernel_vectors(d, tau):
                 assert checked_cycle_sum(ckv, tau, d.m) == sum(ckv.vector)
+
+    def test_formula_reads_only_tau(self, fig_diagram):
+        tau = toric_permutation(fig_diagram)
+        assert intlinalg.cycle_sum((1, 7), tau, fig_diagram.m) == FIG_CYCLE_SUM
+        # A cycle that stays on the row labels, or on the column labels, sums to zero.
+        assert intlinalg.cycle_sum((1, 2), Permutation((2, 1, 3, 4)), 2) == 0
+        assert intlinalg.cycle_sum((3, 4), Permutation((1, 2, 4, 3)), 2) == 0
+
+    def test_a_vector_that_disagrees_with_the_formula_is_refused(self, fig_diagram):
+        tau = toric_permutation(fig_diagram)
+        (ckv,) = cycle_kernel_vectors(fig_diagram, tau)
+        broken = CycleKernelVector(ckv.cycle, ckv.vector[:-1] + (ckv.vector[-1] + 1,))
+        with pytest.raises(FormulaMismatch, match=r"direct 3, formula 2"):
+            checked_cycle_sum(broken, tau, fig_diagram.m)
