@@ -308,7 +308,7 @@ def closed_form_command(header):
 @closed_form_command
 def cmd_partition(args: argparse.Namespace):
     shape = _parse_shape(args.parts, args.box)
-    tau = partition_toric_permutation(shape, cross_check=args.verify)
+    tau = partition_toric_permutation(shape)
     fields = {
         "partition": list(shape.parts),
         "box": [shape.box_m, shape.box_n],
@@ -322,7 +322,7 @@ def cmd_partition(args: argparse.Namespace):
         f"toric permutation: {tau.cycles}",
         f"odd cycles: {tau.cycles.odd_cycle_count}",
     ]
-    # Only --verify runs the generic route, once for all the ells.
+    # Only --verify traces the board and runs the generic route, once for all the ells.
     facts = DiagramFacts(young_diagram(shape)) if args.verify else None
     return fields, lines, partial(pi_degree_partition, shape, tau=tau, facts=facts)
 
@@ -330,7 +330,7 @@ def cmd_partition(args: argparse.Namespace):
 @closed_form_command
 def cmd_detring(args: argparse.Namespace):
     n, t = args.n, args.t
-    cycles = determinantal_toric_cycles(n, t, cross_check=args.verify)
+    cycles = determinantal_toric_cycles(n, t)
     white_count = n * n - (n - t) ** 2  # all but the top-left (n - t) x (n - t) block
     fields = {
         "n": n,

@@ -4,13 +4,14 @@ The generic route: the PI degree of the quantum affine space attached to a
 skew integer matrix M is the product over the congruence invariant factors
 h_i of M of ell / gcd(h_i, ell). Everything else in this module is a closed
 form for a structured family (Young shapes, determinantal boards, Schubert
-cells, Grassmannians), each carrying a cross_check flag that recomputes
-the value generically and raises FormulaMismatch on any disagreement,
-reading the generic degree over Z from the board itself (only a bare
-matrix goes through pi_degree_qas). Closed forms are never allowed to
-silently replace the generic computation: every PiDegree names the route
-that produced it. Where the hypothesis of the Schubert and
-Grassmannian closed forms fails, the generic route answers, and it says so.
+cells, Grassmannians as the cells of full rectangles), each carrying a
+cross_check flag that recomputes the value generically and raises
+FormulaMismatch on any disagreement, reading the generic degree over Z
+(and, for shapes and determinantal boards, the traced toric permutation)
+from the board itself; only a bare matrix goes through pi_degree_qas.
+Closed forms are never allowed to silently replace the generic
+computation: every PiDegree names the route that produced it. Where the
+Schubert hypothesis fails, the generic route answers, and it says so.
 """
 
 from __future__ import annotations
@@ -54,17 +55,6 @@ from .pipedreams import (
     partition_toric_permutation,
     toric_permutation,
 )
-
-
-def mu2(x: int) -> int:
-    """The 2-adic valuation of a positive integer."""
-    if x <= 0:
-        raise BadRange(f"mu2 needs a positive integer, got {x}")
-    v = 0
-    while x % 2 == 0:
-        x //= 2
-        v += 1
-    return v
 
 
 def smallest_prime_factor(x: int) -> int:
@@ -180,10 +170,10 @@ def _check_odd_ell(ell: int) -> None:
         raise EvenEll(f"this closed form needs odd ell, got {ell}")
 
 
-def _cross_check(closed: PiDegree, other: PiDegree, context: str, route: str = "generic") -> None:
-    """Raise FormulaMismatch when a closed value differs from another route's."""
-    if other.value != closed.value:
-        raise FormulaMismatch(f"{context}: closed {closed.value}, {route} {other.value}")
+def _cross_check(closed: PiDegree, generic: PiDegree, context: str) -> None:
+    """Raise FormulaMismatch when a closed value differs from the generic route's."""
+    if generic.value != closed.value:
+        raise FormulaMismatch(f"{context}: closed {closed.value}, generic {generic.value}")
 
 
 def _half_rank(shape: Partition, tau: Permutation) -> int:
@@ -209,10 +199,11 @@ def pi_degree_partition(
     Closed form ell**((N - r) / 2) with N the number of boxes and r the
     number of even-length cycles of the toric permutation of the shape.
     A caller that already holds that permutation passes it as tau;
-    otherwise it is computed by its closed form. The cross check reads the
-    generic degree from facts, the DiagramFacts of the shape's Young
-    diagram, which a caller checking several ells passes so that the board
-    is reduced once; otherwise it builds them.
+    otherwise it is computed by its closed form. The cross check compares
+    tau with the permutation traced on the board and the value with the
+    generic degree, both read from facts, the DiagramFacts of the shape's
+    Young diagram, which a caller checking several ells passes so that the
+    board is traced and reduced once; otherwise it builds them.
     """
     _check_odd_ell(ell)
     if tau is None:
@@ -221,6 +212,10 @@ def pi_degree_partition(
     if cross_check:
         if facts is None:
             facts = DiagramFacts(young_diagram(shape))
+        # A board without rows cannot carry its width; its box_n strands all run straight.
+        traced = facts.tau if shape.box_m else Permutation.identity(shape.box_n)
+        if tau != traced:
+            raise InternalVerificationFailed("closed-form toric permutation differs from the traced one")
         _cross_check(closed, facts.pi_degree(ell), f"shape {shape}, ell = {ell}")
     return closed
 
@@ -239,8 +234,10 @@ def pi_degree_determinantal(
 
     For odd ell the value is ell**s_t; for even ell a power of 2 divides
     out: ell**s_t / 2**(s_t - n + 1). Both agree with the generic route on
-    the determinantal diagram's matrix, which the cross check reads from
-    facts, the board's DiagramFacts, when the caller passes them.
+    the determinantal diagram's matrix. The cross check reads that degree,
+    and the traced toric cycles it compares with
+    determinantal_toric_cycles, from facts, the board's DiagramFacts, when
+    the caller passes them.
     """
     s_t = determinantal_invariant_exponent(n, t)
     _check_ell_at_least_3(ell)
@@ -251,21 +248,21 @@ def pi_degree_determinantal(
     if cross_check:
         if facts is None:
             facts = DiagramFacts(determinantal_diagram(n, t))
+        if determinantal_toric_cycles(n, t) != facts.tau.cycles:
+            raise InternalVerificationFailed("closed-form cycles differ from traced cycles")
         _cross_check(closed, facts.pi_degree(ell), f"determinantal (n, t) = ({n}, {t}), ell = {ell}")
     return closed
 
 
-def determinantal_toric_cycles(
-    n: int, t: int, cross_check: bool = False
-) -> CycleDecomposition:
+def determinantal_toric_cycles(n: int, t: int) -> CycleDecomposition:
     """Closed-form toric cycle structure of the determinantal board.
 
     Writing n = u*t + rem, label set {1..2n} (rows then columns) splits into
     exactly t cycles: cycle i climbs the rows i, i+t, ..., i+kt and then
     descends the columns i+kt+n, ..., i+t+n, i+n, where k = u for i <= rem
     and k = u - 1 otherwise. Every cycle has even length 2k + 2, so the
-    count of odd cycles is t. cross_check traces the board's pipes as well
-    and raises InternalVerificationFailed on any difference.
+    count of odd cycles is t. The cross check of pi_degree_determinantal
+    traces the board's pipes.
     """
     if not (1 <= t <= n - 1):
         raise BadRange(f"need 1 <= t <= n-1, got n = {n}, t = {t}")
@@ -276,25 +273,22 @@ def determinantal_toric_cycles(
         ascending = [i + j * t for j in range(k + 1)]
         descending = [i + j * t + n for j in range(k, -1, -1)]
         cycles.append(tuple(ascending + descending))
-    closed = CycleDecomposition(2 * n, tuple(cycles))
-    if cross_check and closed != toric_permutation(determinantal_diagram(n, t)).cycles:
-        raise InternalVerificationFailed("closed-form cycles differ from traced cycles")
-    return closed
+    return CycleDecomposition(2 * n, tuple(cycles))
 
 
 GENERIC_FALLBACK = "generic (hypothesis not met)"
 
 
 def _box_hypothesis_failure(ell: int, box_m: int, box_n: int) -> str:
-    """Why ell fails the even-ell gate of the Schubert and Grassmannian
-    closed forms, or "" when it passes.
+    """Why ell fails the even-ell gate of the Schubert closed form, which
+    also answers the Grassmannian, or "" when it passes.
 
     The gate is the paper's hypothesis: ell odd (>= 3) with smallest prime
     factor above min(box_m, box_n, 2). That bound is at most 2, which every
-    odd ell clears, so only the parity is tested. The Grassmannian's closed
-    form needs nothing more; pi_degree_schubert asks one more thing of an
-    odd ell, read from the cycle sums. An ell that fails is an input the
-    closed form does not cover, not an error: the generic route answers.
+    odd ell clears, so only the parity is tested. pi_degree_schubert asks
+    one more thing of an odd ell, read from the cycle sums, which every
+    Grassmannian passes. An ell that fails is an input the closed form does
+    not cover, not an error: the generic route answers.
     """
     _check_ell_at_least_3(ell)
     if ell % 2:
@@ -361,53 +355,24 @@ def pi_degree_schubert(
     return closed
 
 
-def rectangle_kernel_dim(a: int, b: int) -> int:
-    """Kernel dimension of the commutation matrix of the all-white a x b board.
-
-    The toric permutation of the full board is the rotation
-    x -> x + b (mod a + b), which splits into gcd(a, b) cycles of length
-    (a + b) / gcd(a, b); the cycles have even length exactly when a and b
-    have the same 2-adic valuation. Hence the kernel dimension is gcd(a, b)
-    when mu2(a) = mu2(b) and 0 otherwise.
-    """
-    if a < 1 or b < 1:
-        raise BadRange(f"need positive sides, got {a} x {b}")
-    return gcd(a, b) if mu2(a) == mu2(b) else 0
-
-
-def pi_degree_grassmannian(
-    m: int, n: int, ell: int, cross_check: bool = False
-) -> PiDegree:
+def pi_degree_grassmannian(m: int, n: int, ell: int, cross_check: bool = False) -> PiDegree:
     """PI degree of the quantum Grassmannian of m-planes in n-space, ell >= 3.
 
     This is the Schubert cell of the full m x (n-m) rectangle,
-    PluckerIndex((1, ..., m), n). The kernel of the rectangle matrix has
-    dimension gcd(m, n) when mu2(m) = mu2(n-m) (equivalently n / gcd(m, n)
-    is even) and is zero otherwise; in the nonzero case some kernel vector
-    has nonzero sum, so under the Schubert hypothesis
+    PluckerIndex((1, ..., m), n), and pi_degree_schubert answers it. Every
+    even cycle of the rectangle's tau sums to 2, so g is 0 or 2 and every
+    odd ell is closed.
 
-        value = ell**(m(n-m)/2)                        kernel zero,
-        value = ell**((m(n-m) - gcd(m, n))/2 + 1)      kernel nonzero.
-
-    Outside it the cell's pi_degree_schubert answers by the generic route.
+    Proof. cycle_sum of an even cycle c_0, ..., c_{L-1} telescopes to
+    2 * sum (-1)^k over its row labels c_k. The rectangle's tau is
+    x -> x + n - m mod n; with d = gcd(m, n), a = m / d, b = (n - m) / d,
+    the cycle of x <= d holds x + d t at the position k with k b = t
+    mod a + b, a row label iff t < a. Even length makes a and b odd, so
+    k = t mod 2 and the sum is 2 * sum_{t < a} (-1)^t = 2.
     """
     if not (1 <= m < n):
         raise BadRange(f"need 1 <= m < n, got m = {m}, n = {n}")
-    cell = PluckerIndex(tuple(range(1, m + 1)), n)
-    if _box_hypothesis_failure(ell, m, n - m):
-        return pi_degree_schubert(cell, ell)
-    r = rectangle_kernel_dim(m, n - m)
-    n_boxes = m * (n - m)
-    if (n_boxes - r) % 2:
-        raise InternalVerificationFailed(
-            f"parity broken: N = {n_boxes}, r = {r} for ({m}, {n})"
-        )
-    exponent = (n_boxes - r) // 2 + (1 if r else 0)
-    closed = PiDegree(ell=ell, exponent=exponent)
-    if cross_check:
-        reference = pi_degree_schubert(cell, ell, cross_check=True)
-        _cross_check(closed, reference, f"Grassmannian ({m}, {n}), ell = {ell}", "Schubert route")
-    return closed
+    return pi_degree_schubert(PluckerIndex(tuple(range(1, m + 1)), n), ell, cross_check)
 
 
 # ---------------------------------------------------------------------------

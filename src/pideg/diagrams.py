@@ -19,7 +19,6 @@ from functools import cached_property
 
 from .errors import (
     BadRange,
-    BoxOutsideShape,
     EmptyInput,
     RaggedRows,
     ShapeOverflow,
@@ -36,7 +35,8 @@ class Diagram:
 
     The zero-size diagram (m = n = 0) is allowed and behaves as the empty
     board: no white squares, empty commutation matrix, identity toric
-    permutation on the empty set.
+    permutation on the empty set. So are m rows of width 0 (tau the
+    identity on m labels); a board without rows has n = 0 whatever its box.
     """
 
     cells: tuple[tuple[bool, ...], ...]
@@ -57,12 +57,6 @@ class Diagram:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.m, self.n)
-
-    def is_white(self, row: int, col: int) -> bool:
-        """Whiteness of cell (row, col), 1-indexed from the top left."""
-        if not (1 <= row <= self.m and 1 <= col <= self.n):
-            raise BadRange(f"cell ({row}, {col}) outside {self.m}x{self.n} diagram")
-        return self.cells[row - 1][col - 1]
 
     @cached_property
     def white_squares(self) -> tuple[tuple[int, int], ...]:
@@ -186,26 +180,12 @@ class Partition:
         return f"({inner})"
 
 
-def young_diagram(shape: Partition, black_boxes: tuple[tuple[int, int], ...] = ()) -> Diagram:
-    """Diagram of the Young shape inside its box, with optional black boxes.
-
-    Cells inside the shape are white unless listed in `black_boxes`
-    ((row, col) pairs, 1-indexed, which must lie inside the shape);
-    cells of the box outside the shape are black.
-    """
-    m, n = shape.box_m, shape.box_n
-    padded = shape.padded()
-    black = set(black_boxes)
-    for r, c in black:
-        if not (1 <= r <= m) or not (1 <= c <= padded[r - 1]):
-            raise BoxOutsideShape(f"box ({r}, {c}) lies outside the shape {shape}")
-    if m == 0 or n == 0:
-        return Diagram(())
-    rows = tuple(
-        tuple(c <= padded[r - 1] and (r, c) not in black for c in range(1, n + 1))
-        for r in range(1, m + 1)
-    )
-    return Diagram(rows)
+def young_diagram(shape: Partition) -> Diagram:
+    """Diagram of the Young shape inside its box: row r is lambda_r white
+    cells followed by box_n - lambda_r black ones, one tuple product per
+    row, so a box with no columns still has its rows."""
+    n = shape.box_n
+    return Diagram(tuple((True,) * p + (False,) * (n - p) for p in shape.padded()))
 
 
 def determinantal_diagram(n: int, t: int) -> Diagram:

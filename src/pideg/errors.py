@@ -23,10 +23,6 @@ class EmptyInput(PidegError):
     """Diagram text contains no rows or no cells."""
 
 
-class BoxOutsideShape(PidegError):
-    """A requested black box lies outside the Young shape."""
-
-
 class BadRange(PidegError):
     """A numeric argument is outside its documented range."""
 

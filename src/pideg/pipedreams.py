@@ -20,7 +20,8 @@ Two ways of labelling the four sides give two permutations:
   which for Young shapes is the restricted permutation of the Schubert
   cell; partition_permutation computes it in closed form, and the two
   labellings are reconciled by tau(j) = m+n+1 - w(P(j)), where P reverses
-  1..m and m+1..m+n separately.
+  1..m and m+1..m+n separately. That closed form traces no pipes; the
+  cross check of degrees.pi_degree_partition traces the board it reduces.
 
 Every toric exit is read off one row-by-row sweep of the cells. Write W(r, c)
 and N(r, c) for the exit labels of the strands leaving cell (r, c) going
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
 
-from .diagrams import Diagram, Partition, plucker_from_partition, young_diagram
-from .errors import BadRange, InternalVerificationFailed
+from .diagrams import Diagram, Partition, plucker_from_partition
+from .errors import BadRange
 
 
 @dataclass(frozen=True)
@@ -196,20 +197,14 @@ def partition_permutation(shape: Partition) -> Permutation:
     return Permutation(gamma + tuple(rest))
 
 
-def partition_toric_permutation(shape: Partition, cross_check: bool = False) -> Permutation:
+def partition_toric_permutation(shape: Partition) -> Permutation:
     """The toric permutation of a Young shape, via the labelling bridge.
 
     Computed as tau(j) = m+n+1 - w(P(j)) with w = partition_permutation(shape)
     and P the reversal of 1..m and of m+1..m+n, which agrees with
     toric_permutation(young_diagram(shape)); the closed form avoids tracing
-    pipes. cross_check traces them as well and raises
-    InternalVerificationFailed on any difference.
+    pipes. The cross check of degrees.pi_degree_partition traces them.
     """
     m, n = shape.box_m, shape.box_n
     w = partition_permutation(shape).image
-    tau = Permutation(tuple(m + n + 1 - x for x in w[:m][::-1] + w[m:][::-1]))
-    if cross_check and tau != toric_permutation(young_diagram(shape)):
-        raise InternalVerificationFailed(
-            "closed-form toric permutation differs from the traced one"
-        )
-    return tau
+    return Permutation(tuple(m + n + 1 - x for x in w[:m][::-1] + w[m:][::-1]))

@@ -69,11 +69,6 @@ EG_EXT_PI_AT_5 = 125
 EG_EXT_PI_AT_9 = 243
 EG_EXT_KERNEL_DIM_MOD_3 = 2
 
-# Young shape (5,3,2) with two extra black boxes, as an embedded board.
-FIG_YOUNG_PARTS = (5, 3, 2)
-FIG_YOUNG_BLACK = ((1, 2), (2, 2))
-FIG_YOUNG_TEXT = ".#...\n.#.##\n..###\n"
-
 # Closed-form reference values for the shape (5,3,2) alone.
 FIG_YOUNG_TAU_CYCLES = ((1, 3, 8, 7, 6, 4), (2, 5))
 FIG_YOUNG_PI_AT_5 = 625

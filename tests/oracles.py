@@ -37,7 +37,10 @@ each black cell (production keeps running flags), and the commutation
 matrix is filled over every ordered pair of white squares by four cases
 (production visits each unordered pair once). The constant boards, the
 cycle constructor of permutations, their composition and the two reversal
-involutions of the labelling bridge are test helpers only.
+involutions of the labelling bridge are test helpers only. The
+Grassmannian's PI degree is the paper's explicit formula in the 2-adic
+valuations and gcd of the rectangle's sides (production answers the
+Grassmannian as the Schubert cell of its rectangle, from the cycles of tau).
 Agreement between these and the package is a genuine cross-check, not the
 same algorithm twice.
 """
@@ -834,10 +837,10 @@ def rescanning_is_cauchon_le(d) -> bool:
     of every black cell."""
     for r in range(1, d.m + 1):
         for c in range(1, d.n + 1):
-            if d.is_white(r, c):
+            if d.cells[r - 1][c - 1]:
                 continue
-            col_above_black = all(not d.is_white(i, c) for i in range(1, r))
-            row_left_black = all(not d.is_white(r, j) for j in range(1, c))
+            col_above_black = all(not d.cells[i - 1][c - 1] for i in range(1, r))
+            row_left_black = all(not d.cells[r - 1][j - 1] for j in range(1, c))
             if not (col_above_black or row_left_black):
                 return False
     return True
@@ -859,3 +862,46 @@ def four_way_matrix_rows(d) -> tuple[tuple[int, ...], ...]:
                 row.append(0)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def mu2(x: int) -> int:
+    """The 2-adic valuation of a positive integer."""
+    from pideg import BadRange
+
+    if x <= 0:
+        raise BadRange(f"mu2 needs a positive integer, got {x}")
+    v = 0
+    while x % 2 == 0:
+        x //= 2
+        v += 1
+    return v
+
+
+def rectangle_kernel_dim(a: int, b: int) -> int:
+    """Kernel dimension of the commutation matrix of the all-white a x b board.
+
+    The toric permutation of the full board is the rotation
+    x -> x + b (mod a + b), which splits into gcd(a, b) cycles of length
+    (a + b) / gcd(a, b); the cycles have even length exactly when a and b
+    have the same 2-adic valuation. Hence the kernel dimension is gcd(a, b)
+    when mu2(a) = mu2(b) and 0 otherwise.
+    """
+    from pideg import BadRange
+
+    if a < 1 or b < 1:
+        raise BadRange(f"need positive sides, got {a} x {b}")
+    return gcd(a, b) if mu2(a) == mu2(b) else 0
+
+
+def grassmannian_exponent(m: int, n: int) -> int:
+    """The exponent of the PI degree of the quantum Grassmannian of m-planes
+    in n-space at odd ell, by the paper's explicit formula.
+
+    With r = rectangle_kernel_dim(m, n - m): m(n-m)/2 when r = 0, and
+    (m(n-m) - r)/2 + 1 otherwise, some kernel vector then having nonzero sum.
+    """
+    r = rectangle_kernel_dim(m, n - m)
+    n_boxes = m * (n - m)
+    if (n_boxes - r) % 2:
+        raise InternalVerificationFailed(f"parity broken: N = {n_boxes}, r = {r} for ({m}, {n})")
+    return (n_boxes - r) // 2 + (1 if r else 0)

@@ -28,7 +28,6 @@ from pideg import (
     pi_degree_qas,
     pi_degree_schubert,
     qas_representation,
-    rectangle_kernel_dim,
     skew_normal_form,
     toric_permutation,
 )
@@ -48,10 +47,12 @@ from tests.conftest import (
 )
 from tests.oracles import (
     all_white,
+    grassmannian_exponent,
     is_power_of_two,
     kernel_basis_mod_p,
     kernel_basis_rational,
     one_perp,
+    rectangle_kernel_dim,
     textbook_smith,
 )
 
@@ -170,7 +171,7 @@ def test_criterion_08_grassmannian_closed_form():
             for ell in (5, 7, 11):
                 closed = pi_degree_grassmannian(m, n, ell)
                 generic = pi_degree_qas(extend(rect), ell)
-                assert closed.value == generic.value
+                assert closed.value == generic.value == ell ** grassmannian_exponent(m, n)
 
 
 def test_criterion_09_representations_of_all_small_boards(small_board_matrices):

@@ -8,14 +8,17 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from pideg.cli import degree_dict, degree_digits, main
-from pideg.degrees import PiDegree
-from pideg.intlinalg import skew_normal_form
-from pideg.pipedreams import partition_toric_permutation, toric_permutation
+from pideg.degrees import PiDegree, determinantal_toric_cycles
+from pideg.diagrams import determinantal_diagram, young_diagram
+from pideg.errors import InternalVerificationFailed
+from pideg.intlinalg import matrix_from_diagram, skew_normal_form
+from pideg.pipedreams import Permutation, partition_toric_permutation, toric_permutation
 from pideg.sweep import DIAGRAM_PROPERTIES
 from tests.conftest import FIG_TEXT
 
@@ -108,6 +111,50 @@ class TestClosedFormCommands:
         code, _, _ = run(capsys, "partition", "5,3,2", "--ell", "5", "--ell", "7", *verify)
         assert code == 0
         assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "argv, build",
+        [
+            (("partition", "5,3,2", "--ell", "5", "--ell", "7", "--verify"), young_diagram),
+            (("detring", "5", "2", "--ell", "3", "--ell", "5", "--verify"), determinantal_diagram),
+        ],
+        ids=["partition", "detring"],
+    )
+    def test_verify_builds_and_traces_each_board_once(self, capsys, monkeypatch, argv, build):
+        # The trace comparison reads the board that the generic route reduces.
+        built, traced = spy(monkeypatch, build), spy(monkeypatch, toric_permutation)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "cross check against the generic route: passed" in out
+        assert (len(built), len(traced)) == (1, 1)
+
+    @pytest.mark.parametrize("box", ["3x0", "0x3"])
+    def test_verify_on_a_box_with_a_zero_side(self, capsys, box):
+        # Rows of width 0 trace to the identity on their labels; a board
+        # without rows is compared with the identity on its columns.
+        code, out, _ = run(capsys, "partition", "-", "--box", box, "--ell", "3", "--verify")
+        assert code == 0 and "cross check against the generic route: passed" in out
+
+    def test_verify_catches_a_wrong_closed_permutation(self, capsys, monkeypatch):
+        # The inverse has the same cycle type, so only the trace can tell.
+        def inverse(shape):
+            tau = partition_toric_permutation(shape)
+            return Permutation(tuple(tau.image.index(x) + 1 for x in range(1, tau.k + 1)))
+
+        patch_everywhere(monkeypatch, partition_toric_permutation, inverse)
+        with pytest.raises(InternalVerificationFailed) as caught:
+            run(capsys, "partition", "5,3,2", "--ell", "5", "--verify")
+        assert str(caught.value) == "closed-form toric permutation differs from the traced one"
+
+    def test_verify_catches_wrong_closed_cycles(self, capsys, monkeypatch):
+        # Each cycle reversed: the same lengths, the wrong order.
+        def reversed_cycles(n, t):
+            closed = determinantal_toric_cycles(n, t)
+            return replace(closed, cycles=tuple(c[:1] + c[:0:-1] for c in closed.cycles))
+
+        patch_everywhere(monkeypatch, determinantal_toric_cycles, reversed_cycles)
+        with pytest.raises(InternalVerificationFailed) as caught:
+            run(capsys, "detring", "5", "2", "--ell", "3", "--verify")
+        assert str(caught.value) == "closed-form cycles differ from traced cycles"
 
     @pytest.mark.parametrize(
         "argv, matrices",
@@ -421,6 +468,18 @@ class TestDigitBudget:
                     pi = PiDegree(ell=ell, exponent=exponent, divisor=divisor)
                     assert degree_digits(pi) == len(str(pi.value)), (ell, exponent, divisor)
 
+    def test_huge_grassmannian_builds_no_board(self, capsys, monkeypatch):
+        # The Grassmannian is its rectangle's Schubert cell, answered from tau.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed route built a board fact")
+
+        for original in (young_diagram, matrix_from_diagram, skew_normal_form):
+            patch_everywhere(monkeypatch, original, refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "grassmannian", "6000", "12000", "--ell", "3")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "") and "3^17997001" in out
+
     def test_huge_grassmannian_counts_digits_without_the_value(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "grassmannian", "6000", "12000", "--ell", "3")
@@ -598,6 +657,15 @@ class TestSweepCommand:
         assert (code, out, err) == (1, "", "error: no properties given\n")
 
 
+def patch_everywhere(monkeypatch, original, replacement) -> None:
+    """Bind replacement wherever a package module binds the function original."""
+    for name, module in list(sys.modules.items()):
+        if name == "pideg" or name.startswith("pideg."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def spy(monkeypatch, original) -> list:
     """Count calls of a package function through every module that binds it."""
     calls = []
@@ -606,11 +674,7 @@ def spy(monkeypatch, original) -> list:
         calls.append(args)
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "pideg" or name.startswith("pideg."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    patch_everywhere(monkeypatch, original, counted)
     return calls
 
 

@@ -19,7 +19,6 @@ from pideg import (
     determinantal_toric_cycles,
     diagram_from_text,
     matrix_from_diagram,
-    mu2,
     partition_from_plucker,
     partition_toric_permutation,
     pi_degree_determinantal,
@@ -28,7 +27,6 @@ from pideg import (
     pi_degree_partition,
     pi_degree_qas,
     pi_degree_schubert,
-    rectangle_kernel_dim,
     skew_normal_form,
     smallest_prime_factor,
     toric_permutation,
@@ -47,7 +45,8 @@ from tests.conftest import (
     extend,
 )
 from tests.oracles import (
-    all_white, brute_pi_degree, one_perp, rational_nullity, smith_pi_degree,
+    all_white, brute_pi_degree, grassmannian_exponent, mu2, one_perp, rational_nullity,
+    rectangle_kernel_dim, smith_pi_degree,
 )
 
 
@@ -377,6 +376,26 @@ class TestGrassmannianClosedForm:
                 for ell in (3, 5, 7, 9, 15):
                     pi_degree_grassmannian(m, n, ell, cross_check=True)
 
+    def test_both_routes_match_the_explicit_formula(self):
+        # The Grassmannian is its rectangle's Schubert cell; at every odd ell
+        # both answer closed, with the paper's exponent.
+        for m in range(1, 16):
+            for n in range(m + 1, 31):
+                cell = PluckerIndex(tuple(range(1, m + 1)), n)
+                for ell in (3, 5, 9, 15, 21):
+                    formula = PiDegree(ell=ell, exponent=grassmannian_exponent(m, n))
+                    assert pi_degree_grassmannian(m, n, ell) == formula, (m, n, ell)
+                    assert pi_degree_schubert(cell, ell) == formula, (m, n, ell)
+
+    def test_every_even_cycle_of_a_rectangle_sums_to_two(self):
+        # So the gcd g of the cycle sums is 0 or 2, and no odd ell falls back.
+        for a in range(1, 61):
+            for b in range(1, 61):
+                tau = partition_toric_permutation(Partition((b,) * a))
+                sums = {cycle_sum(c, tau, a) for c in tau.cycles.cycles if len(c) % 2 == 0}
+                assert sums <= {2}, (a, b, sums)
+                assert bool(sums) == (rectangle_kernel_dim(a, b) > 0), (a, b)
+
 
 class TestCrossChecksCatchWrongClosedForms:
     """A closed value made wrong on purpose fails its cross-check, with the
@@ -409,15 +428,11 @@ class TestCrossChecksCatchWrongClosedForms:
         assert str(caught.value) == "Schubert gamma = (1, 3, 4, 7), ell = 5: closed 78125, generic 15625"
 
     def test_grassmannian(self, monkeypatch):
-        # Two more kernel directions: the parity holds, and the exponent
-        # falls by one against the cell's Schubert route.
-        from pideg import degrees
-
-        kernel_dim = degrees.rectangle_kernel_dim
-        monkeypatch.setattr(degrees, "rectangle_kernel_dim", lambda a, b: kernel_dim(a, b) + 2)
+        # The Grassmannian is checked as its rectangle's Schubert cell.
+        self._off_by_one(monkeypatch, "_half_rank")
         with pytest.raises(FormulaMismatch) as caught:
             pi_degree_grassmannian(2, 4, 5, cross_check=True)
-        assert str(caught.value) == "Grassmannian (2, 4), ell = 5: closed 5, Schubert route 25"
+        assert str(caught.value) == "Schubert gamma = (1, 2), ell = 5: closed 125, generic 25"
 
 
 class TestDiagramAnalysis:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from pideg import (
     BadRange,
-    BoxOutsideShape,
     Diagram,
     EmptyInput,
     Partition,
@@ -26,9 +25,6 @@ from pideg import (
 from pideg.sweep import exhaustive_diagrams
 from tests.conftest import (
     FIG_TEXT,
-    FIG_YOUNG_BLACK,
-    FIG_YOUNG_PARTS,
-    FIG_YOUNG_TEXT,
     wide_boards,
 )
 from tests.oracles import all_black, all_white, rescanning_is_cauchon_le
@@ -59,13 +55,6 @@ class TestDiagramParsing:
             (2, 1), (2, 3), (2, 4), (2, 5),
             (3, 4), (3, 5),
         )
-
-    def test_is_white_and_bounds(self, fig_diagram):
-        assert fig_diagram.is_white(1, 1)
-        assert not fig_diagram.is_white(1, 2)
-        for bad in ((0, 1), (1, 0), (4, 1), (1, 6)):
-            with pytest.raises(BadRange):
-                fig_diagram.is_white(*bad)
 
     def test_ragged_rows(self):
         with pytest.raises(RaggedRows):
@@ -194,17 +183,9 @@ class TestPartition:
 
 
 class TestYoungDiagram:
-    def test_embedded_shape_with_black_boxes(self):
-        d = young_diagram(Partition(FIG_YOUNG_PARTS), black_boxes=FIG_YOUNG_BLACK)
-        assert d.to_text() + "\n" == FIG_YOUNG_TEXT
-
     def test_plain_shape(self):
         d = young_diagram(Partition((2, 1)))
         assert d.to_text() == "..\n.#"
-
-    def test_black_box_outside_shape(self):
-        with pytest.raises(BoxOutsideShape):
-            young_diagram(Partition((2, 1)), black_boxes=((2, 2),))
 
     def test_empty_shape_in_box_is_all_black(self):
         d = young_diagram(Partition((), box_m=2, box_n=3))
@@ -222,7 +203,7 @@ class TestDeterminantalBoards:
         d = determinantal_diagram(4, 2)
         for r in range(1, 5):
             for c in range(1, 5):
-                assert d.is_white(r, c) == (r > 2 or c > 2)
+                assert d.cells[r - 1][c - 1] == (r > 2 or c > 2)
 
     def test_t_out_of_range(self):
         with pytest.raises(BadRange):

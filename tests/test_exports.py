@@ -2,6 +2,7 @@
 reader, and every private helper has a caller."""
 
 import ast
+import builtins
 import re
 import types
 from collections import Counter
@@ -89,5 +90,93 @@ def test_every_public_name_has_a_reader():
     unread = [
         name for name in pideg.__all__
         if name not in read and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert unread == []
+
+
+def _defined_functions(trees: dict):
+    """(file, class name or None, function node) of every function the
+    package defines, methods included."""
+    for file, tree in trees.items():
+        methods = {
+            id(node): cls.name
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield file, methods.get(id(node)), node
+
+
+def _callee(func: ast.expr) -> tuple[str | None, bool]:
+    """The name a call's function is read by, and whether as an attribute."""
+    if isinstance(func, ast.Name):
+        return func.id, False
+    if isinstance(func, ast.Attribute):
+        return func.attr, True
+    return None, False
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # A default that no package call overrides is a knob nobody turns. A
+    # call sets a parameter by position or by keyword; partial(f, ...) is a
+    # call of f, and the keywords given to a local callable (what a partial
+    # becomes) in the module that builds the partial count for f as well.
+    # Calling a class calls its __init__; an attribute call of a method
+    # passes self. The console entry main(argv) is exempt.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    positions: dict = {}
+    keywords: dict = {}
+    for tree in trees.values():
+        wrapped, local_keywords = set(), set()
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            name, attribute = _callee(call.func)
+            args = [arg for arg in call.args if not isinstance(arg, ast.Starred)]
+            if name is None:
+                continue
+            if name == "partial" and args:
+                (name, _), attribute, args = _callee(args[0]), False, args[1:]
+                wrapped.add(name)
+            elif not attribute and name not in defined and not hasattr(builtins, name):
+                local_keywords.update(k.arg for k in call.keywords)
+            positions.setdefault(name, []).append((len(args), attribute))
+            keywords.setdefault(name, set()).update(k.arg for k in call.keywords)
+        for name in wrapped:
+            keywords[name] |= local_keywords
+    unset = []
+    for file, cls, node in _defined_functions(trees):
+        if (file, node.name) == ("cli.py", "main"):
+            continue
+        name = cls if node.name == "__init__" else node.name
+        params = node.args.posonlyargs + node.args.args
+        defaulted = list(enumerate(params))[len(params) - len(node.args.defaults):]
+        defaulted += [(None, p) for p, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d]
+        for index, param in defaulted:
+            by_position = index is not None and any(
+                count + (cls is not None and (attribute or name == cls)) > index
+                for count, attribute in positions.get(name, [])
+            )
+            if not by_position and param.arg not in keywords.get(name, ()):
+                unset.append(f"{file}: {node.name}.{param.arg}")
+    assert unset == []
+
+
+def test_every_public_method_has_a_reader():
+    # A public method that no package module reads and the README never
+    # mentions is production code kept only for the tests.
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    read = {name for tree in trees for name in _references(tree)}
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    unread = [
+        f"{cls.name}.{node.name}"
+        for tree in trees
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+        and not re.search(rf"\b{re.escape(node.name)}\b", readme)
     ]
     assert unread == []
