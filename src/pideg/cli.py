@@ -7,6 +7,11 @@ route. Huge PI degree values are replaced by their exponent form when
 they exceed the digit budget (environment variable PIDEG_DIGIT_BUDGET,
 default 400). The computations, and every choice of what to compute,
 live in degrees, reps and sweep.
+
+The subcommands are one table, COMMANDS, of help lines, handlers and
+argument specs. main registers every subcommand by name and help line, so
+the top-level help and usage errors list them all, and adds arguments only
+to the subcommand the command line names.
 """
 
 from __future__ import annotations
@@ -24,13 +29,8 @@ from .degrees import (
     pi_degree_grassmannian, pi_degree_partition, pi_degree_schubert,
 )
 from .diagrams import (
-    Partition,
-    PluckerIndex,
-    determinantal_diagram,
-    diagram_from_text,
-    is_cauchon_le,
-    partition_from_plucker,
-    young_diagram,
+    Partition, PluckerIndex, determinantal_diagram, diagram_from_text, is_cauchon_le,
+    partition_from_plucker, young_diagram,
 )
 from .errors import BadEll, BadRange, BadSpec, InternalVerificationFailed, PidegError
 from .intlinalg import SkewIntMatrix, checked_cycle_sum, matrix_from_diagram
@@ -44,9 +44,7 @@ DIGIT_BUDGET_VAR = "PIDEG_DIGIT_BUDGET"
 
 
 def digit_budget() -> int:
-    raw = os.environ.get(DIGIT_BUDGET_VAR)
-    if raw is None:
-        return 400
+    raw = os.environ.get(DIGIT_BUDGET_VAR, "400")
     try:
         budget = int(raw)
     except ValueError:
@@ -187,16 +185,14 @@ def analysis_dict(
             "pi_degrees": [degree_dict(facts.extended_pi_degree(ell), budget) for ell in ells],
         }
     if with_cycles or with_kernel:
-        entries = []
-        for ckv in facts.cycle_vectors:
-            entry = {
+        report["even_cycles"] = [
+            {
                 "cycle": list(ckv.cycle),
                 "cycle_sum": checked_cycle_sum(ckv, tau, d.m),
+                **({"kernel_vector": list(ckv.vector)} if with_kernel else {}),
             }
-            if with_kernel:
-                entry["kernel_vector"] = list(ckv.vector)
-            entries.append(entry)
-        report["even_cycles"] = entries
+            for ckv in facts.cycle_vectors
+        ]
     return report
 
 
@@ -229,11 +225,85 @@ def analysis_lines(report: dict) -> list[str]:
     return lines
 
 
+def rep_dict(M: SkewIntMatrix, ell: int, verify: bool, irreducible: int | None) -> dict:
+    """The report on the monomial representation of M at ell. verify checks
+    every relation; irreducible, unless None, is the p of the irreducibility
+    certificate over F_p, or 0 for the least prime p = 1 mod ell."""
+    rep = qas_representation(M, ell)
+    report = {
+        "ell": rep.ell,
+        "matrix_size": M.n,
+        "dimension": rep.dim,
+        "invariant_factors": [str(x) for x in rep.invariant_factors],
+        "kernel_dim": rep.kernel_dim,
+    }
+    if verify:
+        witness = find_relation_violation(rep, M)
+        report["relations_hold"] = witness is None
+        report["violation"] = None if witness is None else list(witness)
+    if irreducible is not None:
+        p = irreducible or least_prime_1_mod(ell)
+        report["irreducible_mod_p"] = {"p": p, "irreducible": irreducibility_check(rep, p)}
+    return report
+
+
+def rep_lines(report: dict) -> list[str]:
+    lines = [
+        f"matrix size: {report['matrix_size']}",
+        f"ell: {report['ell']}",
+        f"representation dimension: {report['dimension']}",
+        "invariant factors: " + (" ".join(report["invariant_factors"]) or "(none)"),
+        f"kernel dimension: {report['kernel_dim']}",
+    ]
+    if "relations_hold" in report:
+        witness = report["violation"]
+        lines.append(f"relations: FAILED at generator pair {tuple(witness)}" if witness
+                     else "relations: all verified")
+    if "irreducible_mod_p" in report:
+        cert = report["irreducible_mod_p"]
+        lines.append(f"irreducible over F_{cert['p']}: {'yes' if cert['irreducible'] else 'NO'}")
+    return lines
+
+
+def sweep_dict(corpus: str, seed: int, names: list[str] | None, out_dir: Path) -> dict:
+    """The report of run_sweep over the corpus spec at seed: each property's
+    failure count and first failure, and the verdict."""
+    kind, items = parse_corpus(corpus, seed)
+    results = run_sweep(kind, items, names, out_dir)
+    properties = []
+    for result in results:
+        entry = {"name": result.name, "failures": result.failures, "checked": len(items)}
+        if result.dumps:
+            index, messages = result.dumps[0]
+            entry["first_failure"] = f"item {index}: {messages[0]}"
+        properties.append(entry)
+    return {
+        "corpus": corpus,
+        "seed": seed,
+        "items": len(items),
+        "properties": properties,
+        "result": "FAIL" if any(r.failures for r in results) else "PASS",
+    }
+
+
+def sweep_lines(report: dict) -> list[str]:
+    lines = [
+        f"sweep corpus: {report['corpus']}", f"seed: {report['seed']}", f"items: {report['items']}",
+    ]
+    for entry in report["properties"]:
+        failures = entry["failures"]
+        status = "PASS" if failures == 0 else f"FAIL ({failures} failures)"
+        lines.append(f"property {entry['name']}: {status} ({entry['checked']} checked)")
+        if "first_failure" in entry:
+            lines.append(f"  first failure: {entry['first_failure']}")
+    lines.append(f"result: {report['result']}")
+    return lines
+
+
 def emit(report: dict, lines: list[str], as_json: bool) -> None:
     if as_json:
         text = json.dumps(report, indent=2, sort_keys=True)
-        parsed = json.loads(text)
-        if parsed != report:
+        if json.loads(text) != report:
             raise InternalVerificationFailed("JSON round trip failed")
         print(text)
     else:
@@ -252,9 +322,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
         if ell < 2:
             raise BadEll(f"ell must be at least 2, got {ell}")
     d = diagram_from_text(Path(args.file).read_text())
-    report = analysis_dict(
-        DiagramFacts(d), ells, budget, args.extended, args.cycles, args.kernel
-    )
+    report = analysis_dict(DiagramFacts(d), ells, budget, args.extended, args.cycles, args.kernel)
     emit(report, analysis_lines(report), args.json)
     return 0
 
@@ -323,7 +391,7 @@ def cmd_partition(args: argparse.Namespace):
         f"odd cycles: {tau.cycles.odd_cycle_count}",
     ]
     # Only --verify traces the board and runs the generic route, once for all the ells.
-    facts = DiagramFacts(young_diagram(shape)) if args.verify else None
+    facts = DiagramFacts(partial(young_diagram, shape))
     return fields, lines, partial(pi_degree_partition, shape, tau=tau, facts=facts)
 
 
@@ -344,7 +412,7 @@ def cmd_detring(args: argparse.Namespace):
         f"toric cycles: {cycles}",
         f"odd cycles: {cycles.odd_cycle_count}",
     ]
-    facts = DiagramFacts(determinantal_diagram(n, t)) if args.verify else None
+    facts = DiagramFacts(partial(determinantal_diagram, n, t))
     return fields, lines, partial(pi_degree_determinantal, n, t, facts=facts)
 
 
@@ -362,8 +430,8 @@ def cmd_schubert(args: argparse.Namespace):
         f"Schubert cell gamma = {idx.gamma} in (m, n) = ({idx.m}, {idx.n})",
         f"Young shape: {shape} in box {shape.box_m}x{shape.box_n}",
     ]
-    # Only a fallback or --verify reads the shape's board, reduced once for all the ells.
-    facts = DiagramFacts(young_diagram(shape))
+    # Only a fallback or --verify builds the shape's board, reduced once for all the ells.
+    facts = DiagramFacts(partial(young_diagram, shape))
     return fields, lines, partial(pi_degree_schubert, idx, facts=facts)
 
 
@@ -371,20 +439,16 @@ def cmd_schubert(args: argparse.Namespace):
 def cmd_grassmannian(args: argparse.Namespace):
     m, n = args.m, args.n
     lines = [f"Grassmannian of {m}-planes in {n}-space"]
-    return {"m": m, "n": n}, lines, partial(pi_degree_grassmannian, m, n)
+    facts = DiagramFacts(lambda: young_diagram(Partition((n - m,) * m)))
+    return {"m": m, "n": n}, lines, partial(pi_degree_grassmannian, m, n, facts=facts)
 
 
 def _rep_matrix(args: argparse.Namespace) -> SkewIntMatrix:
-    sources = [
-        args.diagram is not None,
-        args.matrix is not None,
-        args.detring is not None,
-        args.partition is not None,
-    ]
-    if sum(sources) != 1:
-        raise BadRange(
-            "give exactly one of --diagram, --matrix, --detring, --partition"
-        )
+    sources = (args.diagram, args.matrix, args.detring, args.partition)
+    if sum(source is not None for source in sources) != 1:
+        raise BadRange("give exactly one of --diagram, --matrix, --detring, --partition")
+    if args.box is not None and args.partition is None:
+        raise BadRange("--box needs --partition")
     if args.diagram is not None:
         return matrix_from_diagram(diagram_from_text(Path(args.diagram).read_text()))
     if args.matrix is not None:
@@ -413,170 +477,104 @@ def _rep_matrix(args: argparse.Namespace) -> SkewIntMatrix:
 def cmd_rep(args: argparse.Namespace) -> int:
     if args.ell < 3:
         raise BadEll(f"rep needs ell >= 3, got {args.ell}")
-    M = _rep_matrix(args)
-    rep = qas_representation(M, args.ell)
-    report = {
-        "ell": rep.ell,
-        "matrix_size": M.n,
-        "dimension": rep.dim,
-        "invariant_factors": [str(x) for x in rep.invariant_factors],
-        "kernel_dim": rep.kernel_dim,
-    }
-    lines = [
-        f"matrix size: {M.n}",
-        f"ell: {rep.ell}",
-        f"representation dimension: {rep.dim}",
-        "invariant factors: " + (" ".join(report["invariant_factors"]) or "(none)"),
-        f"kernel dimension: {rep.kernel_dim}",
-    ]
-    if args.verify:
-        witness = find_relation_violation(rep, M)
-        report["relations_hold"] = witness is None
-        report["violation"] = None if witness is None else list(witness)
-        lines.append(
-            "relations: all verified"
-            if witness is None
-            else f"relations: FAILED at generator pair {witness}"
-        )
-    if args.irreducible is not None:
-        p = args.irreducible or least_prime_1_mod(args.ell)
-        ok = irreducibility_check(rep, p)
-        report["irreducible_mod_p"] = {"p": p, "irreducible": ok}
-        lines.append(f"irreducible over F_{p}: {'yes' if ok else 'NO'}")
-    emit(report, lines, args.json)
-    if args.verify and not report["relations_hold"]:
-        return 1
-    return 0
+    report = rep_dict(_rep_matrix(args), args.ell, args.verify, args.irreducible)
+    emit(report, rep_lines(report), args.json)
+    return 0 if report.get("relations_hold", True) else 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    kind, items = parse_corpus(args.corpus, args.seed)
     names = None if args.properties is None else [x for x in args.properties.split(",") if x]
-    results = run_sweep(kind, items, names, Path(args.out))
-    lines = [
-        f"sweep corpus: {args.corpus}",
-        f"seed: {args.seed}",
-        f"items: {len(items)}",
-    ]
-    report = {
-        "corpus": args.corpus,
-        "seed": args.seed,
-        "items": len(items),
-        "properties": [],
-    }
-    for result in results:
-        status = "PASS" if result.failures == 0 else f"FAIL ({result.failures} failures)"
-        lines.append(f"property {result.name}: {status} ({len(items)} checked)")
-        entry = {"name": result.name, "failures": result.failures, "checked": len(items)}
-        if result.dumps:
-            index, messages = result.dumps[0]
-            entry["first_failure"] = f"item {index}: {messages[0]}"
-            lines.append(f"  first failure: {entry['first_failure']}")
-        report["properties"].append(entry)
-    verdict = "FAIL" if any(r.failures for r in results) else "PASS"
-    lines.append(f"result: {verdict}")
-    report["result"] = verdict
-    emit(report, lines, args.json)
-    return 0 if verdict == "PASS" else 1
+    report = sweep_dict(args.corpus, args.seed, names, Path(args.out))
+    emit(report, sweep_lines(report), args.json)
+    return 0 if report["result"] == "PASS" else 1
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+ALGEBRA_ELLS = ("--ell", dict(action="append", type=int, help="ell >= 3, repeatable"))
+VERIFY = ("--verify", dict(action="store_true"))
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand: its help line, handler and arguments as (name, add_argument
+# options) in help order; every subcommand also takes --json, added last.
+COMMANDS = {
+    "diagram": ("analyze a diagram file", cmd_diagram, [
+        ("file", dict(help="path to a text diagram ('.' white, '#' black)")),
+        ("--ell", dict(action="append", type=int, help="root of unity order (>= 2), repeatable")),
+        ("--extended", dict(action="store_true", help="also analyze the bordered matrix")),
+        ("--cycles", dict(action="store_true", help="list even toric cycles and their sums")),
+        ("--kernel", dict(action="store_true", help="list the combinatorial kernel vectors")),
+    ]),
+    "partition": ("closed-form PI degree of a Young shape", cmd_partition, [
+        ("parts", dict(help="comma separated parts, e.g. 5,3,2 (use - for empty)")),
+        ("--box", dict(help="bounding box like 3x5 (default: tight box)")),
+        ("--ell", dict(action="append", type=int, help="odd ell >= 3, repeatable")),
+        ("--verify", dict(action="store_true", help="cross-check against the generic route")),
+    ]),
+    "detring": ("determinantal board closed forms", cmd_detring, [
+        ("n", dict(type=int)), ("t", dict(type=int)),
+        ALGEBRA_ELLS,
+        ("--verify", dict(action="store_true", help="cross-check cycles and degrees")),
+    ]),
+    "schubert": ("extended Schubert cell closed form", cmd_schubert, [
+        ("gamma", dict(help="comma separated index set, e.g. 1,3,4,7")),
+        ("n", dict(type=int, help="ambient dimension")),
+        ALGEBRA_ELLS,
+        VERIFY,
+    ]),
+    "grassmannian": ("quantum Grassmannian closed form", cmd_grassmannian, [
+        ("m", dict(type=int)), ("n", dict(type=int)),
+        ALGEBRA_ELLS,
+        VERIFY,
+    ]),
+    "rep": ("monomial representation of a quantum affine space", cmd_rep, [
+        ("--diagram", dict(help="diagram file")),
+        ("--matrix", dict(help="JSON file with an integer skew matrix")),
+        ("--detring", dict(help="determinantal board as n,t")),
+        ("--partition", dict(help="Young shape parts, e.g. 5,3,2")),
+        ("--box", dict(help="bounding box for --partition")),
+        ("--ell", dict(type=int, required=True, help="ell >= 3")),
+        ("--verify", dict(action="store_true", help="verify all commutation relations")),
+        ("--irreducible", dict(
+            type=int, nargs="?", const=0, default=None,
+            help="certify irreducibility over F_p (omit the value to pick p automatically)",
+        )),
+    ]),
+    "sweep": ("property sweep over a corpus", cmd_sweep, [
+        ("corpus", dict(help="'exhaustive MxN', 'random MxN xK', or 'mutation NxN xK'")),
+        ("--properties", dict(
+            help="comma separated property names (default depends on corpus kind); "
+            "diagram properties: " + ", ".join(sorted(DIAGRAM_PROPERTIES)) + "; "
+            "matrix properties: " + ", ".join(sorted(MATRIX_PROPERTIES)),
+        )),
+        ("--seed", dict(type=int, default=20_240_601)),
+        ("--out", dict(default="sweep-failures", help="directory for counterexample dumps")),
+    ]),
+}
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = argparse.ArgumentParser(
         prog="pideg",
         description="PI degrees of quantum algebras at roots of unity, "
         "via diagram combinatorics and exact integer linear algebra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("diagram", help="analyze a diagram file")
-    p.add_argument("file", help="path to a text diagram ('.' white, '#' black)")
-    p.add_argument("--ell", action="append", type=int, help="root of unity order (>= 2), repeatable")
-    p.add_argument("--extended", action="store_true", help="also analyze the bordered matrix")
-    p.add_argument("--cycles", action="store_true", help="list even toric cycles and their sums")
-    p.add_argument("--kernel", action="store_true", help="list the combinatorial kernel vectors")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_diagram)
-
-    p = sub.add_parser("partition", help="closed-form PI degree of a Young shape")
-    p.add_argument("parts", help="comma separated parts, e.g. 5,3,2 (use - for empty)")
-    p.add_argument("--box", help="bounding box like 3x5 (default: tight box)")
-    p.add_argument("--ell", action="append", type=int, help="odd ell >= 3, repeatable")
-    p.add_argument("--verify", action="store_true", help="cross-check against the generic route")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("detring", help="determinantal board closed forms")
-    p.add_argument("n", type=int)
-    p.add_argument("t", type=int)
-    p.add_argument("--ell", action="append", type=int, help="ell >= 3, repeatable")
-    p.add_argument("--verify", action="store_true", help="cross-check cycles and degrees")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_detring)
-
-    p = sub.add_parser("schubert", help="extended Schubert cell closed form")
-    p.add_argument("gamma", help="comma separated index set, e.g. 1,3,4,7")
-    p.add_argument("n", type=int, help="ambient dimension")
-    p.add_argument("--ell", action="append", type=int, help="ell >= 3, repeatable")
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_schubert)
-
-    p = sub.add_parser("grassmannian", help="quantum Grassmannian closed form")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--ell", action="append", type=int, help="ell >= 3, repeatable")
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_grassmannian)
-
-    p = sub.add_parser("rep", help="monomial representation of a quantum affine space")
-    p.add_argument("--diagram", help="diagram file")
-    p.add_argument("--matrix", help="JSON file with an integer skew matrix")
-    p.add_argument("--detring", help="determinantal board as n,t")
-    p.add_argument("--partition", help="Young shape parts, e.g. 5,3,2")
-    p.add_argument("--box", help="bounding box for --partition")
-    p.add_argument("--ell", type=int, required=True, help="ell >= 3")
-    p.add_argument("--verify", action="store_true", help="verify all commutation relations")
-    p.add_argument(
-        "--irreducible",
-        type=int,
-        nargs="?",
-        const=0,
-        default=None,
-        help="certify irreducibility over F_p (omit the value to pick p automatically)",
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_rep)
-
-    p = sub.add_parser("sweep", help="property sweep over a corpus")
-    p.add_argument(
-        "corpus",
-        help="'exhaustive MxN', 'random MxN xK', or 'mutation NxN xK'",
-    )
-    p.add_argument(
-        "--properties",
-        help="comma separated property names (default depends on corpus kind); "
-        "diagram properties: " + ", ".join(sorted(DIAGRAM_PROPERTIES)) + "; "
-        "matrix properties: " + ", ".join(sorted(MATRIX_PROPERTIES)),
-    )
-    p.add_argument("--seed", type=int, default=20_240_601)
-    p.add_argument("--out", default="sweep-failures", help="directory for counterexample dumps")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sweep)
-
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # The top-level parser takes no option with a value, so the first
+    # subcommand name in argv is the one it dispatches to.
+    chosen = next((word for word in argv if word in COMMANDS), None)
+    for name, (help_line, _, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == chosen:
+            for argument, options in arguments:
+                p.add_argument(argument, **options)
+            p.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][1](args)
     except (PidegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

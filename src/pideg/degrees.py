@@ -16,8 +16,9 @@ Schubert hypothesis fails, the generic route answers, and it says so.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 
 from .diagrams import (
@@ -346,8 +347,8 @@ def pi_degree_schubert(
             closed = PiDegree(ell=ell, exponent=_half_rank(shape, tau) + (1 if g else 0))
         else:
             failure = f"need gcd(g, ell) = 1 for the gcd g of the even cycle sums, got gcd({g}, {ell}) = {gcd(g, ell)}"
-    if facts is None and (failure or cross_check):
-        facts = DiagramFacts(young_diagram(shape))
+    if facts is None:
+        facts = DiagramFacts(partial(young_diagram, shape))
     if failure:
         return replace(facts.extended_pi_degree(ell), route=GENERIC_FALLBACK, reason=failure)
     if cross_check:
@@ -355,13 +356,16 @@ def pi_degree_schubert(
     return closed
 
 
-def pi_degree_grassmannian(m: int, n: int, ell: int, cross_check: bool = False) -> PiDegree:
+def pi_degree_grassmannian(
+    m: int, n: int, ell: int, cross_check: bool = False, facts: DiagramFacts | None = None
+) -> PiDegree:
     """PI degree of the quantum Grassmannian of m-planes in n-space, ell >= 3.
 
     This is the Schubert cell of the full m x (n-m) rectangle,
-    PluckerIndex((1, ..., m), n), and pi_degree_schubert answers it. Every
-    even cycle of the rectangle's tau sums to 2, so g is 0 or 2 and every
-    odd ell is closed.
+    PluckerIndex((1, ..., m), n), and pi_degree_schubert answers it, with
+    facts, the DiagramFacts of the rectangle's Young diagram, when the
+    caller passes them. Every even cycle of the rectangle's tau sums to 2,
+    so g is 0 or 2 and every odd ell is closed.
 
     Proof. cycle_sum of an even cycle c_0, ..., c_{L-1} telescopes to
     2 * sum (-1)^k over its row labels c_k. The rectangle's tau is
@@ -372,7 +376,7 @@ def pi_degree_grassmannian(m: int, n: int, ell: int, cross_check: bool = False) 
     """
     if not (1 <= m < n):
         raise BadRange(f"need 1 <= m < n, got m = {m}, n = {n}")
-    return pi_degree_schubert(PluckerIndex(tuple(range(1, m + 1)), n), ell, cross_check)
+    return pi_degree_schubert(PluckerIndex(tuple(range(1, m + 1)), n), ell, cross_check, facts)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +400,20 @@ class DiagramFacts:
     kernel vector sums to zero; it first checks that the cycle vectors are
     as many as the kernel dimension, which makes them a basis of the
     rational kernel, and then reads their sums. A fact nobody reads is
-    never computed: the cycle vectors alone need no normal form.
+    never computed: the cycle vectors alone need no normal form, and a
+    record made from a builder of the diagram, such as
+    partial(young_diagram, shape), builds the board only when a fact needs it.
     """
 
-    def __init__(self, diagram: Diagram) -> None:
-        self.diagram = diagram
+    def __init__(self, diagram: Diagram | Callable[[], Diagram]) -> None:
+        if isinstance(diagram, Diagram):
+            self.diagram = diagram
+        else:
+            self._build = diagram
+
+    @cached_property
+    def diagram(self) -> Diagram:
+        return self._build()
 
     @cached_property
     def matrix(self) -> SkewIntMatrix:

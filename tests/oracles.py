@@ -41,12 +41,15 @@ involutions of the labelling bridge are test helpers only. The
 Grassmannian's PI degree is the paper's explicit formula in the 2-adic
 valuations and gcd of the rectangle's sides (production answers the
 Grassmannian as the Schubert cell of its rectangle, from the cycles of tau).
+The command line parser is built whole, all seven subcommands with all
+their arguments (production adds only the named subcommand's arguments).
 Agreement between these and the package is a genuine cross-check, not the
 same algorithm twice.
 """
 
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from types import SimpleNamespace
@@ -905,3 +908,98 @@ def grassmannian_exponent(m: int, n: int) -> int:
     if (n_boxes - r) % 2:
         raise InternalVerificationFailed(f"parity broken: N = {n_boxes}, r = {r} for ({m}, {n})")
     return (n_boxes - r) // 2 + (1 if r else 0)
+
+
+def full_parser() -> argparse.ArgumentParser:
+    """The command line parser built whole, every subcommand with all its
+    arguments, as one function of inline blocks. The command line's
+    modules are imported here, on first use, not with the oracles."""
+    from pideg.cli import (
+        cmd_detring, cmd_diagram, cmd_grassmannian, cmd_partition, cmd_rep, cmd_schubert, cmd_sweep,
+    )
+    from pideg.sweep import DIAGRAM_PROPERTIES, MATRIX_PROPERTIES
+
+    parser = argparse.ArgumentParser(
+        prog="pideg",
+        description="PI degrees of quantum algebras at roots of unity, "
+        "via diagram combinatorics and exact integer linear algebra.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("diagram", help="analyze a diagram file")
+    p.add_argument("file", help="path to a text diagram ('.' white, '#' black)")
+    p.add_argument("--ell", action="append", type=int, help="root of unity order (>= 2), repeatable")
+    p.add_argument("--extended", action="store_true", help="also analyze the bordered matrix")
+    p.add_argument("--cycles", action="store_true", help="list even toric cycles and their sums")
+    p.add_argument("--kernel", action="store_true", help="list the combinatorial kernel vectors")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_diagram)
+
+    p = sub.add_parser("partition", help="closed-form PI degree of a Young shape")
+    p.add_argument("parts", help="comma separated parts, e.g. 5,3,2 (use - for empty)")
+    p.add_argument("--box", help="bounding box like 3x5 (default: tight box)")
+    p.add_argument("--ell", action="append", type=int, help="odd ell >= 3, repeatable")
+    p.add_argument("--verify", action="store_true", help="cross-check against the generic route")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_partition)
+
+    p = sub.add_parser("detring", help="determinantal board closed forms")
+    p.add_argument("n", type=int)
+    p.add_argument("t", type=int)
+    p.add_argument("--ell", action="append", type=int, help="ell >= 3, repeatable")
+    p.add_argument("--verify", action="store_true", help="cross-check cycles and degrees")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_detring)
+
+    p = sub.add_parser("schubert", help="extended Schubert cell closed form")
+    p.add_argument("gamma", help="comma separated index set, e.g. 1,3,4,7")
+    p.add_argument("n", type=int, help="ambient dimension")
+    p.add_argument("--ell", action="append", type=int, help="ell >= 3, repeatable")
+    p.add_argument("--verify", action="store_true")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_schubert)
+
+    p = sub.add_parser("grassmannian", help="quantum Grassmannian closed form")
+    p.add_argument("m", type=int)
+    p.add_argument("n", type=int)
+    p.add_argument("--ell", action="append", type=int, help="ell >= 3, repeatable")
+    p.add_argument("--verify", action="store_true")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_grassmannian)
+
+    p = sub.add_parser("rep", help="monomial representation of a quantum affine space")
+    p.add_argument("--diagram", help="diagram file")
+    p.add_argument("--matrix", help="JSON file with an integer skew matrix")
+    p.add_argument("--detring", help="determinantal board as n,t")
+    p.add_argument("--partition", help="Young shape parts, e.g. 5,3,2")
+    p.add_argument("--box", help="bounding box for --partition")
+    p.add_argument("--ell", type=int, required=True, help="ell >= 3")
+    p.add_argument("--verify", action="store_true", help="verify all commutation relations")
+    p.add_argument(
+        "--irreducible",
+        type=int,
+        nargs="?",
+        const=0,
+        default=None,
+        help="certify irreducibility over F_p (omit the value to pick p automatically)",
+    )
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_rep)
+
+    p = sub.add_parser("sweep", help="property sweep over a corpus")
+    p.add_argument(
+        "corpus",
+        help="'exhaustive MxN', 'random MxN xK', or 'mutation NxN xK'",
+    )
+    p.add_argument(
+        "--properties",
+        help="comma separated property names (default depends on corpus kind); "
+        "diagram properties: " + ", ".join(sorted(DIAGRAM_PROPERTIES)) + "; "
+        "matrix properties: " + ", ".join(sorted(MATRIX_PROPERTIES)),
+    )
+    p.add_argument("--seed", type=int, default=20_240_601)
+    p.add_argument("--out", default="sweep-failures", help="directory for counterexample dumps")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_sweep)
+
+    return parser

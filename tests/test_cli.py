@@ -1,5 +1,6 @@
 """Command line driver: output shapes, determinism, exit codes."""
 
+import argparse
 import contextlib
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from pideg.cli import degree_dict, degree_digits, main
+from pideg.cli import COMMANDS, degree_dict, degree_digits, main
 from pideg.degrees import PiDegree, determinantal_toric_cycles
 from pideg.diagrams import determinantal_diagram, young_diagram
 from pideg.errors import InternalVerificationFailed
@@ -21,6 +22,7 @@ from pideg.intlinalg import matrix_from_diagram, skew_normal_form
 from pideg.pipedreams import Permutation, partition_toric_permutation, toric_permutation
 from pideg.sweep import DIAGRAM_PROPERTIES
 from tests.conftest import FIG_TEXT
+from tests.oracles import full_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 ALL_PROPERTIES = "powers-of-2,kernel-cycles,cycle-sums,extended-laws,mod-p,pi-closed"
@@ -113,19 +115,35 @@ class TestClosedFormCommands:
         assert len(built) == 1
 
     @pytest.mark.parametrize(
-        "argv, build",
+        "argv, build, traces",
         [
-            (("partition", "5,3,2", "--ell", "5", "--ell", "7", "--verify"), young_diagram),
-            (("detring", "5", "2", "--ell", "3", "--ell", "5", "--verify"), determinantal_diagram),
+            (("partition", "5,3,2", "--ell", "5", "--ell", "7"), young_diagram, 1),
+            (("detring", "5", "2", "--ell", "3", "--ell", "5"), determinantal_diagram, 1),
+            (("schubert", "1,3,4,7", "8", "--ell", "3", "--ell", "5"), young_diagram, 0),
+            (("grassmannian", "4", "8", "--ell", "3", "--ell", "5", "--ell", "7"), young_diagram, 0),
         ],
-        ids=["partition", "detring"],
+        ids=["partition", "detring", "schubert", "grassmannian"],
     )
-    def test_verify_builds_and_traces_each_board_once(self, capsys, monkeypatch, argv, build):
-        # The trace comparison reads the board that the generic route reduces.
+    def test_verify_builds_and_traces_each_board_once(
+        self, capsys, monkeypatch, argv, build, traces
+    ):
+        # The trace comparison reads the board that the generic route
+        # reduces; the Schubert closed form reads no traced permutation.
         built, traced = spy(monkeypatch, build), spy(monkeypatch, toric_permutation)
-        code, out, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--verify")
         assert code == 0 and "cross check against the generic route: passed" in out
-        assert (len(built), len(traced)) == (1, 1)
+        assert (len(built), len(traced)) == (1, traces)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("schubert", "1,2,3,4", "8", "--ell", "3"), ("grassmannian", "4", "8", "--ell", "3")],
+        ids=["schubert", "grassmannian"],
+    )
+    def test_closed_route_builds_no_board(self, capsys, monkeypatch, argv):
+        built = spy(monkeypatch, young_diagram)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "PI degree at ell=3: 3^" in out
+        assert built == []
 
     @pytest.mark.parametrize("box", ["3x0", "0x3"])
     def test_verify_on_a_box_with_a_zero_side(self, capsys, box):
@@ -163,13 +181,18 @@ class TestClosedFormCommands:
             (("detring", "5", "2", "--ell", "3", "--ell", "4", "--ell", "5", "--verify"), 1),
             (("schubert", "1,3,4,7", "8", "--ell", "3", "--ell", "5", "--ell", "7", "--verify"), 2),
             (("schubert", "1,3,4,7", "8", "--ell", "4", "--ell", "6", "--ell", "8"), 2),
+            (("grassmannian", "4", "8", "--ell", "3", "--ell", "5", "--ell", "7", "--verify"), 2),
+            (("grassmannian", "4", "8", "--ell", "4", "--ell", "6", "--ell", "10"), 2),
         ],
-        ids=["partition", "detring", "schubert-verify", "schubert-fallback"],
+        ids=[
+            "partition", "detring", "schubert-verify", "schubert-fallback",
+            "grassmannian-verify", "grassmannian-fallback",
+        ],
     )
     def test_one_normal_form_per_board(self, capsys, monkeypatch, argv, matrices):
         # Every --ell reads the same generic factors: the board's matrix, and
-        # for schubert the bordered matrix of its extended form, are each
-        # reduced once per command.
+        # for schubert and grassmannian the bordered matrix of its extended
+        # form, are each reduced once per command.
         reduced = spy(monkeypatch, skew_normal_form)
         code, _, _ = run(capsys, *argv)
         assert code == 0
@@ -351,6 +374,10 @@ class TestRepCommand:
         code, out, err = run(capsys, "rep", "--matrix", str(path), "--ell", "7")
         assert code == 1 and out == "" and err.startswith("error:")
         assert message in err
+
+    def test_box_needs_a_partition(self, capsys):
+        code, out, err = run(capsys, "rep", "--detring", "4,2", "--box", "3x3", "--ell", "3")
+        assert (code, out, err) == (1, "", "error: --box needs --partition\n")
 
     def test_rejects_ell_two(self, capsys, fig_file):
         code, _, err = run(capsys, "rep", "--diagram", fig_file, "--ell", "2")
@@ -706,6 +733,77 @@ class TestSweepMemo:
         assert code == 0
         assert len(normal_forms) == normal_forms_per_board * 64
         assert len(traces) == traces_per_board * 64
+
+
+HELP_ARGVS = [("--help",)] + [(name, "--help") for name in COMMANDS]
+USAGE_ARGVS = [
+    (),
+    ("bogus",),
+    ("--json",),
+    ("-h", "rep"),
+    ("rep", "--ell", "x"),
+    ("rep", "--detring", "4,2", "--ell", "3", "extra"),
+    ("detring", "3"),
+    ("grassmannian", "3", "6", "--ell", "3", "--bogus"),
+]
+
+
+def argv_id(argv) -> str:
+    return " ".join(argv) or "no-arguments"
+
+
+def exit_of(capsys, parse, argv) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exited:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return exited.value.code, captured.out, captured.err
+
+
+class TestParser:
+    """The parser that main builds for one subcommand prints what the full
+    parser of every subcommand prints, and costs only that subcommand."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        # argparse wraps help to the terminal's width; pin it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv", HELP_ARGVS + USAGE_ARGVS, ids=argv_id)
+    def test_same_bytes_as_the_full_parser(self, capsys, argv):
+        expected = exit_of(capsys, lambda words: full_parser().parse_args(words), argv)
+        assert exit_of(capsys, main, argv) == expected
+        assert expected[0] == (0 if {"-h", "--help"} & set(argv) else 2)
+
+    @pytest.mark.parametrize("argv", HELP_ARGVS + [()], ids=argv_id)
+    def test_module_reads_sys_argv(self, capsys, argv):
+        expected = exit_of(capsys, lambda words: full_parser().parse_args(words), argv)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", "pideg", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == expected
+
+    def test_only_the_named_subcommand_gets_its_arguments(self, capsys, monkeypatch):
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(parser, *args, **kwargs):
+            added.append(args)
+            return add_argument(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        code, out, _ = run(capsys, "rep", "--detring", "4,2", "--ell", "3")
+        assert code == 0 and "representation dimension: 243" in out
+        # One -h for the top-level parser and one for each registered
+        # subcommand; no other subcommand adds an argument.
+        assert added.count(("-h", "--help")) == 8
+        assert [args for args in added if args != ("-h", "--help")] == [
+            ("--diagram",), ("--matrix",), ("--detring",), ("--partition",), ("--box",),
+            ("--ell",), ("--verify",), ("--irreducible",), ("--json",),
+        ]
 
 
 def readme_python_blocks() -> list[str]:
