@@ -327,19 +327,20 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_parts(text: str) -> tuple[int, ...]:
+def _parse_parts(text: str, what: str) -> tuple[int, ...]:
+    """Comma separated integers, `what` naming them in the error message."""
     text = text.strip()
     if text in ("", "-"):
         return ()
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise BadRange(f"cannot parse partition {text!r}")
+        raise BadRange(f"cannot parse {what} {text!r}")
 
 
 def _parse_shape(parts_text: str, box: str | None) -> Partition:
     """The Young shape of comma separated parts, in a box like 3x5 if given."""
-    parts = _parse_parts(parts_text)
+    parts = _parse_parts(parts_text, "partition")
     if box is None:
         return Partition(parts)
     try:
@@ -418,7 +419,7 @@ def cmd_detring(args: argparse.Namespace):
 
 @closed_form_command
 def cmd_schubert(args: argparse.Namespace):
-    idx = PluckerIndex(_parse_parts(args.gamma), args.n)
+    idx = PluckerIndex(_parse_parts(args.gamma, "index set"), args.n)
     shape = partition_from_plucker(idx)
     fields = {
         "gamma": list(idx.gamma),

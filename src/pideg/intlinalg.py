@@ -41,9 +41,12 @@ The central objects:
   extend(M), reached cheaply since S is block diagonal, and the transforms
   of the bordered S (its docstring chains them to those of extend(M)).
 
-- rank_mod_p finds the rank of an integer matrix over F_p, and whether
-  the all-ones row lies in its row space, by one elimination that builds
-  no kernel basis and updates only the support of each pivot row.
+- ranks_mod finds, for each of a few primes p, the rank of an integer
+  matrix over F_p and whether the all-ones row lies in its row space, by
+  one elimination over Z/m, m the product of the primes, with unit pivots;
+  a column with no unit splits m (dynamic evaluation), and the
+  elimination goes on mod each factor. It builds no kernel basis and
+  updates only the support of each pivot row.
   _proved_rank proves the rank over Q from ranks mod primes against a
   Hadamard bound: for the cycle vectors below, and for a bare matrix whose
   form mod N is short.
@@ -539,47 +542,83 @@ def extended_normal_form(snf: SkewNormalForm) -> SkewNormalForm:
 # ---------------------------------------------------------------------------
 
 
-def rank_mod_p(rows, p: int) -> tuple[int, bool]:
-    """The rank over F_p of an integer matrix, given as rows, and whether
-    the all-ones row lies in its row space mod p; p must be prime.
+def ranks_mod(rows, primes) -> list[tuple[int, bool]]:
+    """For each of the given distinct primes p, in their order: the rank
+    over F_p of an integer matrix, given as rows, and whether the all-ones
+    row lies in its row space mod p.
 
-    One forward elimination to row echelon form, with no kernel basis and
-    no transform. A pivot row's support is taken once, and each row below
-    it changes only there: the pivot row's zeros leave the rest as it is.
+    One forward elimination over Z/m, m the product of the primes, which
+    is the product of the fields F_p: a pivot that is a unit mod m is one
+    mod every p, so each such step serves every prime at once. A column
+    that is nonzero mod m but holds no unit splits m at the gcd g of its
+    first nonzero entry (dynamic evaluation: Della Dora, Dicrescenzo and
+    Duval, EUROCAL 1985), and the elimination goes on mod g and mod m/g
+    from that column (_ranks_mod). No kernel basis and no transform are
+    built.
+
     The all-ones row is carried along: every pivot row reduces it, but it
-    is never a pivot, so it ends at zero exactly when it is a combination
-    of the rows. The row space is the orthogonal complement of the kernel,
-    so the second answer says whether the mod-p kernel lies in the sum-zero
-    hyperplane.
+    is never a pivot, so what is left of it is zero mod p exactly when it
+    is a combination of the rows mod p. The row space is the orthogonal
+    complement of the kernel, so the second answer says whether the mod-p
+    kernel lies in the sum-zero hyperplane.
     """
-    A = [[x % p for x in row] for row in rows]
-    R = len(A)
-    C = len(A[0]) if A else 0
-    A.append([1] * C)  # row R: the ones row, never a pivot
+    ones = [1] * (len(rows[0]) if rows else 0)
+    leaves = _ranks_mod([*rows, ones], prod(primes), 0, 0)
+    # The moduli of the leaves are coprime, so one of them holds each p.
+    return [
+        (rank, not any(x % p for x in left))
+        for p in primes
+        for g, rank, left in leaves
+        if g % p == 0
+    ]
+
+
+def _ranks_mod(A, m: int, rank: int, start: int) -> list[tuple[int, int, list[int]]]:
+    """Eliminate the rows A, the ones row last, mod m from column `start`
+    on, below `rank` pivots already taken. Returns (modulus, rank, what is
+    left of the ones row) for m, or for each factor of m that its splits
+    reach; the rows below the pivots end at zero mod that modulus.
+
+    A pivot row's support is taken once, and each row below it changes
+    only there: the pivot row's zeros leave the rest as it is. The rows
+    are copied, so each factor of a split gets its own.
+    """
+    A = [[x % m for x in row] for row in A]
+    R = len(A) - 1  # A[R]: the ones row, never a pivot
     r = 0
-    for c in range(C):
+    for c in range(start, len(A[R])):
         if r == R:
             break
         for pr in range(r, R):
-            if A[pr][c]:
+            x = A[pr][c]
+            if x and gcd(x, m) == 1:
                 break
         else:
+            first = next(filter(None, (row[c] for row in A[r:R])), 0)
+            if first:
+                # Nonzero mod m, yet no unit: split m, and go on from c
+                # with the live rows and the ones row mod each factor.
+                g = gcd(first, m)
+                return [
+                    leaf for factor in (g, m // g)
+                    for leaf in _ranks_mod(A[r:], factor, rank + r, c)
+                ]
             continue
         top = A[pr]
         A[pr], A[r] = A[r], top
-        # Adding f * (p - 1/pivot) * top clears the f at column c; the
+        # Adding f * (m - 1/pivot) * top clears the f at column c; the
         # entries left of c are zero in every row from r on, and top's
         # zeros change nothing, so only its support is visited.
-        neg_inv = p - pow(top[c], -1, p)
+        neg_inv = m - pow(top[c], -1, m)
         support = list(_nonzeros(top, c))
         for row in A[r + 1:]:
             f = row[c]
             if f:
                 f *= neg_inv
                 for k, y in support:
-                    row[k] = (row[k] + f * y) % p
+                    row[k] = (row[k] + f * y) % m
         r += 1
-    return r, not any(A[R])
+    return [(m, rank + r, A[R])]
 
 
 def _primes(p: int, step: int):
@@ -607,7 +646,7 @@ def _proved_rank(rows, top: int, primes) -> int:
     primes = iter(primes)
     while r < top and modulus * modulus <= prod(norms[:r + 1]):
         p = next(primes)
-        r = max(r, rank_mod_p(rows, p)[0])
+        r = max(r, ranks_mod(rows, (p,))[0][0])
         modulus *= p
     return r
 

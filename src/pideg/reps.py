@@ -35,7 +35,7 @@ from .errors import (
     TooLarge,
     ZeroDim,
 )
-from .intlinalg import SkewIntMatrix, is_prime, rank_mod_p, skew_normal_form
+from .intlinalg import SkewIntMatrix, is_prime, ranks_mod, skew_normal_form
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,8 @@ def irreducibility_check(rep: QASRepresentation, p: int) -> bool:
     nondegenerate mod ell. Generator i is W(row i of F), so the commutant is
     spanned by the W(v) with v in the annihilator of the span H of the
     exponent rows: it is the scalars exactly when H = (Z/ell)**(2s), when
-    the n x 2s exponent matrix has rank 2s modulo every prime dividing ell.
+    the n x 2s exponent matrix has rank 2s modulo every prime dividing ell,
+    read off one elimination modulo their product.
     This costs O(n s**2) at any dimension; p only names the field.
     """
     if not is_prime(p):
@@ -290,11 +291,10 @@ def irreducibility_check(rep: QASRepresentation, p: int) -> bool:
         raise HypothesisViolated(defect)
     width = 2 * len(rep.invariant_factors)
     exponents = [row[:width] for row in rep.e_inverse]
-    rest = ell
+    primes, rest = [], ell
     while rest > 1:
         prime = smallest_prime_factor(rest)
-        if rank_mod_p(exponents, prime)[0] < width:
-            return False
+        primes.append(prime)
         while rest % prime == 0:
             rest //= prime
-    return True
+    return all(rank == width for rank, _ in ranks_mod(exponents, primes))

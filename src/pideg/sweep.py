@@ -24,7 +24,7 @@ from pathlib import Path
 from .degrees import DiagramFacts, smallest_prime_factor
 from .diagrams import Diagram
 from .errors import BadSpec, InternalVerificationFailed, PidegError, SkewSymmetryViolated
-from .intlinalg import SkewIntMatrix, checked_cycle_sum, rank_mod_p
+from .intlinalg import SkewIntMatrix, checked_cycle_sum, ranks_mod
 
 SWEEP_PRIMES = (3, 5, 7)
 DUMP_LIMIT = 20
@@ -169,10 +169,10 @@ def _prop_mod_p(facts: DiagramFacts) -> list[str]:
     h = facts.snf.invariant_factors
     h_ext = facts.extended_snf.invariant_factors
     failures = []
-    for p in SWEEP_PRIMES:
-        # The ones row is in the row space of M mod p exactly when the
-        # mod-p kernel lies in the sum-zero hyperplane.
-        rank, rhs = rank_mod_p(M.rows, p)
+    # One elimination mod 3 * 5 * 7 gives each prime's rank, and whether
+    # the ones row is in the row space of M mod p, which holds exactly
+    # when the mod-p kernel lies in the sum-zero hyperplane.
+    for p, (rank, rhs) in zip(SWEEP_PRIMES, ranks_mod(M.rows, SWEEP_PRIMES)):
         if M.n - rank < kernel_dim:
             failures.append(f"mod-{p} kernel smaller than rational kernel")
         s_prime = sum(1 for x in h if x % p)

@@ -18,9 +18,9 @@ from pideg.cli import COMMANDS, degree_dict, degree_digits, main
 from pideg.degrees import PiDegree, determinantal_toric_cycles
 from pideg.diagrams import determinantal_diagram, young_diagram
 from pideg.errors import InternalVerificationFailed
-from pideg.intlinalg import matrix_from_diagram, skew_normal_form
+from pideg.intlinalg import matrix_from_diagram, ranks_mod, skew_normal_form
 from pideg.pipedreams import Permutation, partition_toric_permutation, toric_permutation
-from pideg.sweep import DIAGRAM_PROPERTIES
+from pideg.sweep import DIAGRAM_PROPERTIES, SWEEP_PRIMES
 from tests.conftest import FIG_TEXT
 from tests.oracles import full_parser
 
@@ -228,6 +228,18 @@ class TestClosedFormCommands:
         assert fallback["reason"] == "need gcd(g, ell) = 1 for the gcd g of the even cycle sums, got gcd(6, 3) = 3"
         assert (closed["ell"], closed["exponent"], closed["divisor"], closed["route"]) == (5, 7, "1", "closed")
         assert "reason" not in closed
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("schubert", "1,x", "5"), "cannot parse index set '1,x'"),
+            (("partition", "5,x"), "cannot parse partition '5,x'"),
+        ],
+        ids=["schubert", "partition"],
+    )
+    def test_a_bad_list_is_named_in_the_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv, "--ell", "3")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_grassmannian(self, capsys):
         code, out, _ = run(capsys, "grassmannian", "2", "6", "--ell", "5")
@@ -716,6 +728,16 @@ class TestSweepMemo:
         )
         assert code == 0 and "result: PASS" in out
         assert len(calls) == 2 * 64
+
+    def test_mod_p_makes_one_elimination_per_board(self, capsys, tmp_path, monkeypatch):
+        # Every sweep prime reads its rank from one elimination mod their product.
+        eliminations = spy(monkeypatch, ranks_mod)
+        code, out, _ = run(
+            capsys, "sweep", "exhaustive 2x3", "--properties", "mod-p",
+            "--out", str(tmp_path / "f"),
+        )
+        assert code == 0 and "result: PASS" in out
+        assert [primes for _, primes in eliminations] == [SWEEP_PRIMES] * 64
 
     @pytest.mark.parametrize(
         "prop, normal_forms_per_board, traces_per_board",

@@ -32,7 +32,7 @@ from pideg import (
     skew_normal_form,
     toric_permutation,
 )
-from pideg.intlinalg import RANK_PRIME, extended_normal_form, rank_mod_p
+from pideg.intlinalg import RANK_PRIME, extended_normal_form, ranks_mod
 from tests.conftest import (
     FIG_CYCLE_SUM,
     FIG_INVARIANT_FACTORS,
@@ -738,7 +738,7 @@ class TestRankProof:
         first = list(islice(intlinalg._primes(2**31 - 1, -2), 3))
         c = prod(first[k] for k in divisors)
         M = SkewIntMatrix(tuple(tuple(c * x for x in row) for row in M0.rows))
-        assert [rank_mod_p(M.rows, p)[0] for p in first] == [0 if k in divisors else 6 for k in range(3)]
+        assert [rank for rank, _ in ranks_mod(M.rows, first)] == [0 if k in divisors else 6 for k in range(3)]
         assert intlinalg._proved_rank(M.rows, 12, intlinalg._primes(2**31 - 1, -2)) == 6
         primes = _record_primes(monkeypatch)
         _never_over_z(monkeypatch)
@@ -1062,20 +1062,42 @@ class TestModPKernel:
             assert one_perp_mod_p(full, p)
 
 
+PRIME_SETS = ((2, 3, 5, 7), (2, 3, 5, 7, 11, 13))
+# Products of distinct primes below 8, and 0, +-1: entries that are
+# non-units mod 2 * 3 * 5 * 7 and mod 2 * 3 * 5 * 7 * 11 * 13, so columns split.
+SPLIT_ENTRIES = (0, 1, -1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30, 35, 42, 70, 105)
+
+
+def _record_moduli(monkeypatch) -> list[int]:
+    """Patch intlinalg._ranks_mod to record the modulus of every elimination,
+    the branches of each split included; return the record."""
+    moduli = []
+    eliminate = intlinalg._ranks_mod
+
+    def spy(A, m, *args):
+        moduli.append(m)
+        return eliminate(A, m, *args)
+
+    monkeypatch.setattr(intlinalg, "_ranks_mod", spy)
+    return moduli
+
+
 class TestRankModP:
-    """rank_mod_p against the Gauss-Jordan kernel basis of tests/oracles.py."""
+    """ranks_mod against the Gauss-Jordan kernel basis of tests/oracles.py,
+    prime by prime, with every prime of a set passed in one call."""
 
     @staticmethod
-    def assert_agrees(M, primes=(2, 3, 5, 7)):
-        TestRankModP.assert_rows_agree(M.rows, M.n, primes)
+    def assert_agrees(M, prime_sets=PRIME_SETS):
+        TestRankModP.assert_rows_agree(M.rows, M.n, prime_sets)
 
     @staticmethod
-    def assert_rows_agree(rows, columns, primes):
-        for p in primes:
+    def assert_rows_agree(rows, columns, prime_sets=PRIME_SETS):
+        expected = {}
+        for p in {p for primes in prime_sets for p in primes}:
             basis = kernel_basis_mod_p(rows, p)
-            rank, ones_in_rows = rank_mod_p(rows, p)
-            assert columns - rank == len(basis)
-            assert ones_in_rows == all(sum(v) % p == 0 for v in basis)
+            expected[p] = (columns - len(basis), all(sum(v) % p == 0 for v in basis))
+        for primes in prime_sets:
+            assert ranks_mod(rows, primes) == [expected[p] for p in primes], (rows, primes)
 
     def test_distinct_matrices_of_exhaustive_boards(self):
         from pideg.sweep import exhaustive_diagrams
@@ -1098,16 +1120,16 @@ class TestRankModP:
         for _ in range(60):
             R, C = rng.randrange(1, 13), rng.randrange(1, 13)
             rows = [[rng.randrange(-20, 21) for _ in range(C)] for _ in range(R)]
-            self.assert_rows_agree(rows, C, (2, 3, 5, 7, 11, 13))
+            self.assert_rows_agree(rows, C)
         for _ in range(20):
-            self.assert_agrees(random_skew(rng, rng.randrange(2, 16), 20), (2, 11, 13))
+            self.assert_agrees(random_skew(rng, rng.randrange(2, 16), 20), PRIME_SETS + ((2, 11, 13),))
 
     def test_pivot_zeros_facing_nonzeros(self):
         # Each pivot row is mostly zeros where the rows below it are not:
         # the support-only update must leave those entries as they are.
-        assert rank_mod_p([(1, 0, 0), (1, 1, 1)], 5) == (2, True)
-        assert rank_mod_p([(2, 0, 0, 0), (4, 1, 1, 1), (6, 2, 3, 2)], 11) == (3, True)
-        assert rank_mod_p([(1, 0, 0, 0), (1, 1, 1, 0), (1, 1, 1, 0)], 13) == (2, False)
+        assert ranks_mod([(1, 0, 0), (1, 1, 1)], (5,)) == [(2, True)]
+        assert ranks_mod([(2, 0, 0, 0), (4, 1, 1, 1), (6, 2, 3, 2)], (11,)) == [(3, True)]
+        assert ranks_mod([(1, 0, 0, 0), (1, 1, 1, 0), (1, 1, 1, 0)], (13,)) == [(2, False)]
         rng = random.Random(8_088)
         units = (1, -1, 17, -19, 23)  # nonzero modulo every prime below
         for _ in range(60):
@@ -1119,28 +1141,72 @@ class TestRankModP:
                 # against dense rows below them.
                 support = {r % C, rng.randrange(C)} if r % 2 == 0 else range(C)
                 rows.append([rng.choice(units) if c in support else 0 for c in range(C)])
-            self.assert_rows_agree(rows, C, (2, 3, 5, 7, 11, 13))
+            self.assert_rows_agree(rows, C)
 
     def test_rectangular_rows(self):
-        assert rank_mod_p([], 3) == (0, True)
         # (1, -2) is (1, 1) mod 3, and the ones row is that row.
-        assert rank_mod_p([(1, 1), (1, -2)], 3) == (1, True)
-        assert rank_mod_p([(1, 1), (1, -2)], 5) == (2, True)
-        assert rank_mod_p([(2, 0, 4)], 2) == (0, False)
-        assert rank_mod_p([(1, 0, 0), (0, 1, 0)], 7) == (2, False)
-        assert rank_mod_p([(1, 2, 3), (2, 4, 6), (0, 0, 1)], 11) == (2, False)
+        assert ranks_mod([(1, 1), (1, -2)], (3, 5)) == [(1, True), (2, True)]
+        assert ranks_mod([(2, 0, 4)], (2,)) == [(0, False)]
+        assert ranks_mod([(1, 0, 0), (0, 1, 0)], (7,)) == [(2, False)]
+        assert ranks_mod([(1, 2, 3), (2, 4, 6), (0, 0, 1)], (11,)) == [(2, False)]
+
+    def test_columns_without_a_unit_split_once_and_twice(self, monkeypatch):
+        # Each call records its modulus once, and each split two more.
+        moduli = _record_moduli(monkeypatch)
+        rng = random.Random(105)
+        splits = set()
+        for _ in range(300):
+            R, C = rng.randrange(1, 9), rng.randrange(1, 9)
+            rows = [[rng.choice(SPLIT_ENTRIES) for _ in range(C)] for _ in range(R)]
+            for primes in PRIME_SETS:
+                moduli.clear()
+                self.assert_rows_agree(rows, C, (primes,))
+                splits.add((len(moduli) - 1) // 2)
+        assert {0, 1, 2} <= splits and max(splits) >= 3
+
+    def test_a_later_unit_is_the_pivot(self, monkeypatch):
+        # Column 0 starts with 3, no unit mod 105, but row 1 holds 1 there:
+        # the elimination pivots on it, and m is not split.
+        moduli = _record_moduli(monkeypatch)
+        rows = [(3, 1, 0), (1, 0, 0), (0, 2, 1)]
+        self.assert_rows_agree(rows, 3, ((3, 5, 7),))
+        assert moduli == [105]
+        # Column 0 holds no unit mod 210: 6 splits it into 6 and 35, then 4
+        # splits 6 into 2 and 3 there, and 10 splits 35 into 5 and 7 at column 1.
+        moduli.clear()
+        self.assert_rows_agree([(6, 1), (10, 0), (15, 5)], 2, ((2, 3, 5, 7),))
+        assert moduli == [210, 6, 2, 3, 35, 5, 7]
+
+    def test_primes_out_of_order(self):
+        # det [[1, 1], [1, -2]] = -3: rank 1 mod 3, rank 2 mod 7.
+        assert ranks_mod([(1, 1), (1, -2)], (7, 3)) == [(2, True), (1, True)]
+        assert ranks_mod([(1, 1), (1, -2)], (3, 7)) == [(1, True), (2, True)]
+        rows = [(6, 10, 15), (14, 21, 35), (1, 0, 0)]
+        self.assert_rows_agree(rows, 3, ((7, 3), (13, 7, 2, 11, 5, 3), (5, 2, 7, 3)))
+
+    def test_empty_and_one_column_inputs(self):
+        assert ranks_mod([], (2, 3, 5, 7)) == [(0, True)] * 4
+        assert ranks_mod([], ()) == []
+        assert ranks_mod([(), ()], (3, 5)) == [(0, True)] * 2
+        assert ranks_mod([(2,), (4,)], (2, 3)) == [(0, False), (1, True)]
+        assert ranks_mod([(0,)], (5, 7)) == [(0, False)] * 2
+        # 6, 10 and 15: no unit mod 210, and each prime still finds rank 1.
+        assert ranks_mod([(6,), (10,), (15,)], (2, 3, 5, 7)) == [(1, True)] * 4
+        for column in product((0, 2, 3, 5, 6, 7, 10, 35), repeat=3):
+            self.assert_rows_agree([(x,) for x in column], 1)
 
 
 def _record_primes(monkeypatch) -> list[int]:
-    """Patch rank_mod_p to record the prime of every call; return the record."""
+    """Patch ranks_mod to record the primes of every call, in order; return
+    the record."""
     primes = []
-    rank = intlinalg.rank_mod_p
+    ranks = intlinalg.ranks_mod
 
-    def spy(rows, p):
-        primes.append(p)
-        return rank(rows, p)
+    def spy(rows, given):
+        primes.extend(given)
+        return ranks(rows, given)
 
-    monkeypatch.setattr(intlinalg, "rank_mod_p", spy)
+    monkeypatch.setattr(intlinalg, "ranks_mod", spy)
     return primes
 
 

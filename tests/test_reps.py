@@ -1,6 +1,7 @@
 """Monomial matrices and representations of quantum affine spaces."""
 
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -333,6 +334,9 @@ class TestIrreducibility:
             (6, [(2, 0), (0, 1)], False),  # full rank mod 3, rank 1 mod 2
             (4, [(2, 0), (0, 1)], False),
             (4, [(2, 1), (1, 1)], True),
+            # No unit mod 15 in column 0: the elimination splits 15 into 3 and 5.
+            (15, [(3, 1), (5, 1)], True),
+            (15, [(5, 0), (0, 3)], False),  # rank 1 mod 3 and mod 5
         ],
     )
     def test_rank_is_taken_modulo_every_prime_of_ell(self, ell, rows, irreducible):
@@ -381,20 +385,25 @@ class TestIrreducibility:
         assert time.perf_counter() - start < 1
 
     def test_agrees_with_the_orbit_oracle_on_small_boards(self, small_board_matrices):
-        cases = reducible = 0
+        # ell = 15 has two primes, so the rank check eliminates once mod 15.
+        cases = Counter()
         for _, M in small_board_matrices:
-            for ell, p in ((3, 7), (5, 11)):
+            for ell, p in ((3, 7), (5, 11), (15, 31)):
                 rep = qas_representation(M, ell)
                 if rep.dim > 27:
                     continue
                 for part in (rep, drop_last_generator(rep)) if M.n else (rep,):
                     certified = irreducibility_check(part, p)
                     assert certified == orbit_irreducible(part), M
-                    cases += 1
-                    reducible += not certified
-        # 417 records of dimension <= 27, each also without its last
-        # generator except the two empty ones.
-        assert (cases, reducible) == (834, 139)
+                    cases[ell, certified] += 1
+        # 418 records of dimension <= 27 at ell = 3 and 5, and 26 at ell = 15
+        # (dimension 1 or 15), each also without its last generator except
+        # the three empty ones.
+        assert cases == {
+            (3, True): 388, (3, False): 89,
+            (5, True): 307, (5, False): 50,
+            (15, True): 45, (15, False): 6,
+        }
 
     @pytest.mark.parametrize("n, t, ell", ORBIT_DETRING)
     def test_agrees_with_the_orbit_oracle_on_determinantal_boards(self, n, t, ell):
