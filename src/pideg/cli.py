@@ -315,13 +315,21 @@ def emit(report: dict, lines: list[str], as_json: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at path; one that is not UTF-8 is a BadSpec naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadSpec(f"{path} is not UTF-8 text: {exc}")
+
+
 def cmd_diagram(args: argparse.Namespace) -> int:
     budget = digit_budget()
     ells = tuple(args.ell or ())
     for ell in ells:
         if ell < 2:
             raise BadEll(f"ell must be at least 2, got {ell}")
-    d = diagram_from_text(Path(args.file).read_text())
+    d = diagram_from_text(_read_text(args.file))
     report = analysis_dict(DiagramFacts(d), ells, budget, args.extended, args.cycles, args.kernel)
     emit(report, analysis_lines(report), args.json)
     return 0
@@ -451,11 +459,11 @@ def _rep_matrix(args: argparse.Namespace) -> SkewIntMatrix:
     if args.box is not None and args.partition is None:
         raise BadRange("--box needs --partition")
     if args.diagram is not None:
-        return matrix_from_diagram(diagram_from_text(Path(args.diagram).read_text()))
+        return matrix_from_diagram(diagram_from_text(_read_text(args.diagram)))
     if args.matrix is not None:
         try:
-            rows = json.loads(Path(args.matrix).read_text())
-        except ValueError as exc:
+            rows = json.loads(_read_text(args.matrix))
+        except (ValueError, RecursionError) as exc:
             raise BadSpec(f"cannot read a matrix from {args.matrix}: {exc}")
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise BadSpec(f"{args.matrix} must hold a JSON list of rows of integers")
@@ -476,8 +484,6 @@ def _rep_matrix(args: argparse.Namespace) -> SkewIntMatrix:
 
 
 def cmd_rep(args: argparse.Namespace) -> int:
-    if args.ell < 3:
-        raise BadEll(f"rep needs ell >= 3, got {args.ell}")
     report = rep_dict(_rep_matrix(args), args.ell, args.verify, args.irreducible)
     emit(report, rep_lines(report), args.json)
     return 0 if report.get("relations_hold", True) else 1
@@ -535,7 +541,7 @@ COMMANDS = {
         ("--detring", dict(help="determinantal board as n,t")),
         ("--partition", dict(help="Young shape parts, e.g. 5,3,2")),
         ("--box", dict(help="bounding box for --partition")),
-        ("--ell", dict(type=int, required=True, help="ell >= 3")),
+        ("--ell", dict(type=int, required=True, help="ell >= 2")),
         ("--verify", dict(action="store_true", help="verify all commutation relations")),
         ("--irreducible", dict(
             type=int, nargs="?", const=0, default=None,

@@ -120,8 +120,6 @@ class PiDegree:
 
 def pi_degree_from_factors(h: tuple[int, ...], ell: int) -> PiDegree:
     """Generic PI degree from the invariant factors h of the skew matrix."""
-    if ell < 2:
-        raise BadEll(f"ell must be at least 2, got {ell}")
     gcds = [gcd(hi, ell) for hi in h]
     divisor = 1
     for g in gcds:

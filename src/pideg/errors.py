@@ -56,10 +56,6 @@ class HypothesisViolated(PidegError):
     """The hypothesis of a closed form or a certificate does not hold for the input."""
 
 
-class GcdViolation(PidegError):
-    """A clock matrix step must be invertible mod ell: gcd(h, ell) = 1."""
-
-
 class ZeroDim(PidegError):
     """A monomial matrix of dimension below 1 was requested."""
 

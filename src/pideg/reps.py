@@ -1,19 +1,19 @@
 """Maximal-dimension irreducible representations via monomial matrices.
 
 A quantum affine space at a primitive ell-th root of unity q has PI degree
-prod ell / gcd(h_i, ell) over the congruence invariant factors h_i of its
-commutation matrix. When every gcd is 1 an irreducible representation of
-exactly that dimension can be written down with monomial matrices. Each
-invariant factor gets a leg, a clock/shift pair of size ell, and generator
-i's image is the Kronecker product over the blocks k of x_k**a @ y_k**b,
-with (a, b) the exponents that row i of F = E^{-1} gives block k.
+prod e_k, e_k = ell / gcd(h_k, ell), over the congruence invariant factors
+h_k of its commutation matrix, and it has an irreducible monomial
+representation of that dimension. Block k gets a leg, a clock/shift pair of
+size e_k with clock step h_k, and generator i's image is the Kronecker
+product over the blocks k of x_k**a @ y_k**b, with (a, b) the exponents
+that row i of F = E^{-1} gives block k.
 
 Every fact reported follows from the legs and the exponents, so no
 dim x dim image is built unless a caller reads one: the relations are
 checked once per leg and then as an exact integer pairing of the rows of
 F, and irreducibility over F_p by the rank of the exponent matrix modulo
-each prime dividing ell. Powers of q are integer exponents mod ell, so
-every identity checked is exact.
+each prime r dividing ell, on the blocks with r | e_k. Powers of q are
+integer exponents mod ell, so every identity checked is exact.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from functools import cached_property
 from math import gcd
 from operator import mul
 
-from .degrees import smallest_prime_factor
+from .degrees import pi_degree_from_factors, smallest_prime_factor
 from .errors import (
     BadEll,
     BadRange,
-    GcdViolation,
     HypothesisViolated,
     InternalVerificationFailed,
     NoRootOfUnity,
@@ -128,18 +127,17 @@ def kron(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
 
 
 def clock_shift(ell: int, h: int) -> tuple[MonomialMatrix, MonomialMatrix]:
-    """The ell x ell clock X (diagonal q**(j*h)) and shift Y (cyclic step).
+    """The e x e clock X (diagonal q**(j*h)) and shift Y (cyclic step),
+    e = ell / gcd(h, ell), the order of q**h.
 
-    They satisfy X Y = q**h Y X, and X**ell = Y**ell = identity. The clock
-    step h must be invertible mod ell for the pair to generate a matrix
-    algebra of full size ell**2.
+    They satisfy X Y = q**h Y X and X**e = Y**e = identity, so they generate
+    the full e x e matrix algebra.
     """
     if ell < 2:
         raise BadEll(f"ell must be at least 2, got {ell}")
-    if gcd(h, ell) != 1:
-        raise GcdViolation(f"clock step {h} shares a factor with ell = {ell}")
-    x = MonomialMatrix(ell, tuple(range(ell)), tuple(j * h for j in range(ell)))
-    y = MonomialMatrix(ell, tuple((j + 1) % ell for j in range(ell)), (0,) * ell)
+    e = ell // gcd(h, ell)
+    x = MonomialMatrix(ell, tuple(range(e)), tuple(j * h for j in range(e)))
+    y = MonomialMatrix(ell, tuple((j + 1) % e for j in range(e)), (0,) * e)
     return x, y
 
 
@@ -147,10 +145,11 @@ def clock_shift(ell: int, h: int) -> tuple[MonomialMatrix, MonomialMatrix]:
 class QASRepresentation:
     """A representation of the quantum affine space of a skew matrix M.
 
-    dim = ell**s for s invariant factor blocks. e_inverse is F = E^{-1},
-    exact: entries 2k and 2k + 1 of its row i are the powers of block k's
-    clock and shift in leg k of generator i's image (row i of M). Legs and
-    images are built on first read; the checks never read the images.
+    dim is the PI degree, the product of the leg sizes e_k = ell / gcd(h_k,
+    ell) over the invariant factor blocks. e_inverse is F = E^{-1}, exact:
+    entries 2k and 2k + 1 of its row i are the powers of block k's clock
+    and shift in leg k of generator i's image (row i of M). Legs and images
+    are built on first read; the checks never read the images.
     """
 
     ell: int
@@ -161,7 +160,7 @@ class QASRepresentation:
 
     @cached_property
     def legs(self) -> tuple[tuple[MonomialMatrix, MonomialMatrix], ...]:
-        """Block k's ell x ell clock and shift, with clock step h_k mod ell."""
+        """Block k's e_k x e_k clock and shift, with clock step h_k mod ell."""
         if self.ell > MAX_REP_DIM:
             raise TooLarge(
                 f"clock and shift of size {self.ell} exceed the largest built, {MAX_REP_DIM}"
@@ -193,34 +192,28 @@ MAX_REP_DIM = 59_049
 
 
 def qas_representation(M: SkewIntMatrix, ell: int) -> QASRepresentation:
-    """The dimension ell**s monomial representation of the algebra of M.
-
-    Exists exactly when every invariant factor of M is coprime to ell
-    (GcdViolation otherwise); in that case ell**s is the PI degree and the
-    representation is irreducible. The empty matrix yields the trivial
+    """The irreducible monomial representation of the algebra of M at ell,
+    of dimension its PI degree. The empty matrix yields the trivial
     one-dimensional representation. Only the normal form is computed here.
     """
     if ell < 2:
         raise BadEll(f"ell must be at least 2, got {ell}")
     snf = skew_normal_form(M)
     h = snf.invariant_factors
-    bad = [hi for hi in h if gcd(hi, ell) != 1]
-    if bad:
-        raise GcdViolation(
-            f"invariant factors {bad} share a factor with ell = {ell}; "
-            "no representation of full PI degree from this construction"
-        )
-    return QASRepresentation(ell, ell ** len(h), h, snf.kernel_dim, snf.inverse_transform)
+    dim = pi_degree_from_factors(h, ell).value
+    return QASRepresentation(ell, dim, h, snf.kernel_dim, snf.inverse_transform)
 
 
 def _leg_defect(rep: QASRepresentation) -> str | None:
-    """Why some block's ell x ell clock x and shift y fail x**ell = y**ell = 1
-    and x y = q**h y x, or None. Building a leg checks that h is prime to ell."""
+    """Why some block's clock x and shift y fail to be of size and order
+    e = ell / gcd(h, ell), the block's factor of the PI degree, or fail
+    x y = q**h y x; or None."""
     ell = rep.ell
-    for k, (h, (x, y)) in enumerate(zip(rep.invariant_factors, rep.legs)):
-        if not (x.dim == y.dim == x.ell == y.ell == ell and x.order_divides(ell)
-                and y.order_divides(ell)):
-            return f"block {k}: clock or shift is not of size and order {ell}"
+    sizes = pi_degree_from_factors(rep.invariant_factors, ell).factors
+    for k, (h, e, (x, y)) in enumerate(zip(rep.invariant_factors, sizes, rep.legs)):
+        if not (x.dim == y.dim == e and x.ell == y.ell == ell and x.order_divides(e)
+                and y.order_divides(e)):
+            return f"block {k}: clock or shift is not of size and order {e}"
         if (x @ y).scalar_power_vs(y @ x) != h % ell:
             return f"block {k}: clock and shift do not commute up to q**{h % ell}"
     return None
@@ -269,16 +262,18 @@ def least_prime_1_mod(ell: int) -> int:
 def irreducibility_check(rep: QASRepresentation, p: int) -> bool:
     """Certify irreducibility over F_p: the images commute only with scalars.
 
-    The legs must satisfy x**ell = y**ell = 1 and x y = q**h y x, h prime to
-    ell (HypothesisViolated, naming the block, otherwise). In F_p with
-    ell | p - 1, q has order ell, so the Kronecker products W(u) of leg
-    powers, u in (Z/ell)**(2s), are a basis of the dim x dim matrices, and
-    W(u) W(v) = q**w(u, v) W(v) W(u) for a pairing w weighted by the h_k,
-    nondegenerate mod ell. Generator i is W(row i of F), so the commutant is
-    spanned by the W(v) with v in the annihilator of the span H of the
-    exponent rows: it is the scalars exactly when H = (Z/ell)**(2s), when
-    the n x 2s exponent matrix has rank 2s modulo every prime dividing ell,
-    read off one elimination modulo their product.
+    Block k's legs must be of size and order e_k = ell / gcd(h_k, ell) and
+    satisfy x y = q**h_k y x (HypothesisViolated, naming the block,
+    otherwise). In F_p with ell | p - 1, q**h_k has order e_k, so the
+    Kronecker products W(u) of leg powers, u in G = sum_k (Z/e_k)**2, are a
+    basis of the dim x dim matrices, and W(u) W(v) = q**w(u, v) W(v) W(u)
+    for a pairing w weighted by the h_k, nondegenerate on G. Generator i is
+    W(row i of F), so the commutant is spanned by the W(v) with v in the
+    annihilator of the span H of the exponent rows: it is the scalars
+    exactly when H = G. By Frattini, that is when, for each prime r
+    dividing ell, the exponent columns of the blocks with r | e_k have full
+    rank mod r: one elimination modulo the product of the primes that share
+    a column set, which is a single one when every e_k = ell.
     This costs O(n s**2) at any dimension; p only names the field.
     """
     if not is_prime(p):
@@ -289,12 +284,18 @@ def irreducibility_check(rep: QASRepresentation, p: int) -> bool:
     defect = _leg_defect(rep)
     if defect is not None:
         raise HypothesisViolated(defect)
-    width = 2 * len(rep.invariant_factors)
-    exponents = [row[:width] for row in rep.e_inverse]
-    primes, rest = [], ell
+    sizes = pi_degree_from_factors(rep.invariant_factors, ell).factors
+    primes_of: dict[tuple[int, ...], list[int]] = {}  # blocks read -> primes
+    rest = ell
     while rest > 1:
         prime = smallest_prime_factor(rest)
-        primes.append(prime)
         while rest % prime == 0:
             rest //= prime
-    return all(rank == width for rank, _ in ranks_mod(exponents, primes))
+        blocks = tuple(k for k, e in enumerate(sizes) if e % prime == 0)
+        primes_of.setdefault(blocks, []).append(prime)
+    return all(
+        rank == 2 * len(blocks)
+        for blocks, primes in primes_of.items()
+        for rank, _ in ranks_mod([[row[c] for k in blocks for c in (2 * k, 2 * k + 1)]
+                                  for row in rep.e_inverse], primes)
+    )

@@ -608,12 +608,13 @@ def lifted_generator_images(M, ell: int) -> tuple:
     """The generator images of the representation of M at ell, built from
     lifted blocks.
 
-    Each block k's clock and shift is lifted to the full dimension ell**s
-    by Kronecker products with ell x ell identities (k on its left, s - k - 1
-    on its right), every kernel direction gets the identity, and generator
-    i is the product over all 2s + t lifted blocks a of block a to the
-    power E^{-1}[i][a] mod ell. Only the normal form and the monomial
-    arithmetic come from the package.
+    Block k's clock and shift, of size e_k = ell / gcd(h_k, ell), is lifted
+    to the full dimension prod e_j by Kronecker products with the e_j x e_j
+    identities of the other blocks (j < k on its left, j > k on its right),
+    every kernel direction gets the identity, and generator i is the product
+    over all 2s + t lifted blocks a of block a to the power E^{-1}[i][a] mod
+    ell. Only the normal form and the monomial arithmetic come from the
+    package.
     """
     from pideg.intlinalg import skew_normal_form
     from pideg.reps import MonomialMatrix, clock_shift, kron
@@ -621,15 +622,15 @@ def lifted_generator_images(M, ell: int) -> tuple:
     snf = skew_normal_form(M)
     h = snf.invariant_factors
     s, t = len(h), snf.kernel_dim
-    identity = MonomialMatrix.identity(ell**s, ell)
-    leg_identity = MonomialMatrix.identity(ell, ell)
+    sizes = [ell // gcd(hk, ell) for hk in h]
+    identity = MonomialMatrix.identity(prod(sizes), ell)
     blocks = []
     for k in range(s):
         for g in clock_shift(ell, h[k] % ell):
-            for _ in range(k):
-                g = kron(leg_identity, g)
-            for _ in range(s - k - 1):
-                g = kron(g, leg_identity)
+            for j in reversed(range(k)):
+                g = kron(MonomialMatrix.identity(sizes[j], ell), g)
+            for j in range(k + 1, s):
+                g = kron(g, MonomialMatrix.identity(sizes[j], ell))
             blocks.append(g)
     blocks.extend(identity for _ in range(t))
     images = []
@@ -973,7 +974,7 @@ def full_parser() -> argparse.ArgumentParser:
     p.add_argument("--detring", help="determinantal board as n,t")
     p.add_argument("--partition", help="Young shape parts, e.g. 5,3,2")
     p.add_argument("--box", help="bounding box for --partition")
-    p.add_argument("--ell", type=int, required=True, help="ell >= 3")
+    p.add_argument("--ell", type=int, required=True, help="ell >= 2")
     p.add_argument("--verify", action="store_true", help="verify all commutation relations")
     p.add_argument(
         "--irreducible",

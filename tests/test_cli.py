@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from pideg.cli import COMMANDS, degree_dict, degree_digits, main
-from pideg.degrees import PiDegree, determinantal_toric_cycles
+from bench.workloads import REP_DETRING
+from pideg.degrees import PiDegree, determinantal_toric_cycles, pi_degree_determinantal
 from pideg.diagrams import determinantal_diagram, young_diagram
 from pideg.errors import InternalVerificationFailed
 from pideg.intlinalg import matrix_from_diagram, ranks_mod, skew_normal_form
@@ -391,9 +392,30 @@ class TestRepCommand:
         code, out, err = run(capsys, "rep", "--detring", "4,2", "--box", "3x3", "--ell", "3")
         assert (code, out, err) == (1, "", "error: --box needs --partition\n")
 
-    def test_rejects_ell_two(self, capsys, fig_file):
-        code, _, err = run(capsys, "rep", "--diagram", fig_file, "--ell", "2")
-        assert code == 1 and err == "error: rep needs ell >= 3, got 2\n"
+    def test_answers_at_ell_two(self, capsys, fig_file):
+        # Invariant factors 1 1 1 2: three legs of size 2 and one of size 1.
+        code, out, err = run(capsys, "rep", "--diagram", fig_file, "--ell", "2",
+                             "--verify", "--irreducible")
+        assert code == 0 and err == ""
+        assert "representation dimension: 8\n" in out
+        assert "relations: all verified" in out and "irreducible over F_3: yes" in out
+        code, out, err = run(capsys, "rep", "--diagram", fig_file, "--ell", "1")
+        assert (code, out, err) == (1, "", "error: ell must be at least 2, got 1\n")
+
+    @pytest.mark.parametrize("ell", (4, 6, 8, 12))
+    @pytest.mark.parametrize(
+        "n, t", sorted({(n, t) for n, t, _ in REP_DETRING} | {(6, 3), (8, 4)})
+    )
+    def test_determinantal_boards_at_even_ell(self, capsys, n, t, ell):
+        # Every invariant factor of these boards is a power of 2, so at even
+        # ell some legs are smaller than ell; the dimension is the PI degree.
+        code, out, err = run(capsys, "rep", "--detring", f"{n},{t}", "--ell", str(ell),
+                             "--verify", "--irreducible", "--json")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["dimension"] == pi_degree_determinantal(n, t, ell).value
+        assert report["relations_hold"] is True
+        assert report["irreducible_mod_p"]["irreducible"] is True
 
     def test_irreducible_at_dimension_81(self, capsys):
         start = time.perf_counter()
@@ -780,6 +802,47 @@ def exit_of(capsys, parse, argv) -> tuple[int, str, str]:
         parse(list(argv))
     captured = capsys.readouterr()
     return exited.value.code, captured.out, captured.err
+
+
+class TestUnreadableInput:
+    """Every command that reads a file ends a file it cannot read with
+    exit status 1 and one stderr line, never a traceback."""
+
+    @pytest.fixture()
+    def bad_paths(self, tmp_path):
+        (tmp_path / "utf16.txt").write_bytes(b"\xff\xfe.\x00#\x00\n\x00")
+        (tmp_path / "nested.json").write_text("[" * 100_000)
+        (tmp_path / "folder").mkdir()
+        return {name: str(tmp_path / name)
+                for name in ("utf16.txt", "nested.json", "folder", "missing")}
+
+    READERS = (("diagram", "{}"), ("rep", "--diagram", "{}", "--ell", "3"),
+               ("rep", "--matrix", "{}", "--ell", "3"))
+
+    @pytest.mark.parametrize("command", READERS, ids=lambda c: "-".join(c[:2]))
+    @pytest.mark.parametrize("name", ("utf16.txt", "nested.json", "folder", "missing"))
+    def test_one_error_line(self, capsys, bad_paths, command, name):
+        argv = [word.format(bad_paths[name]) for word in command]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_not_utf8_names_the_file(self, capsys, bad_paths):
+        path = bad_paths["utf16.txt"]
+        code, _, err = run(capsys, "diagram", path)
+        assert code == 1 and err.startswith(f"error: {path} is not UTF-8 text: ")
+
+    def test_module_reports_one_error_line(self, bad_paths):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        nested = bad_paths["nested.json"]
+        done = subprocess.run(
+            [sys.executable, "-m", "pideg", "rep", "--matrix", nested, "--ell", "3"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith(f"error: cannot read a matrix from {nested}: ")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
 class TestParser:

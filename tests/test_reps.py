@@ -3,6 +3,7 @@
 import time
 from collections import Counter
 from dataclasses import replace
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from pideg import (
     BadEll,
     BadRange,
-    GcdViolation,
     HypothesisViolated,
     InternalVerificationFailed,
     MonomialMatrix,
@@ -29,11 +29,13 @@ from pideg import (
     kron,
     matrix_from_diagram,
     pi_degree_determinantal,
+    pi_degree_from_factors,
     pi_degree_qas,
     qas_representation,
 )
 from bench.workloads import REP_DETRING
 from pideg import reps
+from pideg.intlinalg import ranks_mod
 from pideg.reps import MAX_REP_DIM, QASRepresentation, least_prime_1_mod
 from tests.oracles import (
     dense_mod_p,
@@ -119,13 +121,13 @@ class TestMonomialMatrix:
 
 class TestClockShift:
     def test_commutation_scalar(self):
-        for ell in (2, 3, 4, 5, 9):
-            for h in range(1, ell):
-                from math import gcd
-
-                if gcd(h, ell) != 1:
-                    continue
+        # Every clock step, a shared factor with ell or a multiple of it too:
+        # the legs have the size and order e of q**h.
+        for ell in (2, 3, 4, 5, 6, 8, 9, 12):
+            for h in range(ell + 3):
                 x, y = clock_shift(ell, h)
+                e = ell // gcd(h, ell)
+                assert x.dim == y.dim == e and x.order_divides(e) and y.order_divides(e)
                 assert (x @ y).scalar_power_vs(y @ x) == h % ell
 
     def test_order(self):
@@ -142,9 +144,13 @@ class TestClockShift:
         assert g != MonomialMatrix.identity(4, 4)
         assert g.scalar_power_vs(MonomialMatrix.identity(4, 4)) == 2
 
-    def test_shared_factor_rejected(self):
-        with pytest.raises(GcdViolation):
-            clock_shift(6, 3)
+    def test_shared_factor_shrinks_the_leg(self):
+        # q**3 has order 2 at ell = 6, so the clock and shift are 2 x 2.
+        x, y = clock_shift(6, 3)
+        assert x == MonomialMatrix(6, (0, 1), (0, 3))
+        assert y == MonomialMatrix(6, (1, 0), (0, 0))
+        assert x**2 == y**2 == MonomialMatrix.identity(2, 6)
+        assert (x @ y).scalar_power_vs(y @ x) == 3
 
     def test_tiny_ell_rejected(self):
         with pytest.raises(BadEll):
@@ -207,10 +213,17 @@ class TestQASRepresentation:
         with pytest.raises(InternalVerificationFailed, match="block 0: clock and shift"):
             find_relation_violation(qas_representation(M, 3), M)
 
-    def test_shared_factor_with_ell_rejected(self):
+    def test_shared_factor_with_ell_shrinks_the_dimension(self):
+        # h = 2: one leg of size 4 / gcd(2, 4) = 2 at ell = 4, and of size 1
+        # at ell = 2, where both generators are central.
         M = SkewIntMatrix(((0, 2), (-2, 0)))
-        with pytest.raises(GcdViolation):
-            qas_representation(M, 4)
+        rep = qas_representation(M, 4)
+        assert rep.dim == pi_degree_qas(M, 4).value == 2
+        assert find_relation_violation(rep, M) is None
+        assert irreducibility_check(rep, 5) and orbit_irreducible(rep) and span_irreducible(rep, 5)
+        rep = qas_representation(M, 2)
+        assert rep.dim == 1 and rep.generator_images == (MonomialMatrix.identity(1, 2),) * 2
+        assert find_relation_violation(rep, M) is None and irreducibility_check(rep, 3)
 
     def test_empty_matrix_gives_trivial_representation(self):
         rep = qas_representation(SkewIntMatrix(()), 5)
@@ -276,8 +289,9 @@ class TestQASRepresentation:
 def hand_built(ell: int, h: tuple[int, ...], rows) -> QASRepresentation:
     """A representation record with invariant factors h whose generator i
     has the exponents rows[i] on the legs."""
+    dim = pi_degree_from_factors(h, ell).value
     return QASRepresentation(
-        ell=ell, dim=ell ** len(h), invariant_factors=h, kernel_dim=0, e_inverse=tuple(rows)
+        ell=ell, dim=dim, invariant_factors=h, kernel_dim=0, e_inverse=tuple(rows)
     )
 
 
@@ -345,6 +359,50 @@ class TestIrreducibility:
         assert irreducibility_check(fake, p) is irreducible
         assert orbit_irreducible(fake) is irreducible
         assert span_irreducible(fake, p) is irreducible
+
+    @pytest.mark.parametrize(
+        "ell, h, rows, irreducible",
+        [
+            # Legs of sizes (6, 3): 2 reads block 0 only, 3 reads both blocks.
+            (6, (1, 2), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)], True),
+            (6, (1, 2), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], False),  # rank 3 mod 3
+            (6, (1, 2), [(3, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], False),
+            (6, (1, 2), [(3, 0, 0, 0), (2, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+             True),
+            (6, (2,), [(1, 0), (0, 1)], True),  # a leg of size 3: 2 reads nothing
+            (4, (2,), [(1, 0), (0, 1)], True),
+            (4, (2,), [(2, 0), (0, 1)], False),
+            (4, (1, 2), [(2, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 1), (0, 0, 0, 1)], True),
+            (12, (1, 4), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], True),
+            (12, (1, 4), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1)], False),
+        ],
+    )
+    def test_rank_is_taken_on_the_blocks_each_prime_divides(self, ell, h, rows, irreducible):
+        fake = hand_built(ell, h, rows)
+        p = first_usable_prime(ell)
+        assert irreducibility_check(fake, p) is irreducible
+        assert orbit_irreducible(fake) is irreducible
+        if fake.dim <= 18:
+            assert span_irreducible(fake, p) is irreducible
+
+    @pytest.mark.parametrize(
+        "ell, h, calls",
+        [
+            (6, (1, 1), [[2, 3]]),
+            (6, (1, 2), [[2], [3]]),
+            (12, (1, 2, 4), [[2], [3]]),
+            (30, (1, 2, 3), [[2], [3], [5]]),
+            (30, (1, 2, 4), [[2], [3, 5]]),
+        ],
+    )
+    def test_one_elimination_per_column_set(self, monkeypatch, ell, h, calls):
+        # The primes whose blocks coincide share one elimination modulo their product.
+        seen = []
+        monkeypatch.setattr(reps, "ranks_mod", lambda rows, primes: seen.append(primes)
+                            or ranks_mod(rows, primes))
+        rows = [tuple(int(i == j) for j in range(2 * len(h))) for i in range(2 * len(h))]
+        assert irreducibility_check(hand_built(ell, h, rows), first_usable_prime(ell))
+        assert seen == calls
 
     def test_leg_that_does_not_q_commute_raises(self, monkeypatch):
         # A shift that is the clock again commutes with it.
@@ -444,3 +502,69 @@ class TestDeterminantalRepresentations:
         for n, t, ell in ((3, 1, 3), (4, 2, 5)):
             rep = qas_representation(matrix_from_diagram(determinantal_diagram(n, t)), ell)
             assert rep.dim == pi_degree_determinantal(n, t, ell).value
+
+
+# Every ell of the corpus below: odd and even, prime powers and not.
+EVERY_ELL = (2, 3, 4, 6, 8, 12)
+
+
+@pytest.fixture(scope="module")
+def every_ell_records(small_board_matrices):
+    """(M, representation) at each of EVERY_ELL, for every distinct matrix
+    of a board with at most three rows and columns and for the
+    determinantal boards 4,2, 5,2 and 4,3."""
+    matrices = [M for _, M in small_board_matrices] + [
+        matrix_from_diagram(determinantal_diagram(n, t)) for n, t in ((4, 2), (5, 2), (4, 3))
+    ]
+    return [(M, qas_representation(M, ell)) for M in matrices for ell in EVERY_ELL]
+
+
+# The cases of dimension at most 64 by (ell, certified), and without their
+# last generator by (ell, "dropped", certified): every whole record is
+# irreducible, and dropping a generator gives reducible ones at every ell.
+DROPPED_AND_WHOLE = {
+    (2, True): 242, (2, "dropped", True): 191, (2, "dropped", False): 50,
+    (3, True): 239, (3, "dropped", True): 149, (3, "dropped", False): 89,
+    (4, True): 239, (4, "dropped", True): 149, (4, "dropped", False): 89,
+    (6, True): 179, (6, "dropped", True): 128, (6, "dropped", False): 50,
+    (8, True): 179, (8, "dropped", True): 128, (8, "dropped", False): 50,
+    (12, True): 26, (12, "dropped", True): 19, (12, "dropped", False): 6,
+}
+
+
+class TestEveryEll:
+    """Legs of size ell / gcd(h_k, ell) give a representation of the PI
+    degree at every ell, shared factors or not."""
+
+    def test_dimension_is_the_pi_degree_and_the_relations_hold(self, every_ell_records):
+        assert len(every_ell_records) == 242 * len(EVERY_ELL)
+        for M, rep in every_ell_records:
+            assert rep.dim == pi_degree_from_factors(rep.invariant_factors, rep.ell).value
+            assert rep.dim == pi_degree_qas(M, rep.ell).value
+            assert find_relation_violation(rep, M) is None
+
+    def test_irreducibility_agrees_with_the_orbit_oracle(self, every_ell_records):
+        cases = Counter()
+        for M, rep in every_ell_records:
+            if rep.dim > 64:
+                continue
+            p = least_prime_1_mod(rep.ell)
+            certified = irreducibility_check(rep, p)
+            assert certified == orbit_irreducible(rep), (M, rep.ell)
+            cases[rep.ell, certified] += 1
+            if M.n:
+                part = drop_last_generator(rep)
+                dropped = irreducibility_check(part, p)
+                assert dropped == orbit_irreducible(part), (M, rep.ell)
+                cases[rep.ell, "dropped", dropped] += 1
+        assert sum(n for key, n in cases.items() if len(key) == 2) == 1104
+        assert cases == DROPPED_AND_WHOLE
+
+    def test_images_match_the_lifted_and_span_oracles(self, every_ell_records):
+        for M, rep in every_ell_records:
+            if rep.dim > 64:
+                continue
+            assert rep.generator_images == lifted_generator_images(M, rep.ell), (M, rep.ell)
+            assert image_relation_violation(rep, M) is None
+            if rep.dim <= 16:
+                assert span_irreducible(rep, least_prime_1_mod(rep.ell)), (M, rep.ell)
