@@ -38,7 +38,6 @@ from .errors import (
     BadRange,
     BadSpec,
     EmptyInput,
-    EvenEll,
     FormulaMismatch,
     HypothesisViolated,
     InternalVerificationFailed,
@@ -92,7 +91,6 @@ __all__ = [
     "Diagram",
     "DiagramFacts",
     "EmptyInput",
-    "EvenEll",
     "FormulaMismatch",
     "HypothesisViolated",
     "InternalVerificationFailed",

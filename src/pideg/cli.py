@@ -25,7 +25,7 @@ from functools import partial
 from pathlib import Path
 
 from .degrees import (
-    DiagramFacts, PiDegree, determinantal_toric_cycles, pi_degree_determinantal,
+    DiagramFacts, PiDegree, check_ell, determinantal_toric_cycles, pi_degree_determinantal,
     pi_degree_grassmannian, pi_degree_partition, pi_degree_schubert,
 )
 from .diagrams import (
@@ -125,18 +125,6 @@ def degree_line(entry: dict) -> str:
     else:
         line += f" = {entry['value']}"
     return line + (f" [generic route; {entry['reason']}]" if "reason" in entry else "")
-
-
-def require_algebra_ells(ells: list[int]) -> tuple[int, ...]:
-    if not ells:
-        raise BadEll("give at least one --ell")
-    for ell in ells:
-        if ell < 3:
-            raise BadEll(
-                f"ell = {ell} is not accepted here; the diagram subcommand "
-                "computes generic PI degrees for any ell >= 2"
-            )
-    return tuple(ells)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +313,7 @@ def _read_text(path: str) -> str:
 
 def cmd_diagram(args: argparse.Namespace) -> int:
     budget = digit_budget()
-    ells = tuple(args.ell or ())
-    for ell in ells:
-        if ell < 2:
-            raise BadEll(f"ell must be at least 2, got {ell}")
+    ells = tuple(map(check_ell, args.ell or ()))
     d = diagram_from_text(_read_text(args.file))
     report = analysis_dict(DiagramFacts(d), ells, budget, args.extended, args.cycles, args.kernel)
     emit(report, analysis_lines(report), args.json)
@@ -361,13 +346,16 @@ def _parse_shape(parts_text: str, box: str | None) -> Partition:
 def closed_form_command(header):
     """A closed-form subcommand from header(args), which returns the report
     fields and lines of its input and its degree function of ell and
-    cross_check; the per-ell degree entries and lines are shared. Only a
+    cross_check; the per-ell degree entries and lines are shared. Every ell
+    is checked before the header, so a bad one builds nothing. Only a
     closed entry is compared with the generic route, so --verify reports a
     cross check only when some entry is closed."""
 
     def command(args: argparse.Namespace) -> int:
         budget = digit_budget()
-        ells = require_algebra_ells(args.ell)
+        ells = tuple(map(check_ell, args.ell or ()))
+        if not ells:
+            raise BadEll("give at least one --ell")
         fields, lines, degree = header(args)
         entries = [degree_dict(degree(ell, cross_check=args.verify), budget) for ell in ells]
         lines += map(degree_line, entries)
@@ -500,7 +488,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-ALGEBRA_ELLS = ("--ell", dict(action="append", type=int, help="ell >= 3, repeatable"))
+ALGEBRA_ELLS = ("--ell", dict(action="append", type=int, help="ell >= 2, repeatable"))
 VERIFY = ("--verify", dict(action="store_true"))
 
 # Each subcommand: its help line, handler and arguments as (name, add_argument
@@ -516,7 +504,7 @@ COMMANDS = {
     "partition": ("closed-form PI degree of a Young shape", cmd_partition, [
         ("parts", dict(help="comma separated parts, e.g. 5,3,2 (use - for empty)")),
         ("--box", dict(help="bounding box like 3x5 (default: tight box)")),
-        ("--ell", dict(action="append", type=int, help="odd ell >= 3, repeatable")),
+        ALGEBRA_ELLS,
         ("--verify", dict(action="store_true", help="cross-check against the generic route")),
     ]),
     "detring": ("determinantal board closed forms", cmd_detring, [

@@ -10,8 +10,9 @@ FormulaMismatch on any disagreement, reading the generic degree over Z
 (and, for shapes and determinantal boards, the traced toric permutation)
 from the board itself; only a bare matrix goes through pi_degree_qas.
 Closed forms are never allowed to silently replace the generic
-computation: every PiDegree names the route that produced it. Where the
-Schubert hypothesis fails, the generic route answers, and it says so.
+computation: every PiDegree names the route that produced it. The one rule
+on ell is ell >= 2 (check_ell); where a closed form's hypothesis on ell
+fails, the generic route answers, and it says so.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .diagrams import (
 from .errors import (
     BadEll,
     BadRange,
-    EvenEll,
     FormulaMismatch,
     InternalVerificationFailed,
 )
@@ -69,6 +69,13 @@ def smallest_prime_factor(x: int) -> int:
     return x
 
 
+def check_ell(ell: int) -> int:
+    """ell, or BadEll when ell < 2: the one rule on ell, for every route."""
+    if ell < 2:
+        raise BadEll(f"ell must be at least 2, got {ell}")
+    return ell
+
+
 @dataclass(frozen=True)
 class PiDegree:
     """A PI degree in the exponent form value = ell**exponent // divisor.
@@ -91,8 +98,7 @@ class PiDegree:
     reason: str = ""
 
     def __post_init__(self) -> None:
-        if self.ell < 2:
-            raise BadEll(f"ell must be at least 2, got {self.ell}")
+        check_ell(self.ell)
         if self.exponent < 0 or self.divisor < 1:
             raise BadRange(f"bad exponent form ({self.exponent}, {self.divisor})")
         if pow(self.ell, self.exponent, self.divisor):
@@ -147,8 +153,7 @@ def pi_degree_qas(M: SkewIntMatrix, ell: int) -> PiDegree:
     transforms replayed, on rows packed as ints of residue slots, so no entry
     grows past N and each step is a multiply-add of whole rows.
     """
-    if ell < 2:
-        raise BadEll(f"ell must be at least 2, got {ell}")
+    check_ell(ell)
     factors = _residue_factors(M, ell)
     top = M.n // 2 * 2
     if 2 * len(factors) < top:
@@ -158,15 +163,7 @@ def pi_degree_qas(M: SkewIntMatrix, ell: int) -> PiDegree:
     return pi_degree_from_factors(factors, ell)
 
 
-def _check_ell_at_least_3(ell: int) -> None:
-    if ell < 3:
-        raise BadEll(f"ell must be at least 3 here, got {ell}")
-
-
-def _check_odd_ell(ell: int) -> None:
-    _check_ell_at_least_3(ell)
-    if ell % 2 == 0:
-        raise EvenEll(f"this closed form needs odd ell, got {ell}")
+GENERIC_FALLBACK = "generic (hypothesis not met)"
 
 
 def _cross_check(closed: PiDegree, generic: PiDegree, context: str) -> None:
@@ -193,24 +190,30 @@ def pi_degree_partition(
     tau: Permutation | None = None,
     facts: DiagramFacts | None = None,
 ) -> PiDegree:
-    """PI degree of the quantum affine space of a Young shape, odd ell.
+    """PI degree of the quantum affine space of a Young shape.
 
-    Closed form ell**((N - r) / 2) with N the number of boxes and r the
-    number of even-length cycles of the toric permutation of the shape.
-    A caller that already holds that permutation passes it as tau;
-    otherwise it is computed by its closed form. The cross check compares
-    tau with the permutation traced on the board and the value with the
-    generic degree, both read from facts, the DiagramFacts of the shape's
-    Young diagram, which a caller checking several ells passes so that the
-    board is traced and reduced once; otherwise it builds them.
+    At odd ell, the closed form ell**((N - r) / 2) with N the number of
+    boxes and r the number of even-length cycles of the toric permutation
+    of the shape: every invariant factor is a power of 2 (the paper's
+    theorem), so each contributes a full ell. A caller that already holds
+    that permutation passes it as tau; otherwise it is computed by its
+    closed form. At even ell the generic route answers, with route
+    GENERIC_FALLBACK. The fallback and the cross check read the generic
+    degree, and the cross check the permutation traced on the board, from
+    facts, the DiagramFacts of the shape's Young diagram, which a caller
+    asking for several ells passes so that the board is traced and reduced
+    once; otherwise they are built here. Only the fallback and the cross
+    check build the board.
     """
-    _check_odd_ell(ell)
+    check_ell(ell)
+    if facts is None:
+        facts = DiagramFacts(partial(young_diagram, shape))
+    if ell % 2 == 0:
+        return replace(facts.pi_degree(ell), route=GENERIC_FALLBACK, reason=f"need odd ell, got {ell}")
     if tau is None:
         tau = partition_toric_permutation(shape)
     closed = PiDegree(ell=ell, exponent=_half_rank(shape, tau))
     if cross_check:
-        if facts is None:
-            facts = DiagramFacts(young_diagram(shape))
         # A board without rows cannot carry its width; its box_n strands all run straight.
         traced = facts.tau if shape.box_m else Permutation.identity(shape.box_n)
         if tau != traced:
@@ -231,15 +234,15 @@ def pi_degree_determinantal(
 ) -> PiDegree:
     """PI degree of the quantum determinantal ring of the n x n board at level t.
 
-    For odd ell the value is ell**s_t; for even ell a power of 2 divides
-    out: ell**s_t / 2**(s_t - n + 1). Both agree with the generic route on
-    the determinantal diagram's matrix. The cross check reads that degree,
-    and the traced toric cycles it compares with
+    For odd ell the value is ell**s_t; for even ell, ell = 2 included, a
+    power of 2 divides out: ell**s_t / 2**(s_t - n + 1). Both agree with
+    the generic route on the determinantal diagram's matrix. The cross
+    check reads that degree, and the traced toric cycles it compares with
     determinantal_toric_cycles, from facts, the board's DiagramFacts, when
     the caller passes them.
     """
+    check_ell(ell)
     s_t = determinantal_invariant_exponent(n, t)
-    _check_ell_at_least_3(ell)
     if ell % 2:
         closed = PiDegree(ell=ell, exponent=s_t)
     else:
@@ -275,36 +278,16 @@ def determinantal_toric_cycles(n: int, t: int) -> CycleDecomposition:
     return CycleDecomposition(2 * n, tuple(cycles))
 
 
-GENERIC_FALLBACK = "generic (hypothesis not met)"
-
-
-def _box_hypothesis_failure(ell: int, box_m: int, box_n: int) -> str:
-    """Why ell fails the even-ell gate of the Schubert closed form, which
-    also answers the Grassmannian, or "" when it passes.
-
-    The gate is the paper's hypothesis: ell odd (>= 3) with smallest prime
-    factor above min(box_m, box_n, 2). That bound is at most 2, which every
-    odd ell clears, so only the parity is tested. pi_degree_schubert asks
-    one more thing of an odd ell, read from the cycle sums, which every
-    Grassmannian passes. An ell that fails is an input the closed form does
-    not cover, not an error: the generic route answers.
-    """
-    _check_ell_at_least_3(ell)
-    if ell % 2:
-        return ""
-    return f"need odd ell with smallest prime factor above {min(box_m, box_n, 2)}, got {ell}"
-
-
 def pi_degree_schubert(
     idx: PluckerIndex, ell: int, cross_check: bool = False, facts: DiagramFacts | None = None
 ) -> PiDegree:
-    """PI degree of the extended Schubert cell algebra, at any ell >= 3.
+    """PI degree of the extended Schubert cell algebra, at any ell >= 2.
 
     The cell is indexed by an increasing m-subset of {1..n}; its Young
     shape lambda lives in the m x (n-m) box, with N boxes. Only the toric
     permutation tau of lambda is read: s = (N - r)/2 for its r even cycles,
     and g, the gcd of the coordinate sums of the even cycles' kernel
-    vectors, each by the side-transition formula (intlinalg.cycle_sum). For
+    vectors, each by the side-transition formula (intlinalg.cycle_sum). At
     odd ell the value is ell**s when g = 0 and ell**(s + 1) when
     gcd(g, ell) = 1.
 
@@ -327,14 +310,15 @@ def pi_degree_schubert(
 
     Otherwise the generic route on the extended matrix
     extend(M(young_diagram(lambda))) answers, with route GENERIC_FALLBACK
-    and as reason the failed parity or gcd(g, ell). That fallback and the
+    and as reason the even ell or gcd(g, ell). That fallback and the
     cross check read the generic degree from facts, the DiagramFacts of
     the Young diagram, which a caller asking for several ells passes so
     that the board is reduced once; otherwise they are built here. The
     closed route builds no board, matrix or kernel vector.
     """
+    check_ell(ell)
     shape = partition_from_plucker(idx)
-    failure = _box_hypothesis_failure(ell, shape.box_m, shape.box_n)
+    failure = "" if ell % 2 else f"need odd ell, got {ell}"
     if not failure:
         tau = partition_toric_permutation(shape)
         g = 0
@@ -357,13 +341,14 @@ def pi_degree_schubert(
 def pi_degree_grassmannian(
     m: int, n: int, ell: int, cross_check: bool = False, facts: DiagramFacts | None = None
 ) -> PiDegree:
-    """PI degree of the quantum Grassmannian of m-planes in n-space, ell >= 3.
+    """PI degree of the quantum Grassmannian of m-planes in n-space, ell >= 2.
 
     This is the Schubert cell of the full m x (n-m) rectangle,
     PluckerIndex((1, ..., m), n), and pi_degree_schubert answers it, with
     facts, the DiagramFacts of the rectangle's Young diagram, when the
     caller passes them. Every even cycle of the rectangle's tau sums to 2,
-    so g is 0 or 2 and every odd ell is closed.
+    so g is 0 or 2 and every odd ell is closed; at even ell the generic
+    route answers.
 
     Proof. cycle_sum of an even cycle c_0, ..., c_{L-1} telescopes to
     2 * sum (-1)^k over its row labels c_k. The rectangle's tau is

@@ -48,10 +48,6 @@ class BadEll(PidegError):
     """The root-of-unity order ell is out of range (ell >= 2 required)."""
 
 
-class EvenEll(PidegError):
-    """A closed form that requires odd ell was called with even ell."""
-
-
 class HypothesisViolated(PidegError):
     """The hypothesis of a closed form or a certificate does not hold for the input."""
 

@@ -12,7 +12,7 @@ Every fact reported follows from the legs and the exponents, so no
 dim x dim image is built unless a caller reads one: the relations are
 checked once per leg and then as an exact integer pairing of the rows of
 F, and irreducibility over F_p by the rank of the exponent matrix modulo
-each prime r dividing ell, on the blocks with r | e_k. Powers of q are
+each prime r dividing some e_k, on the blocks with r | e_k. Powers of q are
 integer exponents mod ell, so every identity checked is exact.
 """
 
@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
-from .degrees import pi_degree_from_factors, smallest_prime_factor
+from .degrees import check_ell, pi_degree_from_factors, smallest_prime_factor
 from .errors import (
-    BadEll,
     BadRange,
     HypothesisViolated,
     InternalVerificationFailed,
@@ -51,8 +50,7 @@ class MonomialMatrix:
     exps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.ell < 1:
-            raise BadEll(f"ell must be at least 1, got {self.ell}")
+        check_ell(self.ell)
         d = len(self.rows)
         if d < 1:
             raise ZeroDim("monomial matrix needs dimension at least 1")
@@ -133,8 +131,7 @@ def clock_shift(ell: int, h: int) -> tuple[MonomialMatrix, MonomialMatrix]:
     They satisfy X Y = q**h Y X and X**e = Y**e = identity, so they generate
     the full e x e matrix algebra.
     """
-    if ell < 2:
-        raise BadEll(f"ell must be at least 2, got {ell}")
+    check_ell(ell)
     e = ell // gcd(h, ell)
     x = MonomialMatrix(ell, tuple(range(e)), tuple(j * h for j in range(e)))
     y = MonomialMatrix(ell, tuple((j + 1) % e for j in range(e)), (0,) * e)
@@ -159,11 +156,18 @@ class QASRepresentation:
     e_inverse: tuple[tuple[int, ...], ...]
 
     @cached_property
+    def leg_sizes(self) -> tuple[int, ...]:
+        """e_k = ell / gcd(h_k, ell) for each block k, its factor of dim."""
+        return pi_degree_from_factors(self.invariant_factors, self.ell).factors
+
+    @cached_property
     def legs(self) -> tuple[tuple[MonomialMatrix, MonomialMatrix], ...]:
-        """Block k's e_k x e_k clock and shift, with clock step h_k mod ell."""
-        if self.ell > MAX_REP_DIM:
+        """Block k's e_k x e_k clock and shift, with clock step h_k mod ell.
+        TooLarge when some e_k exceeds MAX_REP_DIM, before anything is built."""
+        largest = max(self.leg_sizes, default=1)
+        if largest > MAX_REP_DIM:
             raise TooLarge(
-                f"clock and shift of size {self.ell} exceed the largest built, {MAX_REP_DIM}"
+                f"clock and shift of size {largest} exceed the largest built, {MAX_REP_DIM}"
             )
         return tuple(clock_shift(self.ell, hk % self.ell) for hk in self.invariant_factors)
 
@@ -196,8 +200,7 @@ def qas_representation(M: SkewIntMatrix, ell: int) -> QASRepresentation:
     of dimension its PI degree. The empty matrix yields the trivial
     one-dimensional representation. Only the normal form is computed here.
     """
-    if ell < 2:
-        raise BadEll(f"ell must be at least 2, got {ell}")
+    check_ell(ell)
     snf = skew_normal_form(M)
     h = snf.invariant_factors
     dim = pi_degree_from_factors(h, ell).value
@@ -209,8 +212,7 @@ def _leg_defect(rep: QASRepresentation) -> str | None:
     e = ell / gcd(h, ell), the block's factor of the PI degree, or fail
     x y = q**h y x; or None."""
     ell = rep.ell
-    sizes = pi_degree_from_factors(rep.invariant_factors, ell).factors
-    for k, (h, e, (x, y)) in enumerate(zip(rep.invariant_factors, sizes, rep.legs)):
+    for k, (h, e, (x, y)) in enumerate(zip(rep.invariant_factors, rep.leg_sizes, rep.legs)):
         if not (x.dim == y.dim == e and x.ell == y.ell == ell and x.order_divides(e)
                 and y.order_divides(e)):
             return f"block {k}: clock or shift is not of size and order {e}"
@@ -251,8 +253,7 @@ def find_relation_violation(
 def least_prime_1_mod(ell: int) -> int:
     """The least prime p with ell | p - 1, the smallest field F_p holding a q
     of order ell: the field `pideg rep --irreducible` uses by default."""
-    if ell < 2:
-        raise BadEll(f"ell must be at least 2, got {ell}")
+    check_ell(ell)
     p = ell + 1
     while not is_prime(p):
         p += ell
@@ -271,9 +272,10 @@ def irreducibility_check(rep: QASRepresentation, p: int) -> bool:
     W(row i of F), so the commutant is spanned by the W(v) with v in the
     annihilator of the span H of the exponent rows: it is the scalars
     exactly when H = G. By Frattini, that is when, for each prime r
-    dividing ell, the exponent columns of the blocks with r | e_k have full
-    rank mod r: one elimination modulo the product of the primes that share
-    a column set, which is a single one when every e_k = ell.
+    dividing some e_k, the exponent columns of the blocks with r | e_k have
+    full rank mod r: one elimination modulo the product of the primes that
+    share a column set, which is a single one when every e_k = ell. Only
+    the lcm of the e_k is factored, never ell itself.
     This costs O(n s**2) at any dimension; p only names the field.
     """
     if not is_prime(p):
@@ -284,9 +286,9 @@ def irreducibility_check(rep: QASRepresentation, p: int) -> bool:
     defect = _leg_defect(rep)
     if defect is not None:
         raise HypothesisViolated(defect)
-    sizes = pi_degree_from_factors(rep.invariant_factors, ell).factors
+    sizes = rep.leg_sizes
     primes_of: dict[tuple[int, ...], list[int]] = {}  # blocks read -> primes
-    rest = ell
+    rest = lcm(*sizes)
     while rest > 1:
         prime = smallest_prime_factor(rest)
         while rest % prime == 0:

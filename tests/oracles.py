@@ -939,7 +939,7 @@ def full_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="closed-form PI degree of a Young shape")
     p.add_argument("parts", help="comma separated parts, e.g. 5,3,2 (use - for empty)")
     p.add_argument("--box", help="bounding box like 3x5 (default: tight box)")
-    p.add_argument("--ell", action="append", type=int, help="odd ell >= 3, repeatable")
+    p.add_argument("--ell", action="append", type=int, help="ell >= 2, repeatable")
     p.add_argument("--verify", action="store_true", help="cross-check against the generic route")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_partition)
@@ -947,7 +947,7 @@ def full_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detring", help="determinantal board closed forms")
     p.add_argument("n", type=int)
     p.add_argument("t", type=int)
-    p.add_argument("--ell", action="append", type=int, help="ell >= 3, repeatable")
+    p.add_argument("--ell", action="append", type=int, help="ell >= 2, repeatable")
     p.add_argument("--verify", action="store_true", help="cross-check cycles and degrees")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_detring)
@@ -955,7 +955,7 @@ def full_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schubert", help="extended Schubert cell closed form")
     p.add_argument("gamma", help="comma separated index set, e.g. 1,3,4,7")
     p.add_argument("n", type=int, help="ambient dimension")
-    p.add_argument("--ell", action="append", type=int, help="ell >= 3, repeatable")
+    p.add_argument("--ell", action="append", type=int, help="ell >= 2, repeatable")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_schubert)
@@ -963,7 +963,7 @@ def full_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grassmannian", help="quantum Grassmannian closed form")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--ell", action="append", type=int, help="ell >= 3, repeatable")
+    p.add_argument("--ell", action="append", type=int, help="ell >= 2, repeatable")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_grassmannian)

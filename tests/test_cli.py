@@ -21,6 +21,8 @@ from pideg.diagrams import determinantal_diagram, young_diagram
 from pideg.errors import InternalVerificationFailed
 from pideg.intlinalg import matrix_from_diagram, ranks_mod, skew_normal_form
 from pideg.pipedreams import Permutation, partition_toric_permutation, toric_permutation
+from pideg import reps
+from pideg.reps import MAX_REP_DIM
 from pideg.sweep import DIAGRAM_PROPERTIES, SWEEP_PRIMES
 from tests.conftest import FIG_TEXT
 from tests.oracles import full_parser
@@ -199,13 +201,13 @@ class TestClosedFormCommands:
         assert code == 0
         assert len(reduced) == len({args[0].rows for args in reduced}) == matrices
 
-    def test_partition_rejects_ell_two(self, capsys):
-        code, _, err = run(capsys, "partition", "5,3,2", "--ell", "2")
-        assert code == 1 and "error:" in err
-
-    def test_partition_rejects_even_ell(self, capsys):
-        code, _, err = run(capsys, "partition", "5,3,2", "--ell", "4")
-        assert code == 1 and "error:" in err
+    @pytest.mark.parametrize("ell, value", [(2, "2^4/2 = 8"), (4, "4^4/2 = 128")], ids=["2", "4"])
+    def test_partition_falls_back_at_even_ell(self, capsys, ell, value):
+        # The shape (5,3,2) has invariant factors 1 1 1 2, so ell**s would be wrong.
+        code, out, err = run(capsys, "partition", "5,3,2", "--ell", str(ell), "--verify")
+        assert code == 0 and err == ""
+        assert f"PI degree at ell={ell}: {value} [generic route; need odd ell, got {ell}]\n" in out
+        assert out.endswith("nothing to compare (generic route answered)\n")
 
     def test_detring(self, capsys):
         code, out, _ = run(capsys, "detring", "3", "1", "--ell", "4", "--verify")
@@ -283,7 +285,7 @@ class TestClosedFormCommands:
         assert code == 0 and json.loads(out)["cross_checked"] is True
 
     def test_fallback_reason_is_in_the_json(self, capsys):
-        reason = "need odd ell with smallest prime factor above 2, got 6"
+        reason = "need odd ell, got 6"
         code, out, _ = run(capsys, "grassmannian", "2", "6", "--ell", "5", "--ell", "6", "--json")
         assert code == 0
         closed, fallback = json.loads(out)["pi_degrees"]
@@ -292,12 +294,50 @@ class TestClosedFormCommands:
         code, out, _ = run(capsys, "grassmannian", "2", "6", "--ell", "6")
         assert code == 0 and f"PI degree at ell=6: 6^4/4 = 324 [generic route; {reason}]" in out
 
-    @pytest.mark.parametrize("command", ["schubert", "grassmannian"])
+    @pytest.mark.parametrize("command", ["partition", "detring", "schubert", "grassmannian"])
     def test_ell_help_admits_even_ell(self, capsys, command):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         out = " ".join(capsys.readouterr().out.split())
-        assert "--ell ELL ell >= 3, repeatable" in out and "odd" not in out
+        assert "--ell ELL ell >= 2, repeatable" in out and "odd" not in out
+
+    @pytest.mark.parametrize(
+        "argv, degree, check",
+        [
+            (("detring", "3", "1"), "2^2 = 4", "passed"),
+            (("schubert", "1,3", "4"), "2^1 = 2 [generic route; need odd ell, got 2]", "nothing to compare"),
+            (("grassmannian", "2", "4"), "2^2/2 = 2 [generic route; need odd ell, got 2]", "nothing to compare"),
+        ],
+        ids=["detring", "schubert", "grassmannian"],
+    )
+    def test_answers_at_ell_two(self, capsys, argv, degree, check):
+        code, out, err = run(capsys, *argv, "--ell", "2", "--verify")
+        assert code == 0 and err == ""
+        assert f"PI degree at ell=2: {degree}\ncross check against the generic route: {check}" in out
+
+    @pytest.mark.parametrize("ell", ["1", "0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("diagram", "BOARD"),
+            ("partition", "5,3,2", "--ell", "3", "--verify"),
+            ("detring", "4", "2", "--ell", "3", "--verify"),
+            ("schubert", "1,3,4,7", "8", "--ell", "4", "--verify"),
+            ("grassmannian", "2", "4", "--ell", "4", "--verify"),
+            ("rep", "--detring", "3,1"),
+        ],
+        ids=["diagram", "partition", "detring", "schubert", "grassmannian", "rep"],
+    )
+    def test_one_ell_rule_for_every_command(self, capsys, monkeypatch, fig_file, argv, ell):
+        # A closed-form command refuses before it builds any board, even
+        # for an ell before the bad one that a fallback or --verify would
+        # build it for.
+        built = [spy(monkeypatch, f) for f in (young_diagram, determinantal_diagram, skew_normal_form)]
+        argv = [fig_file if a == "BOARD" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--ell", ell)
+        assert (code, out, err) == (1, "", f"error: ell must be at least 2, got {ell}\n")
+        if argv[0] not in ("diagram", "rep"):
+            assert built == [[], [], []]
 
     @pytest.mark.parametrize(
         "argv",
@@ -450,6 +490,42 @@ class TestRepCommand:
         code, out, err = run(capsys, "rep", "--detring", "3,1", "--ell", "1000003", "--verify")
         assert code == 1 and out == ""
         assert err.startswith("error: clock and shift of size 1000003 exceed")
+
+    @pytest.mark.parametrize(
+        "ell, code, text",
+        [
+            (2 * MAX_REP_DIM, 0, "representation dimension: 59049\n"),
+            (2 * MAX_REP_DIM + 2, 1, "error: clock and shift of size 59050 exceed the largest built, 59049\n"),
+        ],
+        ids=["largest-leg", "above-the-cap"],
+    )
+    def test_legs_are_bounded_by_their_size_not_by_ell(self, capsys, tmp_path, ell, code, text):
+        # The one invariant factor 2 halves the even ell: one leg of size ell / 2.
+        path = tmp_path / "mat.json"
+        path.write_text("[[0, 2], [-2, 0]]")
+        exit_code, out, err = run(capsys, "rep", "--matrix", str(path), "--ell", str(ell), "--verify")
+        assert exit_code == code and text in (err if code else out)
+
+    def test_irreducibility_factors_the_leg_sizes_not_ell(self, capsys, monkeypatch, tmp_path):
+        # ell = 2p for the Mersenne prime p = 2**61 - 1, whose block has
+        # h = p: one leg of size 2. Factoring ell would trial-divide p.
+        p = 2**61 - 1
+        original = reps.smallest_prime_factor
+
+        def refuse_p(x):
+            assert x % p, f"asked to factor a multiple of p: {x}"
+            return original(x)
+
+        monkeypatch.setattr(reps, "smallest_prime_factor", refuse_p)
+        path = tmp_path / "mat.json"
+        path.write_text(f"[[0, {p}], [{-p}, 0]]")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "rep", "--matrix", str(path), "--ell", str(2 * p),
+                             "--verify", "--irreducible")
+        assert code == 0 and err == ""
+        assert "representation dimension: 2\n" in out and "relations: all verified" in out
+        assert re.search(r"irreducible over F_\d+: yes", out)
+        assert time.perf_counter() - start < 1
 
     def test_irreducible_above_dimension_729_is_answered(self, capsys, tmp_path):
         path = tmp_path / "mat.json"

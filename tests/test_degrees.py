@@ -9,7 +9,6 @@ from pideg import (
     BadEll,
     BadRange,
     DiagramFacts,
-    EvenEll,
     FormulaMismatch,
     Partition,
     PiDegree,
@@ -32,6 +31,7 @@ from pideg import (
     toric_permutation,
     young_diagram,
 )
+from pideg.degrees import GENERIC_FALLBACK
 from pideg.intlinalg import cycle_sum
 from pideg.sweep import exhaustive_diagrams
 from tests.conftest import (
@@ -128,13 +128,35 @@ class TestPartitionClosedForm:
         pi = pi_degree_partition(Partition((5, 3, 2)), 5, cross_check=True)
         assert pi.value == FIG_YOUNG_PI_AT_5
 
-    def test_even_ell_rejected(self):
-        with pytest.raises(EvenEll):
-            pi_degree_partition(Partition((2, 1)), 4)
+    def test_even_ell_falls_back(self):
+        # At even ell the generic route on the shape's board answers.
+        shape = Partition((2, 1))
+        pi = pi_degree_partition(shape, 4, cross_check=True)
+        assert (pi.route, pi.reason, str(pi), pi.value) == (
+            GENERIC_FALLBACK, "need odd ell, got 4", "4^1", 4
+        )
 
     def test_tiny_ell_rejected(self):
-        with pytest.raises(BadEll):
-            pi_degree_partition(Partition((2, 1)), 2)
+        for ell in (1, 0, -3):
+            with pytest.raises(BadEll, match=f"^ell must be at least 2, got {ell}$"):
+                pi_degree_partition(Partition((2, 1)), ell)
+
+    def test_every_shape_in_a_4x4_box_falls_back_at_even_ell(self):
+        # 242 shapes, each in each box up to 4x4 that holds it. Where some
+        # invariant factor is even, ell**s would be wrong at even ell.
+        shapes = [partition_from_plucker(idx) for idx in _cells(8)
+                  if idx.m <= 4 and idx.n - idx.m <= 4]
+        assert len(shapes) == 242
+        even_factor = set()
+        for shape in shapes:
+            facts = DiagramFacts(young_diagram(shape))
+            for ell in (2, 4, 6):
+                pi = pi_degree_partition(shape, ell, cross_check=True, facts=facts)
+                assert (pi.route, pi.reason) == (GENERIC_FALLBACK, f"need odd ell, got {ell}")
+                assert pi.value == facts.pi_degree(ell).value, (shape, ell)
+            if any(h % 2 == 0 for h in facts.snf.invariant_factors):
+                even_factor.add(shape)
+        assert len(even_factor) == 94
 
     def test_empty_shape(self):
         assert pi_degree_partition(Partition(()), 7).value == 1
@@ -162,9 +184,21 @@ class TestDeterminantalClosedForm:
         pi = pi_degree_determinantal(4, 2, 4)
         assert pi.divisor == 4 and pi.value == 256
 
-    def test_ell_two_rejected(self):
-        with pytest.raises(BadEll):
-            pi_degree_determinantal(3, 1, 2)
+    def test_ell_two_is_closed(self):
+        # The even formula holds at ell = 2 too: 2**s_t / 2**(s_t - n + 1).
+        pi = pi_degree_determinantal(4, 2, 2, cross_check=True)
+        assert (pi.route, pi.value) == ("closed", 2**3)
+        with pytest.raises(BadEll, match="^ell must be at least 2, got 1$"):
+            pi_degree_determinantal(4, 2, 1)
+
+    def test_even_ells_closed_on_every_board_up_to_n_9(self):
+        # 36 boards at 6 even ells; the cross check raises on any mismatch.
+        for n in range(2, 10):
+            for t in range(1, n):
+                facts = DiagramFacts(determinantal_diagram(n, t))
+                for ell in (2, 4, 6, 8, 10, 12):
+                    pi = pi_degree_determinantal(n, t, ell, cross_check=True, facts=facts)
+                    assert pi.route == "closed"
 
     def test_against_classical_smith_route(self):
         for n in range(2, 6):
@@ -252,22 +286,26 @@ class TestSchubertClosedForm:
         shape = partition_from_plucker(idx)
         generic = pi_degree_qas(extend(matrix_from_diagram(young_diagram(shape))), 6)
         pi = pi_degree_schubert(idx, 6, cross_check=True)
-        assert (pi.route, pi.reason) == (
-            "generic (hypothesis not met)",
-            "need odd ell with smallest prime factor above 2, got 6",
-        )
+        assert (pi.route, pi.reason) == ("generic (hypothesis not met)", "need odd ell, got 6")
         assert (pi.exponent, pi.divisor, pi.factors) == (
             generic.exponent, generic.divisor, generic.factors
         )
         assert generic.route == "generic"
         assert pi_degree_schubert(idx, 5).route == "closed"
 
-    def test_ell_two_rejected(self):
-        with pytest.raises(BadEll):
-            pi_degree_schubert(PluckerIndex((1, 3), 4), 2)
+    def test_ell_two_falls_back(self):
+        # Every cell with n <= 7 answers at ell = 2 by the generic route on
+        # its extended matrix.
+        for idx in _cells(7):
+            M = matrix_from_diagram(young_diagram(partition_from_plucker(idx)))
+            pi = pi_degree_schubert(idx, 2, cross_check=True)
+            assert (pi.route, pi.reason) == (GENERIC_FALLBACK, "need odd ell, got 2")
+            assert pi.value == pi_degree_qas(extend(M), 2).value, idx
+        with pytest.raises(BadEll, match="^ell must be at least 2, got 1$"):
+            pi_degree_schubert(PluckerIndex((1, 3), 4), 1)
 
     def test_single_row_box(self):
-        # A one-row box has hypothesis bound 1, so ell = 3 qualifies.
+        # A one-row box is closed at odd ell like any other.
         pi_degree_schubert(PluckerIndex((2,), 4), 3, cross_check=True)
 
     def test_cross_checked_all_cells_in_small_ambients(self):
@@ -358,16 +396,13 @@ class TestGrassmannianClosedForm:
             pi_degree_grassmannian(3, 3, 5)
 
     def test_even_ell_hypothesis(self):
-        # The Grassmannian falls back like its Schubert cell, the full
-        # rectangle, whose box bounds the hypothesis.
+        # The Grassmannian falls back at even ell like its Schubert cell,
+        # the full rectangle.
         for m, n, ell in ((2, 4, 6), (1, 3, 4), (3, 6, 4)):
             shape = Partition((n - m,) * m, box_m=m, box_n=n - m)
             generic = pi_degree_qas(extend(matrix_from_diagram(young_diagram(shape))), ell)
             pi = pi_degree_grassmannian(m, n, ell)
-            assert (pi.route, pi.reason) == (
-                "generic (hypothesis not met)",
-                f"need odd ell with smallest prime factor above {min(m, n - m, 2)}, got {ell}",
-            )
+            assert (pi.route, pi.reason) == ("generic (hypothesis not met)", f"need odd ell, got {ell}")
             assert pi.value == generic.value and pi.factors == generic.factors
 
     def test_cross_checked_small(self):

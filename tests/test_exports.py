@@ -180,3 +180,37 @@ def test_every_public_method_has_a_reader():
         and not re.search(rf"\b{re.escape(node.name)}\b", readme)
     ]
     assert unread == []
+
+
+def _raised(tree: ast.AST):
+    """The names of the exceptions a syntax tree raises, called or bare."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_exception_class_has_a_raise_site():
+    # A class that nothing raises and nothing subclasses is left behind by
+    # the last rule that raised it; a base class is there to be caught.
+    from pideg import errors
+
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type) and value.__module__ == errors.__name__]
+    leaves = {cls.__name__ for cls in classes
+              if not any(other is not cls and issubclass(other, cls) for other in classes)}
+    raised = {name for path in PACKAGE.glob("*.py") for name in _raised(ast.parse(path.read_text()))}
+    assert sorted(leaves - raised) == []
+    assert {cls.__name__ for cls in classes} - leaves == {"PidegError"}
+
+
+def test_ell_has_one_rule():
+    # Every route asks one function whether ell is allowed.
+    sites = [
+        f"{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "ell must be at least 2" in line
+    ]
+    assert len(sites) == 1, sites
