@@ -39,10 +39,7 @@ from .errors import (
     BadSpec,
     EmptyInput,
     FormulaMismatch,
-    HypothesisViolated,
     InternalVerificationFailed,
-    NoRootOfUnity,
-    NotPrime,
     PidegError,
     RaggedRows,
     ShapeOverflow,
@@ -92,11 +89,8 @@ __all__ = [
     "DiagramFacts",
     "EmptyInput",
     "FormulaMismatch",
-    "HypothesisViolated",
     "InternalVerificationFailed",
     "MonomialMatrix",
-    "NoRootOfUnity",
-    "NotPrime",
     "Partition",
     "Permutation",
     "PiDegree",

@@ -213,10 +213,10 @@ def analysis_lines(report: dict) -> list[str]:
     return lines
 
 
-def rep_dict(M: SkewIntMatrix, ell: int, verify: bool, irreducible: int | None) -> dict:
+def rep_dict(M: SkewIntMatrix, ell: int, verify: bool, irreducible: bool) -> dict:
     """The report on the monomial representation of M at ell. verify checks
-    every relation; irreducible, unless None, is the p of the irreducibility
-    certificate over F_p, or 0 for the least prime p = 1 mod ell."""
+    every relation; irreducible adds the irreducibility certificate, which
+    holds over every F_p with ell | p - 1 and names the least such p."""
     rep = qas_representation(M, ell)
     report = {
         "ell": rep.ell,
@@ -229,9 +229,9 @@ def rep_dict(M: SkewIntMatrix, ell: int, verify: bool, irreducible: int | None) 
         witness = find_relation_violation(rep, M)
         report["relations_hold"] = witness is None
         report["violation"] = None if witness is None else list(witness)
-    if irreducible is not None:
-        p = irreducible or least_prime_1_mod(ell)
-        report["irreducible_mod_p"] = {"p": p, "irreducible": irreducibility_check(rep, p)}
+    if irreducible:
+        certified = irreducibility_check(rep)
+        report["irreducible_mod_p"] = {"p": least_prime_1_mod(ell), "irreducible": certified}
     return report
 
 
@@ -256,11 +256,10 @@ def rep_lines(report: dict) -> list[str]:
 def sweep_dict(corpus: str, seed: int, names: list[str] | None, out_dir: Path) -> dict:
     """The report of run_sweep over the corpus spec at seed: each property's
     failure count and first failure, and the verdict."""
-    kind, items = parse_corpus(corpus, seed)
-    results = run_sweep(kind, items, names, out_dir)
+    checked, results = run_sweep(*parse_corpus(corpus, seed), names, out_dir)
     properties = []
     for result in results:
-        entry = {"name": result.name, "failures": result.failures, "checked": len(items)}
+        entry = {"name": result.name, "failures": result.failures, "checked": checked}
         if result.dumps:
             index, messages = result.dumps[0]
             entry["first_failure"] = f"item {index}: {messages[0]}"
@@ -268,7 +267,7 @@ def sweep_dict(corpus: str, seed: int, names: list[str] | None, out_dir: Path) -
     return {
         "corpus": corpus,
         "seed": seed,
-        "items": len(items),
+        "items": checked,
         "properties": properties,
         "result": "FAIL" if any(r.failures for r in results) else "PASS",
     }
@@ -472,6 +471,7 @@ def _rep_matrix(args: argparse.Namespace) -> SkewIntMatrix:
 
 
 def cmd_rep(args: argparse.Namespace) -> int:
+    check_ell(args.ell)  # before the source is read or built
     report = rep_dict(_rep_matrix(args), args.ell, args.verify, args.irreducible)
     emit(report, rep_lines(report), args.json)
     return 0 if report.get("relations_hold", True) else 1
@@ -532,8 +532,7 @@ COMMANDS = {
         ("--ell", dict(type=int, required=True, help="ell >= 2")),
         ("--verify", dict(action="store_true", help="verify all commutation relations")),
         ("--irreducible", dict(
-            type=int, nargs="?", const=0, default=None,
-            help="certify irreducibility over F_p (omit the value to pick p automatically)",
+            action="store_true", help="certify irreducibility over every F_p with ell | p - 1",
         )),
     ]),
     "sweep": ("property sweep over a corpus", cmd_sweep, [

@@ -26,6 +26,7 @@ from .diagrams import (
     Diagram,
     Partition,
     PluckerIndex,
+    check_determinantal,
     determinantal_diagram,
     partition_from_plucker,
     young_diagram,
@@ -224,8 +225,7 @@ def pi_degree_partition(
 
 def determinantal_invariant_exponent(n: int, t: int) -> int:
     """s_t = nt - t(t+1)/2: half the rank of the determinantal board matrix."""
-    if not (1 <= t <= n - 1):
-        raise BadRange(f"need 1 <= t <= n-1, got n = {n}, t = {t}")
+    check_determinantal(n, t)
     return n * t - t * (t + 1) // 2
 
 
@@ -266,8 +266,7 @@ def determinantal_toric_cycles(n: int, t: int) -> CycleDecomposition:
     count of odd cycles is t. The cross check of pi_degree_determinantal
     traces the board's pipes.
     """
-    if not (1 <= t <= n - 1):
-        raise BadRange(f"need 1 <= t <= n-1, got n = {n}, t = {t}")
+    check_determinantal(n, t)
     u, rem = divmod(n, t)
     cycles = []
     for i in range(1, t + 1):

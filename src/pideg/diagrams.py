@@ -188,14 +188,19 @@ def young_diagram(shape: Partition) -> Diagram:
     return Diagram(tuple((True,) * p + (False,) * (n - p) for p in shape.padded()))
 
 
+def check_determinantal(n: int, t: int) -> None:
+    """BadRange unless 1 <= t <= n-1: the one rule on a determinantal board."""
+    if not (1 <= t <= n - 1):
+        raise BadRange(f"need 1 <= t <= n-1, got n = {n}, t = {t}")
+
+
 def determinantal_diagram(n: int, t: int) -> Diagram:
     """The n x n board whose last t rows and last t columns are white.
 
     These boards encode quantum determinantal rings (n x n quantum matrices
     modulo the ideal of (t+1) x (t+1) quantum minors). Requires 1 <= t <= n-1.
     """
-    if not (1 <= t <= n - 1):
-        raise BadRange(f"need 1 <= t <= n-1, got n = {n}, t = {t}")
+    check_determinantal(n, t)
     rows = tuple(
         tuple(r > n - t or c > n - t for c in range(1, n + 1))
         for r in range(1, n + 1)

@@ -31,10 +31,6 @@ class ShapeOverflow(PidegError):
     """A partition does not fit inside the requested bounding box."""
 
 
-class NotPrime(PidegError):
-    """A modulus that must be prime is not."""
-
-
 class FormulaMismatch(PidegError):
     """Two independent computations of the same quantity disagree.
 
@@ -48,16 +44,8 @@ class BadEll(PidegError):
     """The root-of-unity order ell is out of range (ell >= 2 required)."""
 
 
-class HypothesisViolated(PidegError):
-    """The hypothesis of a closed form or a certificate does not hold for the input."""
-
-
 class ZeroDim(PidegError):
     """A monomial matrix of dimension below 1 was requested."""
-
-
-class NoRootOfUnity(PidegError):
-    """F_p has no element of multiplicative order ell (ell must divide p-1)."""
 
 
 class TooLarge(PidegError):

@@ -11,9 +11,10 @@ that row i of F = E^{-1} gives block k.
 Every fact reported follows from the legs and the exponents, so no
 dim x dim image is built unless a caller reads one: the relations are
 checked once per leg and then as an exact integer pairing of the rows of
-F, and irreducibility over F_p by the rank of the exponent matrix modulo
-each prime r dividing some e_k, on the blocks with r | e_k. Powers of q are
-integer exponents mod ell, so every identity checked is exact.
+F, and irreducibility over every F_p with ell | p - 1 by the rank of the
+exponent matrix modulo each prime r dividing some e_k, on the blocks with
+r | e_k. Powers of q are integer exponents mod ell, so every identity
+checked is exact.
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .degrees import check_ell, pi_degree_from_factors, smallest_prime_factor
-from .errors import (
-    BadRange,
-    HypothesisViolated,
-    InternalVerificationFailed,
-    NoRootOfUnity,
-    NotPrime,
-    TooLarge,
-    ZeroDim,
-)
+from .errors import BadRange, InternalVerificationFailed, TooLarge, ZeroDim
 from .intlinalg import SkewIntMatrix, is_prime, ranks_mod, skew_normal_form
 
 
@@ -207,18 +200,18 @@ def qas_representation(M: SkewIntMatrix, ell: int) -> QASRepresentation:
     return QASRepresentation(ell, dim, h, snf.kernel_dim, snf.inverse_transform)
 
 
-def _leg_defect(rep: QASRepresentation) -> str | None:
-    """Why some block's clock x and shift y fail to be of size and order
-    e = ell / gcd(h, ell), the block's factor of the PI degree, or fail
-    x y = q**h y x; or None."""
+def _check_legs(rep: QASRepresentation) -> None:
+    """InternalVerificationFailed, naming the block, unless each block's
+    clock x and shift y are of size and order e = ell / gcd(h, ell), the
+    block's factor of the PI degree, and satisfy x y = q**h y x. The legs
+    are built here, so a failure is a bug, never bad input."""
     ell = rep.ell
     for k, (h, e, (x, y)) in enumerate(zip(rep.invariant_factors, rep.leg_sizes, rep.legs)):
         if not (x.dim == y.dim == e and x.ell == y.ell == ell and x.order_divides(e)
                 and y.order_divides(e)):
-            return f"block {k}: clock or shift is not of size and order {e}"
+            raise InternalVerificationFailed(f"block {k}: clock or shift is not of size and order {e}")
         if (x @ y).scalar_power_vs(y @ x) != h % ell:
-            return f"block {k}: clock and shift do not commute up to q**{h % ell}"
-    return None
+            raise InternalVerificationFailed(f"block {k}: clock and shift do not commute up to q**{h % ell}")
 
 
 def find_relation_violation(
@@ -231,12 +224,9 @@ def find_relation_violation(
     x y = q**h y x, and Kronecker products multiply the scalars of their
     legs, so T_i T_j = q**c T_j T_i with the exact integer pairing
     c = sum_k h_k (a_ik b_jk - b_ik a_jk) of rows i and j of F. Each leg is
-    checked once (InternalVerificationFailed if it fails: the legs are built
-    here), then c = M[i, j] for every pair.
+    checked once (_check_legs), then c = M[i, j] for every pair.
     """
-    defect = _leg_defect(rep)
-    if defect is not None:
-        raise InternalVerificationFailed(defect)
+    _check_legs(rep)
     h = rep.invariant_factors
     # weighted[i] paired with row j of F gives c for the pair (i, j).
     weighted = [
@@ -252,7 +242,7 @@ def find_relation_violation(
 
 def least_prime_1_mod(ell: int) -> int:
     """The least prime p with ell | p - 1, the smallest field F_p holding a q
-    of order ell: the field `pideg rep --irreducible` uses by default."""
+    of order ell: the field `pideg rep --irreducible` names."""
     check_ell(ell)
     p = ell + 1
     while not is_prime(p):
@@ -260,32 +250,24 @@ def least_prime_1_mod(ell: int) -> int:
     return p
 
 
-def irreducibility_check(rep: QASRepresentation, p: int) -> bool:
-    """Certify irreducibility over F_p: the images commute only with scalars.
+def irreducibility_check(rep: QASRepresentation) -> bool:
+    """Whether the images commute only with scalars over every F_p with
+    ell | p - 1: no p is read, so one answer holds for all of them.
 
-    Block k's legs must be of size and order e_k = ell / gcd(h_k, ell) and
-    satisfy x y = q**h_k y x (HypothesisViolated, naming the block,
-    otherwise). In F_p with ell | p - 1, q**h_k has order e_k, so the
-    Kronecker products W(u) of leg powers, u in G = sum_k (Z/e_k)**2, are a
-    basis of the dim x dim matrices, and W(u) W(v) = q**w(u, v) W(v) W(u)
-    for a pairing w weighted by the h_k, nondegenerate on G. Generator i is
-    W(row i of F), so the commutant is spanned by the W(v) with v in the
-    annihilator of the span H of the exponent rows: it is the scalars
-    exactly when H = G. By Frattini, that is when, for each prime r
-    dividing some e_k, the exponent columns of the blocks with r | e_k have
-    full rank mod r: one elimination modulo the product of the primes that
-    share a column set, which is a single one when every e_k = ell. Only
-    the lcm of the e_k is factored, never ell itself.
-    This costs O(n s**2) at any dimension; p only names the field.
+    In such an F_p, q**h_k has order e_k = ell / gcd(h_k, ell), which the
+    legs realize (_check_legs), so the Kronecker products W(u) of leg
+    powers, u in G = sum_k (Z/e_k)**2, are a basis of the dim x dim
+    matrices, and W(u) W(v) = q**w(u, v) W(v) W(u) for a pairing w weighted
+    by the h_k, nondegenerate on G. Generator i is W(row i of F), so the
+    commutant is spanned by the W(v) with v in the annihilator of the span
+    H of the exponent rows: it is the scalars exactly when H = G. By
+    Frattini, that is when, for each prime r dividing some e_k, the
+    exponent columns of the blocks with r | e_k have full rank mod r: one
+    elimination modulo the product of the primes that share a column set,
+    which is a single one when every e_k = ell. Only the lcm of the e_k is
+    factored, never ell itself. This costs O(n s**2) at any dimension.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    ell = rep.ell
-    if (p - 1) % ell:
-        raise NoRootOfUnity(f"ell = {ell} does not divide p - 1 = {p - 1}")
-    defect = _leg_defect(rep)
-    if defect is not None:
-        raise HypothesisViolated(defect)
+    _check_legs(rep)
     sizes = rep.leg_sizes
     primes_of: dict[tuple[int, ...], list[int]] = {}  # blocks read -> primes
     rest = lcm(*sizes)

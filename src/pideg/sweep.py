@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .degrees import DiagramFacts, smallest_prime_factor
@@ -73,30 +75,28 @@ def mutation_matrices(n: int, count: int, seed: int) -> list[list[list[int]]]:
     return out
 
 
-def parse_corpus(spec: str, seed: int):
-    """Parse a corpus spec: 'exhaustive MxN', 'random MxN xK', 'mutation NxN xK'."""
+def parse_corpus(spec: str, seed: int) -> tuple[str, Callable[[], list]]:
+    """The kind of a corpus spec, 'exhaustive MxN', 'random MxN xK' or
+    'mutation NxN xK', and a builder of its items; nothing is built here."""
     words = spec.split()
+    counted = len(words) == 3 and words[2].startswith("x")
+    source = words[0] if len(words) == 2 + counted else None
     try:
-        if len(words) == 2 and words[0] == "exhaustive":
-            m, n = (int(x) for x in words[1].split("x"))
-            if m < 1 or n < 1 or m * n > 16:
-                raise BadSpec(f"exhaustive corpus too large or empty: {spec!r}")
-            return "diagram", exhaustive_diagrams(m, n)
-        if len(words) == 3 and words[0] == "random" and words[2].startswith("x"):
-            m, n = (int(x) for x in words[1].split("x"))
-            count = int(words[2][1:])
-            if m < 1 or n < 1 or count < 1:
-                raise BadSpec(f"bad random corpus: {spec!r}")
-            return "diagram", random_diagrams(m, n, count, seed)
-        if len(words) == 3 and words[0] == "mutation" and words[2].startswith("x"):
-            m, n = (int(x) for x in words[1].split("x"))
-            count = int(words[2][1:])
-            if m != n or m < 1 or count < 1:
-                raise BadSpec(f"bad mutation corpus: {spec!r}")
-            return "matrix", mutation_matrices(n, count, seed)
-    except ValueError as exc:
-        raise BadSpec(f"cannot parse corpus spec {spec!r}") from exc
-    raise BadSpec(f"cannot parse corpus spec {spec!r}")
+        m, n = (int(x) for x in words[1].split("x"))
+        count = int(words[2][1:]) if counted else 1
+    except (IndexError, ValueError):
+        source = None
+    if source not in (("random", "mutation") if counted else ("exhaustive",)):
+        raise BadSpec(f"cannot parse corpus spec {spec!r}")
+    if source == "exhaustive":
+        if m < 1 or n < 1 or m * n > 16:
+            raise BadSpec(f"exhaustive corpus too large or empty: {spec!r}")
+        return "diagram", partial(exhaustive_diagrams, m, n)
+    if m < 1 or n < 1 or count < 1 or source == "mutation" and m != n:
+        raise BadSpec(f"bad {source} corpus: {spec!r}")
+    if source == "random":
+        return "diagram", partial(random_diagrams, m, n, count, seed)
+    return "matrix", partial(mutation_matrices, n, count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +237,14 @@ class PropertyResult:
 
 
 def run_sweep(
-    kind: str, items: list, names: list[str] | None, out_dir: Path
-) -> list[PropertyResult]:
-    """Check each named property on every item; one result per name, in order.
+    kind: str, build: Callable[[], list], names: list[str] | None, out_dir: Path
+) -> tuple[int, list[PropertyResult]]:
+    """Check each named property on every item that build() returns; the
+    item count, and one result per name, in order.
 
     names None asks for the corpus kind's DEFAULT_PROPERTIES; an empty list,
     or a name not in the kind's registry, is a BadSpec, raised before any
-    item is checked.
+    item is built.
     Diagram properties share one DiagramFacts per board. Counterexamples
     are written to out_dir as described in the module docstring.
     """
@@ -258,6 +259,7 @@ def run_sweep(
             f"unknown properties for a {kind} corpus: {', '.join(unknown)}; "
             f"available: {', '.join(sorted(registry))}"
         )
+    items = build()
     checks = [(registry[name], PropertyResult(name)) for name in names]
     for index, item in enumerate(items):
         record = DiagramFacts(item) if kind == "diagram" else item
@@ -276,4 +278,4 @@ def run_sweep(
         (out_dir / f"counterexample-{name}-{index}.txt").write_text(
             body + "\n# property: " + name + "\n# " + "\n# ".join(messages) + "\n"
         )
-    return results
+    return len(items), results

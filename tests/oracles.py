@@ -978,11 +978,8 @@ def full_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true", help="verify all commutation relations")
     p.add_argument(
         "--irreducible",
-        type=int,
-        nargs="?",
-        const=0,
-        default=None,
-        help="certify irreducibility over F_p (omit the value to pick p automatically)",
+        action="store_true",
+        help="certify irreducibility over every F_p with ell | p - 1",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rep)

@@ -183,7 +183,7 @@ def test_criterion_09_representations_of_all_small_boards(small_board_matrices):
             assert find_relation_violation(rep, M) is None
             identity = MonomialMatrix.identity(rep.dim, ell)
             assert all(g**ell == identity for g in rep.generator_images)
-            assert irreducibility_check(rep, 7 if ell == 3 else 11)
+            assert irreducibility_check(rep)
 
 
 def test_criterion_10_skew_normal_form_against_classical_smith():

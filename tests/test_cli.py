@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from pideg import cli
 from pideg.cli import COMMANDS, degree_dict, degree_digits, main
 from bench.workloads import REP_DETRING
 from pideg.degrees import PiDegree, determinantal_toric_cycles, pi_degree_determinantal
@@ -21,7 +22,7 @@ from pideg.diagrams import determinantal_diagram, young_diagram
 from pideg.errors import InternalVerificationFailed
 from pideg.intlinalg import matrix_from_diagram, ranks_mod, skew_normal_form
 from pideg.pipedreams import Permutation, partition_toric_permutation, toric_permutation
-from pideg import reps
+from pideg import reps, sweep
 from pideg.reps import MAX_REP_DIM
 from pideg.sweep import DIAGRAM_PROPERTIES, SWEEP_PRIMES
 from tests.conftest import FIG_TEXT
@@ -325,19 +326,23 @@ class TestClosedFormCommands:
             ("schubert", "1,3,4,7", "8", "--ell", "4", "--verify"),
             ("grassmannian", "2", "4", "--ell", "4", "--verify"),
             ("rep", "--detring", "3,1"),
+            ("rep", "--partition", "5,3,2", "--verify", "--irreducible"),
+            ("rep", "--matrix", "BOARD"),
+            ("rep",),
         ],
-        ids=["diagram", "partition", "detring", "schubert", "grassmannian", "rep"],
+        ids=["diagram", "partition", "detring", "schubert", "grassmannian", "rep",
+             "rep-partition", "rep-matrix", "rep-no-source"],
     )
     def test_one_ell_rule_for_every_command(self, capsys, monkeypatch, fig_file, argv, ell):
-        # A closed-form command refuses before it builds any board, even
-        # for an ell before the bad one that a fallback or --verify would
-        # build it for.
-        built = [spy(monkeypatch, f) for f in (young_diagram, determinantal_diagram, skew_normal_form)]
+        # Every command refuses before it reads a file or builds any board,
+        # even for an ell before the bad one that a fallback or --verify
+        # would build it for; a bad ell wins over a bad source.
+        built = [spy(monkeypatch, f)
+                 for f in (cli._read_text, young_diagram, determinantal_diagram, skew_normal_form)]
         argv = [fig_file if a == "BOARD" else a for a in argv]
         code, out, err = run(capsys, *argv, "--ell", ell)
         assert (code, out, err) == (1, "", f"error: ell must be at least 2, got {ell}\n")
-        if argv[0] not in ("diagram", "rep"):
-            assert built == [[], [], []]
+        assert built == [[], [], [], []]
 
     @pytest.mark.parametrize(
         "argv",
@@ -384,6 +389,22 @@ class TestRepCommand:
         assert "representation dimension: 9" in out
         assert "relations: all verified" in out
         assert "irreducible over F_7: yes" in out
+
+    def test_irreducible_takes_no_prime(self, capsys):
+        # The certificate holds over every F_p with ell | p - 1; the report
+        # names the least such p, 7 at ell = 3, as it did when p was an option.
+        argv = ("rep", "--detring", "3,1", "--ell", "3", "--verify", "--irreducible")
+        assert run(capsys, *argv) == (0, (
+            "matrix size: 5\nell: 3\nrepresentation dimension: 9\ninvariant factors: 1 1\n"
+            "kernel dimension: 1\nrelations: all verified\nirreducible over F_7: yes\n"
+        ), "")
+        assert run(capsys, *argv, "--json") == (0, json.dumps({
+            "dimension": 9, "ell": 3, "invariant_factors": ["1", "1"],
+            "irreducible_mod_p": {"irreducible": True, "p": 7}, "kernel_dim": 1,
+            "matrix_size": 5, "relations_hold": True, "violation": None,
+        }, indent=2) + "\n", "")
+        code, out, err = exit_of(capsys, main, (*argv, "13"))
+        assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: 13\n")
 
     def test_json(self, capsys, fig_file):
         code, out, _ = run(
@@ -778,6 +799,12 @@ class TestSweepCommand:
             ("random 3x3 x0", "bad random corpus: 'random 3x3 x0'"),
             ("exhaustive 2xb", "cannot parse corpus spec 'exhaustive 2xb'"),
             ("bogus", "cannot parse corpus spec 'bogus'"),
+            ("mutation 2x3 x5", "bad mutation corpus: 'mutation 2x3 x5'"),
+            ("random -1x2 x3", "bad random corpus: 'random -1x2 x3'"),
+            ("exhaustive 2x2 x3", "cannot parse corpus spec 'exhaustive 2x2 x3'"),
+            ("random 2x2 3", "cannot parse corpus spec 'random 2x2 3'"),
+            ("random 2x2 x", "cannot parse corpus spec 'random 2x2 x'"),
+            ("", "cannot parse corpus spec ''"),
         ],
     )
     def test_bad_corpus_spec_says_what_is_wrong(self, capsys, tmp_path, spec, message):
@@ -792,6 +819,21 @@ class TestSweepCommand:
             "--out", str(tmp_path / "f"),
         )
         assert (code, out, err) == (1, "", "error: no properties given\n")
+
+    @pytest.mark.parametrize("spec", ["exhaustive 4x4", "random 6x6 x1000"])
+    @pytest.mark.parametrize("properties, message", [
+        ("bogus", "unknown properties for a diagram corpus: bogus; available: "
+         + ", ".join(sorted(DIAGRAM_PROPERTIES))),
+        ("", "no properties given"),
+    ])
+    def test_bad_properties_are_refused_before_any_board_is_built(
+        self, capsys, monkeypatch, tmp_path, spec, properties, message
+    ):
+        built = [spy(monkeypatch, f) for f in (sweep.exhaustive_diagrams, sweep.random_diagrams)]
+        code, out, err = run(capsys, "sweep", spec, "--properties", properties,
+                             "--out", str(tmp_path / "f"))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert built == [[], []]
 
 
 def patch_everywhere(monkeypatch, original, replacement) -> None:

@@ -214,3 +214,21 @@ def test_ell_has_one_rule():
         if "ell must be at least 2" in line
     ]
     assert len(sites) == 1, sites
+
+
+def test_every_refusal_has_one_raise_site():
+    # A refusal whose message is raised at two sites is one rule written
+    # out twice. InternalVerificationFailed is no refusal, since it does not
+    # subclass PidegError: _reduce and _residue_reduce are twins on purpose.
+    from pideg import errors
+
+    refusals = {name for name, value in vars(errors).items()
+                if isinstance(value, type) and issubclass(value, errors.PidegError)}
+    sites: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in refusals and call.args):
+                sites.setdefault(ast.unparse(call.args[0]), []).append(f"{path.name}:{node.lineno}")
+    assert {message: where for message, where in sites.items() if len(where) > 1} == {}

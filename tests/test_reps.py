@@ -3,6 +3,7 @@
 import time
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from math import gcd
 
 import pytest
@@ -12,11 +13,8 @@ from hypothesis import strategies as st
 from pideg import (
     BadEll,
     BadRange,
-    HypothesisViolated,
     InternalVerificationFailed,
     MonomialMatrix,
-    NoRootOfUnity,
-    NotPrime,
     SkewIntMatrix,
     TooLarge,
     ZeroDim,
@@ -220,10 +218,10 @@ class TestQASRepresentation:
         rep = qas_representation(M, 4)
         assert rep.dim == pi_degree_qas(M, 4).value == 2
         assert find_relation_violation(rep, M) is None
-        assert irreducibility_check(rep, 5) and orbit_irreducible(rep) and span_irreducible(rep, 5)
+        assert irreducibility_check(rep) and orbit_irreducible(rep) and span_irreducible(rep, 5)
         rep = qas_representation(M, 2)
         assert rep.dim == 1 and rep.generator_images == (MonomialMatrix.identity(1, 2),) * 2
-        assert find_relation_violation(rep, M) is None and irreducibility_check(rep, 3)
+        assert find_relation_violation(rep, M) is None and irreducibility_check(rep)
 
     def test_empty_matrix_gives_trivial_representation(self):
         rep = qas_representation(SkewIntMatrix(()), 5)
@@ -322,12 +320,12 @@ class TestIrreducibility:
     def test_clock_and_shift_are_irreducible(self):
         M = SkewIntMatrix(((0, 1), (-1, 0)))
         rep = qas_representation(M, 3)
-        assert irreducibility_check(rep, 7)
+        assert irreducibility_check(rep)
 
     def test_scalar_representation_is_not(self):
         fake = hand_built(3, (1,), [(0, 0), (0, 0)])
         assert fake.generator_images == (MonomialMatrix.identity(3, 3),) * 2
-        assert not irreducibility_check(fake, 7)
+        assert not irreducibility_check(fake)
         assert not orbit_irreducible(fake)
         assert not span_irreducible(fake, 7)
 
@@ -336,7 +334,7 @@ class TestIrreducibility:
         for ell, p in ((3, 7), (5, 11)):
             fake = hand_built(ell, (1,), [(1, 0)])
             assert fake.generator_images == (clock_shift(ell, 1)[0],)
-            assert not irreducibility_check(fake, p)
+            assert not irreducibility_check(fake)
             assert not orbit_irreducible(fake)
             assert not span_irreducible(fake, p)
 
@@ -356,7 +354,7 @@ class TestIrreducibility:
     def test_rank_is_taken_modulo_every_prime_of_ell(self, ell, rows, irreducible):
         fake = hand_built(ell, (1,), rows)
         p = first_usable_prime(ell)
-        assert irreducibility_check(fake, p) is irreducible
+        assert irreducibility_check(fake) is irreducible
         assert orbit_irreducible(fake) is irreducible
         assert span_irreducible(fake, p) is irreducible
 
@@ -380,7 +378,7 @@ class TestIrreducibility:
     def test_rank_is_taken_on_the_blocks_each_prime_divides(self, ell, h, rows, irreducible):
         fake = hand_built(ell, h, rows)
         p = first_usable_prime(ell)
-        assert irreducibility_check(fake, p) is irreducible
+        assert irreducibility_check(fake) is irreducible
         assert orbit_irreducible(fake) is irreducible
         if fake.dim <= 18:
             assert span_irreducible(fake, p) is irreducible
@@ -401,57 +399,49 @@ class TestIrreducibility:
         monkeypatch.setattr(reps, "ranks_mod", lambda rows, primes: seen.append(primes)
                             or ranks_mod(rows, primes))
         rows = [tuple(int(i == j) for j in range(2 * len(h))) for i in range(2 * len(h))]
-        assert irreducibility_check(hand_built(ell, h, rows), first_usable_prime(ell))
+        assert irreducibility_check(hand_built(ell, h, rows))
         assert seen == calls
 
     def test_leg_that_does_not_q_commute_raises(self, monkeypatch):
-        # A shift that is the clock again commutes with it.
+        # A shift that is the clock again commutes with it: both checks
+        # read the legs, and a bad one is the package's fault.
         monkeypatch.setattr(reps, "clock_shift", lambda ell, h: (clock_shift(ell, h)[0],) * 2)
-        rep = qas_representation(SkewIntMatrix(((0, 1), (-1, 0))), 3)
-        with pytest.raises(HypothesisViolated, match="block 0: clock and shift do not commute"):
-            irreducibility_check(rep, 7)
+        M = SkewIntMatrix(((0, 1), (-1, 0)))
+        for check in (irreducibility_check, partial(find_relation_violation, M=M)):
+            with pytest.raises(InternalVerificationFailed,
+                               match="block 0: clock and shift do not commute"):
+                check(qas_representation(M, 3))
 
     def test_leg_whose_power_is_not_the_identity_raises(self, monkeypatch):
         # A transposition at ell = 3: its cube is itself.
         s01 = MonomialMatrix(3, (1, 0, 2), (0, 0, 0))
         monkeypatch.setattr(reps, "clock_shift", lambda ell, h: (clock_shift(ell, h)[0], s01))
-        rep = qas_representation(SkewIntMatrix(((0, 1), (-1, 0))), 3)
-        with pytest.raises(HypothesisViolated, match="block 0: clock or shift"):
-            irreducibility_check(rep, 7)
-
-    def test_requires_prime_modulus(self):
         M = SkewIntMatrix(((0, 1), (-1, 0)))
-        rep = qas_representation(M, 3)
-        with pytest.raises(NotPrime):
-            irreducibility_check(rep, 6)
-
-    def test_requires_a_root_of_unity(self):
-        M = SkewIntMatrix(((0, 1), (-1, 0)))
-        rep = qas_representation(M, 5)
-        with pytest.raises(NoRootOfUnity):
-            irreducibility_check(rep, 7)
+        for check in (irreducibility_check, partial(find_relation_violation, M=M)):
+            with pytest.raises(InternalVerificationFailed, match="block 0: clock or shift"):
+                check(qas_representation(M, 3))
 
     def test_no_dimension_cap(self):
         # Dimension 739, above the old cap of 729, and 3**22, far above the
         # largest image built: the certificate never reads an image.
         start = time.perf_counter()
         rep = qas_representation(SkewIntMatrix(((0, 1), (-1, 0))), 739)
-        assert irreducibility_check(rep, first_usable_prime(739))
+        assert irreducibility_check(rep)
         rep = qas_representation(matrix_from_diagram(determinantal_diagram(8, 4)), 3)
         assert rep.dim == 3**22
-        assert irreducibility_check(rep, 7)
+        assert irreducibility_check(rep)
         assert time.perf_counter() - start < 1
 
     def test_agrees_with_the_orbit_oracle_on_small_boards(self, small_board_matrices):
         # ell = 15 has two primes, so the rank check eliminates once mod 15.
         cases = Counter()
         for _, M in small_board_matrices:
-            for ell, p in ((3, 7), (5, 11), (15, 31)):
+            for ell in (3, 5, 15):
                 rep = qas_representation(M, ell)
                 if rep.dim > 27:
                     continue
                 for part in (rep, drop_last_generator(rep)) if M.n else (rep,):
-                    certified = irreducibility_check(part, p)
+                    certified = irreducibility_check(part)
                     assert certified == orbit_irreducible(part), M
                     cases[ell, certified] += 1
         # 418 records of dimension <= 27 at ell = 3 and 5, and 26 at ell = 15
@@ -466,34 +456,50 @@ class TestIrreducibility:
     @pytest.mark.parametrize("n, t, ell", ORBIT_DETRING)
     def test_agrees_with_the_orbit_oracle_on_determinantal_boards(self, n, t, ell):
         rep = qas_representation(matrix_from_diagram(determinantal_diagram(n, t)), ell)
-        p = first_usable_prime(ell)
-        assert irreducibility_check(rep, p) and orbit_irreducible(rep)
+        assert irreducibility_check(rep) and orbit_irreducible(rep)
         if rep.dim <= 27:
             # Every prefix of the generators, reducible ones among them.
             for k in range(1, len(rep.e_inverse)):
                 part = replace(rep, e_inverse=rep.e_inverse[:k])
-                assert irreducibility_check(part, p) == orbit_irreducible(part)
+                assert irreducibility_check(part) == orbit_irreducible(part)
 
     @pytest.mark.parametrize("n, t, ell", [(4, 1, 3), (3, 1, 5), (5, 1, 3)])
     def test_agrees_with_the_span_oracle_on_determinantal_boards(self, n, t, ell):
         rep = qas_representation(matrix_from_diagram(determinantal_diagram(n, t)), ell)
         p = first_usable_prime(ell)
-        assert irreducibility_check(rep, p) and span_irreducible(rep, p)
+        assert irreducibility_check(rep) and span_irreducible(rep, p)
         if rep.dim <= 27:
             # Dropping generators gives reducible images as well as irreducible ones.
             for k in range(1, len(rep.e_inverse)):
                 part = replace(rep, e_inverse=rep.e_inverse[:k])
-                assert irreducibility_check(part, p) == span_irreducible(part, p)
+                assert irreducibility_check(part) == span_irreducible(part, p)
 
     def test_agrees_with_the_span_oracle_on_small_boards(self, small_board_matrices):
         for _, M in small_board_matrices:
             for ell, p in ((3, 7), (5, 11)):
                 rep = qas_representation(M, ell)
                 if rep.dim <= 27:
-                    assert irreducibility_check(rep, p) == span_irreducible(rep, p), M
+                    assert irreducibility_check(rep) == span_irreducible(rep, p), M
                 if 1 < rep.dim <= 9:
                     part = drop_last_generator(rep)
-                    assert irreducibility_check(part, p) == span_irreducible(part, p), M
+                    assert irreducibility_check(part) == span_irreducible(part, p), M
+
+    def test_one_answer_for_every_field(self, small_board_matrices):
+        # The certificate reads no prime: over a second F_p with ell | p - 1
+        # the span oracle, which computes in F_p itself, gives its answer.
+        records = Counter()
+        for _, M in small_board_matrices:
+            for ell, p in ((3, 13), (5, 31)):
+                assert p != least_prime_1_mod(ell) and (p - 1) % ell == 0
+                rep = qas_representation(M, ell)
+                if rep.dim > 9:
+                    continue
+                for part in (rep, drop_last_generator(rep)) if M.n else (rep,):
+                    certified = irreducibility_check(part)
+                    assert certified == span_irreducible(part, p), (M, ell)
+                    records[certified] += 1
+        # 205 records of dimension <= 9, 203 of them also without their last generator.
+        assert records == {True: 352, False: 56}
 
 
 class TestDeterminantalRepresentations:
@@ -548,13 +554,12 @@ class TestEveryEll:
         for M, rep in every_ell_records:
             if rep.dim > 64:
                 continue
-            p = least_prime_1_mod(rep.ell)
-            certified = irreducibility_check(rep, p)
+            certified = irreducibility_check(rep)
             assert certified == orbit_irreducible(rep), (M, rep.ell)
             cases[rep.ell, certified] += 1
             if M.n:
                 part = drop_last_generator(rep)
-                dropped = irreducibility_check(part, p)
+                dropped = irreducibility_check(part)
                 assert dropped == orbit_irreducible(part), (M, rep.ell)
                 cases[rep.ell, "dropped", dropped] += 1
         assert sum(n for key, n in cases.items() if len(key) == 2) == 1104
