@@ -3,10 +3,10 @@
 Subcommands (see README for worked examples): diagram, partition, detring,
 schubert, grassmannian, rep and sweep. Each prints a readable table by
 default, or a JSON document with --json, where every PI degree names its
-route. Huge PI degree values are replaced by their exponent form when
-they exceed the digit budget (environment variable PIDEG_DIGIT_BUDGET,
-default 400). The computations, and every choice of what to compute,
-live in degrees, reps and sweep.
+route. Huge PI degree values and representation dimensions are replaced
+by their exponent form past the digit budget (environment variable
+PIDEG_DIGIT_BUDGET, default 400). The computations, and every choice of
+what to compute, live in degrees, reps and sweep.
 
 The subcommands are one table, COMMANDS, of help lines, handlers and
 argument specs. main registers every subcommand by name and help line, so
@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .degrees import (
     DiagramFacts, PiDegree, check_ell, determinantal_toric_cycles, pi_degree_determinantal,
-    pi_degree_grassmannian, pi_degree_partition, pi_degree_schubert,
+    pi_degree_from_factors, pi_degree_grassmannian, pi_degree_partition, pi_degree_schubert,
 )
 from .diagrams import (
     Partition, PluckerIndex, determinantal_diagram, diagram_from_text, is_cauchon_le,
@@ -66,6 +66,11 @@ def decimal_digits(value: int) -> int:
     return digits
 
 
+def _str_digit_limit() -> float:
+    """Python's int <-> str digit limit (4300 by default), or inf if none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
+
+
 def decimal_string(value: int, digits: int | None = None) -> str:
     """str(value) for a nonnegative integer of any size.
 
@@ -75,8 +80,7 @@ def decimal_string(value: int, digits: int | None = None) -> str:
     """
     if digits is None:
         digits = decimal_digits(value)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or digits <= limit:
+    if digits <= _str_digit_limit():
         return str(value)
     low_digits = digits // 2
     high, low = divmod(value, 10**low_digits)
@@ -113,17 +117,22 @@ def degree_dict(pi: PiDegree, budget: int) -> dict:
     }
 
 
+def exponent_form(entry: dict) -> str:
+    """A degree_dict entry as 'ell^exponent[/divisor]', e.g. '4^3/2'."""
+    form = f"{entry['ell']}^{entry['exponent']}"
+    if entry["divisor"] is None:
+        return form + f"/({entry['divisor_digits']}-digit divisor)"
+    return form if entry["divisor"] == "1" else form + f"/{entry['divisor']}"
+
+
+def suppressed_value(digits: int) -> str:
+    return f" ({digits} digits, value suppressed)"
+
+
 def degree_line(entry: dict) -> str:
     """The table line of a degree_dict entry, e.g. 'PI degree at ell=5: 5^4 = 625'."""
-    line = f"PI degree at ell={entry['ell']}: {entry['ell']}^{entry['exponent']}"
-    if entry["divisor"] is None:
-        line += f"/({entry['divisor_digits']}-digit divisor)"
-    elif entry["divisor"] != "1":
-        line += f"/{entry['divisor']}"
-    if entry["value"] is None:
-        line += f" ({entry['digits']} digits, value suppressed)"
-    else:
-        line += f" = {entry['value']}"
+    line = f"PI degree at ell={entry['ell']}: {exponent_form(entry)}"
+    line += suppressed_value(entry["digits"]) if entry["value"] is None else f" = {entry['value']}"
     return line + (f" [generic route; {entry['reason']}]" if "reason" in entry else "")
 
 
@@ -158,7 +167,7 @@ def analysis_dict(
             "cycle_string": str(tau.cycles),
             "odd_cycle_count": tau.cycles.odd_cycle_count,
         },
-        "invariant_factors": [str(x) for x in snf.invariant_factors],
+        "invariant_factors": [decimal_string(x) for x in snf.invariant_factors],
         "kernel_dim": snf.kernel_dim,
         "one_perp": facts.one_perp,
         "pi_degrees": [degree_dict(facts.pi_degree(ell), budget) for ell in ells],
@@ -167,7 +176,7 @@ def analysis_dict(
     if extended:
         ext = facts.extended_snf
         report["extended"] = {
-            "invariant_factors": [str(x) for x in ext.invariant_factors],
+            "invariant_factors": [decimal_string(x) for x in ext.invariant_factors],
             "kernel_dim": ext.kernel_dim,
             "kernel_jump": ext.kernel_dim - snf.kernel_dim,
             "pi_degrees": [degree_dict(facts.extended_pi_degree(ell), budget) for ell in ells],
@@ -213,18 +222,23 @@ def analysis_lines(report: dict) -> list[str]:
     return lines
 
 
-def rep_dict(M: SkewIntMatrix, ell: int, verify: bool, irreducible: bool) -> dict:
+def rep_dict(M: SkewIntMatrix, ell: int, budget: int, verify: bool, irreducible: bool) -> dict:
     """The report on the monomial representation of M at ell. verify checks
     every relation; irreducible adds the irreducibility certificate, which
-    holds over every F_p with ell | p - 1 and names the least such p."""
+    holds over every F_p with ell | p - 1 and names the least such p. The
+    dimension is None past the budget or what JSON writes as an int."""
     rep = qas_representation(M, ell)
+    shown = decimal_digits(rep.dim) <= min(budget, _str_digit_limit())
     report = {
         "ell": rep.ell,
         "matrix_size": M.n,
-        "dimension": rep.dim,
-        "invariant_factors": [str(x) for x in rep.invariant_factors],
+        "dimension": rep.dim if shown else None,
+        "invariant_factors": [decimal_string(x) for x in rep.invariant_factors],
         "kernel_dim": rep.kernel_dim,
     }
+    if not shown:
+        entry = degree_dict(pi_degree_from_factors(rep.invariant_factors, ell), budget)
+        report.update(dimension_digits=entry["digits"], dimension_exponent_form=exponent_form(entry))
     if verify:
         witness = find_relation_violation(rep, M)
         report["relations_hold"] = witness is None
@@ -239,7 +253,8 @@ def rep_lines(report: dict) -> list[str]:
     lines = [
         f"matrix size: {report['matrix_size']}",
         f"ell: {report['ell']}",
-        f"representation dimension: {report['dimension']}",
+        "representation dimension: " + str(report["dimension"] or report["dimension_exponent_form"]
+                                           + suppressed_value(report["dimension_digits"])),
         "invariant factors: " + (" ".join(report["invariant_factors"]) or "(none)"),
         f"kernel dimension: {report['kernel_dim']}",
     ]
@@ -472,7 +487,8 @@ def _rep_matrix(args: argparse.Namespace) -> SkewIntMatrix:
 
 def cmd_rep(args: argparse.Namespace) -> int:
     check_ell(args.ell)  # before the source is read or built
-    report = rep_dict(_rep_matrix(args), args.ell, args.verify, args.irreducible)
+    budget = digit_budget()
+    report = rep_dict(_rep_matrix(args), args.ell, budget, args.verify, args.irreducible)
     emit(report, rep_lines(report), args.json)
     return 0 if report.get("relations_hold", True) else 1
 

@@ -14,7 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -139,14 +139,14 @@ def is_cauchon_le(d: Diagram) -> bool:
 class Partition:
     """A weakly decreasing tuple of positive parts with a bounding box.
 
-    `box_m` and `box_n` give the ambient rectangle; they default to the
-    tight box (number of parts, largest part). Trailing zero parts are
-    stripped on construction, so the empty partition is parts = ().
+    `box_m` and `box_n` give the ambient rectangle, by default the tight
+    box (number of parts, largest part); a negative side is refused.
+    Trailing zero parts are stripped, so the empty partition is parts = ().
     """
 
     parts: tuple[int, ...]
-    box_m: int = field(default=-1)
-    box_n: int = field(default=-1)
+    box_m: int | None = None
+    box_n: int | None = None
 
     def __post_init__(self) -> None:
         parts = tuple(self.parts)
@@ -158,8 +158,10 @@ class Partition:
                 raise BadRange(f"partition parts must be nonnegative, got {p}")
             if i > 0 and parts[i - 1] < p:
                 raise BadRange(f"partition parts must weakly decrease: {parts}")
-        box_m = len(parts) if self.box_m < 0 else self.box_m
-        box_n = (parts[0] if parts else 0) if self.box_n < 0 else self.box_n
+        box_m = len(parts) if self.box_m is None else self.box_m
+        box_n = (parts[0] if parts else 0) if self.box_n is None else self.box_n
+        if box_m < 0 or box_n < 0:
+            raise BadRange(f"box sides must be nonnegative, got {box_m}x{box_n}")
         object.__setattr__(self, "box_m", box_m)
         object.__setattr__(self, "box_n", box_n)
         if len(parts) > box_m or (parts and parts[0] > box_n):

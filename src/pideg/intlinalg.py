@@ -21,8 +21,7 @@ The central objects:
   only the nonzeros of its source row. It certifies its result with two
   exact products over those sparse rows: E F = I, which makes E
   unimodular, and E M E^T = S (checked as M E^T = F S). The certified
-  sparse rows are kept, and written out as dense matrices only when the
-  transforms are read.
+  sparse rows are what it returns; no dense E or F is ever built.
 
 - The reduction, replay and certificate also run mod N (modular normal
   forms, Domich, Kannan and Trotter, 1987), and _residue_factors reads PI
@@ -59,7 +58,6 @@ The central objects:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 from math import gcd, prod
 from operator import mul
@@ -201,25 +199,15 @@ class SkewNormalForm:
     the sparse rows of F = E^{-1}, each a dict from index to nonzero entry,
     as skew_normal_form certified them before constructing this object:
     E F = I, which proves F = E^{-1} and |det E| = 1, and M E^T = F S,
-    which given E F = I is E M E^T = S. `transform` is E and
-    `inverse_transform` is F, dense integer matrices as tuples of rows,
-    built on first read and kept.
+    which given E F = I is E M E^T = S. Readers take what they need from
+    these rows: extended_normal_form the row sums of E, and
+    reps.qas_representation the first 2s columns of F.
     """
 
     invariant_factors: tuple[int, ...]
     kernel_dim: int
     e_columns: list[dict[int, int]] = field(repr=False)
     f_rows: list[dict[int, int]] = field(repr=False)
-
-    @cached_property
-    def transform(self) -> tuple[tuple[int, ...], ...]:
-        n = len(self.e_columns)
-        return tuple(zip(*(_dense(col, n) for col in self.e_columns)))
-
-    @cached_property
-    def inverse_transform(self) -> tuple[tuple[int, ...], ...]:
-        n = len(self.f_rows)
-        return tuple(tuple(_dense(row, n)) for row in self.f_rows)
 
 
 # The reduction logs each congruence step as three integers i, j, q in one
@@ -305,14 +293,6 @@ def _nonzeros(row, start: int = 0):
     column `start` on."""
     tail = row[start:]
     return zip(compress(range(start, len(row)), tail), filter(None, tail))
-
-
-def _dense(row: dict[int, int], n: int) -> list[int]:
-    """A sparse row as a dense list of length n."""
-    out = [0] * n
-    for k, x in row.items():
-        out[k] = x
-    return out
 
 
 def _combine(terms, rows: list[list[tuple[int, int]]], n: int) -> list[int]:

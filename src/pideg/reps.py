@@ -6,14 +6,14 @@ h_k of its commutation matrix, and it has an irreducible monomial
 representation of that dimension. Block k gets a leg, a clock/shift pair of
 size e_k with clock step h_k, and generator i's image is the Kronecker
 product over the blocks k of x_k**a @ y_k**b, with (a, b) the exponents
-that row i of F = E^{-1} gives block k.
+that row i of F = E^{-1} gives block k in its columns 2k and 2k + 1.
 
 Every fact reported follows from the legs and the exponents, so no
 dim x dim image is built unless a caller reads one: the relations are
-checked once per leg and then as an exact integer pairing of the rows of
-F, and irreducibility over every F_p with ell | p - 1 by the rank of the
-exponent matrix modulo each prime r dividing some e_k, on the blocks with
-r | e_k. Powers of q are integer exponents mod ell, so every identity
+checked once per leg and then as an exact integer pairing of the exponent
+rows, and irreducibility over every F_p with ell | p - 1 by the rank of
+the exponent matrix modulo each prime r dividing some e_k, on the blocks
+with r | e_k. Powers of q are integer exponents mod ell, so every identity
 checked is exact.
 """
 
@@ -26,7 +26,7 @@ from operator import mul
 
 from .degrees import check_ell, pi_degree_from_factors, smallest_prime_factor
 from .errors import BadRange, InternalVerificationFailed, TooLarge, ZeroDim
-from .intlinalg import SkewIntMatrix, is_prime, ranks_mod, skew_normal_form
+from .intlinalg import SkewIntMatrix, _primes, ranks_mod, skew_normal_form
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,10 @@ class QASRepresentation:
     """A representation of the quantum affine space of a skew matrix M.
 
     dim is the PI degree, the product of the leg sizes e_k = ell / gcd(h_k,
-    ell) over the invariant factor blocks. e_inverse is F = E^{-1}, exact:
-    entries 2k and 2k + 1 of its row i are the powers of block k's clock
-    and shift in leg k of generator i's image (row i of M). Legs and images
+    ell) over the invariant factor blocks. `exponents` has one row of 2s
+    integers per generator (row i of M): the first 2s entries of row i of
+    F = E^{-1}, exact, where entries 2k and 2k + 1 are the powers of block
+    k's clock and shift in leg k of generator i's image. Legs and images
     are built on first read; the checks never read the images.
     """
 
@@ -146,7 +147,7 @@ class QASRepresentation:
     dim: int
     invariant_factors: tuple[int, ...]
     kernel_dim: int
-    e_inverse: tuple[tuple[int, ...], ...]
+    exponents: tuple[tuple[int, ...], ...]
 
     @cached_property
     def leg_sizes(self) -> tuple[int, ...]:
@@ -167,7 +168,7 @@ class QASRepresentation:
     @cached_property
     def generator_images(self) -> tuple[MonomialMatrix, ...]:
         """Image i: the Kronecker product over blocks k of x_k**a @ y_k**b,
-        (a, b) = entries 2k and 2k + 1 of row i of F mod ell. TooLarge above
+        (a, b) = entries 2k and 2k + 1 of exponent row i mod ell. TooLarge above
         MAX_REP_DIM, before anything is built."""
         if self.dim > MAX_REP_DIM:
             raise TooLarge(
@@ -175,7 +176,7 @@ class QASRepresentation:
             )
         ell = self.ell
         images = []
-        for row in self.e_inverse:
+        for row in self.exponents:
             g = MonomialMatrix.identity(1, ell)
             for k, (x, y) in enumerate(self.legs):
                 g = kron(g, x ** (row[2 * k] % ell) @ y ** (row[2 * k + 1] % ell))
@@ -191,13 +192,15 @@ MAX_REP_DIM = 59_049
 def qas_representation(M: SkewIntMatrix, ell: int) -> QASRepresentation:
     """The irreducible monomial representation of the algebra of M at ell,
     of dimension its PI degree. The empty matrix yields the trivial
-    one-dimensional representation. Only the normal form is computed here.
-    """
+    one-dimensional representation. Only the normal form is computed here:
+    the exponents are the first 2s columns of its rows of F."""
     check_ell(ell)
     snf = skew_normal_form(M)
     h = snf.invariant_factors
     dim = pi_degree_from_factors(h, ell).value
-    return QASRepresentation(ell, dim, h, snf.kernel_dim, snf.inverse_transform)
+    blocks = range(2 * len(h))
+    exponents = tuple(tuple(row.get(c, 0) for c in blocks) for row in snf.f_rows)
+    return QASRepresentation(ell, dim, h, snf.kernel_dim, exponents)
 
 
 def _check_legs(rep: QASRepresentation) -> None:
@@ -223,19 +226,19 @@ def find_relation_violation(
     (x**a y**b)(x**c y**d) = q**(h(ad - bc)) (x**c y**d)(x**a y**b) once
     x y = q**h y x, and Kronecker products multiply the scalars of their
     legs, so T_i T_j = q**c T_j T_i with the exact integer pairing
-    c = sum_k h_k (a_ik b_jk - b_ik a_jk) of rows i and j of F. Each leg is
-    checked once (_check_legs), then c = M[i, j] for every pair.
+    c = sum_k h_k (a_ik b_jk - b_ik a_jk) of exponent rows i and j. Each
+    leg is checked once (_check_legs), then c = M[i, j] for every pair.
     """
     _check_legs(rep)
     h = rep.invariant_factors
-    # weighted[i] paired with row j of F gives c for the pair (i, j).
+    # weighted[i] paired with exponent row j gives c for the pair (i, j).
     weighted = [
         [w for k, hk in enumerate(h) for w in (-hk * row[2 * k + 1], hk * row[2 * k])]
-        for row in rep.e_inverse
+        for row in rep.exponents
     ]
     for i in range(M.n):
         for j in range(i + 1, M.n):
-            if sum(map(mul, weighted[i], rep.e_inverse[j])) != M.rows[i][j]:
+            if sum(map(mul, weighted[i], rep.exponents[j])) != M.rows[i][j]:
                 return (i, j)
     return None
 
@@ -243,11 +246,7 @@ def find_relation_violation(
 def least_prime_1_mod(ell: int) -> int:
     """The least prime p with ell | p - 1, the smallest field F_p holding a q
     of order ell: the field `pideg rep --irreducible` names."""
-    check_ell(ell)
-    p = ell + 1
-    while not is_prime(p):
-        p += ell
-    return p
+    return next(_primes(check_ell(ell) + 1, ell))
 
 
 def irreducibility_check(rep: QASRepresentation) -> bool:
@@ -258,7 +257,7 @@ def irreducibility_check(rep: QASRepresentation) -> bool:
     legs realize (_check_legs), so the Kronecker products W(u) of leg
     powers, u in G = sum_k (Z/e_k)**2, are a basis of the dim x dim
     matrices, and W(u) W(v) = q**w(u, v) W(v) W(u) for a pairing w weighted
-    by the h_k, nondegenerate on G. Generator i is W(row i of F), so the
+    by the h_k, nondegenerate on G. Generator i is W(exponent row i), so the
     commutant is spanned by the W(v) with v in the annihilator of the span
     H of the exponent rows: it is the scalars exactly when H = G. By
     Frattini, that is when, for each prime r dividing some e_k, the
@@ -281,5 +280,5 @@ def irreducibility_check(rep: QASRepresentation) -> bool:
         rank == 2 * len(blocks)
         for blocks, primes in primes_of.items()
         for rank, _ in ranks_mod([[row[c] for k in blocks for c in (2 * k, 2 * k + 1)]
-                                  for row in rep.e_inverse], primes)
+                                  for row in rep.exponents], primes)
     )

@@ -230,15 +230,34 @@ def rational_nullity(rows: list[list[int]]) -> int:
     return n - rank
 
 
-def congruence_certificate_holds(A, snf) -> bool:
-    """Whether the transforms of `snf` satisfy E F = I and A E^T = F S for
-    the square integer matrix A, by plain dense products; S is the block
-    diagonal that the invariant factors of `snf` determine."""
-    E, F = snf.transform, snf.inverse_transform
+def dense_form(snf) -> SimpleNamespace:
+    """A normal form with its transforms written out as dense matrices,
+    tuples of rows of ints: `transform` is E, from the sparse columns
+    `e_columns`, and `inverse_transform` is F = E^{-1}, from the sparse rows
+    `f_rows`. The package itself builds neither."""
+    n = len(snf.f_rows)
+
+    def dense(row):
+        return tuple(row.get(k, 0) for k in range(n))
+
+    return SimpleNamespace(
+        invariant_factors=snf.invariant_factors,
+        kernel_dim=snf.kernel_dim,
+        transform=tuple(zip(*map(dense, snf.e_columns))),
+        inverse_transform=tuple(map(dense, snf.f_rows)),
+    )
+
+
+def congruence_certificate_holds(A, form) -> bool:
+    """Whether the transforms of the dense form `form` (see dense_form)
+    satisfy E F = I and A E^T = F S for the square integer matrix A, by
+    plain dense products; S is the block diagonal that the invariant
+    factors of `form` determine."""
+    E, F = form.transform, form.inverse_transform
     rows = [list(row) for row in A]
     n = len(rows)
     S = [[0] * n for _ in range(n)]
-    for k, h in enumerate(snf.invariant_factors):
+    for k, h in enumerate(form.invariant_factors):
         S[2 * k][2 * k + 1], S[2 * k + 1][2 * k] = h, -h
     F_cols = list(zip(*F))
     S_cols = list(zip(*S))
@@ -255,10 +274,12 @@ def congruence_certificate_holds(A, snf) -> bool:
 
 
 def extended_transforms(snf, ext) -> SimpleNamespace:
-    """The normal form `ext` that extended_normal_form(snf) returned, with
-    the transforms of extend(M) in place of those of the bordered matrix B:
-    E_ext = G diag(E, 1) and F_ext = diag(F, 1) H, by dense products, for
-    E, F the transforms of M's form `snf` and G, H those of B's form `ext`."""
+    """The dense form of `ext`, which extended_normal_form(snf) returned,
+    with the transforms of extend(M) in place of those of the bordered
+    matrix B: E_ext = G diag(E, 1) and F_ext = diag(F, 1) H, by dense
+    products, for E, F the transforms of M's form `snf` and G, H those of
+    B's form `ext`."""
+    snf, ext = dense_form(snf), dense_form(ext)
     n = len(snf.transform)
 
     def bordered_by_one(X):
@@ -634,7 +655,7 @@ def lifted_generator_images(M, ell: int) -> tuple:
             blocks.append(g)
     blocks.extend(identity for _ in range(t))
     images = []
-    for row in snf.inverse_transform:
+    for row in dense_form(snf).inverse_transform:
         g = identity
         for block, e in zip(blocks, row):
             if e % ell:

@@ -4,12 +4,14 @@ import argparse
 import contextlib
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -148,6 +150,16 @@ class TestClosedFormCommands:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "PI degree at ell=3: 3^" in out
         assert built == []
+
+    @pytest.mark.parametrize("argv", [
+        ("partition", "3,1", "--box=-1x5", "--ell", "3"),
+        ("rep", "--partition", "3,1", "--box=-1x5", "--ell", "3"),
+        ("rep", "--partition", "3,1", "--box=-4x-4", "--ell", "3"),
+    ], ids=["partition", "rep", "rep-both-sides"])
+    def test_negative_box_side_is_refused(self, capsys, argv):
+        # A negative side is not the tight box.
+        box = argv[argv.index("--ell") - 1].removeprefix("--box=")
+        assert run(capsys, *argv) == (1, "", f"error: box sides must be nonnegative, got {box}\n")
 
     @pytest.mark.parametrize("box", ["3x0", "0x3"])
     def test_verify_on_a_box_with_a_zero_side(self, capsys, box):
@@ -674,6 +686,68 @@ class TestDigitBudget:
                 "4": "PI degree at ell=4: 4^1499500/(450793-digit divisor) "
                      "(451997 digits, value suppressed)\n",
             }[ell])
+
+    def test_rep_dimension_follows_the_budget(self, capsys, monkeypatch, fig_file):
+        # 625 has 3 digits: written whole at a budget of 3, in exponent form at 2.
+        argv = ("rep", "--diagram", fig_file, "--ell", "5")
+        monkeypatch.setenv("PIDEG_DIGIT_BUDGET", "3")
+        assert "\nrepresentation dimension: 625\n" in run(capsys, *argv)[1]
+        assert json.loads(run(capsys, *argv, "--json")[1])["dimension"] == 625
+        monkeypatch.setenv("PIDEG_DIGIT_BUDGET", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "\nrepresentation dimension: 5^4 (3 digits, value suppressed)\n" in out
+        report = json.loads(run(capsys, *argv, "--json")[1])
+        assert (report["dimension"], report["dimension_digits"]) == (None, 3)
+        assert report["dimension_exponent_form"] == "5^4"
+
+    # 10^400 at detring 20,1: a dimension of 7601 digits, past the default
+    # budget and past Python's int -> str limit, under any budget.
+    HUGE_ELL = "1" + "0" * 400
+
+    @pytest.mark.parametrize("budget", [None, "100000"], ids=["default", "raised"])
+    def test_huge_rep_dimension(self, capsys, monkeypatch, budget):
+        if budget:
+            monkeypatch.setenv("PIDEG_DIGIT_BUDGET", budget)
+        argv = ("rep", "--detring", "20,1", "--ell", self.HUGE_ELL)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert f"\nrepresentation dimension: {self.HUGE_ELL}^19 (7601 digits, value suppressed)\n" in out
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["dimension"] is None and report["dimension_digits"] == 7601
+        assert report["dimension_exponent_form"] == f"{self.HUGE_ELL}^19"
+        assert report["invariant_factors"] == ["1"] * 19
+
+    @pytest.mark.parametrize("budget", [None, "100000"], ids=["default", "raised"])
+    def test_huge_rep_invariant_factor(self, capsys, monkeypatch, tmp_path, budget):
+        # A 4 x 4 matrix with a unit entry and 4000-digit entries elsewhere:
+        # its second factor is the Pfaffian, of about 8000 digits.
+        if budget:
+            monkeypatch.setenv("PIDEG_DIGIT_BUDGET", budget)
+        rng = random.Random(24)
+        big = [rng.randrange(10**3999, 10**4000) for _ in range(5)]
+        a = {(0, 1): 1, (0, 2): big[0], (0, 3): big[1], (1, 2): big[2], (1, 3): big[3], (2, 3): big[4]}
+        rows = [[0] * 4 for _ in range(4)]
+        for (i, j), x in a.items():
+            rows[i][j], rows[j][i] = x, -x
+        path = tmp_path / "mat.json"
+        path.write_text(json.dumps(rows))
+        pfaffian = abs(a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2])
+        dim = 3 * (3 // gcd(pfaffian, 3))
+        argv = ("rep", "--matrix", str(path), "--ell", "3", "--verify")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        with unlimited_str_digits():
+            factors = ["1", str(pfaffian)]
+        assert len(factors[1]) > 7990
+        assert f"\nrepresentation dimension: {dim}\ninvariant factors: 1 {factors[1]}\n" in out
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["dimension"], report["invariant_factors"]) == (dim, factors)
+        assert report["relations_hold"] is True
 
     @pytest.mark.parametrize("ell", NEAR_POWERS_OF_TEN)
     def test_divisor_written_within_the_budget_only(self, ell):

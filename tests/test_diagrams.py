@@ -174,6 +174,12 @@ class TestPartition:
         with pytest.raises(ShapeOverflow):
             Partition((2, 2, 2), box_m=2, box_n=3)
 
+    @pytest.mark.parametrize("box", [dict(box_m=-1), dict(box_n=-2), dict(box_m=-1, box_n=5)])
+    def test_negative_box_side_is_refused(self, box):
+        # The tight box is the default (None), not any negative side.
+        with pytest.raises(BadRange, match="box sides must be nonnegative"):
+            Partition((3, 1), **box)
+
     def test_size(self):
         assert Partition((5, 3, 2)).size == 10
         assert Partition(()).size == 0

@@ -182,6 +182,29 @@ def test_every_public_method_has_a_reader():
     assert unread == []
 
 
+def test_every_public_field_has_a_reader():
+    # The rule above for the fields of a dataclass: a field that no package
+    # module reads as an attribute, and the README never names, is data
+    # kept only for the tests.
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    unread = [
+        f"{cls.name}.{node.target.id}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(decorator) for decorator in cls.decorator_list)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and not node.target.id.startswith("_")
+        and node.target.id not in read
+        and not re.search(rf"\b{re.escape(node.target.id)}\b", readme)
+    ]
+    assert unread == []
+
+
 def _raised(tree: ast.AST):
     """The names of the exceptions a syntax tree raises, called or bare."""
     for node in ast.walk(tree):

@@ -1,5 +1,6 @@
 """Exact integer linear algebra: normal forms, kernels, cycle vectors."""
 
+import dataclasses
 import random
 import re
 from itertools import islice, product
@@ -47,6 +48,7 @@ from tests.conftest import (
 from tests.oracles import (
     all_white,
     congruence_certificate_holds,
+    dense_form,
     dense_pair_add,
     dense_transforms,
     determinant,
@@ -300,9 +302,9 @@ def _assert_replay_matches_the_dense_oracle(M: SkewIntMatrix) -> None:
         assert [[row.get(c, 0) for c in range(n)] for row in F] == F_dense
         assert all(x for row in Et + F for x in row.values())
     E_dense, F_dense = dense_transforms(*replays[0][:2])
-    assert snf.transform == tuple(map(tuple, E_dense))
-    assert snf.inverse_transform == tuple(map(tuple, F_dense))
-    for form in (snf, ext):
+    assert dense_form(snf).transform == tuple(map(tuple, E_dense))
+    assert dense_form(snf).inverse_transform == tuple(map(tuple, F_dense))
+    for form in map(dense_form, (snf, ext)):
         for matrix in (form.transform, form.inverse_transform):
             assert type(matrix) is tuple
             assert all(type(row) is tuple for row in matrix)
@@ -317,7 +319,7 @@ class TestSkewNormalForm:
 
     def test_transform_is_unimodular(self, fig_diagram):
         snf = skew_normal_form(matrix_from_diagram(fig_diagram))
-        assert determinant(snf.transform) in (1, -1)
+        assert determinant(dense_form(snf).transform) in (1, -1)
 
     def test_empty_matrix(self):
         snf = skew_normal_form(SkewIntMatrix(()))
@@ -348,15 +350,15 @@ class TestSkewNormalForm:
     def test_inverse_transform_round_trip(self, fig_diagram):
         import sympy
 
-        snf = skew_normal_form(matrix_from_diagram(fig_diagram))
-        inv = snf.inverse_transform
+        form = dense_form(skew_normal_form(matrix_from_diagram(fig_diagram)))
+        E, inv = form.transform, form.inverse_transform
         n = len(inv)
         prod = [
-            [sum(snf.transform[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            [sum(E[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)
         ]
         assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
-        assert sympy.Matrix(snf.transform).inv() == sympy.Matrix(inv)
+        assert sympy.Matrix(E).inv() == sympy.Matrix(inv)
 
     def test_inverse_transform_matches_sympy(self):
         import sympy
@@ -365,11 +367,11 @@ class TestSkewNormalForm:
 
         matrices = [matrix_from_diagram(d) for d in exhaustive_diagrams(3, 3)]
         for M in matrices + criterion_10_matrices():
-            snf = skew_normal_form(M)
+            form = dense_form(skew_normal_form(M))
             if M.n:
-                assert sympy.Matrix(snf.transform).inv() == sympy.Matrix(snf.inverse_transform)
+                assert sympy.Matrix(form.transform).inv() == sympy.Matrix(form.inverse_transform)
             else:
-                assert snf.transform == snf.inverse_transform == ()
+                assert form.transform == form.inverse_transform == ()
 
     @pytest.mark.parametrize(
         "tamper",
@@ -442,7 +444,7 @@ def _logs_and_forms(M: SkewIntMatrix):
     snf, replays = _replays(M)
     ext, bordered = _replays(snf, extended_normal_form)
     logs = [steps for steps, _, _ in replays + bordered]
-    forms = [(f.invariant_factors, f.kernel_dim, f.transform, f.inverse_transform) for f in (snf, ext)]
+    forms = [dense_form(f) for f in (snf, ext)]
     return logs, forms
 
 
@@ -901,10 +903,10 @@ class TestExtendedNormalForm:
         # transforms included.
         M = matrix_from_diagram(fig_diagram)
         snf = skew_normal_form(M)
-        D = [list(row) + [0] for row in snf.transform] + [[0] * M.n + [1]]
+        D = [list(row) + [0] for row in dense_form(snf).transform] + [[0] * M.n + [1]]
         DA = [[sum(d * a for d, a in zip(row, col)) for col in zip(*extend(M).rows)] for row in D]
         B = [[sum(x * d for x, d in zip(row, other)) for other in D] for row in DA]
-        assert congruence_certificate_holds(B, extended_normal_form(snf))
+        assert congruence_certificate_holds(B, dense_form(extended_normal_form(snf)))
 
     def test_oracle_sees_a_broken_transform(self, fig_diagram):
         M = matrix_from_diagram(fig_diagram)
@@ -936,40 +938,15 @@ class TestExtendedNormalForm:
         assert sizes == [9, 10]
 
 
-def _count_calls(monkeypatch, *names) -> dict[str, int]:
-    """Patch the named functions of intlinalg to count their calls."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(intlinalg, name)
-
-        def counted(*args, name=name, original=original):
-            counts[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(intlinalg, name, counted)
-    return counts
-
-
-class TestLazyTransforms:
-    """Dense transforms are built on first read only."""
-
-    def test_factors_build_no_transform(self, fig_diagram, monkeypatch):
-        counts = _count_calls(monkeypatch, "_dense")
-        facts = DiagramFacts(fig_diagram)
-        assert facts.extended_snf.invariant_factors == (1, 1, 1, 2, 2)
-        assert facts.extended_snf.kernel_dim == 0
-        assert facts.snf.invariant_factors == FIG_INVARIANT_FACTORS
-        assert counts == {"_dense": 0}
-
-    def test_extended_json_report_builds_no_transform(self, monkeypatch, tmp_path, capsys):
-        from pideg import cli
-
-        board = tmp_path / "board.txt"
-        board.write_text(FIG_TEXT)
-        counts = _count_calls(monkeypatch, "_dense")
-        assert cli.main(["diagram", str(board), "--ell", "5", "--extended", "--json"]) == 0
-        assert '"kernel_jump"' in capsys.readouterr().out
-        assert counts == {"_dense": 0}
+class TestPlainData:
+    def test_a_form_is_its_four_fields(self, fig_diagram):
+        # The certified sparse rows are the only transforms: no dense view
+        # is built, or kept, by the package.
+        snf = skew_normal_form(matrix_from_diagram(fig_diagram))
+        fields = ["invariant_factors", "kernel_dim", "e_columns", "f_rows"]
+        assert [f.name for f in dataclasses.fields(snf)] == list(vars(snf)) == fields
+        assert not hasattr(snf, "transform") and not hasattr(snf, "inverse_transform")
+        assert not hasattr(intlinalg, "_dense")
 
 
 class TestRationalKernel:

@@ -30,12 +30,14 @@ from pideg import (
     pi_degree_from_factors,
     pi_degree_qas,
     qas_representation,
+    skew_normal_form,
 )
 from bench.workloads import REP_DETRING
 from pideg import reps
 from pideg.intlinalg import ranks_mod
 from pideg.reps import MAX_REP_DIM, QASRepresentation, least_prime_1_mod
 from tests.oracles import (
+    dense_form,
     dense_mod_p,
     image_relation_violation,
     lifted_generator_images,
@@ -192,15 +194,15 @@ class TestQASRepresentation:
         M = matrix_from_diagram(fig_diagram)
         rep = qas_representation(M, 3)
         # Tamper with the exponents: generator 0 becomes the square of its image.
-        rows = list(rep.e_inverse)
+        rows = list(rep.exponents)
         rows[0] = tuple(2 * x for x in rows[0])
-        broken = replace(rep, e_inverse=tuple(rows))
+        broken = replace(rep, exponents=tuple(rows))
         assert find_relation_violation(broken, M) is not None
         assert image_relation_violation(broken, M) is not None
         # Adding ell to an exponent leaves every image as it was, but F is no
         # longer the certified inverse, and the exact pairing sees it.
-        rows[0] = (rep.e_inverse[0][0] + 3,) + rep.e_inverse[0][1:]
-        shifted = replace(rep, e_inverse=tuple(rows))
+        rows[0] = (rep.exponents[0][0] + 3,) + rep.exponents[0][1:]
+        shifted = replace(rep, exponents=tuple(rows))
         assert shifted.generator_images == rep.generator_images
         assert find_relation_violation(shifted, M) is not None
 
@@ -289,7 +291,7 @@ def hand_built(ell: int, h: tuple[int, ...], rows) -> QASRepresentation:
     has the exponents rows[i] on the legs."""
     dim = pi_degree_from_factors(h, ell).value
     return QASRepresentation(
-        ell=ell, dim=dim, invariant_factors=h, kernel_dim=0, e_inverse=tuple(rows)
+        ell=ell, dim=dim, invariant_factors=h, kernel_dim=0, exponents=tuple(rows)
     )
 
 
@@ -308,7 +310,7 @@ def test_least_prime_1_mod_matches_the_every_integer_scan():
 
 
 def drop_last_generator(rep: QASRepresentation) -> QASRepresentation:
-    return replace(rep, e_inverse=rep.e_inverse[:-1])
+    return replace(rep, exponents=rep.exponents[:-1])
 
 
 # detring boards small enough for the orbit oracle, which walks dim**2 pairs.
@@ -459,8 +461,8 @@ class TestIrreducibility:
         assert irreducibility_check(rep) and orbit_irreducible(rep)
         if rep.dim <= 27:
             # Every prefix of the generators, reducible ones among them.
-            for k in range(1, len(rep.e_inverse)):
-                part = replace(rep, e_inverse=rep.e_inverse[:k])
+            for k in range(1, len(rep.exponents)):
+                part = replace(rep, exponents=rep.exponents[:k])
                 assert irreducibility_check(part) == orbit_irreducible(part)
 
     @pytest.mark.parametrize("n, t, ell", [(4, 1, 3), (3, 1, 5), (5, 1, 3)])
@@ -470,8 +472,8 @@ class TestIrreducibility:
         assert irreducibility_check(rep) and span_irreducible(rep, p)
         if rep.dim <= 27:
             # Dropping generators gives reducible images as well as irreducible ones.
-            for k in range(1, len(rep.e_inverse)):
-                part = replace(rep, e_inverse=rep.e_inverse[:k])
+            for k in range(1, len(rep.exponents)):
+                part = replace(rep, exponents=rep.exponents[:k])
                 assert irreducibility_check(part) == span_irreducible(part, p)
 
     def test_agrees_with_the_span_oracle_on_small_boards(self, small_board_matrices):
@@ -548,6 +550,21 @@ class TestEveryEll:
             assert rep.dim == pi_degree_from_factors(rep.invariant_factors, rep.ell).value
             assert rep.dim == pi_degree_qas(M, rep.ell).value
             assert find_relation_violation(rep, M) is None
+
+    def test_exponents_are_the_block_columns_of_f(self, every_ell_records):
+        # Row i is the first 2s entries of row i of F = E^{-1}, written out
+        # by the oracle from the form's sparse rows: no kernel column enters.
+        checked = 0
+        for M, rep in every_ell_records:
+            if rep.ell not in (2, 3, 4, 6):
+                continue
+            width = 2 * len(rep.invariant_factors)
+            F = dense_form(skew_normal_form(M)).inverse_transform
+            assert len(rep.exponents) == M.n
+            assert all(len(row) == width for row in rep.exponents)
+            assert rep.exponents == tuple(row[:width] for row in F), (M, rep.ell)
+            checked += 1
+        assert checked == 242 * 4
 
     def test_irreducibility_agrees_with_the_orbit_oracle(self, every_ell_records):
         cases = Counter()
