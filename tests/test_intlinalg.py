@@ -949,6 +949,55 @@ class TestPlainData:
         assert not hasattr(intlinalg, "_dense")
 
 
+def _record_forms(monkeypatch) -> list:
+    """Patch skew_normal_form where DiagramFacts and extended_normal_form
+    call it, and return the list of the forms it builds."""
+    from pideg import degrees
+
+    forms = []
+
+    def recorded(M):
+        forms.append(skew_normal_form(M))
+        return forms[-1]
+
+    monkeypatch.setattr(degrees, "skew_normal_form", recorded)
+    monkeypatch.setattr(intlinalg, "skew_normal_form", recorded)
+    return forms
+
+
+def _assert_sparse_and_plain(forms) -> None:
+    # Each form holds its four fields and no more, and its transform rows
+    # are sparse: dicts of nonzero entries, no dense row among them.
+    for snf in forms:
+        assert list(vars(snf)) == ["invariant_factors", "kernel_dim", "e_columns", "f_rows"]
+        for row in snf.e_columns + snf.f_rows:
+            assert isinstance(row, dict) and all(row.values())
+
+
+class TestLazyTransforms:
+    """No dense transform is built: the factors come with sparse rows only."""
+
+    def test_factors_build_no_transform(self, fig_diagram, monkeypatch):
+        forms = _record_forms(monkeypatch)
+        facts = DiagramFacts(fig_diagram)
+        assert facts.extended_snf.invariant_factors == (1, 1, 1, 2, 2)
+        assert facts.extended_snf.kernel_dim == 0
+        assert facts.snf.invariant_factors == FIG_INVARIANT_FACTORS
+        assert forms == [facts.snf, facts.extended_snf]
+        _assert_sparse_and_plain(forms)
+
+    def test_extended_json_report_builds_no_transform(self, monkeypatch, tmp_path, capsys):
+        from pideg import cli
+
+        board = tmp_path / "board.txt"
+        board.write_text(FIG_TEXT)
+        forms = _record_forms(monkeypatch)
+        assert cli.main(["diagram", str(board), "--ell", "5", "--extended", "--json"]) == 0
+        assert '"kernel_jump"' in capsys.readouterr().out
+        assert [len(snf.e_columns) for snf in forms] == [9, 10]
+        _assert_sparse_and_plain(forms)
+
+
 class TestRationalKernel:
     def test_reference_board(self, fig_diagram):
         M = matrix_from_diagram(fig_diagram)
