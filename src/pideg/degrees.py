@@ -371,10 +371,12 @@ class DiagramFacts:
 
     `matrix` is M(D), `snf` its normal form E M(D) E^T = S, and `tau` the
     toric permutation. `extended_snf` is read from `snf` by
-    extended_normal_form, which reduces S bordered by the row sums of E,
-    congruent to extend(M(D)), instead of reducing extend(M(D)) afresh: it
-    has the factors and kernel dimension of extend(M(D)) and the transforms
-    of the bordered S, and both reductions certify themselves. pi_degree
+    extended_normal_form, which reduces S bordered by v = E 1, congruent to
+    extend(M(D)), instead of reducing extend(M(D)) afresh; v is the log of
+    `snf` replayed forward on the ones vector, and no row of E is built.
+    It has the factors and kernel dimension of extend(M(D)) and the log of
+    the bordered S, and both reductions certify themselves by replaying
+    their logs. pi_degree
     and extended_pi_degree are the generic route's PI degrees of the two
     matrices, read from their invariant factors. `cycle_vectors` are the
     kernel vectors of the even cycles of tau, which

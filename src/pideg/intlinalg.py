@@ -2,9 +2,10 @@
 
 Everything here runs on exact Python integers, arbitrary-precision or
 reduced modulo a prime; nothing is ever rounded. The normal-form
-routines verify their own output by exact multiplication before returning
-and raise InternalVerificationFailed if the check fails, so a returned
-result is a proved identity, not a hope.
+routines verify their own output exactly before returning (over Z by
+replaying their congruence log, mod N by exact products) and raise
+InternalVerificationFailed if the check fails, so a returned result is a
+proved identity, not a hope.
 
 The central objects:
 
@@ -16,29 +17,33 @@ The central objects:
 - skew_normal_form reduces a skew matrix by a unimodular congruence
   E M E^T to a block diagonal of 2x2 blocks [[0, h], [-h, 0]] followed by a
   zero block, with h_1 | h_2 | ... ; the h_i determine the PI degree. It
-  returns F = E^{-1} alongside E: both are replayed from the logged steps
-  as sparse rows. Each shear, of the reduction and of the replay, touches
-  only the nonzeros of its source row. It certifies its result with two
-  exact products over those sparse rows: E F = I, which makes E
-  unimodular, and E M E^T = S (checked as M E^T = F S). The certified
-  sparse rows are what it returns; no dense E or F is ever built.
+  logs each step, a swap or a shear of two distinct indices, and each
+  shear touches only the nonzeros of its source row. The log is its
+  certificate: _replay applies the steps to a copy of M by code of its
+  own, and the result must be the reduced matrix cell for cell, in block
+  form with its divisibility chain. That proves E M E^T = S, and E is
+  unimodular by construction, with no transform built and no product. The
+  form keeps the log, and a reader replays only what it reads:
+  extended_normal_form takes E 1 forward (_row_sums), and
+  reps.qas_representation the first 2s columns of F = E^{-1} backward
+  (_block_columns).
 
-- The reduction, replay and certificate also run mod N (modular normal
-  forms, Domich, Kannan and Trotter, 1987), and _residue_factors reads PI
-  degrees off them. There the reduction and the replay (module residues)
-  hold each row as one int of fixed-width slots of residues: a round of the
+- The reduction also runs mod N (modular normal forms, Domich, Kannan and
+  Trotter, 1987), and _residue_factors reads PI degrees off it. There the
+  reduction and a backward replay of E^T and F (module residues) hold each
+  row as one int of fixed-width slots of residues: a round of the
   reduction at one pivot is one congruence, a few multiply-adds of whole
   rows per live row, a shear of the replay is one multiply-add, and a
-  Barrett step takes every slot of a row mod N at once. The certificate
-  reads the residues back as the sparse rows and lists it reads over Z,
-  and checks E F = I and M E^T = F S mod N.
+  Barrett step takes every slot of a row mod N at once. The certificate,
+  residues._certify, reads the residues back as sparse rows and checks
+  E F = I and M E^T = F S mod N by exact products.
 
 - extended_normal_form reads the normal form of extend(M), M bordered by
   a column of ones, from that of M. Congruence by diag(E, 1), unimodular by
   M's certificate, turns extend(M) into S bordered by v = E 1, whose own
   certified form it returns: the invariant factors and kernel dimension of
-  extend(M), reached cheaply since S is block diagonal, and the transforms
-  of the bordered S (its docstring chains them to those of extend(M)).
+  extend(M), reached cheaply since S is block diagonal, and the log of the
+  bordered S (its docstring chains it to extend(M)).
 
 - ranks_mod finds, for each of a few primes p, the rank of an integer
   matrix over F_p and whether the all-ones row lies in its row space, by
@@ -195,24 +200,23 @@ class SkewNormalForm:
     S is block diagonal: s blocks [[0, h_i], [-h_i, 0]] with positive
     h_1 | h_2 | ... | h_s, then a zero block of size kernel_dim = n - 2s.
     It is not stored, since invariant_factors and kernel_dim determine it.
-    `e_columns` are the sparse columns of E (the rows of E^T) and `f_rows`
-    the sparse rows of F = E^{-1}, each a dict from index to nonzero entry,
-    as skew_normal_form certified them before constructing this object:
-    E F = I, which proves F = E^{-1} and |det E| = 1, and M E^T = F S,
-    which given E F = I is E M E^T = S. Readers take what they need from
-    these rows: extended_normal_form the row sums of E, and
-    reps.qas_representation the first 2s columns of F.
+    `log` holds the elementary steps G_1, ..., G_m of the reduction, with
+    E = G_m ... G_1, as skew_normal_form certified them by replaying them
+    on M before constructing this object. No row of E or of F = E^{-1} is
+    kept: each reader replays the log into what it reads.
+    extended_normal_form takes E 1 forward, and reps.qas_representation
+    the first 2s columns of F backward.
     """
 
     invariant_factors: tuple[int, ...]
     kernel_dim: int
-    e_columns: list[dict[int, int]] = field(repr=False)
-    f_rows: list[dict[int, int]] = field(repr=False)
+    log: list[int] = field(repr=False)
 
 
 # The reduction logs each congruence step as three integers i, j, q in one
 # flat list: q == 0 swaps indices i and j, any other q is the shear
-# index_i += q * index_j.
+# index_i += q * index_j. Replayed forward, the steps act as E; replayed
+# backward with each step inverted, as F = E^{-1}.
 
 
 def _pair_swap(A: list[list[int]], log: list[int], i: int, j: int, live: int) -> None:
@@ -250,44 +254,6 @@ def _pair_add(A: list[list[int]], log: list[int], dst: int, src: int, q: int, li
     log += (dst, src, q)
 
 
-def _transforms(log: list[int], n: int) -> tuple[list[dict[int, int]], ...]:
-    """The rows of E^T and of F = E^{-1} for the logged steps G_1, ..., G_m.
-
-    Each row is sparse, a dict from column index to nonzero entry.
-    E = G_m ... G_1 and F = G_1^{-1} ... G_m^{-1}. Both are accumulated
-    from the last step back: E as X -> X G, a column operation (kept as a
-    row operation on E^T), and F as Y -> G^{-1} Y, a row operation. A
-    shear reads only the nonzeros of its source row and writes only the
-    matching entries of its destination row, so it needs no cut at the
-    live index: after the steps taken at live index p or later, X and Y
-    are diag(I_p, X'), so their rows from p on are zero before column p.
-    Forward tracking would fill whole rows.
-    """
-    Et = [{k: 1} for k in range(n)]
-    F = [{k: 1} for k in range(n)]
-    steps = reversed(log)
-    for q, j, i in zip(steps, steps, steps):
-        if q == 0:
-            Et[i], Et[j] = Et[j], Et[i]
-            F[i], F[j] = F[j], F[i]
-            continue
-        # X G adds q * column i to column j; G^{-1} Y subtracts q * row j from row i.
-        _add_multiple(Et[j], Et[i], q)
-        _add_multiple(F[i], F[j], -q)
-    return Et, F
-
-
-def _add_multiple(dst: dict[int, int], src: dict[int, int], q: int) -> None:
-    """dst += q * src for sparse rows, dropping the entries that cancel."""
-    get = dst.get
-    for k, x in src.items():
-        y = get(k, 0) + q * x
-        if y:
-            dst[k] = y
-        else:
-            del dst[k]
-
-
 def _nonzeros(row, start: int = 0):
     """The (column index, entry) pairs of the nonzeros of a dense row, from
     column `start` on."""
@@ -295,28 +261,12 @@ def _nonzeros(row, start: int = 0):
     return zip(compress(range(start, len(row)), tail), filter(None, tail))
 
 
-def _combine(terms, rows: list[list[tuple[int, int]]], n: int) -> list[int]:
-    """The dense row vector of length n summing x * rows[k] over the (k, x)
-    in terms, for sparse rows given as lists of (column index, entry) pairs."""
-    acc = [0] * n
-    for k, x in terms:
-        for j, y in rows[k]:
-            acc[j] += x * y
-    return acc
-
-
-def _certify(M: SkewIntMatrix, S: list[list[int]], Et: list[dict[int, int]],
-             F: list[dict[int, int]], N: int = 0) -> tuple[int, ...]:
-    """Prove that S = E M E^T is the canonical form of M; return its factors.
-
-    Et holds the rows of E^T and F those of E^{-1}, both sparse dicts as
-    from _transforms. Checks the block shape of S row by row and its
-    divisibility chain, then two exact products, each row summed from
-    sparse rows into a dense accumulator: E F = I, and M E^T = F S, which
-    given the first is E M E^T = S; with a modulus N, both mod N, and the chain on
-    gcd(a_i, N) (gcd(a, 0) = |a|). Raises InternalVerificationFailed on the first failure.
-    """
-    n = M.n
+def _block_factors(S: list[list[int]], N: int = 0) -> tuple[int, ...]:
+    """The factors of the block form S, after checking its shape row by row
+    and its divisibility chain; with a modulus N, the chain on gcd(a_i, N)
+    (gcd(a, 0) = |a|). Raises InternalVerificationFailed on the first
+    failure, naming the first bad cell of a broken shape."""
+    n = len(S)
     s = 0
     while 2 * s + 1 < n and S[2 * s][2 * s + 1] != 0:
         s += 1
@@ -333,29 +283,55 @@ def _certify(M: SkewIntMatrix, S: list[list[int]], Et: list[dict[int, int]],
             raise InternalVerificationFailed(f"divisibility chain broken: {factors}")
     if s and factors[-1] <= 0:
         raise InternalVerificationFailed(f"non-positive invariant factor: {factors}")
+    return factors
 
-    # The products read each sparse row many times, so they read it as a
-    # list of pairs, which iterates faster than the items of a dict.
-    nonzero = (lambda row: any(x % N for x in row)) if N else any
-    E: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, col in enumerate(Et):
-        for i, x in col.items():
-            E[i].append((k, x))
-    F_pairs = [list(row.items()) for row in F]
-    for i, terms in enumerate(E):
-        product = _combine(terms, F_pairs, n)
-        product[i] -= 1
-        if nonzero(product):
-            raise InternalVerificationFailed("E F is not the identity: the transform is not unimodular")
-    Et_pairs = [list(col.items()) for col in Et]
-    for Mr, Fr in zip(M.rows, F):
-        product = _combine(_nonzeros(Mr), Et_pairs, n)
-        # Row r of F S: entry k ^ 1 is F[r][k] * S[k][k ^ 1] for k < 2s, the rest is zero.
-        for k, y in Fr.items():
-            if k < 2 * s:
-                product[k ^ 1] -= y * S[k][k ^ 1]
-        if nonzero(product):
-            raise InternalVerificationFailed("E M E^T does not equal the reduced matrix")
+
+def _replay(M: SkewIntMatrix, log: list[int]) -> list[list[int]]:
+    """E M E^T: the logged congruences applied, in order, to a copy of M.
+
+    This is its own code, apart from _pair_swap and _pair_add, so that a
+    bug in the reduction's steps cannot prove itself. A swap exchanges rows
+    and columns i and j. A shear index_i += q index_j adds q times row j to
+    row i over the nonzeros of row j, and writes column i by skew symmetry;
+    its column step cancels what its row step puts at (i, i), so that
+    entry is zero again. A step with i == j, or with an index outside
+    0..n-1 (-1 would alias n - 1), is refused: every other step is
+    elementary, so E = G_m ... G_1 is unimodular by construction.
+    """
+    n = M.n
+    A = M.to_lists()
+    columns = range(n)
+    steps = iter(log)
+    for i, j, q in zip(steps, steps, steps):
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise InternalVerificationFailed(f"logged step ({i}, {j}, {q}) is not elementary")
+        if q:
+            row, src = A[i], A[j]
+            for k, y in zip(compress(columns, src), filter(None, src)):
+                row[k] = x = row[k] + q * y
+                A[k][i] = -x
+            row[i] = 0
+        else:
+            A[i], A[j] = A[j], A[i]
+            for row in A:
+                row[i], row[j] = row[j], row[i]
+    return A
+
+
+def _certify_by_replay(M: SkewIntMatrix, S: list[list[int]], log: list[int]) -> tuple[int, ...]:
+    """Prove that S = E M E^T is the canonical form of M; return its factors.
+
+    S must be the block form with its divisibility chain (_block_factors),
+    and the replay of the log on M must give S cell for cell: that is
+    E M E^T = S, with E unimodular since every logged step is elementary.
+    No transform is built and no matrix product is taken. Raises
+    InternalVerificationFailed on the first failure.
+    """
+    factors = _block_factors(S)
+    for i, (got, row) in enumerate(zip(_replay(M, log), S)):
+        if got != row:
+            j = next(j for j, (x, y) in enumerate(zip(got, row)) if x != y)
+            raise InternalVerificationFailed(f"E M E^T differs from the reduced matrix at ({i}, {j})")
     return factors
 
 
@@ -445,18 +421,17 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
     remainder swapped in as the pivot must be smaller than it, and every
     repair must leave one, so the reduction ends; a step that breaks this
     raises InternalVerificationFailed instead of looping. The steps are
-    logged, and E and E^{-1} are both built from the log as sparse rows,
-    so the inverse costs no inversion (transform tracking as in Kannan and
-    Bachem, SIAM J. Comput. 8, 1979, replayed backwards).
-    The output is certified exactly over those sparse rows (block shape,
-    divisibility chain, E F = I and M E^T = F S, hence E M E^T = S with
-    |det E| = 1) and InternalVerificationFailed is raised otherwise.
+    logged (transform tracking as in Kannan and Bachem, SIAM J. Comput. 8,
+    1979), and the log is the certificate: replayed on M by code of its
+    own, it must give the reduced matrix cell for cell, and that matrix
+    must be the block form with its divisibility chain. Every logged step
+    swaps or shears two distinct indices, so E is unimodular by
+    construction, and E M E^T = S is proved with no transform built and no
+    matrix product; InternalVerificationFailed is raised otherwise.
     """
-    n = M.n
     A, log = _reduce(M)
-    Et, F = _transforms(log, n)
-    factors = _certify(M, A, Et, F)
-    return SkewNormalForm(factors, n - 2 * len(factors), Et, F)
+    factors = _certify_by_replay(M, A, log)
+    return SkewNormalForm(factors, M.n - 2 * len(factors), log)
 
 
 def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...]:
@@ -469,11 +444,11 @@ def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...]:
     blocks prove rank at least 2s, and exactly 2s when s = n // 2; a shorter
     form leaves the rank to _proved_rank. The reduction and the replay run on
     packed residue rows (residues._residue_reduce and
-    residues._residue_transforms); the certificate reads the dict rows and
-    the lists that _certify reads over Z.
+    residues._residue_transforms), and residues._certify checks E F = I and
+    M E^T = F S mod N on the dict rows of the replay.
     """
     # Imported on first use, so that the commands that reduce only over Z do not load it.
-    from .residues import _residue_reduce, _residue_transforms
+    from .residues import _certify, _residue_reduce, _residue_transforms
 
     N = ell * RANK_PRIME
     A, log = _residue_reduce(M, N)
@@ -484,37 +459,64 @@ def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...]:
 def extended_normal_form(snf: SkewNormalForm) -> SkewNormalForm:
     """The normal form of a matrix congruent to extend(M), read from that of M.
 
-    `snf` is what skew_normal_form returned for M: S = E M E^T, certified
-    by E F = I and M E^T = F S. With D = diag(E, 1), that identity gives
+    `snf` is what skew_normal_form returned for M: S = E M E^T, with E
+    unimodular, both certified by the replay of its log. With
+    D = diag(E, 1), that identity gives
 
         D extend(M) D^T = B = [[S, v], [-v^T, 0]],  v = E 1,
 
-    the block diagonal S bordered by the row sums of E. The result is
-    skew_normal_form(B): G B G^T = S_ext with H = G^{-1}, certified by
-    G H = I and B G^T = H S_ext, so its transforms are G and H, those of B.
-    Its invariant factors and kernel dimension are those of extend(M): the
-    chain of certified identities proves, with no further product, that
-    E_ext = G D and F_ext = diag(F, 1) H transform extend(M) into S_ext:
+    the block diagonal S bordered by the row sums of E, which _row_sums
+    replays forward from the log. The result is skew_normal_form(B), whose
+    own replay certifies G B G^T = S_ext with G unimodular. Its invariant
+    factors and kernel dimension are those of extend(M), with no further
+    product: E_ext = G D is unimodular and E_ext extend(M) E_ext^T = S_ext.
+    Its log is that of B; followed after the log of `snf`, which acts on
+    the first n indices as D does, it is a log of E_ext.
 
-    - E F = I gives F E = I, so D^{-1} = diag(F, 1);
-    - E_ext F_ext = G D D^{-1} H = G H = I;
-    - extend(M) E_ext^T = extend(M) D^T G^T = D^{-1} B G^T
-      = D^{-1} H S_ext = F_ext S_ext.
-
-    B is S plus one dense border, so its reduction is short. A caller that
-    needs E_ext or F_ext forms the product.
+    B is S plus one dense border, so its reduction is short.
     """
-    n = len(snf.e_columns)
+    h = snf.invariant_factors
+    n = 2 * len(h) + snf.kernel_dim
     B = [[0] * (n + 1) for _ in range(n + 1)]
-    for k, h in enumerate(snf.invariant_factors):
-        B[2 * k][2 * k + 1], B[2 * k + 1][2 * k] = h, -h
-    v = [0] * n
-    for col in snf.e_columns:
-        for i, x in col.items():
-            v[i] += x
-    for i, x in enumerate(v):
+    for k, x in enumerate(h):
+        B[2 * k][2 * k + 1], B[2 * k + 1][2 * k] = x, -x
+    for i, x in enumerate(_row_sums(snf.log, n)):
         B[i][n], B[n][i] = x, -x
     return skew_normal_form(SkewIntMatrix._unchecked(tuple(map(tuple, B))))
+
+
+def _row_sums(log: list[int], n: int) -> list[int]:
+    """E 1, the row sums of the n x n transform E = G_m ... G_1 of a log:
+    the steps applied in order to the ones vector, a swap exchanging two
+    entries and a shear index_i += q index_j adding q v_j to v_i."""
+    v = [1] * n
+    steps = iter(log)
+    for i, j, q in zip(steps, steps, steps):
+        if q:
+            v[i] += q * v[j]
+        else:
+            v[i], v[j] = v[j], v[i]
+    return v
+
+
+def _block_columns(log: list[int], n: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """The first `width` columns of F = E^{-1} = G_1^{-1} ... G_m^{-1} for
+    the logged steps G_1, ..., G_m of an n x n normal form.
+
+    The steps are inverted and applied to the rows from the last one back:
+    a swap exchanges two rows, and the shear index_i += q index_j subtracts
+    q times row j from row i. Row operations never mix columns, so the
+    replay starts from the first `width` columns of the identity, and no
+    other column of F is built.
+    """
+    F = [[int(i == c) for c in range(width)] for i in range(n)]
+    steps = reversed(log)
+    for q, j, i in zip(steps, steps, steps):
+        if q:
+            F[i] = [x - q * y for x, y in zip(F[i], F[j])]
+        else:
+            F[i], F[j] = F[j], F[i]
+    return tuple(map(tuple, F))
 
 
 # ---------------------------------------------------------------------------

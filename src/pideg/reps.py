@@ -6,15 +6,17 @@ h_k of its commutation matrix, and it has an irreducible monomial
 representation of that dimension. Block k gets a leg, a clock/shift pair of
 size e_k with clock step h_k, and generator i's image is the Kronecker
 product over the blocks k of x_k**a @ y_k**b, with (a, b) the exponents
-that row i of F = E^{-1} gives block k in its columns 2k and 2k + 1.
+that row i of F = E^{-1} gives block k in its columns 2k and 2k + 1. Only
+those 2s columns of F are built, replayed backward from the log of the
+normal form, and the exact integer pairing of their rows must give back
+M before the record is returned.
 
 Every fact reported follows from the legs and the exponents, so no
 dim x dim image is built unless a caller reads one: the relations are
-checked once per leg and then as an exact integer pairing of the exponent
-rows, and irreducibility over every F_p with ell | p - 1 by the rank of
-the exponent matrix modulo each prime r dividing some e_k, on the blocks
-with r | e_k. Powers of q are integer exponents mod ell, so every identity
-checked is exact.
+checked once per leg and then by that pairing, and irreducibility over
+every F_p with ell | p - 1 by the rank of the exponent matrix modulo each
+prime r dividing some e_k, on the blocks with r | e_k. Powers of q are
+integer exponents mod ell, so every identity checked is exact.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from operator import mul
 
 from .degrees import check_ell, pi_degree_from_factors, smallest_prime_factor
 from .errors import BadRange, InternalVerificationFailed, TooLarge, ZeroDim
-from .intlinalg import SkewIntMatrix, _primes, ranks_mod, skew_normal_form
+from .intlinalg import SkewIntMatrix, _block_columns, _primes, ranks_mod, skew_normal_form
 
 
 @dataclass(frozen=True)
@@ -192,14 +194,19 @@ MAX_REP_DIM = 59_049
 def qas_representation(M: SkewIntMatrix, ell: int) -> QASRepresentation:
     """The irreducible monomial representation of the algebra of M at ell,
     of dimension its PI degree. The empty matrix yields the trivial
-    one-dimensional representation. Only the normal form is computed here:
-    the exponents are the first 2s columns of its rows of F."""
+    one-dimensional representation. The exponents are the first 2s columns
+    of F = E^{-1} (intlinalg._block_columns), certified by the pairing
+    identity M[i][j] = sum_k h_k (a_ik b_jk - b_ik a_jk) on every pair of
+    their rows; InternalVerificationFailed names the first pair that breaks
+    it."""
     check_ell(ell)
     snf = skew_normal_form(M)
     h = snf.invariant_factors
     dim = pi_degree_from_factors(h, ell).value
-    blocks = range(2 * len(h))
-    exponents = tuple(tuple(row.get(c, 0) for c in blocks) for row in snf.f_rows)
+    exponents = _block_columns(snf.log, M.n, 2 * len(h))
+    broken = _pairing_violation(h, exponents, M)
+    if broken is not None:
+        raise InternalVerificationFailed(f"exponent rows {broken} do not pair to their entry of M")
     return QASRepresentation(ell, dim, h, snf.kernel_dim, exponents)
 
 
@@ -227,18 +234,25 @@ def find_relation_violation(
     x y = q**h y x, and Kronecker products multiply the scalars of their
     legs, so T_i T_j = q**c T_j T_i with the exact integer pairing
     c = sum_k h_k (a_ik b_jk - b_ik a_jk) of exponent rows i and j. Each
-    leg is checked once (_check_legs), then c = M[i, j] for every pair.
+    leg is checked once (_check_legs), then c = M[i, j] for every pair
+    (_pairing_violation).
     """
     _check_legs(rep)
-    h = rep.invariant_factors
-    # weighted[i] paired with exponent row j gives c for the pair (i, j).
+    return _pairing_violation(rep.invariant_factors, rep.exponents, M)
+
+
+def _pairing_violation(h: tuple[int, ...], exponents, M: SkewIntMatrix) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, with sum_k h_k (a_ik b_jk - b_ik a_jk)
+    != M[i][j], or None; (a_ik, b_ik) are entries 2k and 2k + 1 of
+    exponent row i."""
+    # weighted[i] paired with exponent row j gives the pairing of (i, j).
     weighted = [
         [w for k, hk in enumerate(h) for w in (-hk * row[2 * k + 1], hk * row[2 * k])]
-        for row in rep.exponents
+        for row in exponents
     ]
     for i in range(M.n):
         for j in range(i + 1, M.n):
-            if sum(map(mul, weighted[i], rep.exponents[j])) != M.rows[i][j]:
+            if sum(map(mul, weighted[i], exponents[j])) != M.rows[i][j]:
                 return (i, j)
     return None
 

@@ -6,8 +6,10 @@ a round at one pivot as one congruence on whole rows, and
 _residue_transforms replays its log into the rows of E^T and F = E^{-1}.
 Both hold each row as one int of fixed-width slots (_ResidueRows), so a
 step is a few multiply-adds of whole rows, and a Barrett step takes every
-slot of a row mod N at once. Only bare matrices reach this route, so the
-module is imported on first use.
+slot of a row mod N at once. _certify then checks E F = I and
+M E^T = F S mod N by exact products over the sparse rows of the replay.
+Only bare matrices reach this route, so the module is imported on first
+use.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import compress
 from math import gcd
 
 from .errors import InternalVerificationFailed
-from .intlinalg import SkewIntMatrix
+from .intlinalg import SkewIntMatrix, _block_factors, _nonzeros
 
 
 class _ResidueRows:
@@ -258,3 +260,56 @@ def _residue_transforms(log: list[int], n: int, N: int) -> tuple[list[dict[int, 
         return [dict(zip(compress(range(n), row), filter(None, row))) for row in slots]
 
     return nonzeros(Et), nonzeros(F)
+
+
+def _combine(terms, rows: list[list[tuple[int, int]]], n: int) -> list[int]:
+    """The dense row vector of length n summing x * rows[k] over the (k, x)
+    in terms, for sparse rows given as lists of (column index, entry) pairs."""
+    acc = [0] * n
+    for k, x in terms:
+        for j, y in rows[k]:
+            acc[j] += x * y
+    return acc
+
+
+def _certify(M: SkewIntMatrix, S: list[list[int]], Et: list[dict[int, int]],
+             F: list[dict[int, int]], N: int) -> tuple[int, ...]:
+    """Prove that S = E M E^T mod N is the congruence form of M over Z/N;
+    return its factors.
+
+    Et holds the rows of E^T and F those of E^{-1}, both sparse dicts as
+    from _residue_transforms. Checks the block shape of S and its
+    divisibility chain on gcd(a_i, N) (intlinalg._block_factors), then two
+    exact products mod N, each row summed from sparse rows into a dense
+    accumulator: E F = I, and M E^T = F S, which given the first is
+    E M E^T = S. Raises InternalVerificationFailed on the first failure.
+    """
+    n = M.n
+    factors = _block_factors(S, N)
+    s = len(factors)
+
+    def nonzero(row):
+        return any(x % N for x in row)
+
+    # The products read each sparse row many times, so they read it as a
+    # list of pairs, which iterates faster than the items of a dict.
+    E: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, col in enumerate(Et):
+        for i, x in col.items():
+            E[i].append((k, x))
+    F_pairs = [list(row.items()) for row in F]
+    for i, terms in enumerate(E):
+        product = _combine(terms, F_pairs, n)
+        product[i] -= 1
+        if nonzero(product):
+            raise InternalVerificationFailed("E F is not the identity: the transform is not unimodular")
+    Et_pairs = [list(col.items()) for col in Et]
+    for Mr, Fr in zip(M.rows, F):
+        product = _combine(_nonzeros(Mr), Et_pairs, n)
+        # Row r of F S: entry k ^ 1 is F[r][k] * S[k][k ^ 1] for k < 2s, the rest is zero.
+        for k, y in Fr.items():
+            if k < 2 * s:
+                product[k ^ 1] -= y * S[k][k ^ 1]
+        if nonzero(product):
+            raise InternalVerificationFailed("E M E^T does not equal the reduced matrix")
+    return factors

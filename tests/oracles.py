@@ -232,19 +232,16 @@ def rational_nullity(rows: list[list[int]]) -> int:
 
 def dense_form(snf) -> SimpleNamespace:
     """A normal form with its transforms written out as dense matrices,
-    tuples of rows of ints: `transform` is E, from the sparse columns
-    `e_columns`, and `inverse_transform` is F = E^{-1}, from the sparse rows
-    `f_rows`. The package itself builds neither."""
-    n = len(snf.f_rows)
-
-    def dense(row):
-        return tuple(row.get(k, 0) for k in range(n))
-
+    tuples of rows of ints: `transform` is E and `inverse_transform` is
+    F = E^{-1}, both replayed from the form's log by dense_transforms. The
+    package itself builds neither."""
+    n = 2 * len(snf.invariant_factors) + snf.kernel_dim
+    E, F = dense_transforms(snf.log, n)
     return SimpleNamespace(
         invariant_factors=snf.invariant_factors,
         kernel_dim=snf.kernel_dim,
-        transform=tuple(zip(*map(dense, snf.e_columns))),
-        inverse_transform=tuple(map(dense, snf.f_rows)),
+        transform=tuple(map(tuple, E)),
+        inverse_transform=tuple(map(tuple, F)),
     )
 
 

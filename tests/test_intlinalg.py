@@ -29,6 +29,8 @@ from pideg import (
     matrix_from_diagram,
     pi_degree_from_factors,
     pi_degree_qas,
+    qas_representation,
+    reps,
     residues,
     skew_normal_form,
     toric_permutation,
@@ -117,14 +119,14 @@ class TestSkewIntMatrix:
         # keeps it, and accepts each of them unchanged.
         from pideg.sweep import exhaustive_diagrams
 
-        certify = intlinalg._certify
+        certify = intlinalg._certify_by_replay
         reduced = []
 
-        def spy(M, S, E, F):
+        def spy(M, S, log):
             reduced.append(M)
-            return certify(M, S, E, F)
+            return certify(M, S, log)
 
-        monkeypatch.setattr(intlinalg, "_certify", spy)
+        monkeypatch.setattr(intlinalg, "_certify_by_replay", spy)
         for d in exhaustive_diagrams(2, 3) + exhaustive_diagrams(3, 3):
             M = matrix_from_diagram(d)
             extended_normal_form(skew_normal_form(M))
@@ -218,8 +220,8 @@ class TestPrimality:
         assert is_prime(RANK_PRIME)
 
 
-# _certify receives the rows of E^T and of F as dicts from column index to
-# nonzero entry, so entry (r, c) of E is Et[c][r].
+# residues._certify receives the rows of E^T and of F as dicts from column
+# index to nonzero entry, so entry (r, c) of E is Et[c][r].
 
 
 def _swap_columns(rows, a, b):
@@ -243,14 +245,6 @@ def _drop_f_entry(S, Et, F):
     F[-1].popitem()
 
 
-def _bump_f_kernel_column(S, Et, F):
-    # F S reads no column of F past the blocks, so only E F = I catches
-    # this, and off its diagonal: E is zero at (n - 1, r).
-    n = len(F)
-    r = next(r for r, col in enumerate(Et) if n - 1 not in col)
-    F[r][n - 1] = F[r].get(n - 1, 0) + 1
-
-
 def _swap_e_and_f(S, Et, F):
     # Rows 0 and 1 of E and columns 0 and 1 of F: E and F stay inverse to
     # each other; only E M E^T = S catches it.
@@ -258,7 +252,7 @@ def _swap_e_and_f(S, Et, F):
     _swap_columns(F, 0, 1)
 
 
-def _double_last_factor(S, Et, F):
+def _double_last_factor(S, *transforms):
     # Shape and divisibility chain stay valid: (1, 1, 1, 2) -> (1, 1, 1, 4).
     S[6][7], S[7][6] = 4, -4
 
@@ -273,42 +267,108 @@ def _break_gcd_chain(S, Et, F):
     S[0][1], S[1][0] = 5, -5
 
 
-def _replays(M: SkewIntMatrix, normal_form=skew_normal_form):
-    """normal_form(M) with the log, size and result of every replay of
-    intlinalg._transforms it ran."""
-    replays = []
-    replay = intlinalg._transforms
+# Over Z the log is the transform, so these tampers change the log that
+# intlinalg._certify_by_replay receives. The id of each names what it does
+# to E and F: E no longer unimodular (_bump_e), F changed (_bump_f), a step
+# of F lost (_drop_f_entry), a kernel index scaled where S cannot show it
+# (_bump_f_kernel_column), and E and F swapped at indices 0 and 1
+# (_swap_e_and_f).
 
-    def spy(log, n):
-        steps = list(log)
-        result = replay(log, n)
-        replays.append((steps, n, result))
-        return result
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(intlinalg, "_transforms", spy)
-        return normal_form(M), replays
+def _double_index_0(S, log):
+    # A step with i == j: index 0 doubled, so E is not unimodular.
+    log += (0, 0, 1)
+
+
+def _flip_last_shear(S, log):
+    k = max(k for k in range(0, len(log), 3) if log[k + 2])
+    log[k + 2] = -log[k + 2]
+
+
+def _drop_last_step(S, log):
+    del log[-3:]
+
+
+def _double_kernel_index(S, log):
+    # The kernel index doubled leaves S as it is, so only the refusal of a
+    # step with i == j catches it, as only E F = I caught a bumped kernel
+    # column of F.
+    n = len(S)
+    log += (n - 1, n - 1, 1)
+
+
+def _swap_indices_0_and_1(S, log):
+    # E and F stay inverse to each other; only E M E^T = S catches it.
+    log += (0, 1, 0)
+
+
+LOG_TAMPERS = [
+    pytest.param(_double_index_0, id="_bump_e"),
+    pytest.param(_flip_last_shear, id="_bump_f"),
+    pytest.param(_drop_last_step, id="_drop_f_entry"),
+    pytest.param(_double_kernel_index, id="_bump_f_kernel_column"),
+    pytest.param(_swap_indices_0_and_1, id="_swap_e_and_f"),
+    pytest.param(_double_last_factor, id="_double_last_factor"),
+]
 
 
 def _assert_replay_matches_the_dense_oracle(M: SkewIntMatrix) -> None:
-    """The sparse replay equals tests/oracles.dense_transforms on the logs
-    of M's normal form and of its extended form, and skew_normal_form
-    returns that E and F."""
-    snf, replays = _replays(M)
-    ext, bordered = _replays(snf, extended_normal_form)
-    for log, n, (Et, F) in replays + bordered:
-        E_dense, F_dense = dense_transforms(log, n)
-        assert [[col.get(r, 0) for col in Et] for r in range(n)] == E_dense
-        assert [[row.get(c, 0) for c in range(n)] for row in F] == F_dense
-        assert all(x for row in Et + F for x in row.values())
-    E_dense, F_dense = dense_transforms(*replays[0][:2])
-    assert dense_form(snf).transform == tuple(map(tuple, E_dense))
-    assert dense_form(snf).inverse_transform == tuple(map(tuple, F_dense))
+    """The replays of the package against tests/oracles.dense_transforms,
+    on the logs of M's normal form and of its extended form: the certificate
+    replay gives E M E^T, the forward replay E 1 (the row sums of E), and
+    rep's backward replay the first 2s columns of F, which are rep's
+    exponents; an exponent entry bumped where the pairing reads it fails
+    rep's construction check."""
+    snf = skew_normal_form(M)
+    ext = extended_normal_form(snf)
+    for A, form in zip((M.rows, _bordered_rows(snf)), (snf, ext)):
+        n = len(A)
+        E, F = dense_transforms(form.log, n)
+        EA = [[sum(x * y for x, y in zip(row, col)) for col in zip(*A)] for row in E]
+        assert intlinalg._replay(SkewIntMatrix(A), form.log) == [
+            [sum(x * y for x, y in zip(row, other)) for other in E] for row in EA
+        ]
+        assert intlinalg._row_sums(form.log, n) == [sum(row) for row in E]
+        width = 2 * len(form.invariant_factors)
+        assert intlinalg._block_columns(form.log, n, width) == tuple(tuple(row[:width]) for row in F)
+    width = 2 * len(snf.invariant_factors)
+    F = dense_form(snf).inverse_transform
+    assert qas_representation(M, 3).exponents == tuple(row[:width] for row in F)
+    # Bumping entry (i, c) moves the pairing of rows i and j by h F[j][c ^ 1],
+    # so it is seen once column c ^ 1 has a nonzero off row i.
+    bumped = next(((i, c) for c in range(width) for i in range(M.n)
+                   if any(F[j][c ^ 1] for j in range(M.n) if j != i)), None)
+    if bumped is not None:
+        columns = reps._block_columns
+
+        def tampered(log, n, width):
+            rows = [list(row) for row in columns(log, n, width)]
+            rows[bumped[0]][bumped[1]] += 1
+            return tuple(map(tuple, rows))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reps, "_block_columns", tampered)
+            with pytest.raises(InternalVerificationFailed, match="do not pair"):
+                qas_representation(M, 3)
+    else:
+        assert width == 0
     for form in map(dense_form, (snf, ext)):
         for matrix in (form.transform, form.inverse_transform):
             assert type(matrix) is tuple
             assert all(type(row) is tuple for row in matrix)
             assert all(type(x) is int for row in matrix for x in row)
+
+
+def _bordered_rows(snf) -> tuple[tuple[int, ...], ...]:
+    """The bordered matrix B = [[S, v], [-v^T, 0]] that extended_normal_form
+    reduces, with v the row sums of the oracle's E."""
+    n = 2 * len(snf.invariant_factors) + snf.kernel_dim
+    B = [[0] * (n + 1) for _ in range(n + 1)]
+    for k, h in enumerate(snf.invariant_factors):
+        B[2 * k][2 * k + 1], B[2 * k + 1][2 * k] = h, -h
+    for i, row in enumerate(dense_form(snf).transform):
+        B[i][n], B[n][i] = sum(row), -sum(row)
+    return tuple(map(tuple, B))
 
 
 class TestSkewNormalForm:
@@ -373,41 +433,55 @@ class TestSkewNormalForm:
             else:
                 assert form.transform == form.inverse_transform == ()
 
-    @pytest.mark.parametrize(
-        "tamper",
-        [_bump_e, _bump_f, _drop_f_entry, _bump_f_kernel_column, _swap_e_and_f, _double_last_factor],
-    )
+    @pytest.mark.parametrize("tamper", LOG_TAMPERS)
     def test_certificate_rejects_tampering(self, fig_diagram, monkeypatch, tamper):
-        certify = intlinalg._certify
+        certify = intlinalg._certify_by_replay
 
-        def tampered(M, S, E, F):
-            tamper(S, E, F)
-            return certify(M, S, E, F)
+        def tampered(M, S, log):
+            tamper(S, log)
+            return certify(M, S, log)
 
-        monkeypatch.setattr(intlinalg, "_certify", tampered)
+        monkeypatch.setattr(intlinalg, "_certify_by_replay", tampered)
         with pytest.raises(InternalVerificationFailed):
             skew_normal_form(matrix_from_diagram(fig_diagram))
 
-
     @pytest.mark.parametrize("cell", [(8, 0), (2, 5), (7, 6)])
     def test_block_shape_reports_its_first_bad_cell(self, fig_diagram, monkeypatch, cell):
-        certify = intlinalg._certify
+        certify = intlinalg._certify_by_replay
 
-        def tampered(M, S, Et, F):
+        def tampered(M, S, log):
             # A second bad cell at the end of the row: the first one is named.
             i, j = cell
             S[i][j] += 1
             S[i][-1] += 1
-            return certify(M, S, Et, F)
+            return certify(M, S, log)
 
-        monkeypatch.setattr(intlinalg, "_certify", tampered)
+        monkeypatch.setattr(intlinalg, "_certify_by_replay", tampered)
         message = rf"block shape broken at \({cell[0]}, {cell[1]}\)"
+        with pytest.raises(InternalVerificationFailed, match=message):
+            skew_normal_form(matrix_from_diagram(fig_diagram))
+
+    @pytest.mark.parametrize("cell", [(8, 0), (2, 5), (7, 6)])
+    def test_replay_reports_its_first_bad_cell(self, fig_diagram, monkeypatch, cell):
+        replay = intlinalg._replay
+
+        def tampered(M, log):
+            # A second bad cell at the end of the row: the first one is named.
+            R = replay(M, log)
+            i, j = cell
+            R[i][j] += 1
+            R[i][-1] += 1
+            return R
+
+        monkeypatch.setattr(intlinalg, "_replay", tampered)
+        message = rf"E M E\^T differs from the reduced matrix at \({cell[0]}, {cell[1]}\)"
         with pytest.raises(InternalVerificationFailed, match=message):
             skew_normal_form(matrix_from_diagram(fig_diagram))
 
 
 class TestSparseReplay:
-    """_transforms against the dense replay of tests/oracles.py, entry for entry."""
+    """The replays of the log against the dense replay of tests/oracles.py,
+    entry for entry."""
 
     def test_exhaustive_boards(self):
         from pideg.sweep import exhaustive_diagrams
@@ -435,15 +509,17 @@ class TestSparseReplay:
 
     def test_empty_matrix(self):
         _assert_replay_matches_the_dense_oracle(SkewIntMatrix(()))
-        assert intlinalg._transforms([], 0) == ([], [])
+        assert intlinalg._replay(SkewIntMatrix(()), []) == []
+        assert intlinalg._row_sums([], 0) == []
+        assert intlinalg._block_columns([], 0, 0) == ()
 
 
 def _logs_and_forms(M: SkewIntMatrix):
     """The logs of M's reduction and of the bordered one of its extended
     form, and the factors, kernel dimension, E and F of both forms."""
-    snf, replays = _replays(M)
-    ext, bordered = _replays(snf, extended_normal_form)
-    logs = [steps for steps, _, _ in replays + bordered]
+    snf = skew_normal_form(M)
+    ext = extended_normal_form(snf)
+    logs = [list(f.log) for f in (snf, ext)]
     forms = [dense_form(f) for f in (snf, ext)]
     return logs, forms
 
@@ -487,6 +563,110 @@ class TestSparseShear:
 
     def test_empty_matrix(self):
         _assert_shear_matches_the_dense_oracle(SkewIntMatrix(()))
+
+
+def replay_boards() -> list[SkewIntMatrix]:
+    """40 seeded random 5 x 5 skew matrices, entries in [-5, 5]."""
+    rng = random.Random(5_252)
+    return [random_skew(rng, 5) for _ in range(40)]
+
+
+def _reduce_then(patch: pytest.MonkeyPatch, tamper) -> None:
+    """Make the reduction hand tamper(log) to the certificate in place of its log."""
+    reduce = intlinalg._reduce
+
+    def tampered(M):
+        A, log = reduce(M)
+        return A, tamper(list(log))
+
+    patch.setattr(intlinalg, "_reduce", tampered)
+
+
+class TestReplayCertificate:
+    """Over Z the replay of the log is the whole certificate: each of these
+    mutations of the log, or of the reduction's shear, raises."""
+
+    def test_a_step_with_i_equal_to_j_is_refused(self):
+        for M in replay_boards():
+            steps = len(intlinalg._reduce(M)[1]) // 3
+            assert steps
+            for t in range(steps):
+                def same_index(log, t=t):
+                    log[3 * t + 1] = log[3 * t]
+                    return log
+
+                with pytest.MonkeyPatch.context() as patch:
+                    _reduce_then(patch, same_index)
+                    with pytest.raises(InternalVerificationFailed, match="not elementary"):
+                        skew_normal_form(M)
+
+    @pytest.mark.parametrize("step", [(-1, 8, 1), (9, 0, 1), (0, -9, 0)])
+    def test_a_step_outside_the_matrix_is_refused(self, fig_diagram, step):
+        # -1 and -9 would alias indices 8 and 0 of the 9 x 9 reference matrix.
+        M = matrix_from_diagram(fig_diagram)
+        A, log = intlinalg._reduce(M)
+        with pytest.raises(InternalVerificationFailed, match="not elementary"):
+            intlinalg._certify_by_replay(M, A, log + list(step))
+
+    def test_a_flipped_shear_sign_is_refused(self):
+        flipped = 0
+        for M in replay_boards():
+            log = intlinalg._reduce(M)[1]
+            for t in range(0, len(log), 3):
+                if not log[t + 2]:
+                    continue
+
+                def flip(log, t=t):
+                    log[t + 2] = -log[t + 2]
+                    return log
+
+                with pytest.MonkeyPatch.context() as patch:
+                    _reduce_then(patch, flip)
+                    with pytest.raises(InternalVerificationFailed, match="differs from the reduced matrix"):
+                        skew_normal_form(M)
+                flipped += 1
+        assert flipped >= 200
+
+    def test_a_dropped_step_is_refused(self):
+        for M in replay_boards():
+            log = intlinalg._reduce(M)[1]
+            for t in range(0, len(log), 3):
+                def drop(log, t=t):
+                    del log[t:t + 3]
+                    return log
+
+                with pytest.MonkeyPatch.context() as patch:
+                    _reduce_then(patch, drop)
+                    with pytest.raises(InternalVerificationFailed, match="differs from the reduced matrix"):
+                        skew_normal_form(M)
+
+    def test_a_shear_that_skips_its_last_live_column_is_caught_by_the_replay(self, monkeypatch):
+        # The reduction still ends in block form on its own wrong matrix;
+        # only the replay, which does not call _pair_add, sees that the log
+        # does not take M there.
+        shear = intlinalg._pair_add
+
+        def skipping_shear(A, log, dst, src, q, live):
+            last = len(A) - 1
+            kept = A[dst][last]
+            shear(A, log, dst, src, q, live)
+            if dst != last:
+                A[dst][last], A[last][dst] = kept, -kept
+
+        monkeypatch.setattr(intlinalg, "_pair_add", skipping_shear)
+        for M in replay_boards():
+            with pytest.raises(InternalVerificationFailed, match="differs from the reduced matrix"):
+                skew_normal_form(M)
+
+    def test_the_replay_shares_no_step_with_the_reduction(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the replay called a step of the reduction")
+
+        forms = [(M, *intlinalg._reduce(M)) for M in replay_boards()]
+        monkeypatch.setattr(intlinalg, "_pair_add", refused)
+        monkeypatch.setattr(intlinalg, "_pair_swap", refused)
+        for M, A, log in forms:
+            assert intlinalg._replay(M, log) == A
 
 
 def _low_rank_skew(rng: random.Random, n: int, h: list[int]) -> SkewIntMatrix:
@@ -537,19 +717,19 @@ def _block_diagonal(h, n: int) -> SkewIntMatrix:
 
 def _record_replay_moduli(monkeypatch) -> list[int]:
     """The modulus of every later replay: N for residues._residue_transforms,
-    0 for intlinalg._transforms over Z."""
+    0 for intlinalg._replay over Z."""
     moduli = []
-    replay, residue_replay = intlinalg._transforms, residues._residue_transforms
+    replay, residue_replay = intlinalg._replay, residues._residue_transforms
 
-    def spy(log, n):
+    def spy(M, log):
         moduli.append(0)
-        return replay(log, n)
+        return replay(M, log)
 
     def residue_spy(log, n, N):
         moduli.append(N)
         return residue_replay(log, n, N)
 
-    monkeypatch.setattr(intlinalg, "_transforms", spy)
+    monkeypatch.setattr(intlinalg, "_replay", spy)
     monkeypatch.setattr(residues, "_residue_transforms", residue_spy)
     return moduli
 
@@ -565,7 +745,7 @@ def _never_over_z(patch: pytest.MonkeyPatch) -> None:
 
     for module in (intlinalg, degrees):
         patch.setattr(module, "skew_normal_form", refused)
-    patch.setattr(intlinalg, "_transforms", refused)
+    patch.setattr(intlinalg, "_replay", refused)
 
 
 def _assert_residue_route_agrees(M: SkewIntMatrix) -> None:
@@ -574,17 +754,17 @@ def _assert_residue_route_agrees(M: SkewIntMatrix) -> None:
     pi_degree_qas equals the degree read from the h_i in every field,
     without a normal form over Z."""
     h = skew_normal_form(M).invariant_factors
-    certify = intlinalg._certify
+    certify = residues._certify
     for ell in RESIDUE_ELLS:
         N = ell * RANK_PRIME
         seen = []
 
-        def certify_spy(M, S, Et, F, N=0):
+        def certify_spy(M, S, Et, F, N):
             seen.append(certify(M, S, Et, F, N))
             return seen[-1]
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(intlinalg, "_certify", certify_spy)
+            patch.setattr(residues, "_certify", certify_spy)
             _never_over_z(patch)
             got = pi_degree_qas(M, ell)
         expected = pi_degree_from_factors(h, ell)
@@ -691,15 +871,15 @@ class TestResidueForm:
         ],
     )
     def test_certificate_rejects_tampering(self, fig_diagram, monkeypatch, tamper, message):
-        certify = intlinalg._certify
+        certify = residues._certify
         moduli = []
 
-        def tampered(M, S, Et, F, N=0):
+        def tampered(M, S, Et, F, N):
             moduli.append(N)
             tamper(S, Et, F)
             return certify(M, S, Et, F, N)
 
-        monkeypatch.setattr(intlinalg, "_certify", tampered)
+        monkeypatch.setattr(residues, "_certify", tampered)
         with pytest.raises(InternalVerificationFailed, match=re.escape(message)):
             pi_degree_qas(matrix_from_diagram(fig_diagram), 5)
         assert moduli == [5 * RANK_PRIME]
@@ -908,6 +1088,20 @@ class TestExtendedNormalForm:
         B = [[sum(x * d for x, d in zip(row, other)) for other in D] for row in DA]
         assert congruence_certificate_holds(B, dense_form(extended_normal_form(snf)))
 
+    def test_the_two_logs_are_a_log_of_the_extended_matrix(self, fig_diagram):
+        # M's log acts on the first n indices as diag(E, 1), so the bordered
+        # matrix's log after it replays to E_ext = G diag(E, 1).
+        from pideg.sweep import exhaustive_diagrams
+
+        matrices = [matrix_from_diagram(d) for d in exhaustive_diagrams(3, 3)]
+        for M in [matrix_from_diagram(fig_diagram)] + matrices:
+            snf = skew_normal_form(M)
+            ext = extended_normal_form(snf)
+            E, F = dense_transforms(snf.log + ext.log, M.n + 1)
+            form = SimpleNamespace(invariant_factors=ext.invariant_factors,
+                                   transform=E, inverse_transform=F)
+            assert congruence_certificate_holds(extend(M).rows, form)
+
     def test_oracle_sees_a_broken_transform(self, fig_diagram):
         M = matrix_from_diagram(fig_diagram)
         snf = skew_normal_form(M)
@@ -926,27 +1120,29 @@ class TestExtendedNormalForm:
         assert not congruence_certificate_holds(other, ext)
 
     def test_both_reductions_are_certified(self, fig_diagram, monkeypatch):
-        certify = intlinalg._certify
+        certify = intlinalg._certify_by_replay
         sizes = []
 
-        def spy(M, S, E, F):
+        def spy(M, S, log):
             sizes.append(M.n)
-            return certify(M, S, E, F)
+            return certify(M, S, log)
 
-        monkeypatch.setattr(intlinalg, "_certify", spy)
+        monkeypatch.setattr(intlinalg, "_certify_by_replay", spy)
         DiagramFacts(fig_diagram).extended_snf
         assert sizes == [9, 10]
 
 
 class TestPlainData:
-    def test_a_form_is_its_four_fields(self, fig_diagram):
-        # The certified sparse rows are the only transforms: no dense view
-        # is built, or kept, by the package.
+    def test_a_form_is_its_factors_and_its_log(self, fig_diagram):
+        # The certified log is the only transform: no row of E or F, dense
+        # or sparse, is built or kept by the package over Z.
         snf = skew_normal_form(matrix_from_diagram(fig_diagram))
-        fields = ["invariant_factors", "kernel_dim", "e_columns", "f_rows"]
+        fields = ["invariant_factors", "kernel_dim", "log"]
         assert [f.name for f in dataclasses.fields(snf)] == list(vars(snf)) == fields
-        assert not hasattr(snf, "transform") and not hasattr(snf, "inverse_transform")
-        assert not hasattr(intlinalg, "_dense")
+        for name in ("transform", "inverse_transform", "e_columns", "f_rows"):
+            assert not hasattr(snf, name)
+        for name in ("_dense", "_transforms", "_add_multiple", "_certify", "_combine"):
+            assert not hasattr(intlinalg, name)
 
 
 def _record_forms(monkeypatch) -> list:
@@ -966,16 +1162,18 @@ def _record_forms(monkeypatch) -> list:
 
 
 def _assert_sparse_and_plain(forms) -> None:
-    # Each form holds its four fields and no more, and its transform rows
-    # are sparse: dicts of nonzero entries, no dense row among them.
+    # Each form holds its three fields and no more, and its transform is the
+    # log: a flat list of steps (i, j, q) with i != j, no row of E or F.
     for snf in forms:
-        assert list(vars(snf)) == ["invariant_factors", "kernel_dim", "e_columns", "f_rows"]
-        for row in snf.e_columns + snf.f_rows:
-            assert isinstance(row, dict) and all(row.values())
+        assert list(vars(snf)) == ["invariant_factors", "kernel_dim", "log"]
+        log = snf.log
+        assert type(log) is list and len(log) % 3 == 0
+        assert all(type(x) is int for x in log)
+        assert all(i != j for i, j in zip(log[::3], log[1::3]))
 
 
 class TestLazyTransforms:
-    """No dense transform is built: the factors come with sparse rows only."""
+    """No transform is built: the factors come with the log only."""
 
     def test_factors_build_no_transform(self, fig_diagram, monkeypatch):
         forms = _record_forms(monkeypatch)
@@ -994,7 +1192,7 @@ class TestLazyTransforms:
         forms = _record_forms(monkeypatch)
         assert cli.main(["diagram", str(board), "--ell", "5", "--extended", "--json"]) == 0
         assert '"kernel_jump"' in capsys.readouterr().out
-        assert [len(snf.e_columns) for snf in forms] == [9, 10]
+        assert [2 * len(snf.invariant_factors) + snf.kernel_dim for snf in forms] == [9, 10]
         _assert_sparse_and_plain(forms)
 
 

@@ -52,28 +52,47 @@ expect(InternalVerificationFailed, oracles.determinant, [[1, 2], [3, 4]])
 # Dependent vectors fail the independence proof once the primes pass the bound.
 expect(InternalVerificationFailed, intlinalg._prove_independent, [(1, -1, 0), (1, -1, 0)])
 
-# A transform with one nonzero of F dropped fails E F = I.
-transforms, residue_transforms = intlinalg._transforms, residues._residue_transforms
+# A log whose last step is dropped, or that gains a step with i == j, fails
+# the replay over Z.
+reduce = intlinalg._reduce
 
 
-def dropping_f_entry(replay):
-    def replay_dropping_f_entry(log, n, *modulus):
-        Et, F = replay(log, n, *modulus)
-        F[-1].popitem()
-        return Et, F
+def reduce_then(tamper):
+    def tampered_reduce(M):
+        A, log = reduce(M)
+        tamper(log)
+        return A, log
 
-    return replay_dropping_f_entry
+    return tampered_reduce
 
 
-intlinalg._transforms = dropping_f_entry(transforms)
-expect(InternalVerificationFailed, intlinalg.skew_normal_form, SkewIntMatrix(((0, 2), (-2, 0))))
-# The same tamper fails the certificate of the congruence form mod ell q.
-residues._residue_transforms = dropping_f_entry(residue_transforms)
+intlinalg._reduce = reduce_then(lambda log: log.__delitem__(slice(-3, None)))
+expect(
+    InternalVerificationFailed, intlinalg.skew_normal_form, SkewIntMatrix(((0, -2), (2, 0))),
+    match="differs from the reduced matrix",
+)
+intlinalg._reduce = reduce_then(lambda log: log.extend((1, 1, 1)))
+expect(
+    InternalVerificationFailed, intlinalg.skew_normal_form, SkewIntMatrix(((0, 2), (-2, 0))),
+    match="not elementary",
+)
+intlinalg._reduce = reduce
+
+# A replay mod ell q with one nonzero of F dropped fails E F = I.
+residue_transforms = residues._residue_transforms
+
+
+def replay_dropping_f_entry(log, n, N):
+    Et, F = residue_transforms(log, n, N)
+    F[-1].popitem()
+    return Et, F
+
+
+residues._residue_transforms = replay_dropping_f_entry
 expect(
     InternalVerificationFailed, pi_degree_qas, SkewIntMatrix(((0, 2), (-2, 0))), 3,
     match="E F is not the identity",
 )
-intlinalg._transforms = transforms
 
 # A packed replay whose slot reduction is off by one leaves wrong residues
 # in E and F, which the certificate mod ell q rejects.
