@@ -73,6 +73,7 @@ from .errors import (
     FormulaMismatch,
     InternalVerificationFailed,
     SkewSymmetryViolated,
+    TooLarge,
 )
 from .pipedreams import Permutation, toric_permutation, white_exit_labels
 
@@ -162,11 +163,20 @@ def matrix_from_diagram(d: Diagram) -> SkewIntMatrix:
 RANK_PRIME = 2**13 - 1
 
 
+# The least strong pseudoprime to every prime base 2, ..., 41 (Sorenson and
+# Webster, Math. Comp. 86, 2017). The bases 2, ..., 37 alone pass the
+# composite 318665857834031151167461, so is_prime needs 41 to reach it.
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all inputs below 3.3e24."""
+    """Deterministic Miller-Rabin to the prime bases 2, ..., 41, exact below
+    MILLER_RABIN_BOUND; TooLarge from there on, where no answer is proved."""
+    if p >= MILLER_RABIN_BOUND:
+        raise TooLarge(f"primality is proved only below {MILLER_RABIN_BOUND}")
     if p < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if p in small:
         return True
     if any(p % q == 0 for q in small):

@@ -12,11 +12,16 @@ normal form, and the exact integer pairing of their rows must give back
 M before the record is returned.
 
 Every fact reported follows from the legs and the exponents, so no
-dim x dim image is built unless a caller reads one: the relations are
-checked once per leg and then by that pairing, and irreducibility over
-every F_p with ell | p - 1 by the rank of the exponent matrix modulo each
-prime r dividing some e_k, on the blocks with r | e_k. Powers of q are
-integer exponents mod ell, so every identity checked is exact.
+dim x dim image is built unless a caller reads one. Each certificate is
+made once: the legs are built on first read, one clock/shift per distinct
+h_k mod ell, and each is checked as it is built (size and order e_k, and
+x y = q**h_k y x); with the pairing that qas_representation checked, that
+proves every relation, so `pideg rep --verify` reads the legs and reports
+it. find_relation_violation runs the pairing again only against an M a
+caller brings. Irreducibility over every F_p with ell | p - 1 is the rank
+of the exponent matrix modulo each prime r dividing some e_k, on the
+blocks with r | e_k. Powers of q are integer exponents mod ell, so every
+identity checked is exact.
 """
 
 from __future__ import annotations
@@ -158,14 +163,21 @@ class QASRepresentation:
 
     @cached_property
     def legs(self) -> tuple[tuple[MonomialMatrix, MonomialMatrix], ...]:
-        """Block k's e_k x e_k clock and shift, with clock step h_k mod ell.
-        TooLarge when some e_k exceeds MAX_REP_DIM, before anything is built."""
+        """Block k's e_k x e_k clock and shift, with clock step h_k mod ell,
+        built and checked (_checked_leg) once per distinct step and shared by
+        the blocks with that step. TooLarge when some e_k exceeds
+        MAX_REP_DIM, before anything is built."""
         largest = max(self.leg_sizes, default=1)
         if largest > MAX_REP_DIM:
             raise TooLarge(
                 f"clock and shift of size {largest} exceed the largest built, {MAX_REP_DIM}"
             )
-        return tuple(clock_shift(self.ell, hk % self.ell) for hk in self.invariant_factors)
+        ell = self.ell
+        built: dict[int, tuple[MonomialMatrix, MonomialMatrix]] = {}  # h mod ell -> leg
+        for k, (hk, e) in enumerate(zip(self.invariant_factors, self.leg_sizes)):
+            if hk % ell not in built:
+                built[hk % ell] = _checked_leg(ell, hk % ell, e, k)
+        return tuple(built[hk % ell] for hk in self.invariant_factors)
 
     @cached_property
     def generator_images(self) -> tuple[MonomialMatrix, ...]:
@@ -210,18 +222,19 @@ def qas_representation(M: SkewIntMatrix, ell: int) -> QASRepresentation:
     return QASRepresentation(ell, dim, h, snf.kernel_dim, exponents)
 
 
-def _check_legs(rep: QASRepresentation) -> None:
-    """InternalVerificationFailed, naming the block, unless each block's
-    clock x and shift y are of size and order e = ell / gcd(h, ell), the
-    block's factor of the PI degree, and satisfy x y = q**h y x. The legs
-    are built here, so a failure is a bug, never bad input."""
-    ell = rep.ell
-    for k, (h, e, (x, y)) in enumerate(zip(rep.invariant_factors, rep.leg_sizes, rep.legs)):
-        if not (x.dim == y.dim == e and x.ell == y.ell == ell and x.order_divides(e)
-                and y.order_divides(e)):
-            raise InternalVerificationFailed(f"block {k}: clock or shift is not of size and order {e}")
-        if (x @ y).scalar_power_vs(y @ x) != h % ell:
-            raise InternalVerificationFailed(f"block {k}: clock and shift do not commute up to q**{h % ell}")
+def _checked_leg(ell: int, h: int, e: int, k: int) -> tuple[MonomialMatrix, MonomialMatrix]:
+    """Block k's clock x and shift y, clock_shift(ell, h) with 0 <= h < ell,
+    checked: InternalVerificationFailed, naming the block, unless they are
+    of size and order e, the block's factor of the PI degree, and satisfy
+    x y = q**h y x. The legs are built here, so a failure is a bug, never
+    bad input."""
+    x, y = clock_shift(ell, h)
+    if not (x.dim == y.dim == e and x.ell == y.ell == ell and x.order_divides(e)
+            and y.order_divides(e)):
+        raise InternalVerificationFailed(f"block {k}: clock or shift is not of size and order {e}")
+    if (x @ y).scalar_power_vs(y @ x) != h:
+        raise InternalVerificationFailed(f"block {k}: clock and shift do not commute up to q**{h}")
+    return x, y
 
 
 def find_relation_violation(
@@ -233,11 +246,13 @@ def find_relation_violation(
     (x**a y**b)(x**c y**d) = q**(h(ad - bc)) (x**c y**d)(x**a y**b) once
     x y = q**h y x, and Kronecker products multiply the scalars of their
     legs, so T_i T_j = q**c T_j T_i with the exact integer pairing
-    c = sum_k h_k (a_ik b_jk - b_ik a_jk) of exponent rows i and j. Each
-    leg is checked once (_check_legs), then c = M[i, j] for every pair
-    (_pairing_violation).
+    c = sum_k h_k (a_ik b_jk - b_ik a_jk) of exponent rows i and j. The
+    legs are read, and so checked where they are built (_checked_leg), then
+    c = M[i, j] for every pair (_pairing_violation). qas_representation
+    has already checked the pairing against its own M; this is for any
+    other M a caller brings.
     """
-    _check_legs(rep)
+    rep.legs  # built, and so checked, on first read
     return _pairing_violation(rep.invariant_factors, rep.exponents, M)
 
 
@@ -268,19 +283,20 @@ def irreducibility_check(rep: QASRepresentation) -> bool:
     ell | p - 1: no p is read, so one answer holds for all of them.
 
     In such an F_p, q**h_k has order e_k = ell / gcd(h_k, ell), which the
-    legs realize (_check_legs), so the Kronecker products W(u) of leg
-    powers, u in G = sum_k (Z/e_k)**2, are a basis of the dim x dim
-    matrices, and W(u) W(v) = q**w(u, v) W(v) W(u) for a pairing w weighted
-    by the h_k, nondegenerate on G. Generator i is W(exponent row i), so the
-    commutant is spanned by the W(v) with v in the annihilator of the span
-    H of the exponent rows: it is the scalars exactly when H = G. By
+    legs realize (checked as they are built, _checked_leg), so the
+    Kronecker products W(u) of leg powers, u in G = sum_k (Z/e_k)**2, are a
+    basis of the dim x dim matrices, and W(u) W(v) = q**w(u, v) W(v) W(u)
+    for a pairing w weighted by the h_k, nondegenerate on G. Generator i is
+    W(exponent row i), so the commutant is spanned by the W(v) with v in the
+    annihilator of the span H of the exponent rows: it is the scalars
+    exactly when H = G. By
     Frattini, that is when, for each prime r dividing some e_k, the
     exponent columns of the blocks with r | e_k have full rank mod r: one
     elimination modulo the product of the primes that share a column set,
     which is a single one when every e_k = ell. Only the lcm of the e_k is
     factored, never ell itself. This costs O(n s**2) at any dimension.
     """
-    _check_legs(rep)
+    rep.legs  # built, and so checked, on first read
     sizes = rep.leg_sizes
     primes_of: dict[tuple[int, ...], list[int]] = {}  # blocks read -> primes
     rest = lcm(*sizes)

@@ -18,7 +18,7 @@ import pytest
 
 from pideg import cli
 from pideg.cli import COMMANDS, degree_dict, degree_digits, main
-from bench.workloads import REP_DETRING
+from bench.workloads import GENERATORS, REP_DETRING
 from pideg.degrees import PiDegree, determinantal_toric_cycles, pi_degree_determinantal
 from pideg.diagrams import determinantal_diagram, young_diagram
 from pideg.errors import InternalVerificationFailed
@@ -560,6 +560,57 @@ class TestRepCommand:
         assert re.search(r"irreducible over F_\d+: yes", out)
         assert time.perf_counter() - start < 1
 
+    def test_no_field_is_named_above_the_proved_primality_bound(self, capsys, tmp_path):
+        # One leg of size 5; the least p with ell | p - 1 is above the bound
+        # below which is_prime is proved, so no F_p is named.
+        h = 2 * 10**24
+        path = tmp_path / "mat.json"
+        path.write_text(f"[[0, {h}], [{-h}, 0]]")
+        assert run(capsys, "rep", "--matrix", str(path), "--ell", str(10**25), "--irreducible") == (
+            1, "", "error: primality is proved only below 3317044064679887385961981\n"
+        )
+        code, out, _ = run(capsys, "rep", "--matrix", str(path), "--ell", str(10**25), "--verify")
+        assert code == 0 and "representation dimension: 5\n" in out
+
+    def test_each_certificate_is_made_once(self, capsys, monkeypatch, tmp_path, fig_file):
+        # With --verify --irreducible, the pairing runs once, in construction,
+        # and clock_shift and the leg check once per distinct h mod ell.
+        names = ("_pairing_violation", "clock_shift", "_checked_leg")
+        calls = dict.fromkeys(names, 0)
+
+        def spy(name):
+            original = getattr(reps, name)
+
+            def spied(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(reps, name, spied)
+
+        for name in names:
+            spy(name)
+        argvs = [op.argv for op in GENERATORS["rep"](1, tmp_path)]
+        argvs.append(("rep", "--diagram", fig_file, "--ell", "3", "--json"))  # h = 1 1 1 2
+        distinct = set()
+        for argv in argvs:
+            calls.update(dict.fromkeys(names, 0))
+            argv = [*argv, *sorted({"--verify", "--irreducible"} - set(argv))]
+            code, out, err = run(capsys, *argv)
+            report = json.loads(out)
+            legs = len({int(h) % report["ell"] for h in report["invariant_factors"]})
+            assert (code, err, report["relations_hold"]) == (0, "", True)
+            assert calls == {"_pairing_violation": 1, "clock_shift": legs, "_checked_leg": legs}, argv
+            distinct.add(legs)
+        assert distinct == {1, 2}
+
+    def test_verify_checks_the_legs(self, monkeypatch):
+        # A shift that is the clock again commutes with it: --verify reads
+        # the legs, and a bad one is the package's fault.
+        clock_shift = reps.clock_shift
+        monkeypatch.setattr(reps, "clock_shift", lambda ell, h: (clock_shift(ell, h)[0],) * 2)
+        with pytest.raises(InternalVerificationFailed, match="block 0: clock and shift do not commute"):
+            main(["rep", "--detring", "4,2", "--ell", "3", "--verify"])
+
     def test_irreducible_above_dimension_729_is_answered(self, capsys, tmp_path):
         path = tmp_path / "mat.json"
         path.write_text("[[0, 1], [-1, 0]]")
@@ -1081,6 +1132,38 @@ class TestParser:
             ("--diagram",), ("--matrix",), ("--detring",), ("--partition",), ("--box",),
             ("--ell",), ("--verify",), ("--irreducible",), ("--json",),
         ]
+
+    def test_namespace_is_the_full_parsers(self, monkeypatch, tmp_path):
+        # Every seed-1 diagram, sweep and rep workload command line and every
+        # README command parses to what the full parser gives, apart from
+        # the handler that the full parser sets as a default.
+        commands = readme_commands()
+        assert len(commands) == 10
+        argvs = [op.argv for name in ("diagram", "sweep", "rep")
+                 for op in GENERATORS[name](1, tmp_path)]
+        argvs += commands
+        seen = []
+        monkeypatch.setattr(cli, "COMMANDS", {
+            name: (help_line, seen.append, arguments)
+            for name, (help_line, _, arguments) in COMMANDS.items()
+        })
+        for argv in argvs:
+            seen.clear()
+            main(list(argv))
+            expected = vars(full_parser().parse_args(argv))
+            del expected["func"]
+            assert [vars(args) for args in seen] == [expected], argv
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every pideg command line in a README sh block,
+    comments dropped."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in re.findall(r"^(?:\$ )?pideg (.*)$", block, re.M)
+    ]
 
 
 def readme_python_blocks() -> list[str]:

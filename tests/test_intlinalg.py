@@ -20,6 +20,7 @@ from pideg import (
     Permutation,
     SkewIntMatrix,
     SkewSymmetryViolated,
+    TooLarge,
     checked_cycle_sum,
     cycle_kernel_vectors,
     degrees,
@@ -35,7 +36,7 @@ from pideg import (
     skew_normal_form,
     toric_permutation,
 )
-from pideg.intlinalg import RANK_PRIME, extended_normal_form, ranks_mod
+from pideg.intlinalg import MILLER_RABIN_BOUND, RANK_PRIME, extended_normal_form, ranks_mod
 from tests.conftest import (
     FIG_CYCLE_SUM,
     FIG_INVARIANT_FACTORS,
@@ -218,6 +219,17 @@ class TestPrimality:
     def test_large_prime(self):
         assert is_prime(2**61 - 1)
         assert is_prime(RANK_PRIME)
+
+    def test_answers_only_below_the_proved_bound(self):
+        import sympy
+
+        # The least strong pseudoprime to the bases 2, ..., 37; base 41 finds it.
+        assert not is_prime(318_665_857_834_031_151_167_461)
+        assert is_prime(sympy.prevprime(MILLER_RABIN_BOUND))
+        # The bound itself passes every base up to 41, so it is refused, not called prime.
+        for p in (MILLER_RABIN_BOUND, MILLER_RABIN_BOUND + 2, 10**25 + 1):
+            with pytest.raises(TooLarge, match="^primality is proved only below 3317044064679887385961981$"):
+                is_prime(p)
 
 
 # residues._certify receives the rows of E^T and of F as dicts from column
