@@ -16,14 +16,17 @@ The central objects:
 
 - skew_normal_form reduces a skew matrix by a unimodular congruence
   E M E^T to a block diagonal of 2x2 blocks [[0, h], [-h, 0]] followed by a
-  zero block, with h_1 | h_2 | ... ; the h_i determine the PI degree. It
-  logs each step, a swap or a shear of two distinct indices, and each
-  shear touches only the nonzeros of its source row. The log is its
-  certificate: _replay applies the steps to a copy of M by code of its
-  own, and the result must be the reduced matrix cell for cell, in block
-  form with its divisibility chain. That proves E M E^T = S, and E is
-  unimodular by construction, with no transform built and no product. The
-  form keeps the log, and a reader replays only what it reads:
+  zero block, with h_1 | h_2 | ... ; the h_i determine the PI degree. Each
+  pivot is an entry of least size in the sparsest row and column that hold
+  one (after Markowitz, 1957), found from zero counts kept per row, and
+  each round of Euclidean shears at it is one congruence on the rows that
+  touch the two pivot rows, reading only nonzeros. It logs each step, a
+  swap or a shear of two distinct indices. The log is its certificate:
+  _replay applies the steps to a copy of M by code of its own, and the
+  result must be the reduced matrix cell for cell, in block form with its
+  divisibility chain. That proves E M E^T = S, and E is unimodular by
+  construction, with no transform built and no product. The form keeps
+  the log, and a reader replays only what it reads:
   extended_normal_form takes E 1 forward (_row_sums), and
   reps.qas_representation the first 2s columns of F = E^{-1} backward
   (_block_columns).
@@ -245,7 +248,8 @@ def _pair_swap(A: list[list[int]], log: list[int], i: int, j: int, live: int) ->
 
 
 def _pair_add(A: list[list[int]], log: list[int], dst: int, src: int, q: int, live: int) -> None:
-    """Congruence shear: row_dst += q * row_src, then col_dst += q * col_src.
+    """Congruence shear: row_dst += q * row_src, then col_dst += q * col_src;
+    the reduction's divisibility repair.
 
     Only the nonzeros of row src from `live` on are read, and only the
     matching entries of row dst and column dst are written: every other
@@ -262,6 +266,61 @@ def _pair_add(A: list[list[int]], log: list[int], dst: int, src: int, q: int, li
             row[k] = x
             A[k][dst] = -x
     log += (dst, src, q)
+
+
+def _pair_round(A: list[list[int]], log: list[int], p: int) -> list[int]:
+    """One round of Euclidean shears at the pivot a = A[p][p+1], as one
+    congruence; returns the live indices it touched, in increasing order.
+
+    Each live index k gets u_k = -(A[p][k] // a) times index p+1 and
+    v_k = -(A[p+1][k] // -a) times index p, which leaves the remainders in
+    rows p and p+1. These shears change only their own row and column, so
+    every quotient comes from rows p and p+1 as the round found them, the
+    shears commute, and the round is one congruence T A T^T. A live row k
+    changes only if A[p][k] or A[p+1][k] is nonzero, and becomes
+    A[k] + u_k A[p+1] + v_k A[p] + alpha_k U + beta_k V, with U and V the
+    rows of the u_k and v_k, alpha_k = A[k][p+1] + a v_k and
+    beta_k = A[k][p] - a u_k; rows p and p+1 become A[p] + a U and
+    A[p+1] - a V. The row steps come first, after which entries (k, p+1)
+    and (k, p) hold alpha_k and beta_k: minus the remainders, so zero when
+    a is a unit. Only the nonzeros of these four rows are read. The shears
+    are logged one by one, for each k in increasing order the one from
+    p+1 first.
+    """
+    top, bottom = A[p], A[p + 1]
+    a = top[p + 1]
+    touched = [k for k in range(p + 2, len(A)) if top[k] or bottom[k]]
+    from_top = [(p + 1, a), *[(k, top[k]) for k in touched if top[k]]]
+    from_bottom = [(p, -a), *[(k, bottom[k]) for k in touched if bottom[k]]]
+    U, V, rest = [], [], []
+    for k in touched:
+        u, v = -(top[k] // a), -(bottom[k] // -a)
+        row = A[k]
+        if u:
+            for j, y in from_bottom:
+                row[j] += u * y
+            log += (k, p + 1, u)
+            U.append((k, u))
+        if v:
+            for j, y in from_top:
+                row[j] += v * y
+            log += (k, p, v)
+            V.append((k, v))
+        if row[p] or row[p + 1]:
+            rest.append(row)
+    for row in rest:
+        alpha, beta = row[p + 1], row[p]
+        if alpha:
+            for j, y in U:
+                row[j] += alpha * y
+        if beta:
+            for j, y in V:
+                row[j] += beta * y
+    for k, u in U:
+        top[k] += a * u
+    for k, v in V:
+        bottom[k] -= a * v
+    return touched
 
 
 def _nonzeros(row, start: int = 0):
@@ -282,10 +341,12 @@ def _block_factors(S: list[list[int]], N: int = 0) -> tuple[int, ...]:
         s += 1
     factors = tuple(S[2 * i][2 * i + 1] for i in range(s))
     for i, row in enumerate(S):
-        expect = [0] * n
-        if i < 2 * s:
-            expect[i ^ 1] = -factors[i // 2] if i % 2 else factors[i // 2]
-        if row != expect:
+        # Row i holds one entry x at (i, j), nonzero in a block and zero past
+        # them, and zeros elsewhere: the zeros are counted in C.
+        j, x = (i ^ 1, -factors[i // 2] if i % 2 else factors[i // 2]) if i < 2 * s else (i, 0)
+        if row.count(0) != n - (x != 0) or row[j] != x:
+            expect = [0] * n
+            expect[j] = x
             j = next(j for j in range(n) if row[j] != expect[j])
             raise InternalVerificationFailed(f"block shape broken at ({i}, {j})")
     for i in range(s - 1):
@@ -345,36 +406,60 @@ def _certify_by_replay(M: SkewIntMatrix, S: list[list[int]], log: list[int]) -> 
     return factors
 
 
+def _pivot(A: list[list[int]], zeros: list[int], p: int, last: int) -> tuple[int, int] | None:
+    """The pivot (i, j) of the next block, with A[i][j] > 0 of least size,
+    in sparse rows; None when the live block is zero.
+
+    zeros[i] counts the zeros of row i, or is 0 if row i is zero. Every
+    live entry is a multiple of `last`, so an entry of size `last` is
+    least. The first such is taken in the first live row with the most
+    zeros that holds one, and in that row the first column whose row has
+    the most zeros (Markowitz, Management Sci. 3, 1957). When no entry has
+    size `last`, the first entry of least absolute value in row-major
+    order.
+    """
+    n = len(A)
+    most, i = 0, None
+    for k in range(p, n):
+        if zeros[k] > most and (last in A[k] or -last in A[k]):
+            most, i = zeros[k], k
+    if i is not None:
+        row = A[i]
+        j = max((j for j in range(p, n) if row[j] == last or row[j] == -last), key=zeros.__getitem__)
+        return (i, j) if row[j] > 0 else (j, i)
+    piv = None
+    least = 0
+    for i in range(p, n):
+        row = A[i]
+        for j in range(i + 1, n):
+            x = row[j]
+            if x and (not least or abs(x) < least):
+                piv, least = ((i, j) if x > 0 else (j, i)), abs(x)
+    return piv
+
+
 def _reduce(M: SkewIntMatrix) -> tuple[list[list[int]], list[int]]:
     """The reduced matrix and the log of skew_normal_form's reduction of M."""
     n = M.n
     A = M.to_lists()
+    # zeros[k] counts the zeros of row k, and a zero row counts 0, since it
+    # holds no pivot (every other row has between 1 and n - 1). A swap
+    # exchanges two counts, and each round recounts the rows it wrote.
+    zeros = [row.count(0) % n for row in A]
     log: list[int] = []
+
+    def swap(i: int, j: int) -> None:
+        _pair_swap(A, log, i, j, p)
+        zeros[i], zeros[j] = zeros[j], zeros[i]
+
     p = 0
-    # The last block's factor divides every live entry: the scan proved it, and
-    # congruences keep it. So a pivot of that size (or 1, before any block) needs no scan.
+    # The last block's factor divides every live entry: the check below proves
+    # it for a new factor, and congruences keep it.
     last = 1
-    while True:
-        # The first entry of least absolute value in row-major order. A is
-        # skew, so it lies above the diagonal, and an entry of absolute
-        # value 1 ends the search.
-        piv = None
-        least = 0
-        for i in range(p, n):
-            row = A[i]
-            for j in range(i + 1, n):
-                x = row[j]
-                if x and (not least or abs(x) < least):
-                    piv, least = (i, j), abs(x)
-                    if least == 1:
-                        break
-            if least == 1:
-                break
-        if piv is None:
-            break
+    while (piv := _pivot(A, zeros, p, last)) is not None:
         i, j = piv
-        _pair_swap(A, log, i, p, p)
-        _pair_swap(A, log, j, p + 1, p)
+        swap(i, p)
+        swap(i if j == p else j, p + 1)
         # Each round either shrinks |pivot| or ends, and a divisibility
         # repair is followed by a shrinking round, so the loop terminates;
         # a step that breaks this raises instead of looping.
@@ -383,23 +468,15 @@ def _reduce(M: SkewIntMatrix) -> tuple[list[list[int]], list[int]]:
             a = A[p][p + 1]
             if a == 0:
                 raise InternalVerificationFailed("lost the pivot")
-            # b goes to b - c a with c = b // a, which leaves the remainder.
-            for k in range(p + 2, n):
-                b = A[p][k]
-                if b:
-                    _pair_add(A, log, k, p + 1, -(b // a), p)
-                b = A[p + 1][k]
-                if b:
-                    _pair_add(A, log, k, p, -(b // -a), p)
-            rem = next(
-                ((r, k) for k in range(p + 2, n) for r in (p, p + 1) if A[r][k]),
-                None,
-            )
+            touched = _pair_round(A, log, p)
+            for k in (p, p + 1, *touched):
+                zeros[k] = A[k].count(0) % n
+            rem = next(((r, k) for k in touched for r in (p, p + 1) if A[r][k]), None)
             if rem is not None:
                 r, k = rem
                 if not 0 < abs(A[r][k]) < abs(a):
                     raise InternalVerificationFailed("the pivot did not shrink")
-                _pair_swap(A, log, k, p + 1 if r == p else p, p)
+                swap(k, p + 1 if r == p else p)
                 repaired = False
                 continue
             if repaired:
@@ -407,16 +484,14 @@ def _reduce(M: SkewIntMatrix) -> tuple[list[list[int]], list[int]]:
             viol = None
             g = abs(a)
             if g != last:
-                for i2 in range(p + 2, n):
-                    if any(A[i2][j2] % g for j2 in range(i2 + 1, n)):
-                        viol = i2
-                        break
+                # The first live row with a non-multiple of g above the diagonal.
+                viol = next((k for k in range(p + 2, n) if any(map(g.__rmod__, A[k][k + 1:]))), None)
             if viol is None:
                 break
             _pair_add(A, log, p, viol, 1, p)
             repaired = True
         if A[p][p + 1] < 0:
-            _pair_swap(A, log, p, p + 1, p)
+            swap(p, p + 1)
         last = g
         p += 2
     return A, log
@@ -425,12 +500,15 @@ def _reduce(M: SkewIntMatrix) -> tuple[list[list[int]], list[int]]:
 def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
     """Reduce a skew matrix to its canonical block form by unimodular congruence.
 
-    Pivot selection is by minimal absolute value over the live block;
-    Euclidean shears shrink the pivot until its two rows are clean, then a
-    divisibility repair folds any non-multiple of the pivot back in. Every
-    remainder swapped in as the pivot must be smaller than it, and every
-    repair must leave one, so the reduction ends; a step that breaks this
-    raises InternalVerificationFailed instead of looping. The steps are
+    Each block's pivot is an entry of least absolute value over the live
+    block, in the live row with the most zeros and, in that row, the column
+    with the most zeros (_pivot), so that shears copy few nonzeros.
+    Rounds of Euclidean shears, each one congruence (_pair_round), shrink
+    the pivot until its two rows are clean, then a divisibility repair
+    folds any non-multiple of the pivot back in. The pivot starts least,
+    every remainder swapped in as the pivot must be smaller than it, and
+    every repair must leave one, so the reduction ends; a step that breaks
+    this raises InternalVerificationFailed instead of looping. The steps are
     logged (transform tracking as in Kannan and Bachem, SIAM J. Comput. 8,
     1979), and the log is the certificate: replayed on M by code of its
     own, it must give the reduced matrix cell for cell, and that matrix

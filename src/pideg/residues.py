@@ -1,8 +1,9 @@
 """The congruence form of a skew matrix mod N, on packed residue rows.
 
 intlinalg._residue_factors reads PI degrees off this form, after its
-certificate: _residue_reduce runs the reduction of intlinalg._reduce mod N,
-a round at one pivot as one congruence on whole rows, and
+certificate: _residue_reduce runs the rounds of intlinalg._reduce mod N,
+with a pivot rule of its own, a round at one pivot as one congruence on
+whole rows, and
 _residue_transforms replays its log into the rows of E^T and F = E^{-1}.
 Both hold each row as one int of fixed-width slots (_ResidueRows), so a
 step is a few multiply-adds of whole rows, and a Barrett step takes every

@@ -18,10 +18,12 @@ chain of two certificates proves to be those of extend(M)), the
 transforms are replayed from the congruence log over whole dense rows
 (production replays sparse rows, touching only their nonzeros, and mod N
 packed rows), the shear of the reduction rewrites whole live rows and
-columns (production visits only the nonzeros of its source row), the
-reduction mod N applies its shears one at a time to dense lists
-(production applies each round's shears as one congruence on packed rows),
-the PI degree oracles count group
+columns (production visits only the nonzeros of its source row), a round
+of the reduction over Z applies its shears one at a time with that shear
+(production applies them as one congruence on the rows that touch the
+pivot rows), the reduction mod N applies its shears one at a time to
+dense lists (production applies each round's shears as one congruence on
+packed rows), the PI degree oracles count group
 orders directly, and irreducibility is decided by Burnside's criterion,
 growing the F_p span of the words in the generator images, or by counting
 the commutant of the images orbit by orbit of index pairs (production
@@ -421,6 +423,23 @@ def dense_pair_add(A: list[list[int]], log: list[int], dst: int, src: int, q: in
     for r in range(live, len(A)):
         A[r][dst] = -row[r]
     log += (dst, src, q)
+
+
+def dense_round(A: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """The Euclidean round of a skew reduction at the pivot a = A[p][p+1],
+    one shear at a time: for each live index k in turn, dense_pair_add
+    shears k by -(A[p][k] // a) times index p+1 and then by
+    -(A[p+1][k] // -a) times index p, each quotient read just before its
+    shear. Returns a copy of A after the round and the round's log; A is
+    not changed.
+    """
+    A = [row[:] for row in A]
+    log: list[int] = []
+    a = A[p][p + 1]
+    for k in range(p + 2, len(A)):
+        dense_pair_add(A, log, k, p + 1, -(A[p][k] // a), p)
+        dense_pair_add(A, log, k, p, -(A[p + 1][k] // -a), p)
+    return A, log
 
 
 def one_perp(rows) -> bool:

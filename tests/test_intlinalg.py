@@ -53,6 +53,7 @@ from tests.oracles import (
     congruence_certificate_holds,
     dense_form,
     dense_pair_add,
+    dense_round,
     dense_transforms,
     determinant,
     extended_transforms,
@@ -419,6 +420,14 @@ class TestSkewNormalForm:
         for a, b in zip(snf.invariant_factors, snf.invariant_factors[1:]):
             assert b % a == 0
 
+    def test_sparse_pivots_bound_the_steps_on_all_white_boards(self):
+        # Pivots in the sparsest rows and columns keep the log at most
+        # 1.37 k^3 steps on the all-white k x k board for k <= 12; the first
+        # least entry in row-major order takes 361 steps at k = 6, past 324.
+        for k in range(1, 13):
+            steps = len(skew_normal_form(matrix_from_diagram(all_white(k, k))).log) // 3
+            assert 2 * steps <= 3 * k**3, (k, steps)
+
     def test_inverse_transform_round_trip(self, fig_diagram):
         import sympy
 
@@ -526,28 +535,38 @@ class TestSparseReplay:
         assert intlinalg._block_columns([], 0, 0) == ()
 
 
-def _logs_and_forms(M: SkewIntMatrix):
-    """The logs of M's reduction and of the bordered one of its extended
-    form, and the factors, kernel dimension, E and F of both forms."""
-    snf = skew_normal_form(M)
-    ext = extended_normal_form(snf)
-    logs = [list(f.log) for f in (snf, ext)]
-    forms = [dense_form(f) for f in (snf, ext)]
-    return logs, forms
+def _assert_rounds_match_the_dense_oracle(M: SkewIntMatrix) -> None:
+    """Each round of M's reduction, and of the bordered one of its extended
+    form, logs the shears of tests/oracles.dense_round and leaves A as they
+    leave it, applied one at a time by the dense shear; each divisibility
+    repair leaves A as the dense shear of its logged step does."""
+    round_, shear = intlinalg._pair_round, intlinalg._pair_add
+    rounds = 0
 
+    def checked_round(A, log, p):
+        nonlocal rounds
+        start, expect = len(log), dense_round(A, p)
+        touched = round_(A, log, p)
+        assert (A, log[start:]) == expect
+        rounds += 1
+        return touched
 
-def _assert_shear_matches_the_dense_oracle(M: SkewIntMatrix) -> None:
-    """The reductions take the same steps, and give the same forms, with
-    the shear of tests/oracles.py, which rewrites whole dense rows."""
-    sparse = _logs_and_forms(M)
+    def checked_shear(A, log, dst, src, q, live):
+        start, expect, dense_log = len(log), [row[:] for row in A], []
+        shear(A, log, dst, src, q, live)
+        dense_pair_add(expect, dense_log, dst, src, q, live)
+        assert (A, log[start:]) == (expect, dense_log)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(intlinalg, "_pair_add", dense_pair_add)
-        dense = _logs_and_forms(M)
-    assert sparse == dense
+        patch.setattr(intlinalg, "_pair_round", checked_round)
+        patch.setattr(intlinalg, "_pair_add", checked_shear)
+        extended_normal_form(skew_normal_form(M))
+    assert rounds or not any(map(any, M.rows))
 
 
 class TestSparseShear:
-    """_pair_add against the dense shear of tests/oracles.py, step for step."""
+    """Each round, one congruence, against its shears applied one at a time
+    by the dense shear of tests/oracles.py."""
 
     def test_exhaustive_boards(self):
         from pideg.sweep import exhaustive_diagrams
@@ -557,24 +576,24 @@ class TestSparseShear:
             M = matrix_from_diagram(d)
             distinct.setdefault(M.rows, M)
         for M in distinct.values():
-            _assert_shear_matches_the_dense_oracle(M)
+            _assert_rounds_match_the_dense_oracle(M)
 
     def test_criterion_10_matrices(self):
         for M in criterion_10_matrices():
-            _assert_shear_matches_the_dense_oracle(M)
+            _assert_rounds_match_the_dense_oracle(M)
 
     @settings(deadline=None, max_examples=60)
     @given(skew_matrices)
     def test_any_skew_matrix(self, M):
-        _assert_shear_matches_the_dense_oracle(M)
+        _assert_rounds_match_the_dense_oracle(M)
 
     def test_dense_random_matrices(self):
         rng = random.Random(4_141)
         for _ in range(40):
-            _assert_shear_matches_the_dense_oracle(random_skew(rng, rng.randrange(16, 41)))
+            _assert_rounds_match_the_dense_oracle(random_skew(rng, rng.randrange(16, 41)))
 
     def test_empty_matrix(self):
-        _assert_shear_matches_the_dense_oracle(SkewIntMatrix(()))
+        _assert_rounds_match_the_dense_oracle(SkewIntMatrix(()))
 
 
 def replay_boards() -> list[SkewIntMatrix]:
@@ -596,7 +615,7 @@ def _reduce_then(patch: pytest.MonkeyPatch, tamper) -> None:
 
 class TestReplayCertificate:
     """Over Z the replay of the log is the whole certificate: each of these
-    mutations of the log, or of the reduction's shear, raises."""
+    mutations of the log, or of the reduction's round, raises."""
 
     def test_a_step_with_i_equal_to_j_is_refused(self):
         for M in replay_boards():
@@ -654,18 +673,21 @@ class TestReplayCertificate:
 
     def test_a_shear_that_skips_its_last_live_column_is_caught_by_the_replay(self, monkeypatch):
         # The reduction still ends in block form on its own wrong matrix;
-        # only the replay, which does not call _pair_add, sees that the log
-        # does not take M there.
-        shear = intlinalg._pair_add
+        # only the replay, which calls no step of the reduction, sees that
+        # the log does not take M there. In the round, the shear into each
+        # live index k below the last leaves entry (k, last) as it was.
+        round_ = intlinalg._pair_round
 
-        def skipping_shear(A, log, dst, src, q, live):
+        def skipping_round(A, log, p):
             last = len(A) - 1
-            kept = A[dst][last]
-            shear(A, log, dst, src, q, live)
-            if dst != last:
-                A[dst][last], A[last][dst] = kept, -kept
+            kept = [row[last] for row in A]
+            touched = round_(A, log, p)
+            for k in touched:
+                if k != last:
+                    A[k][last], A[last][k] = kept[k], -kept[k]
+            return touched
 
-        monkeypatch.setattr(intlinalg, "_pair_add", skipping_shear)
+        monkeypatch.setattr(intlinalg, "_pair_round", skipping_round)
         for M in replay_boards():
             with pytest.raises(InternalVerificationFailed, match="differs from the reduced matrix"):
                 skew_normal_form(M)
@@ -675,6 +697,7 @@ class TestReplayCertificate:
             raise AssertionError("the replay called a step of the reduction")
 
         forms = [(M, *intlinalg._reduce(M)) for M in replay_boards()]
+        monkeypatch.setattr(intlinalg, "_pair_round", refused)
         monkeypatch.setattr(intlinalg, "_pair_add", refused)
         monkeypatch.setattr(intlinalg, "_pair_swap", refused)
         for M, A, log in forms:

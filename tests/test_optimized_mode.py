@@ -114,25 +114,34 @@ expect(
 )
 residues._residue_transforms = residue_transforms
 
-# A shear that skips its column write leaves the remainders in place; the
-# reduction raises instead of looping forever.
-shear = intlinalg._pair_add
+# A round that writes the rows of its shears but not their columns leaves
+# the remainders in place; the reduction raises instead of looping forever.
+round_ = intlinalg._pair_round
 
 
-def shear_without_column(A, log, dst, src, q, live):
-    row = A[dst]
-    row[live:] = [x + q * y for x, y in zip(row[live:], A[src][live:])]
-    row[dst] = 0
-    log += (dst, src, q)
+def round_without_columns(A, log, p):
+    top, bottom = A[p], A[p + 1]
+    a = top[p + 1]
+    touched = [k for k in range(p + 2, len(A)) if top[k] or bottom[k]]
+    for k in touched:
+        u, v = -(top[k] // a), -(bottom[k] // -a)
+        row = A[k]
+        row[p:] = [x + u * y + v * z for x, y, z in zip(row[p:], bottom[p:], top[p:])]
+        row[k] = 0
+        log += (k, p + 1, u) if u else ()
+        log += (k, p, v) if v else ()
+    return touched
 
 
-intlinalg._pair_add = shear_without_column
+intlinalg._pair_round = round_without_columns
 expect(
     InternalVerificationFailed,
     intlinalg.skew_normal_form,
     matrix_from_diagram(diagram_from_text(".#.#.\n.#...\n###..")),
     match="the pivot did not shrink",
 )
+intlinalg._pair_round = round_
+shear = intlinalg._pair_add
 
 
 # A divisibility repair (the only shear into the pivot row) that does
