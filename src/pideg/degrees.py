@@ -38,12 +38,9 @@ from .errors import (
     InternalVerificationFailed,
 )
 from .intlinalg import (
-    RANK_PRIME,
     CycleKernelVector,
     SkewIntMatrix,
     SkewNormalForm,
-    _primes,
-    _proved_rank,
     _residue_factors,
     cycle_kernel_vectors,
     cycle_sum,
@@ -147,20 +144,17 @@ def pi_degree_qas(M: SkewIntMatrix, ell: int) -> PiDegree:
     ell / gcd(h_i, ell) over M's invariant factors h_1 | ... | h_s. M's form
     over Z/N, N = ell * RANK_PRIME, certified mod N, has blocks a_1, ..., a_t
     with gcd(a_i, ell) = gcd(h_i, ell), and N | h_i for i > t
-    (intlinalg._residue_factors). When 2t < 2 (n // 2), the rank 2s is proved
-    from ranks mod primes descending from 2^31 - 1 against a Hadamard bound
-    (intlinalg._proved_rank), and each of the s - t blocks past the form
-    counts as gcd(h_i, ell) = ell. The form mod N is reduced, and its
-    transforms replayed, on rows packed as ints of residue slots, so no entry
-    grows past N and each step is a multiply-add of whole rows.
+    (intlinalg._residue_factors). So t = n // 2 blocks prove the rank, and
+    the degree is read off them. A shorter form settles no rank, and M is
+    handed over to the certified form over Z (skew_normal_form), whose
+    factors answer. The form mod N is reduced, and its transforms replayed,
+    on rows packed as ints of residue slots, so no entry grows past N and
+    each step is a multiply-add of whole rows.
     """
     check_ell(ell)
     factors = _residue_factors(M, ell)
-    top = M.n // 2 * 2
-    if 2 * len(factors) < top:
-        # Word-sized primes, so that a handful passes the bound.
-        rank = _proved_rank(M.rows, top, _primes(2**31 - 1, -2))
-        factors += (ell * RANK_PRIME,) * (rank // 2 - len(factors))
+    if len(factors) < M.n // 2:
+        factors = skew_normal_form(M).invariant_factors
     return pi_degree_from_factors(factors, ell)
 
 
@@ -376,14 +370,14 @@ class DiagramFacts:
     `snf` replayed forward on the ones vector, and no row of E is built.
     It has the factors and kernel dimension of extend(M(D)) and the log of
     the bordered S, and both reductions certify themselves by replaying
-    their logs. pi_degree
-    and extended_pi_degree are the generic route's PI degrees of the two
-    matrices, read from their invariant factors. `cycle_vectors` are the
-    kernel vectors of the even cycles of tau, which
-    cycle_kernel_vectors proves independent. `one_perp` says whether every
-    kernel vector sums to zero; it first checks that the cycle vectors are
-    as many as the kernel dimension, which makes them a basis of the
-    rational kernel, and then reads their sums. A fact nobody reads is
+    their logs. pi_degree and extended_pi_degree are the generic route's PI
+    degrees of the two matrices, read from their invariant factors.
+    `cycle_vectors` are the kernel vectors of the even cycles of tau, which
+    cycle_kernel_vectors proves independent by their Gram minors (all
+    positive). `one_perp` says whether every kernel vector sums to zero; it
+    first checks that the cycle vectors are as many as the kernel
+    dimension, which makes them a basis of the rational kernel, and then
+    reads their sums. A fact nobody reads is
     never computed: the cycle vectors alone need no normal form, and a
     record made from a builder of the diagram, such as
     partial(young_diagram, shape), builds the board only when a fact needs it.

@@ -54,13 +54,10 @@ The central objects:
   a column with no unit splits m (dynamic evaluation), and the
   elimination goes on mod each factor. It builds no kernel basis and
   updates only the support of each pivot row.
-  _proved_rank proves the rank over Q from ranks mod primes against a
-  Hadamard bound: for the cycle vectors below, and for a bare matrix whose
-  form mod N is short.
 
 - cycle_kernel_vectors realizes the kernel of M(D) combinatorially from the
   even-length cycles of the toric permutation, and proves the vectors
-  independent by ranks mod p.
+  independent by the Gram minors of their fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -159,10 +156,10 @@ def matrix_from_diagram(d: Diagram) -> SkewIntMatrix:
 
 # q in the modulus N = ell q of _residue_factors: mod ell, an invariant factor
 # that ell divides would leave no block; mod ell q, only one that ell q divides,
-# about once in q for a full-rank matrix, and pi_degree_qas then proves the rank
-# from primes instead. So q need not be large, and at 2^13 - 1 every residue
-# mod N is below 2^16 for ell <= 8: a slot of residues._ResidueRows is one
-# 64-bit word up to n = 256, and a certificate product mod N is below 2^32.
+# about once in q for a full-rank matrix, and pi_degree_qas then reduces over Z
+# instead. So q need not be large, and at 2^13 - 1 every residue mod N is below
+# 2^16 for ell <= 8: a slot of residues._ResidueRows is one 64-bit word up to
+# n = 256, and a certificate product mod N is below 2^32.
 RANK_PRIME = 2**13 - 1
 
 
@@ -530,10 +527,11 @@ def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...]:
     (Newman, Integral Matrices, 1972, ch. II): gcd(a_i, N) = gcd(h_i, N) for M's
     invariant factors h_i, and N | h_i past the blocks (h_i = 0 too). So the s
     blocks prove rank at least 2s, and exactly 2s when s = n // 2; a shorter
-    form leaves the rank to _proved_rank. The reduction and the replay run on
-    packed residue rows (residues._residue_reduce and
-    residues._residue_transforms), and residues._certify checks E F = I and
-    M E^T = F S mod N on the dict rows of the replay.
+    form settles no rank, and pi_degree_qas hands M over to skew_normal_form.
+    The reduction and the replay run on packed residue rows
+    (residues._residue_reduce and residues._residue_transforms), and
+    residues._certify checks E F = I and M E^T = F S mod N on the dict rows
+    of the replay.
     """
     # Imported on first use, so that the commands that reduce only over Z do not load it.
     from .residues import _certify, _residue_reduce, _residue_transforms
@@ -691,51 +689,29 @@ def _ranks_mod(A, m: int, rank: int, start: int) -> list[tuple[int, int, list[in
     return [(m, rank + r, A[R])]
 
 
-def _primes(p: int, step: int):
-    """The primes among p, p + step, p + 2 step, ..., in that order."""
-    while True:
-        if is_prime(p):
-            yield p
-        p += step
-
-
-def _proved_rank(rows, top: int, primes) -> int:
-    """The rank over Q of an integer matrix, given as rows, proved from its
-    ranks mod primes; `top` bounds the rank.
-
-    Every prime p gives rank_Q >= rank_p, so r is the largest rank seen.
-    Each prime tried then divides every (r + 1)-minor, and Hadamard bounds
-    such a minor by the product of the r + 1 largest row norms, so once the
-    product of the primes exceeds that bound, every (r + 1)-minor is zero
-    and the rank is r (Dumas, Saunders and Villard, J. Symb. Comput. 32,
-    2001). The primes are taken in the given order until then, or until
-    r = top.
-    """
-    norms = sorted((sum(x * x for x in row) for row in rows), reverse=True)
-    r, modulus = 0, 1
-    primes = iter(primes)
-    while r < top and modulus * modulus <= prod(norms[:r + 1]):
-        p = next(primes)
-        r = max(r, ranks_mod(rows, (p,))[0][0])
-        modulus *= p
-    return r
-
-
 def _prove_independent(vectors) -> None:
     """Prove integer vectors linearly independent over Q; raise
     InternalVerificationFailed if they are dependent.
 
-    Full rank mod p proves it: some maximal minor is then nonzero mod p,
-    hence nonzero. Primes 3, 5, 7, ... are tried in turn, until one gives
-    full rank or _proved_rank proves a smaller rank. Small primes, since
-    one almost always gives full rank here: primes near 2^31 cost a
-    Miller-Rabin test each and a slower elimination.
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on the Gram
+    matrix G = V V^T, without pivoting: its k-th pivot is the leading
+    k-minor of G, the Gram determinant of the first k vectors, which is
+    positive exactly when they are independent. So every pivot must be
+    positive, and every division is exact.
     """
-    rank = _proved_rank(vectors, len(vectors), _primes(3, 2))
-    if rank < len(vectors):
-        raise InternalVerificationFailed(
-            f"the {len(vectors)} vectors are dependent: their rank is {rank}"
-        )
+    G = [[sum(map(mul, u, v)) for v in vectors] for u in vectors]
+    last = 1
+    for k, top in enumerate(G):
+        pivot = top[k]
+        if pivot <= 0:
+            raise InternalVerificationFailed(
+                f"the {len(vectors)} vectors are dependent: the Gram minor of the first {k + 1} is {pivot}"
+            )
+        for row in G[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, len(G)):
+                row[j] = (pivot * row[j] - f * top[j]) // last
+        last = pivot
 
 
 @dataclass(frozen=True)
@@ -757,7 +733,7 @@ def cycle_kernel_vectors(
     """Kernel vectors of M(D), one per even-length cycle of the toric permutation.
 
     Each vector is checked to lie in ker M(D), and the set is proved
-    independent over Q by its ranks mod p (_prove_independent).
+    independent over Q by its Gram minors (_prove_independent).
     The number of even-length cycles equals the nullity of M(D), so they
     are a basis of the rational kernel; a caller holding the nullity
     checks the count. A caller that already holds tau = toric_permutation(d)

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from math import gcd, lcm
 from operator import mul
 
 from .degrees import check_ell, pi_degree_from_factors, smallest_prime_factor
 from .errors import BadRange, InternalVerificationFailed, TooLarge, ZeroDim
-from .intlinalg import SkewIntMatrix, _block_columns, _primes, ranks_mod, skew_normal_form
+from .intlinalg import SkewIntMatrix, _block_columns, is_prime, ranks_mod, skew_normal_form
 
 
 @dataclass(frozen=True)
@@ -275,7 +276,7 @@ def _pairing_violation(h: tuple[int, ...], exponents, M: SkewIntMatrix) -> tuple
 def least_prime_1_mod(ell: int) -> int:
     """The least prime p with ell | p - 1, the smallest field F_p holding a q
     of order ell: the field `pideg rep --irreducible` names."""
-    return next(_primes(check_ell(ell) + 1, ell))
+    return next(p for p in count(check_ell(ell) + 1, ell) if is_prime(p))
 
 
 def irreducibility_check(rep: QASRepresentation) -> bool:

@@ -240,11 +240,12 @@ def _residue_reduce(M: SkewIntMatrix, N: int) -> tuple[list[list[int]], list[int
 
 
 def _residue_transforms(log: list[int], n: int, N: int) -> tuple[list[dict[int, int]], ...]:
-    """intlinalg._transforms mod N: the rows of E^T and of F = E^{-1} as
-    dicts of their nonzero residues, in [0, N).
+    """The rows of E^T and of F = E^{-1} mod N, as dicts of their nonzero
+    residues, in [0, N).
 
-    The same backward replay, on the packed rows of _ResidueRows, so each
-    shear is one multiply-add of a whole row.
+    The log replayed backward, each step inverted, as
+    intlinalg._block_columns replays F over Z, on the packed rows of
+    _ResidueRows, so each shear is one multiply-add of a whole row.
     """
     Et, F = _ResidueRows(N, n), _ResidueRows(N, n)
     steps = reversed(log)

@@ -1,9 +1,13 @@
 """The package's export list matches what it defines, every public name has a
-reader, and every private helper has a caller."""
+reader, every private helper has a caller, and every module attribute the
+docs name exists."""
 
 import ast
 import builtins
+import importlib
+import io
 import re
+import tokenize
 import types
 from collections import Counter
 from pathlib import Path
@@ -255,3 +259,35 @@ def test_every_refusal_has_one_raise_site():
                     and call.func.id in refusals and call.args):
                 sites.setdefault(ast.unparse(call.args[0]), []).append(f"{path.name}:{node.lineno}")
     assert {message: where for message, where in sites.items() if len(where) > 1} == {}
+
+
+# A dotted name such as residues._certify, after a module of the package; a
+# file name such as residues.py is no attribute.
+DOTTED = re.compile(r"\b(intlinalg|residues|reps|degrees|diagrams|pipedreams|sweep|cli)\.(?!py\b)([A-Za-z_]\w*)")
+
+
+def _docs():
+    """(place, text) of each docstring and comment of the package, and of
+    the README."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if ast.get_docstring(node) is not None:
+                    yield f"{path.name}:{node.body[0].lineno}", node.body[0].value.value
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.COMMENT:
+                yield f"{path.name}:{token.start[0]}", token.string
+    yield "README.md", (PACKAGE.parent.parent / "README.md").read_text()
+
+
+def test_every_dotted_name_in_the_docs_resolves():
+    # A docstring, comment or README line that names module.attribute for a
+    # function since renamed or deleted points the reader at nothing.
+    missing = [
+        f"{place}: {match[0]}"
+        for place, text in _docs()
+        for match in DOTTED.finditer(text)
+        if not hasattr(importlib.import_module(f"pideg.{match[1]}"), match[2])
+    ]
+    assert missing == []

@@ -3,7 +3,7 @@
 import dataclasses
 import random
 import re
-from itertools import islice, product
+from itertools import product
 from math import gcd, prod
 from types import SimpleNamespace
 
@@ -772,25 +772,40 @@ def _record_replay_moduli(monkeypatch) -> list[int]:
 RESIDUE_ELLS = (*range(2, 13), 30, 36, RANK_PRIME, 2 * RANK_PRIME, 10**24 + 7)
 
 
-def _never_over_z(patch: pytest.MonkeyPatch) -> None:
-    """Make every normal form over Z, and every replay over Z, fail the test."""
+def _refuse_ranks_mod(patch: pytest.MonkeyPatch) -> None:
+    """Make every rank mod p, through ranks_mod or its elimination, fail the test."""
 
     def refused(*args):
-        raise AssertionError("pi_degree_qas reduced over Z")
+        raise AssertionError("a rank mod p was taken")
 
-    for module in (intlinalg, degrees):
-        patch.setattr(module, "skew_normal_form", refused)
-    patch.setattr(intlinalg, "_replay", refused)
+    patch.setattr(intlinalg, "ranks_mod", refused)
+    patch.setattr(intlinalg, "_ranks_mod", refused)
 
 
-def _assert_residue_route_agrees(M: SkewIntMatrix) -> None:
-    """At every ell of RESIDUE_ELLS, the certified form mod N = ell q has
-    the factors gcd(h_i, N) of the invariant factors h_i over Z, and
-    pi_degree_qas equals the degree read from the h_i in every field,
-    without a normal form over Z."""
+def _record_forms_over_z(patch: pytest.MonkeyPatch) -> list[SkewIntMatrix]:
+    """Record the matrix of every normal form over Z that pi_degree_qas
+    takes, and make every rank mod p fail the test; return the record."""
+    forms = []
+    reduce = degrees.skew_normal_form
+
+    def spy(M):
+        forms.append(M)
+        return reduce(M)
+
+    patch.setattr(degrees, "skew_normal_form", spy)
+    _refuse_ranks_mod(patch)
+    return forms
+
+
+def _assert_residue_route_agrees(M: SkewIntMatrix, ells=RESIDUE_ELLS) -> None:
+    """At every ell of `ells`, the certified form mod N = ell q has the
+    factors gcd(h_i, N) of the invariant factors h_i over Z, and
+    pi_degree_qas equals the degree read from the h_i in every field. It
+    reduces M over Z, one form and one replay, exactly when the form mod N
+    has fewer than n // 2 blocks, never otherwise, and takes no rank mod p."""
     h = skew_normal_form(M).invariant_factors
     certify = residues._certify
-    for ell in RESIDUE_ELLS:
+    for ell in ells:
         N = ell * RANK_PRIME
         seen = []
 
@@ -800,11 +815,14 @@ def _assert_residue_route_agrees(M: SkewIntMatrix) -> None:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(residues, "_certify", certify_spy)
-            _never_over_z(patch)
+            moduli = _record_replay_moduli(patch)
+            forms = _record_forms_over_z(patch)
             got = pi_degree_qas(M, ell)
         expected = pi_degree_from_factors(h, ell)
         assert got == expected and repr(got) == repr(expected), (M.rows, ell)
         [factors] = seen
+        short = len(factors) < M.n // 2
+        assert moduli == [N] + [0] * short and forms == [M] * short, (M.rows, ell)
         g = [gcd(a, N) for a in factors]
         assert g == [gcd(x, N) for x in h[:len(g)]], (M.rows, ell)
         assert all(gcd(x, N) == N for x in h[len(g):]), (M.rows, ell)
@@ -849,16 +867,20 @@ class TestResidueForm:
         assert pi_degree_qas(_block_diagonal(h, 4), ell) == pi_degree_from_factors(h, ell)
         assert moduli == [ell * RANK_PRIME]
 
-    def test_a_short_form_proves_its_rank_from_primes(self, monkeypatch):
+    def test_a_short_form_hands_over_to_the_form_over_z(self, monkeypatch):
         # Rank 2 of 4, and rank 4 of 4 with a factor that ell q divides:
-        # both forms mod N have one block, which settles no rank, so the
-        # rank is proved from primes and only the form mod N is replayed.
+        # both forms mod N have one block, which settles no rank, so each
+        # matrix is reduced and replayed over Z after its form mod N.
         moduli = _record_replay_moduli(monkeypatch)
+        forms = _record_forms_over_z(monkeypatch)
+        matrices = []
         for h, degree in (((1,), (1, 1, (5,))), ((1, 5 * RANK_PRIME), (2, 5, (5, 1)))):
-            pi = pi_degree_qas(_block_diagonal(h, 4), 5)
+            matrices.append(_block_diagonal(h, 4))
+            pi = pi_degree_qas(matrices[-1], 5)
             assert (pi.exponent, pi.divisor, pi.factors) == degree
             assert repr(pi) == repr(pi_degree_from_factors(h, 5))
-        assert moduli == [5 * RANK_PRIME] * 2
+        assert moduli == [5 * RANK_PRIME, 0] * 2
+        assert forms == matrices
 
     def test_a_pivot_clears_what_its_gcd_with_n_divides_in_one_shear(self):
         # gcd(2, 3q) = 1 divides 3, so one shear by c = 3 / 2 mod 3q clears
@@ -886,13 +908,14 @@ class TestResidueForm:
                 assert all(0 < x < N for side in rows for row in side for x in row.values())
 
     def test_empty_tiny_and_zero_matrices(self, monkeypatch):
-        # A zero matrix has a zero Hadamard bound, so its rank 0 needs no prime.
-        primes = _record_primes(monkeypatch)
-        for n in (0, 1, 2, 5, 6):
-            M = SkewIntMatrix(tuple((0,) * n for _ in range(n)))
+        # No block is the full form for n < 2; from n = 2 on, a zero matrix
+        # has a short form mod N, and the form over Z reads its rank 0.
+        forms = _record_forms_over_z(monkeypatch)
+        zeros = [SkewIntMatrix(tuple((0,) * n for _ in range(n))) for n in (0, 1, 2, 5, 6)]
+        for M in zeros:
             assert intlinalg._residue_factors(M, 5) == ()
             assert pi_degree_qas(M, 5) == pi_degree_from_factors((), 5)
-        assert primes == []
+        assert forms == zeros[2:]
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -921,65 +944,55 @@ class TestResidueForm:
 
 
 class TestRankProof:
-    """A short form mod N gets its rank from primes, never from the form over Z."""
+    """A short form mod N hands over to the form over Z, which reads the rank."""
 
-    def test_a_rank_deficient_matrix_needs_no_form_over_z(self, monkeypatch):
+    def test_a_rank_deficient_matrix_takes_the_form_over_z(self, monkeypatch):
         # A 40 x 40 X diag(h) X^T of rank 36, h = (1, 2, 3) six times.
         M = _low_rank_skew(random.Random(36), 40, [1, 2, 3] * 6)
         h = skew_normal_form(M).invariant_factors
         assert len(h) == 18
-        primes = _record_primes(monkeypatch)
         moduli = _record_replay_moduli(monkeypatch)
-        _never_over_z(monkeypatch)
+        forms = _record_forms_over_z(monkeypatch)
         for ell in range(2, 13):
             got = pi_degree_qas(M, ell)
             assert repr(got) == repr(pi_degree_from_factors(h, ell)), ell
-        assert moduli == [ell * RANK_PRIME for ell in range(2, 13)]
-        # Each proof takes the primes below 2^31 in turn, and stops at the
-        # first whose running product passes the Hadamard bound of the 37-minors.
-        proof = primes[:len(primes) // 11]
-        assert primes == proof * 11
-        assert proof[0] == 2**31 - 1 and proof == sorted(proof, reverse=True)
-        assert all(is_prime(p) for p in proof)
-        assert not any(is_prime(p) for p in range(proof[-1] + 2, proof[0], 2) if p not in proof)
-        bound_sq = prod(sorted((sum(x * x for x in row) for row in M.rows), reverse=True)[:37])
-        assert prod(proof[:-1]) ** 2 <= bound_sq < prod(proof) ** 2
+        # Each form mod N has at most 18 of the 20 blocks, so each ell
+        # replays its form mod N, then one form over Z.
+        assert moduli == [x for ell in range(2, 13) for x in (ell * RANK_PRIME, 0)]
+        assert forms == [M] * 11
 
     @pytest.mark.parametrize("divisors", [(0, 1, 2), (1,)], ids=["first-three", "second"])
     def test_a_multiple_of_proof_primes_keeps_its_rank(self, monkeypatch, divisors):
-        # c M0 has rank 0 mod each proof prime that divides c, so a proof
-        # that stopped on them, or read the rank off the last prime, would fail.
+        # The three largest primes below 2^31, where a rank proof from ranks
+        # mod p would start: c M0 has rank 0 mod each of them that divides c,
+        # and the form over Z reads its rank 6 whatever c is.
+        first = [2**31 - 1, 2**31 - 19, 2**31 - 61]
+        assert [p for p in range(first[-1], first[0] + 1) if is_prime(p)] == first[::-1]
         M0 = _low_rank_skew(random.Random(7), 12, [1, 2, 4])
         h0 = skew_normal_form(M0).invariant_factors
         assert len(h0) == 3
-        first = list(islice(intlinalg._primes(2**31 - 1, -2), 3))
         c = prod(first[k] for k in divisors)
         M = SkewIntMatrix(tuple(tuple(c * x for x in row) for row in M0.rows))
         assert [rank for rank, _ in ranks_mod(M.rows, first)] == [0 if k in divisors else 6 for k in range(3)]
-        assert intlinalg._proved_rank(M.rows, 12, intlinalg._primes(2**31 - 1, -2)) == 6
-        primes = _record_primes(monkeypatch)
-        _never_over_z(monkeypatch)
+        forms = _record_forms_over_z(monkeypatch)
         for ell in (2, 4, 6, 7):
             got = pi_degree_qas(M, ell)
             assert repr(got) == repr(pi_degree_from_factors(tuple(c * x for x in h0), ell))
-        assert primes[:3] == first
+        assert forms == [M] * 4
 
     @pytest.mark.parametrize("n, h", [(9, [2, 3]), (9, [1, 1, 2, 6]), (11, [3])])
-    def test_odd_sizes(self, monkeypatch, n, h):
-        M = _low_rank_skew(random.Random(n), n, h)
-        expected = skew_normal_form(M).invariant_factors
-        _never_over_z(monkeypatch)
-        for ell in (2, 3, 6, 12):
-            got = pi_degree_qas(M, ell)
-            assert repr(got) == repr(pi_degree_from_factors(expected, ell)), (n, h, ell)
+    def test_odd_sizes(self, n, h):
+        _assert_residue_route_agrees(_low_rank_skew(random.Random(n), n, h), (2, 3, 6, 12))
 
-    def test_the_proof_stops_at_the_largest_rank(self, monkeypatch):
-        # Rank n - 1 of an odd n is the largest, so the first prime that
-        # shows it ends the proof, whatever the bound.
+    def test_a_form_with_no_block_hands_over(self, monkeypatch):
+        # Both factors are multiples of 5 q, so the form mod 5 q has no
+        # block, and the form over Z reads rank 4, the largest of n = 5.
         M = _block_diagonal([RANK_PRIME * 5] * 2, 5)
-        primes = _record_primes(monkeypatch)
-        assert pi_degree_qas(M, 5) == pi_degree_from_factors((5 * RANK_PRIME,) * 2, 5)
-        assert primes == [2**31 - 1]
+        assert intlinalg._residue_factors(M, 5) == ()
+        forms = _record_forms_over_z(monkeypatch)
+        got = pi_degree_qas(M, 5)
+        assert repr(got) == repr(pi_degree_from_factors((5 * RANK_PRIME,) * 2, 5))
+        assert forms == [M]
 
 
 class TestResidueRows:
@@ -1455,20 +1468,6 @@ class TestRankModP:
             self.assert_rows_agree([(x,) for x in column], 1)
 
 
-def _record_primes(monkeypatch) -> list[int]:
-    """Patch ranks_mod to record the primes of every call, in order; return
-    the record."""
-    primes = []
-    ranks = intlinalg.ranks_mod
-
-    def spy(rows, given):
-        primes.extend(given)
-        return ranks(rows, given)
-
-    monkeypatch.setattr(intlinalg, "ranks_mod", spy)
-    return primes
-
-
 class TestCycleKernelVectors:
     def test_reference_board(self, fig_diagram):
         vectors = cycle_kernel_vectors(fig_diagram)
@@ -1478,22 +1477,51 @@ class TestCycleKernelVectors:
 
     def test_dependent_vectors_are_rejected(self, fig_diagram, monkeypatch):
         # A permutation listing the even cycle (1, 7) twice yields the same
-        # kernel vector twice, which the independence proof must refuse.
-        # The primes tried stop at the first whose running product passes
-        # the Hadamard bound ||v||^2.
-        primes = _record_primes(monkeypatch)
+        # kernel vector twice, which the independence proof must refuse:
+        # the Gram minor of the first vector is ||v||^2 > 0, that of both 0.
+        _refuse_ranks_mod(monkeypatch)
         tau = SimpleNamespace(cycles=SimpleNamespace(cycles=((1, 7), (1, 7))))
-        with pytest.raises(InternalVerificationFailed):
+        with pytest.raises(InternalVerificationFailed, match="the Gram minor of the first 2 is 0"):
             cycle_kernel_vectors(fig_diagram, tau)
-        bound = sum(x * x for x in FIG_KERNEL_VECTOR)
-        assert primes[0] == 3 and all(is_prime(p) for p in primes)
-        assert prod(primes[:-1]) <= bound < prod(primes)
+        assert sum(x * x for x in FIG_KERNEL_VECTOR) > 0
 
-    def test_independence_missed_mod_3_is_proved_mod_5(self, monkeypatch):
-        # det [[1, 1], [1, -2]] = -3, so the rank is 1 mod 3 and 2 mod 5.
-        primes = _record_primes(monkeypatch)
+    def test_independence_missed_mod_3_is_proved_by_gram_minors(self, monkeypatch):
+        # det [[1, 1], [1, -2]] = -3, so the rank is 1 mod 3; the Gram
+        # minors are 2 and det^2 = 9, both positive, so the rank is 2 over Q.
+        _refuse_ranks_mod(monkeypatch)
         intlinalg._prove_independent([(1, 1), (1, -2)])
-        assert primes == [3, 5]
+
+    @pytest.mark.parametrize(
+        "vectors, k",
+        [
+            ([(0, 0), (1, 0)], 1),
+            ([(1, 0), (2, 0), (0, 1)], 2),
+            ([(1, 0), (0, 1), (1, 1)], 3),
+            ([(1, 2, 0, 1), (0, 1, 1, 0), (2, 5, 1, 2), (0, 0, 0, 1)], 3),
+            ([()], 1),
+        ],
+    )
+    def test_the_first_zero_gram_minor_is_refused(self, vectors, k):
+        # Each set is dependent first at its k-th vector, where the Gram
+        # minor of the first k vectors is zero, wherever k falls.
+        with pytest.raises(InternalVerificationFailed, match=f"the Gram minor of the first {k} is 0$"):
+            intlinalg._prove_independent(vectors)
+
+    def test_gram_minors_of_independent_sets(self):
+        # The empty set is independent, and on random small sets the proof
+        # agrees with the rank of the Bareiss oracle of tests/oracles.py.
+        intlinalg._prove_independent([])
+        rng = random.Random(2_828)
+        for _ in range(300):
+            k, n = rng.randrange(1, 6), rng.randrange(1, 6)
+            vectors = [tuple(rng.randrange(-2, 3) for _ in range(n)) for _ in range(k)]
+            independent = rational_nullity(vectors) == n - k
+            try:
+                intlinalg._prove_independent(vectors)
+                proved = True
+            except InternalVerificationFailed:
+                proved = False
+            assert proved == independent, vectors
 
     def test_vectors_kill_the_matrix(self):
         rng = random.Random(41)

@@ -49,8 +49,13 @@ oracles.divmod = lambda a, b: (0, 1)
 expect(InternalVerificationFailed, oracles.kernel_basis_rational, [[1, 2], [3, 4], [5, 6]])
 expect(InternalVerificationFailed, oracles.determinant, [[1, 2], [3, 4]])
 
-# Dependent vectors fail the independence proof once the primes pass the bound.
+# Dependent vectors fail the independence proof at their first zero Gram
+# minor, the last one for the second set.
 expect(InternalVerificationFailed, intlinalg._prove_independent, [(1, -1, 0), (1, -1, 0)])
+expect(
+    InternalVerificationFailed, intlinalg._prove_independent, [(1, 0), (0, 1), (1, 1)],
+    match="the Gram minor of the first 3 is 0",
+)
 
 # A log whose last step is dropped, or that gains a step with i == j, fails
 # the replay over Z.
