@@ -10,8 +10,9 @@ what to compute, live in degrees, reps and sweep.
 
 The subcommands are one table, COMMANDS, of help lines, handlers and
 argument specs. main registers every subcommand by name and help line, so
-the top-level help and usage errors list them all, and adds arguments only
-to the subcommand the command line names.
+the top-level help and usage errors list them all. Only the subcommand the
+command line names gets -h and its arguments; argparse never reads the
+others, which are registered by name and help line only.
 """
 
 from __future__ import annotations
@@ -572,10 +573,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # The top-level parser takes no option with a value, so the first
-    # subcommand name in argv is the one it dispatches to.
+    # subcommand name in argv is the one it dispatches to, and only that one
+    # gets -h and its arguments.
     chosen = next((word for word in argv if word in COMMANDS), None)
     for name, (help_line, _, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
+        p = sub.add_parser(name, help=help_line, add_help=name == chosen)
         if name == chosen:
             for argument, options in arguments:
                 p.add_argument(argument, **options)

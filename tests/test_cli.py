@@ -1022,7 +1022,12 @@ class TestSweepMemo:
         assert len(traces) == traces_per_board * 64
 
 
-HELP_ARGVS = [("--help",)] + [(name, "--help") for name in COMMANDS]
+# Help after a second subcommand name is the first one's: argparse hands
+# every word after it to the subcommand it names.
+HELP_ARGVS = [("--help",), ("-h",)] + [(name, "--help") for name in COMMANDS] + [
+    ("diagram", "rep", "--help"),
+    ("rep", "diagram", "--help"),
+]
 USAGE_ARGVS = [
     (),
     ("bogus",),
@@ -1032,6 +1037,11 @@ USAGE_ARGVS = [
     ("rep", "--detring", "4,2", "--ell", "3", "extra"),
     ("detring", "3"),
     ("grassmannian", "3", "6", "--ell", "3", "--bogus"),
+    # A missing positional, printed by each subcommand's own parser.
+    ("diagram", "--ell", "3"),
+    ("partition", "--ell", "3"),
+    ("schubert", "1,3"),
+    ("sweep", "--seed", "1"),
 ]
 
 
@@ -1045,6 +1055,38 @@ def exit_of(capsys, parse, argv) -> tuple[int, str, str]:
         parse(list(argv))
     captured = capsys.readouterr()
     return exited.value.code, captured.out, captured.err
+
+
+class TestBoardSizeBound:
+    """A shape or (n, t) whose board is past the size bound of
+    diagrams.check_board_size is refused before the board is built."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("rep", "--partition", "99999999", "--ell", "3"), 1),
+            (("grassmannian", "60", "120", "--ell", "4"), 1),
+            (("grassmannian", "30", "60", "--ell", "4"), 0),
+        ],
+        ids=["rep-partition-99999999", "grassmannian-60-120", "grassmannian-30-60"],
+    )
+    def test_boards_past_the_size_bound_are_refused_at_once(self, argv, code):
+        # A few characters name a board whose form over Z would run for
+        # minutes or exhaust memory; it is refused before it is built.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "pideg", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert done.returncode == code
+        if code:
+            assert done.stdout == "" and done.stderr.count("\n") == 1
+            assert done.stderr.startswith("error: a ") and "exceeds the largest built" in done.stderr
+            assert time.perf_counter() - start < 1
+        else:
+            assert done.stderr == "" and "PI degree at ell=4: " in done.stdout
 
 
 class TestUnreadableInput:
@@ -1090,7 +1132,9 @@ class TestUnreadableInput:
 
 class TestParser:
     """The parser that main builds for one subcommand prints what the full
-    parser of every subcommand prints, and costs only that subcommand."""
+    parser of every subcommand prints, and costs only that subcommand: only
+    the subcommand the command line names gets -h and its arguments, and the
+    others are registered by name and help line only."""
 
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
@@ -1116,18 +1160,27 @@ class TestParser:
 
     def test_only_the_named_subcommand_gets_its_arguments(self, capsys, monkeypatch):
         added = []
+        formatters = []
         add_argument = argparse.ArgumentParser.add_argument
+        formatter_init = argparse.HelpFormatter.__init__
 
         def counted(parser, *args, **kwargs):
             added.append(args)
             return add_argument(parser, *args, **kwargs)
 
+        def counted_formatter(formatter, *args, **kwargs):
+            formatters.append(formatter)
+            return formatter_init(formatter, *args, **kwargs)
+
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        monkeypatch.setattr(argparse.HelpFormatter, "__init__", counted_formatter)
         code, out, _ = run(capsys, "rep", "--detring", "4,2", "--ell", "3")
         assert code == 0 and "representation dimension: 243" in out
-        # One -h for the top-level parser and one for each registered
-        # subcommand; no other subcommand adds an argument.
-        assert added.count(("-h", "--help")) == 8
+        # One -h for the top-level parser and one for the named subcommand;
+        # the other six are registered by name and help line only, and add
+        # no argument, not even -h.
+        assert added.count(("-h", "--help")) == 2
+        assert len(formatters) == 12
         assert [args for args in added if args != ("-h", "--help")] == [
             ("--diagram",), ("--matrix",), ("--detring",), ("--partition",), ("--box",),
             ("--ell",), ("--verify",), ("--irreducible",), ("--json",),

@@ -1,5 +1,6 @@
 """Boards, partitions, and index-set bookkeeping."""
 
+from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
@@ -14,6 +15,7 @@ from pideg import (
     PluckerIndex,
     RaggedRows,
     ShapeOverflow,
+    TooLarge,
     UnknownCharacter,
     determinantal_diagram,
     diagram_from_text,
@@ -22,6 +24,8 @@ from pideg import (
     plucker_from_partition,
     young_diagram,
 )
+from pideg import diagrams
+from pideg.intlinalg import matrix_from_diagram
 from pideg.sweep import exhaustive_diagrams
 from tests.conftest import (
     FIG_TEXT,
@@ -216,6 +220,61 @@ class TestDeterminantalBoards:
             determinantal_diagram(3, 0)
         with pytest.raises(BadRange):
             determinantal_diagram(3, 3)
+
+
+def shapes_in_box(m: int, n: int):
+    """Every Young shape in the m x n box, in that box."""
+    for parts in combinations_with_replacement(range(n + 1), m):
+        yield Partition(tuple(sorted(parts, reverse=True)), box_m=m, box_n=n)
+
+
+class TestBoardSizeBound:
+    """A board built from a shape or from (n, t) is refused before it is
+    built when its cells, or its white squares times its matrix nonzeros,
+    pass their bounds."""
+
+    @pytest.fixture()
+    def sizes(self, monkeypatch):
+        seen = []
+        check = diagrams.check_board_size
+        monkeypatch.setattr(diagrams, "check_board_size", lambda *size: seen.append(size) or check(*size))
+        return seen
+
+    @staticmethod
+    def actual(d: Diagram) -> tuple[int, int, int, int]:
+        nonzeros = sum(1 for row in matrix_from_diagram(d).rows for x in row if x)
+        return (d.m, d.n, d.white_count, nonzeros)
+
+    def test_counts_are_the_boards_own(self, sizes):
+        boards = [young_diagram(shape) for m, n in ((4, 4), (2, 6), (5, 3)) for shape in shapes_in_box(m, n)]
+        boards += [determinantal_diagram(n, t) for n in range(2, 8) for t in range(1, n)]
+        assert sizes == [self.actual(d) for d in boards]
+
+    @pytest.mark.parametrize("bound", ["MAX_BOARD_COST", "MAX_BOARD_CELLS"])
+    def test_the_bound_is_the_largest_built(self, monkeypatch, bound):
+        shape = Partition((4, 2, 1), box_m=3, box_n=5)
+        m, n, white, nonzeros = self.actual(young_diagram(shape))
+        largest = white * nonzeros if bound == "MAX_BOARD_COST" else m * n
+        monkeypatch.setattr(diagrams, bound, largest)
+        assert young_diagram(shape).white_count == 7
+        monkeypatch.setattr(diagrams, bound, largest - 1)
+        with pytest.raises(TooLarge, match=f"^a 3x5 board with 7 white squares and {nonzeros} matrix nonzeros "):
+            young_diagram(shape)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: young_diagram(Partition((600,))),
+            lambda: young_diagram(Partition((41,) * 40)),
+            lambda: young_diagram(Partition((), box_m=1001, box_n=1000)),
+            lambda: determinantal_diagram(400, 1),
+        ],
+        ids=["row", "rectangle", "empty-box", "determinantal"],
+    )
+    def test_boards_just_past_a_bound_are_refused(self, build):
+        # Small enough that a missing check builds them quickly and fails here.
+        with pytest.raises(TooLarge, match="exceeds the largest built"):
+            build()
 
 
 class TestPluckerIndices:
