@@ -27,6 +27,7 @@ from .diagrams import (
     Partition,
     PluckerIndex,
     check_determinantal,
+    check_labels,
     determinantal_diagram,
     partition_from_plucker,
     young_diagram,
@@ -41,7 +42,6 @@ from .intlinalg import (
     CycleKernelVector,
     SkewIntMatrix,
     SkewNormalForm,
-    _residue_factors,
     cycle_kernel_vectors,
     cycle_sum,
     extended_normal_form,
@@ -141,17 +141,17 @@ def pi_degree_qas(M: SkewIntMatrix, ell: int) -> PiDegree:
     """PI degree of the quantum affine space with commutation matrix M.
 
     The generic route, for every ell >= 2 including even ell: the product of
-    ell / gcd(h_i, ell) over M's invariant factors h_1 | ... | h_s. M's form
-    over Z/N, N = ell * RANK_PRIME, certified mod N, has blocks a_1, ..., a_t
-    with gcd(a_i, ell) = gcd(h_i, ell), and N | h_i for i > t
-    (intlinalg._residue_factors). So t = n // 2 blocks prove the rank, and
-    the degree is read off them. A shorter form settles no rank, and M is
+    ell / gcd(h_i, ell) over M's invariant factors h_1 | ... | h_s, read
+    first off M's certified form mod N (residues._residue_factors, which
+    states why its blocks give gcd(h_i, ell)). A form of n // 2 blocks
+    proves the rank and answers; a shorter one settles no rank, and M is
     handed over to the certified form over Z (skew_normal_form), whose
-    factors answer. The form mod N is reduced, and its transforms replayed,
-    on rows packed as ints of residue slots, so no entry grows past N and
-    each step is a multiply-add of whole rows.
+    factors answer.
     """
     check_ell(ell)
+    # Imported on first use, so that the commands that reduce only over Z do not load it.
+    from .residues import _residue_factors
+
     factors = _residue_factors(M, ell)
     if len(factors) < M.n // 2:
         factors = skew_normal_form(M).invariant_factors
@@ -258,9 +258,10 @@ def determinantal_toric_cycles(n: int, t: int) -> CycleDecomposition:
     descends the columns i+kt+n, ..., i+t+n, i+n, where k = u for i <= rem
     and k = u - 1 otherwise. Every cycle has even length 2k + 2, so the
     count of odd cycles is t. The cross check of pi_degree_determinantal
-    traces the board's pipes.
+    traces the board's pipes. Past check_labels, nothing is listed.
     """
     check_determinantal(n, t)
+    check_labels(2 * n)
     u, rem = divmod(n, t)
     cycles = []
     for i in range(1, t + 1):
@@ -352,6 +353,7 @@ def pi_degree_grassmannian(
     """
     if not (1 <= m < n):
         raise BadRange(f"need 1 <= m < n, got m = {m}, n = {n}")
+    check_labels(n)
     return pi_degree_schubert(PluckerIndex(tuple(range(1, m + 1)), n), ell, cross_check, facts)
 
 

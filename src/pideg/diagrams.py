@@ -183,37 +183,55 @@ class Partition:
         return f"({inner})"
 
 
-# Largest board built from a shape or from (n, t). The form over Z of a
-# board took about 35-80 ns per (white square x nonzero of its matrix) on a
-# 2-core x86 host: 1.9 s for the 30 x 30 rectangle, 6.6 s for 40 x 40 and
-# 14 s for a row of 580. So a cost of 2 * 10**8 bounds it by about 15 s
-# there. The cells bound the board itself, which an empty shape in a large
-# box would otherwise fill: the 1000 x 1000 box took 0.3 s to build and trace.
+# Largest board built. The form over Z of a board took about 35-80 ns per
+# (white square x nonzero of its matrix) on a 2-core x86 host: 1.9 s for the
+# 30 x 30 rectangle, 6.6 s for 40 x 40 and 14 s for a row of 580. So a cost
+# of 2 * 10**8 bounds it by about 15 s there. The cells bound the board
+# itself, which an empty shape in a large box would otherwise fill: the
+# 1000 x 1000 box took 0.3 s to build and trace. It bounds as well the
+# labels that a closed route lists, m + n of a shape's box or 2n of a
+# determinantal board, though it builds no board.
 MAX_BOARD_COST = 2 * 10**8
 MAX_BOARD_CELLS = 10**6
+
+
+def check_board_cells(m: int, n: int) -> None:
+    """TooLarge when an m x n board has more than MAX_BOARD_CELLS cells:
+    the bound that young_diagram and determinantal_diagram check before
+    they build."""
+    if m * n > MAX_BOARD_CELLS:
+        raise TooLarge(f"a {m}x{n} board exceeds the largest built: {MAX_BOARD_CELLS} cells")
 
 
 def check_board_size(m: int, n: int, white: int, nonzeros: int) -> None:
     """TooLarge when an m x n board of `white` white squares, whose matrix
     has `nonzeros` nonzero entries, has more than MAX_BOARD_CELLS cells or
-    costs more than MAX_BOARD_COST, white x nonzeros, to reduce."""
-    if m * n > MAX_BOARD_CELLS or white * nonzeros > MAX_BOARD_COST:
+    costs more than MAX_BOARD_COST, white x nonzeros, to reduce.
+    intlinalg.matrix_from_diagram checks it, from counts it takes on the
+    board, before it allocates the matrix, so every board meets it,
+    whatever its source."""
+    check_board_cells(m, n)
+    if white * nonzeros > MAX_BOARD_COST:
         raise TooLarge(
             f"a {m}x{n} board with {white} white squares and {nonzeros} matrix nonzeros exceeds "
             f"the largest built: {MAX_BOARD_CELLS} cells, {MAX_BOARD_COST} white squares x nonzeros"
         )
 
 
+def check_labels(count: int) -> None:
+    """TooLarge past MAX_BOARD_CELLS labels: the bound on a toric
+    permutation that a closed route lists, checked before any list is
+    built."""
+    if count > MAX_BOARD_CELLS:
+        raise TooLarge(f"a permutation of {count} labels exceeds the largest built: {MAX_BOARD_CELLS} labels")
+
+
 def young_diagram(shape: Partition) -> Diagram:
     """Diagram of the Young shape inside its box: row r is lambda_r white
     cells followed by box_n - lambda_r black ones, one tuple product per
-    row, so a box with no columns still has its rows.
-
-    Its matrix has lambda_r (lambda_r - 1) nonzeros for the pairs in row r
-    and 2 (r - 1) lambda_r for those in the columns above it, which
-    check_board_size reads before anything is built."""
-    nonzeros = sum(p * (p - 1) + 2 * (r - 1) * p for r, p in enumerate(shape.parts, 1))
-    check_board_size(shape.box_m, shape.box_n, shape.size, nonzeros)
+    row, so a box with no columns still has its rows. A box past
+    check_board_cells is refused before anything is built."""
+    check_board_cells(shape.box_m, shape.box_n)
     n = shape.box_n
     return Diagram(tuple((True,) * p + (False,) * (n - p) for p in shape.padded()))
 
@@ -229,12 +247,10 @@ def determinantal_diagram(n: int, t: int) -> Diagram:
 
     These boards encode quantum determinantal rings (n x n quantum matrices
     modulo the ideal of (t+1) x (t+1) quantum minors). Requires 1 <= t <= n-1.
-    Its pairs of white squares share a row or a column alike: t full rows of
-    n and n - t rows of t, so 2 (t n (n - 1) + (n - t) t (t - 1)) nonzeros,
-    which check_board_size reads before anything is built.
+    A board past check_board_cells is refused before anything is built.
     """
     check_determinantal(n, t)
-    check_board_size(n, n, n * n - (n - t) ** 2, 2 * (t * n * (n - 1) + (n - t) * t * (t - 1)))
+    check_board_cells(n, n)
     rows = tuple(
         tuple(r > n - t or c > n - t for c in range(1, n + 1))
         for r in range(1, n + 1)

@@ -2,17 +2,17 @@
 
 Everything here runs on exact Python integers, arbitrary-precision or
 reduced modulo a prime; nothing is ever rounded. The normal-form
-routines verify their own output exactly before returning (over Z by
-replaying their congruence log, mod N by exact products) and raise
-InternalVerificationFailed if the check fails, so a returned result is a
-proved identity, not a hope.
+routines verify their own output exactly before returning, by replaying
+their congruence log, and raise InternalVerificationFailed if the check
+fails, so a returned result is a proved identity, not a hope.
 
 The central objects:
 
 - matrix_from_diagram builds the skew commutation matrix M(D) of a diagram:
   entry (i, j) is +1 when white square j lies strictly below square i in the
   same column or strictly to its right in the same row, -1 in the mirrored
-  cases, 0 otherwise.
+  cases, 0 otherwise. It sizes every board, whatever its source, by
+  diagrams.check_board_size before it allocates the matrix.
 
 - skew_normal_form reduces a skew matrix by a unimodular congruence
   E M E^T to a block diagonal of 2x2 blocks [[0, h], [-h, 0]] followed by a
@@ -31,15 +31,10 @@ The central objects:
   reps.qas_representation the first 2s columns of F = E^{-1} backward
   (_block_columns).
 
-- The reduction also runs mod N (modular normal forms, Domich, Kannan and
-  Trotter, 1987), and _residue_factors reads PI degrees off it. There the
-  reduction and a backward replay of E^T and F (module residues) hold each
-  row as one int of fixed-width slots of residues: a round of the
-  reduction at one pivot is one congruence, a few multiply-adds of whole
-  rows per live row, a shear of the replay is one multiply-add, and a
-  Barrett step takes every slot of a row mod N at once. The certificate,
-  residues._certify, reads the residues back as sparse rows and checks
-  E F = I and M E^T = F S mod N by exact products.
+- The reduction also runs mod N, in its own module: the docstring of
+  residues._residue_factors states what the certified form over Z/N
+  proves. That module reads _block_factors and _nonzeros from here;
+  nothing here imports it.
 
 - extended_normal_form reads the normal form of extend(M), M bordered by
   a column of ones, from that of M. Congruence by diag(E, 1), unimodular by
@@ -67,7 +62,7 @@ from itertools import compress
 from math import gcd, prod
 from operator import mul
 
-from .diagrams import Diagram
+from .diagrams import Diagram, check_board_size
 from .errors import (
     BadRange,
     FormulaMismatch,
@@ -142,8 +137,15 @@ def matrix_from_diagram(d: Diagram) -> SkewIntMatrix:
     Each unordered pair is visited once, with i < j: in row-major order a
     later square sharing the row lies to the right and one sharing the
     column lies below, so the entry is +1 at (i, j) and -1 at (j, i).
+
+    Before the matrix is allocated, the board is sized: a row or column of
+    k white squares holds k (k - 1) of the matrix nonzeros, and
+    diagrams.check_board_size refuses a board whose cells, or whose white
+    squares times nonzeros, pass their bounds.
     """
     squares = d.white_squares
+    lines = [*map(sum, d.cells), *map(sum, zip(*d.cells))]
+    check_board_size(d.m, d.n, len(squares), sum(k * (k - 1) for k in lines))
     rows = [[0] * len(squares) for _ in squares]
     for i, (ri, ci) in enumerate(squares):
         for j in range(i + 1, len(squares)):
@@ -152,15 +154,6 @@ def matrix_from_diagram(d: Diagram) -> SkewIntMatrix:
                 rows[i][j] = 1
                 rows[j][i] = -1
     return SkewIntMatrix._unchecked(tuple(map(tuple, rows)))
-
-
-# q in the modulus N = ell q of _residue_factors: mod ell, an invariant factor
-# that ell divides would leave no block; mod ell q, only one that ell q divides,
-# about once in q for a full-rank matrix, and pi_degree_qas then reduces over Z
-# instead. So q need not be large, and at 2^13 - 1 every residue mod N is below
-# 2^16 for ell <= 8: a slot of residues._ResidueRows is one 64-bit word up to
-# n = 256, and a certificate product mod N is below 2^32.
-RANK_PRIME = 2**13 - 1
 
 
 # The least strong pseudoprime to every prime base 2, ..., 41 (Sorenson and
@@ -517,29 +510,6 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
     A, log = _reduce(M)
     factors = _certify_by_replay(M, A, log)
     return SkewNormalForm(factors, M.n - 2 * len(factors), log)
-
-
-def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...]:
-    """The factors a_1, ..., a_s of M's congruence form over Z/N, N = ell *
-    RANK_PRIME, certified mod N.
-
-    The certificate proves that M and the form share their Smith form over Z/N
-    (Newman, Integral Matrices, 1972, ch. II): gcd(a_i, N) = gcd(h_i, N) for M's
-    invariant factors h_i, and N | h_i past the blocks (h_i = 0 too). So the s
-    blocks prove rank at least 2s, and exactly 2s when s = n // 2; a shorter
-    form settles no rank, and pi_degree_qas hands M over to skew_normal_form.
-    The reduction and the replay run on packed residue rows
-    (residues._residue_reduce and residues._residue_transforms), and
-    residues._certify checks E F = I and M E^T = F S mod N on the dict rows
-    of the replay.
-    """
-    # Imported on first use, so that the commands that reduce only over Z do not load it.
-    from .residues import _certify, _residue_reduce, _residue_transforms
-
-    N = ell * RANK_PRIME
-    A, log = _residue_reduce(M, N)
-    Et, F = _residue_transforms(log, M.n, N)
-    return _certify(M, A, Et, F, N)
 
 
 def extended_normal_form(snf: SkewNormalForm) -> SkewNormalForm:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
 
-from .diagrams import Diagram, Partition, plucker_from_partition
+from .diagrams import Diagram, Partition, check_labels, plucker_from_partition
 from .errors import BadRange
 
 
@@ -188,8 +188,10 @@ def partition_permutation(shape: Partition) -> Permutation:
     (the jump sequence of the shape's boundary path), the rest is the
     complement of {gamma_i} in increasing order: the permutation that the
     restricted labelling reads off the pipes of young_diagram(shape).
+    Past check_labels, nothing is listed.
     """
     m, n = shape.box_m, shape.box_n
+    check_labels(m + n)
     if m == 0 or n == 0:
         return Permutation.identity(m + n)
     gamma = plucker_from_partition(shape).gamma

@@ -1,16 +1,17 @@
-"""The congruence form of a skew matrix mod N, on packed residue rows.
+"""The route mod N: the congruence form of a skew matrix over Z/N, on
+packed residue rows, and the PI degree factors read off it.
 
-intlinalg._residue_factors reads PI degrees off this form, after its
-certificate: _residue_reduce runs the rounds of intlinalg._reduce mod N,
-with a pivot rule of its own, a round at one pivot as one congruence on
-whole rows, and
-_residue_transforms replays its log into the rows of E^T and F = E^{-1}.
-Both hold each row as one int of fixed-width slots (_ResidueRows), so a
-step is a few multiply-adds of whole rows, and a Barrett step takes every
-slot of a row mod N at once. _certify then checks E F = I and
-M E^T = F S mod N by exact products over the sparse rows of the replay.
-Only bare matrices reach this route, so the module is imported on first
-use.
+_residue_factors owns the route: N = ell * RANK_PRIME, and its docstring
+states what the certified form proves (modular normal forms, Domich,
+Kannan and Trotter, 1987). _residue_reduce runs the rounds of
+intlinalg._reduce mod N, with a pivot rule of its own, a round at one
+pivot as one congruence on whole rows, and _residue_transforms replays
+its log into the rows of E^T and F = E^{-1}. Both hold each row as one
+int of fixed-width slots (_ResidueRows), so a step is a few multiply-adds
+of whole rows, and a Barrett step takes every slot of a row mod N at once.
+_certify then checks E F = I and M E^T = F S mod N by exact products over
+the sparse rows of the replay. Only bare matrices reach this route, so
+degrees.pi_degree_qas imports the module on its first call.
 """
 
 from __future__ import annotations
@@ -22,6 +23,33 @@ from math import gcd
 
 from .errors import InternalVerificationFailed
 from .intlinalg import SkewIntMatrix, _block_factors, _nonzeros
+
+# q in the modulus N = ell q of _residue_factors: mod ell, an invariant factor
+# that ell divides would leave no block; mod ell q, only one that ell q divides,
+# about once in q for a full-rank matrix, and pi_degree_qas then reduces over Z
+# instead. So q need not be large, and at 2^13 - 1 every residue mod N is below
+# 2^16 for ell <= 8: a slot of _ResidueRows is one 64-bit word up to n = 256,
+# and a certificate product mod N is below 2^32.
+RANK_PRIME = 2**13 - 1
+
+
+def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...]:
+    """The factors a_1, ..., a_s of M's congruence form over Z/N, N = ell *
+    RANK_PRIME, certified mod N.
+
+    The certificate proves that M and the form share their Smith form over Z/N
+    (Newman, Integral Matrices, 1972, ch. II): gcd(a_i, N) = gcd(h_i, N) for M's
+    invariant factors h_i, and N | h_i past the blocks (h_i = 0 too). So the s
+    blocks prove rank at least 2s, and exactly 2s when s = n // 2; a shorter
+    form settles no rank, and degrees.pi_degree_qas hands M over to
+    intlinalg.skew_normal_form. The reduction and the replay run on packed
+    residue rows (_residue_reduce and _residue_transforms), and _certify
+    checks E F = I and M E^T = F S mod N on the dict rows of the replay.
+    """
+    N = ell * RANK_PRIME
+    A, log = _residue_reduce(M, N)
+    Et, F = _residue_transforms(log, M.n, N)
+    return _certify(M, A, Et, F, N)
 
 
 class _ResidueRows:

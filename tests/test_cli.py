@@ -24,7 +24,7 @@ from pideg.diagrams import determinantal_diagram, young_diagram
 from pideg.errors import InternalVerificationFailed
 from pideg.intlinalg import matrix_from_diagram, ranks_mod, skew_normal_form
 from pideg.pipedreams import Permutation, partition_toric_permutation, toric_permutation
-from pideg import reps, sweep
+from pideg import diagrams, reps, sweep
 from pideg.reps import MAX_REP_DIM
 from pideg.sweep import DIAGRAM_PROPERTIES, SWEEP_PRIMES
 from tests.conftest import FIG_TEXT
@@ -1058,8 +1058,10 @@ def exit_of(capsys, parse, argv) -> tuple[int, str, str]:
 
 
 class TestBoardSizeBound:
-    """A shape or (n, t) whose board is past the size bound of
-    diagrams.check_board_size is refused before the board is built."""
+    """A board past the size bound of diagrams.check_board_size, whatever
+    its source, is refused before its matrix is built; a shape or (n, t)
+    past the cells bound before its board is built; and a closed route
+    past the labels bound before it lists them."""
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -1067,12 +1069,23 @@ class TestBoardSizeBound:
             (("rep", "--partition", "99999999", "--ell", "3"), 1),
             (("grassmannian", "60", "120", "--ell", "4"), 1),
             (("grassmannian", "30", "60", "--ell", "4"), 0),
+            (("diagram", "{row}"), 1),
+            (("partition", "1000000", "--ell", "3"), 1),
+            (("detring", "500001", "5", "--ell", "3"), 1),
+            (("schubert", "1", "1000001", "--ell", "3"), 1),
+            (("grassmannian", "1", "1000001", "--ell", "3"), 1),
         ],
-        ids=["rep-partition-99999999", "grassmannian-60-120", "grassmannian-30-60"],
+        ids=["rep-partition-99999999", "grassmannian-60-120", "grassmannian-30-60", "diagram-row-600",
+             "partition-1000000", "detring-500001-5", "schubert-1-1000001", "grassmannian-1-1000001"],
     )
-    def test_boards_past_the_size_bound_are_refused_at_once(self, argv, code):
+    def test_boards_past_the_size_bound_are_refused_at_once(self, tmp_path, argv, code):
         # A few characters name a board whose form over Z would run for
-        # minutes or exhaust memory; it is refused before it is built.
+        # minutes or exhaust memory; it is refused before it is built. The
+        # form over Z of the all-white row of 600 squares, read from a file,
+        # would take about 12 s.
+        row = tmp_path / "row.txt"
+        row.write_text("." * 600 + "\n")
+        argv = [word.format(row=row) for word in argv]
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         start = time.perf_counter()
@@ -1087,6 +1100,38 @@ class TestBoardSizeBound:
             assert time.perf_counter() - start < 1
         else:
             assert done.stderr == "" and "PI degree at ell=4: " in done.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("diagram", "{board}"), ("rep", "--diagram", "{board}", "--ell", "3"),
+         ("sweep", "random 6x6 x2", "--out", "{out}")],
+        ids=["diagram", "rep-diagram", "sweep"],
+    )
+    def test_every_board_source_meets_the_cost_bound(self, capsys, monkeypatch, tmp_path, fig_file, argv):
+        monkeypatch.setattr(diagrams, "MAX_BOARD_COST", 1)
+        argv = [word.format(board=fig_file, out=tmp_path / "out") for word in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: a ") and err.count("\n") == 1 and "matrix nonzeros exceeds" in err
+
+    @pytest.mark.parametrize(
+        "command, allowed, refused, labels",
+        [
+            ("partition", ("11",), ("12",), 13),
+            ("detring", ("6", "2"), ("7", "2"), 14),
+            ("schubert", ("1", "12"), ("1", "13"), 13),
+            ("grassmannian", ("1", "12"), ("1", "13"), 13),
+        ],
+        ids=["partition", "detring", "schubert", "grassmannian"],
+    )
+    def test_closed_routes_list_at_most_the_labels_bound(self, capsys, monkeypatch, command, allowed, refused, labels):
+        # The allowed input lists 12 labels, the bound; the refused one the next count its route can list.
+        monkeypatch.setattr(diagrams, "MAX_BOARD_CELLS", 12)
+        code, out, err = run(capsys, command, *allowed, "--ell", "3")
+        assert (code, err) == (0, "") and "PI degree at ell=3: " in out
+        code, out, err = run(capsys, command, *refused, "--ell", "3")
+        assert (code, out) == (1, "")
+        assert err == f"error: a permutation of {labels} labels exceeds the largest built: 12 labels\n"
 
 
 class TestUnreadableInput:

@@ -24,7 +24,7 @@ from pideg import (
     plucker_from_partition,
     young_diagram,
 )
-from pideg import diagrams
+from pideg import diagrams, intlinalg
 from pideg.intlinalg import matrix_from_diagram
 from pideg.sweep import exhaustive_diagrams
 from tests.conftest import (
@@ -229,45 +229,49 @@ def shapes_in_box(m: int, n: int):
 
 
 class TestBoardSizeBound:
-    """A board built from a shape or from (n, t) is refused before it is
-    built when its cells, or its white squares times its matrix nonzeros,
-    pass their bounds."""
-
-    @pytest.fixture()
-    def sizes(self, monkeypatch):
-        seen = []
-        check = diagrams.check_board_size
-        monkeypatch.setattr(diagrams, "check_board_size", lambda *size: seen.append(size) or check(*size))
-        return seen
+    """Every board is refused before its matrix is allocated when its
+    cells, or its white squares times its matrix nonzeros, pass their
+    bounds; a board built from a shape or from (n, t) is refused before it
+    is built when its cells do."""
 
     @staticmethod
-    def actual(d: Diagram) -> tuple[int, int, int, int]:
-        nonzeros = sum(1 for row in matrix_from_diagram(d).rows for x in row if x)
+    def actual(d: Diagram, M) -> tuple[int, int, int, int]:
+        nonzeros = sum(1 for row in M.rows for x in row if x)
         return (d.m, d.n, d.white_count, nonzeros)
 
-    def test_counts_are_the_boards_own(self, sizes):
+    def test_counts_are_the_boards_own(self, monkeypatch):
+        seen = []
+        check = diagrams.check_board_size
+        monkeypatch.setattr(intlinalg, "check_board_size", lambda *size: seen.append(size) or check(*size))
         boards = [young_diagram(shape) for m, n in ((4, 4), (2, 6), (5, 3)) for shape in shapes_in_box(m, n)]
         boards += [determinantal_diagram(n, t) for n in range(2, 8) for t in range(1, n)]
-        assert sizes == [self.actual(d) for d in boards]
+        boards += exhaustive_diagrams(3, 3) + [Diagram(()), Diagram(((),) * 3)]
+        matrices = [matrix_from_diagram(d) for d in boards]
+        assert seen == [self.actual(d, M) for d, M in zip(boards, matrices)]
 
     @pytest.mark.parametrize("bound", ["MAX_BOARD_COST", "MAX_BOARD_CELLS"])
     def test_the_bound_is_the_largest_built(self, monkeypatch, bound):
         shape = Partition((4, 2, 1), box_m=3, box_n=5)
-        m, n, white, nonzeros = self.actual(young_diagram(shape))
-        largest = white * nonzeros if bound == "MAX_BOARD_COST" else m * n
+        m, n, white, nonzeros = self.actual(young_diagram(shape), matrix_from_diagram(young_diagram(shape)))
+        if bound == "MAX_BOARD_COST":
+            largest, build = white * nonzeros, lambda: matrix_from_diagram(young_diagram(shape)).n
+            refusal = f"^a 3x5 board with 7 white squares and {nonzeros} matrix nonzeros "
+        else:
+            largest, build = m * n, lambda: young_diagram(shape).white_count
+            refusal = "^a 3x5 board exceeds the largest built: 14 cells$"
         monkeypatch.setattr(diagrams, bound, largest)
-        assert young_diagram(shape).white_count == 7
+        assert build() == 7
         monkeypatch.setattr(diagrams, bound, largest - 1)
-        with pytest.raises(TooLarge, match=f"^a 3x5 board with 7 white squares and {nonzeros} matrix nonzeros "):
-            young_diagram(shape)
+        with pytest.raises(TooLarge, match=refusal):
+            build()
 
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: young_diagram(Partition((600,))),
-            lambda: young_diagram(Partition((41,) * 40)),
+            lambda: matrix_from_diagram(young_diagram(Partition((600,)))),
+            lambda: matrix_from_diagram(young_diagram(Partition((41,) * 40))),
             lambda: young_diagram(Partition((), box_m=1001, box_n=1000)),
-            lambda: determinantal_diagram(400, 1),
+            lambda: matrix_from_diagram(determinantal_diagram(400, 1)),
         ],
         ids=["row", "rectangle", "empty-box", "determinantal"],
     )

@@ -6,7 +6,10 @@ import ast
 import builtins
 import importlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 import types
 from collections import Counter
@@ -291,3 +294,34 @@ def test_every_dotted_name_in_the_docs_resolves():
         if not hasattr(importlib.import_module(f"pideg.{match[1]}"), match[2])
     ]
     assert missing == []
+
+
+def test_intlinalg_names_nothing_of_the_route_mod_n():
+    # residues reads intlinalg, never the other way round: the route mod N
+    # is decided in one module.
+    tree = ast.parse((PACKAGE / "intlinalg.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(*(alias.name.split(".") for alias in node.names))
+            names.update((getattr(node, "module", None) or "").split("."))
+    assert names & {"residues", "RANK_PRIME", "_residue_factors"} == set()
+
+
+def test_residues_is_imported_on_first_use():
+    # The commands that reduce only over Z never load the route mod N.
+    script = (
+        "import sys\n"
+        "import pideg.cli\n"
+        "before = 'pideg.residues' in sys.modules\n"
+        "pideg.pi_degree_qas(pideg.SkewIntMatrix(((0, 1), (-1, 0))), 3)\n"
+        "print(before, 'pideg.residues' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert (done.stdout, done.stderr) == ("False True\n", "")

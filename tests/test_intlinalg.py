@@ -36,7 +36,8 @@ from pideg import (
     skew_normal_form,
     toric_permutation,
 )
-from pideg.intlinalg import MILLER_RABIN_BOUND, RANK_PRIME, extended_normal_form, ranks_mod
+from pideg.intlinalg import MILLER_RABIN_BOUND, extended_normal_form, ranks_mod
+from pideg.residues import RANK_PRIME
 from tests.conftest import (
     FIG_CYCLE_SUM,
     FIG_INVARIANT_FACTORS,
@@ -891,7 +892,7 @@ class TestResidueForm:
         c = 3 * pow(2, -1, N) % N
         assert log == [2, 1, -c]
         assert A == [[0, 2, 0], [-2, 0, 0], [0, 0, 0]]
-        assert intlinalg._residue_factors(M, 3) == (2,)
+        assert residues._residue_factors(M, 3) == (2,)
         assert skew_normal_form(M).invariant_factors == (1,)
 
     def test_entries_stay_below_the_modulus(self):
@@ -913,7 +914,7 @@ class TestResidueForm:
         forms = _record_forms_over_z(monkeypatch)
         zeros = [SkewIntMatrix(tuple((0,) * n for _ in range(n))) for n in (0, 1, 2, 5, 6)]
         for M in zeros:
-            assert intlinalg._residue_factors(M, 5) == ()
+            assert residues._residue_factors(M, 5) == ()
             assert pi_degree_qas(M, 5) == pi_degree_from_factors((), 5)
         assert forms == zeros[2:]
 
@@ -988,7 +989,7 @@ class TestRankProof:
         # Both factors are multiples of 5 q, so the form mod 5 q has no
         # block, and the form over Z reads rank 4, the largest of n = 5.
         M = _block_diagonal([RANK_PRIME * 5] * 2, 5)
-        assert intlinalg._residue_factors(M, 5) == ()
+        assert residues._residue_factors(M, 5) == ()
         forms = _record_forms_over_z(monkeypatch)
         got = pi_degree_qas(M, 5)
         assert repr(got) == repr(pi_degree_from_factors((5 * RANK_PRIME,) * 2, 5))
