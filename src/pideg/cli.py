@@ -11,8 +11,8 @@ what to compute, live in degrees, reps and sweep.
 The subcommands are one table, COMMANDS, of help lines, handlers and
 argument specs. main registers every subcommand by name and help line, so
 the top-level help and usage errors list them all. Only the subcommand the
-command line names gets -h and its arguments; argparse never reads the
-others, which are registered by name and help line only.
+command line names gets a parser, with -h and its arguments; the others are
+registered by name and help line only, with no parser for argparse to read.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 from functools import partial
 from pathlib import Path
@@ -34,7 +35,7 @@ from .diagrams import (
     partition_from_plucker, young_diagram,
 )
 from .errors import BadEll, BadRange, BadSpec, InternalVerificationFailed, PidegError
-from .intlinalg import SkewIntMatrix, checked_cycle_sum, matrix_from_diagram
+from .intlinalg import SkewIntMatrix, check_matrix_cost, checked_cycle_sum, matrix_from_diagram
 from .pipedreams import partition_toric_permutation
 from .reps import irreducibility_check, least_prime_1_mod, qas_representation
 from .sweep import DIAGRAM_PROPERTIES, MATRIX_PROPERTIES, parse_corpus, run_sweep
@@ -474,7 +475,9 @@ def _rep_matrix(args: argparse.Namespace) -> SkewIntMatrix:
                     raise BadSpec(
                         f"{args.matrix}: entry ({i}, {j}) is {json.dumps(x)}, not an integer"
                     )
-        return SkewIntMatrix(tuple(map(tuple, rows)))
+        M = SkewIntMatrix(tuple(map(tuple, rows)))
+        check_matrix_cost(M)
+        return M
     if args.detring is not None:
         try:
             n, t = (int(x) for x in args.detring.split(","))
@@ -566,22 +569,33 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    # The width HelpFormatter reads from the terminal when given none, read
+    # once per call rather than once for every formatter argparse makes.
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="pideg",
         description="PI degrees of quantum algebras at roots of unity, "
         "via diagram combinatorics and exact integer linear algebra.",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
     # The top-level parser takes no option with a value, so the first
     # subcommand name in argv is the one it dispatches to, and only that one
-    # gets -h and its arguments.
+    # is built, with -h and its arguments. The others are listed by name and
+    # help line, and their parser is None, which argparse never reads.
     chosen = next((word for word in argv if word in COMMANDS), None)
+
+    def subparser(arguments, **options):
+        if arguments is None:
+            return None
+        p = argparse.ArgumentParser(formatter_class=formatter, **options)
+        for argument, argument_options in arguments:
+            p.add_argument(argument, **argument_options)
+        p.add_argument("--json", action="store_true")
+        return p
+
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
     for name, (help_line, _, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_line, add_help=name == chosen)
-        if name == chosen:
-            for argument, options in arguments:
-                p.add_argument(argument, **options)
-            p.add_argument("--json", action="store_true")
+        sub.add_parser(name, help=help_line, arguments=arguments if name == chosen else None)
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command][1](args)

@@ -58,7 +58,7 @@ The central objects:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import combinations, compress
 from math import gcd, prod
 from operator import mul
 
@@ -101,7 +101,9 @@ class SkewIntMatrix:
         if any(len(row) != n for row in rows):
             raise SkewSymmetryViolated("matrix is not square")
         for i in range(n):
-            for j in range(i, n):
+            if rows[i][i]:
+                raise SkewSymmetryViolated(f"diagonal entry ({i}, {i}) = {rows[i][i]} is not 0")
+            for j in range(i + 1, n):
                 if rows[i][j] != -rows[j][i]:
                     raise SkewSymmetryViolated(
                         f"entry ({i}, {j}) = {rows[i][j]} but ({j}, {i}) = {rows[j][i]}"
@@ -128,15 +130,40 @@ class SkewIntMatrix:
         return [list(row) for row in self.rows]
 
 
+# The cost bound of a matrix read whole, not built from a board: nonzeros
+# times nonzeros per row, about the work of eliminating it, times the bits
+# of its largest entry, sign included. Under it, rep --matrix took at most
+# 17-19 s on a 2-core x86-64 host (dense entries in {-1, 0, 1} at 150x150,
+# just under it), about what diagrams.MAX_BOARD_COST allows a board; dense
+# entries in [-5, 5] pass it up to 97x97, 4.2 s, and dense entries of 100
+# to 1000 bits at 10x10 to 30x30 took 1.4-2.2 s.
+MAX_MATRIX_COST = 3 * 10**6
+
+
+def check_matrix_cost(M: SkewIntMatrix) -> None:
+    """TooLarge when M's nonzeros x nonzeros per row x bits of its largest
+    entry, sign included, pass MAX_MATRIX_COST; a matrix built from a board
+    is sized by diagrams.check_board_size instead."""
+    entries = [x for row in M.rows for x in row if x]
+    bits = max(map(abs, entries), default=0).bit_length() + 1
+    if len(entries) ** 2 * bits > MAX_MATRIX_COST * M.n:
+        raise TooLarge(
+            f"a {M.n}x{M.n} matrix with {len(entries)} nonzeros of up to {bits} bits, sign included, "
+            f"exceeds the largest reduced: {MAX_MATRIX_COST} nonzeros x nonzeros per row x bits"
+        )
+
+
 def matrix_from_diagram(d: Diagram) -> SkewIntMatrix:
     """The skew commutation matrix of the white squares of a diagram.
 
     White squares are numbered row-major; +1 at (i, j) when square j is
     strictly below square i in the same column or strictly to the right of
     it in the same row. Squares in distinct rows and columns commute (0).
-    Each unordered pair is visited once, with i < j: in row-major order a
-    later square sharing the row lies to the right and one sharing the
-    column lies below, so the entry is +1 at (i, j) and -1 at (j, i).
+    The squares are listed by line, each row and column in row-major order,
+    and only pairs within a line are visited, each once with i < j: in
+    row-major order a later square sharing the row lies to the right and
+    one sharing the column lies below, so the entry is +1 at (i, j) and -1
+    at (j, i).
 
     Before the matrix is allocated, the board is sized: a row or column of
     k white squares holds k (k - 1) of the matrix nonzeros, and
@@ -144,15 +171,16 @@ def matrix_from_diagram(d: Diagram) -> SkewIntMatrix:
     squares times nonzeros, pass their bounds.
     """
     squares = d.white_squares
-    lines = [*map(sum, d.cells), *map(sum, zip(*d.cells))]
-    check_board_size(d.m, d.n, len(squares), sum(k * (k - 1) for k in lines))
+    lines = [[] for _ in range(d.m + d.n)]  # rows 1..m, then columns 1..n
+    for k, (r, c) in enumerate(squares):
+        lines[r - 1].append(k)
+        lines[d.m + c - 1].append(k)
+    check_board_size(d.m, d.n, len(squares), sum(len(line) * (len(line) - 1) for line in lines))
     rows = [[0] * len(squares) for _ in squares]
-    for i, (ri, ci) in enumerate(squares):
-        for j in range(i + 1, len(squares)):
-            rj, cj = squares[j]
-            if ri == rj or ci == cj:
-                rows[i][j] = 1
-                rows[j][i] = -1
+    for line in lines:
+        for i, j in combinations(line, 2):
+            rows[i][j] = 1
+            rows[j][i] = -1
     return SkewIntMatrix._unchecked(tuple(map(tuple, rows)))
 
 

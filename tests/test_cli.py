@@ -7,6 +7,7 @@ import os
 import random
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -24,7 +25,7 @@ from pideg.diagrams import determinantal_diagram, young_diagram
 from pideg.errors import InternalVerificationFailed
 from pideg.intlinalg import matrix_from_diagram, ranks_mod, skew_normal_form
 from pideg.pipedreams import Permutation, partition_toric_permutation, toric_permutation
-from pideg import diagrams, reps, sweep
+from pideg import diagrams, intlinalg, reps, sweep
 from pideg.reps import MAX_REP_DIM
 from pideg.sweep import DIAGRAM_PROPERTIES, SWEEP_PRIMES
 from tests.conftest import FIG_TEXT
@@ -460,6 +461,17 @@ class TestRepCommand:
         code, out, err = run(capsys, "rep", "--matrix", str(path), "--ell", "7")
         assert code == 1 and out == "" and err.startswith("error:")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[[1]]", "diagonal entry (0, 0) = 1 is not 0"),
+         ("[[0, 1], [-1, -2]]", "diagonal entry (1, 1) = -2 is not 0")],
+    )
+    def test_matrix_source_names_a_nonzero_diagonal_entry(self, capsys, tmp_path, text, message):
+        path = tmp_path / "mat.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "rep", "--matrix", str(path), "--ell", "3")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_box_needs_a_partition(self, capsys):
         code, out, err = run(capsys, "rep", "--detring", "4,2", "--box", "3x3", "--ell", "3")
@@ -1134,6 +1146,65 @@ class TestBoardSizeBound:
         assert err == f"error: a permutation of {labels} labels exceeds the largest built: 12 labels\n"
 
 
+def dense_skew_json(n: int, bound: int) -> str:
+    """A dense n x n skew matrix, entries above the diagonal uniform in
+    [-bound, bound] (seed 1), as JSON."""
+    rng = random.Random(1)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rng.randint(-bound, bound)
+            rows[j][i] = -rows[i][j]
+    return json.dumps(rows)
+
+
+class TestMatrixCostBound:
+    """A matrix that rep --matrix reads whole is refused past
+    intlinalg.MAX_MATRIX_COST before its form over Z."""
+
+    def test_a_dense_150x150_matrix_is_refused_at_once(self, tmp_path):
+        # Its form over Z would run for a minute or more.
+        path = tmp_path / "dense150.json"
+        path.write_text(dense_skew_json(150, 5))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "pideg", "rep", "--matrix", str(path), "--ell", "3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: a 150x150 matrix with ") and done.stderr.count("\n") == 1
+        assert "exceeds the largest reduced" in done.stderr
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "rows, size",
+        [(lambda: json.loads(dense_skew_json(60, 5)), 60),
+         (lambda: matrix_from_diagram(diagrams.diagram_from_text(("." * 16 + "\n") * 16)).to_lists(), 256)],
+        ids=["dense-60x60", "all-white-16x16-board"],
+    )
+    def test_matrices_under_the_bound_are_answered(self, capsys, tmp_path, rows, size):
+        path = tmp_path / "mat.json"
+        path.write_text(json.dumps(rows()))
+        code, out, err = run(capsys, "rep", "--matrix", str(path), "--ell", "3", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["matrix_size"] == size
+
+    def test_the_bound_is_the_largest_reduced(self, capsys, monkeypatch, tmp_path):
+        # 2 nonzeros, 1 per row, of 2 bits with the sign: a cost of 4.
+        path = tmp_path / "mat.json"
+        path.write_text("[[0, 1], [-1, 0]]")
+        monkeypatch.setattr(intlinalg, "MAX_MATRIX_COST", 4)
+        code, out, err = run(capsys, "rep", "--matrix", str(path), "--ell", "3")
+        assert (code, err) == (0, "") and "representation dimension: 3" in out
+        monkeypatch.setattr(intlinalg, "MAX_MATRIX_COST", 3)
+        assert run(capsys, "rep", "--matrix", str(path), "--ell", "3") == (
+            1, "", "error: a 2x2 matrix with 2 nonzeros of up to 2 bits, sign included, exceeds "
+            "the largest reduced: 3 nonzeros x nonzeros per row x bits\n",
+        )
+
+
 class TestUnreadableInput:
     """Every command that reads a file ends a file it cannot read with
     exit status 1 and one stderr line, never a traceback."""
@@ -1202,6 +1273,71 @@ class TestParser:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
         )
         assert (done.returncode, done.stdout, done.stderr) == expected
+
+    @pytest.mark.parametrize("columns", ["40", "200"])  # and the fixture's 80
+    @pytest.mark.parametrize("argv", HELP_ARGVS + USAGE_ARGVS, ids=argv_id)
+    def test_same_bytes_as_the_full_parser_at_40_and_200_columns(self, capsys, monkeypatch, argv, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        expected = exit_of(capsys, lambda words: full_parser().parse_args(words), argv)
+        assert exit_of(capsys, main, argv) == expected
+
+    @pytest.mark.parametrize("argv", [("-h",), ("rep", "-h")], ids=argv_id)
+    def test_help_through_a_pipe_without_columns(self, monkeypatch, argv):
+        # With COLUMNS unset and stdout a pipe, get_terminal_size falls back
+        # to its default width on both sides.
+        monkeypatch.delenv("COLUMNS", raising=False)
+        monkeypatch.delenv("LINES", raising=False)
+        root = Path(__file__).resolve().parent.parent
+        paths = (str(root / "src"), str(root), os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+        def python(*args):
+            done = subprocess.run(
+                [sys.executable, *args], capture_output=True, text=True, cwd=root, env=env, timeout=120,
+            )
+            return done.returncode, done.stdout, done.stderr
+
+        oracle = "import sys; from tests.oracles import full_parser; full_parser().parse_args(sys.argv[1:])"
+        expected = python("-c", oracle, *argv)
+        assert expected[0] == 0 and expected[1].startswith("usage: pideg")
+        assert python("-m", "pideg", *argv) == expected
+
+    def test_one_parser_for_pideg_one_for_the_subcommand_and_one_width(self, capsys, monkeypatch, tmp_path):
+        # ArgumentParser is built for pideg and for the subcommand argv
+        # names, and for pideg alone when argv names none; the terminal
+        # width is read once per call, not once per formatter.
+        parsers, widths = [], []
+        parser_init = argparse.ArgumentParser.__init__
+        terminal_size = shutil.get_terminal_size
+
+        def counted_parser(parser, *args, **kwargs):
+            parsers.append(kwargs.get("prog"))
+            return parser_init(parser, *args, **kwargs)
+
+        def counted_size(*args, **kwargs):
+            widths.append(args)
+            return terminal_size(*args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_parser)
+        monkeypatch.setattr(shutil, "get_terminal_size", counted_size)
+        monkeypatch.setattr(cli, "COMMANDS", {
+            name: (help_line, lambda args: 0, arguments)
+            for name, (help_line, _, arguments) in COMMANDS.items()
+        })
+        argvs = [op.argv for name in ("rep", "diagram", "sweep") for op in GENERATORS[name](1, tmp_path)]
+        assert len(argvs) > 100
+        for argv in argvs:
+            parsers.clear()
+            widths.clear()
+            assert main(list(argv)) == 0
+            assert parsers == ["pideg", f"pideg {argv[0]}"] and len(widths) == 1, argv
+        for argv in [(), ("-h",), ("bogus",)]:
+            parsers.clear()
+            widths.clear()
+            with pytest.raises(SystemExit):
+                main(list(argv))
+            assert parsers == ["pideg"] and len(widths) == 1, argv
+        capsys.readouterr()
 
     def test_only_the_named_subcommand_gets_its_arguments(self, capsys, monkeypatch):
         added = []

@@ -104,7 +104,7 @@ class TestSkewIntMatrix:
             SkewIntMatrix(((0, 1), (1, 0)))
 
     def test_rejects_nonzero_diagonal(self):
-        with pytest.raises(SkewSymmetryViolated):
+        with pytest.raises(SkewSymmetryViolated, match=r"^diagonal entry \(0, 0\) = 1 is not 0$"):
             SkewIntMatrix(((1,),))
 
     def test_rejects_non_integral_entries(self):
@@ -166,6 +166,23 @@ class TestMatrixFromDiagram:
     @given(wide_boards)
     def test_one_triangle_matches_the_four_cases(self, d):
         assert matrix_from_diagram(d).rows == four_way_matrix_rows(d)
+
+    def test_lines_give_the_four_cases_on_every_board_to_3x4_and_the_bench_boards(self, tmp_path):
+        # Only pairs that share a row or a column are visited; the matrix is
+        # the one of every pair, on every shape up to 3x4 and on each board
+        # of the seed-1 diagram and sweep workloads.
+        from bench.workloads import GENERATORS
+        from pideg.sweep import exhaustive_diagrams, parse_corpus
+
+        boards = [d for m in range(1, 4) for n in range(1, 5) for d in exhaustive_diagrams(m, n)]
+        for op in GENERATORS["diagram"](1, tmp_path):
+            boards.append(diagram_from_text(op.board))
+        for op in GENERATORS["sweep"](1, tmp_path):
+            corpus, seed = op.argv[1], int(op.argv[op.argv.index("--seed") + 1])
+            boards += parse_corpus(corpus, seed)[1]()
+        assert len(boards) == 5050 + 56 + 320
+        for d in boards:
+            assert matrix_from_diagram(d).rows == four_way_matrix_rows(d)
 
 
 class TestExtend:
