@@ -144,16 +144,16 @@ def pi_degree_qas(M: SkewIntMatrix, ell: int) -> PiDegree:
     ell / gcd(h_i, ell) over M's invariant factors h_1 | ... | h_s, read
     first off M's certified form mod N (residues._residue_factors, which
     states why its blocks give gcd(h_i, ell)). A form of n // 2 blocks
-    proves the rank and answers; a shorter one settles no rank, and M is
-    handed over to the certified form over Z (skew_normal_form), whose
-    factors answer.
+    proves the rank and answers. A shorter one settles no rank, so it comes
+    back as None before it is certified, and M is handed over to the
+    certified form over Z (skew_normal_form), whose factors answer.
     """
     check_ell(ell)
     # Imported on first use, so that the commands that reduce only over Z do not load it.
     from .residues import _residue_factors
 
     factors = _residue_factors(M, ell)
-    if len(factors) < M.n // 2:
+    if factors is None:
         factors = skew_normal_form(M).invariant_factors
     return pi_degree_from_factors(factors, ell)
 

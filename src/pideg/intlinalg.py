@@ -21,20 +21,19 @@ The central objects:
   one (after Markowitz, 1957), found from zero counts kept per row, and
   each round of Euclidean shears at it is one congruence on the rows that
   touch the two pivot rows, reading only nonzeros. It logs each step, a
-  swap or a shear of two distinct indices. The log is its certificate:
-  _replay applies the steps to a copy of M by code of its own, and the
-  result must be the reduced matrix cell for cell, in block form with its
-  divisibility chain. That proves E M E^T = S, and E is unimodular by
-  construction, with no transform built and no product. The form keeps
-  the log, and a reader replays only what it reads:
-  extended_normal_form takes E 1 forward (_row_sums), and
-  reps.qas_representation the first 2s columns of F = E^{-1} backward
-  (_block_columns).
+  swap or a shear of two distinct indices, and hands on only the log,
+  which is its certificate: _replay applies the steps to a copy of M by
+  code of its own, and the result must be the canonical block form with
+  its divisibility chain (_block_factors), whose factors are then M's.
+  That proves E M E^T = S, and E is unimodular by construction, with no
+  transform built and no product. The form keeps the log, and a reader
+  replays only what it reads: extended_normal_form takes E 1 forward
+  (_row_sums), and reps.qas_representation the first 2s columns of
+  F = E^{-1} backward (_block_columns).
 
 - The reduction also runs mod N, in its own module: the docstring of
   residues._residue_factors states what the certified form over Z/N
-  proves. That module reads _block_factors and _nonzeros from here;
-  nothing here imports it.
+  proves. That module reads _nonzeros from here; nothing here imports it.
 
 - extended_normal_form reads the normal form of extend(M), M bordered by
   a column of ones, from that of M. Congruence by diag(E, 1), unimodular by
@@ -232,9 +231,10 @@ class SkewNormalForm:
     h_1 | h_2 | ... | h_s, then a zero block of size kernel_dim = n - 2s.
     It is not stored, since invariant_factors and kernel_dim determine it.
     `log` holds the elementary steps G_1, ..., G_m of the reduction, with
-    E = G_m ... G_1, as skew_normal_form certified them by replaying them
-    on M before constructing this object. No row of E or of F = E^{-1} is
-    kept: each reader replays the log into what it reads.
+    E = G_m ... G_1; skew_normal_form replayed them on M into the block
+    form and read invariant_factors off it before constructing this
+    object. No row of E or of F = E^{-1} is kept: each reader replays the
+    log into what it reads.
     extended_normal_form takes E 1 forward, and reps.qas_representation
     the first 2s columns of F backward.
     """
@@ -348,14 +348,16 @@ def _nonzeros(row, start: int = 0):
     return zip(compress(range(start, len(row)), tail), filter(None, tail))
 
 
-def _block_factors(S: list[list[int]], N: int = 0) -> tuple[int, ...]:
-    """The factors of the block form S, after checking its shape row by row
-    and its divisibility chain; with a modulus N, the chain on gcd(a_i, N)
-    (gcd(a, 0) = |a|). Raises InternalVerificationFailed on the first
-    failure, naming the first bad cell of a broken shape."""
+def _block_factors(S: list[list[int]]) -> tuple[int, ...]:
+    """The factors h_1 | ... | h_s of the canonical block form, read off S
+    after checking that S is that form: s blocks [[0, h_i], [-h_i, 0]] with
+    h_i > 0, zero past them, and the divisibility chain. The form is unique,
+    so a matrix congruent to M that passes is M's. Raises
+    InternalVerificationFailed on the first failure, naming the first bad
+    cell of a broken shape."""
     n = len(S)
     s = 0
-    while 2 * s + 1 < n and S[2 * s][2 * s + 1] != 0:
+    while 2 * s + 1 < n and S[2 * s][2 * s + 1] > 0:
         s += 1
     factors = tuple(S[2 * i][2 * i + 1] for i in range(s))
     for i, row in enumerate(S):
@@ -367,11 +369,8 @@ def _block_factors(S: list[list[int]], N: int = 0) -> tuple[int, ...]:
             expect[j] = x
             j = next(j for j in range(n) if row[j] != expect[j])
             raise InternalVerificationFailed(f"block shape broken at ({i}, {j})")
-    for i in range(s - 1):
-        if factors[i] <= 0 or gcd(factors[i + 1], N) % gcd(factors[i], N):
-            raise InternalVerificationFailed(f"divisibility chain broken: {factors}")
-    if s and factors[-1] <= 0:
-        raise InternalVerificationFailed(f"non-positive invariant factor: {factors}")
+    if any(b % a for a, b in zip(factors, factors[1:])):
+        raise InternalVerificationFailed(f"divisibility chain broken: {factors}")
     return factors
 
 
@@ -407,23 +406,6 @@ def _replay(M: SkewIntMatrix, log: list[int]) -> list[list[int]]:
     return A
 
 
-def _certify_by_replay(M: SkewIntMatrix, S: list[list[int]], log: list[int]) -> tuple[int, ...]:
-    """Prove that S = E M E^T is the canonical form of M; return its factors.
-
-    S must be the block form with its divisibility chain (_block_factors),
-    and the replay of the log on M must give S cell for cell: that is
-    E M E^T = S, with E unimodular since every logged step is elementary.
-    No transform is built and no matrix product is taken. Raises
-    InternalVerificationFailed on the first failure.
-    """
-    factors = _block_factors(S)
-    for i, (got, row) in enumerate(zip(_replay(M, log), S)):
-        if got != row:
-            j = next(j for j, (x, y) in enumerate(zip(got, row)) if x != y)
-            raise InternalVerificationFailed(f"E M E^T differs from the reduced matrix at ({i}, {j})")
-    return factors
-
-
 def _pivot(A: list[list[int]], zeros: list[int], p: int, last: int) -> tuple[int, int] | None:
     """The pivot (i, j) of the next block, with A[i][j] > 0 of least size,
     in sparse rows; None when the live block is zero.
@@ -456,8 +438,8 @@ def _pivot(A: list[list[int]], zeros: list[int], p: int, last: int) -> tuple[int
     return piv
 
 
-def _reduce(M: SkewIntMatrix) -> tuple[list[list[int]], list[int]]:
-    """The reduced matrix and the log of skew_normal_form's reduction of M."""
+def _reduce(M: SkewIntMatrix) -> list[int]:
+    """The log of skew_normal_form's reduction of M."""
     n = M.n
     A = M.to_lists()
     # zeros[k] counts the zeros of row k, and a zero row counts 0, since it
@@ -512,7 +494,7 @@ def _reduce(M: SkewIntMatrix) -> tuple[list[list[int]], list[int]]:
             swap(p, p + 1)
         last = g
         p += 2
-    return A, log
+    return log
 
 
 def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
@@ -528,15 +510,15 @@ def skew_normal_form(M: SkewIntMatrix) -> SkewNormalForm:
     every repair must leave one, so the reduction ends; a step that breaks
     this raises InternalVerificationFailed instead of looping. The steps are
     logged (transform tracking as in Kannan and Bachem, SIAM J. Comput. 8,
-    1979), and the log is the certificate: replayed on M by code of its
-    own, it must give the reduced matrix cell for cell, and that matrix
-    must be the block form with its divisibility chain. Every logged step
-    swaps or shears two distinct indices, so E is unimodular by
-    construction, and E M E^T = S is proved with no transform built and no
-    matrix product; InternalVerificationFailed is raised otherwise.
+    1979), and the log is all the reduction hands on: replayed on M by
+    code of its own, it must give the canonical block form with its
+    divisibility chain, and the factors are read off that replay. Every
+    logged step swaps or shears two distinct indices, so E is unimodular
+    by construction, and E M E^T = S is proved with no transform built and
+    no matrix product; InternalVerificationFailed is raised otherwise.
     """
-    A, log = _reduce(M)
-    factors = _certify_by_replay(M, A, log)
+    log = _reduce(M)
+    factors = _block_factors(_replay(M, log))
     return SkewNormalForm(factors, M.n - 2 * len(factors), log)
 
 

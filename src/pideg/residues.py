@@ -5,13 +5,17 @@ _residue_factors owns the route: N = ell * RANK_PRIME, and its docstring
 states what the certified form proves (modular normal forms, Domich,
 Kannan and Trotter, 1987). _residue_reduce runs the rounds of
 intlinalg._reduce mod N, with a pivot rule of its own, a round at one
-pivot as one congruence on whole rows, and _residue_transforms replays
-its log into the rows of E^T and F = E^{-1}. Both hold each row as one
-int of fixed-width slots (_ResidueRows), so a step is a few multiply-adds
-of whole rows, and a Barrett step takes every slot of a row mod N at once.
-_certify then checks E F = I and M E^T = F S mod N by exact products over
-the sparse rows of the replay. Only bare matrices reach this route, so
-degrees.pi_degree_qas imports the module on its first call.
+pivot as one congruence on whole rows, and hands on only the block
+factors and the log. A form with fewer than n // 2 blocks settles no
+rank, so it is not certified. For a full form, _residue_transforms
+replays the log into the rows of E^T and F = E^{-1}. Both hold each row
+as one int of fixed-width slots (_ResidueRows), so a step is a few
+multiply-adds of whole rows, and a Barrett step takes every slot of a row
+mod N at once. _certify then checks the chain of the factors, and
+E F = I and M E^T = F S mod N, S the block form the factors name, by
+exact products over the sparse rows of the replay. Only bare matrices
+reach this route, so degrees.pi_degree_qas imports the module on its
+first call.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from itertools import compress
 from math import gcd
 
 from .errors import InternalVerificationFailed
-from .intlinalg import SkewIntMatrix, _block_factors, _nonzeros
+from .intlinalg import SkewIntMatrix, _nonzeros
 
 # q in the modulus N = ell q of _residue_factors: mod ell, an invariant factor
 # that ell divides would leave no block; mod ell q, only one that ell q divides,
@@ -33,23 +37,29 @@ from .intlinalg import SkewIntMatrix, _block_factors, _nonzeros
 RANK_PRIME = 2**13 - 1
 
 
-def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...]:
+def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...] | None:
     """The factors a_1, ..., a_s of M's congruence form over Z/N, N = ell *
-    RANK_PRIME, certified mod N.
+    RANK_PRIME, certified mod N; None when s < n // 2.
 
-    The certificate proves that M and the form share their Smith form over Z/N
-    (Newman, Integral Matrices, 1972, ch. II): gcd(a_i, N) = gcd(h_i, N) for M's
-    invariant factors h_i, and N | h_i past the blocks (h_i = 0 too). So the s
-    blocks prove rank at least 2s, and exactly 2s when s = n // 2; a shorter
-    form settles no rank, and degrees.pi_degree_qas hands M over to
+    The certificate proves that M and the block form S of the factors are
+    congruent over Z/N, and the chain makes S the form's canonical one, so
+    both share their Smith form over Z/N (Newman, Integral Matrices, 1972,
+    ch. II): gcd(a_i, N) = gcd(h_i, N) for M's invariant factors h_i, and
+    N | h_i past the blocks (h_i = 0 too). So the s blocks prove rank at
+    least 2s, and exactly 2s when s = n // 2. A shorter form settles no
+    rank, so it is not certified: None is returned before any transform is
+    built, and degrees.pi_degree_qas hands M over to
     intlinalg.skew_normal_form. The reduction and the replay run on packed
     residue rows (_residue_reduce and _residue_transforms), and _certify
-    checks E F = I and M E^T = F S mod N on the dict rows of the replay.
+    checks the chain and E F = I and M E^T = F S mod N on the dict rows of
+    the replay.
     """
     N = ell * RANK_PRIME
-    A, log = _residue_reduce(M, N)
+    factors, log = _residue_reduce(M, N)
+    if len(factors) < M.n // 2:
+        return None
     Et, F = _residue_transforms(log, M.n, N)
-    return _certify(M, A, Et, F, N)
+    return _certify(M, factors, Et, F, N)
 
 
 class _ResidueRows:
@@ -134,8 +144,8 @@ class _ResidueRows:
         return [int.from_bytes(data[k:k + size], "little") for k in range(0, len(data), size)]
 
 
-def _residue_reduce(M: SkewIntMatrix, N: int) -> tuple[list[list[int]], list[int]]:
-    """The reduced matrix and the log of M's congruence reduction mod N.
+def _residue_reduce(M: SkewIntMatrix, N: int) -> tuple[tuple[int, ...], list[int]]:
+    """The block factors and the log of M's congruence reduction mod N.
 
     The rounds of intlinalg._reduce, mod N, on the packed rows of
     _ResidueRows. The pivot is the first entry, in row-major order, that is
@@ -153,15 +163,17 @@ def _residue_reduce(M: SkewIntMatrix, N: int) -> tuple[list[list[int]], list[int
     packed rows of the u_k and v_k, alpha_k = A[k][p+1] + a v_k and
     beta_k = A[k][p] - a u_k; rows p and p+1 become A[p] + a U and
     A[p+1] - a V. The shears are logged one by one, in the order of _reduce.
-    Swaps only relabel: index k lives in row and slot at[k]. The reduced
-    matrix comes back as lists of residues in (-N/2, N/2], its lower
-    triangle minus its upper one.
+    Swaps only relabel: index k lives in row and slot at[k]. Block k's
+    factor is its final pivot, as a residue in (0, N/2], and no reduced
+    matrix is assembled: the certificate checks the block form the factors
+    name.
     """
     n = M.n
     A = _ResidueRows(N, n, [[x % N for x in row] for row in M.rows])
     w = A.width
     at = list(range(n))
     log: list[int] = []
+    factors: list[int] = []
 
     def unpacked(k: int) -> list[int]:
         """The slots of index k's row, reduced: entry (k, j) is in slot at[j]."""
@@ -256,15 +268,10 @@ def _residue_reduce(M: SkewIntMatrix, N: int) -> tuple[list[list[int]], list[int
             repaired = True
         if a < 0:
             swap(p, p + 1)
+        factors.append(abs(a))
         last = g
         p += 2
-    S = [[0] * n for _ in range(n)]
-    for i in range(n):
-        row = unpacked(i)
-        for j in range(i + 1, n):
-            S[i][j] = x = signed(row[at[j]])
-            S[j][i] = -x
-    return S, log
+    return tuple(factors), log
 
 
 def _residue_transforms(log: list[int], n: int, N: int) -> tuple[list[dict[int, int]], ...]:
@@ -302,21 +309,25 @@ def _combine(terms, rows: list[list[tuple[int, int]]], n: int) -> list[int]:
     return acc
 
 
-def _certify(M: SkewIntMatrix, S: list[list[int]], Et: list[dict[int, int]],
+def _certify(M: SkewIntMatrix, factors: tuple[int, ...], Et: list[dict[int, int]],
              F: list[dict[int, int]], N: int) -> tuple[int, ...]:
-    """Prove that S = E M E^T mod N is the congruence form of M over Z/N;
-    return its factors.
+    """Prove that E M E^T = S mod N for S the block form of the factors,
+    the congruence form of M over Z/N; return the factors.
 
     Et holds the rows of E^T and F those of E^{-1}, both sparse dicts as
-    from _residue_transforms. Checks the block shape of S and its
-    divisibility chain on gcd(a_i, N) (intlinalg._block_factors), then two
-    exact products mod N, each row summed from sparse rows into a dense
-    accumulator: E F = I, and M E^T = F S, which given the first is
-    E M E^T = S. Raises InternalVerificationFailed on the first failure.
+    from _residue_transforms. Checks the chain first: each gcd(a_i, N) is a
+    proper divisor of N that divides the next, so S has s blocks mod N and
+    is the canonical form. Then two exact products mod N, each row summed
+    from sparse rows into a dense accumulator: E F = I, and M E^T = F S,
+    which given the first is E M E^T = S. Raises
+    InternalVerificationFailed on the first failure.
     """
     n = M.n
-    factors = _block_factors(S, N)
-    s = len(factors)
+    gcds = [gcd(a, N) for a in factors]
+    if N in gcds or any(b % a for a, b in zip(gcds, gcds[1:])):
+        raise InternalVerificationFailed(f"divisibility chain broken: {factors}")
+    # Entry (k, k ^ 1) of S: a_i at (2i, 2i + 1) and -a_i at (2i + 1, 2i).
+    blocks = [x for a in factors for x in (a, -a)]
 
     def nonzero(row):
         return any(x % N for x in row)
@@ -338,8 +349,8 @@ def _certify(M: SkewIntMatrix, S: list[list[int]], Et: list[dict[int, int]],
         product = _combine(_nonzeros(Mr), Et_pairs, n)
         # Row r of F S: entry k ^ 1 is F[r][k] * S[k][k ^ 1] for k < 2s, the rest is zero.
         for k, y in Fr.items():
-            if k < 2 * s:
-                product[k ^ 1] -= y * S[k][k ^ 1]
+            if k < len(blocks):
+                product[k ^ 1] -= y * blocks[k]
         if nonzero(product):
-            raise InternalVerificationFailed("E M E^T does not equal the reduced matrix")
+            raise InternalVerificationFailed("E M E^T is not the block form of the factors")
     return factors

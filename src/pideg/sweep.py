@@ -9,22 +9,25 @@ from the first one, so a board costs at most one full normal form whatever
 properties are asked for, and only the facts some property reads. A matrix
 corpus hands each property the matrix itself.
 
-A property returns a list of failure messages, empty when it holds. The
-first DUMP_LIMIT failures, in property order and then board order, are
-written to the output directory as counterexample files.
+Items are built one at a time, as the loop reaches them, and a random or
+mutation corpus is refused before any is built when one item would pass
+diagrams.MAX_BOARD_CELLS cells. A property returns a list of failure
+messages, empty when it holds. The first DUMP_LIMIT failures, in property
+order and then board order, are written to the output directory as
+counterexample files; the loop keeps only the items those files may need.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 from .degrees import DiagramFacts, smallest_prime_factor
-from .diagrams import Diagram
+from .diagrams import Diagram, check_board_cells
 from .errors import BadSpec, InternalVerificationFailed, PidegError, SkewSymmetryViolated
 from .intlinalg import SkewIntMatrix, checked_cycle_sum, ranks_mod
 
@@ -49,35 +52,36 @@ def exhaustive_diagrams(m: int, n: int) -> list[Diagram]:
     return out
 
 
-def random_diagrams(m: int, n: int, count: int, seed: int) -> list[Diagram]:
-    """Seeded uniform random boards; deterministic for a given seed."""
+def random_diagrams(m: int, n: int, count: int, seed: int) -> Iterator[Diagram]:
+    """Seeded uniform random boards, one at a time; deterministic for a
+    given seed."""
     rng = random.Random(seed)
-    out = []
     for _ in range(count):
-        rows = tuple(
+        yield Diagram(tuple(
             tuple(bool(rng.getrandbits(1)) for _ in range(n)) for _ in range(m)
-        )
-        out.append(Diagram(rows))
-    return out
+        ))
 
 
-def mutation_matrices(n: int, count: int, seed: int) -> list[list[list[int]]]:
-    """Seeded random nonzero symmetric matrices (never skew-symmetric)."""
+def mutation_matrices(n: int, count: int, seed: int) -> Iterator[list[list[int]]]:
+    """Seeded random nonzero symmetric matrices (never skew-symmetric), one
+    at a time."""
     rng = random.Random(seed)
-    out = []
-    while len(out) < count:
+    while count:
         mat = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 mat[i][j] = mat[j][i] = rng.randrange(-3, 4)
         if any(x for row in mat for x in row):
-            out.append(mat)
-    return out
+            count -= 1
+            yield mat
 
 
-def parse_corpus(spec: str, seed: int) -> tuple[str, Callable[[], list]]:
+def parse_corpus(spec: str, seed: int) -> tuple[str, Callable[[], Iterable]]:
     """The kind of a corpus spec, 'exhaustive MxN', 'random MxN xK' or
-    'mutation NxN xK', and a builder of its items; nothing is built here."""
+    'mutation NxN xK', and a builder of its items; nothing is built here.
+    The exhaustive corpus is listed whole (at most 2^16 boards); the others
+    yield one item at a time, and TooLarge refuses them here when an item
+    would pass diagrams.MAX_BOARD_CELLS cells, as young_diagram does."""
     words = spec.split()
     counted = len(words) == 3 and words[2].startswith("x")
     source = words[0] if len(words) == 2 + counted else None
@@ -94,6 +98,7 @@ def parse_corpus(spec: str, seed: int) -> tuple[str, Callable[[], list]]:
         return "diagram", partial(exhaustive_diagrams, m, n)
     if m < 1 or n < 1 or count < 1 or source == "mutation" and m != n:
         raise BadSpec(f"bad {source} corpus: {spec!r}")
+    check_board_cells(m, n)
     if source == "random":
         return "diagram", partial(random_diagrams, m, n, count, seed)
     return "matrix", partial(mutation_matrices, n, count, seed)
@@ -237,16 +242,18 @@ class PropertyResult:
 
 
 def run_sweep(
-    kind: str, build: Callable[[], list], names: list[str] | None, out_dir: Path
+    kind: str, build: Callable[[], Iterable], names: list[str] | None, out_dir: Path
 ) -> tuple[int, list[PropertyResult]]:
-    """Check each named property on every item that build() returns; the
+    """Check each named property on every item that build() yields; the
     item count, and one result per name, in order.
 
     names None asks for the corpus kind's DEFAULT_PROPERTIES; an empty list,
     or a name not in the kind's registry, is a BadSpec, raised before any
     item is built.
-    Diagram properties share one DiagramFacts per board. Counterexamples
-    are written to out_dir as described in the module docstring.
+    Diagram properties share one DiagramFacts per board. Each item is
+    dropped once checked, unless it is among the first DUMP_LIMIT failures
+    of some property; the counterexamples are written to out_dir from
+    those, as described in the module docstring.
     """
     registry = DIAGRAM_PROPERTIES if kind == "diagram" else MATRIX_PROPERTIES
     if names is None:
@@ -259,9 +266,11 @@ def run_sweep(
             f"unknown properties for a {kind} corpus: {', '.join(unknown)}; "
             f"available: {', '.join(sorted(registry))}"
         )
-    items = build()
     checks = [(registry[name], PropertyResult(name)) for name in names]
-    for index, item in enumerate(items):
+    checked = 0
+    kept = {}  # index -> item, for the items of recorded failures
+    for index, item in enumerate(build()):
+        checked += 1
         record = DiagramFacts(item) if kind == "diagram" else item
         for prop, result in checks:
             messages = prop(record)
@@ -269,13 +278,14 @@ def run_sweep(
                 result.failures += 1
                 if len(result.dumps) < DUMP_LIMIT:
                     result.dumps.append((index, messages))
+                    kept[index] = item
     results = [result for _, result in checks]
     dumps = [(r.name, index, messages) for r in results for index, messages in r.dumps]
     for name, index, messages in dumps[:DUMP_LIMIT]:
-        item = items[index]
+        item = kept[index]
         body = item.to_text() if isinstance(item, Diagram) else json.dumps(item)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / f"counterexample-{name}-{index}.txt").write_text(
             body + "\n# property: " + name + "\n# " + "\n# ".join(messages) + "\n"
         )
-    return len(items), results
+    return checked, results

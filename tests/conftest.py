@@ -149,7 +149,7 @@ def corpus() -> list[Diagram]:
     return (
         exhaustive_diagrams(3, 3)
         + exhaustive_diagrams(3, 4)
-        + random_diagrams(5, 5, 1000, CORPUS_SEED)
+        + list(random_diagrams(5, 5, 1000, CORPUS_SEED))
     )
 
 

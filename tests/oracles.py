@@ -323,17 +323,18 @@ def dense_transforms(log: list[int], n: int, N: int = 0) -> tuple[list[list[int]
 
 
 def residue_reduce(rows, N: int) -> tuple[list[list[int]], list[int]]:
-    """The reduced matrix and the log of residues._residue_reduce, one
-    dense shear at a time.
+    """The reduced matrix and the log of the reduction of
+    residues._residue_reduce, one dense shear at a time.
 
     The same pivot rule (the first unit mod N in row-major order, else the
     least gcd with N, then the least absolute value), quotients, remainder
     swaps and divisibility repairs, but every logged step is applied as it
     is logged, to whole dense rows and columns of residues in [0, N), and a
     swap moves rows and columns. Production applies a round's shears as one
-    congruence on packed rows, and a swap only relabels. The reduced matrix
-    comes back as production returns it: residues in (-N/2, N/2] above the
-    diagonal, their negatives below.
+    congruence on packed rows, and a swap only relabels. Production returns
+    only the factors of its blocks; the reduced matrix comes back whole, as
+    residues in (-N/2, N/2] above the diagonal and their negatives below,
+    so that a test can check it is the block form of those factors.
     """
     n = len(rows)
     A = [[x % N for x in row] for row in rows]

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 from math import gcd
 from pathlib import Path
@@ -914,6 +915,35 @@ class TestSweepCommand:
             ".#.\n###\n# property: fails-first\n# forced\n"
         )
 
+    def test_items_are_built_one_at_a_time(self, capsys, tmp_path, monkeypatch):
+        # Each board is built when the loop reaches it, and once checked
+        # only the boards of recorded failures stay alive: here the first
+        # 20 of the 30 boards that fail, every third of 90.
+        refs, alive = [], []
+        boards = sweep.random_diagrams
+
+        def built_one_at_a_time(*args):
+            for d in boards(*args):
+                refs.append(weakref.ref(d))
+                yield d
+
+        def every_third(facts):
+            alive.append(sum(ref() is not None for ref in refs[:-1]))
+            return ["forced"] if len(refs) % 3 == 0 else []
+
+        monkeypatch.setattr(sweep, "random_diagrams", built_one_at_a_time)
+        monkeypatch.setitem(DIAGRAM_PROPERTIES, "every-third", every_third)
+        out_dir = tmp_path / "dumps"
+        code, out, _ = run(capsys, "sweep", "random 3x3 x90", "--seed", "7",
+                           "--properties", "every-third", "--out", str(out_dir), "--json")
+        assert code == 1 and json.loads(out)["properties"][0]["failures"] == 30
+        assert alive == [min(k // 3, 20) for k in range(90)]
+        expected = list(boards(3, 3, 90, 7))
+        for k in range(2, 60, 3):
+            text = (out_dir / f"counterexample-every-third-{k}.txt").read_text()
+            assert text == expected[k].to_text() + "\n# property: every-third\n# forced\n"
+        assert len(list(out_dir.iterdir())) == 20
+
     def test_unknown_property(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -1086,18 +1116,22 @@ class TestBoardSizeBound:
             (("detring", "500001", "5", "--ell", "3"), 1),
             (("schubert", "1", "1000001", "--ell", "3"), 1),
             (("grassmannian", "1", "1000001", "--ell", "3"), 1),
+            (("sweep", "random 2000x2000 x1", "--out", "{out}"), 1),
+            (("sweep", "mutation 3000x3000 x1", "--out", "{out}"), 1),
         ],
         ids=["rep-partition-99999999", "grassmannian-60-120", "grassmannian-30-60", "diagram-row-600",
-             "partition-1000000", "detring-500001-5", "schubert-1-1000001", "grassmannian-1-1000001"],
+             "partition-1000000", "detring-500001-5", "schubert-1-1000001", "grassmannian-1-1000001",
+             "sweep-random-2000x2000", "sweep-mutation-3000x3000"],
     )
     def test_boards_past_the_size_bound_are_refused_at_once(self, tmp_path, argv, code):
         # A few characters name a board whose form over Z would run for
         # minutes or exhaust memory; it is refused before it is built. The
         # form over Z of the all-white row of 600 squares, read from a file,
-        # would take about 12 s.
+        # would take about 12 s. A sweep corpus is refused before its first
+        # item is built.
         row = tmp_path / "row.txt"
         row.write_text("." * 600 + "\n")
-        argv = [word.format(row=row) for word in argv]
+        argv = [word.format(row=row, out=tmp_path / "out") for word in argv]
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         start = time.perf_counter()

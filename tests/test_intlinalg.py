@@ -122,14 +122,14 @@ class TestSkewIntMatrix:
         # keeps it, and accepts each of them unchanged.
         from pideg.sweep import exhaustive_diagrams
 
-        certify = intlinalg._certify_by_replay
+        replay = intlinalg._replay
         reduced = []
 
-        def spy(M, S, log):
+        def spy(M, log):
             reduced.append(M)
-            return certify(M, S, log)
+            return replay(M, log)
 
-        monkeypatch.setattr(intlinalg, "_certify_by_replay", spy)
+        monkeypatch.setattr(intlinalg, "_replay", spy)
         for d in exhaustive_diagrams(2, 3) + exhaustive_diagrams(3, 3):
             M = matrix_from_diagram(d)
             extended_normal_form(skew_normal_form(M))
@@ -251,8 +251,9 @@ class TestPrimality:
                 is_prime(p)
 
 
-# residues._certify receives the rows of E^T and of F as dicts from column
-# index to nonzero entry, so entry (r, c) of E is Et[c][r].
+# residues._certify receives the factors of the form mod N as a tuple, which
+# these tampers take as a list, and the rows of E^T and of F as dicts from
+# column index to nonzero entry, so entry (r, c) of E is Et[c][r].
 
 
 def _swap_columns(rows, a, b):
@@ -264,73 +265,80 @@ def _swap_columns(rows, a, b):
             row[a] = y
 
 
-def _bump_e(S, Et, F):
+def _bump_e(factors, Et, F):
     Et[0][0] = Et[0].get(0, 0) + 1
 
 
-def _bump_f(S, Et, F):
+def _bump_f(factors, Et, F):
     F[2][3] = F[2].get(3, 0) - 1
 
 
-def _drop_f_entry(S, Et, F):
+def _drop_f_entry(factors, Et, F):
     F[-1].popitem()
 
 
-def _swap_e_and_f(S, Et, F):
+def _swap_e_and_f(factors, Et, F):
     # Rows 0 and 1 of E and columns 0 and 1 of F: E and F stay inverse to
     # each other; only E M E^T = S catches it.
     _swap_columns(Et, 0, 1)
     _swap_columns(F, 0, 1)
 
 
-def _double_last_factor(S, *transforms):
-    # Shape and divisibility chain stay valid: (1, 1, 1, 2) -> (1, 1, 1, 4).
-    S[6][7], S[7][6] = 4, -4
+def _bump_factor(factors, Et, F):
+    # Shape and chain stay valid: (1, 1, 1, 2) -> (1, 1, 1, 3) mod 5q.
+    factors[-1] += 1
 
 
-def _break_block(S, Et, F):
-    S[2][5] += 1
-
-
-def _break_gcd_chain(S, Et, F):
+def _break_gcd_chain(factors, Et, F):
     # The first factor of the reference board's form becomes 5, which
     # divides ell = 5 and so N; the next factor is prime to N.
-    S[0][1], S[1][0] = 5, -5
+    factors[0] = 5
 
 
-# Over Z the log is the transform, so these tampers change the log that
-# intlinalg._certify_by_replay receives. The id of each names what it does
-# to E and F: E no longer unimodular (_bump_e), F changed (_bump_f), a step
-# of F lost (_drop_f_entry), a kernel index scaled where S cannot show it
-# (_bump_f_kernel_column), and E and F swapped at indices 0 and 1
-# (_swap_e_and_f).
+def _zero_last_factor(factors, Et, F):
+    # A factor that N = 5q divides is no block mod N.
+    factors[-1] = 5 * RANK_PRIME
 
 
-def _double_index_0(S, log):
+# Over Z the log is the transform, and all that the reduction hands to the
+# replay, so these tampers change the log of the reference board's form
+# (n = 9, factors (1, 1, 1, 2)). The id of each names what it does to E and
+# F: E no longer unimodular (_bump_e), F changed (_bump_f), a step of F
+# lost (_drop_f_entry), a kernel index scaled where S cannot show it
+# (_bump_f_kernel_column), E and F swapped at indices 0 and 1
+# (_swap_e_and_f), and the last factor doubled (_double_last_factor).
+
+
+def _double_index_0(log, n):
     # A step with i == j: index 0 doubled, so E is not unimodular.
     log += (0, 0, 1)
 
 
-def _flip_last_shear(S, log):
+def _flip_last_shear(log, n):
     k = max(k for k in range(0, len(log), 3) if log[k + 2])
     log[k + 2] = -log[k + 2]
 
 
-def _drop_last_step(S, log):
+def _drop_last_step(log, n):
     del log[-3:]
 
 
-def _double_kernel_index(S, log):
+def _double_kernel_index(log, n):
     # The kernel index doubled leaves S as it is, so only the refusal of a
     # step with i == j catches it, as only E F = I caught a bumped kernel
     # column of F.
-    n = len(S)
     log += (n - 1, n - 1, 1)
 
 
-def _swap_indices_0_and_1(S, log):
+def _swap_indices_0_and_1(log, n):
     # E and F stay inverse to each other; only E M E^T = S catches it.
     log += (0, 1, 0)
+
+
+def _double_last_factor(log, n):
+    # Index 7 doubled: (1, 1, 1, 2) -> (1, 1, 1, 4), a block form with its
+    # chain, so only the refusal of a step with i == j catches it.
+    log += (7, 7, 1)
 
 
 LOG_TAMPERS = [
@@ -474,31 +482,15 @@ class TestSkewNormalForm:
 
     @pytest.mark.parametrize("tamper", LOG_TAMPERS)
     def test_certificate_rejects_tampering(self, fig_diagram, monkeypatch, tamper):
-        certify = intlinalg._certify_by_replay
+        M = matrix_from_diagram(fig_diagram)
 
-        def tampered(M, S, log):
-            tamper(S, log)
-            return certify(M, S, log)
+        def tampered(log):
+            tamper(log, M.n)
+            return log
 
-        monkeypatch.setattr(intlinalg, "_certify_by_replay", tampered)
+        _reduce_then(monkeypatch, tampered)
         with pytest.raises(InternalVerificationFailed):
-            skew_normal_form(matrix_from_diagram(fig_diagram))
-
-    @pytest.mark.parametrize("cell", [(8, 0), (2, 5), (7, 6)])
-    def test_block_shape_reports_its_first_bad_cell(self, fig_diagram, monkeypatch, cell):
-        certify = intlinalg._certify_by_replay
-
-        def tampered(M, S, log):
-            # A second bad cell at the end of the row: the first one is named.
-            i, j = cell
-            S[i][j] += 1
-            S[i][-1] += 1
-            return certify(M, S, log)
-
-        monkeypatch.setattr(intlinalg, "_certify_by_replay", tampered)
-        message = rf"block shape broken at \({cell[0]}, {cell[1]}\)"
-        with pytest.raises(InternalVerificationFailed, match=message):
-            skew_normal_form(matrix_from_diagram(fig_diagram))
+            skew_normal_form(M)
 
     @pytest.mark.parametrize("cell", [(8, 0), (2, 5), (7, 6)])
     def test_replay_reports_its_first_bad_cell(self, fig_diagram, monkeypatch, cell):
@@ -513,7 +505,7 @@ class TestSkewNormalForm:
             return R
 
         monkeypatch.setattr(intlinalg, "_replay", tampered)
-        message = rf"E M E\^T differs from the reduced matrix at \({cell[0]}, {cell[1]}\)"
+        message = rf"block shape broken at \({cell[0]}, {cell[1]}\)"
         with pytest.raises(InternalVerificationFailed, match=message):
             skew_normal_form(matrix_from_diagram(fig_diagram))
 
@@ -625,8 +617,7 @@ def _reduce_then(patch: pytest.MonkeyPatch, tamper) -> None:
     reduce = intlinalg._reduce
 
     def tampered(M):
-        A, log = reduce(M)
-        return A, tamper(list(log))
+        return tamper(reduce(M))
 
     patch.setattr(intlinalg, "_reduce", tampered)
 
@@ -637,7 +628,7 @@ class TestReplayCertificate:
 
     def test_a_step_with_i_equal_to_j_is_refused(self):
         for M in replay_boards():
-            steps = len(intlinalg._reduce(M)[1]) // 3
+            steps = len(intlinalg._reduce(M)) // 3
             assert steps
             for t in range(steps):
                 def same_index(log, t=t):
@@ -653,14 +644,14 @@ class TestReplayCertificate:
     def test_a_step_outside_the_matrix_is_refused(self, fig_diagram, step):
         # -1 and -9 would alias indices 8 and 0 of the 9 x 9 reference matrix.
         M = matrix_from_diagram(fig_diagram)
-        A, log = intlinalg._reduce(M)
+        log = intlinalg._reduce(M)
         with pytest.raises(InternalVerificationFailed, match="not elementary"):
-            intlinalg._certify_by_replay(M, A, log + list(step))
+            intlinalg._replay(M, log + list(step))
 
     def test_a_flipped_shear_sign_is_refused(self):
         flipped = 0
         for M in replay_boards():
-            log = intlinalg._reduce(M)[1]
+            log = intlinalg._reduce(M)
             for t in range(0, len(log), 3):
                 if not log[t + 2]:
                     continue
@@ -671,14 +662,14 @@ class TestReplayCertificate:
 
                 with pytest.MonkeyPatch.context() as patch:
                     _reduce_then(patch, flip)
-                    with pytest.raises(InternalVerificationFailed, match="differs from the reduced matrix"):
+                    with pytest.raises(InternalVerificationFailed, match="block shape broken"):
                         skew_normal_form(M)
                 flipped += 1
         assert flipped >= 200
 
     def test_a_dropped_step_is_refused(self):
         for M in replay_boards():
-            log = intlinalg._reduce(M)[1]
+            log = intlinalg._reduce(M)
             for t in range(0, len(log), 3):
                 def drop(log, t=t):
                     del log[t:t + 3]
@@ -686,13 +677,13 @@ class TestReplayCertificate:
 
                 with pytest.MonkeyPatch.context() as patch:
                     _reduce_then(patch, drop)
-                    with pytest.raises(InternalVerificationFailed, match="differs from the reduced matrix"):
+                    with pytest.raises(InternalVerificationFailed, match="block shape broken"):
                         skew_normal_form(M)
 
     def test_a_shear_that_skips_its_last_live_column_is_caught_by_the_replay(self, monkeypatch):
         # The reduction still ends in block form on its own wrong matrix;
         # only the replay, which calls no step of the reduction, sees that
-        # the log does not take M there. In the round, the shear into each
+        # the log does not take M to a block form. In the round, the shear into each
         # live index k below the last leaves entry (k, last) as it was.
         round_ = intlinalg._pair_round
 
@@ -707,19 +698,27 @@ class TestReplayCertificate:
 
         monkeypatch.setattr(intlinalg, "_pair_round", skipping_round)
         for M in replay_boards():
-            with pytest.raises(InternalVerificationFailed, match="differs from the reduced matrix"):
+            with pytest.raises(InternalVerificationFailed, match="block shape broken"):
                 skew_normal_form(M)
+
+    def test_a_block_form_without_its_chain_is_refused(self, monkeypatch):
+        # An empty log leaves the block diagonal of (2, 3) as it is: block
+        # shaped, but 2 does not divide 3, so it is not the canonical form.
+        _reduce_then(monkeypatch, lambda log: [])
+        with pytest.raises(InternalVerificationFailed, match=re.escape("divisibility chain broken: (2, 3)")):
+            skew_normal_form(_block_diagonal((2, 3), 4))
 
     def test_the_replay_shares_no_step_with_the_reduction(self, monkeypatch):
         def refused(*args):
             raise AssertionError("the replay called a step of the reduction")
 
-        forms = [(M, *intlinalg._reduce(M)) for M in replay_boards()]
+        forms = [(M, skew_normal_form(M)) for M in replay_boards()]
         monkeypatch.setattr(intlinalg, "_pair_round", refused)
         monkeypatch.setattr(intlinalg, "_pair_add", refused)
         monkeypatch.setattr(intlinalg, "_pair_swap", refused)
-        for M, A, log in forms:
-            assert intlinalg._replay(M, log) == A
+        for M, snf in forms:
+            expected = _block_diagonal(snf.invariant_factors, M.n).to_lists()
+            assert intlinalg._replay(M, snf.log) == expected
 
 
 def _low_rank_skew(rng: random.Random, n: int, h: list[int]) -> SkewIntMatrix:
@@ -816,31 +815,38 @@ def _record_forms_over_z(patch: pytest.MonkeyPatch) -> list[SkewIntMatrix]:
 
 
 def _assert_residue_route_agrees(M: SkewIntMatrix, ells=RESIDUE_ELLS) -> None:
-    """At every ell of `ells`, the certified form mod N = ell q has the
-    factors gcd(h_i, N) of the invariant factors h_i over Z, and
-    pi_degree_qas equals the degree read from the h_i in every field. It
-    reduces M over Z, one form and one replay, exactly when the form mod N
-    has fewer than n // 2 blocks, never otherwise, and takes no rank mod p."""
+    """At every ell of `ells`, the form mod N = ell q has the factors
+    gcd(h_i, N) of the invariant factors h_i over Z, and pi_degree_qas
+    equals the degree read from the h_i in every field. A form of n // 2
+    blocks is replayed and certified mod N, and M is not reduced over Z; a
+    shorter one builds no transform and is not certified, and M is reduced
+    over Z, one form and one replay. No rank mod p is taken."""
     h = skew_normal_form(M).invariant_factors
-    certify = residues._certify
+    reduce, certify = residues._residue_reduce, residues._certify
     for ell in ells:
         N = ell * RANK_PRIME
-        seen = []
+        reduced, certified = [], []
 
-        def certify_spy(M, S, Et, F, N):
-            seen.append(certify(M, S, Et, F, N))
-            return seen[-1]
+        def reduce_spy(M, N):
+            reduced.append(reduce(M, N))
+            return reduced[-1]
+
+        def certify_spy(M, factors, Et, F, N):
+            certified.append(certify(M, factors, Et, F, N))
+            return certified[-1]
 
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(residues, "_residue_reduce", reduce_spy)
             patch.setattr(residues, "_certify", certify_spy)
             moduli = _record_replay_moduli(patch)
             forms = _record_forms_over_z(patch)
             got = pi_degree_qas(M, ell)
         expected = pi_degree_from_factors(h, ell)
         assert got == expected and repr(got) == repr(expected), (M.rows, ell)
-        [factors] = seen
+        [(factors, _)] = reduced
         short = len(factors) < M.n // 2
-        assert moduli == [N] + [0] * short and forms == [M] * short, (M.rows, ell)
+        assert moduli == ([0] if short else [N]) and forms == [M] * short, (M.rows, ell)
+        assert certified == [factors] * (not short), (M.rows, ell)
         g = [gcd(a, N) for a in factors]
         assert g == [gcd(x, N) for x in h[:len(g)]], (M.rows, ell)
         assert all(gcd(x, N) == N for x in h[len(g):]), (M.rows, ell)
@@ -887,8 +893,9 @@ class TestResidueForm:
 
     def test_a_short_form_hands_over_to_the_form_over_z(self, monkeypatch):
         # Rank 2 of 4, and rank 4 of 4 with a factor that ell q divides:
-        # both forms mod N have one block, which settles no rank, so each
-        # matrix is reduced and replayed over Z after its form mod N.
+        # both forms mod N have one block, which settles no rank, so no
+        # transform mod N is built, and each matrix is reduced and replayed
+        # over Z.
         moduli = _record_replay_moduli(monkeypatch)
         forms = _record_forms_over_z(monkeypatch)
         matrices = []
@@ -897,7 +904,7 @@ class TestResidueForm:
             pi = pi_degree_qas(matrices[-1], 5)
             assert (pi.exponent, pi.divisor, pi.factors) == degree
             assert repr(pi) == repr(pi_degree_from_factors(h, 5))
-        assert moduli == [5 * RANK_PRIME, 0] * 2
+        assert moduli == [0, 0]
         assert forms == matrices
 
     def test_a_pivot_clears_what_its_gcd_with_n_divides_in_one_shear(self):
@@ -905,34 +912,37 @@ class TestResidueForm:
         # it, and 2, a unit mod 3q, stays the pivot; over Z, 3 // 2 leaves 1.
         N = 3 * RANK_PRIME
         M = SkewIntMatrix(((0, 2, 3), (-2, 0, 0), (-3, 0, 0)))
-        A, log = residues._residue_reduce(M, N)
+        factors, log = residues._residue_reduce(M, N)
         c = 3 * pow(2, -1, N) % N
         assert log == [2, 1, -c]
-        assert A == [[0, 2, 0], [-2, 0, 0], [0, 0, 0]]
+        assert factors == (2,)
         assert residues._residue_factors(M, 3) == (2,)
         assert skew_normal_form(M).invariant_factors == (1,)
 
     def test_entries_stay_below_the_modulus(self):
-        # The reduced matrix holds residues of least absolute value, and the
+        # The factors are residues of least absolute value, and the
         # replayed transforms residues in [0, N): nothing grows with n.
         rng = random.Random(4_343)
         for ell in (2, 6, 10**24 + 7):
             N = ell * RANK_PRIME
             for n in (16, 30):
-                A, log = residues._residue_reduce(random_skew(rng, n), N)
-                assert all(abs(x) <= N // 2 for row in A for x in row)
+                factors, log = residues._residue_reduce(random_skew(rng, n), N)
+                assert all(0 < a <= N // 2 for a in factors)
                 assert all(abs(x) < N for x in log)
                 rows = residues._residue_transforms(log, n, N)
                 assert all(0 < x < N for side in rows for row in side for x in row.values())
 
     def test_empty_tiny_and_zero_matrices(self, monkeypatch):
-        # No block is the full form for n < 2; from n = 2 on, a zero matrix
-        # has a short form mod N, and the form over Z reads its rank 0.
+        # No block is the full form for n < 2, certified from transforms of
+        # size n; from n = 2 on, a zero matrix has a short form mod N, which
+        # builds no transform, and the form over Z reads its rank 0.
+        moduli = _record_replay_moduli(monkeypatch)
         forms = _record_forms_over_z(monkeypatch)
         zeros = [SkewIntMatrix(tuple((0,) * n for _ in range(n))) for n in (0, 1, 2, 5, 6)]
         for M in zeros:
-            assert residues._residue_factors(M, 5) == ()
+            assert residues._residue_factors(M, 5) == (() if M.n < 2 else None)
             assert pi_degree_qas(M, 5) == pi_degree_from_factors((), 5)
+        assert moduli == [5 * RANK_PRIME] * 4 + [0] * 3
         assert forms == zeros[2:]
 
     @pytest.mark.parametrize(
@@ -941,19 +951,21 @@ class TestResidueForm:
             (_bump_e, "E F is not the identity"),
             (_bump_f, "E F is not the identity"),
             (_drop_f_entry, "E F is not the identity"),
-            (_swap_e_and_f, "E M E^T does not equal the reduced matrix"),
-            (_break_block, "block shape broken at (2, 5)"),
+            (_swap_e_and_f, "E M E^T is not the block form of the factors"),
+            (_bump_factor, "E M E^T is not the block form of the factors"),
             (_break_gcd_chain, "divisibility chain broken"),
+            (_zero_last_factor, "divisibility chain broken"),
         ],
     )
     def test_certificate_rejects_tampering(self, fig_diagram, monkeypatch, tamper, message):
         certify = residues._certify
         moduli = []
 
-        def tampered(M, S, Et, F, N):
+        def tampered(M, factors, Et, F, N):
             moduli.append(N)
-            tamper(S, Et, F)
-            return certify(M, S, Et, F, N)
+            factors = list(factors)
+            tamper(factors, Et, F)
+            return certify(M, tuple(factors), Et, F, N)
 
         monkeypatch.setattr(residues, "_certify", tampered)
         with pytest.raises(InternalVerificationFailed, match=re.escape(message)):
@@ -974,9 +986,9 @@ class TestRankProof:
         for ell in range(2, 13):
             got = pi_degree_qas(M, ell)
             assert repr(got) == repr(pi_degree_from_factors(h, ell)), ell
-        # Each form mod N has at most 18 of the 20 blocks, so each ell
-        # replays its form mod N, then one form over Z.
-        assert moduli == [x for ell in range(2, 13) for x in (ell * RANK_PRIME, 0)]
+        # Each form mod N has at most 18 of the 20 blocks, so no ell builds
+        # a transform mod N, and each replays one form over Z.
+        assert moduli == [0] * 11
         assert forms == [M] * 11
 
     @pytest.mark.parametrize("divisors", [(0, 1, 2), (1,)], ids=["first-three", "second"])
@@ -992,11 +1004,26 @@ class TestRankProof:
         c = prod(first[k] for k in divisors)
         M = SkewIntMatrix(tuple(tuple(c * x for x in row) for row in M0.rows))
         assert [rank for rank, _ in ranks_mod(M.rows, first)] == [0 if k in divisors else 6 for k in range(3)]
+        moduli = _record_replay_moduli(monkeypatch)
         forms = _record_forms_over_z(monkeypatch)
         for ell in (2, 4, 6, 7):
             got = pi_degree_qas(M, ell)
             assert repr(got) == repr(pi_degree_from_factors(tuple(c * x for x in h0), ell))
-        assert forms == [M] * 4
+        assert forms == [M] * 4 and moduli == [0] * 4
+
+    def test_all_white_boards_build_no_transform_mod_n(self, monkeypatch):
+        # The matrix of the all-white k x k board has kernel dimension k and
+        # its bordered matrix k - 1, so from k = 3 on both forms mod N are
+        # short: no transform mod N is built, and the form over Z answers.
+        matrices = []
+        for k in (3, 8, 20):
+            M = matrix_from_diagram(all_white(k, k))
+            matrices += [M, extend(M)]
+        expected = [pi_degree_from_factors(skew_normal_form(M).invariant_factors, 5) for M in matrices]
+        moduli = _record_replay_moduli(monkeypatch)
+        forms = _record_forms_over_z(monkeypatch)
+        assert [repr(pi_degree_qas(M, 5)) for M in matrices] == list(map(repr, expected))
+        assert forms == matrices and moduli == [0] * len(matrices)
 
     @pytest.mark.parametrize("n, h", [(9, [2, 3]), (9, [1, 1, 2, 6]), (11, [3])])
     def test_odd_sizes(self, n, h):
@@ -1006,11 +1033,12 @@ class TestRankProof:
         # Both factors are multiples of 5 q, so the form mod 5 q has no
         # block, and the form over Z reads rank 4, the largest of n = 5.
         M = _block_diagonal([RANK_PRIME * 5] * 2, 5)
-        assert residues._residue_factors(M, 5) == ()
+        moduli = _record_replay_moduli(monkeypatch)
+        assert residues._residue_factors(M, 5) is None
         forms = _record_forms_over_z(monkeypatch)
         got = pi_degree_qas(M, 5)
         assert repr(got) == repr(pi_degree_from_factors((5 * RANK_PRIME,) * 2, 5))
-        assert forms == [M]
+        assert forms == [M] and moduli == [0]
 
 
 class TestResidueRows:
@@ -1061,15 +1089,18 @@ class TestResidueRows:
 
 
 def _assert_packed_rounds_match_the_oracle(M: SkewIntMatrix, ells) -> None:
-    """The packed reduction mod N = ell q returns the matrix and log of
+    """The packed reduction mod N = ell q returns the log of
     tests/oracles.residue_reduce, which applies each shear to dense lists
-    as it logs it, and the packed replay of that log the E and F of
+    as it logs it, and factors whose block form is the oracle's whole
+    reduced matrix; the packed replay of that log gives the E and F of
     tests/oracles.dense_transforms mod N."""
     n = M.n
     for ell in ells:
         N = ell * RANK_PRIME
-        A, log = residues._residue_reduce(M, N)
-        assert (A, log) == residue_reduce(M.rows, N), (M.rows, ell)
+        factors, log = residues._residue_reduce(M, N)
+        S, expected_log = residue_reduce(M.rows, N)
+        assert log == expected_log, (M.rows, ell)
+        assert S == _block_diagonal(factors, n).to_lists(), (M.rows, ell)
         Et, F = residues._residue_transforms(log, n, N)
         E_dense, F_dense = dense_transforms(log, n, N)
         assert [[col.get(r, 0) for col in Et] for r in range(n)] == E_dense, (M.rows, ell)
@@ -1103,9 +1134,9 @@ class TestPackedRounds:
         # and the repair's shear brings 3 into the pivot's row, where its
         # remainder 1 becomes the pivot.
         M = _block_diagonal((2, 3), 4)
-        A, log = residues._residue_reduce(M, 6 * RANK_PRIME)
+        factors, log = residues._residue_reduce(M, 6 * RANK_PRIME)
         assert log[:3] == [0, 2, 1]
-        assert [gcd(A[i][i + 1], 6 * RANK_PRIME) for i in (0, 2)] == [1, 6]
+        assert [gcd(a, 6 * RANK_PRIME) for a in factors] == [1, 6]
         _assert_packed_rounds_match_the_oracle(M, (6,))
         assert pi_degree_qas(M, 6) == pi_degree_from_factors((1, 6), 6)
 
@@ -1186,14 +1217,14 @@ class TestExtendedNormalForm:
         assert not congruence_certificate_holds(other, ext)
 
     def test_both_reductions_are_certified(self, fig_diagram, monkeypatch):
-        certify = intlinalg._certify_by_replay
+        replay = intlinalg._replay
         sizes = []
 
-        def spy(M, S, log):
+        def spy(M, log):
             sizes.append(M.n)
-            return certify(M, S, log)
+            return replay(M, log)
 
-        monkeypatch.setattr(intlinalg, "_certify_by_replay", spy)
+        monkeypatch.setattr(intlinalg, "_replay", spy)
         DiagramFacts(fig_diagram).extended_snf
         assert sizes == [9, 10]
 
@@ -1207,7 +1238,7 @@ class TestPlainData:
         assert [f.name for f in dataclasses.fields(snf)] == list(vars(snf)) == fields
         for name in ("transform", "inverse_transform", "e_columns", "f_rows"):
             assert not hasattr(snf, name)
-        for name in ("_dense", "_transforms", "_add_multiple", "_certify", "_combine"):
+        for name in ("_dense", "_transforms", "_add_multiple", "_certify", "_combine", "_certify_by_replay"):
             assert not hasattr(intlinalg, name)
 
 
