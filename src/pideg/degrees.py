@@ -11,8 +11,8 @@ FormulaMismatch on any disagreement, reading the generic degree over Z
 from the board itself; only a bare matrix goes through pi_degree_qas.
 Closed forms are never allowed to silently replace the generic
 computation: every PiDegree names the route that produced it. The one rule
-on ell is ell >= 2 (check_ell); where a closed form's hypothesis on ell
-fails, the generic route answers, and it says so.
+on ell is an integer ell >= 2 (check_ell); where a closed form's
+hypothesis on ell fails, the generic route answers, and it says so.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .diagrams import (
     Partition,
     PluckerIndex,
     check_determinantal,
+    check_integer,
     check_labels,
     determinantal_diagram,
     partition_from_plucker,
@@ -68,7 +69,9 @@ def smallest_prime_factor(x: int) -> int:
 
 
 def check_ell(ell: int) -> int:
-    """ell, or BadEll when ell < 2: the one rule on ell, for every route."""
+    """ell, or BadEll when ell is no integer (check_integer) or ell < 2: the
+    one rule on ell, for every route."""
+    ell = check_integer(ell, "ell", BadEll)
     if ell < 2:
         raise BadEll(f"ell must be at least 2, got {ell}")
     return ell
@@ -124,6 +127,7 @@ class PiDegree:
 
 def pi_degree_from_factors(h: tuple[int, ...], ell: int) -> PiDegree:
     """Generic PI degree from the invariant factors h of the skew matrix."""
+    check_ell(ell)
     gcds = [gcd(hi, ell) for hi in h]
     divisor = 1
     for g in gcds:

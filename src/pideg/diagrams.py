@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 
 from .errors import (
     BadRange,
@@ -136,13 +137,22 @@ def is_cauchon_le(d: Diagram) -> bool:
     return True
 
 
+def check_integer(x, what: str, error=BadRange) -> int:
+    """x as an int, or `error` when operator.index refuses it, as it refuses 2.0."""
+    try:
+        return index(x)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {x!r}") from None
+
+
 @dataclass(frozen=True)
 class Partition:
     """A weakly decreasing tuple of positive parts with a bounding box.
 
     `box_m` and `box_n` give the ambient rectangle, by default the tight
-    box (number of parts, largest part); a negative side is refused.
-    Trailing zero parts are stripped, so the empty partition is parts = ().
+    box (number of parts, largest part). A negative side, or a part or a
+    side that is no integer, is refused. Trailing zero parts are stripped,
+    so the empty partition is parts = ().
     """
 
     parts: tuple[int, ...]
@@ -150,7 +160,7 @@ class Partition:
     box_n: int | None = None
 
     def __post_init__(self) -> None:
-        parts = tuple(self.parts)
+        parts = tuple(check_integer(p, "a partition part") for p in self.parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         object.__setattr__(self, "parts", parts)
@@ -159,8 +169,8 @@ class Partition:
                 raise BadRange(f"partition parts must be nonnegative, got {p}")
             if i > 0 and parts[i - 1] < p:
                 raise BadRange(f"partition parts must weakly decrease: {parts}")
-        box_m = len(parts) if self.box_m is None else self.box_m
-        box_n = (parts[0] if parts else 0) if self.box_n is None else self.box_n
+        box_m = len(parts) if self.box_m is None else check_integer(self.box_m, "a box side")
+        box_n = (parts[0] if parts else 0) if self.box_n is None else check_integer(self.box_n, "a box side")
         if box_m < 0 or box_n < 0:
             raise BadRange(f"box sides must be nonnegative, got {box_m}x{box_n}")
         object.__setattr__(self, "box_m", box_m)
@@ -237,7 +247,8 @@ def young_diagram(shape: Partition) -> Diagram:
 
 
 def check_determinantal(n: int, t: int) -> None:
-    """BadRange unless 1 <= t <= n-1: the one rule on a determinantal board."""
+    """BadRange unless integers 1 <= t <= n-1: the one rule on a determinantal board."""
+    n, t = check_integer(n, "n"), check_integer(t, "t")
     if not (1 <= t <= n - 1):
         raise BadRange(f"need 1 <= t <= n-1, got n = {n}, t = {t}")
 
@@ -263,14 +274,15 @@ class PluckerIndex:
     """A strictly increasing m-subset gamma of {1, ..., n}.
 
     Indexes a Plucker coordinate on the Grassmannian of m-planes in n-space,
-    equivalently a Schubert cell.
+    equivalently a Schubert cell. An entry or n that is no integer is refused.
     """
 
     gamma: tuple[int, ...]
     n: int
 
     def __post_init__(self) -> None:
-        g = tuple(self.gamma)
+        g = tuple(check_integer(x, "a gamma entry") for x in self.gamma)
+        object.__setattr__(self, "n", check_integer(self.n, "n"))
         object.__setattr__(self, "gamma", g)
         if not g:
             raise BadRange("gamma must be a nonempty index set")

@@ -8,14 +8,12 @@ intlinalg._reduce mod N, with a pivot rule of its own, a round at one
 pivot as one congruence on whole rows, and hands on only the block
 factors and the log. A form with fewer than n // 2 blocks settles no
 rank, so it is not certified. For a full form, _residue_transforms
-replays the log into the rows of E^T and F = E^{-1}. Both hold each row
-as one int of fixed-width slots (_ResidueRows), so a step is a few
-multiply-adds of whole rows, and a Barrett step takes every slot of a row
-mod N at once. _certify then checks the chain of the factors, and
-E F = I and M E^T = F S mod N, S the block form the factors name, by
-exact products over the sparse rows of the replay. Only bare matrices
-reach this route, so degrees.pi_degree_qas imports the module on its
-first call.
+replays the log into the rows of E^T, each one int of fixed-width slots
+(_ResidueRows), so a step is one multiply-add of whole rows, and a
+Barrett step takes every slot of a row mod N at once. _certify then
+checks E M E^T = S mod N, S the block form the factors name, by exact
+products over the sparse rows of the replay. Only bare matrices reach
+this route, so degrees.pi_degree_qas imports the module on its first call.
 """
 
 from __future__ import annotations
@@ -49,17 +47,15 @@ def _residue_factors(M: SkewIntMatrix, ell: int) -> tuple[int, ...] | None:
     least 2s, and exactly 2s when s = n // 2. A shorter form settles no
     rank, so it is not certified: None is returned before any transform is
     built, and degrees.pi_degree_qas hands M over to
-    intlinalg.skew_normal_form. The reduction and the replay run on packed
-    residue rows (_residue_reduce and _residue_transforms), and _certify
-    checks the chain and E F = I and M E^T = F S mod N on the dict rows of
-    the replay.
+    intlinalg.skew_normal_form. As over Z, E is a product of the
+    elementary steps that _residue_transforms admits, and _certify checks
+    the chain and E M E^T = S mod N.
     """
     N = ell * RANK_PRIME
     factors, log = _residue_reduce(M, N)
     if len(factors) < M.n // 2:
         return None
-    Et, F = _residue_transforms(log, M.n, N)
-    return _certify(M, factors, Et, F, N)
+    return _certify(M, factors, _residue_transforms(log, M.n, N), N)
 
 
 class _ResidueRows:
@@ -274,29 +270,26 @@ def _residue_reduce(M: SkewIntMatrix, N: int) -> tuple[tuple[int, ...], list[int
     return tuple(factors), log
 
 
-def _residue_transforms(log: list[int], n: int, N: int) -> tuple[list[dict[int, int]], ...]:
-    """The rows of E^T and of F = E^{-1} mod N, as dicts of their nonzero
-    residues, in [0, N).
+def _residue_transforms(log: list[int], n: int, N: int) -> list[dict[int, int]]:
+    """The rows of E^T mod N, as dicts of their nonzero residues, in [0, N).
 
-    The log replayed backward, each step inverted, as
-    intlinalg._block_columns replays F over Z, on the packed rows of
-    _ResidueRows, so each shear is one multiply-add of a whole row.
+    E^T = G_1^T ... G_m^T, the log replayed backward from the identity on
+    the packed rows of _ResidueRows: the shear index_i += q index_j adds q
+    times row i to row j. A step with i == j, or with an index outside
+    0..n-1 (-1 would alias n - 1), is refused, as intlinalg._replay refuses
+    it: every other step is elementary, so E is unimodular by construction.
     """
-    Et, F = _ResidueRows(N, n), _ResidueRows(N, n)
+    Et = _ResidueRows(N, n)
     steps = reversed(log)
     for q, j, i in zip(steps, steps, steps):
-        if q == 0:
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise InternalVerificationFailed(f"logged step ({i}, {j}, {q}) is not elementary")
+        if q:
+            Et.add(j, q % N * Et.read(i))
+        else:
             Et.swap(i, j)
-            F.swap(i, j)
-            continue
-        Et.add(j, q % N * Et.read(i))
-        F.add(i, -q % N * F.read(j))
-
-    def nonzeros(X: _ResidueRows) -> list[dict[int, int]]:
-        slots = (X.unpack(X.read(r)) for r in range(n))
-        return [dict(zip(compress(range(n), row), filter(None, row))) for row in slots]
-
-    return nonzeros(Et), nonzeros(F)
+    slots = (Et.unpack(Et.read(r)) for r in range(n))
+    return [dict(zip(compress(range(n), row), filter(None, row))) for row in slots]
 
 
 def _combine(terms, rows: list[list[tuple[int, int]]], n: int) -> list[int]:
@@ -310,16 +303,17 @@ def _combine(terms, rows: list[list[tuple[int, int]]], n: int) -> list[int]:
 
 
 def _certify(M: SkewIntMatrix, factors: tuple[int, ...], Et: list[dict[int, int]],
-             F: list[dict[int, int]], N: int) -> tuple[int, ...]:
+             N: int) -> tuple[int, ...]:
     """Prove that E M E^T = S mod N for S the block form of the factors,
     the congruence form of M over Z/N; return the factors.
 
-    Et holds the rows of E^T and F those of E^{-1}, both sparse dicts as
-    from _residue_transforms. Checks the chain first: each gcd(a_i, N) is a
+    Et holds the rows of E^T from _residue_transforms, whose steps are all
+    elementary, so E is unimodular. The chain first: each gcd(a_i, N) is a
     proper divisor of N that divides the next, so S has s blocks mod N and
-    is the canonical form. Then two exact products mod N, each row summed
-    from sparse rows into a dense accumulator: E F = I, and M E^T = F S,
-    which given the first is E M E^T = S. Raises
+    is the canonical form. Then two exact products over sparse rows: the
+    rows of M E^T mod N, and E times them. The replay is trusted to apply
+    its steps, as intlinalg._replay is over Z: one that scaled a row of E
+    past the blocks by a non-unit mod N would leave E M E^T = S. Raises
     InternalVerificationFailed on the first failure.
     """
     n = M.n
@@ -328,29 +322,18 @@ def _certify(M: SkewIntMatrix, factors: tuple[int, ...], Et: list[dict[int, int]
         raise InternalVerificationFailed(f"divisibility chain broken: {factors}")
     # Entry (k, k ^ 1) of S: a_i at (2i, 2i + 1) and -a_i at (2i + 1, 2i).
     blocks = [x for a in factors for x in (a, -a)]
-
-    def nonzero(row):
-        return any(x % N for x in row)
-
     # The products read each sparse row many times, so they read it as a
     # list of pairs, which iterates faster than the items of a dict.
-    E: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, col in enumerate(Et):
-        for i, x in col.items():
-            E[i].append((k, x))
-    F_pairs = [list(row.items()) for row in F]
-    for i, terms in enumerate(E):
-        product = _combine(terms, F_pairs, n)
-        product[i] -= 1
-        if nonzero(product):
-            raise InternalVerificationFailed("E F is not the identity: the transform is not unimodular")
     Et_pairs = [list(col.items()) for col in Et]
-    for Mr, Fr in zip(M.rows, F):
-        product = _combine(_nonzeros(Mr), Et_pairs, n)
-        # Row r of F S: entry k ^ 1 is F[r][k] * S[k][k ^ 1] for k < 2s, the rest is zero.
-        for k, y in Fr.items():
-            if k < len(blocks):
-                product[k ^ 1] -= y * blocks[k]
-        if nonzero(product):
+    E: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, col in enumerate(Et_pairs):
+        for i, x in col:
+            E[i].append((k, x))
+    MEt = [list(_nonzeros([x % N for x in _combine(_nonzeros(Mr), Et_pairs, n)])) for Mr in M.rows]
+    for i, terms in enumerate(E):
+        product = _combine(terms, MEt, n)
+        if i < len(blocks):
+            product[i ^ 1] -= blocks[i]
+        if any(x % N for x in product):
             raise InternalVerificationFailed("E M E^T is not the block form of the factors")
     return factors

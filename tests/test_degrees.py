@@ -100,6 +100,17 @@ class TestGenericRoute:
         with pytest.raises(BadEll):
             pi_degree_from_factors((1,), 1)
 
+    def test_an_ell_that_is_no_integer_is_refused(self):
+        from pideg import SkewIntMatrix
+
+        M = SkewIntMatrix(((0, 1), (-1, 0)))
+        with pytest.raises(BadEll, match=r"^ell must be an integer, got 3\.0$"):
+            pi_degree_qas(M, 3.0)
+        with pytest.raises(BadEll, match=r"^ell must be an integer, got 2\.5$"):
+            pi_degree_partition(Partition((2, 1)), 2.5)
+        with pytest.raises(BadEll, match=r"^ell must be an integer, got 3\.0$"):
+            pi_degree_from_factors((1,), 3.0)
+
     def test_empty_matrix_gives_trivial_degree(self):
         from pideg import SkewIntMatrix
 

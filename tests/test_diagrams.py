@@ -1,5 +1,6 @@
 """Boards, partitions, and index-set bookkeeping."""
 
+import re
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -184,6 +185,18 @@ class TestPartition:
         with pytest.raises(BadRange, match="box sides must be nonnegative"):
             Partition((3, 1), **box)
 
+    @pytest.mark.parametrize(
+        "parts, box, message",
+        [
+            ((2.5, 1), {}, "a partition part must be an integer, got 2.5"),
+            ((2, 1), dict(box_m=3.0), "a box side must be an integer, got 3.0"),
+            ((2, 1), dict(box_n="3"), "a box side must be an integer, got '3'"),
+        ],
+    )
+    def test_a_part_or_side_that_is_no_integer_is_refused(self, parts, box, message):
+        with pytest.raises(BadRange, match=f"^{re.escape(message)}$"):
+            young_diagram(Partition(parts, **box))
+
     def test_size(self):
         assert Partition((5, 3, 2)).size == 10
         assert Partition(()).size == 0
@@ -220,6 +233,12 @@ class TestDeterminantalBoards:
             determinantal_diagram(3, 0)
         with pytest.raises(BadRange):
             determinantal_diagram(3, 3)
+
+    def test_n_or_t_that_is_no_integer_is_refused(self):
+        with pytest.raises(BadRange, match=r"^n must be an integer, got 4\.0$"):
+            determinantal_diagram(4.0, 2)
+        with pytest.raises(BadRange, match=r"^t must be an integer, got 1\.5$"):
+            determinantal_diagram(4, 1.5)
 
 
 def shapes_in_box(m: int, n: int):
@@ -289,6 +308,10 @@ class TestPluckerIndices:
             PluckerIndex((1, 5), 4)
         with pytest.raises(BadRange):
             PluckerIndex((0, 1), 4)
+        with pytest.raises(BadRange, match=r"^a gamma entry must be an integer, got 1\.5$"):
+            PluckerIndex((1.5,), 3)
+        with pytest.raises(BadRange, match=r"^n must be an integer, got 3\.0$"):
+            PluckerIndex((1,), 3.0)
 
     def test_shape_from_index_set(self):
         shape = partition_from_plucker(PluckerIndex((1, 3, 4, 7), 8))

@@ -252,61 +252,53 @@ class TestPrimality:
 
 
 # residues._certify receives the factors of the form mod N as a tuple, which
-# these tampers take as a list, and the rows of E^T and of F as dicts from
-# column index to nonzero entry, so entry (r, c) of E is Et[c][r].
+# these tampers take as a list, and the rows of E^T as dicts from column
+# index to nonzero entry, so entry (r, c) of E is Et[c][r].
 
 
-def _swap_columns(rows, a, b):
-    for row in rows:
-        x, y = row.pop(a, 0), row.pop(b, 0)
-        if x:
-            row[b] = x
-        if y:
-            row[a] = y
-
-
-def _bump_e(factors, Et, F):
+def _bump_e(factors, Et):
     Et[0][0] = Et[0].get(0, 0) + 1
 
 
-def _bump_f(factors, Et, F):
-    F[2][3] = F[2].get(3, 0) - 1
+def _lower_e_entry(factors, Et):
+    Et[2][3] = Et[2].get(3, 0) - 1
 
 
-def _drop_f_entry(factors, Et, F):
-    F[-1].popitem()
+def _drop_e_entry(factors, Et):
+    # The last nonzero of E's last column.
+    Et[-1].popitem()
 
 
-def _swap_e_and_f(factors, Et, F):
-    # Rows 0 and 1 of E and columns 0 and 1 of F: E and F stay inverse to
-    # each other; only E M E^T = S catches it.
-    _swap_columns(Et, 0, 1)
-    _swap_columns(F, 0, 1)
+def _swap_e_columns(factors, Et):
+    # Columns 0 and 1 of E, rows 0 and 1 of E^T: E stays unimodular; only
+    # E M E^T = S catches it.
+    Et[0], Et[1] = Et[1], Et[0]
 
 
-def _bump_factor(factors, Et, F):
+def _bump_factor(factors, Et):
     # Shape and chain stay valid: (1, 1, 1, 2) -> (1, 1, 1, 3) mod 5q.
     factors[-1] += 1
 
 
-def _break_gcd_chain(factors, Et, F):
+def _break_gcd_chain(factors, Et):
     # The first factor of the reference board's form becomes 5, which
     # divides ell = 5 and so N; the next factor is prime to N.
     factors[0] = 5
 
 
-def _zero_last_factor(factors, Et, F):
+def _zero_last_factor(factors, Et):
     # A factor that N = 5q divides is no block mod N.
     factors[-1] = 5 * RANK_PRIME
 
 
-# Over Z the log is the transform, and all that the reduction hands to the
-# replay, so these tampers change the log of the reference board's form
-# (n = 9, factors (1, 1, 1, 2)). The id of each names what it does to E and
-# F: E no longer unimodular (_bump_e), F changed (_bump_f), a step of F
-# lost (_drop_f_entry), a kernel index scaled where S cannot show it
-# (_bump_f_kernel_column), E and F swapped at indices 0 and 1
-# (_swap_e_and_f), and the last factor doubled (_double_last_factor).
+# On both routes the log is the transform, and all that the reduction hands
+# to the replay, so these tampers change the log of the reference board's
+# form (n = 9, factors (1, 1, 1, 2), and four blocks mod 5q too). The id of
+# each names what it does to E and F = E^{-1}: E no longer unimodular
+# (_bump_e), F changed (_bump_f), a step of F lost (_drop_f_entry), a kernel
+# index scaled where S cannot show it (_bump_f_kernel_column), E and F
+# swapped at indices 0 and 1 (_swap_e_and_f), and the last factor doubled
+# (_double_last_factor).
 
 
 def _double_index_0(log, n):
@@ -324,20 +316,20 @@ def _drop_last_step(log, n):
 
 
 def _double_kernel_index(log, n):
-    # The kernel index doubled leaves S as it is, so only the refusal of a
-    # step with i == j catches it, as only E F = I caught a bumped kernel
-    # column of F.
+    # The kernel index doubled leaves S as it is, so on both routes only
+    # the refusal of a step with i == j catches it.
     log += (n - 1, n - 1, 1)
 
 
 def _swap_indices_0_and_1(log, n):
-    # E and F stay inverse to each other; only E M E^T = S catches it.
+    # E stays unimodular; only E M E^T = S catches it.
     log += (0, 1, 0)
 
 
 def _double_last_factor(log, n):
     # Index 7 doubled: (1, 1, 1, 2) -> (1, 1, 1, 4), a block form with its
-    # chain, so only the refusal of a step with i == j catches it.
+    # chain, so over Z only the refusal of a step with i == j catches it;
+    # mod N, S comes from the reduction's factors, and E M E^T = S does too.
     log += (7, 7, 1)
 
 
@@ -831,8 +823,8 @@ def _assert_residue_route_agrees(M: SkewIntMatrix, ells=RESIDUE_ELLS) -> None:
             reduced.append(reduce(M, N))
             return reduced[-1]
 
-        def certify_spy(M, factors, Et, F, N):
-            certified.append(certify(M, factors, Et, F, N))
+        def certify_spy(M, factors, Et, N):
+            certified.append(certify(M, factors, Et, N))
             return certified[-1]
 
         with pytest.MonkeyPatch.context() as patch:
@@ -921,7 +913,7 @@ class TestResidueForm:
 
     def test_entries_stay_below_the_modulus(self):
         # The factors are residues of least absolute value, and the
-        # replayed transforms residues in [0, N): nothing grows with n.
+        # replayed rows of E^T residues in [0, N): nothing grows with n.
         rng = random.Random(4_343)
         for ell in (2, 6, 10**24 + 7):
             N = ell * RANK_PRIME
@@ -929,8 +921,8 @@ class TestResidueForm:
                 factors, log = residues._residue_reduce(random_skew(rng, n), N)
                 assert all(0 < a <= N // 2 for a in factors)
                 assert all(abs(x) < N for x in log)
-                rows = residues._residue_transforms(log, n, N)
-                assert all(0 < x < N for side in rows for row in side for x in row.values())
+                Et = residues._residue_transforms(log, n, N)
+                assert all(0 < x < N for row in Et for x in row.values())
 
     def test_empty_tiny_and_zero_matrices(self, monkeypatch):
         # No block is the full form for n < 2, certified from transforms of
@@ -948,10 +940,10 @@ class TestResidueForm:
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            (_bump_e, "E F is not the identity"),
-            (_bump_f, "E F is not the identity"),
-            (_drop_f_entry, "E F is not the identity"),
-            (_swap_e_and_f, "E M E^T is not the block form of the factors"),
+            (_bump_e, "E M E^T is not the block form of the factors"),
+            (_lower_e_entry, "E M E^T is not the block form of the factors"),
+            (_drop_e_entry, "E M E^T is not the block form of the factors"),
+            (_swap_e_columns, "E M E^T is not the block form of the factors"),
             (_bump_factor, "E M E^T is not the block form of the factors"),
             (_break_gcd_chain, "divisibility chain broken"),
             (_zero_last_factor, "divisibility chain broken"),
@@ -961,16 +953,64 @@ class TestResidueForm:
         certify = residues._certify
         moduli = []
 
-        def tampered(M, factors, Et, F, N):
+        def tampered(M, factors, Et, N):
             moduli.append(N)
             factors = list(factors)
-            tamper(factors, Et, F)
-            return certify(M, tuple(factors), Et, F, N)
+            tamper(factors, Et)
+            return certify(M, tuple(factors), Et, N)
 
         monkeypatch.setattr(residues, "_certify", tampered)
         with pytest.raises(InternalVerificationFailed, match=re.escape(message)):
             pi_degree_qas(matrix_from_diagram(fig_diagram), 5)
         assert moduli == [5 * RANK_PRIME]
+
+
+def _residue_reduce_then(patch: pytest.MonkeyPatch, tamper) -> None:
+    """Make the reduction mod N hand tamper(log) to the replay in place of its log."""
+    reduce = residues._residue_reduce
+
+    def tampered(M, N):
+        factors, log = reduce(M, N)
+        tamper(log)
+        return factors, log
+
+    patch.setattr(residues, "_residue_reduce", tampered)
+
+
+class TestResidueLogTampering:
+    """Mod N, as over Z, E is unimodular because the replay admits only
+    elementary steps: each mutation of the log of the reference board's
+    full form mod 5q raises."""
+
+    @pytest.mark.parametrize("tamper", LOG_TAMPERS)
+    def test_the_log_tampers_fail_mod_n(self, fig_diagram, monkeypatch, tamper):
+        M = matrix_from_diagram(fig_diagram)
+        _residue_reduce_then(monkeypatch, lambda log: tamper(log, M.n))
+        with pytest.raises(InternalVerificationFailed):
+            pi_degree_qas(M, 5)
+
+    def test_a_step_with_i_equal_to_j_is_refused_at_every_position(self, fig_diagram):
+        M = matrix_from_diagram(fig_diagram)
+        factors, log = residues._residue_reduce(M, 5 * RANK_PRIME)
+        assert len(factors) == 4 == M.n // 2
+        for p in range(len(log) // 3 + 1):
+            k = p % M.n
+
+            def insert(log):
+                log[3 * p:3 * p] = (k, k, 1)
+
+            with pytest.MonkeyPatch.context() as patch:
+                _residue_reduce_then(patch, insert)
+                message = f"logged step ({k}, {k}, 1) is not elementary"
+                with pytest.raises(InternalVerificationFailed, match=re.escape(message)):
+                    pi_degree_qas(M, 5)
+
+    @pytest.mark.parametrize("step", [(-1, 8, 1), (9, 0, 1), (0, -9, 0)])
+    def test_a_step_outside_the_matrix_is_refused(self, fig_diagram, monkeypatch, step):
+        # -1 and -9 would alias indices 8 and 0 of the rows of E^T; 9 is past them.
+        _residue_reduce_then(monkeypatch, lambda log: log.extend(step))
+        with pytest.raises(InternalVerificationFailed, match=re.escape(f"logged step {step} is not elementary")):
+            pi_degree_qas(matrix_from_diagram(fig_diagram), 5)
 
 
 class TestRankProof:
@@ -1092,7 +1132,7 @@ def _assert_packed_rounds_match_the_oracle(M: SkewIntMatrix, ells) -> None:
     """The packed reduction mod N = ell q returns the log of
     tests/oracles.residue_reduce, which applies each shear to dense lists
     as it logs it, and factors whose block form is the oracle's whole
-    reduced matrix; the packed replay of that log gives the E and F of
+    reduced matrix; the packed replay of that log gives the E of
     tests/oracles.dense_transforms mod N."""
     n = M.n
     for ell in ells:
@@ -1101,10 +1141,9 @@ def _assert_packed_rounds_match_the_oracle(M: SkewIntMatrix, ells) -> None:
         S, expected_log = residue_reduce(M.rows, N)
         assert log == expected_log, (M.rows, ell)
         assert S == _block_diagonal(factors, n).to_lists(), (M.rows, ell)
-        Et, F = residues._residue_transforms(log, n, N)
-        E_dense, F_dense = dense_transforms(log, n, N)
+        Et = residues._residue_transforms(log, n, N)
+        E_dense, _ = dense_transforms(log, n, N)
         assert [[col.get(r, 0) for col in Et] for r in range(n)] == E_dense, (M.rows, ell)
-        assert [[row.get(c, 0) for c in range(n)] for row in F] == F_dense, (M.rows, ell)
 
 
 class TestPackedRounds:

@@ -83,24 +83,40 @@ expect(
 )
 intlinalg._reduce = reduce
 
-# A replay mod ell q with one nonzero of F dropped fails E F = I.
+# A log mod ell q that gains a step with i == j fails the replay mod ell q.
+residue_reduce = residues._residue_reduce
+
+
+def residue_reduce_with_i_equal_to_j(M, N):
+    factors, log = residue_reduce(M, N)
+    return factors, log + [1, 1, 1]
+
+
+residues._residue_reduce = residue_reduce_with_i_equal_to_j
+expect(
+    InternalVerificationFailed, pi_degree_qas, SkewIntMatrix(((0, 2), (-2, 0))), 3,
+    match="not elementary",
+)
+residues._residue_reduce = residue_reduce
+
+# A replay mod ell q with one nonzero of E^T dropped fails E M E^T = S.
 residue_transforms = residues._residue_transforms
 
 
-def replay_dropping_f_entry(log, n, N):
-    Et, F = residue_transforms(log, n, N)
-    F[-1].popitem()
-    return Et, F
+def replay_dropping_an_entry(log, n, N):
+    Et = residue_transforms(log, n, N)
+    Et[-1].popitem()
+    return Et
 
 
-residues._residue_transforms = replay_dropping_f_entry
+residues._residue_transforms = replay_dropping_an_entry
 expect(
     InternalVerificationFailed, pi_degree_qas, SkewIntMatrix(((0, 2), (-2, 0))), 3,
-    match="E F is not the identity",
+    match="E M E^T is not the block form",
 )
 
 # A packed replay whose slot reduction is off by one leaves wrong residues
-# in E and F, which the certificate mod ell q rejects.
+# in E^T, which the certificate mod ell q rejects.
 reduce = residues._ResidueRows.reduce
 
 
